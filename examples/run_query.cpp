@@ -28,13 +28,16 @@
 // bit-identical at any shard count too.
 //
 // --batch caps the calls coalesced per transport frame (docs/TRANSPORT.md
-// "Batched & pipelined exchanges"; 1 = off, the default). Results are
-// bit-identical at any batch size.
+// "Batched & pipelined exchanges"; 0 = per-backend auto, the default;
+// 1 = off). Results are bit-identical at any batch size.
+//
+// Numeric flags must parse whole: a malformed value ("--tds=abc",
+// "--skew=1x", "--shards=") exits 2 instead of becoming a silent 0.
 //
 // The fleet schema is the generic workload: T(gid INT, grp STRING,
 // val DOUBLE, cat INT), one row per TDS by default.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -54,6 +57,15 @@ bool FlagValue(const char* arg, const char* name, std::string* out) {
     return true;
   }
   return false;
+}
+
+/// Whole-string numeric parse: an empty value, garbage or trailing
+/// characters are errors.
+template <typename T>
+bool ParseNumber(const std::string& s, T* out) {
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end && !s.empty();
 }
 
 bool WriteFile(const std::string& path, const std::string& content) {
@@ -87,16 +99,17 @@ int main(int argc, char** argv) {
 
   for (int i = 2; i < argc; ++i) {
     std::string v;
+    bool parsed = true;
     if (FlagValue(argv[i], "--protocol", &v)) protocol_name = v;
-    else if (FlagValue(argv[i], "--tds", &v)) gopts.num_tds = std::strtoul(v.c_str(), nullptr, 10);
-    else if (FlagValue(argv[i], "--groups", &v)) gopts.num_groups = std::strtoul(v.c_str(), nullptr, 10);
-    else if (FlagValue(argv[i], "--skew", &v)) gopts.group_skew = std::strtod(v.c_str(), nullptr);
-    else if (FlagValue(argv[i], "--availability", &v)) config.options.compute_availability = std::strtod(v.c_str(), nullptr);
-    else if (FlagValue(argv[i], "--dropout", &v)) config.options.dropout_rate = std::strtod(v.c_str(), nullptr);
-    else if (FlagValue(argv[i], "--threads", &v)) config.options.num_threads = std::strtoul(v.c_str(), nullptr, 10);
-    else if (FlagValue(argv[i], "--shards", &v)) config.num_shards = std::strtoul(v.c_str(), nullptr, 10);
-    else if (FlagValue(argv[i], "--max-inflight", &v)) config.max_inflight_queries = std::strtoul(v.c_str(), nullptr, 10);
-    else if (FlagValue(argv[i], "--batch", &v)) config.transport_batch_max_calls = std::strtoul(v.c_str(), nullptr, 10);
+    else if (FlagValue(argv[i], "--tds", &v)) parsed = ParseNumber(v, &gopts.num_tds);
+    else if (FlagValue(argv[i], "--groups", &v)) parsed = ParseNumber(v, &gopts.num_groups);
+    else if (FlagValue(argv[i], "--skew", &v)) parsed = ParseNumber(v, &gopts.group_skew);
+    else if (FlagValue(argv[i], "--availability", &v)) parsed = ParseNumber(v, &config.options.compute_availability);
+    else if (FlagValue(argv[i], "--dropout", &v)) parsed = ParseNumber(v, &config.options.dropout_rate);
+    else if (FlagValue(argv[i], "--threads", &v)) parsed = ParseNumber(v, &config.options.num_threads);
+    else if (FlagValue(argv[i], "--shards", &v)) parsed = ParseNumber(v, &config.num_shards);
+    else if (FlagValue(argv[i], "--max-inflight", &v)) parsed = ParseNumber(v, &config.max_inflight_queries);
+    else if (FlagValue(argv[i], "--batch", &v)) parsed = ParseNumber(v, &config.transport_batch_max_calls);
     else if (FlagValue(argv[i], "--transport", &v)) {
       auto kind_or = net::TransportKindFromName(v);
       if (!kind_or.ok()) {
@@ -111,6 +124,10 @@ int main(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) metrics_json_path = argv[++i];
     else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      return 2;
+    }
+    if (!parsed) {
+      std::fprintf(stderr, "bad value: %s\n", argv[i]);
       return 2;
     }
   }

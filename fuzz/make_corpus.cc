@@ -204,7 +204,8 @@ int Run(const std::filesystem::path& out_dir) {
     net::SsiNode node;
     net::LoopbackTransport transport(node.handler());
     net::SsiClient client(&transport);
-    protocol::RunContext ctx(fleet.get(), &client, query_id,
+    protocol::ParallelExecutor executor(opts.num_threads);
+    protocol::RunContext ctx(fleet.get(), &client, &executor, query_id,
                              sim::DeviceModel(), opts);
 
     auto post = querier.MakePost(query_id, sql, &ctx.rng());

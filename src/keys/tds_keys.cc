@@ -57,6 +57,11 @@ Result<std::shared_ptr<const crypto::KeyStore>> TdsKeyState::KeysFor(
   }
   TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const crypto::KeyStore> keys,
                           DeriveQueryKeys(*secret, posting));
+  if (session_cache_.size() >= kSessionCacheCapacity) {
+    session_cache_.erase(session_order_.front());
+    session_order_.pop_front();
+  }
+  session_order_.push_back(cache_key);
   session_cache_.emplace(std::move(cache_key), keys);
   return keys;
 }
@@ -84,6 +89,11 @@ Result<uint32_t> TdsKeyState::known_epoch() const {
   std::lock_guard<std::mutex> lock(mu_);
   if (!has_window_) return Status::NotFound("no epoch window adopted yet");
   return window_.inner_epoch;
+}
+
+size_t TdsKeyState::session_cache_size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return session_cache_.size();
 }
 
 }  // namespace tcells::keys

@@ -17,6 +17,7 @@
 #define TCELLS_KEYS_TDS_KEYS_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -40,6 +41,15 @@ class EpochBlockSource {
 
 class TdsKeyState {
  public:
+  /// Session KeyStores one TDS keeps cached. The cache is first-in
+  /// first-out: the oldest posting's keys are evicted when a new one
+  /// arrives at capacity, and re-derived byte-identically on a later miss.
+  /// Four times the engine's default query concurrency
+  /// (Engine::Config::max_inflight_queries = 4), so every posting a TDS
+  /// serves in one collection pass — and the postings of queries finishing
+  /// meanwhile — stays cached through that query's rounds.
+  static constexpr size_t kSessionCacheCapacity = 16;
+
   /// `source` is borrowed and must outlive the state.
   TdsKeyState(uint64_t tds_id, crypto::BroadcastDeviceKeys device_keys,
               EpochBlockSource* source);
@@ -68,6 +78,9 @@ class TdsKeyState {
   /// successful Refresh.
   Result<uint32_t> known_epoch() const;
 
+  /// Postings whose session keys are cached (<= kSessionCacheCapacity).
+  size_t session_cache_size() const;
+
  private:
   Status RefreshLocked();
 
@@ -79,8 +92,9 @@ class TdsKeyState {
   bool has_window_ = false;
   EpochSecrets window_;  ///< last good window; back() is the newest secret
   /// Session-key cache keyed by the encoded posting, so every partition of
-  /// one query derives once.
+  /// one query derives once; `session_order_` lists its keys oldest first.
   std::map<Bytes, std::shared_ptr<const crypto::KeyStore>> session_cache_;
+  std::deque<Bytes> session_order_;
 };
 
 }  // namespace tcells::keys

@@ -55,11 +55,10 @@ Result<bool> AcceptedFromBody(const Bytes& body) {
 // ---------------------------------------------------------------------------
 // Async submission machinery
 
-SsiClient::CallToken SsiClient::EnqueueLocked(Bytes request, bool detached) {
+SsiClient::CallToken SsiClient::EnqueueLocked(Bytes request) {
   CallToken token = next_token_++;
   Pending pending;
   pending.request = std::move(request);
-  pending.detached = detached;
   calls_.emplace(token, std::move(pending));
   queue_.push_back(token);
   return token;
@@ -67,12 +66,7 @@ SsiClient::CallToken SsiClient::EnqueueLocked(Bytes request, bool detached) {
 
 SsiClient::CallToken SsiClient::CallAsync(Bytes request) {
   std::lock_guard<std::mutex> lock(mu_);
-  return EnqueueLocked(std::move(request), /*detached=*/false);
-}
-
-void SsiClient::CallDetached(Bytes request) {
-  std::lock_guard<std::mutex> lock(mu_);
-  (void)EnqueueLocked(std::move(request), /*detached=*/true);
+  return EnqueueLocked(std::move(request));
 }
 
 Result<Bytes> SsiClient::Await(CallToken token) {
@@ -103,18 +97,6 @@ Result<Bytes> SsiClient::Await(CallToken token) {
     // Another thread's exchange carries this call; wait for its completion.
     cv_.wait(lock);
   }
-}
-
-void SsiClient::Flush() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!queue_.empty()) {
-    if (inflight_frames_ < batch_.max_inflight_frames) {
-      DispatchChunk(&lock);
-    } else {
-      cv_.wait(lock);
-    }
-  }
-  while (inflight_frames_ > 0) cv_.wait(lock);
 }
 
 void SsiClient::DispatchChunk(std::unique_lock<std::mutex>* lock) {
@@ -164,10 +146,6 @@ void SsiClient::DispatchChunk(std::unique_lock<std::mutex>* lock) {
   for (size_t i = 0; i < chunk.size(); ++i) {
     auto it = calls_.find(chunk[i]);
     if (it == calls_.end()) continue;
-    if (it->second.detached) {
-      calls_.erase(it);  // reply discarded by design
-      continue;
-    }
     it->second.done = true;
     it->second.reply = std::move(replies[i]);
   }
@@ -570,13 +548,7 @@ Result<std::vector<EncryptedItem>> SsiClient::TakeRoundOutput(
   ByteWriter aw(&ack);
   aw.PutU64(query_id);
   aw.PutU64(token);
-  if (batching_enabled()) {
-    // Piggyback the ack on the next frame out instead of paying a round
-    // trip; the reply is discarded on arrival.
-    CallDetached(std::move(ack));
-  } else {
-    (void)Call(std::move(ack));
-  }
+  (void)Call(std::move(ack));
   return items;
 }
 

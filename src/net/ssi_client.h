@@ -101,9 +101,6 @@ class SsiClient : public SsiApi {
   /// returns the decoded reply body (or the application/transport error).
   /// Consumes the token.
   Result<Bytes> Await(CallToken token);
-  /// Drains the queue and waits for every in-flight frame, so detached
-  /// calls are on the wire before the client goes away.
-  void Flush();
 
   // ---- Querybox ----
   Status PostGlobal(const ssi::QueryPost& post) override;
@@ -138,9 +135,9 @@ class SsiClient : public SsiApi {
       const std::vector<ssi::EncryptedItem>& items) override;
   /// Two-phase: downloads the round output (a retried fetch after a lost
   /// reply re-downloads the same bytes), then acks so the SSI erases the
-  /// token's transfer state. In batched mode the ack rides detached in a
-  /// later frame (piggybacking on the next call) instead of costing its own
-  /// round trip.
+  /// token's transfer state. The ack completes before this returns: the
+  /// next round reuses the token, and an ack landing after that round's
+  /// stage or upload would erase the new transfer state.
   Result<std::vector<ssi::EncryptedItem>> TakeRoundOutput(
       uint64_t query_id, uint64_t token) override;
   Status ObserveAggregation(
@@ -167,17 +164,12 @@ class SsiClient : public SsiApi {
     Bytes request;
     bool dispatched = false;
     bool done = false;
-    /// Nobody Awaits this call; its reply is discarded on arrival
-    /// (best-effort acks).
-    bool detached = false;
     Result<Bytes> reply{Status::Unavailable("call not completed")};
   };
 
   /// One sync RPC: enqueue + await (the pre-batching Call surface).
   Result<Bytes> Call(Bytes request);
-  /// Detached enqueue: flushed with a later frame, reply discarded.
-  void CallDetached(Bytes request);
-  CallToken EnqueueLocked(Bytes request, bool detached);
+  CallToken EnqueueLocked(Bytes request);
   /// Seals up to one frame's worth of queued calls and performs the
   /// exchange (lock released during I/O). Requires a free in-flight slot.
   void DispatchChunk(std::unique_lock<std::mutex>* lock);

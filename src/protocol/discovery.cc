@@ -4,67 +4,47 @@
 
 namespace tcells::protocol {
 
-Result<std::shared_ptr<const std::vector<storage::Tuple>>>
-DiscoveredDistribution::Domain() const {
-  if (frequency.empty()) {
-    return Status::FailedPrecondition(
-        "discovered distribution is empty; cannot derive the A_G domain");
-  }
-  auto domain = std::make_shared<std::vector<storage::Tuple>>();
-  domain->reserve(frequency.size());
-  for (const auto& [key, count] : frequency) domain->push_back(key);
-  return std::shared_ptr<const std::vector<storage::Tuple>>(std::move(domain));
-}
-
-Result<DiscoveredDistribution> DiscoverDistribution(
-    Fleet* fleet, const Querier& querier, uint64_t query_id,
-    const std::string& target_sql, const sim::DeviceModel& device,
-    const RunOptions& options) {
+Result<std::string> DiscoverySql(const std::string& target_sql) {
   TCELLS_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::Parse(target_sql));
   if (stmt.group_by.empty()) {
     return Status::InvalidArgument(
         "distribution discovery needs a GROUP BY in the target query");
   }
-
-  // Build: SELECT <A_G...>, COUNT(*) FROM <same tables> GROUP BY <A_G...>.
-  std::string sql = "SELECT ";
-  for (const auto& g : stmt.group_by) {
-    sql += g->ToString() + ", ";
+  std::string group_by;
+  for (size_t i = 0; i < stmt.group_by.size(); ++i) {
+    if (i) group_by += ", ";
+    group_by += stmt.group_by[i]->ToString();
   }
-  sql += "COUNT(*) FROM ";
+  std::string sql = "SELECT " + group_by + ", COUNT(*) FROM ";
   for (size_t i = 0; i < stmt.from.size(); ++i) {
     if (i) sql += ", ";
     sql += stmt.from[i].table;
     if (!stmt.from[i].alias.empty()) sql += " " + stmt.from[i].alias;
   }
-  sql += " GROUP BY ";
-  for (size_t i = 0; i < stmt.group_by.size(); ++i) {
-    if (i) sql += ", ";
-    sql += stmt.group_by[i]->ToString();
+  return sql + " GROUP BY " + group_by;
+}
+
+Result<ProtocolInputs> InputsFromDiscovery(const sql::QueryResult& result) {
+  if (result.rows.empty()) {
+    return Status::FailedPrecondition(
+        "discovered distribution is empty; cannot derive the A_G domain");
   }
-
-  SAggProtocol s_agg;
-  TCELLS_ASSIGN_OR_RETURN(
-      RunOutcome outcome,
-      RunQuery(s_agg, fleet, querier, query_id, sql, device, options));
-
-  DiscoveredDistribution out;
-  out.metrics = std::move(outcome.metrics);
-  const size_t arity = stmt.group_by.size();
-  for (const auto& row : outcome.result.rows) {
-    if (row.size() != arity + 1) {
+  ProtocolInputs inputs;
+  for (const auto& row : result.rows) {
+    if (row.size() < 2) {
       return Status::Internal("unexpected discovery row arity");
     }
-    storage::Tuple key(std::vector<storage::Value>(
-        row.values().begin(), row.values().begin() + arity));
+    const size_t arity = row.size() - 1;
     const storage::Value& count = row.at(arity);
     if (count.type() != storage::ValueType::kInt64) {
       return Status::Internal("discovery count is not an integer");
     }
-    out.frequency[std::move(key)] =
+    storage::Tuple key(std::vector<storage::Value>(
+        row.values().begin(), row.values().begin() + arity));
+    inputs.distribution[std::move(key)] =
         static_cast<uint64_t>(count.AsInt64());
   }
-  return out;
+  return inputs;
 }
 
 }  // namespace tcells::protocol

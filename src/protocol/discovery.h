@@ -2,42 +2,32 @@
 // domain cardinality) can run, the distribution of the grouping attributes
 // must be discovered and distributed to all TDSs. "The discovery process is
 // similar to computing a Count function Group By A_G and can therefore be
-// performed using one of the protocols introduced above" — here it runs as a
-// real S_Agg round over the fleet. It is done once and refreshed from time to
+// performed using one of the protocols introduced above" — so discovery is
+// an ordinary S_Agg query: Engine::DiscoverInputs runs the query built here
+// through Engine::Run, on the engine's shards, transport, scheduler and
+// telemetry like any other query. It is done once and refreshed from time to
 // time, not per query.
 #ifndef TCELLS_PROTOCOL_DISCOVERY_H_
 #define TCELLS_PROTOCOL_DISCOVERY_H_
 
-#include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
-#include "protocol/protocols.h"
+#include "protocol/factory.h"
 
 namespace tcells::protocol {
 
-/// Result of a discovery run: occurrence count per group key, plus the cost
-/// of obtaining it (so benches can charge discovery where relevant).
-struct DiscoveredDistribution {
-  std::map<storage::Tuple, uint64_t> frequency;
-  RunMetrics metrics;
+/// "SELECT A_G..., COUNT(*) FROM <same tables> GROUP BY A_G..." for the
+/// grouping attributes of `target_sql`. Its WHERE clause is intentionally not
+/// applied (the histogram reflects the domain, not one query's selection).
+/// InvalidArgument when `target_sql` has no GROUP BY.
+Result<std::string> DiscoverySql(const std::string& target_sql);
 
-  /// The distinct key domain (for the Noise protocols). FailedPrecondition
-  /// when the discovery run surfaced no groups at all — an empty domain would
-  /// make the Noise protocols silently drop every tuple.
-  Result<std::shared_ptr<const std::vector<storage::Tuple>>> Domain() const;
-};
-
-/// Runs "SELECT A_G..., COUNT(*) FROM <same tables> GROUP BY A_G..." with
-/// S_Agg over the fleet. `target_sql` is the query whose grouping attributes
-/// we want the distribution of; its WHERE clause is intentionally not applied
-/// (the histogram reflects the domain, not one query's selection).
-Result<DiscoveredDistribution> DiscoverDistribution(
-    Fleet* fleet, const Querier& querier, uint64_t query_id,
-    const std::string& target_sql, const sim::DeviceModel& device,
-    const RunOptions& options);
+/// Reads the result of the DiscoverySql query: each row is a group key
+/// followed by its count. Fills `distribution` only; MakeProtocol derives the
+/// A_G domain from it. FailedPrecondition when the result has no rows — an
+/// empty domain would make the Noise protocols silently drop every tuple.
+Result<ProtocolInputs> InputsFromDiscovery(const sql::QueryResult& result);
 
 }  // namespace tcells::protocol
 

@@ -1,7 +1,6 @@
 #include "protocol/factory.h"
 
 #include "common/strings.h"
-#include "protocol/discovery.h"
 
 namespace tcells::protocol {
 
@@ -50,21 +49,6 @@ Result<std::unique_ptr<Protocol>> MakeProtocol(ProtocolKind kind,
 
 Result<std::unique_ptr<Protocol>> MakeProtocol(ProtocolKind kind) {
   return MakeProtocol(kind, ProtocolInputs{});
-}
-
-Result<ProtocolInputs> DiscoverInputs(Fleet* fleet, const Querier& querier,
-                                      uint64_t query_id,
-                                      const std::string& target_sql,
-                                      const sim::DeviceModel& device,
-                                      const RunOptions& options) {
-  TCELLS_ASSIGN_OR_RETURN(
-      DiscoveredDistribution discovered,
-      DiscoverDistribution(fleet, querier, query_id, target_sql, device,
-                           options));
-  ProtocolInputs inputs;
-  TCELLS_ASSIGN_OR_RETURN(inputs.group_domain, discovered.Domain());
-  inputs.distribution = std::move(discovered.frequency);
-  return inputs;
 }
 
 Result<ProtocolKind> ProtocolKindFromName(const std::string& name) {

@@ -1,7 +1,7 @@
 // Protocol factory: builds any of the querying protocols from a uniform
-// input bundle, and fills that bundle via the discovery protocol when the
-// protocol needs prior knowledge (the A_G domain for the Noise protocols,
-// the distribution/histogram for ED_Hist).
+// input bundle. Protocols that need prior knowledge (the A_G domain for the
+// Noise protocols, the distribution/histogram for ED_Hist) get it from the
+// bundle, which Engine::DiscoverInputs fills via the discovery protocol.
 #ifndef TCELLS_PROTOCOL_FACTORY_H_
 #define TCELLS_PROTOCOL_FACTORY_H_
 
@@ -14,7 +14,7 @@
 namespace tcells::protocol {
 
 /// Prior knowledge some protocols require. Fill it by hand (when the domain
-/// is public, e.g. district lists) or with DiscoverInputs below.
+/// is public, e.g. district lists) or with Engine::DiscoverInputs.
 struct ProtocolInputs {
   /// The A_G domain (Noise protocols; also derivable from `distribution`).
   std::shared_ptr<const std::vector<storage::Tuple>> group_domain;
@@ -31,14 +31,6 @@ Result<std::unique_ptr<Protocol>> MakeProtocol(ProtocolKind kind,
 
 /// Overload for input-free protocols (BasicSfw, SAgg).
 Result<std::unique_ptr<Protocol>> MakeProtocol(ProtocolKind kind);
-
-/// Runs the discovery protocol (§4.4) for `target_sql`'s grouping attributes
-/// and returns a bundle sufficient for every protocol kind.
-Result<ProtocolInputs> DiscoverInputs(Fleet* fleet, const Querier& querier,
-                                      uint64_t query_id,
-                                      const std::string& target_sql,
-                                      const sim::DeviceModel& device,
-                                      const RunOptions& options);
 
 /// Parses a protocol name as used by the benches/CLI: "basic"/"Basic_SFW",
 /// "s_agg"/"S_Agg", "r_noise"/"Rnf_Noise", "c_noise"/"C_Noise",

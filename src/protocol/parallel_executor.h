@@ -1,9 +1,10 @@
 // ParallelExecutor: the protocol layer's fan-out primitive, wrapping a
 // ThreadPool with Status-based (instead of exception-based) error handling.
-// One executor lives in each RunContext and is shared by every phase of the
-// run: the collection pass over the fleet, the aggregation merge rounds
-// (S_Agg levels, Noise per-group partitions, ED_Hist bucket steps) and the
-// filtering pass.
+// One executor lives in each QuerySession and is shared by every phase of
+// every query in it: the collection pass over the fleet, the aggregation
+// merge rounds (S_Agg levels, Noise per-group partitions, ED_Hist bucket
+// steps) and the filtering pass. The phases run one after another, never
+// concurrently on the same executor.
 //
 // Determinism contract: jobs must be independent (disjoint output slots,
 // per-index Rng streams forked serially before the fan-out) so that every

@@ -248,7 +248,4 @@ Result<std::vector<EncryptedItem>> RunFilteringPhase(
                       });
 }
 
-// RunQuery — the single-query entry point — is defined in session.cc as a
-// wrapper over QuerySession, so both operating modes share one engine.
-
 }  // namespace tcells::protocol

@@ -134,7 +134,7 @@ struct RunOutcome {
 
 /// Filtering phase (§3.2 steps 9-12): spreads the covering result over the
 /// available TDSs, which drop dummies / finalize groups / apply HAVING and
-/// re-encrypt result rows under k1. Shared by RunQuery and QuerySession.
+/// re-encrypt result rows under k1. Called by QuerySession::RunAll.
 /// `config` carries the run's collection configuration through to the TDSs —
 /// in dynamic key mode its key posting selects the per-query session keys
 /// the result rows are re-encrypted under.
@@ -142,40 +142,6 @@ Result<std::vector<ssi::EncryptedItem>> RunFilteringPhase(
     RunContext& ctx, const sql::AnalyzedQuery& query,
     const tds::CollectionConfig& config,
     std::vector<ssi::EncryptedItem> covering);
-
-/// Opt-in deprecation marker for legacy entry points. Off by default so the
-/// -Werror sanitizer builds (and the internal callers that legitimately
-/// remain) stay clean; define TCELLS_ENABLE_DEPRECATION_WARNINGS to have the
-/// compiler flag every remaining direct use.
-#if defined(TCELLS_ENABLE_DEPRECATION_WARNINGS)
-#define TCELLS_DEPRECATED(msg) [[deprecated(msg)]]
-#else
-#define TCELLS_DEPRECATED(msg)
-#endif
-
-/// Executes one query end to end: post -> collection over the whole fleet
-/// (bounded by the SIZE/DURATION clauses) -> protocol aggregation ->
-/// filtering -> result decryption by the querier.
-///
-/// This is a thin wrapper over the QuerySession path (session.h): it submits
-/// the single query to a fresh session and runs it to completion, so the
-/// single-query and concurrent-query modes share one engine. The optional
-/// `telemetry` sinks receive the run's metrics and span tree (outcome.trace).
-/// Defined in session.cc.
-///
-/// DEPRECATED: new code should create a `tcells::Engine` and use
-/// Engine::Run / Engine::Submit (tcells/engine.h) — the facade owns the
-/// (possibly sharded) SSI stack, validates configuration once at
-/// construction, and schedules concurrent queries. This free function
-/// remains for the engine's own internals and for existing callers.
-TCELLS_DEPRECATED("use tcells::Engine::Run or Engine::Submit instead")
-Result<RunOutcome> RunQuery(Protocol& protocol, Fleet* fleet,
-                            const Querier& querier, uint64_t query_id,
-                            const std::string& sql,
-                            const sim::DeviceModel& device,
-                            const RunOptions& options,
-                            obs::Telemetry telemetry = {},
-                            net::SsiApi* client = nullptr);
 
 }  // namespace tcells::protocol
 

@@ -72,17 +72,18 @@ Status RunOptions::Validate() const {
   return Status::OK();
 }
 
-RunContext::RunContext(Fleet* fleet, net::SsiApi* client, uint64_t query_id,
+RunContext::RunContext(Fleet* fleet, net::SsiApi* client,
+                       ParallelExecutor* executor, uint64_t query_id,
                        const sim::DeviceModel& device, RunOptions options,
                        obs::MetricsRegistry* metrics_registry,
                        obs::Trace* trace)
     : fleet_(fleet),
       client_(client),
+      executor_(executor),
       query_id_(query_id),
       device_(device),
       options_(options),
       rng_(options.seed),
-      executor_(options.num_threads),
       metrics_registry_(metrics_registry),
       trace_(trace) {}
 
@@ -158,7 +159,7 @@ Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
   };
   std::vector<PartitionRun> runs(n);
 
-  TCELLS_RETURN_IF_ERROR(executor_.ForEachIndex(n, [&](size_t i) -> Status {
+  TCELLS_RETURN_IF_ERROR(executor_->ForEachIndex(n, [&](size_t i) -> Status {
     const ssi::Partition& partition = partitions[i];
     Rng& prng = streams[i];
     PartitionRun& run = runs[i];

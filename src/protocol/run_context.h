@@ -210,10 +210,13 @@ class RunContext {
   /// per aggregation/filtering round, RecordCollection accumulates into the
   /// collection span, always from serial sections so the tree is
   /// bit-identical for any thread count. `client` is the SSI channel every
-  /// partition travels through (borrowed, never null); `query_id` scopes
-  /// this context's exchanges inside the shared SSI.
-  RunContext(Fleet* fleet, net::SsiApi* client, uint64_t query_id,
-             const sim::DeviceModel& device, RunOptions options,
+  /// partition travels through and `executor` the worker pool every round
+  /// fans out on (both borrowed, never null; a QuerySession lends its own
+  /// pool to all its queries); `query_id` scopes this context's exchanges
+  /// inside the shared SSI.
+  RunContext(Fleet* fleet, net::SsiApi* client, ParallelExecutor* executor,
+             uint64_t query_id, const sim::DeviceModel& device,
+             RunOptions options,
              obs::MetricsRegistry* metrics_registry = nullptr,
              obs::Trace* trace = nullptr);
 
@@ -232,9 +235,6 @@ class RunContext {
   obs::Span* EnsureCollectionSpan();
   /// Simulated clock: total critical-path seconds accumulated so far.
   double sim_now_seconds() const { return sim_now_seconds_; }
-
-  /// The fan-out engine shared by every phase of this run.
-  ParallelExecutor& executor() { return executor_; }
 
   /// The compute-phase TDS pool, sampled once per run.
   const std::vector<tds::TrustedDataServer*>& compute_pool();
@@ -263,11 +263,11 @@ class RunContext {
  private:
   Fleet* fleet_;
   net::SsiApi* client_;
+  ParallelExecutor* executor_;
   uint64_t query_id_;
   sim::DeviceModel device_;
   RunOptions options_;
   Rng rng_;
-  ParallelExecutor executor_;
   RunMetrics metrics_;
   obs::MetricsRegistry* metrics_registry_;
   obs::Trace* trace_;

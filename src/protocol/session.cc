@@ -32,19 +32,8 @@ QuerySession::QuerySession(Fleet* fleet, const sim::DeviceModel& device,
       device_(device),
       options_(options),
       telemetry_(telemetry),
-      client_(client) {
-  if (client_ == nullptr) {
-    // Private SSI behind the in-process loopback transport: same frame
-    // codecs and RPC surface as TCP, no sockets.
-    owned_node_ = std::make_unique<net::SsiNode>();
-    owned_transport_ =
-        std::make_unique<net::LoopbackTransport>(owned_node_->handler());
-    owned_client_ = std::make_unique<net::SsiClient>(
-        owned_transport_.get(), TransportRetryPolicy(options_),
-        telemetry_.metrics);
-    client_ = owned_client_.get();
-  }
-}
+      client_(client),
+      executor_(std::make_unique<ParallelExecutor>(options_.num_threads)) {}
 
 Status QuerySession::Submit(uint64_t query_id, const Querier* querier,
                             Protocol* protocol, const std::string& sql) {
@@ -124,8 +113,8 @@ Status QuerySession::SubmitInternal(uint64_t query_id,
     root->counts["fleet_size"] = fleet_->size();
   }
   pending.ctx = std::make_unique<RunContext>(
-      fleet_, client_, query_id, device_, opts, telemetry_.metrics,
-      pending.trace ? pending.trace.get() : nullptr);
+      fleet_, client_, executor_.get(), query_id, device_, opts,
+      telemetry_.metrics, pending.trace ? pending.trace.get() : nullptr);
   Result<tds::CollectionConfig> config_result =
       pending.protocol->MakeCollectionConfig(*pending.ctx, pending.analyzed);
   if (!config_result.ok()) {
@@ -192,7 +181,6 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
   // connectors, serial within one connector, since a TDS serves its queries
   // one after another — and the contributions are folded into the per-query
   // storage areas serially. Bit-identical for any thread count.
-  ParallelExecutor session_executor(options_.num_threads);
   for (uint64_t tick = 0;; ++tick) {
     if (options_.cancel != nullptr &&
         options_.cancel->load(std::memory_order_relaxed)) {
@@ -294,7 +282,7 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
       }
     }
 
-    TCELLS_RETURN_IF_ERROR(session_executor.ForEachIndex(
+    TCELLS_RETURN_IF_ERROR(executor_->ForEachIndex(
         connectors.size(), [&](size_t i) -> Status {
           Connector& connector = connectors[i];
           for (Serve& serve : connector.serves) {
@@ -447,26 +435,6 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
   }
   queries_.clear();
   return outcomes;
-}
-
-// ---------------------------------------------------------------------------
-// Single-query entry point (declared in protocols.h): a fresh one-query
-// session, so RunQuery and QuerySession share one execution engine.
-
-Result<RunOutcome> RunQuery(Protocol& protocol, Fleet* fleet,
-                            const Querier& querier, uint64_t query_id,
-                            const std::string& sql,
-                            const sim::DeviceModel& device,
-                            const RunOptions& options,
-                            obs::Telemetry telemetry, net::SsiApi* client) {
-  QuerySession session(fleet, device, options, telemetry, client);
-  TCELLS_RETURN_IF_ERROR(session.Submit(query_id, &querier, &protocol, sql));
-  TCELLS_ASSIGN_OR_RETURN(auto outcomes, session.RunAll());
-  auto it = outcomes.find(query_id);
-  if (it == outcomes.end()) {
-    return Status::Internal("query produced no outcome");
-  }
-  return std::move(it->second);
 }
 
 }  // namespace tcells::protocol

@@ -4,9 +4,10 @@
 // the per-query protocol phases then complete independently.
 //
 // This is the "many queries in flight" operating mode the paper's Load_Q
-// metric is about. The single-query RunQuery (protocols.h) is a thin wrapper
-// over this path, so there is exactly one execution engine; the tcells::Engine
-// facade (tcells/engine.h) adds telemetry plumbing on top.
+// metric is about, and the only execution path: the tcells::Engine facade
+// (tcells/engine.h) runs every Submit as a one-query session over its shard
+// router, and Engine::NewSession hands out multi-query sessions over the
+// same router.
 #ifndef TCELLS_PROTOCOL_SESSION_H_
 #define TCELLS_PROTOCOL_SESSION_H_
 
@@ -14,9 +15,7 @@
 #include <memory>
 #include <string>
 
-#include "net/loopback.h"
-#include "net/ssi_client.h"
-#include "net/ssi_node.h"
+#include "net/ssi_api.h"
 #include "obs/trace.h"
 #include "protocol/protocols.h"
 
@@ -29,12 +28,11 @@ class QuerySession {
   /// MetricsRegistry accumulates engine counters/histograms across queries.
   ///
   /// `client` is the channel to the SSI all queries of this session go
-  /// through (borrowed; e.g. an Engine's shared — possibly sharded — client).
-  /// When null, the session owns a private SSI behind the in-process loopback
-  /// transport — the default and bit-identical to the TCP path.
+  /// through (borrowed, never null; normally an Engine's shared — possibly
+  /// sharded — router).
   QuerySession(Fleet* fleet, const sim::DeviceModel& device,
-               RunOptions options, obs::Telemetry telemetry = {},
-               net::SsiApi* client = nullptr);
+               RunOptions options, obs::Telemetry telemetry,
+               net::SsiApi* client);
 
   /// Registers a query addressed to the whole crowd. `querier` and
   /// `protocol` must outlive the session. Fails on duplicate id, invalid
@@ -101,12 +99,11 @@ class QuerySession {
   sim::DeviceModel device_;
   RunOptions options_;
   obs::Telemetry telemetry_;
-  /// The session-owned loopback stack, used when no external client was
-  /// given. unique_ptr keeps the addresses stable across session moves.
-  std::unique_ptr<net::SsiNode> owned_node_;
-  std::unique_ptr<net::LoopbackTransport> owned_transport_;
-  std::unique_ptr<net::SsiClient> owned_client_;
   net::SsiApi* client_;
+  /// The one worker pool of the session: the collection fan-out and every
+  /// query's aggregation/filtering rounds borrow it. unique_ptr keeps its
+  /// address stable across session moves.
+  std::unique_ptr<ParallelExecutor> executor_;
   std::map<uint64_t, PendingQuery> queries_;
 };
 

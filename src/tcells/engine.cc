@@ -4,6 +4,7 @@
 
 #include "crypto/hmac.h"
 #include "net/ssi_wire.h"
+#include "protocol/discovery.h"
 
 namespace tcells {
 
@@ -68,10 +69,6 @@ Result<std::unique_ptr<Engine>> Engine::Create(
         "Engine::Config: transport_batch_max_calls exceeds "
         "net::kMaxCallsPerBatch");
   }
-  if (config.transport_max_inflight == 0) {
-    return Status::InvalidArgument(
-        "Engine::Config: transport_max_inflight must be >= 1");
-  }
   std::unique_ptr<Engine> engine(
       new Engine(std::move(fleet), std::move(config)));
   TCELLS_RETURN_IF_ERROR(engine->StartShards());
@@ -118,7 +115,6 @@ Status Engine::StartShards() {
             : (config_.transport == net::TransportKind::kTcp
                    ? kAutoBatchCallsTcp
                    : kAutoBatchCallsLoopback);
-    batch.max_inflight_frames = config_.transport_max_inflight;
     shard.client = std::make_unique<net::SsiClient>(
         base, protocol::TransportRetryPolicy(config_.options), &metrics_,
         batch);
@@ -302,8 +298,11 @@ protocol::QuerySession Engine::NewSession() {
 Result<protocol::ProtocolInputs> Engine::DiscoverInputs(
     const protocol::Querier& querier, uint64_t query_id,
     const std::string& target_sql) {
-  return protocol::DiscoverInputs(fleet_.get(), querier, query_id, target_sql,
-                                  config_.device, config_.options);
+  TCELLS_ASSIGN_OR_RETURN(std::string sql, protocol::DiscoverySql(target_sql));
+  protocol::SAggProtocol s_agg;
+  TCELLS_ASSIGN_OR_RETURN(protocol::RunOutcome outcome,
+                          Run(s_agg, querier, query_id, sql));
+  return protocol::InputsFromDiscovery(outcome.result);
 }
 
 std::shared_ptr<const obs::Trace> Engine::TraceFor(uint64_t query_id) const {

@@ -12,7 +12,12 @@
 //                       block on Wait(), request Cancel());
 //   * Run(...)        — submit-then-wait convenience (one query end to end);
 //   * NewSession()    — several interleaved queries over the querybox hub,
-//                       batch-style, on the caller's thread.
+//                       batch-style, on the caller's thread;
+//   * DiscoverInputs  — the §4.4 discovery query, run through Run like any
+//                       other S_Agg query.
+//
+// Every query runs as a protocol::QuerySession over the shard router; there
+// is no other execution path.
 //
 // Configuration — RunOptions and the shard/concurrency knobs — is validated
 // once at Create, so a malformed configuration fails before any query is
@@ -103,9 +108,6 @@ class Engine {
     /// every call on the legacy single-call wire format; explicit values
     /// are validated in [1, net::kMaxCallsPerBatch] at Create.
     size_t transport_batch_max_calls = 0;
-    /// Frames one shard client keeps on the wire concurrently
-    /// (net::BatchOptions::max_inflight_frames). Validated >= 1 at Create.
-    size_t transport_max_inflight = 4;
     /// Adversarial testing hooks (docs/TRANSPORT.md "Fault plans"): each
     /// shard's transport is wrapped in a FaultyTransport and/or its handler
     /// in a ByzantineProxy. Null = honest, fault-free.
@@ -174,12 +176,17 @@ class Engine {
 
   /// A session for several interleaved queries sharing this engine's fleet,
   /// options, telemetry sinks and SSI stack, run batch-style on the
-  /// caller's thread (bypasses the scheduler). The session borrows the
-  /// engine; it must not outlive it.
+  /// caller's thread (bypasses the scheduler). This is the one way to run
+  /// several queries in a single session: their collection interleaves over
+  /// the querybox hub, which one-query Submits cannot produce. The session
+  /// borrows the engine; it must not outlive it.
   protocol::QuerySession NewSession();
 
   /// Runs the discovery protocol (§4.4) for `target_sql`'s grouping
-  /// attributes and returns inputs sufficient for every protocol kind.
+  /// attributes — the S_Agg query protocol::DiscoverySql builds, through
+  /// Run under `query_id` — and returns inputs sufficient for every protocol
+  /// kind. InvalidArgument when `target_sql` has no GROUP BY;
+  /// FailedPrecondition when the discovered domain is empty.
   Result<protocol::ProtocolInputs> DiscoverInputs(
       const protocol::Querier& querier, uint64_t query_id,
       const std::string& target_sql);

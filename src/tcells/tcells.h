@@ -4,20 +4,15 @@
 //
 // pulls in what a typical embedder needs: the tcells::Engine facade (which
 // transitively exposes the querying protocols, sessions, the sharded SSI
-// stack, the query scheduler and telemetry), fleet construction, key
-// provisioning, the SQL front end and the analysis tooling. Engine internals
-// — the SSI querybox hub, the discovery machinery, the plaintext reference
-// executor — are deliberately NOT exported here; include their fine-grained
-// headers directly for targeted/test use.
+// stack, the query scheduler, dynamic key management and telemetry), fleet
+// construction, the SQL front end and the analysis tooling. Engine internals
+// — the SSI querybox hub, the discovery query builder, the plaintext
+// reference executor — are deliberately NOT exported here; include their
+// fine-grained headers directly for targeted/test use.
 //
-// DEPRECATION: the free-function entry point `protocol::RunQuery`
-// (protocol/protocols.h) is superseded by the Engine facade — create an
-// Engine (it validates configuration once, owns the possibly-sharded SSI
-// stack and schedules concurrent queries) and call Engine::Run for the old
-// blocking behaviour or Engine::Submit for a QueryHandle (poll Status(),
-// block on Wait(), request Cancel()). Compile with
-// -DTCELLS_ENABLE_DEPRECATION_WARNINGS to have every remaining direct
-// RunQuery use flagged by the compiler.
+// Queries run through the Engine only: Engine::Run for one blocking query,
+// Engine::Submit for a QueryHandle (poll Status(), block on Wait(), request
+// Cancel()), Engine::NewSession for several interleaved queries.
 #ifndef TCELLS_TCELLS_H_
 #define TCELLS_TCELLS_H_
 
@@ -31,7 +26,6 @@
 #include "crypto/broadcast.h"
 #include "crypto/encryption.h"
 #include "crypto/keystore.h"
-#include "crypto/provisioning.h"
 
 // Relational layer.
 #include "sql/analyzer.h"

@@ -11,7 +11,6 @@
 #include "crypto/encryption.h"
 #include "crypto/hmac.h"
 #include "crypto/keystore.h"
-#include "crypto/provisioning.h"
 #include "crypto/sha256.h"
 
 namespace tcells::crypto {
@@ -547,67 +546,6 @@ TEST(KeyStoreTest, K1AndK2AreIndependentChannels) {
 TEST(KeyStoreTest, RejectsBadKeySizes) {
   EXPECT_FALSE(KeyStore::Create(Bytes(8), Bytes(16)).ok());
   EXPECT_FALSE(KeyStore::Create(Bytes(16), Bytes(17)).ok());
-}
-
-
-// ---------------------------------------------------------------------------
-// Key provisioning (footnote 7)
-
-TEST(ProvisioningTest, WrapUnwrapRoundTrip) {
-  Rng rng(20);
-  auto provisioner =
-      KeyProvisioner::Create(rng.NextBytes(16)).ValueOrDie();
-  Bytes device_key = rng.NextBytes(16);
-  Bytes wrapped = provisioner.WrapFor(device_key, &rng);
-
-  auto bundle = KeyProvisioner::Unwrap(device_key, wrapped).ValueOrDie();
-  EXPECT_EQ(bundle.epoch, 0u);
-  // The unwrapped store interoperates with the operator's store.
-  auto op_keys = provisioner.CurrentKeys().ValueOrDie();
-  Bytes pt = rng.NextBytes(24);
-  Bytes ct = bundle.keys->k2_ndet().Encrypt(pt, &rng);
-  EXPECT_EQ(op_keys->k2_ndet().Decrypt(ct).ValueOrDie(), pt);
-}
-
-TEST(ProvisioningTest, OnlyTheTargetDeviceCanUnwrap) {
-  Rng rng(21);
-  auto provisioner =
-      KeyProvisioner::Create(rng.NextBytes(16)).ValueOrDie();
-  Bytes alice = rng.NextBytes(16), bob = rng.NextBytes(16);
-  Bytes wrapped = provisioner.WrapFor(alice, &rng);
-  EXPECT_TRUE(KeyProvisioner::Unwrap(alice, wrapped).ok());
-  EXPECT_FALSE(KeyProvisioner::Unwrap(bob, wrapped).ok());
-  Bytes tampered = wrapped;
-  tampered[5] ^= 1;
-  EXPECT_FALSE(KeyProvisioner::Unwrap(alice, tampered).ok());
-}
-
-TEST(ProvisioningTest, RotationChangesKeysButKeepsOldEpochsDerivable) {
-  Rng rng(22);
-  Bytes seed = rng.NextBytes(16);
-  auto provisioner = KeyProvisioner::Create(seed).ValueOrDie();
-  Bytes k1_e0 = provisioner.K1ForEpoch(0);
-  provisioner.Rotate();
-  EXPECT_EQ(provisioner.epoch(), 1u);
-  EXPECT_NE(provisioner.K1ForEpoch(1), k1_e0);
-  EXPECT_EQ(provisioner.K1ForEpoch(0), k1_e0);  // deterministic derivation
-
-  // A device provisioned after rotation gets epoch-1 keys; ciphertexts from
-  // epoch 0 do not decrypt under them.
-  Bytes device_key = rng.NextBytes(16);
-  auto bundle = KeyProvisioner::Unwrap(device_key,
-                                       provisioner.WrapFor(device_key, &rng))
-                    .ValueOrDie();
-  EXPECT_EQ(bundle.epoch, 1u);
-  auto old_keys = KeyStore::Create(provisioner.K1ForEpoch(0),
-                                   provisioner.K2ForEpoch(0))
-                      .ValueOrDie();
-  Bytes ct = old_keys->k1_ndet().Encrypt(rng.NextBytes(16), &rng);
-  EXPECT_FALSE(bundle.keys->k1_ndet().Decrypt(ct).ok());
-}
-
-TEST(ProvisioningTest, BadSeedRejected) {
-  EXPECT_FALSE(KeyProvisioner::Create(Bytes(8)).ok());
 }
 
 }  // namespace

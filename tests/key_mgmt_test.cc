@@ -410,6 +410,40 @@ TEST(ContributionAdmission, PostingDerivesMatchingSessionKeys) {
             querier_keys->k2_det().Encrypt(probe));
 }
 
+// The session-key cache is bounded: serving more queries than its capacity
+// keeps it at capacity (oldest posting evicted first), and the keys
+// re-derived for an evicted posting are byte-identical to the first ones.
+TEST(TdsKeyStateCache, BoundedFifoReDerivesIdenticalKeys) {
+  constexpr size_t kCapacity = keys::TdsKeyState::kSessionCacheCapacity;
+  KeyWorld w(/*tds_id=*/2);
+  ASSERT_TRUE(w.state->Refresh().ok());
+  Rng rng(17);
+  std::vector<ssi::QueryKeyPosting> postings;
+  std::vector<std::shared_ptr<const crypto::KeyStore>> first;
+  for (uint64_t q = 0; q < 3 * kCapacity; ++q) {
+    postings.push_back(w.authority->NewPosting(100 + q, &rng));
+    first.push_back(w.state->KeysFor(postings.back()).ValueOrDie());
+    EXPECT_LE(w.state->session_cache_size(), kCapacity);
+  }
+  EXPECT_EQ(w.state->session_cache_size(), kCapacity);
+  // The newest posting is still cached: the same KeyStore comes back.
+  EXPECT_EQ(w.state->KeysFor(postings.back()).ValueOrDie(), first.back());
+
+  // The oldest was evicted: a fresh KeyStore, sealing byte-identically.
+  auto again = w.state->KeysFor(postings.front()).ValueOrDie();
+  EXPECT_NE(again, first.front());
+  EXPECT_EQ(w.state->session_cache_size(), kCapacity);
+  const Bytes probe = rng.NextBytes(24);
+  EXPECT_EQ(again->k2_det().Encrypt(probe),
+            first.front()->k2_det().Encrypt(probe));
+  EXPECT_EQ(again->k2_hash(), first.front()->k2_hash());
+  Rng seal_a(23), seal_b(23);
+  EXPECT_EQ(again->k1_ndet().Encrypt(probe, &seal_a),
+            first.front()->k1_ndet().Encrypt(probe, &seal_b));
+  EXPECT_EQ(again->k2_ndet().Encrypt(probe, &seal_a),
+            first.front()->k2_ndet().Encrypt(probe, &seal_b));
+}
+
 // ---------------------------------------------------------------------------
 // Static/dynamic engine differential (satellite b): same world, same query,
 // both key modes — byte-identical result table and adversary statistics.

@@ -13,8 +13,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -1246,21 +1248,104 @@ TEST(SsiClientBatchTest, WholeFrameStaleReplayIsRetriedWithFreshIds) {
   EXPECT_EQ(counters.at("net.calls_sent"), 3u);
 }
 
-TEST(SsiClientBatchTest, DetachedAckFlushesWithLaterTraffic) {
-  // In batched mode TakeRoundOutput's ack is detached: it rides a later
-  // frame instead of costing its own round trip, and the server state is
-  // still erased once it lands.
+/// Holds every frame that carries a round-output ack until Release() (or a
+/// short timeout), so a frame dispatched later can overtake it on the way
+/// to the SSI — as two frames in flight on different channels may.
+class AckGateTransport : public Transport {
+ public:
+  explicit AckGateTransport(Transport* inner) : inner_(inner) {}
+
+  Result<std::unique_ptr<Channel>> Connect() override {
+    TCELLS_ASSIGN_OR_RETURN(std::unique_ptr<Channel> channel,
+                            inner_->Connect());
+    return std::unique_ptr<Channel>(new Gated(this, std::move(channel)));
+  }
+  const char* name() const override { return "ack-gate"; }
+
+  /// True once an ack frame is being held (waits up to `seconds`).
+  bool WaitHeld(double seconds) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::duration<double>(seconds),
+                        [&] { return held_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  class Gated : public Channel {
+   public:
+    Gated(AckGateTransport* gate, std::unique_ptr<Channel> inner)
+        : gate_(gate), inner_(std::move(inner)) {}
+    Result<Bytes> Call(const Bytes& request,
+                       const CallOptions& opts) override {
+      if (CarriesAck(request)) gate_->Hold();
+      return inner_->Call(request, opts);
+    }
+
+   private:
+    AckGateTransport* gate_;
+    std::unique_ptr<Channel> inner_;
+  };
+
+  static bool CarriesAck(const Bytes& frame) {
+    auto calls = DecodeBatchFrame(frame);
+    if (!calls.ok()) return false;
+    for (const BatchCall& call : *calls) {
+      if (!call.payload.empty() &&
+          call.payload[0] == static_cast<uint8_t>(MsgType::kAckRoundOutput)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  void Hold() {
+    std::unique_lock<std::mutex> lock(mu_);
+    held_ = true;
+    cv_.notify_all();
+    cv_.wait_for(lock, std::chrono::milliseconds(200),
+                 [&] { return released_; });
+  }
+
+  Transport* inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool released_ = false;
+};
+
+TEST(SsiClientBatchTest, LateAckCannotEraseTheNextRoundsTransferState) {
+  // The next round reuses the token, so TakeRoundOutput's ack must have
+  // reached the SSI before the take returns. An ack left queued rides
+  // whatever frame goes out next — here another thread's — and when that
+  // frame is overtaken by the next round's stage, it erases the fresh
+  // partition and the fetch fails.
   SsiNode node;
-  LoopbackTransport transport(node.handler());
-  SsiClient client(&transport, RetryPolicy{}, nullptr, TestBatch(8));
+  LoopbackTransport loopback(node.handler());
+  AckGateTransport gate(&loopback);
+  SsiClient client(&gate, RetryPolicy{}, nullptr, TestBatch(8));
 
   std::vector<ssi::EncryptedItem> output = {MakeItem(3, false)};
   ASSERT_TRUE(client.UploadRoundOutput(7, 0, output).ok());
   auto taken = client.TakeRoundOutput(7, 0);
   ASSERT_TRUE(taken.ok()) << taken.status().ToString();
-  EXPECT_EQ(taken->size(), 1u);
-  client.Flush();  // pushes the detached ack out
-  // The ack erased the transfer state: a re-take finds nothing.
+  EXPECT_EQ(*taken, output);
+
+  std::thread other([&] { (void)client.NumAcknowledged(1); });
+  (void)gate.WaitHeld(0.1);  // an ack still queued is now held in flight
+  ssi::Partition next;
+  next.items = {MakeItem(4, false)};
+  ASSERT_TRUE(client.StagePartition(7, 0, next).ok());
+  gate.Release();
+  other.join();
+
+  auto fetched = client.FetchPartition(7, 0);
+  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+  EXPECT_EQ(fetched->items, next.items);
+  // The round-r output itself is gone: the ack did land.
   EXPECT_TRUE(IsNotFound(client.TakeRoundOutput(7, 0).status()));
 }
 

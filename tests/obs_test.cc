@@ -220,6 +220,32 @@ TEST(ObsEngineTest, SpanTotalsMatchAccountantForAllProtocols) {
   }
 }
 
+TEST(ObsEngineTest, DiscoveredInputsMatchOracleAtShardCounts) {
+  for (size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Engine::Config config;
+    config.num_shards = shards;
+    ObsWorld w(config);
+    const auto expected =
+        protocol::ExecuteReference(w.engine->fleet(), kAggSql).ValueOrDie();
+    uint64_t query_id = 40;
+    for (protocol::ProtocolKind kind : {protocol::ProtocolKind::kRnfNoise,
+                                        protocol::ProtocolKind::kCNoise,
+                                        protocol::ProtocolKind::kEdHist}) {
+      SCOPED_TRACE(protocol::ProtocolKindToString(kind));
+      protocol::RunOutcome outcome = RunKind(w, kind, query_id);
+      EXPECT_TRUE(outcome.result.SameRows(expected));
+      CheckTraceAgainstAccountant(outcome);
+      // The discovery query RunKind ran first left its own S_Agg trace.
+      auto discovery = w.engine->TraceFor(1000 + query_id);
+      ASSERT_NE(discovery, nullptr);
+      EXPECT_EQ(discovery->root()->labels.at("protocol"),
+                std::string("S_Agg"));
+      ++query_id;
+    }
+  }
+}
+
 TEST(ObsEngineTest, SpanTotalsMatchAccountantUnderDropouts) {
   Engine::Config config;
   config.options.dropout_rate = 0.15;

@@ -5,7 +5,7 @@
 
 #include <set>
 
-#include "protocol/discovery.h"
+#include "protocol/factory.h"
 #include "protocol/protocols.h"
 #include "protocol/reference.h"
 #include "tcells/engine.h"
@@ -27,6 +27,12 @@ RunOptions FastOptions() {
   return opts;
 }
 
+Engine::Config FastConfig() {
+  Engine::Config cfg;
+  cfg.options = FastOptions();
+  return cfg;
+}
+
 struct TestWorld {
   std::shared_ptr<const crypto::KeyStore> keys;
   std::shared_ptr<tds::Authority> authority;
@@ -35,7 +41,8 @@ struct TestWorld {
   Fleet* fleet = nullptr;  // owned by the engine
   sim::DeviceModel device;
 
-  static TestWorld Generic(const workload::GenericOptions& opts) {
+  static TestWorld Generic(const workload::GenericOptions& opts,
+                           Engine::Config cfg = FastConfig()) {
     TestWorld w;
     w.keys = crypto::KeyStore::CreateForTest(2024);
     w.authority = std::make_shared<tds::Authority>(Bytes(16, 0x11));
@@ -44,8 +51,6 @@ struct TestWorld {
                      .ValueOrDie();
     w.querier = std::make_unique<Querier>(
         "tester", w.authority->Issue("tester"), w.keys);
-    Engine::Config cfg;
-    cfg.options = FastOptions();
     w.engine = Engine::Create(std::move(fleet), cfg).ValueOrDie();
     w.fleet = &w.engine->fleet();
     return w;
@@ -109,10 +114,9 @@ TEST_P(ProtocolOracleTest, MatchesPlaintextOracle) {
     case ProtocolKind::kEdHist: {
       // Learn the true A_G distribution the way a deployment would: through
       // the secure discovery protocol (itself an S_Agg round).
-      auto discovered = DiscoverDistribution(w.fleet, *w.querier, 999,
-                                             c.sql, w.device, FastOptions())
-                            .ValueOrDie();
-      protocol = EdHistProtocol::FromDistribution(discovered.frequency, 2);
+      auto discovered =
+          w.engine->DiscoverInputs(*w.querier, 999, c.sql).ValueOrDie();
+      protocol = EdHistProtocol::FromDistribution(discovered.distribution, 2);
       break;
     }
     default:
@@ -343,10 +347,8 @@ TEST(AdversaryTest, EdHistPhaseTwoRevealsOnlyGroupCount) {
   gopts.num_groups = 6;
   TestWorld w = TestWorld::Generic(gopts);
   const char* sql = "SELECT grp, COUNT(*) FROM T GROUP BY grp";
-  auto discovered = DiscoverDistribution(w.fleet, *w.querier, 50, sql,
-                                         w.device, FastOptions())
-                        .ValueOrDie();
-  auto protocol = EdHistProtocol::FromDistribution(discovered.frequency, 2);
+  auto discovered = w.engine->DiscoverInputs(*w.querier, 50, sql).ValueOrDie();
+  auto protocol = EdHistProtocol::FromDistribution(discovered.distribution, 2);
   auto outcome = w.engine->Run(*protocol, *w.querier, 51, sql).ValueOrDie();
   // The covering result carries one Det_Enc(group) tag per group: the SSI
   // learns G (the paper accepts this — the querier sees G anyway) but the
@@ -403,28 +405,120 @@ TEST(AdversaryTest, WithoutPaddingNoiseBlobSizesDiffer) {
 
 // ---------------------------------------------------------------------------
 // Discovery + the paper's flagship smart-meter query
+//
+// Discovery is an ordinary S_Agg query run through Engine::Run, so it takes
+// the engine's real stack: shards, transport, fault plans, tracing, metrics.
 
-TEST(DiscoveryTest, RecoversTrueDistribution) {
+/// The oracle's COUNT(*) GROUP BY grp, keyed like a discovered distribution.
+std::map<Tuple, uint64_t> OracleDistribution(const Fleet& fleet) {
+  auto expected =
+      ExecuteReference(fleet, "SELECT grp, COUNT(*) FROM T GROUP BY grp")
+          .ValueOrDie();
+  std::map<Tuple, uint64_t> freq;
+  for (const Tuple& row : expected.rows) {
+    freq[Tuple({row.at(0)})] = static_cast<uint64_t>(row.at(1).AsInt64());
+  }
+  return freq;
+}
+
+workload::GenericOptions DiscoveryFleet() {
   workload::GenericOptions gopts;
   gopts.num_tds = 50;
   gopts.num_groups = 4;
   gopts.group_skew = 0.9;
-  TestWorld w = TestWorld::Generic(gopts);
-  auto discovered = DiscoverDistribution(
-                        w.fleet, *w.querier, 11,
-                        "SELECT grp, AVG(val) FROM T GROUP BY grp", w.device,
-                        FastOptions())
-                        .ValueOrDie();
-  // Compare against the oracle's COUNT(*) GROUP BY grp.
-  auto expected =
-      ExecuteReference(*w.fleet, "SELECT grp, COUNT(*) FROM T GROUP BY grp")
-          .ValueOrDie();
-  ASSERT_EQ(discovered.frequency.size(), expected.rows.size());
-  uint64_t total = 0;
-  for (const auto& [key, count] : discovered.frequency) total += count;
-  EXPECT_EQ(total, w.fleet->size());
-  EXPECT_EQ(discovered.Domain().ValueOrDie()->size(),
-            discovered.frequency.size());
+  return gopts;
+}
+
+constexpr char kDiscoverySql[] = "SELECT grp, AVG(val) FROM T GROUP BY grp";
+
+TEST(DiscoveryTest, RecoversTrueDistribution) {
+  TestWorld w = TestWorld::Generic(DiscoveryFleet());
+  auto discovered =
+      w.engine->DiscoverInputs(*w.querier, 11, kDiscoverySql).ValueOrDie();
+  EXPECT_EQ(discovered.distribution, OracleDistribution(*w.fleet));
+}
+
+TEST(DiscoveryTest, DiscoveredInputsMatchOracleAtShardCounts) {
+  const char* sql = "SELECT grp, COUNT(*), AVG(val) FROM T GROUP BY grp";
+  for (size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Engine::Config cfg = FastConfig();
+    cfg.num_shards = shards;
+    TestWorld w = TestWorld::Generic(DiscoveryFleet(), cfg);
+    auto inputs = w.engine->DiscoverInputs(*w.querier, 20, sql).ValueOrDie();
+    EXPECT_EQ(inputs.distribution, OracleDistribution(*w.fleet));
+    auto expected = ExecuteReference(*w.fleet, sql).ValueOrDie();
+    uint64_t query_id = 21;
+    for (ProtocolKind kind : {ProtocolKind::kRnfNoise, ProtocolKind::kCNoise,
+                              ProtocolKind::kEdHist}) {
+      SCOPED_TRACE(ProtocolKindToString(kind));
+      auto protocol = MakeProtocol(kind, inputs).ValueOrDie();
+      auto outcome =
+          w.engine->Run(*protocol, *w.querier, query_id++, sql).ValueOrDie();
+      EXPECT_TRUE(outcome.result.SameRows(expected));
+    }
+  }
+}
+
+TEST(DiscoveryTest, IsTracedAndCountedAsAnSAggQuery) {
+  TestWorld w = TestWorld::Generic(DiscoveryFleet());
+  ASSERT_TRUE(w.engine->DiscoverInputs(*w.querier, 30, kDiscoverySql).ok());
+  auto trace = w.engine->TraceFor(30);
+  ASSERT_NE(trace, nullptr);
+  EXPECT_EQ(trace->root()->labels.at("protocol"), std::string("S_Agg"));
+  EXPECT_GT(trace->CountSpans(obs::kSpanAggregationRound), 0u);
+  EXPECT_EQ(
+      w.engine->metrics().counter("engine.queries_completed").value(), 1u);
+}
+
+TEST(DiscoveryTest, TrafficMovesNetCountersOverTcpShards) {
+  Engine::Config cfg = FastConfig();
+  cfg.transport = net::TransportKind::kTcp;
+  cfg.num_shards = 2;
+  TestWorld w = TestWorld::Generic(DiscoveryFleet(), cfg);
+  const char* counters[] = {"net.calls_sent", "net.frames_sent",
+                            "net.bytes_sent", "net.bytes_received"};
+  uint64_t before[4];
+  for (int i = 0; i < 4; ++i) {
+    before[i] = w.engine->metrics().counter(counters[i]).value();
+  }
+  auto inputs =
+      w.engine->DiscoverInputs(*w.querier, 40, kDiscoverySql).ValueOrDie();
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_GT(w.engine->metrics().counter(counters[i]).value(), before[i])
+        << counters[i];
+  }
+  EXPECT_EQ(inputs.distribution, OracleDistribution(*w.fleet));
+}
+
+TEST(DiscoveryTest, RunsUnderTheEngineFaultPlan) {
+  // Drop the first reply of every partition fetch of the discovery query:
+  // the fetch is idempotent, so each retry recovers and nothing is lost.
+  constexpr uint64_t kQueryId = 50;
+  auto plan = std::make_shared<net::FaultPlan>();
+  net::ScriptedFault f;
+  f.type = net::MsgType::kFetchPartition;
+  f.kind = net::FaultKind::kDropReply;
+  f.scope = net::ScriptedFault::Scope::kPerKey;
+  f.nth = 1;
+  f.key_a = kQueryId;
+  plan->script.push_back(f);
+  Engine::Config cfg = FastConfig();
+  cfg.fault_plan = plan;
+  // Fault decisions key on single-call frames (as in the campaign).
+  cfg.transport_batch_max_calls = 1;
+  TestWorld w = TestWorld::Generic(DiscoveryFleet(), cfg);
+
+  auto inputs = w.engine->DiscoverInputs(*w.querier, kQueryId, kDiscoverySql)
+                    .ValueOrDie();
+  net::FaultyTransport* injector = w.engine->fault_injector();
+  ASSERT_NE(injector, nullptr);
+  EXPECT_GT(injector->injected_count(), 0u);
+  for (const net::FaultEvent& event : injector->events()) {
+    EXPECT_EQ(event.key_a, kQueryId);
+    EXPECT_EQ(event.kind, net::FaultKind::kDropReply);
+  }
+  EXPECT_EQ(inputs.distribution, OracleDistribution(*w.fleet));
 }
 
 TEST(SmartMeterTest, FlagshipQueryEndToEndWithDiscoveryAndEdHist) {
@@ -439,11 +533,8 @@ TEST(SmartMeterTest, FlagshipQueryEndToEndWithDiscoveryAndEdHist) {
       "WHERE C.accomodation = 'detached house' AND C.cid = P.cid "
       "GROUP BY C.district HAVING COUNT(DISTINCT C.cid) > 5";
 
-  auto discovered =
-      DiscoverDistribution(w.fleet, *w.querier, 12, sql, w.device,
-                           FastOptions())
-          .ValueOrDie();
-  auto protocol = EdHistProtocol::FromDistribution(discovered.frequency, 3);
+  auto discovered = w.engine->DiscoverInputs(*w.querier, 12, sql).ValueOrDie();
+  auto protocol = EdHistProtocol::FromDistribution(discovered.distribution, 3);
   auto outcome = w.engine->Run(*protocol, *w.querier, 13, sql).ValueOrDie();
   auto expected = ExecuteReference(*w.fleet, sql).ValueOrDie();
   EXPECT_TRUE(outcome.result.SameRows(expected))

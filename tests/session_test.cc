@@ -1,8 +1,9 @@
-// Tests for QuerySession: concurrent queries through the querybox hub.
+// Tests for QuerySession: concurrent queries through the querybox hub, in
+// sessions built by Engine::NewSession over the engine's SSI stack.
 #include <gtest/gtest.h>
 
 #include "protocol/reference.h"
-#include "protocol/session.h"
+#include "tcells/engine.h"
 #include "tds/access_control.h"
 #include "workload/generic.h"
 #include "workload/health.h"
@@ -12,23 +13,27 @@ namespace {
 
 class SessionWorld {
  public:
-  explicit SessionWorld(size_t n = 60) {
+  explicit SessionWorld(size_t n = 60, RunOptions options = {}) {
     keys = crypto::KeyStore::CreateForTest(77);
     authority = std::make_shared<tds::Authority>(Bytes(16, 0x21));
     workload::GenericOptions gopts;
     gopts.num_tds = n;
     gopts.num_groups = 4;
-    fleet = workload::BuildGenericFleet(gopts, keys, authority,
-                                        tds::AccessPolicy::AllowAll())
-                .ValueOrDie();
+    auto built = workload::BuildGenericFleet(gopts, keys, authority,
+                                             tds::AccessPolicy::AllowAll())
+                     .ValueOrDie();
     querier = std::make_unique<Querier>("s", authority->Issue("s"), keys);
+    Engine::Config config;
+    config.options = options;
+    engine = Engine::Create(std::move(built), config).ValueOrDie();
+    fleet = &engine->fleet();
   }
 
   std::shared_ptr<const crypto::KeyStore> keys;
   std::shared_ptr<tds::Authority> authority;
-  std::unique_ptr<Fleet> fleet;
   std::unique_ptr<Querier> querier;
-  sim::DeviceModel device;
+  std::unique_ptr<Engine> engine;
+  Fleet* fleet = nullptr;  // owned by the engine
 };
 
 TEST(FleetTest, SampleAvailableOnEmptyFleetIsEmpty) {
@@ -52,10 +57,10 @@ TEST(FleetTest, SampleAvailableNonPositiveFractionClampsToOne) {
 }
 
 TEST(SessionTest, TwoConcurrentQueriesBothMatchOracle) {
-  SessionWorld w;
   RunOptions opts;
   opts.compute_availability = 0.3;
-  QuerySession session(w.fleet.get(), w.device, opts);
+  SessionWorld w(60, opts);
+  QuerySession session = w.engine->NewSession();
 
   SAggProtocol s_agg;
   BasicSfwProtocol basic;
@@ -78,10 +83,10 @@ TEST(SessionTest, TwoConcurrentQueriesBothMatchOracle) {
 }
 
 TEST(SessionTest, MixedProtocolsShareTheFleet) {
-  SessionWorld w;
   RunOptions opts;
   opts.compute_availability = 0.3;
-  QuerySession session(w.fleet.get(), w.device, opts);
+  SessionWorld w(60, opts);
+  QuerySession session = w.engine->NewSession();
 
   auto domain = std::make_shared<std::vector<storage::Tuple>>();
   for (size_t g = 0; g < 4; ++g) {
@@ -103,7 +108,7 @@ TEST(SessionTest, MixedProtocolsShareTheFleet) {
 
 TEST(SessionTest, PersonalQueryReachesOnlyItsTds) {
   SessionWorld w;
-  QuerySession session(w.fleet.get(), w.device, {});
+  QuerySession session = w.engine->NewSession();
   BasicSfwProtocol basic;
   // Personal query to TDS 5: "get my own rows".
   ASSERT_TRUE(session
@@ -123,7 +128,7 @@ TEST(SessionTest, PersonalQueryReachesOnlyItsTds) {
 
 TEST(SessionTest, SizeBoundPerQuery) {
   SessionWorld w;
-  QuerySession session(w.fleet.get(), w.device, {});
+  QuerySession session = w.engine->NewSession();
   BasicSfwProtocol basic;
   SAggProtocol s_agg;
   ASSERT_TRUE(session.Submit(1, w.querier.get(), &basic,
@@ -136,11 +141,11 @@ TEST(SessionTest, SizeBoundPerQuery) {
 }
 
 TEST(SessionTest, TickedCollectionWindow) {
-  SessionWorld w;
   RunOptions opts;
   opts.connect_prob_per_tick = 0.3;
   opts.seed = 5;
-  QuerySession session(w.fleet.get(), w.device, opts);
+  SessionWorld w(60, opts);
+  QuerySession session = w.engine->NewSession();
   SAggProtocol s_agg;
   ASSERT_TRUE(session.Submit(1, w.querier.get(), &s_agg,
                              "SELECT grp, COUNT(*) FROM T GROUP BY grp").ok());
@@ -153,7 +158,7 @@ TEST(SessionTest, TickedCollectionWindow) {
 
 TEST(SessionTest, DuplicateIdRejected) {
   SessionWorld w;
-  QuerySession session(w.fleet.get(), w.device, {});
+  QuerySession session = w.engine->NewSession();
   SAggProtocol s_agg;
   const char* sql = "SELECT grp, COUNT(*) FROM T GROUP BY grp";
   ASSERT_TRUE(session.Submit(1, w.querier.get(), &s_agg, sql).ok());
@@ -162,7 +167,7 @@ TEST(SessionTest, DuplicateIdRejected) {
 
 TEST(SessionTest, ProtocolShapeMismatchRejectedAtSubmit) {
   SessionWorld w;
-  QuerySession session(w.fleet.get(), w.device, {});
+  QuerySession session = w.engine->NewSession();
   BasicSfwProtocol basic;
   EXPECT_FALSE(session.Submit(1, w.querier.get(), &basic,
                               "SELECT grp, COUNT(*) FROM T GROUP BY grp")
@@ -170,7 +175,8 @@ TEST(SessionTest, ProtocolShapeMismatchRejectedAtSubmit) {
 }
 
 // Malformed RunOptions fail RunOptions::Validate and are rejected at Submit
-// time, before any post reaches the hub.
+// time, before any post reaches the hub: by the engine's per-query Submit,
+// and by a session built over the engine's SSI with those options.
 TEST(SessionTest, InvalidOptionsRejectedAtSubmit) {
   SessionWorld w;
   const char* sql = "SELECT grp, COUNT(*) FROM T GROUP BY grp";
@@ -178,7 +184,9 @@ TEST(SessionTest, InvalidOptionsRejectedAtSubmit) {
 
   auto rejects = [&](RunOptions opts) {
     EXPECT_FALSE(opts.Validate().ok());
-    QuerySession session(w.fleet.get(), w.device, opts);
+    EXPECT_FALSE(w.engine->Submit(s_agg, *w.querier, 1, sql, opts).ok());
+    QuerySession session(w.fleet, w.engine->device(), opts, {},
+                         w.engine->ssi_client());
     Status s = session.Submit(1, w.querier.get(), &s_agg, sql);
     EXPECT_FALSE(s.ok());
     EXPECT_EQ(session.num_pending(), 0u);
@@ -218,7 +226,7 @@ TEST(SessionTest, InvalidOptionsRejectedAtSubmit) {
 
   // Defaults are valid, and a valid config still submits fine.
   EXPECT_TRUE(RunOptions().Validate().ok());
-  QuerySession session(w.fleet.get(), w.device, {});
+  QuerySession session = w.engine->NewSession();
   EXPECT_TRUE(session.Submit(1, w.querier.get(), &s_agg, sql).ok());
 }
 

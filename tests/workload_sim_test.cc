@@ -5,7 +5,6 @@
 
 #include <set>
 
-#include "crypto/provisioning.h"
 #include "protocol/discovery.h"
 #include "protocol/factory.h"
 #include "protocol/protocols.h"
@@ -191,7 +190,7 @@ TEST(CostAccountantTest, TalliesAndDerivedMetrics) {
 
 class PlumbingWorld {
  public:
-  PlumbingWorld(size_t n = 30) {
+  explicit PlumbingWorld(size_t n = 30, size_t shards = 1) {
     keys = crypto::KeyStore::CreateForTest(9);
     authority = std::make_shared<tds::Authority>(Bytes(16, 9));
     workload::GenericOptions gopts;
@@ -201,7 +200,9 @@ class PlumbingWorld {
                      .ValueOrDie();
     querier = std::make_unique<protocol::Querier>("p", authority->Issue("p"),
                                                   keys);
-    engine = Engine::Create(std::move(built)).ValueOrDie();
+    Engine::Config config;
+    config.num_shards = shards;
+    engine = Engine::Create(std::move(built), config).ValueOrDie();
     fleet = &engine->fleet();
   }
   std::shared_ptr<const crypto::KeyStore> keys;
@@ -328,27 +329,41 @@ TEST(FactoryTest, InputRequirementsEnforced) {
 }
 
 TEST(FactoryTest, DiscoverInputsEndToEnd) {
-  PlumbingWorld w;
   const char* sql = "SELECT grp, AVG(val) FROM T GROUP BY grp";
-  auto inputs = w.engine->DiscoverInputs(*w.querier, 5, sql).ValueOrDie();
-  EXPECT_FALSE(inputs.distribution.empty());
-  ASSERT_NE(inputs.group_domain, nullptr);
-  EXPECT_EQ(inputs.group_domain->size(), inputs.distribution.size());
+  for (size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    PlumbingWorld w(30, shards);
+    auto inputs = w.engine->DiscoverInputs(*w.querier, 5, sql).ValueOrDie();
+    EXPECT_FALSE(inputs.distribution.empty());
 
-  auto protocol =
-      protocol::MakeProtocol(protocol::ProtocolKind::kEdHist, inputs)
-          .ValueOrDie();
-  auto outcome = w.engine->Run(*protocol, *w.querier, 6, sql).ValueOrDie();
-  auto expected = protocol::ExecuteReference(*w.fleet, sql).ValueOrDie();
-  EXPECT_TRUE(outcome.result.SameRows(expected));
+    const auto oracle =
+        protocol::ExecuteReference(*w.fleet, sql).ValueOrDie();
+    uint64_t query_id = 6;
+    for (protocol::ProtocolKind kind :
+         {protocol::ProtocolKind::kEdHist, protocol::ProtocolKind::kCNoise,
+          protocol::ProtocolKind::kRnfNoise}) {
+      SCOPED_TRACE(protocol::ProtocolKindToString(kind));
+      auto protocol = protocol::MakeProtocol(kind, inputs).ValueOrDie();
+      auto outcome =
+          w.engine->Run(*protocol, *w.querier, query_id++, sql).ValueOrDie();
+      EXPECT_TRUE(outcome.result.SameRows(oracle));
+    }
+  }
 }
 
 TEST(DiscoveryTest, RequiresGroupBy) {
   PlumbingWorld w;
-  auto result = protocol::DiscoverDistribution(
-      w.fleet, *w.querier, 1, "SELECT grp FROM T", sim::DeviceModel(), {});
+  auto result = w.engine->DiscoverInputs(*w.querier, 1, "SELECT grp FROM T");
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
+  // Rejected before anything was posted.
+  EXPECT_EQ(w.engine->TraceFor(1), nullptr);
+}
+
+TEST(DiscoveryTest, EmptyDomainIsFailedPrecondition) {
+  auto inputs = protocol::InputsFromDiscovery(sql::QueryResult());
+  ASSERT_FALSE(inputs.ok());
+  EXPECT_TRUE(inputs.status().IsFailedPrecondition());
 }
 
 TEST(NoiseProtocolTest, MissingDomainIsFailedPrecondition) {
@@ -367,71 +382,6 @@ TEST(EdHistProtocolTest, MissingHistogramIsFailedPrecondition) {
                                "SELECT grp, COUNT(*) FROM T GROUP BY grp");
   ASSERT_FALSE(outcome.ok());
   EXPECT_TRUE(outcome.status().IsFailedPrecondition());
-}
-
-
-TEST(ProvisioningIntegrationTest, ProvisionedFleetAnswersQueries) {
-  // Full footnote-7 flow: every device unwraps the deployment keys from its
-  // burn-time key; the querier uses the operator's copy. Everything must
-  // interoperate end to end.
-  Rng rng(31);
-  auto provisioner =
-      crypto::KeyProvisioner::Create(rng.NextBytes(16)).ValueOrDie();
-  provisioner.Rotate();  // deployments rarely run on epoch 0
-  auto authority = std::make_shared<tds::Authority>(Bytes(16, 0x61));
-
-  auto fleet = std::make_unique<protocol::Fleet>();
-  workload::GenericOptions gopts;
-  gopts.num_groups = 3;
-  Rng data_rng(32);
-  for (uint64_t i = 0; i < 40; ++i) {
-    Bytes burn_key = rng.NextBytes(16);  // unique per device
-    Bytes wrapped = provisioner.WrapFor(burn_key, &rng);
-    auto bundle =
-        crypto::KeyProvisioner::Unwrap(burn_key, wrapped).ValueOrDie();
-    ASSERT_EQ(bundle.epoch, 1u);
-    auto server = std::make_unique<tds::TrustedDataServer>(
-        i, bundle.keys, authority, tds::AccessPolicy::AllowAll());
-    ASSERT_TRUE(
-        workload::PopulateGenericDb(&server->db(), i, gopts, &data_rng).ok());
-    fleet->Add(std::move(server));
-  }
-
-  protocol::Querier querier("op", authority->Issue("op"),
-                            provisioner.CurrentKeys().ValueOrDie());
-  protocol::SAggProtocol s_agg;
-  const char* sql = "SELECT grp, COUNT(*), AVG(val) FROM T GROUP BY grp";
-  auto engine = Engine::Create(std::move(fleet)).ValueOrDie();
-  auto outcome = engine->Run(s_agg, querier, 1, sql).ValueOrDie();
-  auto expected = protocol::ExecuteReference(engine->fleet(), sql).ValueOrDie();
-  EXPECT_TRUE(outcome.result.SameRows(expected));
-}
-
-TEST(ProvisioningIntegrationTest, StaleEpochDeviceCannotParticipate) {
-  // A device still on epoch 0 cannot read an epoch-1 query post — its
-  // collection step fails to decrypt rather than leaking anything.
-  Rng rng(33);
-  auto provisioner =
-      crypto::KeyProvisioner::Create(rng.NextBytes(16)).ValueOrDie();
-  Bytes burn_key = rng.NextBytes(16);
-  Bytes old_wrap = provisioner.WrapFor(burn_key, &rng);  // epoch 0
-  provisioner.Rotate();
-
-  auto stale =
-      crypto::KeyProvisioner::Unwrap(burn_key, old_wrap).ValueOrDie();
-  auto authority = std::make_shared<tds::Authority>(Bytes(16, 0x62));
-  tds::TrustedDataServer server(0, stale.keys, authority,
-                                tds::AccessPolicy::AllowAll());
-  workload::GenericOptions gopts;
-  Rng data_rng(34);
-  ASSERT_TRUE(
-      workload::PopulateGenericDb(&server.db(), 0, gopts, &data_rng).ok());
-
-  protocol::Querier querier("op", authority->Issue("op"),
-                            provisioner.CurrentKeys().ValueOrDie());
-  auto post = querier.MakePost(1, "SELECT grp FROM T", &rng).ValueOrDie();
-  tds::CollectionConfig config;
-  EXPECT_FALSE(server.ProcessCollection(post, config, &rng).ok());
 }
 
 }  // namespace
