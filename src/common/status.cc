@@ -16,6 +16,7 @@ const char* StatusCodeToString(StatusCode code) {
     case StatusCode::kUnavailable: return "Unavailable";
     case StatusCode::kDeadlineExceeded: return "DeadlineExceeded";
     case StatusCode::kCancelled: return "Cancelled";
+    case StatusCode::kOutOfRange: return "OutOfRange";
   }
   return "Unknown";
 }

@@ -24,6 +24,7 @@ enum class StatusCode {
   kUnavailable,       ///< Transport/peer failure; safe to retry.
   kDeadlineExceeded,  ///< Per-message deadline expired; safe to retry.
   kCancelled,         ///< Caller asked for the operation to stop.
+  kOutOfRange,        ///< A bounded sequence (e.g. the key epochs) ran out.
 };
 
 /// Human-readable name of a StatusCode (e.g. "InvalidArgument").
@@ -69,6 +70,9 @@ class Status {
   static Status Cancelled(std::string msg) {
     return Status(StatusCode::kCancelled, std::move(msg));
   }
+  static Status OutOfRange(std::string msg) {
+    return Status(StatusCode::kOutOfRange, std::move(msg));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -85,6 +89,7 @@ class Status {
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
   bool IsDeadlineExceeded() const { return code_ == StatusCode::kDeadlineExceeded; }
   bool IsCancelled() const { return code_ == StatusCode::kCancelled; }
+  bool IsOutOfRange() const { return code_ == StatusCode::kOutOfRange; }
 
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;

@@ -1,5 +1,7 @@
 #include "keys/epoch.h"
 
+#include <map>
+#include <mutex>
 #include <string>
 
 #include "common/hex.h"
@@ -68,7 +70,8 @@ Result<EpochSecrets> DecodeEpochSecrets(const Bytes& data) {
   if (count == 0 || count > kEpochWindow) {
     return Status::Corruption("epoch secret window out of range");
   }
-  if (count > out.inner_epoch + 1) {
+  // 64-bit: inner_epoch + 1 wraps to 0 at the last epoch.
+  if (uint64_t{count} > uint64_t{out.inner_epoch} + 1) {
     return Status::Corruption("epoch secret window predates epoch 0");
   }
   out.secrets.reserve(count);
@@ -100,6 +103,46 @@ Result<std::shared_ptr<const crypto::KeyStore>> DeriveQueryKeys(
   Bytes k1q = crypto::DeriveKey(epoch_secret, "qk1-" + suffix);
   Bytes k2q = crypto::DeriveKey(epoch_secret, "qk2-" + suffix);
   return crypto::KeyStore::Create(k1q, k2q);
+}
+
+namespace {
+
+struct QueryKeysMemo {
+  std::mutex mu;
+  std::map<Bytes, std::shared_ptr<const crypto::KeyStore>> entries;
+};
+
+QueryKeysMemo& Memo() {
+  static QueryKeysMemo memo;
+  return memo;
+}
+
+}  // namespace
+
+Result<std::shared_ptr<const crypto::KeyStore>> DeriveQueryKeysShared(
+    const Bytes& epoch_secret, const ssi::QueryKeyPosting& posting) {
+  QueryKeysMemo& memo = Memo();
+  Bytes key = epoch_secret;
+  posting.EncodeTo(&key);
+  {
+    std::lock_guard<std::mutex> lock(memo.mu);
+    auto it = memo.entries.find(key);
+    if (it != memo.entries.end()) return it->second;
+  }
+  // Derive outside the lock; a concurrent miss on the same key does the work
+  // twice but both produce byte-identical keys.
+  TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const crypto::KeyStore> keys,
+                          DeriveQueryKeys(epoch_secret, posting));
+  std::lock_guard<std::mutex> lock(memo.mu);
+  if (memo.entries.size() >= kQueryKeysMemoCapacity) memo.entries.clear();
+  // Keep the first fill so previously handed-out pointers stay canonical.
+  return memo.entries.emplace(std::move(key), std::move(keys)).first->second;
+}
+
+size_t QueryKeysMemoSize() {
+  QueryKeysMemo& memo = Memo();
+  std::lock_guard<std::mutex> lock(memo.mu);
+  return memo.entries.size();
 }
 
 Bytes ContributionDigest(const std::vector<ssi::EncryptedItem>& items) {

@@ -1,10 +1,17 @@
 #include "keys/key_authority.h"
 
+#include <limits>
 #include <utility>
 
 #include "crypto/hmac.h"
 
 namespace tcells::keys {
+
+namespace {
+
+constexpr uint32_t kLastEpoch = std::numeric_limits<uint32_t>::max();
+
+}  // namespace
 
 Result<std::unique_ptr<KeyAuthority>> KeyAuthority::Create(const Bytes& master,
                                                            size_t num_devices,
@@ -19,7 +26,7 @@ Result<std::unique_ptr<KeyAuthority>> KeyAuthority::Create(const Bytes& master,
   std::unique_ptr<KeyAuthority> authority(new KeyAuthority(
       master, std::move(channel), num_devices, seed));
   std::lock_guard<std::mutex> lock(authority->mu_);
-  TCELLS_RETURN_IF_ERROR(authority->ResealLocked());
+  TCELLS_RETURN_IF_ERROR(authority->ResealLocked(0));
   return authority;
 }
 
@@ -55,28 +62,28 @@ Bytes KeyAuthority::CurrentBlock() const {
   return current_block_;
 }
 
-Bytes KeyAuthority::EpochSecretLocked(uint32_t epoch) const {
-  return DeriveEpochSecret(master_, epoch);
-}
-
-Status KeyAuthority::ResealLocked() {
+Status KeyAuthority::ResealLocked(uint32_t epoch) {
   // Seal the trailing window of epoch secrets (oldest first) so a TDS that
   // missed up to kEpochWindow-1 rollovers can still serve queries posted
-  // under those epochs.
-  uint32_t oldest =
-      epoch_ + 1 >= kEpochWindow ? epoch_ + 1 - kEpochWindow : 0;
-  std::vector<Bytes> secrets;
-  secrets.reserve(epoch_ - oldest + 1);
-  for (uint32_t e = oldest; e <= epoch_; ++e) {
-    secrets.push_back(EpochSecretLocked(e));
+  // under those epochs. 64-bit bounds: `epoch + 1` wraps at the last epoch.
+  const uint64_t end = uint64_t{epoch} + 1;
+  const uint64_t oldest = end >= kEpochWindow ? end - kEpochWindow : 0;
+  EpochSecrets window;
+  window.inner_epoch = epoch;
+  window.secrets.reserve(end - oldest);
+  for (uint64_t e = oldest; e < end; ++e) {
+    window.secrets.push_back(
+        DeriveEpochSecret(master_, static_cast<uint32_t>(e)));
   }
-  Bytes payload = EncodeEpochSecrets(epoch_, secrets);
+  Bytes payload = EncodeEpochSecrets(epoch, window.secrets);
   TCELLS_ASSIGN_OR_RETURN(crypto::BroadcastMessage message,
                           channel_.Encrypt(payload, revoked_, &rng_));
   EpochBlock block;
-  block.epoch = epoch_;
+  block.epoch = epoch;
   block.message = std::move(message);
   current_block_ = block.Encode();
+  epoch_ = epoch;
+  window_ = std::move(window);
   return Status::OK();
 }
 
@@ -86,16 +93,20 @@ Status KeyAuthority::Revoke(const std::vector<uint64_t>& tds_ids) {
     if (id >= num_devices_) {
       return Status::InvalidArgument("revoked TDS id out of range");
     }
-    revoked_.insert(static_cast<size_t>(id));
   }
-  ++epoch_;
-  return ResealLocked();
+  if (epoch_ == kLastEpoch) {
+    return Status::OutOfRange("key epochs exhausted; cannot revoke");
+  }
+  for (uint64_t id : tds_ids) revoked_.insert(static_cast<size_t>(id));
+  return ResealLocked(epoch_ + 1);
 }
 
 Status KeyAuthority::Rollover() {
   std::lock_guard<std::mutex> lock(mu_);
-  ++epoch_;
-  return ResealLocked();
+  if (epoch_ == kLastEpoch) {
+    return Status::OutOfRange("key epochs exhausted; cannot roll over");
+  }
+  return ResealLocked(epoch_ + 1);
 }
 
 ssi::QueryKeyPosting KeyAuthority::NewPosting(uint64_t query_id,
@@ -116,12 +127,13 @@ Result<std::shared_ptr<const crypto::KeyStore>> KeyAuthority::QuerierKeysFor(
     if (posting.epoch > epoch_) {
       return Status::NotFound("posting epoch is in the future");
     }
-    if (epoch_ - posting.epoch >= kEpochWindow) {
+    const Bytes* in_window = window_.SecretFor(posting.epoch);
+    if (in_window == nullptr) {
       return Status::NotFound("posting epoch fell out of the key window");
     }
-    secret = EpochSecretLocked(posting.epoch);
+    secret = *in_window;
   }
-  return DeriveQueryKeys(secret, posting);
+  return DeriveQueryKeysShared(secret, posting);
 }
 
 Status KeyAuthority::VerifyContribution(const ContributionTag& tag,
@@ -136,7 +148,7 @@ Status KeyAuthority::VerifyContribution(const ContributionTag& tag,
     if (revoked_.count(static_cast<size_t>(tag.tds_id)) > 0) {
       return Status::PermissionDenied("contributing TDS is revoked");
     }
-    secret = EpochSecretLocked(epoch_);
+    secret = window_.secrets.back();
   }
   Bytes expected =
       ContributionMac(DeriveContributionKey(secret, tag.tds_id), query_id,

@@ -55,10 +55,13 @@ class KeyAuthority {
   Bytes CurrentBlock() const;
 
   /// Revokes `tds_ids` (idempotent per id) and rolls the epoch; the new
-  /// CurrentBlock() excludes them from the cover.
+  /// CurrentBlock() excludes them from the cover. InvalidArgument (nothing
+  /// revoked) when an id is outside the id space; OutOfRange once the epoch
+  /// counter is at its maximum — epochs never wrap back to 0.
   Status Revoke(const std::vector<uint64_t>& tds_ids);
 
   /// Rolls the epoch without changing the revoked set (periodic hygiene).
+  /// OutOfRange once the epoch counter is at its maximum.
   Status Rollover();
 
   /// Querier side: draws the nonce of a fresh per-query posting from `rng`
@@ -81,8 +84,9 @@ class KeyAuthority {
   KeyAuthority(Bytes master, crypto::BroadcastChannel channel,
                size_t num_devices, uint64_t seed);
 
-  Bytes EpochSecretLocked(uint32_t epoch) const;
-  Status ResealLocked();
+  /// Derives `epoch`'s secret window, seals it for the non-revoked cover and
+  /// makes `epoch` current; on failure nothing changes.
+  Status ResealLocked(uint32_t epoch);
 
   const Bytes master_;
   const crypto::BroadcastChannel channel_;
@@ -92,6 +96,9 @@ class KeyAuthority {
   Rng rng_;
   uint32_t epoch_ = 0;
   std::set<size_t> revoked_;
+  /// The secrets the current block seals (inner_epoch == epoch_), derived
+  /// once per epoch so admission checks and querier postings only look up.
+  EpochSecrets window_;
   Bytes current_block_;  ///< encoded EpochBlock of epoch_
 };
 

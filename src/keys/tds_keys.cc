@@ -4,13 +4,24 @@
 
 namespace tcells::keys {
 
+std::vector<Result<Bytes>> EpochBlockSource::FetchLatestBlocks(
+    const std::vector<uint64_t>& tds_ids) {
+  std::vector<Result<Bytes>> out;
+  out.reserve(tds_ids.size());
+  for (uint64_t tds_id : tds_ids) out.push_back(FetchLatestBlock(tds_id));
+  return out;
+}
+
 TdsKeyState::TdsKeyState(uint64_t tds_id,
                          crypto::BroadcastDeviceKeys device_keys,
-                         EpochBlockSource* source)
-    : tds_id_(tds_id), device_keys_(std::move(device_keys)), source_(source) {}
+                         EpochBlockSource* source,
+                         const RefreshCounters* counters)
+    : tds_id_(tds_id),
+      device_keys_(std::move(device_keys)),
+      source_(source),
+      counters_(counters) {}
 
-Status TdsKeyState::RefreshLocked() {
-  TCELLS_ASSIGN_OR_RETURN(Bytes encoded, source_->FetchLatestBlock(tds_id_));
+Status TdsKeyState::AdoptLocked(const Bytes& encoded) {
   TCELLS_ASSIGN_OR_RETURN(EpochBlock block, EpochBlock::Decode(encoded));
   if (has_window_ && block.epoch <= window_.inner_epoch) {
     // Same or older than what we hold: nothing to adopt. A replayed stale
@@ -28,60 +39,94 @@ Status TdsKeyState::RefreshLocked() {
   }
   window_ = std::move(window);
   has_window_ = true;
+  contribution_key_ = DeriveContributionKey(window_.secrets.back(), tds_id_);
+  if (counters_ != nullptr) counters_->adopted->Increment();
   return Status::OK();
 }
 
+Status TdsKeyState::Adopt(const Bytes& encoded) {
+  if (counters_ != nullptr) counters_->fetched->Increment();
+  Status adopted;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    adopted = AdoptLocked(encoded);
+  }
+  if (!adopted.ok() && counters_ != nullptr) counters_->refused->Increment();
+  return adopted;
+}
+
 Status TdsKeyState::Refresh() {
+  TCELLS_ASSIGN_OR_RETURN(Bytes encoded, source_->FetchLatestBlock(tds_id_));
+  return Adopt(encoded);
+}
+
+std::vector<Status> TdsKeyState::RefreshAll(
+    const std::vector<TdsKeyState*>& states) {
+  std::vector<Status> out(states.size());
+  if (states.empty()) return out;
+  EpochBlockSource* source = states.front()->source_;
+  std::vector<size_t> batched;
+  std::vector<uint64_t> ids;
+  for (size_t i = 0; i < states.size(); ++i) {
+    if (states[i]->source_ == source) {
+      batched.push_back(i);
+      ids.push_back(states[i]->tds_id_);
+    } else {
+      out[i] = states[i]->Refresh();
+    }
+  }
+  std::vector<Result<Bytes>> blocks = source->FetchLatestBlocks(ids);
+  for (size_t k = 0; k < batched.size(); ++k) {
+    Status& status = out[batched[k]];
+    if (k >= blocks.size()) {
+      status = Status::Internal("block source returned too few replies");
+    } else if (!blocks[k].ok()) {
+      status = blocks[k].status();
+    } else {
+      status = states[batched[k]]->Adopt(*blocks[k]);
+    }
+  }
+  return out;
+}
+
+bool TdsKeyState::Reaches(uint32_t epoch) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return RefreshLocked();
+  return has_window_ && window_.SecretFor(epoch) != nullptr;
+}
+
+Result<Bytes> TdsKeyState::SecretFor(uint32_t epoch) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const Bytes* secret = has_window_ ? window_.SecretFor(epoch) : nullptr;
+  if (secret == nullptr) {
+    return Status::NotFound("posting epoch unreachable for this TDS");
+  }
+  return *secret;
 }
 
 Result<std::shared_ptr<const crypto::KeyStore>> TdsKeyState::KeysFor(
     const ssi::QueryKeyPosting& posting) {
-  Bytes cache_key;
-  posting.EncodeTo(&cache_key);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = session_cache_.find(cache_key);
-  if (it != session_cache_.end()) return it->second;
-  const Bytes* secret =
-      has_window_ ? window_.SecretFor(posting.epoch) : nullptr;
-  if (secret == nullptr) {
-    // Window miss: maybe the fleet rolled forward (or this TDS never
-    // refreshed). One refresh attempt; a failure here (revoked, forged
-    // block, transport loss) leaves the old window in place.
-    (void)RefreshLocked();
-    secret = has_window_ ? window_.SecretFor(posting.epoch) : nullptr;
+  Result<Bytes> secret = SecretFor(posting.epoch);
+  if (!secret.ok()) {
+    // Window miss outside a batched refresh (e.g. a compute TDS that never
+    // collected this query): one refresh attempt; a failure here (revoked,
+    // forged block, transport loss) leaves the old window in place.
+    (void)Refresh();
+    secret = SecretFor(posting.epoch);
   }
-  if (secret == nullptr) {
-    return Status::NotFound("posting epoch unreachable for this TDS");
-  }
-  TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const crypto::KeyStore> keys,
-                          DeriveQueryKeys(*secret, posting));
-  if (session_cache_.size() >= kSessionCacheCapacity) {
-    session_cache_.erase(session_order_.front());
-    session_order_.pop_front();
-  }
-  session_order_.push_back(cache_key);
-  session_cache_.emplace(std::move(cache_key), keys);
-  return keys;
+  TCELLS_RETURN_IF_ERROR(secret.status());
+  return DeriveQueryKeysShared(*secret, posting);
 }
 
 Result<ContributionTag> TdsKeyState::Tag(uint64_t query_id,
-                                         const Bytes& digest) {
+                                         const Bytes& digest) const {
   std::lock_guard<std::mutex> lock(mu_);
-  // Best-effort refresh: an honest TDS tags under the newest epoch it can
-  // open; when the refresh fails (revoked / hostile block) the last good
-  // window keeps the TDS serving and the authority decides admission.
-  (void)RefreshLocked();
   if (!has_window_) {
     return Status::FailedPrecondition("TDS has no epoch window yet");
   }
   ContributionTag tag;
   tag.epoch = window_.inner_epoch;
   tag.tds_id = tds_id_;
-  tag.mac = ContributionMac(
-      DeriveContributionKey(window_.secrets.back(), tds_id_), query_id,
-      digest);
+  tag.mac = ContributionMac(contribution_key_, query_id, digest);
   return tag;
 }
 
@@ -89,11 +134,6 @@ Result<uint32_t> TdsKeyState::known_epoch() const {
   std::lock_guard<std::mutex> lock(mu_);
   if (!has_window_) return Status::NotFound("no epoch window adopted yet");
   return window_.inner_epoch;
-}
-
-size_t TdsKeyState::session_cache_size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return session_cache_.size();
 }
 
 }  // namespace tcells::keys

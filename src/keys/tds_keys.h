@@ -2,14 +2,26 @@
 //
 // A TDS is burned with its broadcast device keys at enrollment and learns
 // epoch secrets exclusively by fetching the latest EpochBlock from the SSI
-// (through an EpochBlockSource) and opening it. The state never trusts a
+// (through an EpochBlockSource) and adopting it. The state never trusts a
 // block blindly: a block that fails to decode, fails broadcast decryption
 // (the TDS is revoked), fails body authentication (a forged rollover), or
-// whose sealed inner epoch disagrees with its public epoch is ignored, and
+// whose sealed inner epoch disagrees with its public epoch is refused, and
 // the TDS keeps operating on the last good window — so the worst a hostile
 // block source can do is pin the TDS to a stale epoch, which the authority's
 // admission check then surfaces as rejected contributions rather than wrong
 // answers.
+//
+// Refresh is fetch, then Adopt. Fleets refresh in batches (RefreshAll: one
+// batched fetch, then every state validates its own reply), at the points
+// where key material is needed: the engine primes every TDS at bring-up, and
+// each collection tick refreshes the TDSs whose window lacks a posting's
+// epoch before they serve, and the TDSs about to tag an upload right before
+// they tag. Tag itself never fetches. KeysFor falls back to one serial
+// refresh on a window miss, for callers outside those batches.
+//
+// Session keys come from the process-wide memo (DeriveQueryKeysShared), which
+// a TDS reaches only with the secret its own window produced; the state
+// caches no KeyStore of its own.
 //
 // Thread-safety: all methods may be called concurrently (collection serving
 // runs on a thread pool).
@@ -17,16 +29,16 @@
 #define TCELLS_KEYS_TDS_KEYS_H_
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/result.h"
 #include "crypto/broadcast.h"
 #include "crypto/keystore.h"
 #include "keys/epoch.h"
+#include "obs/metrics.h"
 #include "ssi/messages.h"
 
 namespace tcells::keys {
@@ -37,30 +49,50 @@ class EpochBlockSource {
  public:
   virtual ~EpochBlockSource() = default;
   virtual Result<Bytes> FetchLatestBlock(uint64_t tds_id) = 0;
+  /// One reply per id, in input order. The default fetches them one by one;
+  /// a transport-backed source overrides it to batch the round trips.
+  virtual std::vector<Result<Bytes>> FetchLatestBlocks(
+      const std::vector<uint64_t>& tds_ids);
+};
+
+/// Pre-registered instruments of the refresh path (docs/OBSERVABILITY.md).
+/// All three must be non-null.
+struct RefreshCounters {
+  obs::Counter* fetched = nullptr;  ///< blocks handed to Adopt
+  obs::Counter* adopted = nullptr;  ///< blocks that advanced the window
+  obs::Counter* refused = nullptr;  ///< blocks that failed validation
 };
 
 class TdsKeyState {
  public:
-  /// Session KeyStores one TDS keeps cached. The cache is first-in
-  /// first-out: the oldest posting's keys are evicted when a new one
-  /// arrives at capacity, and re-derived byte-identically on a later miss.
-  /// Four times the engine's default query concurrency
-  /// (Engine::Config::max_inflight_queries = 4), so every posting a TDS
-  /// serves in one collection pass — and the postings of queries finishing
-  /// meanwhile — stays cached through that query's rounds.
-  static constexpr size_t kSessionCacheCapacity = 16;
-
-  /// `source` is borrowed and must outlive the state.
+  /// `source` and `counters` (optional) are borrowed and must outlive the
+  /// state.
   TdsKeyState(uint64_t tds_id, crypto::BroadcastDeviceKeys device_keys,
-              EpochBlockSource* source);
+              EpochBlockSource* source,
+              const RefreshCounters* counters = nullptr);
 
   uint64_t tds_id() const { return tds_id_; }
 
-  /// Fetches the latest block and adopts its window when it is valid and
-  /// newer than what the TDS already holds. Failures leave the state
-  /// untouched: NotFound means the TDS is excluded from the cover (revoked),
-  /// Corruption means the block was malformed or forged.
+  /// Fetches the latest block and adopts it. Failures leave the state
+  /// untouched.
   Status Refresh();
+
+  /// Refresh for many states: the states sharing the first state's source
+  /// (all of an engine's do) fetch through one FetchLatestBlocks call, then
+  /// each adopts its own reply; any other state refreshes serially. One
+  /// status per state, each what a serial Refresh() would have returned.
+  static std::vector<Status> RefreshAll(
+      const std::vector<TdsKeyState*>& states);
+
+  /// Adopts an encoded block's window when it is valid and newer than what
+  /// the TDS holds; a same-epoch or older block is an OK no-op (a replay can
+  /// never roll a TDS backwards). NotFound means the TDS is excluded from
+  /// the cover (revoked), Corruption a malformed, forged or re-stamped block;
+  /// either way the state is untouched.
+  Status Adopt(const Bytes& encoded);
+
+  /// Whether the adopted window holds `epoch`'s secret.
+  bool Reaches(uint32_t epoch) const;
 
   /// The session KeyStore of a query posting, refreshing once on a window
   /// miss. NotFound when the posting's epoch is unreachable for this TDS
@@ -68,33 +100,30 @@ class TdsKeyState {
   Result<std::shared_ptr<const crypto::KeyStore>> KeysFor(
       const ssi::QueryKeyPosting& posting);
 
-  /// Tags one collection upload. Refreshes first (best-effort) so an honest
-  /// TDS always authenticates under the newest epoch it can reach; a revoked
-  /// TDS is stuck with its pre-revocation epoch and the authority rejects
-  /// the stale tag.
-  Result<ContributionTag> Tag(uint64_t query_id, const Bytes& digest);
+  /// Tags one collection upload under the newest adopted epoch; the caller
+  /// refreshes first. A revoked TDS is stuck with its pre-revocation epoch
+  /// and the authority rejects the stale tag. FailedPrecondition before the
+  /// first adopted window.
+  Result<ContributionTag> Tag(uint64_t query_id, const Bytes& digest) const;
 
   /// The newest epoch this TDS has adopted; NotFound before the first
-  /// successful Refresh.
+  /// adopted window.
   Result<uint32_t> known_epoch() const;
 
-  /// Postings whose session keys are cached (<= kSessionCacheCapacity).
-  size_t session_cache_size() const;
-
  private:
-  Status RefreshLocked();
+  Status AdoptLocked(const Bytes& encoded);
+  /// A copy of `epoch`'s secret; NotFound outside the window.
+  Result<Bytes> SecretFor(uint32_t epoch) const;
 
   const uint64_t tds_id_;
   const crypto::BroadcastDeviceKeys device_keys_;
   EpochBlockSource* const source_;
+  const RefreshCounters* const counters_;
 
   mutable std::mutex mu_;
   bool has_window_ = false;
   EpochSecrets window_;  ///< last good window; back() is the newest secret
-  /// Session-key cache keyed by the encoded posting, so every partition of
-  /// one query derives once; `session_order_` lists its keys oldest first.
-  std::map<Bytes, std::shared_ptr<const crypto::KeyStore>> session_cache_;
-  std::deque<Bytes> session_order_;
+  Bytes contribution_key_;  ///< derived from window_.secrets.back()
 };
 
 }  // namespace tcells::keys

@@ -93,26 +93,10 @@ Result<std::vector<QueryPost>> ShardedSsiClient::FetchPosts(uint64_t tds_id) {
 std::vector<Result<std::vector<QueryPost>>> ShardedSsiClient::FetchPostsBatch(
     const std::vector<uint64_t>& tds_ids) {
   if (shards_.size() == 1) return shards_[0]->FetchPostsBatch(tds_ids);
-  // Group by owning shard, preserving per-shard submission order, so each
-  // shard sees one batch; then scatter the replies back into input order.
-  std::vector<std::vector<uint64_t>> ids_of(shards_.size());
-  std::vector<std::vector<size_t>> slots_of(shards_.size());
-  for (size_t i = 0; i < tds_ids.size(); ++i) {
-    size_t shard = ShardOfTds(tds_ids[i]);
-    ids_of[shard].push_back(tds_ids[i]);
-    slots_of[shard].push_back(i);
-  }
-  std::vector<Result<std::vector<QueryPost>>> out(
-      tds_ids.size(), Status::Unavailable("batched fetch not dispatched"));
-  for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    if (ids_of[shard].empty()) continue;
-    std::vector<Result<std::vector<QueryPost>>> replies =
-        shards_[shard]->FetchPostsBatch(ids_of[shard]);
-    for (size_t k = 0; k < replies.size() && k < slots_of[shard].size(); ++k) {
-      out[slots_of[shard][k]] = std::move(replies[k]);
-    }
-  }
-  return out;
+  return ScatterByShard<std::vector<QueryPost>>(
+      tds_ids, [this](size_t shard, const std::vector<uint64_t>& ids) {
+        return shards_[shard]->FetchPostsBatch(ids);
+      });
 }
 
 Status ShardedSsiClient::Acknowledge(uint64_t tds_id, uint64_t query_id) {

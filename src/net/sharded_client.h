@@ -55,6 +55,32 @@ class ShardedSsiClient : public SsiApi {
 
   /// Which shard owns a TDS's querybox + collection traffic.
   size_t ShardOfTds(uint64_t tds_id) const;
+  /// A per-TDS batch routed to the owning shards: calls
+  /// `per_shard(shard, ids)` once per shard that owns some of `tds_ids`
+  /// (with those ids in input order) and scatters the per-shard replies back
+  /// into input order. A slot its shard left unanswered is Unavailable.
+  template <typename T, typename PerShard>
+  std::vector<Result<T>> ScatterByShard(const std::vector<uint64_t>& tds_ids,
+                                        PerShard per_shard) const {
+    std::vector<std::vector<size_t>> slots_of(shards_.size());
+    for (size_t i = 0; i < tds_ids.size(); ++i) {
+      slots_of[ShardOfTds(tds_ids[i])].push_back(i);
+    }
+    std::vector<Result<T>> out(
+        tds_ids.size(), Status::Unavailable("batched call not dispatched"));
+    for (size_t shard = 0; shard < slots_of.size(); ++shard) {
+      const std::vector<size_t>& slots = slots_of[shard];
+      if (slots.empty()) continue;
+      std::vector<uint64_t> ids;
+      ids.reserve(slots.size());
+      for (size_t slot : slots) ids.push_back(tds_ids[slot]);
+      std::vector<Result<T>> replies = per_shard(shard, ids);
+      for (size_t k = 0; k < replies.size() && k < slots.size(); ++k) {
+        out[slots[k]] = std::move(replies[k]);
+      }
+    }
+    return out;
+  }
   /// Which shard carries a round transfer token's bytes.
   size_t ShardOfToken(uint64_t query_id, uint64_t token) const;
 

@@ -287,14 +287,18 @@ Result<Bytes> SsiClient::Call(Bytes request) {
 }
 
 std::vector<Result<Bytes>> SsiClient::ExchangeOrdered(
-    std::vector<Bytes> requests) {
+    std::vector<Bytes> requests, size_t reply_bytes) {
   std::vector<Result<Bytes>> out;
   out.reserve(requests.size());
   // With batching off every request is its own bare single-call frame, so the
   // chunk size is pinned to 1 and this loop is byte-identical to the legacy
   // serial Call() sequence.
-  const size_t max_calls =
+  size_t max_calls =
       batching_enabled() ? std::max<size_t>(1, batch_.max_calls_per_frame) : 1;
+  if (reply_bytes > 0) {
+    max_calls = std::clamp<size_t>(batch_.max_bytes_per_frame / reply_bytes,
+                                   1, max_calls);
+  }
   size_t i = 0;
   while (i < requests.size()) {
     size_t j = i + 1;
@@ -400,14 +404,40 @@ Status SsiClient::PostEpochBlock(const Bytes& block) {
   Bytes req;
   BeginRequest(&req, MsgType::kPostEpochBlock);
   ByteWriter(&req).PutRaw(block.data(), block.size());
+  epoch_block_bytes_ = block.size();
   return Call(std::move(req)).status();
 }
 
-Result<Bytes> SsiClient::FetchEpochBlock(uint64_t tds_id) {
+namespace {
+
+Bytes EncodeFetchEpochBlock(uint64_t tds_id) {
   Bytes req;
   BeginRequest(&req, MsgType::kFetchEpochBlock);
   ByteWriter(&req).PutU64(tds_id);
-  return Call(std::move(req));
+  return req;
+}
+
+}  // namespace
+
+Result<Bytes> SsiClient::FetchEpochBlock(uint64_t tds_id) {
+  Result<Bytes> block = Call(EncodeFetchEpochBlock(tds_id));
+  if (block.ok()) epoch_block_bytes_ = block->size();
+  return block;
+}
+
+std::vector<Result<Bytes>> SsiClient::FetchEpochBlockBatch(
+    const std::vector<uint64_t>& tds_ids) {
+  std::vector<Bytes> requests;
+  requests.reserve(tds_ids.size());
+  for (uint64_t tds_id : tds_ids) {
+    requests.push_back(EncodeFetchEpochBlock(tds_id));
+  }
+  std::vector<Result<Bytes>> blocks =
+      ExchangeOrdered(std::move(requests), epoch_block_bytes_);
+  for (const Result<Bytes>& block : blocks) {
+    if (block.ok()) epoch_block_bytes_ = block->size();
+  }
+  return blocks;
 }
 
 Status SsiClient::Acknowledge(uint64_t tds_id, uint64_t query_id) {

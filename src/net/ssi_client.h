@@ -114,6 +114,13 @@ class SsiClient : public SsiApi {
   // ---- Key epoch distribution ----
   Status PostEpochBlock(const Bytes& block) override;
   Result<Bytes> FetchEpochBlock(uint64_t tds_id) override;
+  /// FetchEpochBlock for many TDSs, shipped frame by frame in input order
+  /// (ExchangeOrdered); one reply per id. Every reply carries the whole
+  /// block, so a frame holds no more calls than keep its replies within
+  /// max_bytes_per_frame, sized by the last block this client posted or
+  /// fetched. With batching off it is the serial call sequence.
+  std::vector<Result<Bytes>> FetchEpochBlockBatch(
+      const std::vector<uint64_t>& tds_ids);
 
   // ---- Collection phase ----
   Result<bool> SizeReached(uint64_t query_id) override;
@@ -184,8 +191,11 @@ class SsiClient : public SsiApi {
   /// batch methods whose server-side effects are order-sensitive (collection
   /// uploads fix the hub's storage order) use this instead of CallAsync, so
   /// a concurrent flusher can never reorder them across frames. Returns the
-  /// decoded reply body (or error) per request, in order.
-  std::vector<Result<Bytes>> ExchangeOrdered(std::vector<Bytes> requests);
+  /// decoded reply body (or error) per request, in order. A non-zero
+  /// `reply_bytes` (the expected size of each reply) also caps the calls per
+  /// frame so their replies fit max_bytes_per_frame.
+  std::vector<Result<Bytes>> ExchangeOrdered(std::vector<Bytes> requests,
+                                             size_t reply_bytes = 0);
 
   Transport* transport_;
   RetryPolicy policy_;
@@ -202,6 +212,8 @@ class SsiClient : public SsiApi {
   size_t inflight_calls_ = 0;
   /// Idle channel pool, one per concurrent frame at most.
   std::vector<std::unique_ptr<Channel>> channels_;
+  /// Size of the last epoch block posted or fetched (FetchEpochBlockBatch).
+  std::atomic<size_t> epoch_block_bytes_{0};
 };
 
 }  // namespace tcells::net

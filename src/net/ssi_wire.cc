@@ -30,6 +30,8 @@ Status StatusFromWire(uint8_t code, std::string msg) {
       return Status::DeadlineExceeded(std::move(msg));
     case StatusCode::kCancelled:
       return Status::Cancelled(std::move(msg));
+    case StatusCode::kOutOfRange:
+      return Status::OutOfRange(std::move(msg));
   }
   return Status::Corruption("unknown status code in reply envelope");
 }

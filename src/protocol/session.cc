@@ -282,10 +282,45 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
       }
     }
 
+    // Dynamic key mode: connectors refresh their epoch window in batches
+    // (one fetch for all of them), each batch covering every connector with
+    // a serve that `needs` it. Returns how many refreshed.
+    auto refresh_connectors = [&](auto needs) {
+      std::vector<keys::TdsKeyState*> states;
+      for (Connector& connector : connectors) {
+        keys::TdsKeyState* state = connector.server->key_state();
+        if (state == nullptr) continue;
+        for (const Serve& serve : connector.serves) {
+          if (needs(*state, serve)) {
+            states.push_back(state);
+            break;
+          }
+        }
+      }
+      (void)keys::TdsKeyState::RefreshAll(states);
+      return states.size();
+    };
+    // A TDS whose window lacks a posting's epoch (the fleet rolled since it
+    // last synced) refreshes before it serves. A serve whose TDS still
+    // cannot reach the epoch (revoked before the post) is skipped.
+    auto behind = [](const keys::TdsKeyState& state, const Serve& serve) {
+      return serve.post.key_posting &&
+             !state.Reaches(serve.post.key_posting->epoch);
+    };
+    if (refresh_connectors(behind) > 0) {
+      for (Connector& connector : connectors) {
+        keys::TdsKeyState* state = connector.server->key_state();
+        for (Serve& serve : connector.serves) {
+          serve.skipped = state != nullptr && behind(*state, serve);
+        }
+      }
+    }
+
     TCELLS_RETURN_IF_ERROR(executor_->ForEachIndex(
         connectors.size(), [&](size_t i) -> Status {
           Connector& connector = connectors[i];
           for (Serve& serve : connector.serves) {
+            if (serve.skipped) continue;
             Result<std::vector<EncryptedItem>> items =
                 connector.server->ProcessCollection(
                     serve.post, serve.query->config, &serve.rng);
@@ -302,6 +337,14 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
           }
           return Status::OK();
         }));
+
+    // Every TDS about to tag an upload refreshes first, so an honest TDS
+    // authenticates under the newest epoch it can open. This must stay right
+    // before the tags: a rollover during the tick's serving must reach them,
+    // or their uploads would be tagged under the old epoch and rejected.
+    refresh_connectors([](const keys::TdsKeyState&, const Serve& serve) {
+      return !serve.skipped && serve.query->key_posting.has_value();
+    });
 
     // One atomic exchange per serve: the SSI either accepts the contribution
     // and acknowledges, or — when the SIZE bound closed the storage area

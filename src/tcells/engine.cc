@@ -10,17 +10,30 @@ namespace tcells {
 
 namespace {
 
-/// Adapter: TdsKeyStates fetch the latest epoch block through the engine's
-/// shard router (FetchEpochBlock routes to the TDS's home shard).
+/// Adapter: TdsKeyStates fetch the latest epoch block from their home shard
+/// (the router's ShardOfTds), a batched refresh as one ordered batch per
+/// shard straight to the shard's client.
 class RouterBlockSource : public keys::EpochBlockSource {
  public:
-  explicit RouterBlockSource(net::SsiApi* client) : client_(client) {}
+  RouterBlockSource(net::ShardedSsiClient* router,
+                    std::vector<net::SsiClient*> shards)
+      : router_(router), shards_(std::move(shards)) {}
+
   Result<Bytes> FetchLatestBlock(uint64_t tds_id) override {
-    return client_->FetchEpochBlock(tds_id);
+    return router_->FetchEpochBlock(tds_id);
+  }
+
+  std::vector<Result<Bytes>> FetchLatestBlocks(
+      const std::vector<uint64_t>& tds_ids) override {
+    return router_->ScatterByShard<Bytes>(
+        tds_ids, [this](size_t shard, const std::vector<uint64_t>& ids) {
+          return shards_[shard]->FetchEpochBlockBatch(ids);
+        });
   }
 
  private:
-  net::SsiApi* client_;
+  net::ShardedSsiClient* router_;
+  std::vector<net::SsiClient*> shards_;  ///< index = router shard
 };
 
 /// The authority master secret of a dynamic-mode engine, derived from the
@@ -133,27 +146,40 @@ Status Engine::StartKeys() {
       key_authority_,
       keys::KeyAuthority::Create(AuthorityMaster(config_.options.seed),
                                  max_id + 1, config_.options.seed));
-  block_source_ = std::make_unique<RouterBlockSource>(router_.get());
+  std::vector<net::SsiClient*> shard_clients;
+  for (ShardStack& shard : shards_) shard_clients.push_back(shard.client.get());
+  block_source_ = std::make_unique<RouterBlockSource>(
+      router_.get(), std::move(shard_clients));
+  refresh_counters_.fetched = &metrics_.counter("keys.blocks_fetched");
+  refresh_counters_.adopted = &metrics_.counter("keys.blocks_adopted");
+  refresh_counters_.refused = &metrics_.counter("keys.blocks_refused");
+  rollovers_ = &metrics_.counter("keys.rollovers");
+  revocations_ = &metrics_.counter("keys.revocations");
   key_states_.reserve(fleet_->size());
+  std::vector<keys::TdsKeyState*> states;
+  states.reserve(fleet_->size());
   for (size_t i = 0; i < fleet_->size(); ++i) {
     tds::TrustedDataServer* server = fleet_->at(i);
     TCELLS_ASSIGN_OR_RETURN(crypto::BroadcastDeviceKeys device_keys,
                             key_authority_->EnrollDevice(server->id()));
     key_states_.push_back(std::make_unique<keys::TdsKeyState>(
-        server->id(), std::move(device_keys), block_source_.get()));
+        server->id(), std::move(device_keys), block_source_.get(),
+        &refresh_counters_));
     server->InstallKeyState(key_states_.back().get());
+    states.push_back(key_states_.back().get());
   }
   // Publish the epoch-0 block so TDSs can adopt a window before the first
   // query, and flip every later query into dynamic mode.
   TCELLS_RETURN_IF_ERROR(
       router_->PostEpochBlock(key_authority_->CurrentBlock()));
   // Prime every TDS with the epoch-0 window (a device syncs its key state
-  // when it comes online). Best-effort: a TDS whose fetch is eaten by a
-  // fault plan simply refreshes on demand at its first serve. This priming
-  // is what makes mid-run revocation observable as *rejected* contributions:
-  // a primed-then-revoked TDS still derives the posting's session keys from
-  // its stale window, answers, and is caught by the admission check.
-  for (auto& state : key_states_) (void)state->Refresh();
+  // when it comes online), in one batched refresh. Best-effort: a TDS whose
+  // fetch is eaten by a fault plan simply refreshes before its first serve.
+  // This priming is what makes mid-run revocation observable as *rejected*
+  // contributions: a primed-then-revoked TDS still derives the posting's
+  // session keys from its stale window, answers, and is caught by the
+  // admission check.
+  (void)keys::TdsKeyState::RefreshAll(states);
   config_.options.key_authority = key_authority_.get();
   return Status::OK();
 }
@@ -164,6 +190,7 @@ Status Engine::RevokeTds(const std::vector<uint64_t>& tds_ids) {
         "RevokeTds requires Config::key_mode == KeyMode::kDynamic");
   }
   TCELLS_RETURN_IF_ERROR(key_authority_->Revoke(tds_ids));
+  revocations_->Increment();
   return router_->PostEpochBlock(key_authority_->CurrentBlock());
 }
 
@@ -173,6 +200,7 @@ Status Engine::RolloverEpoch() {
         "RolloverEpoch requires Config::key_mode == KeyMode::kDynamic");
   }
   TCELLS_RETURN_IF_ERROR(key_authority_->Rollover());
+  rollovers_->Increment();
   return router_->PostEpochBlock(key_authority_->CurrentBlock());
 }
 

@@ -256,7 +256,8 @@ class Engine {
 
   Status StartShards();
   /// Dynamic key mode bring-up: creates the authority, enrolls + installs a
-  /// TdsKeyState on every fleet member, publishes the epoch-0 block.
+  /// TdsKeyState on every fleet member, publishes the epoch-0 block and
+  /// primes every state with one batched refresh.
   Status StartKeys();
   void StartScheduler();
   Result<QueryHandle> SubmitInternal(protocol::Protocol& protocol,
@@ -278,6 +279,10 @@ class Engine {
   /// scheduler in teardown order.
   std::unique_ptr<keys::KeyAuthority> key_authority_;
   std::unique_ptr<keys::EpochBlockSource> block_source_;
+  /// keys.* instruments of metrics_, registered once at StartKeys.
+  keys::RefreshCounters refresh_counters_;
+  obs::Counter* rollovers_ = nullptr;
+  obs::Counter* revocations_ = nullptr;
   std::vector<std::unique_ptr<keys::TdsKeyState>> key_states_;
   /// Last member: workers reference the router/fleet, so the scheduler must
   /// be torn down (drained + joined) before anything above it.

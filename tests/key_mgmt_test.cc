@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -237,6 +238,28 @@ TEST(EpochCodec, EpochSecretsRoundTripAndHostileWindows) {
                   .IsCorruption());
 }
 
+// A full window at the last epoch: inner_epoch + 1 wraps to 0 in 32 bits,
+// which must not make a valid block look like it predates epoch 0.
+TEST(EpochCodec, FullWindowAtTheLastEpochDecodes) {
+  constexpr uint32_t kLast = std::numeric_limits<uint32_t>::max();
+  Bytes payload;
+  {
+    ByteWriter w(&payload);
+    w.PutU32(kLast);
+    w.PutU8(static_cast<uint8_t>(keys::kEpochWindow));
+    for (uint32_t i = 0; i < keys::kEpochWindow; ++i) {
+      const Bytes secret(16, static_cast<uint8_t>(i));
+      w.PutRaw(secret.data(), secret.size());
+    }
+  }
+  auto window = keys::DecodeEpochSecrets(payload);
+  ASSERT_TRUE(window.ok()) << window.status().ToString();
+  EXPECT_EQ(window->inner_epoch, kLast);
+  EXPECT_EQ(*window->SecretFor(kLast), Bytes(16, keys::kEpochWindow - 1));
+  EXPECT_EQ(*window->SecretFor(kLast - (keys::kEpochWindow - 1)), Bytes(16, 0));
+  EXPECT_EQ(window->SecretFor(kLast - keys::kEpochWindow), nullptr);
+}
+
 // ---------------------------------------------------------------------------
 // TdsKeyState under a hostile block source.
 
@@ -410,38 +433,152 @@ TEST(ContributionAdmission, PostingDerivesMatchingSessionKeys) {
             querier_keys->k2_det().Encrypt(probe));
 }
 
-// The session-key cache is bounded: serving more queries than its capacity
-// keeps it at capacity (oldest posting evicted first), and the keys
-// re-derived for an evicted posting are byte-identical to the first ones.
-TEST(TdsKeyStateCache, BoundedFifoReDerivesIdenticalKeys) {
-  constexpr size_t kCapacity = keys::TdsKeyState::kSessionCacheCapacity;
+/// Two KeyStores seal byte-identically under every scheme.
+void ExpectSameKeys(const crypto::KeyStore& a, const crypto::KeyStore& b,
+                    const Bytes& probe) {
+  EXPECT_EQ(a.k2_det().Encrypt(probe), b.k2_det().Encrypt(probe));
+  EXPECT_EQ(a.k2_hash(), b.k2_hash());
+  Rng seal_a(23), seal_b(23);
+  EXPECT_EQ(a.k1_ndet().Encrypt(probe, &seal_a),
+            b.k1_ndet().Encrypt(probe, &seal_b));
+  EXPECT_EQ(a.k2_ndet().Encrypt(probe, &seal_a),
+            b.k2_ndet().Encrypt(probe, &seal_b));
+}
+
+// The process-wide session-key memo: querier and TDS share one KeyStore per
+// posting, it seals byte-identically to a fresh derivation, the memo stays
+// within its bound over 3x its capacity in postings, and holding a memoized
+// posting never lets a revoked TDS past its own window.
+TEST(QueryKeysMemo, SharedKeysMatchFreshDerivationBoundedAndWindowGated) {
   KeyWorld w(/*tds_id=*/2);
   ASSERT_TRUE(w.state->Refresh().ok());
+  const Bytes master(16, 0x42);  // KeyWorld's authority master
   Rng rng(17);
-  std::vector<ssi::QueryKeyPosting> postings;
-  std::vector<std::shared_ptr<const crypto::KeyStore>> first;
-  for (uint64_t q = 0; q < 3 * kCapacity; ++q) {
-    postings.push_back(w.authority->NewPosting(100 + q, &rng));
-    first.push_back(w.state->KeysFor(postings.back()).ValueOrDie());
-    EXPECT_LE(w.state->session_cache_size(), kCapacity);
-  }
-  EXPECT_EQ(w.state->session_cache_size(), kCapacity);
-  // The newest posting is still cached: the same KeyStore comes back.
-  EXPECT_EQ(w.state->KeysFor(postings.back()).ValueOrDie(), first.back());
-
-  // The oldest was evicted: a fresh KeyStore, sealing byte-identically.
-  auto again = w.state->KeysFor(postings.front()).ValueOrDie();
-  EXPECT_NE(again, first.front());
-  EXPECT_EQ(w.state->session_cache_size(), kCapacity);
   const Bytes probe = rng.NextBytes(24);
-  EXPECT_EQ(again->k2_det().Encrypt(probe),
-            first.front()->k2_det().Encrypt(probe));
-  EXPECT_EQ(again->k2_hash(), first.front()->k2_hash());
-  Rng seal_a(23), seal_b(23);
-  EXPECT_EQ(again->k1_ndet().Encrypt(probe, &seal_a),
-            first.front()->k1_ndet().Encrypt(probe, &seal_b));
-  EXPECT_EQ(again->k2_ndet().Encrypt(probe, &seal_a),
-            first.front()->k2_ndet().Encrypt(probe, &seal_b));
+  for (uint64_t q = 0; q < 3 * keys::kQueryKeysMemoCapacity; ++q) {
+    SCOPED_TRACE("posting " + std::to_string(q));
+    ssi::QueryKeyPosting posting = w.authority->NewPosting(100 + q, &rng);
+    auto querier_keys = w.authority->QuerierKeysFor(posting).ValueOrDie();
+    auto tds_keys = w.state->KeysFor(posting).ValueOrDie();
+    EXPECT_EQ(tds_keys, querier_keys);  // one derivation, shared
+    EXPECT_LE(keys::QueryKeysMemoSize(), keys::kQueryKeysMemoCapacity);
+    auto fresh =
+        keys::DeriveQueryKeys(keys::DeriveEpochSecret(master, posting.epoch),
+                              posting)
+            .ValueOrDie();
+    ExpectSameKeys(*tds_keys, *fresh, probe);
+  }
+
+  ASSERT_TRUE(w.authority->Revoke({2}).ok());
+  w.source.Serve(w.authority->CurrentBlock());
+  ssi::QueryKeyPosting after = w.authority->NewPosting(900, &rng);
+  ASSERT_TRUE(w.authority->QuerierKeysFor(after).ok());  // now memoized
+  EXPECT_TRUE(w.state->KeysFor(after).status().IsNotFound());
+}
+
+/// Serves a fixed reply per TDS id and counts batched fetches.
+class PerIdSource : public keys::EpochBlockSource {
+ public:
+  explicit PerIdSource(std::map<uint64_t, Result<Bytes>> replies)
+      : replies_(std::move(replies)) {}
+  Result<Bytes> FetchLatestBlock(uint64_t tds_id) override {
+    return replies_.at(tds_id);
+  }
+  std::vector<Result<Bytes>> FetchLatestBlocks(
+      const std::vector<uint64_t>& tds_ids) override {
+    ++batches;
+    return EpochBlockSource::FetchLatestBlocks(tds_ids);
+  }
+  int batches = 0;
+
+ private:
+  std::map<uint64_t, Result<Bytes>> replies_;
+};
+
+// A batched refresh leaves every state exactly as a serial Refresh() would:
+// valid, same-epoch, stale, forged, re-stamped, garbage, cover-excluded and
+// unavailable replies, each through both paths on twin states.
+TEST(TdsKeyStateBatch, RefreshAllEndsLikeSerialRefresh) {
+  constexpr uint64_t kStates = 8;
+  auto authority =
+      keys::KeyAuthority::Create(Bytes(16, 0x42), 16, 3).ValueOrDie();
+  const Bytes block0 = authority->CurrentBlock();
+  ASSERT_TRUE(authority->Rollover().ok());
+  const Bytes block1 = authority->CurrentBlock();
+  ASSERT_TRUE(authority->Revoke({7}).ok());
+  const Bytes block2 = authority->CurrentBlock();
+  auto forged = keys::EpochBlock::Decode(block2).ValueOrDie();
+  forged.message.body.front() ^= 0xff;
+
+  std::map<uint64_t, Result<Bytes>> primes;
+  for (uint64_t id = 0; id < kStates; ++id) primes.emplace(id, block0);
+  primes.at(2) = block1;  // ahead, so block0 below is a stale replay
+  std::map<uint64_t, Result<Bytes>> replies = {
+      {0, block2},                               // valid, newer
+      {1, block0},                               // same epoch
+      {2, block0},                               // stale
+      {3, forged.Encode()},                      // forged body
+      {4, Restamp(block1, 5)},                   // re-stamped
+      {5, Status::Unavailable("source offline")},
+      {6, Bytes(64, 0x5a)},                      // garbage
+      {7, block2},                               // revoked: not in the cover
+  };
+
+  obs::MetricsRegistry registry;
+  keys::RefreshCounters counters{&registry.counter("fetched"),
+                                 &registry.counter("adopted"),
+                                 &registry.counter("refused")};
+  PerIdSource serial_source(replies), batch_source(replies);
+  std::vector<std::unique_ptr<keys::TdsKeyState>> serial, batched;
+  std::vector<keys::TdsKeyState*> batch_ptrs;
+  for (uint64_t id = 0; id < kStates; ++id) {
+    auto device = authority->EnrollDevice(id).ValueOrDie();
+    serial.push_back(
+        std::make_unique<keys::TdsKeyState>(id, device, &serial_source));
+    batched.push_back(std::make_unique<keys::TdsKeyState>(
+        id, device, &batch_source, &counters));
+    ASSERT_TRUE(serial.back()->Adopt(*primes.at(id)).ok());
+    ASSERT_TRUE(batched.back()->Adopt(*primes.at(id)).ok());
+    batch_ptrs.push_back(batched.back().get());
+  }
+  const uint64_t primed = registry.counter("fetched").value();
+  const uint64_t primed_adopted = registry.counter("adopted").value();
+
+  std::vector<Status> statuses = keys::TdsKeyState::RefreshAll(batch_ptrs);
+  EXPECT_EQ(batch_source.batches, 1);
+  ASSERT_EQ(statuses.size(), kStates);
+  const Bytes digest(32, 0x33);
+  for (uint64_t id = 0; id < kStates; ++id) {
+    SCOPED_TRACE("tds " + std::to_string(id));
+    Status serial_status = serial[id]->Refresh();
+    EXPECT_EQ(statuses[id].code(), serial_status.code());
+    EXPECT_EQ(batched[id]->known_epoch().ValueOrDie(),
+              serial[id]->known_epoch().ValueOrDie());
+    for (uint32_t epoch = 0; epoch <= 3; ++epoch) {
+      EXPECT_EQ(batched[id]->Reaches(epoch), serial[id]->Reaches(epoch));
+    }
+    auto batch_tag = batched[id]->Tag(41, digest).ValueOrDie();
+    auto serial_tag = serial[id]->Tag(41, digest).ValueOrDie();
+    EXPECT_EQ(batch_tag.epoch, serial_tag.epoch);
+    EXPECT_EQ(batch_tag.mac, serial_tag.mac);
+  }
+  // Pinned outcomes of the mix.
+  EXPECT_TRUE(statuses[0].ok());
+  EXPECT_TRUE(statuses[1].ok());
+  EXPECT_TRUE(statuses[2].ok());
+  EXPECT_FALSE(statuses[3].ok());
+  EXPECT_TRUE(statuses[4].IsCorruption());
+  EXPECT_TRUE(statuses[5].IsUnavailable());
+  EXPECT_TRUE(statuses[6].IsCorruption());
+  EXPECT_TRUE(statuses[7].IsNotFound());
+  const uint32_t want_epochs[kStates] = {2, 0, 1, 0, 0, 0, 0, 0};
+  for (uint64_t id = 0; id < kStates; ++id) {
+    EXPECT_EQ(batched[id]->known_epoch().ValueOrDie(), want_epochs[id]);
+  }
+  EXPECT_EQ(primed, kStates);
+  EXPECT_EQ(registry.counter("fetched").value() - primed, 7u);  // not id 5
+  EXPECT_EQ(registry.counter("adopted").value() - primed_adopted, 1u);
+  EXPECT_EQ(registry.counter("refused").value(), 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -762,6 +899,42 @@ TEST(KeysDeterminismGrid, DynamicRunsAreBitIdenticalEverywhere) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Batched key refresh on the wire: the bring-up priming and a query's
+// refreshes each cost one batch of frames, not a round trip per TDS.
+
+TEST(KeyRefreshFrames, RefreshCostsOneBatchOfFramesNotOnePerTds) {
+  constexpr size_t kCallsPerFrame = 4;
+  constexpr uint64_t kBatchFrames =
+      (kDiffTds + kCallsPerFrame - 1) / kCallsPerFrame;
+  uint64_t query_frames[2] = {0, 0};  // static, dynamic
+  for (KeyMode mode : {KeyMode::kStatic, KeyMode::kDynamic}) {
+    const bool dynamic = mode == KeyMode::kDynamic;
+    SCOPED_TRACE(dynamic ? "dynamic" : "static");
+    World w = MakeWorld(0);
+    protocol::SAggProtocol s_agg;
+    Engine::Config cfg;
+    cfg.options.compute_availability = 0.25;
+    cfg.options.expected_groups = kDiffGroups;
+    cfg.options.seed = 17;
+    cfg.options.num_threads = 1;
+    cfg.tracing = false;
+    cfg.transport_batch_max_calls = kCallsPerFrame;
+    cfg.key_mode = mode;
+    auto engine = Engine::Create(std::move(w.fleet), cfg).ValueOrDie();
+    obs::Counter& frames = engine->metrics().counter("net.frames_sent");
+    const uint64_t create_frames = frames.value();
+    // Dynamic bring-up: one PostEpochBlock frame, then the priming batch.
+    EXPECT_LE(create_frames, dynamic ? 1 + kBatchFrames : 0);
+    auto outcome =
+        engine->Run(s_agg, *w.querier, 1, QueryFor(ProtocolKind::kSAgg));
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome->metrics.contributions_rejected, 0u);
+    query_frames[dynamic] = frames.value() - create_frames;
+  }
+  EXPECT_LE(query_frames[1], query_frames[0] + kBatchFrames + 1);
 }
 
 }  // namespace

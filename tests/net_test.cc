@@ -1122,6 +1122,29 @@ TEST(SsiClientBatchTest, QueuedCallsCoalesceIntoOneFrame) {
   EXPECT_EQ(per_frame.sum, 16.0);
 }
 
+// Every FetchEpochBlock reply carries the whole block, which runs to
+// megabytes once many TDSs are revoked. A batched fetch sizes its frames so
+// their replies stay within max_bytes_per_frame (far below the frame cap),
+// instead of packing max_calls_per_frame blocks into one reply.
+TEST(SsiClientBatchTest, EpochBlockBatchKeepsRepliesWithinTheFrameBudget) {
+  SsiNode node;
+  LoopbackTransport transport(node.handler());
+  obs::MetricsRegistry metrics;
+  SsiClient client(&transport, RetryPolicy{}, &metrics, TestBatch(64));
+  const Bytes block(300u << 10, 0x7b);  // 3 fit into the 1 MiB budget
+  ASSERT_TRUE(client.PostEpochBlock(block).ok());
+  obs::Counter& frames = metrics.counter("net.frames_sent");
+  const uint64_t before = frames.value();
+  std::vector<Result<Bytes>> replies =
+      client.FetchEpochBlockBatch({0, 1, 2, 3, 4, 5, 6, 7});
+  ASSERT_EQ(replies.size(), 8u);
+  for (const Result<Bytes>& reply : replies) {
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(*reply, block);
+  }
+  EXPECT_EQ(frames.value() - before, 3u);  // 3 + 3 + 2 calls
+}
+
 TEST(SsiClientBatchTest, OutOfOrderRepliesAreMatchedByCorrelationId) {
   // An echoing server that completes the batch in reverse order: only
   // correlation-ID matching can hand each caller its own bytes back.

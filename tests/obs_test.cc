@@ -348,6 +348,56 @@ TEST(ObsEngineTest, TracingOffYieldsNoTraces) {
   EXPECT_GT(w.engine->metrics().counter("engine.partitions").value(), 0u);
 }
 
+// The keys.* counters over a rollover-in-flight run and a later revocation.
+// A one-pass S_Agg serves every TDS in tick 0, so the counts are exact.
+TEST(ObsEngineTest, KeyCountersTrackRefreshesRolloversAndRevocations) {
+  Engine::Config config;
+  config.key_mode = KeyMode::kDynamic;
+  auto engine_cell = std::make_shared<Engine*>(nullptr);
+  auto rolled = std::make_shared<bool>(false);
+  config.options.tick_hook = [engine_cell, rolled](uint64_t tick) {
+    if (tick == 0 && !*rolled && *engine_cell != nullptr) {
+      *rolled = true;
+      ASSERT_TRUE((*engine_cell)->RolloverEpoch().ok());
+    }
+  };
+  ObsWorld w(config);
+  *engine_cell = w.engine.get();
+  const uint64_t n = w.engine->fleet().size();
+  obs::MetricsRegistry& m = w.engine->metrics();
+  auto counter = [&](const char* name) { return m.counter(name).value(); };
+
+  // Bring-up primes every TDS with the epoch-0 block.
+  EXPECT_EQ(counter("keys.blocks_fetched"), n);
+  EXPECT_EQ(counter("keys.blocks_adopted"), n);
+  EXPECT_EQ(counter("keys.blocks_refused"), 0u);
+
+  // The query is posted under epoch 0 and the epoch rolls at tick 0: every
+  // TDS serves from its epoch-0 window, then adopts epoch 1 right before it
+  // tags, so nothing is rejected.
+  protocol::RunOutcome rolled_run =
+      RunKind(w, protocol::ProtocolKind::kSAgg, 1);
+  EXPECT_EQ(rolled_run.metrics.contributions_rejected, 0u);
+  EXPECT_EQ(counter("keys.rollovers"), 1u);
+  EXPECT_EQ(counter("keys.blocks_fetched"), 2 * n);
+  EXPECT_EQ(counter("keys.blocks_adopted"), 2 * n);
+  EXPECT_EQ(counter("keys.blocks_refused"), 0u);
+
+  // A revocation before the next post (epoch 2): every TDS lacks the epoch
+  // and refreshes before serving; the revoked one refuses the block and is
+  // skipped, the others adopt it and refresh again (a no-op) before tagging.
+  ASSERT_TRUE(w.engine->RevokeTds({w.engine->fleet().at(0)->id()}).ok());
+  protocol::RunOutcome revoked_run =
+      RunKind(w, protocol::ProtocolKind::kSAgg, 2);
+  EXPECT_EQ(revoked_run.metrics.contributions_rejected, 0u);
+  EXPECT_EQ(revoked_run.metrics.collection_participants, n - 1);
+  EXPECT_EQ(counter("keys.revocations"), 1u);
+  EXPECT_EQ(counter("keys.rollovers"), 1u);
+  EXPECT_EQ(counter("keys.blocks_fetched"), 2 * n + n + (n - 1));
+  EXPECT_EQ(counter("keys.blocks_adopted"), 2 * n + (n - 1));
+  EXPECT_EQ(counter("keys.blocks_refused"), 1u);
+}
+
 TEST(ObsEngineTest, EngineCreateValidatesOptions) {
   auto keys = crypto::KeyStore::CreateForTest(91);
   auto authority = std::make_shared<tds::Authority>(Bytes(16, 0x31));
