@@ -76,38 +76,31 @@ Row MeasureRoundTrip(const std::string& size_name,
   return row;
 }
 
-/// Calls-per-frame sweep: drives the batched SsiClient against a batch-aware
-/// echo handler, issuing `kWindow` logical calls per iteration either
-/// pipelined (CallAsync x window, then Await all — frames coalesce up to the
-/// flush policy) or serialized (Call one at a time — every call pays a full
-/// round trip). The per-call cost isolates the physical-frame tax the batch
-/// envelope amortizes.
+/// Calls-per-frame sweep: drives the SsiClient against a batch-aware echo
+/// handler, issuing `kWindow` logical calls per iteration either as one
+/// Exchange (frames of up to `calls_per_frame` calls, sent back to back) or
+/// serialized (one Exchange per call — every call pays a full round trip).
+/// The per-call cost isolates the physical-frame tax the batch envelope
+/// amortizes.
 Row MeasureBatchSweep(const std::string& transport_name,
                       net::Transport* transport, size_t calls_per_frame,
-                      bool pipelined, const Bytes& payload) {
+                      bool batched, const Bytes& payload) {
   constexpr size_t kWindow = 256;
   net::BatchOptions batch;
   batch.max_calls_per_frame = calls_per_frame;
-  batch.max_inflight_frames = 4;
   net::RetryPolicy policy;
   policy.deadline_seconds = 30.0;
   net::SsiClient client(transport, policy, /*metrics=*/nullptr, batch);
 
   auto run_window = [&]() {
-    if (pipelined) {
-      std::vector<net::SsiClient::CallToken> tokens;
-      tokens.reserve(kWindow);
-      for (size_t i = 0; i < kWindow; ++i) {
-        tokens.push_back(client.CallAsync(Bytes(payload)));
-      }
-      for (net::SsiClient::CallToken t : tokens) {
-        (void)client.Await(t).ValueOrDie();
+    if (batched) {
+      for (const Result<Bytes>& reply :
+           client.Exchange(std::vector<Bytes>(kWindow, payload))) {
+        (void)reply.ValueOrDie();
       }
     } else {
-      // Await immediately after each submit: one call per frame, one frame
-      // on the wire at a time — the pre-batching client's behavior.
       for (size_t i = 0; i < kWindow; ++i) {
-        (void)client.Await(client.CallAsync(Bytes(payload))).ValueOrDie();
+        (void)client.Exchange({payload}).front().ValueOrDie();
       }
     }
   };
@@ -124,7 +117,7 @@ Row MeasureBatchSweep(const std::string& transport_name,
     elapsed = NowSeconds() - start;
   }
   Row row;
-  row.name = std::string("batch_64B_") + (pipelined ? "pipelined" : "serialized") +
+  row.name = std::string("batch_64B_") + (batched ? "exchange" : "serialized") +
              "_c" + std::to_string(calls_per_frame);
   row.transport = transport_name;
   row.bytes_per_op = 2 * payload.size();
@@ -243,27 +236,24 @@ int Run(const std::string& out_path) {
   // and answers it with an OK envelope, so the client's correlation/decode
   // path runs for real while the handler itself stays O(bytes).
   net::Handler batch_echo = [](const Bytes& request) -> Result<Bytes> {
-    if (net::IsBatchFrame(request)) {
-      auto calls = net::DecodeBatchFrame(request);
-      if (!calls.ok()) return calls.status();
-      std::vector<net::BatchCall> replies;
-      replies.reserve(calls->size());
-      for (const net::BatchCall& call : *calls) {
-        replies.push_back({call.correlation_id, net::EncodeReplyOk(call.payload)});
-      }
-      return net::EncodeBatchFrame(replies);
+    auto calls = net::DecodeBatchFrame(request);
+    if (!calls.ok()) return calls.status();
+    std::vector<net::BatchCall> replies;
+    replies.reserve(calls->size());
+    for (const net::BatchCall& call : *calls) {
+      replies.push_back({call.correlation_id, net::EncodeReplyOk(call.payload)});
     }
-    return net::EncodeReplyOk(request);
+    return net::EncodeBatchFrame(replies);
   };
   const Bytes small(64, 0x5A);
   const std::vector<size_t> frame_sizes = {1, 4, 16, 64};
   {
     net::LoopbackTransport transport(batch_echo);
     rows.push_back(MeasureBatchSweep("loopback", &transport, 1,
-                                     /*pipelined=*/false, small));
+                                     /*batched=*/false, small));
     for (size_t c : frame_sizes) {
       rows.push_back(
-          MeasureBatchSweep("loopback", &transport, c, /*pipelined=*/true, small));
+          MeasureBatchSweep("loopback", &transport, c, /*batched=*/true, small));
     }
   }
   {
@@ -275,10 +265,10 @@ int Run(const std::string& out_path) {
     }
     net::TcpTransport transport("127.0.0.1", server.port());
     rows.push_back(
-        MeasureBatchSweep("tcp", &transport, 1, /*pipelined=*/false, small));
+        MeasureBatchSweep("tcp", &transport, 1, /*batched=*/false, small));
     for (size_t c : frame_sizes) {
       rows.push_back(
-          MeasureBatchSweep("tcp", &transport, c, /*pipelined=*/true, small));
+          MeasureBatchSweep("tcp", &transport, c, /*batched=*/true, small));
     }
   }
 

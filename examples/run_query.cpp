@@ -27,9 +27,9 @@
 // of the scheduler (DESIGN.md "Sharding & scheduling"). Results are
 // bit-identical at any shard count too.
 //
-// --batch caps the calls coalesced per transport frame (docs/TRANSPORT.md
-// "Batched & pipelined exchanges"; 0 = per-backend auto, the default;
-// 1 = off). Results are bit-identical at any batch size.
+// --batch caps the calls packed per transport frame (docs/TRANSPORT.md
+// "Batched exchanges"; 0 = per-backend auto, the default; 1 = one call per
+// frame). Results are bit-identical at any batch size.
 //
 // Numeric flags must parse whole: a malformed value ("--tds=abc",
 // "--skew=1x", "--shards=") exits 2 instead of becoming a silent 0.

@@ -2,7 +2,7 @@
 //
 // Input: one selector byte, then the payload for the selected surface:
 //   0 -> TryExtractFrame over the body as a hostile socket receive buffer
-//   1 -> SsiNode::Handle on the body as one request frame payload
+//   1 -> SsiNode::Handle on the body as one batch request frame
 //   2 -> DecodeReply on the body as one reply envelope
 //   3 -> DecodeBatchFrame on the body as one multi-call batch envelope
 // Corpus files carry the selector as their first byte (see make_corpus.cc).
@@ -43,28 +43,23 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       // A long-lived node absorbing hostile request frames, like the TCP
       // server's handler does. Decode failures must be Status, never a
       // crash, and the node never fabricates transport-level codes — those
-      // belong to the channel alone.
+      // belong to the channel alone. Only a batch frame is accepted, and it
+      // yields a batch reply answering every inner call with its
+      // correlation ID, in order, each with a parseable reply envelope.
       static tcells::net::SsiNode& node = *new tcells::net::SsiNode();
       Result<Bytes> reply = node.Handle(input);
       if (reply.ok()) {
-        if (tcells::net::IsBatchFrame(input)) {
-          // A batch request yields a batch reply answering every inner call
-          // with its correlation ID, in order.
-          FUZZ_ASSERT(tcells::net::IsBatchFrame(*reply));
-          Result<std::vector<tcells::net::BatchCall>> calls =
-              tcells::net::DecodeBatchFrame(input);
-          Result<std::vector<tcells::net::BatchCall>> replies =
-              tcells::net::DecodeBatchFrame(*reply);
-          FUZZ_ASSERT(calls.ok() && replies.ok());
-          FUZZ_ASSERT(replies->size() == calls->size());
-          for (size_t i = 0; i < calls->size(); ++i) {
-            FUZZ_ASSERT((*replies)[i].correlation_id ==
-                        (*calls)[i].correlation_id);
-          }
-        } else {
-          // Whatever the node emits must parse as a reply envelope.
-          Bytes body = *reply;
-          Result<Bytes> unwrapped = tcells::net::DecodeReply(body);
+        Result<std::vector<tcells::net::BatchCall>> calls =
+            tcells::net::DecodeBatchFrame(input);
+        Result<std::vector<tcells::net::BatchCall>> replies =
+            tcells::net::DecodeBatchFrame(*reply);
+        FUZZ_ASSERT(calls.ok() && replies.ok());
+        FUZZ_ASSERT(replies->size() == calls->size());
+        for (size_t i = 0; i < calls->size(); ++i) {
+          FUZZ_ASSERT((*replies)[i].correlation_id ==
+                      (*calls)[i].correlation_id);
+          Result<Bytes> unwrapped =
+              tcells::net::DecodeReply((*replies)[i].payload);
           FUZZ_ASSERT(unwrapped.ok() || !unwrapped.status().IsCorruption());
         }
       } else {

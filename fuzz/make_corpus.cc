@@ -299,14 +299,16 @@ int Run(const std::filesystem::path& out_dir) {
     writer.Add("net", 0, stream);
     writer.Add("net", 0, Bytes{0xff, 0xff, 0xff, 0xff, 0x00});
 
-    // Selector 1: request frames in the exact shapes SsiClient emits (u8
-    // message type + fields), plus an unknown-type frame.
+    // Selector 1: request frames in the exact shape SsiClient emits — a
+    // batch of one call (u8 message type + fields) — plus an unknown-type
+    // call.
+    uint64_t correlation_id = 1;
     auto request = [&](net::MsgType type, const Bytes& body) {
       Bytes req;
       ByteWriter w(&req);
       w.PutU8(static_cast<uint8_t>(type));
       w.PutRaw(body.data(), body.size());
-      writer.Add("net", 1, req);
+      writer.Add("net", 1, net::EncodeBatchFrame({{correlation_id++, req}}));
     };
     Rng post_rng(kKeySeed);
     auto net_post = querier.MakePost(900, "SELECT grp, val FROM T", &post_rng);
@@ -324,7 +326,9 @@ int Run(const std::filesystem::path& out_dir) {
     ByteWriter(&qid_body).PutU64(900);
     request(net::MsgType::kNumAcknowledged, qid_body);
     request(net::MsgType::kRetire, qid_body);
-    writer.Add("net", 1, Bytes{0xEE, 0x01, 0x02, 0x03});
+    writer.Add("net", 1,
+               net::EncodeBatchFrame({{correlation_id++,
+                                       Bytes{0xEE, 0x01, 0x02, 0x03}}}));
 
     // Selector 2: reply envelopes — OK wrapping a partition, an encoded
     // application error, and a garbage status code.
@@ -333,11 +337,10 @@ int Run(const std::filesystem::path& out_dir) {
                net::EncodeReplyError(Status::NotFound("no such query")));
     writer.Add("net", 2, Bytes{99, 0x41, 0x42});
 
-    // Selector 3: multi-call batch envelopes (and the same frames as
-    // selector-1 node input, since SsiNode::Handle dispatches on the batch
-    // magic). A real two-call batch in the exact shape the batched client
-    // emits, a single-call batch, and a hostile call count that must be
-    // rejected before any allocation.
+    // Selector 3: multi-call batch envelopes (and the two-call frame as
+    // selector-1 node input too). A real two-call batch in the exact shape
+    // the batched client emits, a single-call batch, and a hostile call
+    // count that must be rejected before any allocation.
     Bytes ack_body;
     {
       ByteWriter w(&ack_body);

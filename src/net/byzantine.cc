@@ -47,11 +47,12 @@ Result<uint8_t> RequestType(const Bytes& request) {
 
 }  // namespace
 
-ByzantineProxy::ByzantineProxy(Handler honest, TamperPlan plan)
-    : honest_(std::move(honest)), plan_(plan) {}
+ByzantineProxy::ByzantineProxy(TamperPlan plan) : plan_(plan) {}
 
-Handler ByzantineProxy::handler() {
-  return [this](const Bytes& request) { return Handle(request); };
+CallFilter ByzantineProxy::filter() {
+  return [this](const Bytes& request, const CallHandler& honest) {
+    return Serve(request, honest);
+  };
 }
 
 TamperStats ByzantineProxy::stats() const {
@@ -59,9 +60,10 @@ TamperStats ByzantineProxy::stats() const {
   return stats_;
 }
 
-Result<Bytes> ByzantineProxy::Handle(const Bytes& request) {
+Result<Bytes> ByzantineProxy::Serve(const Bytes& request,
+                                    const CallHandler& honest) {
   Result<uint8_t> raw_type = RequestType(request);
-  if (!raw_type.ok()) return honest_(request);
+  if (!raw_type.ok()) return honest(request);
   const MsgType type = static_cast<MsgType>(*raw_type);
 
   // Record the payloads future lies are built from, then let the honest
@@ -90,7 +92,7 @@ Result<Bytes> ByzantineProxy::Handle(const Bytes& request) {
     }
   }
 
-  TCELLS_ASSIGN_OR_RETURN(Bytes reply, honest_(request));
+  TCELLS_ASSIGN_OR_RETURN(Bytes reply, honest(request));
 
   // Forged errors apply regardless of what the honest reply was.
   if (plan_.forge_error_on && *plan_.forge_error_on == type) {

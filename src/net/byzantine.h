@@ -1,16 +1,17 @@
-// ByzantineProxy: a Handler decorator that models an actively malicious SSI.
-// Where FaultyTransport corrupts the *transport* (lost frames, delays,
-// garbled bytes), this proxy speaks the protocol correctly but lies at the
-// application level — serving stale or misattributed round outputs, forging
-// status/accept/size bytes, reordering collected items — exactly the
-// behaviors the paper's threat model (a compromised Supporting Server
-// Infrastructure) allows.
+// ByzantineProxy: a decorator around an SsiNode's per-call dispatch that
+// models an actively malicious SSI. Where FaultyTransport corrupts the
+// *transport* (lost frames, delays, garbled bytes), this proxy speaks the
+// protocol correctly but lies at the application level — serving stale or
+// misattributed round outputs, forging status/accept/size bytes, reordering
+// collected items — exactly the behaviors the paper's threat model (a
+// compromised Supporting Server Infrastructure) allows. It sees every call
+// of every frame, so its lies apply at any batch size.
 //
-// Every mutation is a pure function of the request's wire keys and of
+// Every mutation is a pure function of the call's wire keys and of
 // replies/requests previously recorded under those same keys, all of which
 // are ordered by the engine's happens-before structure (stage before take,
 // all uploads before any take of a round) — so tampering is deterministic
-// across thread counts and backends.
+// across thread counts, batch sizes and backends.
 //
 // The client side must either reject each tampering class (clean abort) or
 // survive it with the degradation visible in metrics (partitions_tampered /
@@ -25,7 +26,7 @@
 #include <optional>
 #include <utility>
 
-#include "net/channel.h"
+#include "net/ssi_node.h"
 #include "net/ssi_wire.h"
 
 namespace tcells::net {
@@ -77,19 +78,18 @@ struct TamperStats {
 
 class ByzantineProxy {
  public:
-  /// Wraps `honest` (typically SsiNode::handler()). The proxy records the
-  /// partition payloads that pass through it so later lies can replay them.
-  ByzantineProxy(Handler honest, TamperPlan plan);
+  /// The proxy records the partition payloads that pass through it so later
+  /// lies can replay them.
+  explicit ByzantineProxy(TamperPlan plan);
 
-  /// The tampering handler to hand to a transport / server.
-  Handler handler();
+  /// The tampering filter to install in a node: SsiNode(proxy.filter()).
+  CallFilter filter();
 
   TamperStats stats() const;
 
  private:
-  Result<Bytes> Handle(const Bytes& request);
+  Result<Bytes> Serve(const Bytes& request, const CallHandler& honest);
 
-  Handler honest_;
   TamperPlan plan_;
 
   mutable std::mutex mu_;

@@ -58,9 +58,18 @@ size_t NumKeyFields(MsgType type) {
   return 0;
 }
 
-CallKey ExtractKey(const Bytes& request) {
+/// The key of a batch frame's first call. Fault schedules are call-granular,
+/// so the engine ships one call per frame whenever a fault plan is set.
+CallKey ExtractKey(const Bytes& frame) {
   CallKey key;
-  ByteReader reader(request);
+  // u8 magic, u8 version, u32 count, then the first call's u64 correlation
+  // ID and u32 payload length.
+  constexpr size_t kHeader = 1 + 1 + 4 + 8;
+  if (frame.size() < kHeader + 4 || frame[0] != kBatchMagic) return key;
+  ByteReader length(frame.data() + kHeader, 4);
+  const size_t payload =
+      std::min<size_t>(length.GetU32().ValueOrDie(), frame.size() - kHeader - 4);
+  ByteReader reader(frame.data() + kHeader + 4, payload);
   Result<uint8_t> type = reader.GetU8();
   if (!type.ok()) return key;
   key.type = *type;

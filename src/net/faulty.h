@@ -5,6 +5,10 @@
 // combining per-message-type probabilities with scripted triggers ("drop the
 // 3rd kTakeRoundOutput").
 //
+// A fault acts on a whole frame and is keyed by the frame's first call
+// (ssi_wire.h), so a plan is call-granular when every frame carries one call
+// — which the engine arranges whenever a fault plan is set.
+//
 // Determinism contract: every fault decision is a pure function of
 // (plan seed, message type, the message's leading wire keys, the per-key
 // attempt index) — never of arrival order, thread id or wall clock. The
@@ -38,7 +42,9 @@ enum class FaultKind : uint8_t {
   kReorder,       ///< the key's previous request is re-delivered first
   kTruncate,      ///< reply cut to FaultPlan::truncate_at bytes
   kBitFlip,       ///< one deterministic bit of the reply flipped
-  kStaleReplay,   ///< the key's previous reply served instead of the fresh one
+  kStaleReplay,   ///< the key's previous reply frame served instead of the
+                  ///< fresh one; its correlation IDs are stale, so SsiClient
+                  ///< drops it and retries
   kDisconnect,    ///< channel dies; every later call on it fails until re-dial
 };
 

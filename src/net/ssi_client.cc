@@ -1,7 +1,6 @@
 #include "net/ssi_client.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "net/frame.h"
@@ -53,112 +52,11 @@ Result<bool> AcceptedFromBody(const Bytes& body) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Async submission machinery
-
-SsiClient::CallToken SsiClient::EnqueueLocked(Bytes request) {
-  CallToken token = next_token_++;
-  Pending pending;
-  pending.request = std::move(request);
-  calls_.emplace(token, std::move(pending));
-  queue_.push_back(token);
-  return token;
-}
-
-SsiClient::CallToken SsiClient::CallAsync(Bytes request) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return EnqueueLocked(std::move(request));
-}
-
-Result<Bytes> SsiClient::Await(CallToken token) {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    auto it = calls_.find(token);
-    if (it == calls_.end()) {
-      return Status::InvalidArgument("unknown or already-consumed call token");
-    }
-    if (it->second.done) {
-      Result<Bytes> envelope = std::move(it->second.reply);
-      calls_.erase(it);
-      if (!envelope.ok()) return envelope.status();
-      return DecodeReply(*envelope);
-    }
-    if (!it->second.dispatched) {
-      if (inflight_frames_ < batch_.max_inflight_frames) {
-        // This thread becomes the flusher: it seals the frame at the queue
-        // front (which contains `token`, or a predecessor that must ship
-        // first) and performs the exchange itself.
-        DispatchChunk(&lock);
-        continue;
-      }
-      // Every in-flight slot is busy; wait for one to free up.
-      cv_.wait(lock);
-      continue;
-    }
-    // Another thread's exchange carries this call; wait for its completion.
-    cv_.wait(lock);
-  }
-}
-
-void SsiClient::DispatchChunk(std::unique_lock<std::mutex>* lock) {
-  // Seal from the queue front, preserving submission order, until the
-  // calls-per-frame or bytes-per-frame cap (an oversized call still ships
-  // alone rather than stalling forever).
-  const size_t max_calls = std::max<size_t>(1, batch_.max_calls_per_frame);
-  std::vector<CallToken> chunk;
-  std::vector<Bytes> requests;
-  size_t bytes = 0;
-  while (!queue_.empty() && chunk.size() < max_calls) {
-    CallToken token = queue_.front();
-    Pending& pending = calls_.at(token);
-    if (!chunk.empty() &&
-        bytes + pending.request.size() > batch_.max_bytes_per_frame) {
-      break;
-    }
-    bytes += pending.request.size();
-    pending.dispatched = true;
-    chunk.push_back(token);
-    requests.push_back(std::move(pending.request));
-    queue_.pop_front();
-  }
-  if (chunk.empty()) return;
-  inflight_frames_ += 1;
-  inflight_calls_ += chunk.size();
-  if (metrics_ != nullptr) {
-    metrics_
-        ->histogram("net.inflight_calls",
-                    obs::Histogram::ExponentialBounds(1, 2, 12))
-        .Record(static_cast<double>(inflight_calls_));
-  }
-  // Grab an idle channel (if any) to reuse across exchanges.
-  std::unique_ptr<Channel> channel;
-  if (!channels_.empty()) {
-    channel = std::move(channels_.back());
-    channels_.pop_back();
-  }
-  lock->unlock();
-  std::vector<Result<Bytes>> replies = ExchangeFrame(requests, &channel);
-  lock->lock();
-  if (channel != nullptr && channels_.size() < batch_.max_inflight_frames) {
-    channels_.push_back(std::move(channel));
-  }
-  inflight_frames_ -= 1;
-  inflight_calls_ -= chunk.size();
-  for (size_t i = 0; i < chunk.size(); ++i) {
-    auto it = calls_.find(chunk[i]);
-    if (it == calls_.end()) continue;
-    it->second.done = true;
-    it->second.reply = std::move(replies[i]);
-  }
-  cv_.notify_all();
-}
+// The exchange path
 
 std::vector<Result<Bytes>> SsiClient::ExchangeFrame(
-    const std::vector<Bytes>& requests, std::unique_ptr<Channel>* channel) {
-  const size_t n = requests.size();
-  // Legacy single-call framing when batching is off: the request bytes ARE
-  // the frame, byte-identical to the pre-batching client.
-  const bool batch_frame = batching_enabled();
-
+    std::vector<BatchCall> calls, std::unique_ptr<Channel>* channel) {
+  const size_t n = calls.size();
   CallOptions opts;
   opts.deadline_seconds = policy_.deadline_seconds;
   double backoff = policy_.backoff_seconds;
@@ -184,19 +82,10 @@ std::vector<Result<Bytes>> SsiClient::ExchangeFrame(
 
     // Retries re-correlate: every attempt carries fresh IDs, so a stale
     // reply to an abandoned attempt can never be mistaken for this one's.
-    Bytes wire;
-    uint64_t first_cid = 0;
-    if (batch_frame) {
-      first_cid = next_correlation_.fetch_add(n, std::memory_order_relaxed);
-      std::vector<BatchCall> calls;
-      calls.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        calls.push_back(BatchCall{first_cid + i, requests[i]});
-      }
-      wire = EncodeBatchFrame(calls);
-    } else {
-      wire = requests[0];
-    }
+    const uint64_t first_cid =
+        next_correlation_.fetch_add(n, std::memory_order_relaxed);
+    for (size_t i = 0; i < n; ++i) calls[i].correlation_id = first_cid + i;
+    const Bytes wire = EncodeBatchFrame(calls);
 
     if (metrics_ != nullptr) {
       metrics_->counter("net.frames_sent").Increment();
@@ -211,20 +100,16 @@ std::vector<Result<Bytes>> SsiClient::ExchangeFrame(
           .Record(static_cast<double>(n));
     }
     Result<Bytes> reply = (*channel)->Call(wire, opts);
-    if (reply.ok() && metrics_ != nullptr) {
-      metrics_->counter("net.frames_received").Increment();
-      metrics_->counter("net.bytes_received")
-          .Add(FrameWireSize((*reply).size()));
-    }
-    if (reply.ok() && !batch_frame) {
-      return {std::move(reply)};
-    }
     if (reply.ok()) {
+      if (metrics_ != nullptr) {
+        metrics_->counter("net.frames_received").Increment();
+        metrics_->counter("net.bytes_received")
+            .Add(FrameWireSize((*reply).size()));
+      }
       Result<std::vector<BatchCall>> decoded = DecodeBatchFrame(*reply);
       if (!decoded.ok()) {
         // A reply that is not a well-formed batch frame cannot be matched to
-        // anything — fatal for every call in the frame, like a garbled
-        // single-call envelope.
+        // anything — fatal for every call in the frame.
         Status error = decoded.status();
         if (!error.IsCorruption()) error = Status::Corruption(error.message());
         return std::vector<Result<Bytes>>(n, error);
@@ -236,15 +121,11 @@ std::vector<Result<Bytes>> SsiClient::ExchangeFrame(
       std::vector<bool> filled(n, false);
       size_t matched = 0;
       for (BatchCall& call : *decoded) {
-        if (call.correlation_id < first_cid ||
-            call.correlation_id >= first_cid + n) {
-          if (metrics_ != nullptr) {
-            metrics_->counter("net.stale_replies_dropped").Increment();
-          }
-          continue;
-        }
-        size_t idx = static_cast<size_t>(call.correlation_id - first_cid);
-        if (filled[idx]) {
+        const bool ours = call.correlation_id >= first_cid &&
+                          call.correlation_id < first_cid + n;
+        const size_t idx =
+            ours ? static_cast<size_t>(call.correlation_id - first_cid) : 0;
+        if (!ours || filled[idx]) {
           if (metrics_ != nullptr) {
             metrics_->counter("net.stale_replies_dropped").Increment();
           }
@@ -282,22 +163,22 @@ std::vector<Result<Bytes>> SsiClient::ExchangeFrame(
   return std::vector<Result<Bytes>>(n, last);
 }
 
-Result<Bytes> SsiClient::Call(Bytes request) {
-  return Await(CallAsync(std::move(request)));
-}
-
-std::vector<Result<Bytes>> SsiClient::ExchangeOrdered(
-    std::vector<Bytes> requests, size_t reply_bytes) {
+std::vector<Result<Bytes>> SsiClient::Exchange(std::vector<Bytes> requests,
+                                               size_t reply_bytes) {
   std::vector<Result<Bytes>> out;
   out.reserve(requests.size());
-  // With batching off every request is its own bare single-call frame, so the
-  // chunk size is pinned to 1 and this loop is byte-identical to the legacy
-  // serial Call() sequence.
-  size_t max_calls =
-      batching_enabled() ? std::max<size_t>(1, batch_.max_calls_per_frame) : 1;
+  size_t max_calls = std::max<size_t>(1, batch_.max_calls_per_frame);
   if (reply_bytes > 0) {
     max_calls = std::clamp<size_t>(batch_.max_bytes_per_frame / reply_bytes,
                                    1, max_calls);
+  }
+  std::unique_ptr<Channel> channel;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!channels_.empty()) {
+      channel = std::move(channels_.back());
+      channels_.pop_back();
+    }
   }
   size_t i = 0;
   while (i < requests.size()) {
@@ -308,34 +189,21 @@ std::vector<Result<Bytes>> SsiClient::ExchangeOrdered(
       bytes += requests[j].size();
       ++j;
     }
-    std::vector<Bytes> chunk(std::make_move_iterator(requests.begin() + i),
-                             std::make_move_iterator(requests.begin() + j));
-    std::unique_ptr<Channel> channel;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      inflight_frames_ += 1;
-      inflight_calls_ += chunk.size();
-      if (metrics_ != nullptr) {
-        metrics_
-            ->histogram("net.inflight_calls",
-                        obs::Histogram::ExponentialBounds(1, 2, 12))
-            .Record(static_cast<double>(inflight_calls_));
-      }
-      if (!channels_.empty()) {
-        channel = std::move(channels_.back());
-        channels_.pop_back();
-      }
+    std::vector<BatchCall> calls;
+    calls.reserve(j - i);
+    for (size_t k = i; k < j; ++k) {
+      calls.push_back(BatchCall{0, std::move(requests[k])});
     }
-    std::vector<Result<Bytes>> replies = ExchangeFrame(chunk, &channel);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (channel != nullptr && channels_.size() < batch_.max_inflight_frames) {
-        channels_.push_back(std::move(channel));
-      }
-      inflight_frames_ -= 1;
-      inflight_calls_ -= chunk.size();
+    const size_t inflight = inflight_calls_.fetch_add(j - i) + (j - i);
+    if (metrics_ != nullptr) {
+      metrics_
+          ->histogram("net.inflight_calls",
+                      obs::Histogram::ExponentialBounds(1, 2, 12))
+          .Record(static_cast<double>(inflight));
     }
-    cv_.notify_all();
+    std::vector<Result<Bytes>> replies =
+        ExchangeFrame(std::move(calls), &channel);
+    inflight_calls_.fetch_sub(j - i);
     for (Result<Bytes>& envelope : replies) {
       if (!envelope.ok()) {
         out.push_back(envelope.status());
@@ -345,7 +213,17 @@ std::vector<Result<Bytes>> SsiClient::ExchangeOrdered(
     }
     i = j;
   }
+  if (channel != nullptr) {
+    std::lock_guard<std::mutex> lock(mu_);
+    channels_.push_back(std::move(channel));
+  }
   return out;
+}
+
+Result<Bytes> SsiClient::Call(Bytes request) {
+  std::vector<Bytes> requests;
+  requests.push_back(std::move(request));
+  return std::move(Exchange(std::move(requests)).front());
 }
 
 // ---------------------------------------------------------------------------
@@ -387,7 +265,7 @@ std::vector<Result<std::vector<QueryPost>>> SsiClient::FetchPostsBatch(
     ByteWriter(&req).PutU64(tds_id);
     requests.push_back(std::move(req));
   }
-  std::vector<Result<Bytes>> bodies = ExchangeOrdered(std::move(requests));
+  std::vector<Result<Bytes>> bodies = Exchange(std::move(requests));
   std::vector<Result<std::vector<QueryPost>>> out;
   out.reserve(bodies.size());
   for (Result<Bytes>& body : bodies) {
@@ -433,7 +311,7 @@ std::vector<Result<Bytes>> SsiClient::FetchEpochBlockBatch(
     requests.push_back(EncodeFetchEpochBlock(tds_id));
   }
   std::vector<Result<Bytes>> blocks =
-      ExchangeOrdered(std::move(requests), epoch_block_bytes_);
+      Exchange(std::move(requests), epoch_block_bytes_);
   for (const Result<Bytes>& block : blocks) {
     if (block.ok()) epoch_block_bytes_ = block->size();
   }
@@ -494,16 +372,16 @@ std::vector<Result<bool>> SsiClient::UploadCollectionBatch(
     const std::vector<CollectionUpload>& uploads) {
   // Collection uploads fix the hub's storage order, which downstream
   // partitioning consumes, so arrival order must equal submission order.
-  // ExchangeOrdered ships the uploads frame by frame from this thread (the
-  // node applies one frame's calls in order under one mutex hold), so accept
-  // bits and SIZE-bound cutoffs land exactly where the serial loop would put
-  // them — even when other queries share this client.
+  // Exchange ships the uploads frame by frame from this thread (the node
+  // applies one frame's calls in order under one mutex hold), so accept bits
+  // and SIZE-bound cutoffs land exactly where the serial loop would put them
+  // — even when other queries share this client.
   std::vector<Bytes> requests;
   requests.reserve(uploads.size());
   for (const CollectionUpload& u : uploads) {
     requests.push_back(EncodeUploadCollection(u.query_id, u.tds_id, u.items));
   }
-  std::vector<Result<Bytes>> bodies = ExchangeOrdered(std::move(requests));
+  std::vector<Result<Bytes>> bodies = Exchange(std::move(requests));
   std::vector<Result<bool>> out;
   out.reserve(bodies.size());
   for (Result<Bytes>& body : bodies) {

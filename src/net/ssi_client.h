@@ -4,21 +4,17 @@
 // failures (Unavailable / DeadlineExceeded) with bounded exponential backoff,
 // and decode the reply envelope back into the application Status/value.
 //
-// Submission is asynchronous underneath: CallAsync enqueues an encoded
-// request and returns a completion token; Await blocks until that call's
-// reply arrives. Queued calls are flushed as multi-call batch frames
-// (ssi_wire.h) under a flush policy — at most BatchOptions::max_calls_per_frame
-// calls / max_bytes_per_frame payload bytes per frame, and any Await forces
-// the queue out immediately. Replies are matched to calls by correlation ID,
-// so a server may complete them out of order; every retry re-correlates the
-// whole frame with fresh IDs and replies carrying stale or duplicate IDs are
-// dropped. Up to max_inflight_frames frames can be on the wire at once
-// (each on its own channel), so many threads sharing one client pipeline
-// their calls instead of serializing behind a single exchange.
-//
-// With max_calls_per_frame == 1 (the default) every call travels exactly as
-// the version-1 single-call wire format — byte-identical frames, metrics and
-// retry behaviour to the pre-batching client.
+// There is one exchange path. Exchange ships a caller's requests from the
+// calling thread as a sequence of batch frames (ssi_wire.h), one frame at a
+// time, each holding at most BatchOptions::max_calls_per_frame calls and
+// max_bytes_per_frame payload bytes; a single call is a frame with a count of
+// 1. A caller's calls therefore reach the SSI in submission order, and a
+// call's reply is in hand before its successor leaves. Replies are matched
+// to calls by correlation ID, so a server may complete a frame's calls out of
+// order; every retry re-correlates the whole frame with fresh IDs, and
+// replies carrying stale or duplicate IDs are dropped. Concurrent callers
+// each run their own exchange on their own channel (pooled between
+// exchanges, dialed when the pool is empty).
 //
 // Thread-safety: all methods may be called concurrently. Application-level
 // errors returned by the SSI (NotFound, InvalidArgument, ...) are never
@@ -27,10 +23,7 @@
 #define TCELLS_NET_SSI_CLIENT_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -38,6 +31,7 @@
 #include "common/clock.h"
 #include "net/channel.h"
 #include "net/ssi_api.h"
+#include "net/ssi_wire.h"
 #include "obs/metrics.h"
 #include "ssi/messages.h"
 #include "ssi/ssi.h"
@@ -59,26 +53,18 @@ struct RetryPolicy {
   Clock* clock = nullptr;
 };
 
-/// Flush policy of the batched submission path (docs/TRANSPORT.md "Batched &
-/// pipelined exchanges").
+/// How Exchange splits a request sequence into frames (docs/TRANSPORT.md
+/// "Batched exchanges").
 struct BatchOptions {
-  /// Calls coalesced into one physical frame, at most. 1 = batching off:
-  /// every call travels as a bare single-call frame (the legacy wire format).
+  /// Calls per frame, at most. 1 = every call in a frame of its own.
   size_t max_calls_per_frame = 1;
-  /// Payload bytes coalesced into one frame, at most (a single oversized
-  /// call still ships alone).
+  /// Payload bytes per frame, at most (a single oversized call still ships
+  /// alone).
   size_t max_bytes_per_frame = 1u << 20;
-  /// Frames on the wire at once, each on its own channel. Extra flushers
-  /// wait for a slot.
-  size_t max_inflight_frames = 4;
 };
 
 class SsiClient : public SsiApi {
  public:
-  /// Completion token of one asynchronous call; redeem with Await exactly
-  /// once.
-  using CallToken = uint64_t;
-
   /// `transport` and `metrics` (optional) are borrowed and must outlive the
   /// client. Channels are dialed lazily and re-dialed after any transport
   /// failure (Unavailable or DeadlineExceeded) — an abandoned call's reply
@@ -91,16 +77,15 @@ class SsiClient : public SsiApi {
         batch_(batch),
         metrics_(metrics) {}
 
-  // ---- Generic async submission ----
-
-  /// Enqueues one encoded request (u8 MsgType + fields) for the next frame;
-  /// never blocks. The call is flushed when the pending frame fills
-  /// (max_calls/max_bytes) or any Await runs.
-  CallToken CallAsync(Bytes request);
-  /// Blocks until `token`'s reply is in, flushing the queue as needed, and
-  /// returns the decoded reply body (or the application/transport error).
-  /// Consumes the token.
-  Result<Bytes> Await(CallToken token);
+  /// Ships `requests` (each an encoded u8 MsgType + fields) from the calling
+  /// thread as consecutive frames of at most max_calls_per_frame calls and
+  /// max_bytes_per_frame payload bytes, each frame's reply awaited before
+  /// the next frame leaves. A non-zero `reply_bytes` (the expected size of
+  /// each reply) also caps the calls per frame so their replies fit
+  /// max_bytes_per_frame. Returns the decoded reply body (or the
+  /// application/transport error) per request, in order.
+  std::vector<Result<Bytes>> Exchange(std::vector<Bytes> requests,
+                                      size_t reply_bytes = 0);
 
   // ---- Querybox ----
   Status PostGlobal(const ssi::QueryPost& post) override;
@@ -114,11 +99,10 @@ class SsiClient : public SsiApi {
   // ---- Key epoch distribution ----
   Status PostEpochBlock(const Bytes& block) override;
   Result<Bytes> FetchEpochBlock(uint64_t tds_id) override;
-  /// FetchEpochBlock for many TDSs, shipped frame by frame in input order
-  /// (ExchangeOrdered); one reply per id. Every reply carries the whole
-  /// block, so a frame holds no more calls than keep its replies within
-  /// max_bytes_per_frame, sized by the last block this client posted or
-  /// fetched. With batching off it is the serial call sequence.
+  /// FetchEpochBlock for many TDSs in one Exchange; one reply per id. Every
+  /// reply carries the whole block, so a frame holds no more calls than keep
+  /// its replies within max_bytes_per_frame, sized by the last block this
+  /// client posted or fetched.
   std::vector<Result<Bytes>> FetchEpochBlockBatch(
       const std::vector<uint64_t>& tds_ids);
 
@@ -160,57 +144,27 @@ class SsiClient : public SsiApi {
   Result<ssi::AdversaryView> GetAdversaryView(uint64_t query_id) override;
   Status Retire(uint64_t query_id) override;
 
-  const RetryPolicy& policy() const { return policy_; }
-  const BatchOptions& batch_options() const { return batch_; }
-  bool batching_enabled() const { return batch_.max_calls_per_frame > 1; }
-
  private:
-  /// One pending call: its encoded request until dispatch, its reply
-  /// envelope (or transport error) once the frame completes.
-  struct Pending {
-    Bytes request;
-    bool dispatched = false;
-    bool done = false;
-    Result<Bytes> reply{Status::Unavailable("call not completed")};
-  };
-
-  /// One sync RPC: enqueue + await (the pre-batching Call surface).
+  /// One RPC: Exchange({request})[0].
   Result<Bytes> Call(Bytes request);
-  CallToken EnqueueLocked(Bytes request);
-  /// Seals up to one frame's worth of queued calls and performs the
-  /// exchange (lock released during I/O). Requires a free in-flight slot.
-  void DispatchChunk(std::unique_lock<std::mutex>* lock);
-  /// The physical exchange + retry loop for one sealed frame; returns one
-  /// reply envelope (or error) per request, in order. Runs unlocked.
-  /// `channel` is this flusher's private connection — dialed lazily, reset on
-  /// transport failure, and handed back for pooling when the exchange ends.
-  std::vector<Result<Bytes>> ExchangeFrame(const std::vector<Bytes>& requests,
+  /// The physical exchange + retry loop for one frame; returns one reply
+  /// envelope (or error) per call, in order. Each attempt assigns the calls
+  /// fresh correlation IDs. `channel` is the caller's connection — dialed
+  /// lazily, reset on transport failure, and handed back for pooling when the
+  /// exchange ends.
+  std::vector<Result<Bytes>> ExchangeFrame(std::vector<BatchCall> calls,
                                            std::unique_ptr<Channel>* channel);
-  /// Ships `requests` as a sequence of frames from the calling thread, one
-  /// frame at a time in submission order, bypassing the shared queue. The
-  /// batch methods whose server-side effects are order-sensitive (collection
-  /// uploads fix the hub's storage order) use this instead of CallAsync, so
-  /// a concurrent flusher can never reorder them across frames. Returns the
-  /// decoded reply body (or error) per request, in order. A non-zero
-  /// `reply_bytes` (the expected size of each reply) also caps the calls per
-  /// frame so their replies fit max_bytes_per_frame.
-  std::vector<Result<Bytes>> ExchangeOrdered(std::vector<Bytes> requests,
-                                             size_t reply_bytes = 0);
 
   Transport* transport_;
   RetryPolicy policy_;
   BatchOptions batch_;
   obs::MetricsRegistry* metrics_;
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  uint64_t next_token_ = 1;
   std::atomic<uint64_t> next_correlation_{1};
-  std::map<CallToken, Pending> calls_;
-  std::deque<CallToken> queue_;
-  size_t inflight_frames_ = 0;
-  size_t inflight_calls_ = 0;
-  /// Idle channel pool, one per concurrent frame at most.
+  /// Calls inside frames on the wire, across every caller.
+  std::atomic<size_t> inflight_calls_{0};
+  /// Guards channels_, the idle channel pool.
+  std::mutex mu_;
   std::vector<std::unique_ptr<Channel>> channels_;
   /// Size of the last epoch block posted or fetched (FetchEpochBlockBatch).
   std::atomic<size_t> epoch_block_bytes_{0};

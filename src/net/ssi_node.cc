@@ -33,40 +33,42 @@ size_t SsiNode::num_active_queries() const {
   return hub_.num_active();
 }
 
+SsiNode::SsiNode(CallFilter filter) : filter_(std::move(filter)) {}
+
 Result<Bytes> SsiNode::Handle(const Bytes& request) {
+  // Every request frame is a batch envelope; anything else — a bare
+  // single-call frame included — fails to decode as Corruption.
+  TCELLS_ASSIGN_OR_RETURN(std::vector<BatchCall> calls,
+                          DecodeBatchFrame(request));
+  const CallHandler honest = [this](const Bytes& call) {
+    return HandleCall(call);
+  };
+  std::vector<BatchCall> replies;
+  replies.reserve(calls.size());
   std::lock_guard<std::mutex> lock(mu_);
-  if (IsBatchFrame(request)) {
-    // Many logical calls share this physical frame. Each one dispatches
-    // exactly as a single-call frame would, in frame order under the one
-    // mutex hold, and its reply envelope travels back tagged with the
-    // call's correlation ID.
-    TCELLS_ASSIGN_OR_RETURN(std::vector<BatchCall> calls,
-                            DecodeBatchFrame(request));
-    std::vector<BatchCall> replies;
-    replies.reserve(calls.size());
-    for (const BatchCall& call : calls) {
-      TCELLS_ASSIGN_OR_RETURN(Bytes envelope, HandleOne(call.payload));
-      replies.push_back(BatchCall{call.correlation_id, std::move(envelope)});
-    }
-    return EncodeBatchFrame(replies);
+  for (const BatchCall& call : calls) {
+    TCELLS_ASSIGN_OR_RETURN(
+        Bytes envelope,
+        filter_ ? filter_(call.payload, honest) : HandleCall(call.payload));
+    replies.push_back(BatchCall{call.correlation_id, std::move(envelope)});
   }
-  return HandleOne(request);
+  return EncodeBatchFrame(replies);
 }
 
-Result<Bytes> SsiNode::HandleOne(const Bytes& request) {
-  Result<Bytes> reply = Dispatch(request);
+Result<Bytes> SsiNode::HandleCall(const Bytes& call) {
+  Result<Bytes> reply = Dispatch(call);
   if (reply.ok()) return reply;
   Status status = reply.status();
   if (status.IsCorruption()) {
-    // Undecodable request frame: surface to the transport, which drops the
+    // Undecodable call: surface to the transport, which drops the
     // connection (the stream cannot be trusted further).
     return status;
   }
   return EncodeReplyError(status);
 }
 
-Result<Bytes> SsiNode::Dispatch(const Bytes& request) {
-  ByteReader reader(request);
+Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
+  ByteReader reader(call);
   TCELLS_ASSIGN_OR_RETURN(uint8_t type_byte, reader.GetU8());
   switch (static_cast<MsgType>(type_byte)) {
     case MsgType::kPostGlobal: {

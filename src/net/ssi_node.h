@@ -2,13 +2,15 @@
 // (and through it every active query's storage + adversary view) plus the
 // transient transfer state the framed protocol needs — staged partitions
 // TDSs download, round outputs they upload, and delivered results the
-// querier fetches. Handle() is the single entry point: one decoded request
-// frame in, one reply frame out, dispatched under a mutex so the node can
-// serve the TCP loop thread and in-process callers alike.
+// querier fetches. Handle() is the single entry point: one batch request
+// frame in (ssi_wire.h; a count of 1 is a single call), one batch reply frame
+// out. The frame's calls dispatch in frame order under one hold of a mutex,
+// so the node can serve the TCP loop thread and in-process callers alike.
 #ifndef TCELLS_NET_SSI_NODE_H_
 #define TCELLS_NET_SSI_NODE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -18,14 +20,24 @@
 
 namespace tcells::net {
 
+/// One call's dispatch: its request payload (u8 MsgType + fields) in, its
+/// reply envelope out. A non-OK return means the call could not be decoded.
+using CallHandler = std::function<Result<Bytes>(const Bytes& call)>;
+/// A decorator around a node's per-call dispatch (ByzantineProxy): sees each
+/// call and the honest dispatch, and returns the reply envelope to send.
+using CallFilter =
+    std::function<Result<Bytes>(const Bytes& call, const CallHandler& honest)>;
+
 class SsiNode {
  public:
-  /// Processes one request frame — a single call or a multi-call batch
-  /// envelope (ssi_wire.h); batched calls dispatch in frame order under one
-  /// mutex hold and reply as one batch frame. A non-OK return means the
-  /// request frame itself could not be decoded (transports drop the
-  /// connection); application-level failures are encoded inside the OK
-  /// reply envelope.
+  /// `filter` (optional) wraps the dispatch of every call of every frame.
+  explicit SsiNode(CallFilter filter = nullptr);
+
+  /// Processes one batch request frame and returns the batch reply frame,
+  /// each reply envelope tagged with its call's correlation ID. A non-OK
+  /// return means the frame or one of its calls could not be decoded — a
+  /// bare single-call frame included — and transports drop the connection;
+  /// application-level failures are encoded inside the reply envelopes.
   Result<Bytes> Handle(const Bytes& request);
 
   /// Adapts Handle into the transport-facing handler type.
@@ -37,10 +49,11 @@ class SsiNode {
   size_t num_active_queries() const;
 
  private:
-  /// One single-call frame under mu_: dispatch + error-envelope wrapping.
-  Result<Bytes> HandleOne(const Bytes& request);
-  Result<Bytes> Dispatch(const Bytes& request);
+  /// One call under mu_: dispatch + error-envelope wrapping.
+  Result<Bytes> HandleCall(const Bytes& call);
+  Result<Bytes> Dispatch(const Bytes& call);
 
+  CallFilter filter_;
   mutable std::mutex mu_;
   ssi::QueryboxHub hub_;
   /// query_id → tds_id → accepted bit of the first collection upload. A

@@ -54,10 +54,6 @@ Bytes EncodeReplyError(const Status& status) {
   return out;
 }
 
-bool IsBatchFrame(const Bytes& frame) {
-  return !frame.empty() && frame[0] == kBatchMagic;
-}
-
 Bytes EncodeBatchFrame(const std::vector<BatchCall>& calls) {
   Bytes out;
   size_t total = 6;

@@ -1,5 +1,5 @@
-// Request/reply wire schema for the SSI RPC surface. Every request frame is
-// a u8 message type followed by type-specific fields; every reply frame is a
+// Request/reply wire schema for the SSI RPC surface. Every call is a u8
+// message type followed by type-specific fields; every reply envelope is a
 // u8 status code followed by the body (on OK) or a message string (on error).
 // Item vectors travel as ssi::Partition encodings, so the transport reuses
 // the hardened decoders instead of inventing new ones.
@@ -8,13 +8,11 @@
 // OK transport exchange as reply envelopes; only transport-level failures
 // (Unavailable, DeadlineExceeded) come from the channel itself. The client
 // retries the latter and never the former.
-// Batching (docs/TRANSPORT.md "Batched & pipelined exchanges"): many logical
-// calls can share one physical frame. A batch frame is distinguished from a
-// single-call frame by its leading byte — kBatchMagic sits outside both the
-// MsgType range (requests) and the StatusCode range (replies), so version-1
-// single-call frames still parse unchanged on both sides. Each batched call
-// carries a u64 correlation ID; replies are matched by ID, never by position,
-// so a server may complete them out of order.
+//
+// One frame format (docs/TRANSPORT.md "Wire format"): every request and reply
+// travels inside a batch envelope, and a single call is a batch of one. Each
+// call carries a u64 correlation ID; replies are matched by ID, never by
+// position, so a server may complete them out of order.
 #ifndef TCELLS_NET_SSI_WIRE_H_
 #define TCELLS_NET_SSI_WIRE_H_
 
@@ -61,8 +59,8 @@ Result<Bytes> DecodeReply(const Bytes& reply);
 // ---- Multi-call batch envelope ----
 
 /// Leading byte of a batch frame. 0xB5 collides with no MsgType (1..21) and
-/// no StatusCode (0..12), so a receiver can tell the frame kinds apart from
-/// the first byte alone.
+/// no StatusCode (0..13), so a bare call or envelope is never mistaken for a
+/// frame.
 inline constexpr uint8_t kBatchMagic = 0xB5;
 /// Wire version of the batch envelope; bumped on incompatible layout change.
 inline constexpr uint8_t kBatchVersion = 1;
@@ -70,18 +68,13 @@ inline constexpr uint8_t kBatchVersion = 1;
 /// Enforced at decode before any allocation.
 inline constexpr uint32_t kMaxCallsPerBatch = 4096;
 
-/// One logical call (or its reply envelope) inside a batch frame. The
-/// payload is exactly the bytes a single-call frame would carry: a u8
+/// One logical call (or its reply envelope) inside a batch frame: a u8
 /// MsgType request on the way out, a u8-status reply envelope on the way
 /// back.
 struct BatchCall {
   uint64_t correlation_id = 0;
   Bytes payload;
 };
-
-/// True when `frame` is a batch frame (leading byte == kBatchMagic). An
-/// empty frame is not a batch frame.
-bool IsBatchFrame(const Bytes& frame);
 
 /// Encodes `calls` as one batch frame:
 ///   u8 kBatchMagic, u8 version, u32 count,

@@ -115,11 +115,6 @@ Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
   Engine::Config config;
   config.tracing = false;
   config.transport = backend;
-  // Campaign fault/tamper schedules are call-granular (nth call of a kind,
-  // specific token's upload, ...), so the wire must stay one call per frame
-  // — under the auto batching default a faulted frame would take unrelated
-  // coalesced calls down with it and the pinned outcomes would shift.
-  config.transport_batch_max_calls = 1;
   config.fault_plan = spec.faults;
   config.tamper_plan = spec.tampering;
   config.options.seed = spec.seed;
@@ -450,8 +445,11 @@ std::vector<ScenarioSpec> DefaultManifest() {
     manifest.push_back(std::move(spec));
   }
 
-  // A stale round-output reply replayed from the network's memory: the
-  // digest check must flag exactly that partition.
+  // A stale round-output reply frame replayed from the network's memory on
+  // the second take of token 0. Its correlation IDs belong to the first
+  // take, so the client drops it and retries: one retry, nothing tampered or
+  // lost, oracle-matching. (A replay the SSI itself serves, with fresh IDs,
+  // is byz-replay-output.)
   {
     ScenarioSpec spec = Base("take-stale-replay", ProtocolKind::kSAgg);
     net::ScriptedFault f;
@@ -462,6 +460,8 @@ std::vector<ScenarioSpec> DefaultManifest() {
     f.nth = 2;
     spec.faults = ScriptPlan(f);
     spec.expect_complete = true;
+    spec.expect_partitions_lost = 0;
+    spec.expect_partitions_tampered = 0;
     manifest.push_back(std::move(spec));
   }
 

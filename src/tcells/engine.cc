@@ -82,6 +82,11 @@ Result<std::unique_ptr<Engine>> Engine::Create(
         "Engine::Config: transport_batch_max_calls exceeds "
         "net::kMaxCallsPerBatch");
   }
+  if (config.fault_plan != nullptr && config.transport_batch_max_calls > 1) {
+    return Status::InvalidArgument(
+        "Engine::Config: a fault_plan is call-granular and needs one call per "
+        "frame; leave transport_batch_max_calls at 0 or 1");
+  }
   std::unique_ptr<Engine> engine(
       new Engine(std::move(fleet), std::move(config)));
   TCELLS_RETURN_IF_ERROR(engine->StartShards());
@@ -97,13 +102,14 @@ Status Engine::StartShards() {
   std::vector<net::SsiApi*> shard_apis;
   shard_apis.reserve(shards_.size());
   for (ShardStack& shard : shards_) {
-    shard.node = std::make_unique<net::SsiNode>();
-    net::Handler handler = shard.node->handler();
+    net::CallFilter filter;
     if (config_.tamper_plan != nullptr) {
       shard.byzantine =
-          std::make_unique<net::ByzantineProxy>(handler, *config_.tamper_plan);
-      handler = shard.byzantine->handler();
+          std::make_unique<net::ByzantineProxy>(*config_.tamper_plan);
+      filter = shard.byzantine->filter();
     }
+    shard.node = std::make_unique<net::SsiNode>(std::move(filter));
+    net::Handler handler = shard.node->handler();
     net::Transport* base = nullptr;
     if (config_.transport == net::TransportKind::kTcp) {
       shard.server = std::make_unique<net::TcpServer>();
@@ -122,12 +128,17 @@ Status Engine::StartShards() {
       base = shard.faulty.get();
     }
     net::BatchOptions batch;
-    batch.max_calls_per_frame =
-        config_.transport_batch_max_calls != 0
-            ? config_.transport_batch_max_calls
-            : (config_.transport == net::TransportKind::kTcp
-                   ? kAutoBatchCallsTcp
-                   : kAutoBatchCallsLoopback);
+    if (config_.fault_plan != nullptr) {
+      // A fault plan's schedule is call-granular (the nth call of a kind,
+      // one token's upload), so a faulted engine ships one call per frame.
+      batch.max_calls_per_frame = 1;
+    } else if (config_.transport_batch_max_calls != 0) {
+      batch.max_calls_per_frame = config_.transport_batch_max_calls;
+    } else {
+      batch.max_calls_per_frame = config_.transport == net::TransportKind::kTcp
+                                      ? kAutoBatchCallsTcp
+                                      : kAutoBatchCallsLoopback;
+    }
     shard.client = std::make_unique<net::SsiClient>(
         base, protocol::TransportRetryPolicy(config_.options), &metrics_,
         batch);

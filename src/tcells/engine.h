@@ -104,13 +104,15 @@ class Engine {
     /// per-backend value at StartShards, where the transport kind is known:
     /// kAutoBatchCallsLoopback for loopback (small frames; in-process
     /// dispatch is cheap) and kAutoBatchCallsTcp for TCP (the batch sweep
-    /// in BENCH_transport.json shows TCP wants 64+ calls/frame). 1 keeps
-    /// every call on the legacy single-call wire format; explicit values
-    /// are validated in [1, net::kMaxCallsPerBatch] at Create.
+    /// in BENCH_transport.json shows TCP wants 64+ calls/frame). A
+    /// fault_plan makes it 1 (fault schedules are call-granular). Explicit
+    /// values are validated in [1, net::kMaxCallsPerBatch] at Create, and
+    /// only 1 is accepted together with a fault_plan.
     size_t transport_batch_max_calls = 0;
-    /// Adversarial testing hooks (docs/TRANSPORT.md "Fault plans"): each
-    /// shard's transport is wrapped in a FaultyTransport and/or its handler
-    /// in a ByzantineProxy. Null = honest, fault-free.
+    /// Adversarial testing hooks (docs/TRANSPORT.md "Fault injection"):
+    /// each shard's transport is wrapped in a FaultyTransport and/or its
+    /// node's per-call dispatch in a ByzantineProxy. Null = honest,
+    /// fault-free.
     std::shared_ptr<const net::FaultPlan> fault_plan;
     std::shared_ptr<const net::TamperPlan> tamper_plan;
     /// Dynamic key management (docs/KEYS.md): kDynamic makes the engine own
@@ -239,12 +241,12 @@ class Engine {
   }
 
  private:
-  /// One shard's SSI stack: the node, the optional byzantine wrapper around
-  /// its handler, the backend (loopback or TCP), the optional fault
-  /// decorator, and the typed client.
+  /// One shard's SSI stack: the optional byzantine filter, the node whose
+  /// per-call dispatch it wraps, the backend (loopback or TCP), the optional
+  /// fault decorator, and the typed client.
   struct ShardStack {
-    std::unique_ptr<net::SsiNode> node;
     std::unique_ptr<net::ByzantineProxy> byzantine;
+    std::unique_ptr<net::SsiNode> node;
     std::unique_ptr<net::TcpServer> server;
     std::unique_ptr<net::TcpTransport> transport;
     std::unique_ptr<net::LoopbackTransport> loopback;

@@ -505,8 +505,6 @@ TEST(DiscoveryTest, RunsUnderTheEngineFaultPlan) {
   plan->script.push_back(f);
   Engine::Config cfg = FastConfig();
   cfg.fault_plan = plan;
-  // Fault decisions key on single-call frames (as in the campaign).
-  cfg.transport_batch_max_calls = 1;
   TestWorld w = TestWorld::Generic(DiscoveryFleet(), cfg);
 
   auto inputs = w.engine->DiscoverInputs(*w.querier, kQueryId, kDiscoverySql)
@@ -519,6 +517,45 @@ TEST(DiscoveryTest, RunsUnderTheEngineFaultPlan) {
     EXPECT_EQ(event.kind, net::FaultKind::kDropReply);
   }
   EXPECT_EQ(inputs.distribution, OracleDistribution(*w.fleet));
+}
+
+// ---------------------------------------------------------------------------
+// Byzantine SSI under the default auto batching: the proxy wraps the node's
+// per-call dispatch, so its lies reach calls that share a frame.
+
+TestWorld TamperedWorld(void (*set)(net::TamperPlan*)) {
+  auto plan = std::make_shared<net::TamperPlan>();
+  set(plan.get());
+  Engine::Config cfg = FastConfig();
+  cfg.tamper_plan = plan;
+  workload::GenericOptions gopts;
+  gopts.num_tds = 60;
+  gopts.num_groups = 4;
+  return TestWorld::Generic(gopts, cfg);
+}
+
+TEST(TamperPlanTest, ReplayedRoundOutputsAreFlaggedUnderAutoBatching) {
+  TestWorld w = TamperedWorld(
+      [](net::TamperPlan* p) { p->replay_round_output = true; });
+  SAggProtocol protocol;
+  auto outcome =
+      w.engine->Run(protocol, *w.querier, 60,
+                    "SELECT grp, COUNT(*), SUM(val) FROM T GROUP BY grp")
+          .ValueOrDie();
+  EXPECT_GE(w.engine->byzantine_proxy()->stats().total(), 1u);
+  EXPECT_GE(outcome.metrics.partitions_tampered, 1u);
+  EXPECT_EQ(outcome.metrics.partitions_tampered,
+            outcome.metrics.partitions_lost);
+}
+
+TEST(TamperPlanTest, ReversedCollectionIsToleratedUnderAutoBatching) {
+  TestWorld w =
+      TamperedWorld([](net::TamperPlan* p) { p->reverse_collected = true; });
+  SAggProtocol protocol;
+  const char* sql = "SELECT grp, COUNT(*), SUM(val) FROM T GROUP BY grp";
+  auto outcome = w.engine->Run(protocol, *w.querier, 61, sql).ValueOrDie();
+  EXPECT_GE(w.engine->byzantine_proxy()->stats().total(), 1u);
+  EXPECT_TRUE(outcome.result.SameRows(ExecuteReference(*w.fleet, sql).ValueOrDie()));
 }
 
 TEST(SmartMeterTest, FlagshipQueryEndToEndWithDiscoveryAndEdHist) {

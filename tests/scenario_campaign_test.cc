@@ -126,6 +126,27 @@ TEST(ScenarioCampaign, OrderOnlyTamperingIsTolerated) {
   EXPECT_TRUE(reversed->oracle_match);
 }
 
+// A stale reply frame replayed by the network carries the earlier take's
+// correlation IDs: the client drops it and retries, so the replay never
+// reaches the digest check (a replay the SSI itself serves is
+// byz-replay-output's case).
+TEST(ScenarioCampaign, TransportStaleReplayIsRetriedNotTampered) {
+  for (const ScenarioSpec& spec : DefaultManifest()) {
+    if (spec.name != "take-stale-replay") continue;
+    Result<ScenarioOutcome> outcome =
+        RunScenario(spec, TransportKind::kLoopback);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_TRUE(outcome->violations.empty());
+    EXPECT_TRUE(outcome->completed);
+    EXPECT_TRUE(outcome->clean);
+    EXPECT_TRUE(outcome->oracle_match);
+    EXPECT_EQ(outcome->faults_injected, 1u);
+    EXPECT_EQ(outcome->retries, 1u);
+    return;
+  }
+  FAIL() << "take-stale-replay is missing from the default manifest";
+}
+
 // The determinism contract: the same manifest produces byte-identical
 // canonical dumps for 1, 2 and 8 worker threads. Fault decisions are keyed
 // on message content, never on arrival order or thread ids.

@@ -153,6 +153,20 @@ TEST(EngineConfigTest, OversizedBatchRejected) {
             std::string::npos);
 }
 
+TEST(EngineConfigTest, BatchedFramesWithFaultPlanRejected) {
+  // Fault schedules are call-granular, so a fault plan derives one call per
+  // frame; an explicit larger batch contradicts it.
+  Engine::Config cfg;
+  cfg.fault_plan = std::make_shared<net::FaultPlan>();
+  cfg.transport_batch_max_calls = 2;
+  auto engine = Engine::Create(BuildFleet(), cfg);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_TRUE(engine.status().IsInvalidArgument());
+  EXPECT_NE(engine.status().ToString().find("fault_plan"), std::string::npos);
+  cfg.transport_batch_max_calls = 1;
+  EXPECT_TRUE(Engine::Create(BuildFleet(), cfg).ok());
+}
+
 TEST(EngineConfigTest, AutoBatchDefaultAccepted) {
   // 0 = auto: resolved per backend at StartShards, never rejected.
   Engine::Config cfg;

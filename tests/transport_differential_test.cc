@@ -212,9 +212,8 @@ TEST_P(TransportDifferentialTest, TcpResultStillMatchesPlaintextOracle) {
 }
 
 TEST_P(TransportDifferentialTest, BatchedRunsAreBitIdenticalToSerial) {
-  // The batched wire path (multi-call frames, pipelined flushes, detached
-  // acks) may only change how many frames the calls take — never anything a
-  // run produces. One serial-loopback baseline per seed, compared against
+  // Multi-call frames may only change how many frames the calls take —
+  // never anything a run produces. One serial-loopback baseline per seed, compared against
   // batching over both backends and over the sharded router.
   ProtocolKind kind = GetParam();
   for (uint64_t seed : {11u, 22u}) {
