@@ -106,21 +106,15 @@ int main(int argc, char** argv) {
     for (auto& e : entries) {
       std::optional<protocol::RunOutcome> best;
       double best_wall_ns = 0;
-      uint64_t best_tuples = 0;
       bool match = true;
       bool errored = false;
       for (int rep = 0; rep < kReps; ++rep) {
-        const uint64_t tuples_before =
-            engine->metrics().counter("engine.tuples_processed").value();
         const auto wall0 = std::chrono::steady_clock::now();
         auto outcome = engine->Run(*e.protocol, querier, query_id++, sql);
         const double wall_ns =
             std::chrono::duration<double, std::nano>(
                 std::chrono::steady_clock::now() - wall0)
                 .count();
-        const uint64_t tuples =
-            engine->metrics().counter("engine.tuples_processed").value() -
-            tuples_before;
         if (!outcome.ok()) {
           std::printf("%-6zu %-10s ERROR %s\n", groups, e.name,
                       outcome.status().ToString().c_str());
@@ -132,7 +126,6 @@ int main(int argc, char** argv) {
                          best->metrics.QueryPathWallMicros()) {
           best = std::move(*outcome);
           best_wall_ns = wall_ns;
-          best_tuples = tuples;
         }
       }
       if (errored || !best) {
@@ -141,8 +134,10 @@ int main(int argc, char** argv) {
       }
       all_match = all_match && match;
       const double wall_ns = best_wall_ns;
-      const uint64_t tuples = best_tuples;
       const auto& m = best->metrics;
+      const uint64_t tuples =
+          m.accountant.phase(sim::Phase::kCollection).tuples_processed +
+          m.QueryPathTuples();
       std::printf("%-6zu %-10s %-6s %8zu %12llu %10.5f %12.6f %7zu\n", groups,
                   e.name, match ? "yes" : "NO", m.Ptds(),
                   static_cast<unsigned long long>(m.LoadBytes()), m.Tq(),

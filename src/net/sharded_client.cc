@@ -144,34 +144,8 @@ Result<bool> ShardedSsiClient::UploadCollection(
   if (shards_.size() == 1) {
     return shards_[0]->UploadCollection(query_id, tds_id, items);
   }
-  size_t shard = ShardOfTds(tds_id);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("no active query for UploadCollection");
-    }
-    const QueryState& state = it->second;
-    if (state.size_bound && state.accepted_items >= *state.size_bound) {
-      // Globally full. The shard's local count is below the bound, so it
-      // would wrongly accept; discard here instead, with the same observable
-      // effects as a node-side discard: the TDS still counts as having
-      // served the query, and the contribution is dropped.
-      TCELLS_RETURN_IF_ERROR(shards_[shard]->Acknowledge(tds_id, query_id));
-      return false;
-    }
-  }
-  TCELLS_ASSIGN_OR_RETURN(
-      bool accepted, shards_[shard]->UploadCollection(query_id, tds_id, items));
-  if (accepted) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = queries_.find(query_id);
-    if (it != queries_.end()) {
-      it->second.accepted_items += items.size();
-      it->second.upload_log.emplace_back(shard, items.size());
-    }
-  }
-  return accepted;
+  return std::move(
+      UploadCollectionBatch({CollectionUpload{query_id, tds_id, items}})[0]);
 }
 
 std::vector<Result<bool>> ShardedSsiClient::UploadCollectionBatch(

@@ -105,6 +105,7 @@ class ShardedSsiClient : public SsiApi {
 
   // ---- Collection phase ----
   Result<bool> SizeReached(uint64_t query_id) override;
+  /// A one-upload UploadCollectionBatch (verbatim pass-through at one shard).
   Result<bool> UploadCollection(
       uint64_t query_id, uint64_t tds_id,
       const std::vector<ssi::EncryptedItem>& items) override;

@@ -51,6 +51,26 @@ Result<bool> AcceptedFromBody(const Bytes& body) {
 
 }  // namespace
 
+SsiClient::SsiClient(Transport* transport, RetryPolicy policy,
+                     obs::MetricsRegistry* metrics, BatchOptions batch)
+    : transport_(transport),
+      policy_(policy),
+      batch_(batch),
+      metrics_(metrics) {
+  if (metrics_ == nullptr) return;
+  frames_sent_ = &metrics_->counter("net.frames_sent");
+  calls_sent_ = &metrics_->counter("net.calls_sent");
+  bytes_sent_ = &metrics_->counter("net.bytes_sent");
+  frames_received_ = &metrics_->counter("net.frames_received");
+  bytes_received_ = &metrics_->counter("net.bytes_received");
+  frame_bytes_ = &metrics_->histogram("net.frame_bytes",
+                                      obs::Histogram::DefaultSizeBounds());
+  calls_per_frame_ = &metrics_->histogram(
+      "net.calls_per_frame", obs::Histogram::ExponentialBounds(1, 2, 12));
+  inflight_per_frame_ = &metrics_->histogram(
+      "net.inflight_calls", obs::Histogram::ExponentialBounds(1, 2, 12));
+}
+
 // ---------------------------------------------------------------------------
 // The exchange path
 
@@ -88,23 +108,17 @@ std::vector<Result<Bytes>> SsiClient::ExchangeFrame(
     const Bytes wire = EncodeBatchFrame(calls);
 
     if (metrics_ != nullptr) {
-      metrics_->counter("net.frames_sent").Increment();
-      metrics_->counter("net.calls_sent").Add(n);
-      metrics_->counter("net.bytes_sent").Add(FrameWireSize(wire.size()));
-      metrics_
-          ->histogram("net.frame_bytes", obs::Histogram::DefaultSizeBounds())
-          .Record(static_cast<double>(wire.size()));
-      metrics_
-          ->histogram("net.calls_per_frame",
-                      obs::Histogram::ExponentialBounds(1, 2, 12))
-          .Record(static_cast<double>(n));
+      frames_sent_->Increment();
+      calls_sent_->Add(n);
+      bytes_sent_->Add(FrameWireSize(wire.size()));
+      frame_bytes_->Record(static_cast<double>(wire.size()));
+      calls_per_frame_->Record(static_cast<double>(n));
     }
     Result<Bytes> reply = (*channel)->Call(wire, opts);
     if (reply.ok()) {
       if (metrics_ != nullptr) {
-        metrics_->counter("net.frames_received").Increment();
-        metrics_->counter("net.bytes_received")
-            .Add(FrameWireSize((*reply).size()));
+        frames_received_->Increment();
+        bytes_received_->Add(FrameWireSize((*reply).size()));
       }
       Result<std::vector<BatchCall>> decoded = DecodeBatchFrame(*reply);
       if (!decoded.ok()) {
@@ -196,10 +210,7 @@ std::vector<Result<Bytes>> SsiClient::Exchange(std::vector<Bytes> requests,
     }
     const size_t inflight = inflight_calls_.fetch_add(j - i) + (j - i);
     if (metrics_ != nullptr) {
-      metrics_
-          ->histogram("net.inflight_calls",
-                      obs::Histogram::ExponentialBounds(1, 2, 12))
-          .Record(static_cast<double>(inflight));
+      inflight_per_frame_->Record(static_cast<double>(inflight));
     }
     std::vector<Result<Bytes>> replies =
         ExchangeFrame(std::move(calls), &channel);

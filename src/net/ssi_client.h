@@ -71,11 +71,7 @@ class SsiClient : public SsiApi {
   /// must never be consumed by a later exchange on the same channel.
   explicit SsiClient(Transport* transport, RetryPolicy policy = {},
                      obs::MetricsRegistry* metrics = nullptr,
-                     BatchOptions batch = {})
-      : transport_(transport),
-        policy_(policy),
-        batch_(batch),
-        metrics_(metrics) {}
+                     BatchOptions batch = {});
 
   /// Ships `requests` (each an encoded u8 MsgType + fields) from the calling
   /// thread as consecutive frames of at most max_calls_per_frame calls and
@@ -159,6 +155,17 @@ class SsiClient : public SsiApi {
   RetryPolicy policy_;
   BatchOptions batch_;
   obs::MetricsRegistry* metrics_;
+  /// The net.* instruments of `metrics_` that every frame records,
+  /// registered once at construction (null without a registry). The
+  /// failure-path counters are looked up by name when they fire.
+  obs::Counter* frames_sent_ = nullptr;
+  obs::Counter* calls_sent_ = nullptr;
+  obs::Counter* bytes_sent_ = nullptr;
+  obs::Counter* frames_received_ = nullptr;
+  obs::Counter* bytes_received_ = nullptr;
+  obs::Histogram* frame_bytes_ = nullptr;
+  obs::Histogram* calls_per_frame_ = nullptr;
+  obs::Histogram* inflight_per_frame_ = nullptr;
 
   std::atomic<uint64_t> next_correlation_{1};
   /// Calls inside frames on the wire, across every caller.

@@ -4,6 +4,11 @@
 // ciphertext bytes in/out and noise ratios, on both the simulated clock and
 // wall time.
 //
+// The span counts are not a tally of their own: each is written once from
+// the query's CostAccountant (protocol::RunMetrics) — a round span at the end
+// of its round from that round's share of the phase tally, the collection
+// span when the collection window closes.
+//
 // Determinism contract: spans are created and mutated only from serial
 // sections of the engine (the fold steps that already make the accountant
 // deterministic), so a trace is bit-identical for any --threads value. Wall
@@ -53,10 +58,6 @@ struct Span {
   std::map<std::string, std::string> labels;
 
   std::vector<std::unique_ptr<Span>> children;
-
-  void AddCount(const std::string& key, uint64_t delta) {
-    counts[key] += delta;
-  }
 };
 
 struct TraceExportOptions {
@@ -82,7 +83,7 @@ class Trace {
   void ForEach(const std::function<void(const Span&, int depth)>& fn) const;
 
   /// Sum of `counts[key]` over all spans named `span_name`. The obs tests
-  /// cross-check these sums against the CostAccountant tallies.
+  /// check that these sums restate the CostAccountant tallies.
   uint64_t SumCount(const std::string& span_name,
                     const std::string& key) const;
   /// Number of spans named `span_name`.

@@ -75,7 +75,6 @@ Status RunOptions::Validate() const {
 RunContext::RunContext(Fleet* fleet, net::SsiApi* client,
                        ParallelExecutor* executor, uint64_t query_id,
                        const sim::DeviceModel& device, RunOptions options,
-                       obs::MetricsRegistry* metrics_registry,
                        obs::Trace* trace)
     : fleet_(fleet),
       client_(client),
@@ -84,7 +83,6 @@ RunContext::RunContext(Fleet* fleet, net::SsiApi* client,
       device_(device),
       options_(options),
       rng_(options.seed),
-      metrics_registry_(metrics_registry),
       trace_(trace) {}
 
 const std::vector<tds::TrustedDataServer*>& RunContext::compute_pool() {
@@ -105,16 +103,6 @@ const std::vector<tds::TrustedDataServer*>& RunContext::compute_pool() {
     metrics_.available_compute_tds = pool_.size();
   }
   return pool_;
-}
-
-obs::Span* RunContext::EnsureCollectionSpan() {
-  if (trace_ == nullptr) return nullptr;
-  if (collection_span_ == nullptr) {
-    collection_span_ = trace_->StartSpan(nullptr, obs::kSpanCollection);
-    collection_span_->labels["phase"] =
-        sim::PhaseToString(sim::Phase::kCollection);
-  }
-  return collection_span_;
 }
 
 Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
@@ -143,7 +131,9 @@ Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
   // Per-partition results, filled by the fan-out into disjoint slots.
   struct PartitionRun {
     std::vector<ssi::EncryptedItem> items;
-    uint64_t server_id = 0;
+    /// The TDS that processed the partition; unset when none did (lost at
+    /// stage or fetch, or a mismatched input), so no TDS is charged for it.
+    std::optional<uint64_t> server_id;
     uint64_t bytes_in = 0;
     uint64_t bytes_out = 0;
     uint64_t tuples = 0;
@@ -251,36 +241,23 @@ Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
         "partition could not be placed after max dropout retries");
   }));
 
-  // Serial epilogue: fold outputs, accounting and telemetry in partition
-  // order, so the accountant's tallies, the span tree and the item
-  // concatenation are identical whatever the completion order of the tasks
-  // above was.
+  // Serial epilogue: fold outputs and accounting in partition order, so the
+  // accountant's tallies, the span tree and the item concatenation are
+  // identical whatever the completion order of the tasks above was. The
+  // round's span is written from this round's share of the phase tally.
+  const sim::PhaseTally before = metrics_.accountant.phase(phase);
   std::vector<ssi::EncryptedItem> outputs;
   size_t total_items = 0;
   for (const PartitionRun& run : runs) total_items += run.items.size();
   outputs.reserve(total_items);
-  uint64_t round_bytes_in = 0, round_bytes_out = 0;
-  uint64_t round_tuples = 0, round_dropouts = 0;
   size_t round_lost = 0, round_tampered = 0;
   double slowest_partition_seconds = 0;
-  for (size_t i = 0; i < runs.size(); ++i) {
-    PartitionRun& run = runs[i];
-    for (uint64_t d = 0; d < run.dropouts; ++d) {
-      metrics_.accountant.RecordDropout(phase);
-    }
+  for (PartitionRun& run : runs) {
+    metrics_.accountant.RecordDropouts(phase, run.dropouts);
     metrics_.accountant.RecordPartition(phase, run.server_id, run.bytes_in,
                                         run.bytes_out, run.tuples);
-    round_bytes_in += run.bytes_in;
-    round_bytes_out += run.bytes_out;
-    round_tuples += run.tuples;
-    round_dropouts += run.dropouts;
     slowest_partition_seconds =
         std::max(slowest_partition_seconds, run.seconds);
-    if (metrics_registry_ != nullptr) {
-      metrics_registry_->histogram("engine.partition_bytes_out",
-                                   obs::Histogram::DefaultSizeBounds())
-          .Record(static_cast<double>(run.bytes_out));
-    }
     if (run.lost) {
       round_lost += 1;
       if (run.tampered) round_tampered += 1;
@@ -299,41 +276,31 @@ Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
   double waves = std::ceil(static_cast<double>(n) /
                            static_cast<double>(std::max<size_t>(1, pool.size())));
   double round_seconds = slowest_partition_seconds * waves;
-  const double round_wall_micros = WallMicrosSince(t0);
+  const double wall_micros = WallMicrosSince(t0);
   metrics_.accountant.RecordIteration(phase);
-  switch (phase) {
-    case sim::Phase::kCollection:
-      metrics_.times.collection_seconds += round_seconds;
-      metrics_.collection_wall_micros += round_wall_micros;
-      break;
-    case sim::Phase::kAggregation:
-      metrics_.times.aggregation_seconds += round_seconds;
-      metrics_.aggregation_wall_micros += round_wall_micros;
-      metrics_.aggregation_rounds += 1;
-      break;
-    case sim::Phase::kFiltering:
-      metrics_.times.filtering_seconds += round_seconds;
-      metrics_.filtering_wall_micros += round_wall_micros;
-      break;
+  const bool aggregation = phase == sim::Phase::kAggregation;
+  if (aggregation) {
+    metrics_.times.aggregation_seconds += round_seconds;
+    metrics_.aggregation_wall_micros += wall_micros;
+  } else {
+    metrics_.times.filtering_seconds += round_seconds;
+    metrics_.filtering_wall_micros += wall_micros;
   }
 
   if (trace_ != nullptr) {
-    const char* span_name = obs::kSpanCollection;
-    if (phase == sim::Phase::kAggregation) {
-      span_name = obs::kSpanAggregationRound;
-    } else if (phase == sim::Phase::kFiltering) {
-      span_name = obs::kSpanFilteringRound;
-    }
-    obs::Span* span = trace_->StartSpan(nullptr, span_name);
+    const sim::PhaseTally& after = metrics_.accountant.phase(phase);
+    obs::Span* span = trace_->StartSpan(
+        nullptr,
+        aggregation ? obs::kSpanAggregationRound : obs::kSpanFilteringRound);
     span->labels["phase"] = sim::PhaseToString(phase);
     span->sim_begin_seconds = sim_now_seconds_;
     span->sim_end_seconds = sim_now_seconds_ + round_seconds;
-    span->wall_micros = WallMicrosSince(t0);
-    span->counts["partitions"] = n;
-    span->counts["bytes_in"] = round_bytes_in;
-    span->counts["bytes_out"] = round_bytes_out;
-    span->counts["tuples"] = round_tuples;
-    span->counts["dropouts"] = round_dropouts;
+    span->wall_micros = wall_micros;
+    span->counts["partitions"] = after.partitions - before.partitions;
+    span->counts["bytes_in"] = after.bytes_downloaded - before.bytes_downloaded;
+    span->counts["bytes_out"] = after.bytes_uploaded - before.bytes_uploaded;
+    span->counts["tuples"] = after.tuples_processed - before.tuples_processed;
+    span->counts["dropouts"] = after.dropouts - before.dropouts;
     span->counts["partitions_lost"] = round_lost;
     span->counts["partitions_tampered"] = round_tampered;
     span->counts["compute_pool"] = pool.size();
@@ -341,44 +308,7 @@ Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
     span->values["waves"] = waves;
   }
   sim_now_seconds_ += round_seconds;
-
-  if (metrics_registry_ != nullptr) {
-    metrics_registry_->counter("engine.rounds").Increment();
-    metrics_registry_->counter("engine.partitions").Add(n);
-    metrics_registry_->counter("engine.bytes_downloaded").Add(round_bytes_in);
-    metrics_registry_->counter("engine.bytes_uploaded").Add(round_bytes_out);
-    metrics_registry_->counter("engine.tuples_processed").Add(round_tuples);
-    metrics_registry_->counter("engine.dropout_redispatches")
-        .Add(round_dropouts);
-    metrics_registry_->counter("engine.partitions_lost").Add(round_lost);
-    metrics_registry_->counter("engine.partitions_tampered")
-        .Add(round_tampered);
-    metrics_registry_
-        ->histogram("engine.round_sim_seconds",
-                    obs::Histogram::DefaultLatencyBounds())
-        .Record(round_seconds);
-    metrics_registry_
-        ->histogram("engine.round_wall_micros",
-                    obs::Histogram::ExponentialBounds(1.0, 8, 10))
-        .Record(WallMicrosSince(t0));
-  }
   return outputs;
-}
-
-void RunContext::RecordCollection(uint64_t tds_id, uint64_t bytes_up,
-                                  uint64_t tuples) {
-  metrics_.accountant.RecordPartition(sim::Phase::kCollection, tds_id,
-                                      /*bytes_in=*/0, bytes_up, tuples);
-  if (obs::Span* span = EnsureCollectionSpan()) {
-    span->AddCount("partitions", 1);
-    span->AddCount("bytes_out", bytes_up);
-    span->AddCount("tuples", tuples);
-  }
-  if (metrics_registry_ != nullptr) {
-    metrics_registry_->counter("engine.collection_contributions").Increment();
-    metrics_registry_->counter("engine.bytes_uploaded").Add(bytes_up);
-    metrics_registry_->counter("engine.tuples_processed").Add(tuples);
-  }
 }
 
 }  // namespace tcells::protocol

@@ -1,7 +1,13 @@
-// RunContext / RunOptions / RunOutcome: shared machinery for executing a
+// RunContext / RunOptions / RunMetrics: shared machinery for executing a
 // protocol end to end over a Fleet and an Ssi instance, with cost accounting,
 // simulated-time tracking and fault injection (TDS dropouts with SSI
 // re-dispatch, §3.2 Correctness).
+//
+// RunMetrics, with its CostAccountant, is the only per-query tally a running
+// query writes. The trace's counts and the engine.* registry counters are
+// derived from it: each round span from that round's share of the phase
+// tally, the collection span and the registry counters by QuerySession once
+// the query completes.
 #ifndef TCELLS_PROTOCOL_RUN_CONTEXT_H_
 #define TCELLS_PROTOCOL_RUN_CONTEXT_H_
 
@@ -133,7 +139,6 @@ net::RetryPolicy TransportRetryPolicy(const RunOptions& options);
 /// of partitions runs in parallel across the available TDSs; a round's time
 /// is the slowest partition times the assignment waves needed.
 struct PhaseTimes {
-  double collection_seconds = 0;
   double aggregation_seconds = 0;
   double filtering_seconds = 0;
 };
@@ -142,12 +147,16 @@ struct PhaseTimes {
 struct RunMetrics {
   sim::CostAccountant accountant;
   PhaseTimes times;
+  /// The aggregation phase's iterations, copied from the accountant when the
+  /// query completes.
   size_t aggregation_rounds = 0;
   size_t available_compute_tds = 0;
   /// Connection ticks the collection window stayed open (1 for a plain full
   /// pass; bounded by the SIZE ... DURATION clause otherwise).
   uint64_t collection_ticks = 0;
-  /// TDSs that contributed to the collection phase before it closed.
+  /// TDSs that contributed to the collection phase before it closed: the
+  /// collection phase's partitions, copied from the accountant when the
+  /// collection window closes.
   size_t collection_participants = 0;
   /// Dynamic key mode: collection uploads whose contribution tag failed the
   /// authority's admission check (stale epoch / revoked TDS / bad MAC). Each
@@ -205,34 +214,22 @@ struct RunMetrics {
 /// Shared execution state handed to protocol implementations.
 class RunContext {
  public:
-  /// `metrics_registry` and `trace` are optional telemetry sinks (may be
-  /// null). The trace is this query's span tree: RunRound appends one span
-  /// per aggregation/filtering round, RecordCollection accumulates into the
-  /// collection span, always from serial sections so the tree is
-  /// bit-identical for any thread count. `client` is the SSI channel every
-  /// partition travels through and `executor` the worker pool every round
-  /// fans out on (both borrowed, never null; a QuerySession lends its own
-  /// pool to all its queries); `query_id` scopes this context's exchanges
-  /// inside the shared SSI.
+  /// `trace` is this query's span tree (may be null = tracing off): RunRound
+  /// appends one span per aggregation/filtering round from its serial
+  /// epilogue, so the tree is bit-identical for any thread count. `client`
+  /// is the SSI channel every partition travels through and `executor` the
+  /// worker pool every round fans out on (both borrowed, never null; a
+  /// QuerySession lends its own pool to all its queries); `query_id` scopes
+  /// this context's exchanges inside the shared SSI.
   RunContext(Fleet* fleet, net::SsiApi* client, ParallelExecutor* executor,
              uint64_t query_id, const sim::DeviceModel& device,
-             RunOptions options,
-             obs::MetricsRegistry* metrics_registry = nullptr,
-             obs::Trace* trace = nullptr);
+             RunOptions options, obs::Trace* trace = nullptr);
 
-  Fleet& fleet() { return *fleet_; }
-  net::SsiApi& client() { return *client_; }
-  uint64_t query_id() const { return query_id_; }
   Rng& rng() { return rng_; }
   const RunOptions& options() const { return options_; }
-  const sim::DeviceModel& device() const { return device_; }
+  /// The query's one tally (RunRound and the collection record into it).
   RunMetrics& metrics() { return metrics_; }
 
-  /// This query's span tree (null when tracing is off).
-  obs::Trace* trace() { return trace_; }
-  /// The collection span of the trace, created on first use (null when
-  /// tracing is off).
-  obs::Span* EnsureCollectionSpan();
   /// Simulated clock: total critical-path seconds accumulated so far.
   double sim_now_seconds() const { return sim_now_seconds_; }
 
@@ -246,19 +243,17 @@ class RunContext {
   using PartitionFn = std::function<Result<std::vector<ssi::EncryptedItem>>(
       tds::TrustedDataServer*, const ssi::Partition&, Rng*)>;
 
-  /// Runs one round: every partition is assigned to a TDS from the compute
-  /// pool (with dropout/retry injection) and processed — across the worker
-  /// threads when options.num_threads allows — then outputs are concatenated
-  /// in partition order, and cost and critical-path time are recorded under
-  /// `phase` in partition order. Deterministic for any thread count: each
+  /// Runs one aggregation or filtering round: every partition is assigned to
+  /// a TDS from the compute pool (with dropout/retry injection) and
+  /// processed — across the worker threads when options.num_threads allows —
+  /// then outputs are concatenated in partition order, and cost and
+  /// critical-path time are recorded under `phase` in partition order.
+  /// Deterministic for any thread count: each
   /// partition's TDS choice, dropout schedule and processing randomness come
   /// from a per-partition stream forked from the run Rng before the fan-out.
   Result<std::vector<ssi::EncryptedItem>> RunRound(
       sim::Phase phase, const std::vector<ssi::Partition>& partitions,
       const PartitionFn& process);
-
-  /// Records collection-phase work of one TDS.
-  void RecordCollection(uint64_t tds_id, uint64_t bytes_up, uint64_t tuples);
 
  private:
   Fleet* fleet_;
@@ -269,9 +264,7 @@ class RunContext {
   RunOptions options_;
   Rng rng_;
   RunMetrics metrics_;
-  obs::MetricsRegistry* metrics_registry_;
   obs::Trace* trace_;
-  obs::Span* collection_span_ = nullptr;
   double sim_now_seconds_ = 0;
   std::vector<tds::TrustedDataServer*> pool_;
   bool pool_sampled_ = false;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 #include <set>
+#include <utility>
 
 namespace tcells::protocol {
 
@@ -21,6 +22,30 @@ double WallMicrosSince(std::chrono::steady_clock::time_point t0) {
 /// exchange); anything else aborts the run.
 bool IsTransportError(const Status& s) {
   return s.IsUnavailable() || s.IsDeadlineExceeded();
+}
+
+/// Adds one completed query's metrics to the engine-wide engine.* counters —
+/// their only writer, called once per query whose outcome is fully assembled.
+void PublishEngineCounters(const RunMetrics& m,
+                           obs::MetricsRegistry* registry) {
+  const sim::PhaseTally& c = m.accountant.phase(sim::Phase::kCollection);
+  const sim::PhaseTally& a = m.accountant.phase(sim::Phase::kAggregation);
+  const sim::PhaseTally& f = m.accountant.phase(sim::Phase::kFiltering);
+  const std::pair<const char*, uint64_t> counters[] = {
+      {"engine.queries_completed", 1},
+      {"engine.collection_contributions", c.partitions},
+      {"engine.rounds", a.iterations + f.iterations},
+      {"engine.partitions", a.partitions + f.partitions},
+      {"engine.bytes_downloaded", a.bytes_downloaded + f.bytes_downloaded},
+      {"engine.bytes_uploaded",
+       c.bytes_uploaded + a.bytes_uploaded + f.bytes_uploaded},
+      {"engine.tuples_processed",
+       c.tuples_processed + a.tuples_processed + f.tuples_processed},
+      {"engine.dropout_redispatches", a.dropouts + f.dropouts},
+      {"engine.partitions_lost", m.partitions_lost},
+      {"engine.partitions_tampered", m.partitions_tampered},
+  };
+  for (const auto& [name, value] : counters) registry->counter(name).Add(value);
 }
 
 }  // namespace
@@ -112,9 +137,9 @@ Status QuerySession::SubmitInternal(uint64_t query_id,
     root->counts["seed"] = opts.seed;
     root->counts["fleet_size"] = fleet_->size();
   }
-  pending.ctx = std::make_unique<RunContext>(
-      fleet_, client_, executor_.get(), query_id, device_, opts,
-      telemetry_.metrics, pending.trace ? pending.trace.get() : nullptr);
+  pending.ctx = std::make_unique<RunContext>(fleet_, client_, executor_.get(),
+                                             query_id, device_, opts,
+                                             pending.trace.get());
   Result<tds::CollectionConfig> config_result =
       pending.protocol->MakeCollectionConfig(*pending.ctx, pending.analyzed);
   if (!config_result.ok()) {
@@ -404,12 +429,13 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
         return accepted.status();
       }
       if (!*accepted) continue;
+      // The accepted upload is one collection partition of its TDS.
       Serve& serve = *batch_serves[i];
       uint64_t bytes = 0;
       for (const auto& item : serve.items) bytes += item.WireSize();
-      serve.query->ctx->RecordCollection(batch[i].tds_id, bytes,
-                                         serve.items.size());
-      serve.query->ctx->metrics().collection_participants += 1;
+      serve.query->ctx->metrics().accountant.RecordPartition(
+          sim::Phase::kCollection, batch[i].tds_id, /*bytes_in=*/0, bytes,
+          serve.items.size());
     }
     // Attribute this tick's wall-clock to every query whose window was open
     // (shared tick work is charged to each, which slightly over-counts for
@@ -427,10 +453,22 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
         options_.cancel->load(std::memory_order_relaxed)) {
       return Status::Cancelled("query batch cancelled before completion");
     }
-    if (obs::Span* collection = q.ctx->EnsureCollectionSpan()) {
-      collection->counts["ticks"] = q.ctx->metrics().collection_ticks;
-      collection->counts["participants"] =
-          q.ctx->metrics().collection_participants;
+    // The collection window is closed: its participants and span are read
+    // off the accountant's collection tally.
+    RunMetrics& metrics = q.ctx->metrics();
+    const sim::PhaseTally& collected =
+        metrics.accountant.phase(sim::Phase::kCollection);
+    metrics.collection_participants = collected.partitions;
+    if (q.trace != nullptr) {
+      obs::Span* collection =
+          q.trace->StartSpan(nullptr, obs::kSpanCollection);
+      collection->labels["phase"] =
+          sim::PhaseToString(sim::Phase::kCollection);
+      collection->counts["ticks"] = metrics.collection_ticks;
+      collection->counts["participants"] = collected.partitions;
+      collection->counts["partitions"] = collected.partitions;
+      collection->counts["bytes_out"] = collected.bytes_uploaded;
+      collection->counts["tuples"] = collected.tuples_processed;
     }
     TCELLS_ASSIGN_OR_RETURN(std::vector<EncryptedItem> covering,
                             client_->TakeCollected(id));
@@ -466,11 +504,13 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
       root->wall_micros = WallMicrosSince(wall_t0);
       outcome.trace = q.trace;
     }
-    if (telemetry_.metrics != nullptr) {
-      telemetry_.metrics->counter("engine.queries_completed").Increment();
-    }
-    outcome.metrics = q.ctx->metrics();
+    metrics.aggregation_rounds =
+        metrics.accountant.phase(sim::Phase::kAggregation).iterations;
+    outcome.metrics = metrics;
     TCELLS_ASSIGN_OR_RETURN(outcome.adversary, client_->GetAdversaryView(id));
+    if (telemetry_.metrics != nullptr) {
+      PublishEngineCounters(outcome.metrics, telemetry_.metrics);
+    }
     outcomes.emplace(id, std::move(outcome));
   }
   for (const auto& [id, outcome] : outcomes) {

@@ -25,7 +25,8 @@ class QuerySession {
  public:
   /// `telemetry` carries optional sinks: when a Tracer is present every
   /// submitted query records a span tree (returned in its RunOutcome), and a
-  /// MetricsRegistry accumulates engine counters/histograms across queries.
+  /// MetricsRegistry receives each completed query's engine.* counters, added
+  /// once from its RunMetrics (a failed or cancelled query adds nothing).
   ///
   /// `client` is the channel to the SSI all queries of this session go
   /// through (borrowed, never null; normally an Engine's shared — possibly

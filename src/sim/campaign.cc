@@ -169,13 +169,8 @@ Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
   ScenarioOutcome out;
   out.name = spec.name;
   out.eligible_tds = eligible;
-  const auto counters = engine->metrics().snapshot().counters;
-  auto counter = [&](const char* name) -> uint64_t {
-    auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second;
-  };
-  out.retries = counter("net.retries");
-  out.deadline_hits = counter("net.deadline_hits");
+  out.retries = engine->metrics().counter("net.retries").value();
+  out.deadline_hits = engine->metrics().counter("net.deadline_hits").value();
   if (net::FaultyTransport* injector = engine->fault_injector()) {
     out.faults_injected = injector->injected_count();
     out.fault_log = injector->CanonicalLog();
@@ -213,18 +208,6 @@ Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
     // the loss/tamper/participation accounting.
     if (out.clean && !out.oracle_match) {
       violate("silent wrong answer: clean run diverges from the oracle");
-    }
-    // The per-query metrics and the engine-wide counters must agree (one
-    // query per engine here).
-    if (counter("engine.partitions_lost") != out.partitions_lost) {
-      violate("metrics mismatch: engine.partitions_lost counter says " +
-              std::to_string(counter("engine.partitions_lost")) +
-              ", RunMetrics says " + std::to_string(out.partitions_lost));
-    }
-    if (counter("engine.partitions_tampered") != out.partitions_tampered) {
-      violate("metrics mismatch: engine.partitions_tampered counter says " +
-              std::to_string(counter("engine.partitions_tampered")) +
-              ", RunMetrics says " + std::to_string(out.partitions_tampered));
     }
     if (spec.expect_partitions_lost &&
         *spec.expect_partitions_lost != out.partitions_lost) {

@@ -1,8 +1,5 @@
 #include "sim/cost_accountant.h"
 
-#include <algorithm>
-#include <sstream>
-
 namespace tcells::sim {
 
 const char* PhaseToString(Phase phase) {
@@ -14,16 +11,17 @@ const char* PhaseToString(Phase phase) {
   return "?";
 }
 
-void CostAccountant::RecordPartition(Phase phase, uint64_t tds_id,
+void CostAccountant::RecordPartition(Phase phase,
+                                     std::optional<uint64_t> tds_id,
                                      uint64_t bytes_in, uint64_t bytes_out,
                                      uint64_t tuples) {
   PhaseTally& t = phases_[static_cast<int>(phase)];
+  t.partitions += 1;
+  if (!tds_id) return;
   t.bytes_downloaded += bytes_in;
   t.bytes_uploaded += bytes_out;
   t.tuples_processed += tuples;
-  t.tds_participations += 1;
-  t.partitions += 1;
-  TdsTally& d = per_tds_[tds_id];
+  TdsTally& d = per_tds_[*tds_id];
   d.bytes_in += bytes_in;
   d.bytes_out += bytes_out;
   d.tuples += tuples;
@@ -34,8 +32,8 @@ void CostAccountant::RecordIteration(Phase phase) {
   phases_[static_cast<int>(phase)].iterations += 1;
 }
 
-void CostAccountant::RecordDropout(Phase phase) {
-  phases_[static_cast<int>(phase)].dropouts += 1;
+void CostAccountant::RecordDropouts(Phase phase, uint64_t count) {
+  phases_[static_cast<int>(phase)].dropouts += count;
 }
 
 uint64_t CostAccountant::TotalBytes() const {
@@ -55,30 +53,6 @@ double CostAccountant::AverageTdsSeconds(const DeviceModel& model) const {
              model.CpuSeconds(t.tuples);
   }
   return total / static_cast<double>(per_tds_.size());
-}
-
-double CostAccountant::MaxTdsSeconds(const DeviceModel& model) const {
-  double worst = 0;
-  for (const auto& [id, t] : per_tds_) {
-    worst = std::max(worst,
-                     model.TransferSeconds(t.bytes_in + t.bytes_out) +
-                         model.CryptoSeconds(t.bytes_in + t.bytes_out) +
-                         model.CpuSeconds(t.tuples));
-  }
-  return worst;
-}
-
-std::string CostAccountant::ToString() const {
-  std::ostringstream os;
-  for (int i = 0; i < 3; ++i) {
-    const PhaseTally& t = phases_[i];
-    os << PhaseToString(static_cast<Phase>(i)) << ": up=" << t.bytes_uploaded
-       << "B down=" << t.bytes_downloaded << "B tuples=" << t.tuples_processed
-       << " partitions=" << t.partitions << " iterations=" << t.iterations
-       << " dropouts=" << t.dropouts << "\n";
-  }
-  os << "distinct TDSs: " << DistinctTds() << "\n";
-  return os.str();
 }
 
 }  // namespace tcells::sim

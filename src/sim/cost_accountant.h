@@ -1,13 +1,16 @@
 // CostAccountant: tallies what a protocol run actually moved and computed,
 // per phase and per TDS, while the run executes functionally. The figures of
 // §6.3 are then derived by combining these tallies with a DeviceModel.
+//
+// It is the one per-query tally: protocol::RunMetrics embeds it, and the
+// trace's collection and round counts and the engine.* registry counters are
+// written from it (docs/OBSERVABILITY.md), never counted a second time.
 #ifndef TCELLS_SIM_COST_ACCOUNTANT_H_
 #define TCELLS_SIM_COST_ACCOUNTANT_H_
 
 #include <cstdint>
 #include <map>
-#include <string>
-#include <vector>
+#include <optional>
 
 #include "sim/device_model.h"
 
@@ -23,8 +26,7 @@ struct PhaseTally {
   uint64_t bytes_uploaded = 0;     ///< TDS -> SSI
   uint64_t bytes_downloaded = 0;   ///< SSI -> TDS
   uint64_t tuples_processed = 0;   ///< tuples deserialized/aggregated on TDSs
-  uint64_t tds_participations = 0; ///< partition assignments to a TDS
-  uint64_t partitions = 0;
+  uint64_t partitions = 0;         ///< partitions (collection: uploads)
   uint64_t iterations = 0;         ///< aggregation rounds (S_Agg)
   uint64_t dropouts = 0;           ///< partitions re-dispatched after a loss
 };
@@ -40,11 +42,14 @@ struct TdsTally {
 /// Accumulates tallies during a protocol run.
 class CostAccountant {
  public:
-  /// Records one TDS handling one partition.
-  void RecordPartition(Phase phase, uint64_t tds_id, uint64_t bytes_in,
-                       uint64_t bytes_out, uint64_t tuples);
+  /// Records one partition of `phase` (a collection upload is one
+  /// partition). `tds_id` is the TDS that processed it and is charged its
+  /// bytes and tuples. A partition no TDS processed (lost at stage or fetch)
+  /// passes nullopt: it counts in the phase's partitions and nowhere else.
+  void RecordPartition(Phase phase, std::optional<uint64_t> tds_id,
+                       uint64_t bytes_in, uint64_t bytes_out, uint64_t tuples);
   void RecordIteration(Phase phase);
-  void RecordDropout(Phase phase);
+  void RecordDropouts(Phase phase, uint64_t count);
 
   const PhaseTally& phase(Phase p) const {
     return phases_[static_cast<int>(p)];
@@ -59,15 +64,6 @@ class CostAccountant {
 
   /// Average per-TDS busy time under `model` — T_local.
   double AverageTdsSeconds(const DeviceModel& model) const;
-
-  /// Simulated wall-clock of the aggregation phase assuming each iteration's
-  /// partitions run fully in parallel (critical path = max partition cost per
-  /// iteration, summed over iterations). Callers that know the real
-  /// round structure should prefer their own critical-path tracking; this is
-  /// the coarse fallback.
-  double MaxTdsSeconds(const DeviceModel& model) const;
-
-  std::string ToString() const;
 
  private:
   PhaseTally phases_[3];

@@ -160,9 +160,8 @@ TEST(ModelValidationTest, MeasuredPtdsOrderingAtLargeG) {
   MeasuredWorld w4(kN, kG);
   protocol::NoiseProtocol noise2(false, w4.Domain(kG));
   auto m_noise = w4.Run(noise2, kSql, opts).metrics;
-  EXPECT_GT(
-      m_noise.accountant.phase(sim::Phase::kAggregation).tds_participations,
-      m_sagg.accountant.phase(sim::Phase::kAggregation).tds_participations);
+  EXPECT_GT(m_noise.accountant.phase(sim::Phase::kAggregation).partitions,
+            m_sagg.accountant.phase(sim::Phase::kAggregation).partitions);
   (void)compute_sagg;
   (void)compute_noise;
 }

@@ -25,6 +25,7 @@
 #include "net/faulty.h"
 #include "net/frame.h"
 #include "net/loopback.h"
+#include "net/sharded_client.h"
 #include "net/ssi_client.h"
 #include "net/ssi_node.h"
 #include "net/ssi_wire.h"
@@ -1033,6 +1034,49 @@ TEST(ByzantineProxyTest, LiesApplyToEveryCallOfABatchFrame) {
   }
   EXPECT_EQ(metrics.counter("net.frames_sent").value() - frames_before, 1u);
   EXPECT_EQ(proxy.stats().forged_accepts, 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Shard router.
+
+TEST(ShardedSsiClientTest, SingleAndBatchUploadsCutOffAtTheSameUpload) {
+  // The router enforces the SIZE bound across shards. Sent one call at a
+  // time or as one batch, the same upload sequence is cut off at the same
+  // upload: the first one after the upload that crosses the bound.
+  auto accept_bits = [](bool batched) {
+    SsiNode node0, node1;
+    LoopbackTransport transport0(node0.handler()), transport1(node1.handler());
+    SsiClient client0(&transport0), client1(&transport1);
+    ShardedSsiClient router({&client0, &client1});
+    ssi::QueryPost post;
+    post.query_id = 5;
+    post.size_max_tuples = 5;
+    EXPECT_TRUE(router.PostGlobal(post).ok());
+    std::vector<CollectionUpload> uploads;
+    unsigned shards_hit = 0;
+    for (uint8_t tds = 0; tds < 8; ++tds) {
+      uploads.push_back({5, tds, {MakeItem(tds, false), MakeItem(tds, true)}});
+      shards_hit |= 1u << router.ShardOfTds(tds);
+    }
+    EXPECT_EQ(shards_hit, 3u);  // both shards take uploads
+    std::vector<Result<bool>> replies;
+    if (batched) {
+      replies = router.UploadCollectionBatch(uploads);
+    } else {
+      for (const CollectionUpload& u : uploads) {
+        replies.push_back(router.UploadCollection(5, u.tds_id, u.items));
+      }
+    }
+    std::vector<bool> accepted;
+    for (const Result<bool>& r : replies) accepted.push_back(r.ValueOrDie());
+    EXPECT_EQ(router.TakeCollected(5).ValueOrDie().size(), 6u);
+    return accepted;
+  };
+  // Two items per upload against a bound of 5: the third upload crosses it.
+  const std::vector<bool> expected = {true,  true,  true,  false,
+                                      false, false, false, false};
+  EXPECT_EQ(accept_bits(false), expected);
+  EXPECT_EQ(accept_bits(true), expected);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 // Telemetry subsystem tests: metrics instruments, span trees, exporters —
-// and the two engine-level contracts:
-//   (a) the span tree's per-phase partition/byte totals agree with the
-//       CostAccountant tallies for end-to-end runs of all five protocols;
+// and the engine-level contracts:
+//   (a) the span tree's per-phase partition/byte totals and the engine.*
+//       counters restate the CostAccountant tallies they are derived from,
+//       for end-to-end runs of all five protocols;
 //   (b) the exported trace is byte-identical across worker-thread counts.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "protocol/discovery.h"
 #include "protocol/reference.h"
 #include "tcells/engine.h"
 #include "tds/access_control.h"
@@ -64,14 +68,14 @@ TEST(MetricsTest, FormatDoubleRoundTripsAndIsShort) {
 
 TEST(MetricsTest, JsonAndCsvExports) {
   obs::MetricsRegistry registry;
-  registry.counter("engine.partitions").Add(3);
+  registry.counter("q.partitions").Add(3);
   registry.histogram("lat", {1.0, 2.0}).Record(1.5);
   std::string json = registry.ToJson();
-  EXPECT_NE(json.find("\"engine.partitions\": 3"), std::string::npos);
+  EXPECT_NE(json.find("\"q.partitions\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"lat\""), std::string::npos);
   EXPECT_NE(json.find("\"buckets\""), std::string::npos);
   std::string csv = registry.ToCsv();
-  EXPECT_NE(csv.find("counter,engine.partitions,value,3"), std::string::npos);
+  EXPECT_NE(csv.find("counter,q.partitions,value,3"), std::string::npos);
   EXPECT_NE(csv.find("histogram,lat,le_2,1"), std::string::npos);
   EXPECT_NE(csv.find("histogram,lat,le_inf,0"), std::string::npos);
 }
@@ -167,56 +171,26 @@ protocol::RunOutcome RunKind(ObsWorld& w, protocol::ProtocolKind kind,
       .ValueOrDie();
 }
 
-/// (a) The span tree's totals must equal the CostAccountant's, phase by
-/// phase. The two are accumulated independently (spans in the trace hooks,
-/// tallies in RecordPartition), so this is a genuine cross-check.
+/// The span tree's totals must equal the CostAccountant's, phase by phase:
+/// every span count is written from the accountant, so a span that restated
+/// some other tally would show up here.
 void CheckTraceAgainstAccountant(const protocol::RunOutcome& outcome) {
   ASSERT_NE(outcome.trace, nullptr);
   const obs::Trace& trace = *outcome.trace;
-  const sim::CostAccountant& acc = outcome.metrics.accountant;
-
-  const auto& coll = acc.phase(sim::Phase::kCollection);
-  EXPECT_EQ(trace.SumCount(obs::kSpanCollection, "partitions"),
-            coll.partitions);
-  EXPECT_EQ(trace.SumCount(obs::kSpanCollection, "bytes_out"),
-            coll.bytes_uploaded);
-  EXPECT_EQ(trace.SumCount(obs::kSpanCollection, "tuples"),
-            coll.tuples_processed);
-
-  const auto& agg = acc.phase(sim::Phase::kAggregation);
-  EXPECT_EQ(trace.SumCount(obs::kSpanAggregationRound, "partitions"),
-            agg.partitions);
-  EXPECT_EQ(trace.SumCount(obs::kSpanAggregationRound, "bytes_in"),
-            agg.bytes_downloaded);
-  EXPECT_EQ(trace.SumCount(obs::kSpanAggregationRound, "bytes_out"),
-            agg.bytes_uploaded);
-  EXPECT_EQ(trace.SumCount(obs::kSpanAggregationRound, "dropouts"),
-            agg.dropouts);
-  EXPECT_EQ(trace.CountSpans(obs::kSpanAggregationRound), agg.iterations);
-
-  const auto& filt = acc.phase(sim::Phase::kFiltering);
-  EXPECT_EQ(trace.SumCount(obs::kSpanFilteringRound, "partitions"),
-            filt.partitions);
-  EXPECT_EQ(trace.SumCount(obs::kSpanFilteringRound, "bytes_in"),
-            filt.bytes_downloaded);
-  EXPECT_EQ(trace.SumCount(obs::kSpanFilteringRound, "bytes_out"),
-            filt.bytes_uploaded);
-  EXPECT_EQ(trace.CountSpans(obs::kSpanFilteringRound), filt.iterations);
-}
-
-TEST(ObsEngineTest, SpanTotalsMatchAccountantForAllProtocols) {
-  const protocol::ProtocolKind kinds[] = {
-      protocol::ProtocolKind::kBasicSfw, protocol::ProtocolKind::kSAgg,
-      protocol::ProtocolKind::kRnfNoise, protocol::ProtocolKind::kCNoise,
-      protocol::ProtocolKind::kEdHist};
-  uint64_t query_id = 2;
-  for (protocol::ProtocolKind kind : kinds) {
-    ObsWorld w;
-    protocol::RunOutcome outcome = RunKind(w, kind, query_id++);
-    SCOPED_TRACE(protocol::ProtocolKindToString(kind));
-    CheckTraceAgainstAccountant(outcome);
-    // The engine also kept the trace addressable by query id.
-    EXPECT_NE(w.engine->TraceFor(query_id - 1), nullptr);
+  for (const auto& [span, phase] :
+       {std::pair{obs::kSpanCollection, sim::Phase::kCollection},
+        std::pair{obs::kSpanAggregationRound, sim::Phase::kAggregation},
+        std::pair{obs::kSpanFilteringRound, sim::Phase::kFiltering}}) {
+    SCOPED_TRACE(span);
+    const sim::PhaseTally& t = outcome.metrics.accountant.phase(phase);
+    EXPECT_EQ(trace.SumCount(span, "partitions"), t.partitions);
+    EXPECT_EQ(trace.SumCount(span, "bytes_in"), t.bytes_downloaded);
+    EXPECT_EQ(trace.SumCount(span, "bytes_out"), t.bytes_uploaded);
+    EXPECT_EQ(trace.SumCount(span, "tuples"), t.tuples_processed);
+    EXPECT_EQ(trace.SumCount(span, "dropouts"), t.dropouts);
+    if (phase != sim::Phase::kCollection) {
+      EXPECT_EQ(trace.CountSpans(span), t.iterations);
+    }
   }
 }
 
@@ -246,19 +220,6 @@ TEST(ObsEngineTest, DiscoveredInputsMatchOracleAtShardCounts) {
   }
 }
 
-TEST(ObsEngineTest, SpanTotalsMatchAccountantUnderDropouts) {
-  Engine::Config config;
-  config.options.dropout_rate = 0.15;
-  config.options.seed = 11;
-  ObsWorld w(config);
-  protocol::RunOutcome outcome =
-      RunKind(w, protocol::ProtocolKind::kSAgg, 3);
-  EXPECT_GT(outcome.metrics.accountant.phase(sim::Phase::kAggregation)
-                .dropouts,
-            0u);
-  CheckTraceAgainstAccountant(outcome);
-}
-
 TEST(ObsEngineTest, RootSpanCarriesProtocolTags) {
   ObsWorld w;
   protocol::RunOutcome outcome =
@@ -275,21 +236,128 @@ TEST(ObsEngineTest, RootSpanCarriesProtocolTags) {
   EXPECT_GT(root->sim_end_seconds, 0.0);
 }
 
-TEST(ObsEngineTest, MetricsRegistryAgreesWithAccountant) {
-  ObsWorld w;
-  protocol::RunOutcome outcome = RunKind(w, protocol::ProtocolKind::kSAgg, 5);
-  const sim::CostAccountant& acc = outcome.metrics.accountant;
-  uint64_t uploaded = 0, downloaded = 0;
-  for (sim::Phase phase : {sim::Phase::kCollection, sim::Phase::kAggregation,
-                           sim::Phase::kFiltering}) {
-    uploaded += acc.phase(phase).bytes_uploaded;
-    downloaded += acc.phase(phase).bytes_downloaded;
+/// The engine.* counters of `registry`, by name.
+std::map<std::string, uint64_t> EngineCounters(
+    const obs::MetricsRegistry& registry) {
+  std::map<std::string, uint64_t> out;
+  for (const auto& [name, value] : registry.snapshot().counters) {
+    if (name.rfind("engine.", 0) == 0) out[name] = value;
   }
-  obs::MetricsRegistry& m = w.engine->metrics();
-  EXPECT_EQ(m.counter("engine.bytes_uploaded").value(), uploaded);
-  EXPECT_EQ(m.counter("engine.bytes_downloaded").value(), downloaded);
-  EXPECT_EQ(m.counter("engine.queries_completed").value(), 1u);
-  EXPECT_GT(m.counter("engine.rounds").value(), 0u);
+  return out;
+}
+
+/// Checks a completed query's span tree against its accountant and adds
+/// what its engine.* counters must contribute — each a view of its
+/// RunMetrics — to `sums`.
+void AddCompleted(const protocol::RunOutcome& outcome,
+                  std::map<std::string, uint64_t>* sums) {
+  CheckTraceAgainstAccountant(outcome);
+  const protocol::RunMetrics& m = outcome.metrics;
+  const auto& coll = m.accountant.phase(sim::Phase::kCollection);
+  const auto& agg = m.accountant.phase(sim::Phase::kAggregation);
+  const auto& filt = m.accountant.phase(sim::Phase::kFiltering);
+  const uint64_t up =
+      coll.bytes_uploaded + agg.bytes_uploaded + filt.bytes_uploaded;
+  for (const auto& [name, value] : std::map<std::string, uint64_t>{
+           {"queries_completed", 1},
+           {"collection_contributions", m.collection_participants},
+           {"rounds", m.aggregation_rounds + filt.iterations},
+           {"partitions", agg.partitions + filt.partitions},
+           {"bytes_uploaded", up},
+           {"bytes_downloaded", m.LoadBytes() - up},
+           {"tuples_processed", coll.tuples_processed + m.QueryPathTuples()},
+           {"dropout_redispatches", agg.dropouts + filt.dropouts},
+           {"partitions_lost", m.partitions_lost},
+           {"partitions_tampered", m.partitions_tampered}}) {
+    (*sums)["engine." + name] += value;
+  }
+}
+
+/// S_Agg that raises `cancel` once its aggregation rounds have run, so the
+/// query stops at the filtering round's edge.
+struct CancelAfterAggregation : protocol::SAggProtocol {
+  std::atomic<bool>* cancel = nullptr;
+  Result<std::vector<ssi::EncryptedItem>> RunAggregation(
+      protocol::RunContext& ctx, const sql::AnalyzedQuery& query,
+      const tds::CollectionConfig& config,
+      std::vector<ssi::EncryptedItem> items) override {
+    auto out =
+        SAggProtocol::RunAggregation(ctx, query, config, std::move(items));
+    cancel->store(true);
+    return out;
+  }
+};
+
+/// (a) Every span sum restates the accountant, and every engine.* counter
+/// is the sum of the completed queries' RunMetrics — over all five
+/// protocols, a dropout run and a two-query session on one engine. A query
+/// cancelled after its aggregation rounds adds nothing.
+TEST(ObsEngineTest, MetricsRegistryAgreesWithAccountant) {
+  std::atomic<bool> cancel{false};
+  Engine::Config config;
+  config.options.cancel = &cancel;  // read by NewSession's sessions
+  ObsWorld w(config);
+  // Inputs from the oracle: no discovery query runs unseen by this test.
+  const auto inputs =
+      protocol::InputsFromDiscovery(
+          protocol::ExecuteReference(
+              w.engine->fleet(), protocol::DiscoverySql(kAggSql).ValueOrDie())
+              .ValueOrDie())
+          .ValueOrDie();
+  std::map<std::string, uint64_t> sums;
+  uint64_t query_id = 1;
+  for (protocol::ProtocolKind kind :
+       {protocol::ProtocolKind::kBasicSfw, protocol::ProtocolKind::kSAgg,
+        protocol::ProtocolKind::kRnfNoise, protocol::ProtocolKind::kCNoise,
+        protocol::ProtocolKind::kEdHist}) {
+    SCOPED_TRACE(protocol::ProtocolKindToString(kind));
+    auto protocol = protocol::MakeProtocol(kind, inputs).ValueOrDie();
+    const char* sql =
+        kind == protocol::ProtocolKind::kBasicSfw ? kSfwSql : kAggSql;
+    AddCompleted(w.engine->Run(*protocol, *w.querier, query_id, sql)
+                     .ValueOrDie(),
+                 &sums);
+    // The engine also kept the trace addressable by query id.
+    EXPECT_NE(w.engine->TraceFor(query_id++), nullptr);
+  }
+
+  protocol::SAggProtocol s_agg;
+  protocol::RunOptions dropouts = w.engine->options();
+  dropouts.dropout_rate = 0.15;
+  auto dropped =
+      w.engine->Run(s_agg, *w.querier, query_id++, kAggSql, dropouts)
+          .ValueOrDie();
+  const auto& agg = dropped.metrics.accountant.phase(sim::Phase::kAggregation);
+  EXPECT_GT(agg.dropouts, 0u);
+  AddCompleted(dropped, &sums);
+
+  // Two queries traced independently within one session.
+  protocol::BasicSfwProtocol basic;
+  auto session = w.engine->NewSession();
+  ASSERT_TRUE(session.Submit(21, w.querier.get(), &s_agg, kAggSql).ok());
+  ASSERT_TRUE(session.Submit(22, w.querier.get(), &basic, kSfwSql).ok());
+  auto outcomes = session.RunAll().ValueOrDie();
+  ASSERT_EQ(outcomes.size(), 2u);
+  for (const auto& [id, outcome] : outcomes) {
+    EXPECT_EQ(outcome.trace->query_id(), id);
+    AddCompleted(outcome, &sums);
+  }
+  // Basic_SFW has no aggregation phase; its trace must say so too.
+  EXPECT_EQ(outcomes.at(22).trace->CountSpans(obs::kSpanAggregationRound),
+            0u);
+  EXPECT_EQ(outcomes.at(21).trace->CountSpans(obs::kSpanDecrypt), 1u);
+
+  EXPECT_EQ(sums.at("engine.queries_completed"), 8u);
+  EXPECT_EQ(EngineCounters(w.engine->metrics()), sums);
+
+  // Its aggregation rounds run, then it is cancelled: engine.rounds and
+  // every other engine.* counter stay put.
+  CancelAfterAggregation cancelling;
+  cancelling.cancel = &cancel;
+  auto doomed = w.engine->NewSession();
+  ASSERT_TRUE(doomed.Submit(23, w.querier.get(), &cancelling, kAggSql).ok());
+  EXPECT_TRUE(doomed.RunAll().status().IsCancelled());
+  EXPECT_EQ(EngineCounters(w.engine->metrics()), sums);
 }
 
 /// (b) The exported trace must be byte-identical for any worker-thread
@@ -318,25 +386,6 @@ TEST(ObsEngineTest, TraceExportsIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ObsEngineTest, SessionTracesConcurrentQueriesIndependently) {
-  ObsWorld w;
-  protocol::SAggProtocol s_agg;
-  protocol::BasicSfwProtocol basic;
-  auto session = w.engine->NewSession();
-  ASSERT_TRUE(session.Submit(21, w.querier.get(), &s_agg, kAggSql).ok());
-  ASSERT_TRUE(session.Submit(22, w.querier.get(), &basic, kSfwSql).ok());
-  auto outcomes = session.RunAll().ValueOrDie();
-  ASSERT_EQ(outcomes.size(), 2u);
-  CheckTraceAgainstAccountant(outcomes.at(21));
-  CheckTraceAgainstAccountant(outcomes.at(22));
-  EXPECT_EQ(outcomes.at(21).trace->query_id(), 21u);
-  EXPECT_EQ(outcomes.at(22).trace->query_id(), 22u);
-  // Basic_SFW has no aggregation phase; its trace must say so too.
-  EXPECT_EQ(outcomes.at(22).trace->CountSpans(obs::kSpanAggregationRound),
-            0u);
-  EXPECT_EQ(outcomes.at(21).trace->CountSpans(obs::kSpanDecrypt), 1u);
-}
-
 TEST(ObsEngineTest, TracingOffYieldsNoTraces) {
   Engine::Config config;
   config.tracing = false;
@@ -345,7 +394,7 @@ TEST(ObsEngineTest, TracingOffYieldsNoTraces) {
   EXPECT_EQ(outcome.trace, nullptr);
   EXPECT_EQ(w.engine->tracer().size(), 0u);
   // Metrics still accumulate.
-  EXPECT_GT(w.engine->metrics().counter("engine.partitions").value(), 0u);
+  EXPECT_GT(EngineCounters(w.engine->metrics()).at("engine.partitions"), 0u);
 }
 
 // The keys.* counters over a rollover-in-flight run and a later revocation.

@@ -133,7 +133,6 @@ void ExpectPhaseTallyEq(const sim::PhaseTally& a, const sim::PhaseTally& b,
   EXPECT_EQ(a.bytes_uploaded, b.bytes_uploaded) << phase;
   EXPECT_EQ(a.bytes_downloaded, b.bytes_downloaded) << phase;
   EXPECT_EQ(a.tuples_processed, b.tuples_processed) << phase;
-  EXPECT_EQ(a.tds_participations, b.tds_participations) << phase;
   EXPECT_EQ(a.partitions, b.partitions) << phase;
   EXPECT_EQ(a.iterations, b.iterations) << phase;
   EXPECT_EQ(a.dropouts, b.dropouts) << phase;
@@ -173,7 +172,6 @@ void ExpectIdentical(const RunSnapshot& serial, const RunSnapshot& parallel) {
   }
 
   // Simulated critical-path times: exact, not approximate.
-  EXPECT_EQ(ma.times.collection_seconds, mb.times.collection_seconds);
   EXPECT_EQ(ma.times.aggregation_seconds, mb.times.aggregation_seconds);
   EXPECT_EQ(ma.times.filtering_seconds, mb.times.filtering_seconds);
   EXPECT_EQ(ma.aggregation_rounds, mb.aggregation_rounds);

@@ -468,7 +468,8 @@ TEST(DiscoveryTest, IsTracedAndCountedAsAnSAggQuery) {
   EXPECT_EQ(trace->root()->labels.at("protocol"), std::string("S_Agg"));
   EXPECT_GT(trace->CountSpans(obs::kSpanAggregationRound), 0u);
   EXPECT_EQ(
-      w.engine->metrics().counter("engine.queries_completed").value(), 1u);
+      w.engine->metrics().snapshot().counters.at("engine.queries_completed"),
+      1u);
 }
 
 TEST(DiscoveryTest, TrafficMovesNetCountersOverTcpShards) {

@@ -147,14 +147,12 @@ void ExpectMetricsIdentical(const RunOutcome& a, const RunOutcome& b) {
     EXPECT_EQ(ta.bytes_uploaded, tb.bytes_uploaded);
     EXPECT_EQ(ta.bytes_downloaded, tb.bytes_downloaded);
     EXPECT_EQ(ta.tuples_processed, tb.tuples_processed);
-    EXPECT_EQ(ta.tds_participations, tb.tds_participations);
     EXPECT_EQ(ta.partitions, tb.partitions);
     EXPECT_EQ(ta.iterations, tb.iterations);
     EXPECT_EQ(ta.dropouts, tb.dropouts);
   }
   EXPECT_EQ(ma.accountant.TotalBytes(), mb.accountant.TotalBytes());
   EXPECT_EQ(ma.accountant.DistinctTds(), mb.accountant.DistinctTds());
-  EXPECT_EQ(ma.times.collection_seconds, mb.times.collection_seconds);
   EXPECT_EQ(ma.times.aggregation_seconds, mb.times.aggregation_seconds);
   EXPECT_EQ(ma.times.filtering_seconds, mb.times.filtering_seconds);
   EXPECT_EQ(ma.aggregation_rounds, mb.aggregation_rounds);

@@ -168,7 +168,7 @@ TEST(CostAccountantTest, TalliesAndDerivedMetrics) {
   acc.RecordPartition(sim::Phase::kAggregation, /*tds=*/2, 200, 50, 20);
   acc.RecordPartition(sim::Phase::kFiltering, /*tds=*/1, 10, 10, 1);
   acc.RecordIteration(sim::Phase::kAggregation);
-  acc.RecordDropout(sim::Phase::kAggregation);
+  acc.RecordDropouts(sim::Phase::kAggregation, 1);
 
   const auto& agg = acc.phase(sim::Phase::kAggregation);
   EXPECT_EQ(agg.bytes_downloaded, 300u);
@@ -182,7 +182,6 @@ TEST(CostAccountantTest, TalliesAndDerivedMetrics) {
 
   sim::DeviceModel dm;
   EXPECT_GT(acc.AverageTdsSeconds(dm), 0.0);
-  EXPECT_GE(acc.MaxTdsSeconds(dm), acc.AverageTdsSeconds(dm));
 }
 
 // ---------------------------------------------------------------------------
@@ -270,6 +269,46 @@ TEST(RunnerTest, WorstCaseChurnStillCompletes) {
   EXPECT_FALSE(outcome.result.rows.empty());
 }
 
+
+TEST(RunnerTest, PartitionLostBeforeAnyTdsChargesNoTds) {
+  // Every StagePartition attempt of token 0 is dropped, so the round's only
+  // partition is lost before any TDS fetches it. It counts as a partition
+  // of the round and as lost, but no TDS — in particular not TDS 0 — is
+  // charged bytes, tuples or a participation for it.
+  PlumbingWorld w(4);
+  net::SsiNode node;
+  net::LoopbackTransport loopback(node.handler());
+  net::ScriptedFault drop;
+  drop.type = net::MsgType::kStagePartition;
+  drop.kind = net::FaultKind::kDropRequest;
+  drop.repeat = 0;  // every attempt
+  drop.key_b = 0;   // token 0
+  net::FaultPlan plan;
+  plan.script.push_back(drop);
+  net::FaultyTransport faulty(&loopback, plan);
+  protocol::RunOptions opts;
+  opts.max_dropout_retries = 1;
+  opts.transport_backoff_seconds = 0;
+  net::SsiClient client(&faulty, protocol::TransportRetryPolicy(opts));
+  protocol::ParallelExecutor executor(1);
+  protocol::RunContext ctx(w.fleet, &client, &executor, /*query_id=*/1,
+                           sim::DeviceModel(), opts);
+  ssi::Partition partition;
+  partition.items = {ssi::EncryptedItem{Bytes(32, 7), std::nullopt}};
+  auto echo = [](tds::TrustedDataServer*, const ssi::Partition& p, Rng*)
+      -> Result<std::vector<ssi::EncryptedItem>> { return p.items; };
+  EXPECT_TRUE(ctx.RunRound(sim::Phase::kAggregation, {partition}, echo)
+                  .ValueOrDie()
+                  .empty());
+
+  const protocol::RunMetrics& m = ctx.metrics();
+  EXPECT_EQ(m.partitions_lost, 1u);
+  const auto& agg = m.accountant.phase(sim::Phase::kAggregation);
+  EXPECT_EQ(agg.partitions, 1u);
+  EXPECT_EQ(agg.tuples_processed, 0u);
+  EXPECT_EQ(agg.bytes_downloaded, 0u);
+  EXPECT_TRUE(m.accountant.per_tds().empty());
+}
 
 TEST(RunnerTest, SameSeedSameOutcome) {
   // Whole-run determinism: identical seeds give byte-identical metrics and
