@@ -1,5 +1,7 @@
 #include "tcells/scheduler.h"
 
+#include <optional>
+
 namespace tcells {
 
 const char* QueryStateToString(QueryState state) {
@@ -99,25 +101,30 @@ void QueryScheduler::WorkerLoop() {
       }
     }
 
-    if (run_it) {
-      Result<protocol::RunOutcome> result = runner_(job.get());
-      std::lock_guard<std::mutex> lock(job->mu);
-      if (result.ok()) {
-        job->state = QueryState::kDone;
-        job->outcome = std::move(result).ValueOrDie();
-      } else if (result.status().IsCancelled()) {
-        job->state = QueryState::kCancelled;
-        job->error = result.status();
-      } else {
-        job->state = QueryState::kFailed;
-        job->error = result.status();
-      }
-      job->cv.notify_all();
-    }
+    std::optional<Result<protocol::RunOutcome>> result;
+    if (run_it) result.emplace(runner_(job.get()));
 
+    // Free the slot before publishing the terminal state: a caller whose
+    // Wait() returns may submit at once, and under kReject it must find
+    // the slot free.
     {
       std::lock_guard<std::mutex> lock(mu_);
       running_ -= 1;
+    }
+
+    if (result) {
+      std::lock_guard<std::mutex> lock(job->mu);
+      if (result->ok()) {
+        job->state = QueryState::kDone;
+        job->outcome = std::move(*result).ValueOrDie();
+      } else if (result->status().IsCancelled()) {
+        job->state = QueryState::kCancelled;
+        job->error = result->status();
+      } else {
+        job->state = QueryState::kFailed;
+        job->error = result->status();
+      }
+      job->cv.notify_all();
     }
   }
 }

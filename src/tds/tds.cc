@@ -51,69 +51,6 @@ TrustedDataServer::TrustedDataServer(
       policy_(std::move(policy)),
       options_(options) {}
 
-Result<std::shared_ptr<const TrustedDataServer::CachedQuery>>
-TrustedDataServer::OpenQueryEntry(const ssi::QueryPost& post) {
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = query_cache_.find(post.query_id);
-    if (it != query_cache_.end()) {
-      lru_order_.splice(lru_order_.begin(), lru_order_, it->second->lru_pos);
-      return std::shared_ptr<const CachedQuery>(it->second);
-    }
-  }
-  // Miss: decrypt + analyze outside the lock (reads only immutable state),
-  // so a slow parse of one query never stalls another query's cache hit.
-  // Decrypt the query text with k1 (step 3) — the per-query session k1q when
-  // the post carries a key posting.
-  TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const crypto::KeyStore> open_keys,
-                          KeysForQuery(post.key_posting));
-  TCELLS_ASSIGN_OR_RETURN(Bytes sql_bytes,
-                          open_keys->k1_ndet().Decrypt(post.encrypted_query));
-  std::string sql(sql_bytes.begin(), sql_bytes.end());
-  TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const sql::AnalyzedQuery> query,
-                          sql::AnalyzeSqlShared(sql, db_.catalog()));
-  auto cached = std::make_shared<CachedQuery>();
-  cached->query = std::move(query);
-  // Credential + policy checks. Failures become PermissionDenied, which
-  // the collection phase answers with a dummy rather than an error.
-  if (!authority_->Verify(post.querier_id, post.credential_mac)) {
-    cached->access = Status::PermissionDenied("bad credential");
-  } else {
-    cached->access = policy_.CheckQuery(*cached->query, post.querier_id);
-  }
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = query_cache_.find(post.query_id);
-  if (it != query_cache_.end()) {
-    // Lost a fill race with a concurrent open of the same query_id; the
-    // analysis is deterministic, so either copy is equivalent — keep the
-    // first so cached pointers stay stable.
-    lru_order_.splice(lru_order_.begin(), lru_order_, it->second->lru_pos);
-    return std::shared_ptr<const CachedQuery>(it->second);
-  }
-  // Insert as most-recently-used, evicting the coldest entry beyond the
-  // capacity — a TDS in a long-lived fleet must not grow per distinct
-  // query_id forever.
-  if (options_.query_cache_capacity > 0 &&
-      query_cache_.size() >= options_.query_cache_capacity) {
-    query_cache_.erase(lru_order_.back());
-    lru_order_.pop_back();
-  }
-  lru_order_.push_front(post.query_id);
-  cached->lru_pos = lru_order_.begin();
-  query_cache_.emplace(post.query_id, cached);
-  return std::shared_ptr<const CachedQuery>(std::move(cached));
-}
-
-Result<const sql::AnalyzedQuery*> TrustedDataServer::OpenQuery(
-    const ssi::QueryPost& post) {
-  TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const CachedQuery> entry,
-                          OpenQueryEntry(post));
-  if (!entry->access.ok()) return entry->access;
-  // The map keeps the entry alive until eviction, the documented lifetime of
-  // this pointer for single-query callers.
-  return entry->query.get();
-}
-
 Result<std::shared_ptr<const crypto::KeyStore>>
 TrustedDataServer::KeysForQuery(
     const std::optional<ssi::QueryKeyPosting>& posting) const {
@@ -210,19 +147,22 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
   TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const crypto::KeyStore> keys_sp,
                           KeysForQuery(post.key_posting));
   const crypto::KeyStore& keys = *keys_sp;
-  TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const CachedQuery> entry,
-                          OpenQueryEntry(post));
-  // The pinned entry carries the analyzed shape even when access was denied
-  // — we still need it to emit a well-formed dummy.
-  const sql::AnalyzedQuery* query = entry->query.get();
-  bool denied = false;
-  if (!entry->access.ok()) {
-    if (!entry->access.IsPermissionDenied()) return entry->access;
-    denied = true;
-  }
+  // Decrypt the query text with k1 (step 3) — the per-query session k1q when
+  // the post carries a key posting — and analyze it against the local
+  // catalog.
+  TCELLS_ASSIGN_OR_RETURN(Bytes sql_bytes,
+                          keys.k1_ndet().Decrypt(post.encrypted_query));
+  std::string sql(sql_bytes.begin(), sql_bytes.end());
+  TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const sql::AnalyzedQuery> query,
+                          sql::AnalyzeSqlShared(sql, db_.catalog()));
+  // Credential + policy checks (step 2). A denied querier still gets a
+  // well-formed dummy built from the analyzed shape, never an error.
+  const bool granted =
+      authority_->Verify(post.querier_id, post.credential_mac) &&
+      policy_.CheckQuery(*query, post.querier_id).ok();
 
   std::vector<Tuple> tuples;
-  if (!denied) {
+  if (granted) {
     TCELLS_ASSIGN_OR_RETURN(tuples, sql::CollectionTuples(db_, *query));
   }
   if (tuples.empty()) {

@@ -13,14 +13,20 @@
 //
 // Everything that crosses the TDS boundary is ciphertext; the only cleartext
 // channel is the routing tag a protocol deliberately exposes.
+//
+// A TDS keeps nothing of a query after serving it: each phase call carries
+// everything it needs (the post, or the analyzed query plus the key
+// posting). Thread-safety: no phase call writes a TDS member, so concurrent
+// calls — several queries' phases on one TDS, as the engine scheduler
+// produces — read only immutable members and `db_` and need no lock. What
+// they reach through pointers (the key state, the leak log) is thread-safe
+// itself. The setters (set_leak_log, InstallKeyState, RestoreDatabase) are
+// setup-time and must not race a phase call.
 #ifndef TCELLS_TDS_TDS_H_
 #define TCELLS_TDS_TDS_H_
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 
 #include "common/result.h"
@@ -43,10 +49,6 @@ struct TdsOptions {
   /// RAM budget for the partial aggregate structure; 0 = unlimited. The
   /// paper's board has 64 KB (§6.2); S_Agg's feasibility depends on it.
   size_t ram_budget_bytes = 0;
-  /// Max distinct query_ids whose analyzed form is cached; least-recently
-  /// used entries are evicted beyond this, so a long-lived TDS serving an
-  /// unbounded stream of queries holds bounded memory. 0 = unlimited.
-  size_t query_cache_capacity = 64;
   /// Non-null marks the TDS as COMPROMISED (threat-model extension): it
   /// follows the protocol but records every plaintext it decrypts into the
   /// log, modeling an attacker who extracted k2 from the device.
@@ -92,44 +94,24 @@ class TrustedDataServer {
   }
 
   /// Power-up: verifies and restores the database from a flash image,
-  /// replacing the in-memory state. Cached query analyses are dropped (the
-  /// catalog is rebuilt).
+  /// replacing the in-memory state.
   Status RestoreDatabase(const storage::SecureDatabase::Image& image,
                          const Bytes& storage_key) {
     TCELLS_ASSIGN_OR_RETURN(storage::Database db,
                             storage::SecureDatabase::Open(image, storage_key));
     db_ = std::move(db);
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    query_cache_.clear();
-    lru_order_.clear();
     return Status::OK();
   }
 
-  /// Decrypts + parses + analyzes the posted query against the local catalog,
-  /// verifies the credential, and checks the access policy. Cached per
-  /// query_id in a small LRU (TdsOptions::query_cache_capacity); the
-  /// returned pointer stays valid until this query_id is evicted, i.e. at
-  /// least until `capacity` other queries have been opened since.
-  /// PermissionDenied comes back as a status; ProcessCollection turns it
-  /// into a dummy answer instead of an error (the SSI must not learn who
-  /// denied).
-  ///
-  /// Thread-safety: the cache itself is mutex-guarded, so concurrent queries
-  /// (the engine scheduler runs several sessions against one fleet) can open
-  /// different query_ids on the same TDS simultaneously. The raw pointer
-  /// form is for single-query callers; under cross-query concurrency use
-  /// the phases (ProcessCollection pins the entry it uses).
-  Result<const sql::AnalyzedQuery*> OpenQuery(const ssi::QueryPost& post);
-
-  /// Number of cached analyzed queries (bounded by query_cache_capacity).
-  size_t query_cache_size() const {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    return query_cache_.size();
-  }
-
-  /// Collection phase (§3.2 steps 2-4 / §4 collection). Returns the items to
-  /// upload: true tuples (plus noise under kDetTag) or a single dummy when
-  /// the local result is empty or access was denied.
+  /// Collection phase (§3.2 steps 2-4 / §4 collection). Opens the post on
+  /// every call: resolves the query's KeyStore, decrypts the SQL under k1,
+  /// analyzes it (sql::AnalyzeSqlShared, memoized fleet-wide, so a repeat
+  /// serve does not re-parse), verifies the credential and checks the
+  /// access policy. Returns the items to upload: true tuples (plus noise
+  /// under kDetTag) or a single dummy when the local result is empty or
+  /// access was denied — a denial is answered, never reported, so the SSI
+  /// cannot learn who denied. Re-serving a post repeats only deterministic
+  /// work; with equal rng states it yields byte-identical items.
   Result<std::vector<ssi::EncryptedItem>> ProcessCollection(
       const ssi::QueryPost& post, const CollectionConfig& config, Rng* rng);
 
@@ -180,29 +162,6 @@ class TrustedDataServer {
   AccessPolicy policy_;
   TdsOptions options_;
   storage::Database db_;
-
-  struct CachedQuery {
-    /// The analysis itself is shared fleet-wide (sql::AnalyzeSqlShared):
-    /// every TDS with the same catalog shape holds the same immutable
-    /// object, so a 1000-TDS fleet parses each query text once. The
-    /// credential/policy outcome below stays per-TDS.
-    std::shared_ptr<const sql::AnalyzedQuery> query;
-    Status access;  // OK or PermissionDenied
-    /// Position in lru_order_ (for O(1) touch on cache hits).
-    std::list<uint64_t>::iterator lru_pos;
-  };
-  /// Cache lookup-or-fill under cache_mu_. The returned entry is pinned by
-  /// the shared_ptr: a concurrent eviction (another query's fill) frees the
-  /// map slot but not the analysis the caller is still reading.
-  Result<std::shared_ptr<const CachedQuery>> OpenQueryEntry(
-      const ssi::QueryPost& post);
-
-  /// Entries are shared_ptr so an in-use analysis survives LRU eviction by a
-  /// concurrent query. Guarded by cache_mu_ together with lru_order_.
-  std::map<uint64_t, std::shared_ptr<CachedQuery>> query_cache_;
-  /// query_ids, most-recently-used first.
-  std::list<uint64_t> lru_order_;
-  mutable std::mutex cache_mu_;
 };
 
 }  // namespace tcells::tds

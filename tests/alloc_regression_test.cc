@@ -5,7 +5,9 @@
 // operator new hook counts allocations; the bounds below are far under one
 // allocation per item (256-item partitions), so a reintroduced per-tuple
 // `new` fails loudly while legitimate per-*output* allocations (each sealed
-// item owns its blob) stay comfortably inside the budget.
+// item owns its blob) stay comfortably inside the budget. A matching delete
+// hook gives live allocations, so a query-stream test can also pin that
+// per-query state does not outlive its query.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,8 +19,10 @@
 #include <vector>
 
 #include "crypto/keystore.h"
+#include "protocol/protocols.h"
 #include "ssi/messages.h"
 #include "storage/tuple.h"
+#include "tcells/engine.h"
 #include "tds/access_control.h"
 #include "tds/tds.h"
 #include "workload/generic.h"
@@ -26,14 +30,16 @@
 namespace {
 
 std::atomic<uint64_t> g_alloc_count{0};
+std::atomic<uint64_t> g_free_count{0};
 
 }  // namespace
 
-// Counting allocator hook: every global allocation bumps the counter. Kept
-// trivial (malloc pass-through) so behaviour under sanitizers is unchanged
-// apart from the count. GCC's mismatched-new-delete analysis assumes the
-// default allocator and flags the malloc/free pairing; with every form
-// replaced below the pairing is matched by construction.
+// Counting allocator hooks: every global allocation bumps one counter and
+// every non-null delete the other. Kept trivial (malloc pass-through) so
+// behaviour under sanitizers is unchanged apart from the counts. GCC's
+// mismatched-new-delete analysis assumes the default allocator and flags
+// the malloc/free pairing; with every form replaced below the pairing is
+// matched by construction.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
@@ -45,10 +51,13 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (p != nullptr) g_free_count.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace tcells::tds {
 namespace {
@@ -62,6 +71,12 @@ uint64_t CountAllocs(const std::function<void()>& fn) {
   const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   fn();
   return g_alloc_count.load(std::memory_order_relaxed) - before;
+}
+
+/// Global allocations not yet freed (news - non-null deletes).
+int64_t LiveAllocs() {
+  return static_cast<int64_t>(g_alloc_count.load(std::memory_order_relaxed)) -
+         static_cast<int64_t>(g_free_count.load(std::memory_order_relaxed));
 }
 
 class AllocRegressionTest : public ::testing::Test {
@@ -113,15 +128,17 @@ class AllocRegressionTest : public ::testing::Test {
 
 TEST_F(AllocRegressionTest, SteadyStateAggregationPartitionIsArenaBacked) {
   const size_t kItems = 256;
-  auto post = Post("SELECT grp, AVG(val) FROM T GROUP BY grp");
-  const sql::AnalyzedQuery* query = server_->OpenQuery(post).ValueOrDie();
+  const sql::AnalyzedQuery query =
+      sql::AnalyzeSql("SELECT grp, AVG(val) FROM T GROUP BY grp",
+                      server_->db().catalog())
+          .ValueOrDie();
   ssi::Partition partition = TruePartition(kItems);
 
   // Warm-up: grows the thread workspace (arena chunk, plains vector, encode
-  // scratch) and the analysis caches.
+  // scratch).
   CollectionConfig config;
   ASSERT_TRUE(server_
-                  ->ProcessAggregationPartition(*query, partition,
+                  ->ProcessAggregationPartition(query, partition,
                                                 OutputTagPolicy::kNone,
                                                 config, &rng_)
                   .ok());
@@ -133,7 +150,7 @@ TEST_F(AllocRegressionTest, SteadyStateAggregationPartitionIsArenaBacked) {
   // per-item buffer sneaking back into the path trips this immediately.
   const uint64_t allocs = CountAllocs([&] {
     auto out = server_->ProcessAggregationPartition(
-        *query, partition, OutputTagPolicy::kNone, config, &rng_);
+        query, partition, OutputTagPolicy::kNone, config, &rng_);
     ASSERT_TRUE(out.ok());
     ASSERT_EQ(out.ValueOrDie().size(), 1u);
   });
@@ -143,18 +160,20 @@ TEST_F(AllocRegressionTest, SteadyStateAggregationPartitionIsArenaBacked) {
 
 TEST_F(AllocRegressionTest, SteadyStateFilteringIsArenaBacked) {
   const size_t kItems = 256;
-  auto post = Post("SELECT grp, val FROM T WHERE val >= 0.0");
-  const sql::AnalyzedQuery* query = server_->OpenQuery(post).ValueOrDie();
+  const sql::AnalyzedQuery query =
+      sql::AnalyzeSql("SELECT grp, val FROM T WHERE val >= 0.0",
+                      server_->db().catalog())
+          .ValueOrDie();
   ssi::Partition partition = TruePartition(kItems);
 
   CollectionConfig config;
-  ASSERT_TRUE(server_->ProcessFiltering(*query, partition, &rng_, config).ok());
+  ASSERT_TRUE(server_->ProcessFiltering(query, partition, &rng_, config).ok());
 
   // Filtering re-encrypts every true tuple under k1, so the per-output blob
   // allocations are inherent: budget ~2 per item, not ~6 as before the
   // scratch-buffer rework.
   const uint64_t allocs = CountAllocs([&] {
-    auto out = server_->ProcessFiltering(*query, partition, &rng_, config);
+    auto out = server_->ProcessFiltering(query, partition, &rng_, config);
     ASSERT_TRUE(out.ok());
     ASSERT_EQ(out.ValueOrDie().size(), kItems);
   });
@@ -165,20 +184,65 @@ TEST_F(AllocRegressionTest, SteadyStateFilteringIsArenaBacked) {
 TEST_F(AllocRegressionTest, SteadyStateCollectionTickIsBounded) {
   auto post = Post("SELECT grp, AVG(val) FROM T GROUP BY grp");
   CollectionConfig config;  // kNDet
-  // Warm-up fills the TDS query cache and the fleet-wide analysis memo.
+  // Warm-up fills the fleet-wide analysis memo.
   ASSERT_TRUE(server_->ProcessCollection(post, config, &rng_).ok());
 
-  // A steady-state collection tick on this TDS: cache-hit on the analysis,
-  // execute the 1-row local query, seal one item. No re-lex, no re-analyze
-  // (the analyzer allocates hundreds of AST nodes; this budget is far below
-  // one parse).
+  // A steady-state collection tick on this TDS: decrypt the SQL, hit the
+  // analysis memo, verify the credential, execute the 1-row local query,
+  // seal one item. No re-lex, no re-analyze (the analyzer allocates
+  // hundreds of AST nodes; this budget is far below one parse).
   const uint64_t allocs = CountAllocs([&] {
     auto out = server_->ProcessCollection(post, config, &rng_);
     ASSERT_TRUE(out.ok());
     ASSERT_EQ(out.ValueOrDie().size(), 1u);
   });
   EXPECT_LE(allocs, 64u) << "collection tick re-analyzes or re-allocates "
-                            "per-query state on the cache-hit path";
+                            "on the memo-hit path";
+}
+
+TEST(QueryStateTest, PerQueryHeapStateIsFlat) {
+  // A query leaves nothing behind once it completes: not in the TDSs (which
+  // keep no per-query state), not in the SSI stack, not in the engine. Live
+  // heap allocations over 50 queries from a warmed engine must stay flat —
+  // a per-TDS structure that grows per query would add >= 500 x 50 here.
+  constexpr size_t kFleet = 500;
+  workload::GenericOptions gopts;
+  gopts.num_tds = kFleet;
+  gopts.num_groups = 4;
+  gopts.seed = 5;
+  auto keys = crypto::KeyStore::CreateForTest(gopts.seed);
+  auto authority = std::make_shared<Authority>(Bytes(16, 0x33));
+  auto fleet = workload::BuildGenericFleet(gopts, keys, authority,
+                                           AccessPolicy::AllowAll())
+                   .ValueOrDie();
+  Engine::Config cfg;
+  cfg.tracing = false;
+  cfg.max_inflight_queries = 1;
+  cfg.options.compute_availability = 0.3;
+  cfg.options.expected_groups = gopts.num_groups;
+  cfg.options.num_threads = 1;
+  auto engine = Engine::Create(std::move(fleet), cfg).ValueOrDie();
+  protocol::Querier querier("q", authority->Issue("q"), keys);
+  protocol::SAggProtocol sagg;
+  const std::string sql = "SELECT grp, COUNT(*), SUM(cat) FROM T GROUP BY grp";
+
+  // The last query's handle stays held across each snapshot, so its stored
+  // outcome is live in both whichever thread drops the final reference; the
+  // one worker has let go of every earlier job before it ran the last one.
+  QueryHandle last;
+  uint64_t query_id = 0;
+  auto run = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      last = engine->Submit(sagg, querier, ++query_id, sql).ValueOrDie();
+      ASSERT_TRUE(last.Wait().ok());
+    }
+  };
+  run(5);
+  const int64_t warmed = LiveAllocs();
+  run(50);
+  const int64_t growth = LiveAllocs() - warmed;
+  EXPECT_LE(growth, static_cast<int64_t>(kFleet / 10))
+      << "live allocations grew by " << growth << " over 50 queries";
 }
 
 }  // namespace

@@ -280,6 +280,24 @@ TEST(AdmissionTest, RejectPolicyDeterministicSequence) {
   EXPECT_TRUE(engine->Run(s_agg, querier, 5, kAggSql).ok());
 }
 
+TEST(AdmissionTest, FinishedQueryFreesItsSlotBeforeWaitReturns) {
+  // The worker frees a query's slot before publishing its terminal state,
+  // so a caller that submits as soon as Wait() returns never finds the only
+  // slot still held by the query it just waited for.
+  Engine::Config cfg;
+  cfg.options = FastOptions();
+  cfg.max_inflight_queries = 1;
+  cfg.admission = AdmissionPolicy::kReject;
+  auto engine = Engine::Create(BuildFleet(), cfg).ValueOrDie();
+  auto querier = MakeQuerier();
+  protocol::SAggProtocol s_agg;
+  for (uint64_t id = 1; id <= 200; ++id) {
+    auto outcome = engine->Run(s_agg, querier, id, kAggSql);
+    ASSERT_TRUE(outcome.ok()) << "query " << id << ": "
+                              << outcome.status().ToString();
+  }
+}
+
 TEST(AdmissionTest, QueuePolicyRunsBacklogInOrder) {
   Engine::Config cfg;
   cfg.options = FastOptions();

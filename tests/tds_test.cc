@@ -5,9 +5,7 @@
 #include <set>
 
 #include "crypto/keystore.h"
-#include "protocol/protocols.h"
 #include "ssi/ssi.h"
-#include "tcells/engine.h"
 #include "tds/access_control.h"
 #include "tds/histogram.h"
 #include "tds/tds.h"
@@ -595,160 +593,25 @@ TEST_F(TdsTest, PerGroupDetTagsOutput) {
   EXPECT_EQ(tags.size(), 3u);
 }
 
-TEST_F(TdsTest, QueryCacheReusesAnalysis) {
+TEST_F(TdsTest, ReServingAPostIsIdentical) {
+  // A TDS keeps nothing of a query between serves: re-serving a post (its
+  // upload was lost) repeats the same deterministic work, so with equal rng
+  // states the items are byte-identical.
   CollectionConfig config;
-  auto post = Post("SELECT grp FROM T", "q", /*query_id=*/55);
-  ASSERT_TRUE(server_->ProcessCollection(post, config, &rng_).ok());
-  // Second call hits the cache (same id) — must behave identically.
-  auto again = server_->ProcessCollection(post, config, &rng_).ValueOrDie();
-  EXPECT_EQ(again.size(), 1u);
-}
-
-TEST_F(TdsTest, QueryCacheEvictsLeastRecentlyUsed) {
-  TdsOptions options;
-  options.query_cache_capacity = 3;
-  TrustedDataServer server(/*id=*/7, keys_, authority_,
-                           AccessPolicy::AllowAll(), options);
-  workload::GenericOptions gopts;
-  gopts.num_groups = 4;
-  Rng data_rng(9);
-  ASSERT_TRUE(workload::PopulateGenericDb(&server.db(), 7, gopts, &data_rng)
-                  .ok());
-
-  CollectionConfig config;
-  auto Run = [&](uint64_t query_id) {
-    return server
-        .ProcessCollection(Post("SELECT grp FROM T", "q", query_id), config,
-                           &rng_)
-        .ok();
-  };
-  for (uint64_t id = 1; id <= 3; ++id) ASSERT_TRUE(Run(id));
-  EXPECT_EQ(server.query_cache_size(), 3u);
-  // Touch query 1 so query 2 becomes the LRU entry, then overflow: the cache
-  // must stay at capacity whatever the stream length.
-  ASSERT_TRUE(Run(1));
-  for (uint64_t id = 4; id <= 20; ++id) ASSERT_TRUE(Run(id));
-  EXPECT_EQ(server.query_cache_size(), 3u);
-  // Evicted ids still work — they are just re-analyzed.
-  ASSERT_TRUE(Run(2));
-  EXPECT_EQ(server.query_cache_size(), 3u);
-}
-
-TEST_F(TdsTest, QueryCacheEvictsAtExactlyCapacity) {
-  constexpr size_t kCapacity = 4;
-  TdsOptions options;
-  options.query_cache_capacity = kCapacity;
-  TrustedDataServer server(/*id=*/9, keys_, authority_,
-                           AccessPolicy::AllowAll(), options);
-  workload::GenericOptions gopts;
-  gopts.num_groups = 4;
-  Rng data_rng(9);
-  ASSERT_TRUE(workload::PopulateGenericDb(&server.db(), 9, gopts, &data_rng)
-                  .ok());
-
-  // The cache grows one entry per distinct query until exactly kCapacity; no
-  // eviction happens before the boundary and every admission after it evicts
-  // exactly one entry.
-  for (uint64_t id = 1; id <= kCapacity; ++id) {
-    ASSERT_TRUE(server.OpenQuery(Post("SELECT grp FROM T", "q", id)).ok());
-    EXPECT_EQ(server.query_cache_size(), id);
+  auto post = Post("SELECT grp, AVG(val) FROM T GROUP BY grp", "q",
+                   /*query_id=*/55);
+  Rng first_rng(7);
+  auto first = server_->ProcessCollection(post, config, &first_rng)
+                   .ValueOrDie();
+  Rng again_rng(7);
+  auto again = server_->ProcessCollection(post, config, &again_rng)
+                   .ValueOrDie();
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(again.size(), first.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(again[i].blob, first[i].blob);
+    EXPECT_EQ(again[i].routing_tag, first[i].routing_tag);
   }
-  for (uint64_t id = kCapacity + 1; id <= kCapacity + 5; ++id) {
-    ASSERT_TRUE(server.OpenQuery(Post("SELECT grp FROM T", "q", id)).ok());
-    EXPECT_EQ(server.query_cache_size(), kCapacity);
-  }
-}
-
-TEST_F(TdsTest, QueryCacheReAdmitsEvictedQuery) {
-  constexpr size_t kCapacity = 2;
-  TdsOptions options;
-  options.query_cache_capacity = kCapacity;
-  TrustedDataServer server(/*id=*/10, keys_, authority_,
-                           AccessPolicy::AllowAll(), options);
-  workload::GenericOptions gopts;
-  gopts.num_groups = 4;
-  Rng data_rng(9);
-  ASSERT_TRUE(workload::PopulateGenericDb(&server.db(), 10, gopts, &data_rng)
-                  .ok());
-
-  auto post1 = Post("SELECT grp FROM T", "q", 1);
-  const sql::AnalyzedQuery* first = server.OpenQuery(post1).ValueOrDie();
-  // While cached, repeated opens return the same analysis object.
-  EXPECT_EQ(server.OpenQuery(post1).ValueOrDie(), first);
-
-  // Push query 1 out of the LRU.
-  ASSERT_TRUE(server.OpenQuery(Post("SELECT grp FROM T", "q", 2)).ok());
-  ASSERT_TRUE(server.OpenQuery(Post("SELECT grp FROM T", "q", 3)).ok());
-  EXPECT_EQ(server.query_cache_size(), kCapacity);
-
-  // Re-opening the evicted query re-analyzes and re-admits it: subsequent
-  // opens are cache hits again and the cache stays at capacity.
-  const sql::AnalyzedQuery* readmitted = server.OpenQuery(post1).ValueOrDie();
-  EXPECT_EQ(server.OpenQuery(post1).ValueOrDie(), readmitted);
-  EXPECT_EQ(readmitted->sql, first->sql);
-  EXPECT_EQ(server.query_cache_size(), kCapacity);
-}
-
-TEST_F(TdsTest, QueryCacheCapacityDoesNotChangeResults) {
-  // Full e2e sweep with capacity 0 (unlimited) vs 64 (default LRU): the
-  // cache is a pure memoization, so results and the adversary's view must be
-  // bit-identical.
-  auto run_with_capacity = [](size_t capacity) {
-    workload::GenericOptions gopts;
-    gopts.num_tds = 8;
-    gopts.num_groups = 3;
-    gopts.rows_per_tds = 2;
-    gopts.seed = 21;
-    auto keys = crypto::KeyStore::CreateForTest(gopts.seed);
-    auto authority = std::make_shared<Authority>(Bytes(16, 0x61));
-    TdsOptions options;
-    options.query_cache_capacity = capacity;
-    auto fleet = workload::BuildGenericFleet(gopts, keys, authority,
-                                             AccessPolicy::AllowAll(), options)
-                     .ValueOrDie();
-    protocol::Querier querier("q", authority->Issue("q"), keys);
-    protocol::RunOptions opts;
-    opts.compute_availability = 1.0;
-    opts.expected_groups = gopts.num_groups;
-    opts.seed = 99;
-    opts.num_threads = 1;
-    protocol::SAggProtocol sagg;
-    Engine::Config cfg;
-    cfg.options = opts;
-    auto engine = Engine::Create(std::move(fleet), cfg).ValueOrDie();
-    std::string out;
-    for (uint64_t id = 1; id <= 3; ++id) {
-      auto outcome =
-          engine
-              ->Run(sagg, querier, id,
-                    "SELECT grp, COUNT(*), SUM(cat) FROM T GROUP BY grp")
-              .ValueOrDie();
-      out += outcome.result.ToString();
-      out += "|" + std::to_string(outcome.adversary.collection_items);
-    }
-    return out;
-  };
-  EXPECT_EQ(run_with_capacity(0), run_with_capacity(64));
-}
-
-TEST_F(TdsTest, QueryCacheCapacityZeroIsUnlimited) {
-  TdsOptions options;
-  options.query_cache_capacity = 0;
-  TrustedDataServer server(/*id=*/8, keys_, authority_,
-                           AccessPolicy::AllowAll(), options);
-  workload::GenericOptions gopts;
-  gopts.num_groups = 4;
-  Rng data_rng(9);
-  ASSERT_TRUE(workload::PopulateGenericDb(&server.db(), 8, gopts, &data_rng)
-                  .ok());
-  CollectionConfig config;
-  for (uint64_t id = 1; id <= 100; ++id) {
-    ASSERT_TRUE(server
-                    .ProcessCollection(Post("SELECT grp FROM T", "q", id),
-                                       config, &rng_)
-                    .ok());
-  }
-  EXPECT_EQ(server.query_cache_size(), 100u);
 }
 
 }  // namespace
