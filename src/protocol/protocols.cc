@@ -150,14 +150,12 @@ Result<std::vector<EncryptedItem>> NoiseProtocol::RunAggregation(
 
   // n_NB: TDSs cooperating on one group in step 1. The analytical optimum is
   // sqrt((nf+1)*N_t/G) (§6.1.2) — estimated here from the observed sizes.
-  size_t n_nb = ctx.options().noise_parallel;
-  if (n_nb == 0) {
-    size_t total = 0;
-    for (const auto& p : by_group) total += p.items.size();
-    double avg = static_cast<double>(total) /
-                 static_cast<double>(std::max<size_t>(1, by_group.size()));
-    n_nb = std::max<size_t>(1, static_cast<size_t>(std::llround(std::sqrt(avg))));
-  }
+  size_t total = 0;
+  for (const auto& p : by_group) total += p.items.size();
+  double avg = static_cast<double>(total) /
+               static_cast<double>(std::max<size_t>(1, by_group.size()));
+  size_t n_nb =
+      std::max<size_t>(1, static_cast<size_t>(std::llround(std::sqrt(avg))));
 
   std::vector<Partition> step1 = SplitEach(std::move(by_group), n_nb);
   TCELLS_ASSIGN_OR_RETURN(
@@ -205,16 +203,14 @@ Result<std::vector<EncryptedItem>> EdHistProtocol::RunAggregation(
   // group found in the bucket.
   TCELLS_ASSIGN_OR_RETURN(std::vector<Partition> by_bucket,
                           ssi::Ssi::PartitionByTag(std::move(items)));
-  size_t n_ed = ctx.options().ed_parallel;
-  if (n_ed == 0) {
-    size_t total = 0;
-    for (const auto& p : by_bucket) total += p.items.size();
-    double avg = static_cast<double>(total) /
-                 static_cast<double>(std::max<size_t>(1, by_bucket.size()));
-    // Analytical optimum (h*N_t/G)^(2/3) ~ cuberoot-squared of bucket size.
-    n_ed = std::max<size_t>(
-        1, static_cast<size_t>(std::llround(std::pow(avg, 2.0 / 3.0))));
-  }
+  size_t total = 0;
+  for (const auto& p : by_bucket) total += p.items.size();
+  double avg = static_cast<double>(total) /
+               static_cast<double>(std::max<size_t>(1, by_bucket.size()));
+  // n_ED: the analytical optimum (h*N_t/G)^(2/3) ~ cuberoot-squared of the
+  // bucket size.
+  size_t n_ed = std::max<size_t>(
+      1, static_cast<size_t>(std::llround(std::pow(avg, 2.0 / 3.0))));
   std::vector<Partition> step1 = SplitEach(std::move(by_bucket), n_ed);
   TCELLS_ASSIGN_OR_RETURN(
       std::vector<EncryptedItem> partials,

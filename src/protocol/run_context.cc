@@ -29,9 +29,6 @@ bool IsTransportError(const Status& s) {
 net::RetryPolicy TransportRetryPolicy(const RunOptions& options) {
   net::RetryPolicy policy;
   policy.max_attempts = options.max_dropout_retries + 1;
-  policy.deadline_seconds = options.transport_deadline_seconds;
-  policy.backoff_seconds = options.transport_backoff_seconds;
-  policy.backoff_cap_seconds = options.transport_backoff_cap_seconds;
   policy.clock = options.clock;
   return policy;
 }
@@ -59,15 +56,8 @@ Status RunOptions::Validate() const {
   if (!(connect_prob_per_tick > 0.0) || connect_prob_per_tick > 1.0) {
     return BadOption("connect_prob_per_tick must be in (0, 1]");
   }
-  if (!(transport_deadline_seconds > 0.0)) {
-    return BadOption("transport_deadline_seconds must be > 0");
-  }
-  if (transport_backoff_seconds < 0.0) {
-    return BadOption("transport_backoff_seconds must be >= 0");
-  }
-  if (transport_backoff_cap_seconds < transport_backoff_seconds) {
-    return BadOption(
-        "transport_backoff_cap_seconds must be >= transport_backoff_seconds");
+  if (num_threads > kMaxThreads) {
+    return BadOption("num_threads exceeds RunOptions::kMaxThreads (256)");
   }
   return Status::OK();
 }

@@ -53,14 +53,6 @@ struct RunOptions {
 
   /// Rnf_Noise: fake tuples per true tuple.
   int nf = 2;
-  /// Noise protocols: TDSs cooperating on one group in step 1 (n_NB);
-  /// 0 = use the analytical optimum sqrt((nf+1)*N_t/G) from observed sizes.
-  size_t noise_parallel = 0;
-
-  /// ED_Hist: number of histogram buckets; 0 = #groups / 5 (h = 5, §6.3).
-  size_t histogram_buckets = 0;
-  /// ED_Hist: sub-partitions per bucket in step 1 (n_ED); 0 = auto.
-  size_t ed_parallel = 0;
 
   /// Pad collection payloads to this plaintext size (0 = off).
   size_t pad_payload_to = 0;
@@ -78,16 +70,8 @@ struct RunOptions {
   /// value: each TDS/partition draws from its own Rng stream forked serially
   /// from the run seed, so thread scheduling can never reach the bits.
   size_t num_threads = 0;
-
-  /// Per-message wall-clock deadline (s) for every SSI transport exchange.
-  double transport_deadline_seconds = 5.0;
-  /// Initial wall-clock backoff between transport-level retries; doubles per
-  /// retry up to the cap. The retry budget itself is unified with the
-  /// dropout model: max_dropout_retries + 1 total attempts per message.
-  /// (Injected dropouts cost dropout_timeout_seconds of *simulated* time;
-  /// transport retries cost real wall clock.)
-  double transport_backoff_seconds = 0.001;
-  double transport_backoff_cap_seconds = 0.25;
+  /// Hard cap on num_threads (sanity bound: each is one pool thread).
+  static constexpr size_t kMaxThreads = 256;
 
   /// Clock the transport retry backoff sleeps go through (borrowed; must
   /// outlive every run using these options). Null = real wall clock. The
@@ -124,15 +108,19 @@ struct RunOptions {
   const std::atomic<bool>* cancel = nullptr;
 
   /// Sanity-checks the knob values (rates in range, alpha above the fixed
-  /// point, retry budget consistent with the dropout rate). Invoked at query
-  /// submit time — by QuerySession::Submit and Engine::Create — so malformed
-  /// configurations fail fast instead of deep inside a round.
+  /// point, retry budget consistent with the dropout rate, num_threads at
+  /// most kMaxThreads). Invoked at query submit time — by
+  /// QuerySession::Submit and Engine::Create — so malformed configurations
+  /// fail fast instead of deep inside a round.
   Status Validate() const;
 };
 
 /// The SSI client retry schedule a RunOptions implies: the dropout retry
 /// budget also bounds transport-level attempts (max_dropout_retries + 1),
-/// and the transport_* knobs set the per-message deadline and backoff.
+/// backoff sleeps go through `clock`, and the per-message deadline and
+/// backoff keep net::RetryPolicy's defaults. (Injected dropouts cost
+/// dropout_timeout_seconds of *simulated* time; transport retries cost real
+/// wall clock.)
 net::RetryPolicy TransportRetryPolicy(const RunOptions& options);
 
 /// Simulated wall-clock per phase, computed on the critical path: each round

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
-#include <set>
 #include <utility>
 
 namespace tcells::protocol {
@@ -57,8 +55,7 @@ QuerySession::QuerySession(Fleet* fleet, const sim::DeviceModel& device,
       device_(device),
       options_(options),
       telemetry_(telemetry),
-      client_(client),
-      executor_(std::make_unique<ParallelExecutor>(options_.num_threads)) {}
+      client_(client) {}
 
 Status QuerySession::Submit(uint64_t query_id, const Querier* querier,
                             Protocol* protocol, const std::string& sql) {
@@ -72,32 +69,31 @@ Status QuerySession::SubmitPersonal(uint64_t query_id, uint64_t tds_id,
   return SubmitInternal(query_id, tds_id, querier, protocol, sql);
 }
 
-size_t QuerySession::EligibleServers(const PendingQuery& query) const {
-  return query.personal_tds ? 1 : fleet_->size();
-}
-
 Status QuerySession::SubmitInternal(uint64_t query_id,
                                     std::optional<uint64_t> tds_id,
                                     const Querier* querier,
                                     Protocol* protocol,
                                     const std::string& sql) {
   if (fleet_->size() == 0) return Status::InvalidArgument("empty fleet");
-  if (queries_.count(query_id)) {
-    return Status::InvalidArgument("duplicate query id");
+  if (query_) {
+    return Status::FailedPrecondition(
+        "a QuerySession runs one query; submit concurrent queries through "
+        "Engine::Submit");
   }
   TCELLS_RETURN_IF_ERROR(options_.Validate());
+  executor_ = std::make_unique<ParallelExecutor>(options_.num_threads);
 
   PendingQuery pending;
+  pending.id = query_id;
   pending.querier = querier;
   pending.protocol = protocol;
-  pending.sql = sql;
   pending.personal_tds = tds_id;
   TCELLS_ASSIGN_OR_RETURN(
       pending.analyzed,
       querier->AnalyzeAgainst(sql, fleet_->at(0)->db().catalog()));
 
-  // Each query gets its own context (metrics, rng stream) and its own
-  // storage area inside the hub.
+  // The query's context (metrics, rng stream) derives only from (seed,
+  // query id), and it gets its own storage area inside the hub.
   RunOptions opts = options_;
   opts.seed = options_.seed + query_id * 0x9e37;
   Rng post_rng(opts.seed ^ 0xabcdef);
@@ -169,93 +165,75 @@ Status QuerySession::SubmitInternal(uint64_t query_id,
           pending.config.histogram->num_buckets();
     }
   }
-  queries_.emplace(query_id, std::move(pending));
+  query_ = std::move(pending);
   return Status::OK();
 }
 
-Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
-    uint64_t max_ticks) {
+Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll() {
+  if (!query_) return Status::FailedPrecondition("no query submitted");
   const auto wall_t0 = std::chrono::steady_clock::now();
+  TCELLS_RETURN_IF_ERROR(Collect(*query_));
+  TCELLS_ASSIGN_OR_RETURN(RunOutcome outcome, Complete(*query_, wall_t0));
+  TCELLS_RETURN_IF_ERROR(client_->Retire(query_->id));
+  std::map<uint64_t, RunOutcome> outcomes;
+  outcomes.emplace(query_->id, std::move(outcome));
+  query_.reset();
+  return outcomes;
+}
+
+Status QuerySession::Collect(PendingQuery& q) {
   Rng session_rng(options_.seed ^ 0x5e5510f);
+  // Collection window in connection ticks: the DURATION bound, or a single
+  // full pass. Only a DURATION-bounded window draws per-tick connectivity.
+  const bool tick_mode = q.duration_ticks.has_value();
+  const uint64_t window = q.duration_ticks.value_or(1);
+  const size_t eligible = q.personal_tds ? 1 : fleet_->size();
+  RunMetrics& metrics = q.ctx->metrics();
 
-  // Collection window per query, in connection ticks. `max_ticks == 0`
-  // derives it from each query's own DURATION bound (see the header);
-  // an explicit max_ticks forces one shared window.
-  constexpr uint64_t kUnbounded = std::numeric_limits<uint64_t>::max();
-  bool tick_mode = false;
-  std::map<uint64_t, uint64_t> window;
-  if (max_ticks == 0) {
-    for (const auto& [id, q] : queries_) {
-      if (q.duration_ticks.has_value()) tick_mode = true;
-    }
-    for (const auto& [id, q] : queries_) {
-      window[id] =
-          q.duration_ticks ? *q.duration_ticks : (tick_mode ? kUnbounded : 1);
-    }
-  } else {
-    tick_mode = max_ticks > 1;
-    for (const auto& [id, q] : queries_) window[id] = max_ticks;
-  }
-
-  // ---- Interleaved collection over the querybox hub ----
-  //
-  // Per tick: connectors and their pending downloads are decided serially
-  // (hub state is single-threaded), each (connector, query) pair gets a
-  // private Rng stream forked from its query's context in a fixed order,
-  // local evaluation fans out across the worker threads — parallel across
-  // connectors, serial within one connector, since a TDS serves its queries
-  // one after another — and the contributions are folded into the per-query
-  // storage areas serially. Bit-identical for any thread count.
+  // Per tick: connectors and their downloads are decided serially (hub state
+  // is single-threaded), each connector's serve gets a private Rng stream
+  // forked from the query's context in a fixed order, local evaluation fans
+  // out across the worker threads, and the contributions are uploaded in
+  // serve order. Bit-identical for any thread count.
   for (uint64_t tick = 0;; ++tick) {
     if (options_.cancel != nullptr &&
         options_.cancel->load(std::memory_order_relaxed)) {
-      return Status::Cancelled("query batch cancelled during collection");
+      return Status::Cancelled("query cancelled during collection");
     }
     // Safety valve for adversarial runs: an SSI that forever under-reports
-    // NumAcknowledged would keep every window open and hang this loop.
+    // NumAcknowledged would keep the window open and hang this loop.
     if (options_.max_collection_ticks > 0 &&
         tick >= options_.max_collection_ticks) {
       return Status::DeadlineExceeded(
           "collection exceeded RunOptions::max_collection_ticks");
     }
     // Campaign hook: a deterministic point to revoke TDSs / roll the key
-    // epoch while queries are in flight.
+    // epoch while the query is in flight.
     if (options_.tick_hook) options_.tick_hook(tick);
     const auto tick_t0 = std::chrono::steady_clock::now();
-    // A query stays open while its window has ticks left, its SIZE bound is
-    // not met and some eligible TDS has yet to serve it.
-    std::set<uint64_t> open;
-    for (auto& [id, q] : queries_) {
-      if (tick >= window.at(id)) continue;
-      TCELLS_ASSIGN_OR_RETURN(bool size_reached, client_->SizeReached(id));
-      if (size_reached) continue;
-      TCELLS_ASSIGN_OR_RETURN(uint64_t acked, client_->NumAcknowledged(id));
-      if (acked >= EligibleServers(q)) continue;
-      open.insert(id);
-    }
-    if (open.empty()) break;
-    for (uint64_t id : open) {
-      queries_.at(id).ctx->metrics().collection_ticks += 1;
-    }
+    // The window stays open while it has ticks left, the SIZE bound is not
+    // met and some eligible TDS has yet to serve the query.
+    if (tick >= window) break;
+    TCELLS_ASSIGN_OR_RETURN(bool size_reached, client_->SizeReached(q.id));
+    if (size_reached) break;
+    TCELLS_ASSIGN_OR_RETURN(uint64_t acked, client_->NumAcknowledged(q.id));
+    if (acked >= eligible) break;
+    metrics.collection_ticks += 1;
 
     std::vector<size_t> order(fleet_->size());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
     session_rng.Shuffle(&order);
 
-    // One serve = one query downloaded by one connecting TDS.
+    // One serve = the query downloaded by one connecting TDS.
     struct Serve {
+      tds::TrustedDataServer* server;
       ssi::QueryPost post;
-      PendingQuery* query;
       Rng rng{0};
       std::vector<EncryptedItem> items;
       /// Dynamic key mode: the TDS could not derive the posting's session
       /// keys (revoked before the query / no key state) — it is acknowledged
       /// as served but contributes nothing.
       bool skipped = false;
-    };
-    struct Connector {
-      tds::TrustedDataServer* server;
-      std::vector<Serve> serves;
     };
     // The tick's connectors are decided first (consuming the session rng in
     // shuffle order exactly as a serial loop would), then every connector's
@@ -279,87 +257,73 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
     std::vector<Result<std::vector<ssi::QueryPost>>> fetched =
         client_->FetchPostsBatch(connecting_ids);
 
-    std::vector<Connector> connectors;
+    std::vector<Serve> serves;
+    // Sized once: growing this fleet-sized vector by doubling measurably
+    // raises peak RSS on 10k-50k TDS fleets.
+    serves.reserve(connecting.size());
     for (size_t c = 0; c < connecting.size() && c < fetched.size(); ++c) {
-      tds::TrustedDataServer* server = connecting[c];
-      Connector connector;
-      connector.server = server;
-      // Step 2: the connecting TDS downloads its pending open queries. A
-      // transport failure just means this TDS missed the tick; it can
-      // connect again on a later one.
+      // Step 2: the connecting TDS downloads its pending queries, other
+      // sessions' included. A transport failure just means this TDS missed
+      // the tick; it can connect again on a later one.
       Result<std::vector<ssi::QueryPost>>& posts = fetched[c];
       if (!posts.ok()) {
         if (IsTransportError(posts.status())) continue;
         return posts.status();
       }
       for (ssi::QueryPost& post : *posts) {
-        if (!open.count(post.query_id)) continue;
-        auto it = queries_.find(post.query_id);
-        if (it == queries_.end()) continue;
+        if (post.query_id != q.id) continue;
         Serve serve;
+        serve.server = connecting[c];
         serve.post = std::move(post);
-        serve.query = &it->second;
-        serve.rng = it->second.ctx->rng().Fork();
-        connector.serves.push_back(std::move(serve));
-      }
-      if (!connector.serves.empty()) {
-        connectors.push_back(std::move(connector));
+        serve.rng = q.ctx->rng().Fork();
+        serves.push_back(std::move(serve));
+        break;
       }
     }
 
     // Dynamic key mode: connectors refresh their epoch window in batches
-    // (one fetch for all of them), each batch covering every connector with
-    // a serve that `needs` it. Returns how many refreshed.
-    auto refresh_connectors = [&](auto needs) {
+    // (one fetch for all of them), each batch covering every serve that
+    // `needs` it. Returns how many refreshed.
+    auto refresh_serves = [&](auto needs) {
       std::vector<keys::TdsKeyState*> states;
-      for (Connector& connector : connectors) {
-        keys::TdsKeyState* state = connector.server->key_state();
-        if (state == nullptr) continue;
-        for (const Serve& serve : connector.serves) {
-          if (needs(*state, serve)) {
-            states.push_back(state);
-            break;
-          }
-        }
+      for (const Serve& serve : serves) {
+        keys::TdsKeyState* state = serve.server->key_state();
+        if (state != nullptr && needs(*state, serve)) states.push_back(state);
       }
       (void)keys::TdsKeyState::RefreshAll(states);
       return states.size();
     };
-    // A TDS whose window lacks a posting's epoch (the fleet rolled since it
-    // last synced) refreshes before it serves. A serve whose TDS still
+    // A TDS whose window lacks the posting's epoch (the fleet rolled since
+    // it last synced) refreshes before it serves. A serve whose TDS still
     // cannot reach the epoch (revoked before the post) is skipped.
     auto behind = [](const keys::TdsKeyState& state, const Serve& serve) {
       return serve.post.key_posting &&
              !state.Reaches(serve.post.key_posting->epoch);
     };
-    if (refresh_connectors(behind) > 0) {
-      for (Connector& connector : connectors) {
-        keys::TdsKeyState* state = connector.server->key_state();
-        for (Serve& serve : connector.serves) {
-          serve.skipped = state != nullptr && behind(*state, serve);
-        }
+    if (refresh_serves(behind) > 0) {
+      for (Serve& serve : serves) {
+        keys::TdsKeyState* state = serve.server->key_state();
+        serve.skipped = state != nullptr && behind(*state, serve);
       }
     }
 
     TCELLS_RETURN_IF_ERROR(executor_->ForEachIndex(
-        connectors.size(), [&](size_t i) -> Status {
-          Connector& connector = connectors[i];
-          for (Serve& serve : connector.serves) {
-            if (serve.skipped) continue;
-            Result<std::vector<EncryptedItem>> items =
-                connector.server->ProcessCollection(
-                    serve.post, serve.query->config, &serve.rng);
-            if (!items.ok() && serve.query->key_posting &&
-                (items.status().IsNotFound() ||
-                 items.status().IsFailedPrecondition())) {
-              // The posting's epoch is unreachable for this TDS. It cannot
-              // answer; mark the serve so it is acknowledged without an
-              // upload (otherwise the collection window never closes).
-              serve.skipped = true;
-              continue;
-            }
-            TCELLS_ASSIGN_OR_RETURN(serve.items, std::move(items));
+        serves.size(), [&](size_t i) -> Status {
+          Serve& serve = serves[i];
+          if (serve.skipped) return Status::OK();
+          Result<std::vector<EncryptedItem>> items =
+              serve.server->ProcessCollection(serve.post, q.config,
+                                              &serve.rng);
+          if (!items.ok() && q.key_posting &&
+              (items.status().IsNotFound() ||
+               items.status().IsFailedPrecondition())) {
+            // The posting's epoch is unreachable for this TDS. It cannot
+            // answer; mark the serve so it is acknowledged without an
+            // upload (otherwise the collection window never closes).
+            serve.skipped = true;
+            return Status::OK();
           }
+          TCELLS_ASSIGN_OR_RETURN(serve.items, std::move(items));
           return Status::OK();
         }));
 
@@ -367,9 +331,11 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
     // authenticates under the newest epoch it can open. This must stay right
     // before the tags: a rollover during the tick's serving must reach them,
     // or their uploads would be tagged under the old epoch and rejected.
-    refresh_connectors([](const keys::TdsKeyState&, const Serve& serve) {
-      return !serve.skipped && serve.query->key_posting.has_value();
-    });
+    if (q.key_posting) {
+      refresh_serves([](const keys::TdsKeyState&, const Serve& serve) {
+        return !serve.skipped;
+      });
+    }
 
     // One atomic exchange per serve: the SSI either accepts the contribution
     // and acknowledges, or — when the SIZE bound closed the storage area
@@ -379,47 +345,42 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
     // contribution only.
     std::vector<net::CollectionUpload> batch;
     std::vector<Serve*> batch_serves;
-    for (Connector& connector : connectors) {
-      for (Serve& serve : connector.serves) {
-        if (serve.skipped) {
-          // Nothing to upload, but the serve must still count as served or
-          // the "all eligible TDSs answered" close condition never fires.
-          Status acked = client_->Acknowledge(connector.server->id(),
-                                              serve.post.query_id);
+    for (Serve& serve : serves) {
+      const uint64_t tds_id = serve.server->id();
+      if (serve.skipped) {
+        // Nothing to upload, but the serve must still count as served or
+        // the "all eligible TDSs answered" close condition never fires.
+        Status acked = client_->Acknowledge(tds_id, q.id);
+        if (!acked.ok() && !IsTransportError(acked)) return acked;
+        continue;
+      }
+      if (q.key_posting) {
+        // Dynamic key mode: admission-check the upload before it counts.
+        // The TDS authenticates (query_id, items digest) under its newest
+        // reachable epoch's contribution key; the authority rejects stale
+        // epochs (a TDS revoked mid-query is pinned to its pre-revocation
+        // epoch), revoked ids and bad MACs. A rejected upload is
+        // acknowledged and dropped — visible in contributions_rejected,
+        // never folded into the result.
+        TCELLS_ASSIGN_OR_RETURN(
+            keys::ContributionTag tag,
+            serve.server->TagContribution(q.id, serve.items));
+        Status admitted = options_.key_authority->VerifyContribution(
+            tag, q.id, keys::ContributionDigest(serve.items));
+        if (admitted.IsPermissionDenied()) {
+          metrics.contributions_rejected += 1;
+          Status acked = client_->Acknowledge(tds_id, q.id);
           if (!acked.ok() && !IsTransportError(acked)) return acked;
           continue;
         }
-        if (serve.query->key_posting) {
-          // Dynamic key mode: admission-check the upload before it counts.
-          // The TDS authenticates (query_id, items digest) under its newest
-          // reachable epoch's contribution key; the authority rejects stale
-          // epochs (a TDS revoked mid-query is pinned to its pre-revocation
-          // epoch), revoked ids and bad MACs. A rejected upload is
-          // acknowledged and dropped — visible in contributions_rejected,
-          // never folded into the result.
-          TCELLS_ASSIGN_OR_RETURN(
-              keys::ContributionTag tag,
-              connector.server->TagContribution(serve.post.query_id,
-                                                serve.items));
-          Status admitted = options_.key_authority->VerifyContribution(
-              tag, serve.post.query_id,
-              keys::ContributionDigest(serve.items));
-          if (admitted.IsPermissionDenied()) {
-            serve.query->ctx->metrics().contributions_rejected += 1;
-            Status acked = client_->Acknowledge(connector.server->id(),
-                                                serve.post.query_id);
-            if (!acked.ok() && !IsTransportError(acked)) return acked;
-            continue;
-          }
-          TCELLS_RETURN_IF_ERROR(admitted);
-        }
-        net::CollectionUpload upload;
-        upload.query_id = serve.post.query_id;
-        upload.tds_id = connector.server->id();
-        upload.items = serve.items;
-        batch.push_back(std::move(upload));
-        batch_serves.push_back(&serve);
+        TCELLS_RETURN_IF_ERROR(admitted);
       }
+      net::CollectionUpload upload;
+      upload.query_id = q.id;
+      upload.tds_id = tds_id;
+      upload.items = serve.items;
+      batch.push_back(std::move(upload));
+      batch_serves.push_back(&serve);
     }
     std::vector<Result<bool>> accepts = client_->UploadCollectionBatch(batch);
     for (size_t i = 0; i < batch_serves.size() && i < accepts.size(); ++i) {
@@ -430,94 +391,81 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
       }
       if (!*accepted) continue;
       // The accepted upload is one collection partition of its TDS.
-      Serve& serve = *batch_serves[i];
+      const Serve& serve = *batch_serves[i];
       uint64_t bytes = 0;
       for (const auto& item : serve.items) bytes += item.WireSize();
-      serve.query->ctx->metrics().accountant.RecordPartition(
-          sim::Phase::kCollection, batch[i].tds_id, /*bytes_in=*/0, bytes,
-          serve.items.size());
+      metrics.accountant.RecordPartition(sim::Phase::kCollection,
+                                         batch[i].tds_id, /*bytes_in=*/0,
+                                         bytes, serve.items.size());
     }
-    // Attribute this tick's wall-clock to every query whose window was open
-    // (shared tick work is charged to each, which slightly over-counts for
-    // multi-query batches but keeps single-query wall accounting exact).
-    const double tick_wall = WallMicrosSince(tick_t0);
-    for (uint64_t id : open) {
-      queries_.at(id).ctx->metrics().collection_wall_micros += tick_wall;
-    }
+    metrics.collection_wall_micros += WallMicrosSince(tick_t0);
   }
+  return Status::OK();
+}
 
-  // ---- Per-query aggregation + filtering + decryption ----
-  std::map<uint64_t, RunOutcome> outcomes;
-  for (auto& [id, q] : queries_) {
-    if (options_.cancel != nullptr &&
-        options_.cancel->load(std::memory_order_relaxed)) {
-      return Status::Cancelled("query batch cancelled before completion");
-    }
-    // The collection window is closed: its participants and span are read
-    // off the accountant's collection tally.
-    RunMetrics& metrics = q.ctx->metrics();
-    const sim::PhaseTally& collected =
-        metrics.accountant.phase(sim::Phase::kCollection);
-    metrics.collection_participants = collected.partitions;
-    if (q.trace != nullptr) {
-      obs::Span* collection =
-          q.trace->StartSpan(nullptr, obs::kSpanCollection);
-      collection->labels["phase"] =
-          sim::PhaseToString(sim::Phase::kCollection);
-      collection->counts["ticks"] = metrics.collection_ticks;
-      collection->counts["participants"] = collected.partitions;
-      collection->counts["partitions"] = collected.partitions;
-      collection->counts["bytes_out"] = collected.bytes_uploaded;
-      collection->counts["tuples"] = collected.tuples_processed;
-    }
-    TCELLS_ASSIGN_OR_RETURN(std::vector<EncryptedItem> covering,
-                            client_->TakeCollected(id));
-    TCELLS_ASSIGN_OR_RETURN(
-        covering, q.protocol->RunAggregation(*q.ctx, q.analyzed, q.config,
-                                             std::move(covering)));
-    TCELLS_RETURN_IF_ERROR(client_->ObserveAggregation(id, covering));
-    TCELLS_ASSIGN_OR_RETURN(
-        std::vector<EncryptedItem> result_items,
-        RunFilteringPhase(*q.ctx, q.analyzed, q.config, std::move(covering)));
-    TCELLS_RETURN_IF_ERROR(client_->ObserveFiltering(id, result_items));
-
-    // Step 13: the TDSs hand the result to the SSI; the querier downloads
-    // and decrypts it.
-    TCELLS_RETURN_IF_ERROR(client_->DeliverResult(id, result_items));
-    TCELLS_ASSIGN_OR_RETURN(result_items, client_->FetchResult(id));
-    RunOutcome outcome;
-    const auto decrypt_t0 = std::chrono::steady_clock::now();
-    TCELLS_ASSIGN_OR_RETURN(
-        outcome.result, q.reader().DecryptResult(q.analyzed, result_items));
-    if (q.trace != nullptr) {
-      obs::Span* decrypt = q.trace->StartSpan(nullptr, obs::kSpanDecrypt);
-      decrypt->sim_begin_seconds = q.ctx->sim_now_seconds();
-      decrypt->sim_end_seconds = q.ctx->sim_now_seconds();
-      decrypt->wall_micros = WallMicrosSince(decrypt_t0);
-      decrypt->counts["result_rows"] = outcome.result.rows.size();
-      uint64_t result_bytes = 0;
-      for (const auto& item : result_items) result_bytes += item.WireSize();
-      decrypt->counts["bytes_in"] = result_bytes;
-
-      obs::Span* root = q.trace->root();
-      root->sim_end_seconds = q.ctx->sim_now_seconds();
-      root->wall_micros = WallMicrosSince(wall_t0);
-      outcome.trace = q.trace;
-    }
-    metrics.aggregation_rounds =
-        metrics.accountant.phase(sim::Phase::kAggregation).iterations;
-    outcome.metrics = metrics;
-    TCELLS_ASSIGN_OR_RETURN(outcome.adversary, client_->GetAdversaryView(id));
-    if (telemetry_.metrics != nullptr) {
-      PublishEngineCounters(outcome.metrics, telemetry_.metrics);
-    }
-    outcomes.emplace(id, std::move(outcome));
+Result<RunOutcome> QuerySession::Complete(
+    PendingQuery& q, std::chrono::steady_clock::time_point wall_t0) {
+  if (options_.cancel != nullptr &&
+      options_.cancel->load(std::memory_order_relaxed)) {
+    return Status::Cancelled("query cancelled before completion");
   }
-  for (const auto& [id, outcome] : outcomes) {
-    TCELLS_RETURN_IF_ERROR(client_->Retire(id));
+  // The collection window is closed: its participants and span are read
+  // off the accountant's collection tally.
+  RunMetrics& metrics = q.ctx->metrics();
+  const sim::PhaseTally& collected =
+      metrics.accountant.phase(sim::Phase::kCollection);
+  metrics.collection_participants = collected.partitions;
+  if (q.trace != nullptr) {
+    obs::Span* collection = q.trace->StartSpan(nullptr, obs::kSpanCollection);
+    collection->labels["phase"] = sim::PhaseToString(sim::Phase::kCollection);
+    collection->counts["ticks"] = metrics.collection_ticks;
+    collection->counts["participants"] = collected.partitions;
+    collection->counts["partitions"] = collected.partitions;
+    collection->counts["bytes_out"] = collected.bytes_uploaded;
+    collection->counts["tuples"] = collected.tuples_processed;
   }
-  queries_.clear();
-  return outcomes;
+  TCELLS_ASSIGN_OR_RETURN(std::vector<EncryptedItem> covering,
+                          client_->TakeCollected(q.id));
+  TCELLS_ASSIGN_OR_RETURN(
+      covering, q.protocol->RunAggregation(*q.ctx, q.analyzed, q.config,
+                                           std::move(covering)));
+  TCELLS_RETURN_IF_ERROR(client_->ObserveAggregation(q.id, covering));
+  TCELLS_ASSIGN_OR_RETURN(
+      std::vector<EncryptedItem> result_items,
+      RunFilteringPhase(*q.ctx, q.analyzed, q.config, std::move(covering)));
+  TCELLS_RETURN_IF_ERROR(client_->ObserveFiltering(q.id, result_items));
+
+  // Step 13: the TDSs hand the result to the SSI; the querier downloads and
+  // decrypts it.
+  TCELLS_RETURN_IF_ERROR(client_->DeliverResult(q.id, result_items));
+  TCELLS_ASSIGN_OR_RETURN(result_items, client_->FetchResult(q.id));
+  RunOutcome outcome;
+  const auto decrypt_t0 = std::chrono::steady_clock::now();
+  TCELLS_ASSIGN_OR_RETURN(outcome.result,
+                          q.reader().DecryptResult(q.analyzed, result_items));
+  if (q.trace != nullptr) {
+    obs::Span* decrypt = q.trace->StartSpan(nullptr, obs::kSpanDecrypt);
+    decrypt->sim_begin_seconds = q.ctx->sim_now_seconds();
+    decrypt->sim_end_seconds = q.ctx->sim_now_seconds();
+    decrypt->wall_micros = WallMicrosSince(decrypt_t0);
+    decrypt->counts["result_rows"] = outcome.result.rows.size();
+    uint64_t result_bytes = 0;
+    for (const auto& item : result_items) result_bytes += item.WireSize();
+    decrypt->counts["bytes_in"] = result_bytes;
+
+    obs::Span* root = q.trace->root();
+    root->sim_end_seconds = q.ctx->sim_now_seconds();
+    root->wall_micros = WallMicrosSince(wall_t0);
+    outcome.trace = q.trace;
+  }
+  metrics.aggregation_rounds =
+      metrics.accountant.phase(sim::Phase::kAggregation).iterations;
+  outcome.metrics = metrics;
+  TCELLS_ASSIGN_OR_RETURN(outcome.adversary, client_->GetAdversaryView(q.id));
+  if (telemetry_.metrics != nullptr) {
+    PublishEngineCounters(outcome.metrics, telemetry_.metrics);
+  }
+  return outcome;
 }
 
 }  // namespace tcells::protocol

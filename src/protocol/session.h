@@ -1,18 +1,20 @@
-// QuerySession: several concurrent queries over one fleet, routed through
-// the SSI's querybox hub (§3.1). Each connecting TDS downloads all active
-// queries addressed to it (global + personal), serves each exactly once, and
-// the per-query protocol phases then complete independently.
+// QuerySession: one query over one fleet, routed through the SSI's querybox
+// hub (§3.1). Each connecting TDS downloads the queries addressed to it
+// (global + personal) and serves this session's query at most once; the
+// protocol's aggregation, filtering and decryption phases then complete it.
 //
-// This is the "many queries in flight" operating mode the paper's Load_Q
-// metric is about, and the only execution path: the tcells::Engine facade
+// This is the only execution path: the tcells::Engine facade
 // (tcells/engine.h) runs every Submit as a one-query session over its shard
-// router, and Engine::NewSession hands out multi-query sessions over the
-// same router.
+// router, and its QueryScheduler runs such sessions side by side. Several
+// queries in flight are several sessions sharing the hub, never several
+// queries inside one session.
 #ifndef TCELLS_PROTOCOL_SESSION_H_
 #define TCELLS_PROTOCOL_SESSION_H_
 
+#include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "net/ssi_api.h"
@@ -23,53 +25,48 @@ namespace tcells::protocol {
 
 class QuerySession {
  public:
-  /// `telemetry` carries optional sinks: when a Tracer is present every
+  /// `telemetry` carries optional sinks: when a Tracer is present the
   /// submitted query records a span tree (returned in its RunOutcome), and a
-  /// MetricsRegistry receives each completed query's engine.* counters, added
+  /// MetricsRegistry receives the completed query's engine.* counters, added
   /// once from its RunMetrics (a failed or cancelled query adds nothing).
   ///
-  /// `client` is the channel to the SSI all queries of this session go
-  /// through (borrowed, never null; normally an Engine's shared — possibly
-  /// sharded — router).
+  /// `client` is the channel to the SSI the query goes through (borrowed,
+  /// never null; normally an Engine's shared — possibly sharded — router).
   QuerySession(Fleet* fleet, const sim::DeviceModel& device,
                RunOptions options, obs::Telemetry telemetry,
                net::SsiApi* client);
 
-  /// Registers a query addressed to the whole crowd. `querier` and
-  /// `protocol` must outlive the session. Fails on duplicate id, invalid
-  /// RunOptions (RunOptions::Validate), or when the protocol rejects the
-  /// query shape.
+  /// Registers the session's query, addressed to the whole crowd. `querier`
+  /// and `protocol` must outlive the session. Fails on invalid RunOptions
+  /// (RunOptions::Validate), when the protocol rejects the query shape, or
+  /// with FailedPrecondition when a query is already pending (run concurrent
+  /// queries through Engine::Submit).
   Status Submit(uint64_t query_id, const Querier* querier, Protocol* protocol,
                 const std::string& sql);
 
-  /// Registers a query addressed to one TDS only (personal querybox).
+  /// Same, for a query addressed to one TDS only (personal querybox).
   Status SubmitPersonal(uint64_t query_id, uint64_t tds_id,
                         const Querier* querier, Protocol* protocol,
                         const std::string& sql);
 
-  size_t num_pending() const { return queries_.size(); }
+  bool has_pending() const { return query_.has_value(); }
 
-  /// Runs interleaved collection over the querybox hub, then completes
-  /// aggregation + filtering + decryption per query. Returns one outcome per
-  /// submitted query id.
+  /// Runs collection over the querybox hub, then aggregation + filtering +
+  /// decryption, and returns the outcome keyed by the query id (one entry).
+  /// FailedPrecondition when nothing was submitted.
   ///
-  /// `max_ticks == 0` (the default) derives each query's collection window
-  /// from its own SIZE ... DURATION clause: a query with `DURATION d` stays
-  /// open for d connection ticks, a query without one does a single full
-  /// pass (everyone connects once) — unless some other query in the batch is
-  /// DURATION-bounded, in which case the batch runs in ticked mode and the
-  /// unbounded query stays open until every TDS has served it. An explicit
-  /// `max_ticks > 0` forces one shared window of that many ticks for all
-  /// queries (ticked connectivity when max_ticks > 1). A query also closes
-  /// early when its SIZE bound is reached or all eligible TDSs have served
-  /// it.
-  Result<std::map<uint64_t, RunOutcome>> RunAll(uint64_t max_ticks = 0);
+  /// The collection window comes from the query's SIZE ... DURATION clause:
+  /// with `DURATION d` it stays open for d connection ticks, each TDS
+  /// connecting per tick with RunOptions::connect_prob_per_tick; without
+  /// one it is a single full pass (everyone connects once). It also closes
+  /// early when the SIZE bound is reached or all eligible TDSs have served.
+  Result<std::map<uint64_t, RunOutcome>> RunAll();
 
  private:
   struct PendingQuery {
+    uint64_t id = 0;
     const Querier* querier = nullptr;
     Protocol* protocol = nullptr;
-    std::string sql;
     sql::AnalyzedQuery analyzed;
     tds::CollectionConfig config;
     std::unique_ptr<RunContext> ctx;
@@ -92,20 +89,23 @@ class QuerySession {
   Status SubmitInternal(uint64_t query_id, std::optional<uint64_t> tds_id,
                         const Querier* querier, Protocol* protocol,
                         const std::string& sql);
-
-  /// TDSs that can possibly serve the query (fleet for global, 1 personal).
-  size_t EligibleServers(const PendingQuery& query) const;
+  /// The collection phase: connection ticks until the window closes.
+  Status Collect(PendingQuery& q);
+  /// Aggregation, filtering, result delivery and decryption.
+  Result<RunOutcome> Complete(PendingQuery& q,
+                              std::chrono::steady_clock::time_point wall_t0);
 
   Fleet* fleet_;
   sim::DeviceModel device_;
   RunOptions options_;
   obs::Telemetry telemetry_;
   net::SsiApi* client_;
-  /// The one worker pool of the session: the collection fan-out and every
-  /// query's aggregation/filtering rounds borrow it. unique_ptr keeps its
-  /// address stable across session moves.
+  /// The one worker pool of the session, built at Submit once the options
+  /// are validated: the collection fan-out and the query's
+  /// aggregation/filtering rounds borrow it. unique_ptr keeps its address
+  /// stable across session moves.
   std::unique_ptr<ParallelExecutor> executor_;
-  std::map<uint64_t, PendingQuery> queries_;
+  std::optional<PendingQuery> query_;
 };
 
 }  // namespace tcells::protocol

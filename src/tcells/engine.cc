@@ -252,11 +252,8 @@ void Engine::StartScheduler() {
           (void)router_->Retire(job->query_id);
           return outcomes.status();
         }
-        auto it = outcomes->find(job->query_id);
-        if (it == outcomes->end()) {
-          return Status::Internal("query produced no outcome");
-        }
-        return std::move(it->second);
+        // RunAll's one entry: the outcome of the query submitted above.
+        return std::move(outcomes->begin()->second);
       });
 }
 
@@ -327,11 +324,6 @@ Result<protocol::RunOutcome> Engine::Run(protocol::Protocol& protocol,
   TCELLS_ASSIGN_OR_RETURN(QueryHandle handle,
                           Submit(protocol, querier, query_id, sql, options));
   return handle.Wait();
-}
-
-protocol::QuerySession Engine::NewSession() {
-  return protocol::QuerySession(fleet_.get(), config_.device, config_.options,
-                                telemetry(), router_.get());
 }
 
 Result<protocol::ProtocolInputs> Engine::DiscoverInputs(

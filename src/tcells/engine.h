@@ -11,13 +11,12 @@
 //   * Submit(...)     — enqueue a query, get a QueryHandle (poll Status(),
 //                       block on Wait(), request Cancel());
 //   * Run(...)        — submit-then-wait convenience (one query end to end);
-//   * NewSession()    — several interleaved queries over the querybox hub,
-//                       batch-style, on the caller's thread;
 //   * DiscoverInputs  — the §4.4 discovery query, run through Run like any
 //                       other S_Agg query.
 //
-// Every query runs as a protocol::QuerySession over the shard router; there
-// is no other execution path.
+// Every query runs as a one-query protocol::QuerySession over the shard
+// router; there is no other execution path, and the scheduler is the only
+// place queries run concurrently.
 //
 // Configuration — RunOptions and the shard/concurrency knobs — is validated
 // once at Create, so a malformed configuration fails before any query is
@@ -175,14 +174,6 @@ class Engine {
                                    const protocol::Querier& querier,
                                    uint64_t query_id, const std::string& sql,
                                    const protocol::RunOptions& options);
-
-  /// A session for several interleaved queries sharing this engine's fleet,
-  /// options, telemetry sinks and SSI stack, run batch-style on the
-  /// caller's thread (bypasses the scheduler). This is the one way to run
-  /// several queries in a single session: their collection interleaves over
-  /// the querybox hub, which one-query Submits cannot produce. The session
-  /// borrows the engine; it must not outlive it.
-  protocol::QuerySession NewSession();
 
   /// Runs the discovery protocol (§4.4) for `target_sql`'s grouping
   /// attributes — the S_Agg query protocol::DiscoverySql builds, through

@@ -12,7 +12,7 @@
 //
 // Queries run through the Engine only: Engine::Run for one blocking query,
 // Engine::Submit for a QueryHandle (poll Status(), block on Wait(), request
-// Cancel()), Engine::NewSession for several interleaved queries.
+// Cancel()); several Submits run concurrently on the engine's scheduler.
 #ifndef TCELLS_TCELLS_H_
 #define TCELLS_TCELLS_H_
 

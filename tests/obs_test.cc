@@ -290,13 +290,10 @@ struct CancelAfterAggregation : protocol::SAggProtocol {
 
 /// (a) Every span sum restates the accountant, and every engine.* counter
 /// is the sum of the completed queries' RunMetrics — over all five
-/// protocols, a dropout run and a two-query session on one engine. A query
-/// cancelled after its aggregation rounds adds nothing.
+/// protocols, a dropout run and two concurrent queries on one engine. A
+/// query cancelled after its aggregation rounds adds nothing.
 TEST(ObsEngineTest, MetricsRegistryAgreesWithAccountant) {
-  std::atomic<bool> cancel{false};
-  Engine::Config config;
-  config.options.cancel = &cancel;  // read by NewSession's sessions
-  ObsWorld w(config);
+  ObsWorld w;
   // Inputs from the oracle: no discovery query runs unseen by this test.
   const auto inputs =
       protocol::InputsFromDiscovery(
@@ -331,13 +328,17 @@ TEST(ObsEngineTest, MetricsRegistryAgreesWithAccountant) {
   EXPECT_GT(agg.dropouts, 0u);
   AddCompleted(dropped, &sums);
 
-  // Two queries traced independently within one session.
+  // Two queries in flight at once, traced independently.
   protocol::BasicSfwProtocol basic;
-  auto session = w.engine->NewSession();
-  ASSERT_TRUE(session.Submit(21, w.querier.get(), &s_agg, kAggSql).ok());
-  ASSERT_TRUE(session.Submit(22, w.querier.get(), &basic, kSfwSql).ok());
-  auto outcomes = session.RunAll().ValueOrDie();
-  ASSERT_EQ(outcomes.size(), 2u);
+  std::map<uint64_t, protocol::RunOutcome> outcomes;
+  {
+    QueryHandle agg_handle =
+        w.engine->Submit(s_agg, *w.querier, 21, kAggSql).ValueOrDie();
+    QueryHandle sfw_handle =
+        w.engine->Submit(basic, *w.querier, 22, kSfwSql).ValueOrDie();
+    outcomes.emplace(21, agg_handle.Wait().ValueOrDie());
+    outcomes.emplace(22, sfw_handle.Wait().ValueOrDie());
+  }
   for (const auto& [id, outcome] : outcomes) {
     EXPECT_EQ(outcome.trace->query_id(), id);
     AddCompleted(outcome, &sums);
@@ -352,9 +353,16 @@ TEST(ObsEngineTest, MetricsRegistryAgreesWithAccountant) {
 
   // Its aggregation rounds run, then it is cancelled: engine.rounds and
   // every other engine.* counter stay put.
+  // It runs on a session built directly over the engine's SSI, whose options
+  // carry the flag the protocol raises.
+  std::atomic<bool> cancel{false};
   CancelAfterAggregation cancelling;
   cancelling.cancel = &cancel;
-  auto doomed = w.engine->NewSession();
+  protocol::RunOptions cancellable = w.engine->options();
+  cancellable.cancel = &cancel;
+  protocol::QuerySession doomed(&w.engine->fleet(), w.engine->device(),
+                                cancellable, w.engine->telemetry(),
+                                w.engine->ssi_client());
   ASSERT_TRUE(doomed.Submit(23, w.querier.get(), &cancelling, kAggSql).ok());
   EXPECT_TRUE(doomed.RunAll().status().IsCancelled());
   EXPECT_EQ(EngineCounters(w.engine->metrics()), sums);

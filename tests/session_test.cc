@@ -1,6 +1,9 @@
-// Tests for QuerySession: concurrent queries through the querybox hub, in
-// sessions built by Engine::NewSession over the engine's SSI stack.
+// Tests for QuerySession: one query per session through the querybox hub,
+// over an engine's SSI stack. Concurrent queries are concurrent
+// Engine::Submit handles, each a one-query session on the scheduler.
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "protocol/reference.h"
 #include "tcells/engine.h"
@@ -27,6 +30,13 @@ class SessionWorld {
     config.options = options;
     engine = Engine::Create(std::move(built), config).ValueOrDie();
     fleet = &engine->fleet();
+  }
+
+  /// A session over the engine's SSI with the engine's options, built the
+  /// way the scheduler builds one per query (no telemetry sinks).
+  QuerySession Session() {
+    return QuerySession(fleet, engine->device(), engine->options(), {},
+                        engine->ssi_client());
   }
 
   std::shared_ptr<const crypto::KeyStore> keys;
@@ -56,37 +66,37 @@ TEST(FleetTest, SampleAvailableNonPositiveFractionClampsToOne) {
   EXPECT_EQ(w.fleet->SampleAvailable(1e-9, &rng).size(), 1u);
 }
 
+// Two queries submitted back to back run concurrently on the engine's
+// scheduler, each in its own one-query session over the shared hub.
 TEST(SessionTest, TwoConcurrentQueriesBothMatchOracle) {
   RunOptions opts;
   opts.compute_availability = 0.3;
   SessionWorld w(60, opts);
-  QuerySession session = w.engine->NewSession();
 
   SAggProtocol s_agg;
   BasicSfwProtocol basic;
   const char* agg_sql = "SELECT grp, COUNT(*), AVG(val) FROM T GROUP BY grp";
   const char* sfw_sql = "SELECT grp, cat FROM T WHERE cat < 4";
-  ASSERT_TRUE(session.Submit(1, w.querier.get(), &s_agg, agg_sql).ok());
-  ASSERT_TRUE(session.Submit(2, w.querier.get(), &basic, sfw_sql).ok());
-  EXPECT_EQ(session.num_pending(), 2u);
+  QueryHandle agg =
+      w.engine->Submit(s_agg, *w.querier, 1, agg_sql).ValueOrDie();
+  QueryHandle sfw =
+      w.engine->Submit(basic, *w.querier, 2, sfw_sql).ValueOrDie();
 
-  auto outcomes = session.RunAll().ValueOrDie();
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_TRUE(outcomes.at(1).result.SameRows(
+  RunOutcome agg_out = agg.Wait().ValueOrDie();
+  RunOutcome sfw_out = sfw.Wait().ValueOrDie();
+  EXPECT_TRUE(agg_out.result.SameRows(
       ExecuteReference(*w.fleet, agg_sql).ValueOrDie()));
-  EXPECT_TRUE(outcomes.at(2).result.SameRows(
+  EXPECT_TRUE(sfw_out.result.SameRows(
       ExecuteReference(*w.fleet, sfw_sql).ValueOrDie()));
   // Both queries collected from the full fleet.
-  EXPECT_EQ(outcomes.at(1).adversary.collection_items, w.fleet->size());
-  EXPECT_EQ(outcomes.at(2).adversary.collection_items, w.fleet->size());
-  EXPECT_EQ(session.num_pending(), 0u);
+  EXPECT_EQ(agg_out.adversary.collection_items, w.fleet->size());
+  EXPECT_EQ(sfw_out.adversary.collection_items, w.fleet->size());
 }
 
 TEST(SessionTest, MixedProtocolsShareTheFleet) {
   RunOptions opts;
   opts.compute_availability = 0.3;
   SessionWorld w(60, opts);
-  QuerySession session = w.engine->NewSession();
 
   auto domain = std::make_shared<std::vector<storage::Tuple>>();
   for (size_t g = 0; g < 4; ++g) {
@@ -97,18 +107,17 @@ TEST(SessionTest, MixedProtocolsShareTheFleet) {
   NoiseProtocol noise(true, domain);
   const char* q1 = "SELECT grp, SUM(val) FROM T GROUP BY grp";
   const char* q2 = "SELECT grp, MAX(cat) FROM T GROUP BY grp";
-  ASSERT_TRUE(session.Submit(10, w.querier.get(), &s_agg, q1).ok());
-  ASSERT_TRUE(session.Submit(11, w.querier.get(), &noise, q2).ok());
-  auto outcomes = session.RunAll().ValueOrDie();
-  EXPECT_TRUE(outcomes.at(10).result.SameRows(
+  QueryHandle h1 = w.engine->Submit(s_agg, *w.querier, 10, q1).ValueOrDie();
+  QueryHandle h2 = w.engine->Submit(noise, *w.querier, 11, q2).ValueOrDie();
+  EXPECT_TRUE(h1.Wait().ValueOrDie().result.SameRows(
       ExecuteReference(*w.fleet, q1).ValueOrDie()));
-  EXPECT_TRUE(outcomes.at(11).result.SameRows(
+  EXPECT_TRUE(h2.Wait().ValueOrDie().result.SameRows(
       ExecuteReference(*w.fleet, q2).ValueOrDie()));
 }
 
 TEST(SessionTest, PersonalQueryReachesOnlyItsTds) {
   SessionWorld w;
-  QuerySession session = w.engine->NewSession();
+  QuerySession session = w.Session();
   BasicSfwProtocol basic;
   // Personal query to TDS 5: "get my own rows".
   ASSERT_TRUE(session
@@ -116,6 +125,7 @@ TEST(SessionTest, PersonalQueryReachesOnlyItsTds) {
                                   "SELECT grp, val FROM T")
                   .ok());
   auto outcomes = session.RunAll().ValueOrDie();
+  ASSERT_EQ(outcomes.size(), 1u);
   const auto& outcome = outcomes.at(3);
   // Exactly one TDS answered (its own data only).
   EXPECT_EQ(outcome.metrics.collection_participants, 1u);
@@ -124,20 +134,24 @@ TEST(SessionTest, PersonalQueryReachesOnlyItsTds) {
                    .ValueOrDie();
   auto expected = sql::ExecuteLocal(w.fleet->at(5)->db(), local).ValueOrDie();
   EXPECT_TRUE(outcome.result.SameRows(expected));
+  EXPECT_FALSE(session.has_pending());
 }
 
+// Each concurrent query's SIZE bound closes its own collection only.
 TEST(SessionTest, SizeBoundPerQuery) {
   SessionWorld w;
-  QuerySession session = w.engine->NewSession();
   BasicSfwProtocol basic;
   SAggProtocol s_agg;
-  ASSERT_TRUE(session.Submit(1, w.querier.get(), &basic,
-                             "SELECT grp FROM T SIZE 7").ok());
-  ASSERT_TRUE(session.Submit(2, w.querier.get(), &s_agg,
-                             "SELECT grp, COUNT(*) FROM T GROUP BY grp").ok());
-  auto outcomes = session.RunAll().ValueOrDie();
-  EXPECT_EQ(outcomes.at(1).adversary.collection_items, 7u);
-  EXPECT_EQ(outcomes.at(2).adversary.collection_items, w.fleet->size());
+  QueryHandle sized =
+      w.engine->Submit(basic, *w.querier, 1, "SELECT grp FROM T SIZE 7")
+          .ValueOrDie();
+  QueryHandle full = w.engine
+                         ->Submit(s_agg, *w.querier, 2,
+                                  "SELECT grp, COUNT(*) FROM T GROUP BY grp")
+                         .ValueOrDie();
+  EXPECT_EQ(sized.Wait().ValueOrDie().adversary.collection_items, 7u);
+  EXPECT_EQ(full.Wait().ValueOrDie().adversary.collection_items,
+            w.fleet->size());
 }
 
 TEST(SessionTest, TickedCollectionWindow) {
@@ -145,33 +159,51 @@ TEST(SessionTest, TickedCollectionWindow) {
   opts.connect_prob_per_tick = 0.3;
   opts.seed = 5;
   SessionWorld w(60, opts);
-  QuerySession session = w.engine->NewSession();
   SAggProtocol s_agg;
-  ASSERT_TRUE(session.Submit(1, w.querier.get(), &s_agg,
-                             "SELECT grp, COUNT(*) FROM T GROUP BY grp").ok());
-  auto outcomes = session.RunAll(/*max_ticks=*/3).ValueOrDie();
-  const auto& m = outcomes.at(1).metrics;
+  auto outcome =
+      w.engine
+          ->Run(s_agg, *w.querier, 1,
+                "SELECT grp, COUNT(*) FROM T GROUP BY grp SIZE DURATION 3")
+          .ValueOrDie();
+  const auto& m = outcome.metrics;
   EXPECT_LE(m.collection_ticks, 3u);
   EXPECT_LT(m.collection_participants, w.fleet->size());
   EXPECT_GT(m.collection_participants, 0u);
 }
 
-TEST(SessionTest, DuplicateIdRejected) {
+// A session runs one query: a second Submit, under any id, is refused and
+// points at the engine's scheduler.
+TEST(SessionTest, SecondSubmitOnASessionIsFailedPrecondition) {
   SessionWorld w;
-  QuerySession session = w.engine->NewSession();
+  QuerySession session = w.Session();
   SAggProtocol s_agg;
+  BasicSfwProtocol basic;
   const char* sql = "SELECT grp, COUNT(*) FROM T GROUP BY grp";
   ASSERT_TRUE(session.Submit(1, w.querier.get(), &s_agg, sql).ok());
-  EXPECT_FALSE(session.Submit(1, w.querier.get(), &s_agg, sql).ok());
+  for (uint64_t id : {1u, 2u}) {
+    Status again = session.Submit(id, w.querier.get(), &s_agg, sql);
+    EXPECT_TRUE(again.IsFailedPrecondition()) << again.ToString();
+    EXPECT_NE(again.ToString().find("Engine::Submit"), std::string::npos);
+  }
+  EXPECT_TRUE(session
+                  .SubmitPersonal(3, /*tds_id=*/5, w.querier.get(), &basic,
+                                  "SELECT grp, val FROM T")
+                  .IsFailedPrecondition());
+  // The first query still runs to completion, alone.
+  auto outcomes = session.RunAll().ValueOrDie();
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_TRUE(outcomes.at(1).result.SameRows(
+      ExecuteReference(*w.fleet, sql).ValueOrDie()));
 }
 
 TEST(SessionTest, ProtocolShapeMismatchRejectedAtSubmit) {
   SessionWorld w;
-  QuerySession session = w.engine->NewSession();
+  QuerySession session = w.Session();
   BasicSfwProtocol basic;
   EXPECT_FALSE(session.Submit(1, w.querier.get(), &basic,
                               "SELECT grp, COUNT(*) FROM T GROUP BY grp")
                    .ok());
+  EXPECT_FALSE(session.has_pending());
 }
 
 // Malformed RunOptions fail RunOptions::Validate and are rejected at Submit
@@ -189,7 +221,7 @@ TEST(SessionTest, InvalidOptionsRejectedAtSubmit) {
                          w.engine->ssi_client());
     Status s = session.Submit(1, w.querier.get(), &s_agg, sql);
     EXPECT_FALSE(s.ok());
-    EXPECT_EQ(session.num_pending(), 0u);
+    EXPECT_FALSE(session.has_pending());
   };
 
   RunOptions opts;
@@ -223,11 +255,27 @@ TEST(SessionTest, InvalidOptionsRejectedAtSubmit) {
   opts = RunOptions();
   opts.nf = -1;
   rejects(opts);
+  // A thread count no pool can hold used to abort the process inside the
+  // worker pool's constructor; it is now an InvalidArgument naming the knob.
+  for (size_t threads : {RunOptions::kMaxThreads + 1,
+                         std::numeric_limits<size_t>::max()}) {
+    opts = RunOptions();
+    opts.num_threads = threads;
+    rejects(opts);
+    Status s = opts.Validate();
+    EXPECT_TRUE(s.IsInvalidArgument());
+    EXPECT_NE(s.ToString().find("num_threads"), std::string::npos);
+  }
 
-  // Defaults are valid, and a valid config still submits fine.
+  // Defaults and the thread cap itself are valid, and a valid config still
+  // submits fine.
   EXPECT_TRUE(RunOptions().Validate().ok());
-  QuerySession session = w.engine->NewSession();
+  opts = RunOptions();
+  opts.num_threads = RunOptions::kMaxThreads;
+  EXPECT_TRUE(opts.Validate().ok());
+  QuerySession session = w.Session();
   EXPECT_TRUE(session.Submit(1, w.querier.get(), &s_agg, sql).ok());
+  EXPECT_TRUE(session.has_pending());
 }
 
 }  // namespace

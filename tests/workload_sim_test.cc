@@ -288,7 +288,6 @@ TEST(RunnerTest, PartitionLostBeforeAnyTdsChargesNoTds) {
   net::FaultyTransport faulty(&loopback, plan);
   protocol::RunOptions opts;
   opts.max_dropout_retries = 1;
-  opts.transport_backoff_seconds = 0;
   net::SsiClient client(&faulty, protocol::TransportRetryPolicy(opts));
   protocol::ParallelExecutor executor(1);
   protocol::RunContext ctx(w.fleet, &client, &executor, /*query_id=*/1,
