@@ -32,14 +32,17 @@
 // frame). Results are bit-identical at any batch size.
 //
 // Numeric flags must parse whole: a malformed value ("--tds=abc",
-// "--skew=1x", "--shards=") exits 2 instead of becoming a silent 0.
+// "--skew=1x", "--shards=") or a non-finite one ("--dropout=nan",
+// "--skew=inf") exits 2 instead of becoming a silent default.
 //
 // The fleet schema is the generic workload: T(gid INT, grp STRING,
 // val DOUBLE, cat INT), one row per TDS by default.
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "protocol/reference.h"
 #include "tcells/engine.h"
@@ -59,13 +62,15 @@ bool FlagValue(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
-/// Whole-string numeric parse: an empty value, garbage or trailing
-/// characters are errors.
+/// Whole-string numeric parse: an empty value, garbage, trailing characters
+/// and a non-finite floating-point value ("nan", "inf") are errors.
 template <typename T>
 bool ParseNumber(const std::string& s, T* out) {
   const char* end = s.data() + s.size();
   auto [ptr, ec] = std::from_chars(s.data(), end, *out);
-  return ec == std::errc() && ptr == end && !s.empty();
+  if (ec != std::errc() || ptr != end || s.empty()) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
+  return true;
 }
 
 bool WriteFile(const std::string& path, const std::string& content) {

@@ -122,13 +122,6 @@ Result<Bytes> ByzantineProxy::Serve(const Bytes& request,
       stats_.forged_accepts += 1;
       return EncodeReplyOk(Bytes{0});
     }
-    case MsgType::kSizeReached: {
-      if (!plan_.forge_size_reached) break;
-      if (!body->empty() && (*body)[0] != 0) break;  // already true
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.forged_size_reached += 1;
-      return EncodeReplyOk(Bytes{1});
-    }
     case MsgType::kTakeRoundOutput: {
       ParsedRequest parsed = Parse(request, 2);
       if (!parsed.ok) break;

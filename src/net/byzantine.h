@@ -2,7 +2,7 @@
 // models an actively malicious SSI. Where FaultyTransport corrupts the
 // *transport* (lost frames, delays, garbled bytes), this proxy speaks the
 // protocol correctly but lies at the application level — serving stale or
-// misattributed round outputs, forging status/accept/size bytes, reordering
+// misattributed round outputs, forging status/accept bytes, reordering
 // collected items — exactly the behaviors the paper's threat model (a
 // compromised Supporting Server Infrastructure) allows. It sees every call
 // of every frame, so its lies apply at any batch size.
@@ -51,9 +51,6 @@ struct TamperPlan {
   /// kUploadCollection: rewrite the accept byte to 0 — every TDS is told its
   /// contribution was rejected while the SSI keeps (and later serves) it.
   bool forge_accept_byte = false;
-  /// kSizeReached: always claim the SIZE bound is met, closing collection
-  /// windows before anyone contributes.
-  bool forge_size_reached = false;
   /// Replace OK replies of this message type with a NotFound error.
   std::optional<MsgType> forge_error_on;
 };
@@ -66,13 +63,11 @@ struct TamperStats {
   uint64_t echoed_inputs = 0;
   uint64_t swapped_round_outputs = 0;
   uint64_t forged_accepts = 0;
-  uint64_t forged_size_reached = 0;
   uint64_t forged_errors = 0;
 
   uint64_t total() const {
     return reversed_collected + replayed_round_outputs + echoed_inputs +
-           swapped_round_outputs + forged_accepts + forged_size_reached +
-           forged_errors;
+           swapped_round_outputs + forged_accepts + forged_errors;
   }
 };
 

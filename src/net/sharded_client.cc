@@ -54,7 +54,6 @@ size_t ShardedSsiClient::HomeShard(uint64_t query_id) {
 }
 
 Status ShardedSsiClient::PostGlobal(const QueryPost& post) {
-  if (shards_.size() == 1) return shards_[0]->PostGlobal(post);
   for (size_t i = 0; i < shards_.size(); ++i) {
     Status st = shards_[i]->PostGlobal(post);
     if (!st.ok()) {
@@ -74,7 +73,6 @@ Status ShardedSsiClient::PostGlobal(const QueryPost& post) {
 }
 
 Status ShardedSsiClient::PostPersonal(uint64_t tds_id, const QueryPost& post) {
-  if (shards_.size() == 1) return shards_[0]->PostPersonal(tds_id, post);
   size_t shard = ShardOfTds(tds_id);
   TCELLS_RETURN_IF_ERROR(shards_[shard]->PostPersonal(tds_id, post));
   std::lock_guard<std::mutex> lock(mu_);
@@ -86,13 +84,11 @@ Status ShardedSsiClient::PostPersonal(uint64_t tds_id, const QueryPost& post) {
 }
 
 Result<std::vector<QueryPost>> ShardedSsiClient::FetchPosts(uint64_t tds_id) {
-  if (shards_.size() == 1) return shards_[0]->FetchPosts(tds_id);
   return shards_[ShardOfTds(tds_id)]->FetchPosts(tds_id);
 }
 
 std::vector<Result<std::vector<QueryPost>>> ShardedSsiClient::FetchPostsBatch(
     const std::vector<uint64_t>& tds_ids) {
-  if (shards_.size() == 1) return shards_[0]->FetchPostsBatch(tds_ids);
   return ScatterByShard<std::vector<QueryPost>>(
       tds_ids, [this](size_t shard, const std::vector<uint64_t>& ids) {
         return shards_[shard]->FetchPostsBatch(ids);
@@ -100,12 +96,10 @@ std::vector<Result<std::vector<QueryPost>>> ShardedSsiClient::FetchPostsBatch(
 }
 
 Status ShardedSsiClient::Acknowledge(uint64_t tds_id, uint64_t query_id) {
-  if (shards_.size() == 1) return shards_[0]->Acknowledge(tds_id, query_id);
   return shards_[ShardOfTds(tds_id)]->Acknowledge(tds_id, query_id);
 }
 
 Result<uint64_t> ShardedSsiClient::NumAcknowledged(uint64_t query_id) {
-  if (shards_.size() == 1) return shards_[0]->NumAcknowledged(query_id);
   // Each TDS acknowledges on its own shard; shards without the query report
   // zero, so an unconditional sum is exact for global and personal posts.
   uint64_t total = 0;
@@ -128,7 +122,6 @@ Result<Bytes> ShardedSsiClient::FetchEpochBlock(uint64_t tds_id) {
 }
 
 Result<bool> ShardedSsiClient::SizeReached(uint64_t query_id) {
-  if (shards_.size() == 1) return shards_[0]->SizeReached(query_id);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = queries_.find(query_id);
   if (it == queries_.end()) {
@@ -141,17 +134,12 @@ Result<bool> ShardedSsiClient::SizeReached(uint64_t query_id) {
 Result<bool> ShardedSsiClient::UploadCollection(
     uint64_t query_id, uint64_t tds_id,
     const std::vector<EncryptedItem>& items) {
-  if (shards_.size() == 1) {
-    return shards_[0]->UploadCollection(query_id, tds_id, items);
-  }
   return std::move(
       UploadCollectionBatch({CollectionUpload{query_id, tds_id, items}})[0]);
 }
 
 std::vector<Result<bool>> ShardedSsiClient::UploadCollectionBatch(
     const std::vector<CollectionUpload>& uploads) {
-  if (shards_.size() == 1) return shards_[0]->UploadCollectionBatch(uploads);
-
   // Phase 1 — decide every accept bit in submission order under one lock.
   // The router only forwards an upload while the global count is below the
   // bound; the owning shard's local count is then necessarily below the
@@ -248,7 +236,6 @@ std::vector<Result<bool>> ShardedSsiClient::UploadCollectionBatch(
 
 Result<std::vector<EncryptedItem>> ShardedSsiClient::TakeCollected(
     uint64_t query_id) {
-  if (shards_.size() == 1) return shards_[0]->TakeCollected(query_id);
   std::vector<std::pair<size_t, uint64_t>> log;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -334,7 +321,6 @@ Result<std::vector<EncryptedItem>> ShardedSsiClient::FetchResult(
 }
 
 Result<AdversaryView> ShardedSsiClient::GetAdversaryView(uint64_t query_id) {
-  if (shards_.size() == 1) return shards_[0]->GetAdversaryView(query_id);
   bool personal;
   size_t home;
   {
@@ -357,7 +343,6 @@ Result<AdversaryView> ShardedSsiClient::GetAdversaryView(uint64_t query_id) {
 }
 
 Status ShardedSsiClient::Retire(uint64_t query_id) {
-  if (shards_.size() == 1) return shards_[0]->Retire(query_id);
   bool personal = false;
   size_t home = 0;
   {

@@ -8,12 +8,14 @@
 // partitions, round outputs and delivered results in maps independent of the
 // querybox, so any shard can carry any token's bytes.
 //
-// Per-query coordination the single node used to do locally moves here:
+// Per-query coordination lives here, the same at every shard count:
 //
-//   - The SIZE bound is global. Each shard only sees its local item count, so
-//     the router tracks accepted items from the upload accept bits and
-//     short-circuits further uploads (acknowledge + reject, exactly the
-//     observable behaviour of a node-side discard) once the bound is reached.
+//   - The SIZE bound is global and tracked querier-side. Each shard only sees
+//     its local item count, so the router tracks accepted items from the
+//     upload accept bits, answers SizeReached from that count without a wire
+//     call, and short-circuits further uploads (acknowledge + reject, exactly
+//     the observable behaviour of a node-side discard) once the bound is
+//     reached. An SSI cannot close collection early by lying about the bound.
 //   - TakeCollected must reproduce the exact arrival order a single node
 //     would have produced, because the collection feeds RNG-driven
 //     partitioning. The router logs (shard, item-count) per accepted upload
@@ -25,8 +27,7 @@
 //     comparable, within one shard count it is deterministic).
 //
 // Global posts fan out to every shard (each shard's TDSes fetch locally);
-// personal posts live only on the target TDS's shard. With a single shard
-// every method delegates verbatim, making the router an exact pass-through.
+// personal posts live only on the target TDS's shard.
 //
 // Thread-safety: routing is stateless hashing; the per-query coordination
 // map is mutex-guarded so concurrent queries (one serial protocol session
@@ -104,8 +105,9 @@ class ShardedSsiClient : public SsiApi {
   Result<Bytes> FetchEpochBlock(uint64_t tds_id) override;
 
   // ---- Collection phase ----
+  /// Answered from the router's accepted-item count; no shard is asked.
   Result<bool> SizeReached(uint64_t query_id) override;
-  /// A one-upload UploadCollectionBatch (verbatim pass-through at one shard).
+  /// A one-upload UploadCollectionBatch.
   Result<bool> UploadCollection(
       uint64_t query_id, uint64_t tds_id,
       const std::vector<ssi::EncryptedItem>& items) override;

@@ -40,18 +40,11 @@ class SsiApi {
   virtual Status PostPersonal(uint64_t tds_id, const ssi::QueryPost& post) = 0;
   virtual Result<std::vector<ssi::QueryPost>> FetchPosts(uint64_t tds_id) = 0;
   /// Batched FetchPosts: one result per id, in order, each failing
-  /// independently (a transport failure loses that TDS's fetch only). The
-  /// default is the serial loop — implementations with a wire-level batch
-  /// path (SsiClient) or per-shard fan-out (ShardedSsiClient) override it,
-  /// so call sites batch unconditionally and the transport decides how many
-  /// frames that takes.
+  /// independently (a transport failure loses that TDS's fetch only). Call
+  /// sites batch unconditionally; the transport decides how many frames
+  /// that takes (SsiClient) or how it fans out per shard (ShardedSsiClient).
   virtual std::vector<Result<std::vector<ssi::QueryPost>>> FetchPostsBatch(
-      const std::vector<uint64_t>& tds_ids) {
-    std::vector<Result<std::vector<ssi::QueryPost>>> out;
-    out.reserve(tds_ids.size());
-    for (uint64_t tds_id : tds_ids) out.push_back(FetchPosts(tds_id));
-    return out;
-  }
+      const std::vector<uint64_t>& tds_ids) = 0;
   virtual Status Acknowledge(uint64_t tds_id, uint64_t query_id) = 0;
   virtual Result<uint64_t> NumAcknowledged(uint64_t query_id) = 0;
 
@@ -66,17 +59,10 @@ class SsiApi {
   /// Batched UploadCollection: one accept bit per upload, in order. The
   /// uploads are applied in vector order with exactly the serial semantics —
   /// SIZE-bound cutoffs land between the same two uploads a serial caller
-  /// would see — so results are bit-identical to the one-by-one loop the
-  /// default implementation runs.
+  /// would see — so results are bit-identical to calling UploadCollection
+  /// once per upload.
   virtual std::vector<Result<bool>> UploadCollectionBatch(
-      const std::vector<CollectionUpload>& uploads) {
-    std::vector<Result<bool>> out;
-    out.reserve(uploads.size());
-    for (const CollectionUpload& u : uploads) {
-      out.push_back(UploadCollection(u.query_id, u.tds_id, u.items));
-    }
-    return out;
-  }
+      const std::vector<CollectionUpload>& uploads) = 0;
   virtual Result<std::vector<ssi::EncryptedItem>> TakeCollected(
       uint64_t query_id) = 0;
 
@@ -97,19 +83,11 @@ class SsiApi {
 
   // ---- Key epoch distribution (dynamic key mode, docs/KEYS.md) ----
   /// Publishes the latest encoded keys::EpochBlock. Opaque bytes at this
-  /// layer; later posts overwrite earlier ones. Default: unsupported, so
-  /// SSI implementations predating dynamic keys keep compiling — dynamic
-  /// mode simply cannot run against them.
-  virtual Status PostEpochBlock(const Bytes& block) {
-    (void)block;
-    return Status::Unimplemented("SSI does not store epoch blocks");
-  }
+  /// layer; later posts overwrite earlier ones.
+  virtual Status PostEpochBlock(const Bytes& block) = 0;
   /// Fetches the latest published block. `tds_id` identifies the caller for
   /// shard routing and fault keying only. NotFound before the first post.
-  virtual Result<Bytes> FetchEpochBlock(uint64_t tds_id) {
-    (void)tds_id;
-    return Status::NotFound("no epoch block published");
-  }
+  virtual Result<Bytes> FetchEpochBlock(uint64_t tds_id) = 0;
 
   // ---- Result delivery / teardown ----
   virtual Status DeliverResult(

@@ -37,15 +37,16 @@ Status RunOptions::Validate() const {
   if (!(compute_availability > 0.0) || compute_availability > 1.0) {
     return BadOption("compute_availability must be in (0, 1]");
   }
-  if (dropout_rate < 0.0 || dropout_rate > 1.0) {
+  if (!(dropout_rate >= 0.0 && dropout_rate <= 1.0)) {
     return BadOption("dropout_rate must be in [0, 1]");
   }
   if (dropout_rate > 0.0 && max_dropout_retries == 0) {
     return BadOption(
         "max_dropout_retries must be positive when dropout_rate > 0");
   }
-  if (dropout_timeout_seconds < 0.0) {
-    return BadOption("dropout_timeout_seconds must be >= 0");
+  if (!(std::isfinite(dropout_timeout_seconds) &&
+        dropout_timeout_seconds >= 0.0)) {
+    return BadOption("dropout_timeout_seconds must be finite and >= 0");
   }
   if (!(alpha > 1.0)) {
     return BadOption("alpha must be > 1 (merge rounds must shrink the set)");

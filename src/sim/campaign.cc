@@ -171,11 +171,11 @@ Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
   out.eligible_tds = eligible;
   out.retries = engine->metrics().counter("net.retries").value();
   out.deadline_hits = engine->metrics().counter("net.deadline_hits").value();
-  if (net::FaultyTransport* injector = engine->fault_injector()) {
+  if (net::FaultyTransport* injector = engine->shard_fault_injector(0)) {
     out.faults_injected = injector->injected_count();
     out.fault_log = injector->CanonicalLog();
   }
-  if (net::ByzantineProxy* proxy = engine->byzantine_proxy()) {
+  if (net::ByzantineProxy* proxy = engine->shard_byzantine_proxy(0)) {
     out.tampers = proxy->stats().total();
   }
 
@@ -526,23 +526,15 @@ std::vector<ScenarioSpec> DefaultManifest() {
     manifest.push_back(std::move(spec));
   }
 
-  // Every contribution is told "rejected" while the SSI keeps the data: the
-  // result can still be right, but participation accounting must expose the
-  // lie (0 acknowledged participants).
+  // Every contribution is told "rejected" while the SSI keeps the data. The
+  // shard router logs only accepted uploads, so it drains nothing and the
+  // result comes back empty; participation accounting must expose the lie
+  // (0 acknowledged participants).
   {
     ScenarioSpec spec = Base("byz-forge-accept", ProtocolKind::kBasicSfw);
     spec.tampering =
         Tamper([](net::TamperPlan* p) { p->forge_accept_byte = true; });
     spec.expect_complete = true;
-    manifest.push_back(std::move(spec));
-  }
-
-  // The SIZE bound is forged as already met: collection closes empty. The
-  // divergence must be visible as zero participants, never silent.
-  {
-    ScenarioSpec spec = Base("byz-forge-size", ProtocolKind::kBasicSfw);
-    spec.tampering =
-        Tamper([](net::TamperPlan* p) { p->forge_size_reached = true; });
     manifest.push_back(std::move(spec));
   }
 

@@ -221,7 +221,7 @@ Status Engine::PostRawEpochBlock(const Bytes& block) {
 
 void Engine::StartScheduler() {
   scheduler_ = std::make_unique<QueryScheduler>(
-      config_.max_inflight_queries, config_.admission,
+      config_.max_inflight_queries,
       [this](internal::QueryJob* job) -> Result<protocol::RunOutcome> {
         // Each job is a one-query session against the shared sharded stack:
         // its randomness derives only from (options.seed, query_id), so the
@@ -339,8 +339,6 @@ Result<protocol::ProtocolInputs> Engine::DiscoverInputs(
 std::shared_ptr<const obs::Trace> Engine::TraceFor(uint64_t query_id) const {
   return tracer_.TraceFor(query_id);
 }
-
-uint16_t Engine::ssi_port() const { return shard_port(0); }
 
 uint16_t Engine::shard_port(size_t i) const {
   return shards_[i].server ? shards_[i].server->port() : 0;

@@ -4,7 +4,7 @@
 // (a MetricsRegistry plus, optionally, a Tracer collecting per-query span
 // trees) and the SSI stack itself: `num_shards` SsiNode instances across
 // which the TDS population is hash-partitioned, fronted by a
-// net::ShardedSsiClient coordinator (an exact pass-through at one shard).
+// net::ShardedSsiClient coordinator (one code path at every shard count).
 // On top sits a QueryScheduler with `max_inflight_queries` worker slots, so
 // dozens of queries can be in flight concurrently:
 //
@@ -89,15 +89,13 @@ class Engine {
     /// and all queries share it, so query ids must be unique across
     /// concurrent queries.
     net::TransportKind transport = net::TransportKind::kLoopback;
-    /// SSI shards the TDS population is hash-partitioned across. 1 (the
-    /// default) is byte-compatible with the single-node engine; validated
-    /// in [1, kMaxShards] at Create.
+    /// SSI shards the TDS population is hash-partitioned across. Results
+    /// are bit-identical at every count; validated in [1, kMaxShards] at
+    /// Create.
     size_t num_shards = 1;
     /// Concurrent query slots of the scheduler (worker threads executing
     /// submitted queries). Validated in [1, kMaxInflightQueries] at Create.
     size_t max_inflight_queries = 4;
-    /// What Submit does once every slot is busy (scheduler.h).
-    AdmissionPolicy admission = AdmissionPolicy::kQueue;
     /// Calls coalesced into one transport frame per shard client
     /// (net::BatchOptions::max_calls_per_frame). 0 — the default — picks a
     /// per-backend value at StartShards, where the transport kind is known:
@@ -146,8 +144,8 @@ class Engine {
 
   /// Enqueues one query with the scheduler and returns immediately. The
   /// handle observes and controls the run; `protocol` and `querier` must
-  /// stay alive until it finishes. Fails on admission rejection
-  /// (ResourceExhausted under AdmissionPolicy::kReject) — never blocks.
+  /// stay alive until it finishes. Never blocks: once every slot is busy
+  /// the query waits in the scheduler's FIFO queue.
   Result<QueryHandle> Submit(protocol::Protocol& protocol,
                              const protocol::Querier& querier,
                              uint64_t query_id, const std::string& sql);
@@ -188,8 +186,8 @@ class Engine {
   /// off).
   std::shared_ptr<const obs::Trace> TraceFor(uint64_t query_id) const;
 
-  /// The logical SSI every query goes through: the shard router (an exact
-  /// pass-through to the single backend at num_shards == 1).
+  /// The logical SSI every query goes through: the shard router, at every
+  /// shard count.
   net::SsiApi* ssi_client() { return router_.get(); }
   /// The scheduler behind Submit (introspection for tests/benches).
   QueryScheduler& scheduler() { return *scheduler_; }
@@ -215,14 +213,8 @@ class Engine {
   /// Shard i's node (i < num_shards) — test/diagnostic access to per-shard
   /// state such as num_active_queries().
   net::SsiNode* shard_node(size_t i) { return shards_[i].node.get(); }
-  /// The TCP port shard 0 listens on (0 in loopback mode).
-  uint16_t ssi_port() const;
   /// Shard i's TCP port (0 in loopback mode).
   uint16_t shard_port(size_t i) const;
-  /// Shard 0's fault injector (null unless Config::fault_plan was set).
-  net::FaultyTransport* fault_injector() { return shards_[0].faulty.get(); }
-  /// Shard 0's byzantine proxy (null unless Config::tamper_plan was set).
-  net::ByzantineProxy* byzantine_proxy() { return shards_[0].byzantine.get(); }
   /// Shard i's fault injector / byzantine proxy (null when unset).
   net::FaultyTransport* shard_fault_injector(size_t i) {
     return shards_[i].faulty.get();

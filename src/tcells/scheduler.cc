@@ -15,11 +15,8 @@ const char* QueryStateToString(QueryState state) {
   return "unknown";
 }
 
-QueryScheduler::QueryScheduler(size_t max_inflight, AdmissionPolicy admission,
-                               Runner runner)
-    : max_inflight_(max_inflight),
-      admission_(admission),
-      runner_(std::move(runner)) {
+QueryScheduler::QueryScheduler(size_t max_inflight, Runner runner)
+    : max_inflight_(max_inflight), runner_(std::move(runner)) {
   workers_.reserve(max_inflight_);
   for (size_t i = 0; i < max_inflight_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -53,14 +50,6 @@ Result<QueryHandle> QueryScheduler::Submit(
     std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_) {
       return Status::FailedPrecondition("scheduler is shut down");
-    }
-    // Under kReject the capacity is exactly max_inflight in-flight
-    // (queued-or-running) queries — independent of worker pickup timing, so
-    // the accept/reject outcome of a submission sequence is deterministic.
-    if (admission_ == AdmissionPolicy::kReject &&
-        running_ + queue_.size() >= max_inflight_) {
-      return Status::ResourceExhausted(
-          "all query slots busy (AdmissionPolicy::kReject)");
     }
     queue_.push_back(job);
   }
@@ -105,8 +94,7 @@ void QueryScheduler::WorkerLoop() {
     if (run_it) result.emplace(runner_(job.get()));
 
     // Free the slot before publishing the terminal state: a caller whose
-    // Wait() returns may submit at once, and under kReject it must find
-    // the slot free.
+    // Wait() returns must already find the slot free.
     {
       std::lock_guard<std::mutex> lock(mu_);
       running_ -= 1;

@@ -1,13 +1,9 @@
-// QueryScheduler: admission control + fair slot allocation for concurrent
-// queries.
+// QueryScheduler: fair slot allocation for concurrent queries.
 //
 // A fixed pool of `max_inflight` worker threads drains a FIFO queue — FCFS
 // is the fairness policy: no submitted query can be overtaken, so a burst of
-// cheap queries cannot starve an expensive one that arrived first. Admission
-// is configurable: kQueue accepts everything and lets the backlog grow;
-// kReject caps the in-flight (queued-or-running) population at max_inflight
-// and fails Submit with ResourceExhausted beyond it (bounded latency for
-// callers that would rather re-route than wait).
+// cheap queries cannot starve an expensive one that arrived first. Submit
+// accepts every query and lets the backlog grow.
 //
 // The scheduler knows nothing about protocols: the Engine hands it a runner
 // callback that executes one job (a one-query QuerySession against the
@@ -29,12 +25,6 @@
 
 namespace tcells {
 
-/// What Submit does when every scheduler slot is busy.
-enum class AdmissionPolicy {
-  kQueue,   ///< enqueue; the query runs when a slot frees up (default)
-  kReject,  ///< fail Submit with ResourceExhausted instead of queueing
-};
-
 class QueryScheduler {
  public:
   /// Executes one job to completion. Runs on a worker thread; must be
@@ -43,8 +33,7 @@ class QueryScheduler {
       internal::QueryJob* job)>;
 
   /// Starts `max_inflight` worker threads (must be >= 1).
-  QueryScheduler(size_t max_inflight, AdmissionPolicy admission,
-                 Runner runner);
+  QueryScheduler(size_t max_inflight, Runner runner);
 
   /// Cancels queued jobs, waits for running ones to stop at their next
   /// cancellation point, and joins the workers.
@@ -53,8 +42,8 @@ class QueryScheduler {
   QueryScheduler(const QueryScheduler&) = delete;
   QueryScheduler& operator=(const QueryScheduler&) = delete;
 
-  /// Admits a job (FIFO). Under kReject, fails with ResourceExhausted when
-  /// max_inflight jobs are already queued or running.
+  /// Admits a job (FIFO); it runs when a slot frees up. Fails only once
+  /// the scheduler is shutting down.
   Result<QueryHandle> Submit(std::shared_ptr<internal::QueryJob> job);
 
   size_t max_inflight() const { return max_inflight_; }
@@ -67,7 +56,6 @@ class QueryScheduler {
   void WorkerLoop();
 
   const size_t max_inflight_;
-  const AdmissionPolicy admission_;
   const Runner runner_;
 
   mutable std::mutex mu_;

@@ -1040,14 +1040,19 @@ TEST(ByzantineProxyTest, LiesApplyToEveryCallOfABatchFrame) {
 // Shard router.
 
 TEST(ShardedSsiClientTest, SingleAndBatchUploadsCutOffAtTheSameUpload) {
-  // The router enforces the SIZE bound across shards. Sent one call at a
-  // time or as one batch, the same upload sequence is cut off at the same
-  // upload: the first one after the upload that crosses the bound.
-  auto accept_bits = [](bool batched) {
+  // The router enforces the SIZE bound itself, at every shard count. Sent
+  // one call at a time or as one batch, the same upload sequence is cut off
+  // at the same upload: the first one after the upload that crosses the
+  // bound. SizeReached is answered from the router's count, off the wire.
+  auto accept_bits = [](size_t num_shards, bool batched) {
     SsiNode node0, node1;
     LoopbackTransport transport0(node0.handler()), transport1(node1.handler());
-    SsiClient client0(&transport0), client1(&transport1);
-    ShardedSsiClient router({&client0, &client1});
+    obs::MetricsRegistry metrics;
+    SsiClient client0(&transport0, RetryPolicy{}, &metrics);
+    SsiClient client1(&transport1, RetryPolicy{}, &metrics);
+    std::vector<SsiApi*> shards = {&client0, &client1};
+    shards.resize(num_shards);
+    ShardedSsiClient router(shards);
     ssi::QueryPost post;
     post.query_id = 5;
     post.size_max_tuples = 5;
@@ -1058,7 +1063,9 @@ TEST(ShardedSsiClientTest, SingleAndBatchUploadsCutOffAtTheSameUpload) {
       uploads.push_back({5, tds, {MakeItem(tds, false), MakeItem(tds, true)}});
       shards_hit |= 1u << router.ShardOfTds(tds);
     }
-    EXPECT_EQ(shards_hit, 3u);  // both shards take uploads
+    if (num_shards == 2) {
+      EXPECT_EQ(shards_hit, 3u);  // both shards take uploads
+    }
     std::vector<Result<bool>> replies;
     if (batched) {
       replies = router.UploadCollectionBatch(uploads);
@@ -1069,14 +1076,21 @@ TEST(ShardedSsiClientTest, SingleAndBatchUploadsCutOffAtTheSameUpload) {
     }
     std::vector<bool> accepted;
     for (const Result<bool>& r : replies) accepted.push_back(r.ValueOrDie());
+    obs::Counter& calls_sent = metrics.counter("net.calls_sent");
+    const uint64_t calls_before = calls_sent.value();
+    EXPECT_TRUE(router.SizeReached(5).ValueOrDie());
+    EXPECT_EQ(calls_sent.value(), calls_before);
     EXPECT_EQ(router.TakeCollected(5).ValueOrDie().size(), 6u);
     return accepted;
   };
   // Two items per upload against a bound of 5: the third upload crosses it.
   const std::vector<bool> expected = {true,  true,  true,  false,
                                       false, false, false, false};
-  EXPECT_EQ(accept_bits(false), expected);
-  EXPECT_EQ(accept_bits(true), expected);
+  for (size_t num_shards : {1, 2}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    EXPECT_EQ(accept_bits(num_shards, false), expected);
+    EXPECT_EQ(accept_bits(num_shards, true), expected);
+  }
 }
 
 // ---------------------------------------------------------------------------

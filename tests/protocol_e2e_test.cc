@@ -510,7 +510,7 @@ TEST(DiscoveryTest, RunsUnderTheEngineFaultPlan) {
 
   auto inputs = w.engine->DiscoverInputs(*w.querier, kQueryId, kDiscoverySql)
                     .ValueOrDie();
-  net::FaultyTransport* injector = w.engine->fault_injector();
+  net::FaultyTransport* injector = w.engine->shard_fault_injector(0);
   ASSERT_NE(injector, nullptr);
   EXPECT_GT(injector->injected_count(), 0u);
   for (const net::FaultEvent& event : injector->events()) {
@@ -543,7 +543,7 @@ TEST(TamperPlanTest, ReplayedRoundOutputsAreFlaggedUnderAutoBatching) {
       w.engine->Run(protocol, *w.querier, 60,
                     "SELECT grp, COUNT(*), SUM(val) FROM T GROUP BY grp")
           .ValueOrDie();
-  EXPECT_GE(w.engine->byzantine_proxy()->stats().total(), 1u);
+  EXPECT_GE(w.engine->shard_byzantine_proxy(0)->stats().total(), 1u);
   EXPECT_GE(outcome.metrics.partitions_tampered, 1u);
   EXPECT_EQ(outcome.metrics.partitions_tampered,
             outcome.metrics.partitions_lost);
@@ -555,7 +555,7 @@ TEST(TamperPlanTest, ReversedCollectionIsToleratedUnderAutoBatching) {
   SAggProtocol protocol;
   const char* sql = "SELECT grp, COUNT(*), SUM(val) FROM T GROUP BY grp";
   auto outcome = w.engine->Run(protocol, *w.querier, 61, sql).ValueOrDie();
-  EXPECT_GE(w.engine->byzantine_proxy()->stats().total(), 1u);
+  EXPECT_GE(w.engine->shard_byzantine_proxy(0)->stats().total(), 1u);
   EXPECT_TRUE(outcome.result.SameRows(ExecuteReference(*w.fleet, sql).ValueOrDie()));
 }
 

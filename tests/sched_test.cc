@@ -1,6 +1,6 @@
 // Scheduler & engine-configuration tests: per-knob Create validation, the
-// QueryHandle lifecycle, deterministic admission control under both policies,
-// and cooperative cancellation (queued and mid-run) releasing shard state.
+// QueryHandle lifecycle, FIFO admission, and cooperative cancellation (queued
+// and mid-run) releasing shard state.
 //
 // The blocking scenarios use a GateProtocol — an S_Agg wrapper that parks in
 // RunAggregation until the test releases it — so "slot busy" and "cancel
@@ -245,49 +245,16 @@ TEST(QueryHandleTest, FailedQueryReportsFailedState) {
 }
 
 // ---------------------------------------------------------------------------
-// Admission control: deterministic accept/reject sequences per policy.
+// Admission: Submit queues every query; slots free before Wait() returns.
 // ---------------------------------------------------------------------------
-
-TEST(AdmissionTest, RejectPolicyDeterministicSequence) {
-  Engine::Config cfg;
-  cfg.options = FastOptions();
-  cfg.max_inflight_queries = 2;
-  cfg.admission = AdmissionPolicy::kReject;
-  auto engine = Engine::Create(BuildFleet(), cfg).ValueOrDie();
-  auto querier = MakeQuerier();
-
-  GateProtocol gate;
-  // Fill both slots; capacity counts queued-or-running jobs, so the reject
-  // decision does not depend on when workers pick the jobs up.
-  QueryHandle h1 = engine->Submit(gate, querier, 1, kAggSql).ValueOrDie();
-  QueryHandle h2 = engine->Submit(gate, querier, 2, kAggSql).ValueOrDie();
-  auto rejected = engine->Submit(gate, querier, 3, kAggSql);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_TRUE(rejected.status().IsResourceExhausted());
-  EXPECT_NE(rejected.status().ToString().find("all query slots busy"),
-            std::string::npos);
-
-  // Still rejected while both are parked mid-run (occupancy unchanged).
-  gate.AwaitAtGate(2);
-  EXPECT_FALSE(engine->Submit(gate, querier, 4, kAggSql).ok());
-
-  gate.Release();
-  ASSERT_TRUE(h1.Wait().ok());
-  ASSERT_TRUE(h2.Wait().ok());
-
-  // Slots free again: the same submission now succeeds.
-  protocol::SAggProtocol s_agg;
-  EXPECT_TRUE(engine->Run(s_agg, querier, 5, kAggSql).ok());
-}
 
 TEST(AdmissionTest, FinishedQueryFreesItsSlotBeforeWaitReturns) {
   // The worker frees a query's slot before publishing its terminal state,
-  // so a caller that submits as soon as Wait() returns never finds the only
-  // slot still held by the query it just waited for.
+  // so a caller whose Wait() returns never sees the only slot still held by
+  // the query it just waited for.
   Engine::Config cfg;
   cfg.options = FastOptions();
   cfg.max_inflight_queries = 1;
-  cfg.admission = AdmissionPolicy::kReject;
   auto engine = Engine::Create(BuildFleet(), cfg).ValueOrDie();
   auto querier = MakeQuerier();
   protocol::SAggProtocol s_agg;
@@ -295,14 +262,14 @@ TEST(AdmissionTest, FinishedQueryFreesItsSlotBeforeWaitReturns) {
     auto outcome = engine->Run(s_agg, querier, id, kAggSql);
     ASSERT_TRUE(outcome.ok()) << "query " << id << ": "
                               << outcome.status().ToString();
+    ASSERT_EQ(engine->scheduler().NumRunning(), 0u) << "query " << id;
   }
 }
 
-TEST(AdmissionTest, QueuePolicyRunsBacklogInOrder) {
+TEST(AdmissionTest, BusySlotQueuesBacklogInOrder) {
   Engine::Config cfg;
   cfg.options = FastOptions();
   cfg.max_inflight_queries = 1;
-  cfg.admission = AdmissionPolicy::kQueue;
   auto fleet = BuildFleet();
   auto oracle = protocol::ExecuteReference(*fleet, kAggSql).ValueOrDie();
   auto engine = Engine::Create(std::move(fleet), cfg).ValueOrDie();

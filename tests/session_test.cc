@@ -252,6 +252,17 @@ TEST(SessionTest, InvalidOptionsRejectedAtSubmit) {
   opts = RunOptions();
   opts.dropout_timeout_seconds = -1.0;
   rejects(opts);
+  // NaN fails every comparison, so a range check written as "x < lo ||
+  // x > hi" lets it through; an infinite timeout is no timeout at all.
+  opts = RunOptions();
+  opts.dropout_rate = std::numeric_limits<double>::quiet_NaN();
+  rejects(opts);
+  for (double timeout : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    opts = RunOptions();
+    opts.dropout_timeout_seconds = timeout;
+    rejects(opts);
+  }
   opts = RunOptions();
   opts.nf = -1;
   rejects(opts);
