@@ -356,9 +356,9 @@ Status ShardedSsiClient::Retire(uint64_t query_id) {
     queries_.erase(it);
   }
   // Every shard may hold round transfer state for this query's tokens, so
-  // retire everywhere. A personal query's hub entry only exists on its home
-  // shard; the other shards clear transfer remnants and then report NotFound
-  // from the querybox, which is expected and benign.
+  // retire everywhere. A personal query is posted only on its home shard;
+  // the other shards drop its transfer remnants and then report NotFound,
+  // which is expected and benign.
   Status first_error = Status::OK();
   for (size_t i = 0; i < shards_.size(); ++i) {
     Status st = shards_[i]->Retire(query_id);

@@ -4,9 +4,9 @@
 // The TDS population is hash-partitioned across shards (shard_of(tds_id) =
 // splitmix64(tds_id) mod N), so all querybox and collection traffic of one
 // TDS lands on one shard. Aggregation/filtering round transfers are
-// partitioned by (query_id, token) instead — the SsiNode keeps staged
-// partitions, round outputs and delivered results in maps independent of the
-// querybox, so any shard can carry any token's bytes.
+// partitioned by (query_id, token) instead — an SsiNode keeps staged
+// partitions, round outputs and delivered results in a per-query record that
+// needs no post, so any shard can carry any token's bytes.
 //
 // Per-query coordination lives here, the same at every shard count:
 //

@@ -381,7 +381,7 @@ Result<bool> SsiClient::UploadCollection(
 
 std::vector<Result<bool>> SsiClient::UploadCollectionBatch(
     const std::vector<CollectionUpload>& uploads) {
-  // Collection uploads fix the hub's storage order, which downstream
+  // Collection uploads fix the node's storage order, which downstream
   // partitioning consumes, so arrival order must equal submission order.
   // Exchange ships the uploads frame by frame from this thread (the node
   // applies one frame's calls in order under one mutex hold), so accept bits

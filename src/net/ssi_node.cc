@@ -1,36 +1,37 @@
 #include "net/ssi_node.h"
 
+#include <iterator>
+#include <string>
 #include <utility>
 
 #include "net/ssi_wire.h"
 
 namespace tcells::net {
 
-using ssi::EncryptedItem;
 using ssi::Partition;
 using ssi::QueryPost;
 
 namespace {
 
-Bytes EncodeItems(const std::vector<EncryptedItem>& items) {
-  Partition p;
-  p.items = items;
-  return p.Encode();
-}
-
-Result<std::vector<EncryptedItem>> DecodeItems(ByteReader* reader) {
+/// The rest of a call: an encoded item vector.
+Result<Partition> DecodePartition(ByteReader* reader) {
   TCELLS_ASSIGN_OR_RETURN(Bytes raw, reader->GetRaw(reader->remaining()));
-  TCELLS_ASSIGN_OR_RETURN(Partition p, Partition::Decode(raw));
-  return std::move(p.items);
+  return Partition::Decode(raw);
 }
 
 Bytes EmptyBody() { return Bytes(); }
+
+Status NoActiveQuery(uint64_t query_id) {
+  return Status::NotFound("no active query " + std::to_string(query_id));
+}
 
 }  // namespace
 
 size_t SsiNode::num_active_queries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return hub_.num_active();
+  size_t posted = 0;
+  for (const auto& [id, query] : queries_) posted += query.post ? 1 : 0;
+  return posted;
 }
 
 SsiNode::SsiNode(CallFilter filter) : filter_(std::move(filter)) {}
@@ -67,140 +68,154 @@ Result<Bytes> SsiNode::HandleCall(const Bytes& call) {
   return EncodeReplyError(status);
 }
 
+Status SsiNode::Post(const Bytes& raw, std::optional<uint64_t> personal_tds) {
+  TCELLS_ASSIGN_OR_RETURN(QueryPost post, QueryPost::Decode(raw));
+  Query& query = queries_[post.query_id];
+  if (query.post) {
+    return Status::InvalidArgument("duplicate query id: " +
+                                   std::to_string(post.query_id));
+  }
+  query.post = Query::Post{post.Encode(), post.size_max_tuples, personal_tds};
+  return Status::OK();
+}
+
+Result<SsiNode::Query*> SsiNode::Posted(uint64_t query_id) {
+  auto it = queries_.find(query_id);
+  if (it == queries_.end() || !it->second.post) return NoActiveQuery(query_id);
+  return &it->second;
+}
+
 Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
   ByteReader reader(call);
   TCELLS_ASSIGN_OR_RETURN(uint8_t type_byte, reader.GetU8());
   switch (static_cast<MsgType>(type_byte)) {
     case MsgType::kPostGlobal: {
       TCELLS_ASSIGN_OR_RETURN(Bytes raw, reader.GetRaw(reader.remaining()));
-      TCELLS_ASSIGN_OR_RETURN(QueryPost post, QueryPost::Decode(raw));
-      TCELLS_RETURN_IF_ERROR(hub_.PostGlobal(std::move(post)));
+      TCELLS_RETURN_IF_ERROR(Post(raw, std::nullopt));
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kPostPersonal: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t tds_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(Bytes raw, reader.GetRaw(reader.remaining()));
-      TCELLS_ASSIGN_OR_RETURN(QueryPost post, QueryPost::Decode(raw));
-      TCELLS_RETURN_IF_ERROR(hub_.PostPersonal(tds_id, std::move(post)));
+      TCELLS_RETURN_IF_ERROR(Post(raw, tds_id));
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kFetchPosts: {
+      // Every global post plus the TDS's personal ones, minus those it has
+      // already served, in query-id order.
       TCELLS_ASSIGN_OR_RETURN(uint64_t tds_id, reader.GetU64());
-      std::vector<const QueryPost*> posts = hub_.Fetch(tds_id);
+      std::vector<const Bytes*> posts;
+      for (const auto& [id, query] : queries_) {
+        if (!query.post || query.served.count(tds_id)) continue;
+        if (query.post->personal_tds && *query.post->personal_tds != tds_id) {
+          continue;
+        }
+        posts.push_back(&query.post->encoded);
+      }
       Bytes body;
       ByteWriter w(&body);
       w.PutU32(static_cast<uint32_t>(posts.size()));
-      for (const QueryPost* post : posts) w.PutBytes(post->Encode());
+      for (const Bytes* post : posts) w.PutBytes(*post);
       return EncodeReplyOk(body);
     }
     case MsgType::kAcknowledge: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t tds_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      TCELLS_RETURN_IF_ERROR(hub_.Acknowledge(tds_id, query_id));
+      TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
+      query->served.try_emplace(tds_id);
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kNumAcknowledged: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
+      auto it = queries_.find(query_id);
       Bytes body;
       ByteWriter w(&body);
-      w.PutU64(hub_.NumAcknowledged(query_id));
+      w.PutU64(it == queries_.end() ? 0 : it->second.served.size());
       return EncodeReplyOk(body);
     }
     case MsgType::kSizeReached: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(ssi::Ssi * storage, hub_.StorageFor(query_id));
+      TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
       Bytes body;
       ByteWriter w(&body);
-      w.PutU8(storage->SizeReached() ? 1 : 0);
+      w.PutU8(query->SizeReached() ? 1 : 0);
       return EncodeReplyOk(body);
     }
     case MsgType::kUploadCollection: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(uint64_t tds_id, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(std::vector<EncryptedItem> items,
-                              DecodeItems(&reader));
-      TCELLS_ASSIGN_OR_RETURN(ssi::Ssi * storage, hub_.StorageFor(query_id));
-      std::map<uint64_t, bool>& accepted_by = collection_accepted_[query_id];
-      auto dup = accepted_by.find(tds_id);
-      bool accepted;
-      if (dup != accepted_by.end()) {
-        // Duplicate delivery: a transport retry after the reply was lost.
-        // The first delivery already stored this TDS's contribution (or
-        // discarded it at the SIZE bound); replay its reply instead of
-        // counting the contribution twice.
-        accepted = dup->second;
-      } else {
+      TCELLS_ASSIGN_OR_RETURN(Partition upload, DecodePartition(&reader));
+      TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
+      std::optional<bool>& accepted = query->served[tds_id];
+      // A set bit means a duplicate delivery: a transport retry after the
+      // reply was lost. The first delivery already stored this TDS's
+      // contribution (or discarded it at the SIZE bound); replay its reply
+      // instead of counting the contribution twice.
+      if (!accepted) {
         // Atomic check-then-receive: when the SIZE bound was reached while
         // this upload was in flight, the contribution is discarded but the
         // TDS still counts as having served the query.
-        accepted = !storage->SizeReached();
-        if (accepted) storage->ReceiveCollectionItems(std::move(items));
-        accepted_by.emplace(tds_id, accepted);
+        accepted = !query->SizeReached();
+        if (*accepted) {
+          query->view.ObserveCollection(upload.items);
+          query->collected.insert(query->collected.end(),
+                                  std::make_move_iterator(upload.items.begin()),
+                                  std::make_move_iterator(upload.items.end()));
+        }
       }
-      TCELLS_RETURN_IF_ERROR(hub_.Acknowledge(tds_id, query_id));
       Bytes body;
       ByteWriter w(&body);
-      w.PutU8(accepted ? 1 : 0);
+      w.PutU8(*accepted ? 1 : 0);
       return EncodeReplyOk(body);
     }
     case MsgType::kTakeCollected: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      // Idempotent despite the destructive storage drain: a duplicate
-      // delivery (transport retry after a lost reply, or a duplicated
-      // frame) replays the first take's bytes instead of the now-empty
-      // collection.
-      auto taken = collected_taken_.find(query_id);
-      if (taken != collected_taken_.end()) {
-        return EncodeReplyOk(taken->second);
+      TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
+      // Idempotent despite the destructive drain: a duplicate delivery
+      // (transport retry after a lost reply, or a duplicated frame) replays
+      // the first take's bytes instead of the now-empty collection.
+      if (!query->taken) {
+        Partition p;
+        p.items.swap(query->collected);
+        query->taken = p.Encode();
       }
-      TCELLS_ASSIGN_OR_RETURN(ssi::Ssi * storage, hub_.StorageFor(query_id));
-      Partition p;
-      p.items = storage->TakeCollected();
-      Bytes body = p.Encode();
-      collected_taken_[query_id] = body;
-      return EncodeReplyOk(body);
+      return EncodeReplyOk(*query->taken);
     }
     case MsgType::kStagePartition: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(uint64_t token, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(std::vector<EncryptedItem> items,
-                              DecodeItems(&reader));
-      Partition p;
-      p.items = std::move(items);
-      staged_[query_id][token] = std::move(p);
+      TCELLS_ASSIGN_OR_RETURN(Partition p, DecodePartition(&reader));
+      queries_[query_id].staged[token] = std::move(p);
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kFetchPartition: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(uint64_t token, reader.GetU64());
-      auto qit = staged_.find(query_id);
-      if (qit == staged_.end() || !qit->second.count(token)) {
+      auto qit = queries_.find(query_id);
+      if (qit == queries_.end() || !qit->second.staged.count(token)) {
         return Status::NotFound("no staged partition for token");
       }
       // Left staged: a dropout re-dispatch downloads the same bytes again.
-      return EncodeReplyOk(qit->second.at(token).Encode());
+      return EncodeReplyOk(qit->second.staged.at(token).Encode());
     }
     case MsgType::kUploadRoundOutput: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(uint64_t token, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(std::vector<EncryptedItem> items,
-                              DecodeItems(&reader));
-      Partition p;
-      p.items = std::move(items);
-      outputs_[query_id][token] = std::move(p);
+      TCELLS_ASSIGN_OR_RETURN(Partition p, DecodePartition(&reader));
+      queries_[query_id].outputs[token] = std::move(p);
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kTakeRoundOutput: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(uint64_t token, reader.GetU64());
-      auto qit = outputs_.find(query_id);
-      if (qit == outputs_.end() || !qit->second.count(token)) {
+      auto qit = queries_.find(query_id);
+      if (qit == queries_.end() || !qit->second.outputs.count(token)) {
         return Status::NotFound("no round output for token");
       }
       // Left in place: the take is two-phase. A retry after a lost reply
       // re-downloads the same bytes; only the explicit kAckRoundOutput
       // (sent once the items are safely in the client's hands) erases.
-      return EncodeReplyOk(qit->second.at(token).Encode());
+      return EncodeReplyOk(qit->second.outputs.at(token).Encode());
     }
     case MsgType::kAckRoundOutput: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
@@ -208,48 +223,46 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
       // Consume both ends of the exchange so the next round can reuse the
       // token without mixing stale bytes in. Idempotent: an ack retried
       // after a lost reply finds nothing and still succeeds.
-      auto qit = outputs_.find(query_id);
-      if (qit != outputs_.end()) qit->second.erase(token);
-      auto sit = staged_.find(query_id);
-      if (sit != staged_.end()) sit->second.erase(token);
+      auto qit = queries_.find(query_id);
+      if (qit != queries_.end()) {
+        qit->second.outputs.erase(token);
+        qit->second.staged.erase(token);
+      }
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kObserveAggregation: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(std::vector<EncryptedItem> items,
-                              DecodeItems(&reader));
-      TCELLS_ASSIGN_OR_RETURN(ssi::Ssi * storage, hub_.StorageFor(query_id));
-      storage->ObserveAggregationItems(items);
+      TCELLS_ASSIGN_OR_RETURN(Partition p, DecodePartition(&reader));
+      TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
+      query->view.ObserveAggregation(p.items);
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kObserveFiltering: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(std::vector<EncryptedItem> items,
-                              DecodeItems(&reader));
-      TCELLS_ASSIGN_OR_RETURN(ssi::Ssi * storage, hub_.StorageFor(query_id));
-      storage->ObserveFilteringItems(items);
+      TCELLS_ASSIGN_OR_RETURN(Partition p, DecodePartition(&reader));
+      TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
+      query->view.ObserveFiltering(p.items);
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kDeliverResult: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(std::vector<EncryptedItem> items,
-                              DecodeItems(&reader));
-      results_[query_id] = std::move(items);
+      TCELLS_ASSIGN_OR_RETURN(Partition p, DecodePartition(&reader));
+      queries_[query_id].result = std::move(p);
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kFetchResult: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      auto it = results_.find(query_id);
-      if (it == results_.end()) {
+      auto it = queries_.find(query_id);
+      if (it == queries_.end() || !it->second.result) {
         return Status::NotFound("no delivered result for query");
       }
-      return EncodeReplyOk(EncodeItems(it->second));
+      return EncodeReplyOk(it->second.result->Encode());
     }
     case MsgType::kAdversaryView: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(ssi::Ssi * storage, hub_.StorageFor(query_id));
+      TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
       Bytes body;
-      storage->adversary_view().EncodeTo(&body);
+      query->view.EncodeTo(&body);
       return EncodeReplyOk(body);
     }
     case MsgType::kPostEpochBlock: {
@@ -272,14 +285,13 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
     }
     case MsgType::kRetire: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      // Drop every transfer remnant of the query, so lost partitions do not
-      // outlive it inside the SSI.
-      collection_accepted_.erase(query_id);
-      collected_taken_.erase(query_id);
-      staged_.erase(query_id);
-      outputs_.erase(query_id);
-      results_.erase(query_id);
-      TCELLS_RETURN_IF_ERROR(hub_.Retire(query_id));
+      // Drops the whole record, transfer remnants included, so lost
+      // partitions do not outlive the query inside the SSI — and reports
+      // NotFound when the query was never posted here.
+      auto retired = queries_.extract(query_id);
+      if (retired.empty() || !retired.mapped().post) {
+        return NoActiveQuery(query_id);
+      }
       return EncodeReplyOk(EmptyBody());
     }
   }

@@ -1,7 +1,8 @@
-// SsiNode: the server side of the SSI RPC surface. It owns the querybox hub
-// (and through it every active query's storage + adversary view) plus the
+// SsiNode: the server side of the SSI RPC surface, and the SSI's whole
+// per-query state: one record per query id holding its querybox post, the
+// TDSs that served it, the collected items, the adversary view, and the
 // transient transfer state the framed protocol needs — staged partitions
-// TDSs download, round outputs they upload, and delivered results the
+// TDSs download, round outputs they upload, and the delivered result the
 // querier fetches. Handle() is the single entry point: one batch request
 // frame in (ssi_wire.h; a count of 1 is a single call), one batch reply frame
 // out. The frame's calls dispatch in frame order under one hold of a mutex,
@@ -13,10 +14,11 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "net/channel.h"
-#include "ssi/querybox.h"
+#include "ssi/ssi.h"
 
 namespace tcells::net {
 
@@ -45,31 +47,57 @@ class SsiNode {
     return [this](const Bytes& request) { return Handle(request); };
   }
 
-  /// Active queries in the hub (for tests / diagnostics).
+  /// Posted queries not yet retired (for tests / diagnostics).
   size_t num_active_queries() const;
 
  private:
+  /// One query's SSI state. A record may exist without a post: the round
+  /// transfer calls are keyed by (query, token) on whichever shard the router
+  /// picks, so a personal query's tokens can land on a shard it was never
+  /// posted to.
+  struct Query {
+    struct Post {
+      Bytes encoded;  ///< Served as-is by kFetchPosts.
+      std::optional<uint64_t> size_max_tuples;
+      std::optional<uint64_t> personal_tds;  ///< nullopt = global.
+    };
+    std::optional<Post> post;
+    /// tds_id → accept bit of its first collection upload, or nullopt when
+    /// it acknowledged the query without one. A duplicate upload (transport
+    /// retry after a lost reply) replays the bit instead of appending the
+    /// contribution a second time.
+    std::map<uint64_t, std::optional<bool>> served;
+    std::vector<ssi::EncryptedItem> collected;
+    /// Encoded body of the first kTakeCollected reply. The take drains
+    /// `collected`, so a duplicate delivery must replay the same bytes
+    /// instead of an empty partition.
+    std::optional<Bytes> taken;
+    ssi::AdversaryView view;
+    /// token → partition staged for TDS download / round output uploaded by
+    /// the processing TDS.
+    std::map<uint64_t, ssi::Partition> staged;
+    std::map<uint64_t, ssi::Partition> outputs;
+    /// Final result items awaiting querier download.
+    std::optional<ssi::Partition> result;
+
+    /// The cleartext SIZE clause of a posted query: the SSI counts items and
+    /// cannot tell true from dummy or fake ones, which is the point.
+    bool SizeReached() const {
+      return post->size_max_tuples &&
+             collected.size() >= *post->size_max_tuples;
+    }
+  };
+
   /// One call under mu_: dispatch + error-envelope wrapping.
   Result<Bytes> HandleCall(const Bytes& call);
   Result<Bytes> Dispatch(const Bytes& call);
+  Status Post(const Bytes& raw, std::optional<uint64_t> personal_tds);
+  /// The posted record of `query_id`, or NotFound.
+  Result<Query*> Posted(uint64_t query_id);
 
   CallFilter filter_;
   mutable std::mutex mu_;
-  ssi::QueryboxHub hub_;
-  /// query_id → tds_id → accepted bit of the first collection upload. A
-  /// duplicate delivery (transport retry after a lost reply) replays that
-  /// bit instead of appending the contribution a second time.
-  std::map<uint64_t, std::map<uint64_t, bool>> collection_accepted_;
-  /// query_id → encoded body of the first kTakeCollected reply. The take
-  /// drains the storage, so a duplicate delivery (transport retry after a
-  /// lost reply) must replay the same bytes instead of an empty partition.
-  std::map<uint64_t, Bytes> collected_taken_;
-  /// query_id → token → partition staged for TDS download.
-  std::map<uint64_t, std::map<uint64_t, ssi::Partition>> staged_;
-  /// query_id → token → round output uploaded by the processing TDS.
-  std::map<uint64_t, std::map<uint64_t, ssi::Partition>> outputs_;
-  /// query_id → final result items awaiting querier download.
-  std::map<uint64_t, std::vector<ssi::EncryptedItem>> results_;
+  std::map<uint64_t, Query> queries_;
   /// Latest published key-epoch block (encoded keys::EpochBlock, opaque
   /// here). Deliberately NOT per-query and NOT touched by kRetire: the key
   /// schedule outlives every query.

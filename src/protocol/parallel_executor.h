@@ -1,9 +1,9 @@
 // ParallelExecutor: the protocol layer's fan-out primitive, wrapping a
 // ThreadPool with Status-based (instead of exception-based) error handling.
 // One executor lives in each QuerySession and is shared by every phase of
-// every query in it: the collection pass over the fleet, the aggregation
-// merge rounds (S_Agg levels, Noise per-group partitions, ED_Hist bucket
-// steps) and the filtering pass. The phases run one after another, never
+// its query: the collection pass over the fleet, the aggregation merge
+// rounds (S_Agg levels, Noise per-group partitions, ED_Hist bucket steps)
+// and the filtering pass. The phases run one after another, never
 // concurrently on the same executor.
 //
 // Determinism contract: jobs must be independent (disjoint output slots,

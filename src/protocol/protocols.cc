@@ -42,7 +42,7 @@ std::vector<Partition> SplitEach(std::vector<Partition> partitions,
   if (ways <= 1) return partitions;
   std::vector<Partition> out;
   for (auto& p : partitions) {
-    for (auto& sub : ssi::Ssi::SplitPartition(std::move(p), ways)) {
+    for (auto& sub : ssi::SplitPartition(std::move(p), ways)) {
       out.push_back(std::move(sub));
     }
   }
@@ -65,13 +65,13 @@ Status RequireAggregation(const sql::AnalyzedQuery& query, const char* name) {
 
 Result<CollectionConfig> BasicSfwProtocol::MakeCollectionConfig(
     RunContext& ctx, const sql::AnalyzedQuery& query) {
+  (void)ctx;
   if (query.is_aggregation) {
     return Status::InvalidArgument(
         "Basic_SFW cannot evaluate aggregation queries");
   }
   CollectionConfig config;
   config.mode = CollectionMode::kNDet;
-  config.pad_payload_to = ctx.options().pad_payload_to;
   return config;
 }
 
@@ -90,10 +90,10 @@ Result<std::vector<EncryptedItem>> BasicSfwProtocol::RunAggregation(
 
 Result<CollectionConfig> SAggProtocol::MakeCollectionConfig(
     RunContext& ctx, const sql::AnalyzedQuery& query) {
+  (void)ctx;
   TCELLS_RETURN_IF_ERROR(RequireAggregation(query, "S_Agg"));
   CollectionConfig config;
   config.mode = CollectionMode::kNDet;
-  config.pad_payload_to = ctx.options().pad_payload_to;
   return config;
 }
 
@@ -101,19 +101,22 @@ Result<std::vector<EncryptedItem>> SAggProtocol::RunAggregation(
     RunContext& ctx, const sql::AnalyzedQuery& query,
     const CollectionConfig& config, std::vector<EncryptedItem> items) {
   const RunOptions& opts = ctx.options();
-  size_t alpha = std::max<size_t>(
-      2, static_cast<size_t>(std::llround(std::ceil(opts.alpha))));
+  const double alpha = std::max(2.0, std::ceil(opts.alpha));
   // First round: each TDS ingests ~alpha*G raw tuples so its partial
   // aggregate covers most groups (§6.1.1); later rounds merge alpha partials.
-  size_t first_chunk =
-      std::max<size_t>(alpha, alpha * std::max<size_t>(1, opts.expected_groups));
+  const double first_chunk =
+      alpha * static_cast<double>(std::max<size_t>(1, opts.expected_groups));
 
   bool first = true;
   while (items.size() > 1 || first) {
-    size_t chunk = first ? first_chunk : alpha;
+    // A chunk above the item count is one partition, so capping it there
+    // first keeps a huge alpha from ever reaching the integer conversion.
+    const size_t chunk = static_cast<size_t>(
+        std::min(first ? first_chunk : alpha,
+                 static_cast<double>(std::max<size_t>(1, items.size()))));
     first = false;
     std::vector<Partition> partitions =
-        ssi::Ssi::PartitionRandomly(std::move(items), chunk, &ctx.rng());
+        ssi::PartitionRandomly(std::move(items), chunk, &ctx.rng());
     TCELLS_ASSIGN_OR_RETURN(
         items, ctx.RunRound(sim::Phase::kAggregation, partitions,
                             AggregateFn(query, OutputTagPolicy::kNone,
@@ -138,7 +141,6 @@ Result<CollectionConfig> NoiseProtocol::MakeCollectionConfig(
   config.noise.complementary = complementary_;
   config.noise.nf = complementary_ ? 0 : ctx.options().nf;
   config.noise.group_domain = group_domain_;
-  config.pad_payload_to = ctx.options().pad_payload_to;
   return config;
 }
 
@@ -146,7 +148,7 @@ Result<std::vector<EncryptedItem>> NoiseProtocol::RunAggregation(
     RunContext& ctx, const sql::AnalyzedQuery& query,
     const CollectionConfig& config, std::vector<EncryptedItem> items) {
   TCELLS_ASSIGN_OR_RETURN(std::vector<Partition> by_group,
-                          ssi::Ssi::PartitionByTag(std::move(items)));
+                          ssi::PartitionByTag(std::move(items)));
 
   // n_NB: TDSs cooperating on one group in step 1. The analytical optimum is
   // sqrt((nf+1)*N_t/G) (§6.1.2) — estimated here from the observed sizes.
@@ -167,7 +169,7 @@ Result<std::vector<EncryptedItem>> NoiseProtocol::RunAggregation(
 
   // Step 2: merge the n_NB partials of each group on a single TDS.
   TCELLS_ASSIGN_OR_RETURN(std::vector<Partition> step2,
-                          ssi::Ssi::PartitionByTag(std::move(partials)));
+                          ssi::PartitionByTag(std::move(partials)));
   return ctx.RunRound(sim::Phase::kAggregation, step2,
                       AggregateFn(query, OutputTagPolicy::kPreserve, config));
 }
@@ -184,6 +186,7 @@ std::unique_ptr<EdHistProtocol> EdHistProtocol::FromDistribution(
 
 Result<CollectionConfig> EdHistProtocol::MakeCollectionConfig(
     RunContext& ctx, const sql::AnalyzedQuery& query) {
+  (void)ctx;
   TCELLS_RETURN_IF_ERROR(RequireAggregation(query, "ED_Hist"));
   if (!histogram_ || histogram_->num_buckets() == 0) {
     return Status::FailedPrecondition(
@@ -192,7 +195,6 @@ Result<CollectionConfig> EdHistProtocol::MakeCollectionConfig(
   CollectionConfig config;
   config.mode = CollectionMode::kHistTag;
   config.histogram = histogram_;
-  config.pad_payload_to = ctx.options().pad_payload_to;
   return config;
 }
 
@@ -202,7 +204,7 @@ Result<std::vector<EncryptedItem>> EdHistProtocol::RunAggregation(
   // Step 1: per-bucket partitions; TDSs emit one Det-tagged partial per
   // group found in the bucket.
   TCELLS_ASSIGN_OR_RETURN(std::vector<Partition> by_bucket,
-                          ssi::Ssi::PartitionByTag(std::move(items)));
+                          ssi::PartitionByTag(std::move(items)));
   size_t total = 0;
   for (const auto& p : by_bucket) total += p.items.size();
   double avg = static_cast<double>(total) /
@@ -220,7 +222,7 @@ Result<std::vector<EncryptedItem>> EdHistProtocol::RunAggregation(
 
   // Step 2: per-group partitions (Det_Enc(group) tags) -> final aggregates.
   TCELLS_ASSIGN_OR_RETURN(std::vector<Partition> step2,
-                          ssi::Ssi::PartitionByTag(std::move(partials)));
+                          ssi::PartitionByTag(std::move(partials)));
   return ctx.RunRound(sim::Phase::kAggregation, step2,
                       AggregateFn(query, OutputTagPolicy::kPreserve, config));
 }
@@ -235,7 +237,7 @@ Result<std::vector<EncryptedItem>> RunFilteringPhase(
   size_t pool_size = std::max<size_t>(1, ctx.compute_pool().size());
   size_t chunk = (covering.size() + pool_size - 1) / pool_size;
   std::vector<Partition> partitions =
-      ssi::Ssi::PartitionRandomly(std::move(covering), chunk, &ctx.rng());
+      ssi::PartitionRandomly(std::move(covering), chunk, &ctx.rng());
   return ctx.RunRound(sim::Phase::kFiltering, partitions,
                       [&query, &config](tds::TrustedDataServer* server,
                                         const Partition& partition, Rng* rng) {

@@ -37,7 +37,9 @@ class Protocol {
   virtual ProtocolKind kind() const = 0;
   const char* name() const { return ProtocolKindToString(kind()); }
 
-  /// Builds the collection-phase configuration distributed to TDSs.
+  /// Builds the collection-phase configuration distributed to TDSs. The
+  /// session fills in the protocol-independent fields (key posting, payload
+  /// padding) afterwards.
   virtual Result<tds::CollectionConfig> MakeCollectionConfig(
       RunContext& ctx, const sql::AnalyzedQuery& query) = 0;
 

@@ -48,8 +48,9 @@ Status RunOptions::Validate() const {
         dropout_timeout_seconds >= 0.0)) {
     return BadOption("dropout_timeout_seconds must be finite and >= 0");
   }
-  if (!(alpha > 1.0)) {
-    return BadOption("alpha must be > 1 (merge rounds must shrink the set)");
+  if (!(std::isfinite(alpha) && alpha > 1.0)) {
+    return BadOption(
+        "alpha must be finite and > 1 (merge rounds must shrink the set)");
   }
   if (nf < 0) {
     return BadOption("nf must be >= 0");

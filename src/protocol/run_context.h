@@ -1,5 +1,5 @@
 // RunContext / RunOptions / RunMetrics: shared machinery for executing a
-// protocol end to end over a Fleet and an Ssi instance, with cost accounting,
+// protocol end to end over a Fleet and the SSI, with cost accounting,
 // simulated-time tracking and fault injection (TDS dropouts with SSI
 // re-dispatch, §3.2 Correctness).
 //
@@ -79,13 +79,6 @@ struct RunOptions {
   /// retry storms complete instantly and deterministically.
   Clock* clock = nullptr;
 
-  /// Safety bound on collection connection ticks for DURATION-bounded
-  /// queries (0 = unbounded). A byzantine SSI that under-reports
-  /// NumAcknowledged forever would otherwise hang RunAll; adversarial
-  /// campaigns set this so such scenarios abort with DeadlineExceeded
-  /// instead.
-  uint64_t max_collection_ticks = 0;
-
   uint64_t seed = 42;
 
   /// Dynamic key mode (borrowed; may be null = static keys, bit-identical to
@@ -107,9 +100,9 @@ struct RunOptions {
   /// leaves a phase half-applied. Engine::QueryHandle::Cancel sets it.
   const std::atomic<bool>* cancel = nullptr;
 
-  /// Sanity-checks the knob values (rates in range, alpha above the fixed
-  /// point, retry budget consistent with the dropout rate, num_threads at
-  /// most kMaxThreads). Invoked at query submit time — by
+  /// Sanity-checks the knob values (rates in range, alpha finite and above
+  /// the fixed point, retry budget consistent with the dropout rate,
+  /// num_threads at most kMaxThreads). Invoked at query submit time — by
   /// QuerySession::Submit and Engine::Create — so malformed configurations
   /// fail fast instead of deep inside a round.
   Status Validate() const;
@@ -207,8 +200,8 @@ class RunContext {
   /// epilogue, so the tree is bit-identical for any thread count. `client`
   /// is the SSI channel every partition travels through and `executor` the
   /// worker pool every round fans out on (both borrowed, never null; a
-  /// QuerySession lends its own pool to all its queries); `query_id` scopes
-  /// this context's exchanges inside the shared SSI.
+  /// QuerySession lends its own pool to its query); `query_id` scopes this
+  /// context's exchanges inside the shared SSI.
   RunContext(Fleet* fleet, net::SsiApi* client, ParallelExecutor* executor,
              uint64_t query_id, const sim::DeviceModel& device,
              RunOptions options, obs::Trace* trace = nullptr);

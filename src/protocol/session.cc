@@ -93,7 +93,7 @@ Status QuerySession::SubmitInternal(uint64_t query_id,
       querier->AnalyzeAgainst(sql, fleet_->at(0)->db().catalog()));
 
   // The query's context (metrics, rng stream) derives only from (seed,
-  // query id), and it gets its own storage area inside the hub.
+  // query id), and it gets its own record on the SSI.
   RunOptions opts = options_;
   opts.seed = options_.seed + query_id * 0x9e37;
   Rng post_rng(opts.seed ^ 0xabcdef);
@@ -145,6 +145,7 @@ Status QuerySession::SubmitInternal(uint64_t query_id,
   }
   pending.config = std::move(config_result).ValueOrDie();
   pending.config.key_posting = pending.key_posting;
+  pending.config.pad_payload_to = opts.pad_payload_to;
 
   // Tag the root span with the protocol's noise/histogram configuration —
   // notably the expected fake-tuple ratio of Rnf_Noise (nf fakes per true
@@ -190,7 +191,7 @@ Status QuerySession::Collect(PendingQuery& q) {
   const size_t eligible = q.personal_tds ? 1 : fleet_->size();
   RunMetrics& metrics = q.ctx->metrics();
 
-  // Per tick: connectors and their downloads are decided serially (hub state
+  // Per tick: connectors and their downloads are decided serially (SSI state
   // is single-threaded), each connector's serve gets a private Rng stream
   // forked from the query's context in a fixed order, local evaluation fans
   // out across the worker threads, and the contributions are uploaded in
@@ -199,13 +200,6 @@ Status QuerySession::Collect(PendingQuery& q) {
     if (options_.cancel != nullptr &&
         options_.cancel->load(std::memory_order_relaxed)) {
       return Status::Cancelled("query cancelled during collection");
-    }
-    // Safety valve for adversarial runs: an SSI that forever under-reports
-    // NumAcknowledged would keep the window open and hang this loop.
-    if (options_.max_collection_ticks > 0 &&
-        tick >= options_.max_collection_ticks) {
-      return Status::DeadlineExceeded(
-          "collection exceeded RunOptions::max_collection_ticks");
     }
     // Campaign hook: a deterministic point to revoke TDSs / roll the key
     // epoch while the query is in flight.

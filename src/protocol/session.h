@@ -1,12 +1,12 @@
-// QuerySession: one query over one fleet, routed through the SSI's querybox
-// hub (§3.1). Each connecting TDS downloads the queries addressed to it
+// QuerySession: one query over one fleet, routed through the SSI's
+// queryboxes (§3.1). Each connecting TDS downloads the queries addressed to it
 // (global + personal) and serves this session's query at most once; the
 // protocol's aggregation, filtering and decryption phases then complete it.
 //
 // This is the only execution path: the tcells::Engine facade
 // (tcells/engine.h) runs every Submit as a one-query session over its shard
 // router, and its QueryScheduler runs such sessions side by side. Several
-// queries in flight are several sessions sharing the hub, never several
+// queries in flight are several sessions sharing the SSI, never several
 // queries inside one session.
 #ifndef TCELLS_PROTOCOL_SESSION_H_
 #define TCELLS_PROTOCOL_SESSION_H_
@@ -51,7 +51,7 @@ class QuerySession {
 
   bool has_pending() const { return query_.has_value(); }
 
-  /// Runs collection over the querybox hub, then aggregation + filtering +
+  /// Runs collection over the queryboxes, then aggregation + filtering +
   /// decryption, and returns the outcome keyed by the query id (one entry).
   /// FailedPrecondition when nothing was submitted.
   ///

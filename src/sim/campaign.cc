@@ -124,8 +124,6 @@ Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
   config.options.compute_availability = 0.25;
   config.options.expected_groups = spec.num_groups;
   config.options.clock = &vclock;
-  // A lying SSI must not be able to hang the collection loop.
-  config.options.max_collection_ticks = 512;
   config.key_mode = spec.dynamic_keys ? KeyMode::kDynamic : KeyMode::kStatic;
 
   // Mid-run key events fire from the collection tick hook. The engine does

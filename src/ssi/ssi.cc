@@ -62,32 +62,27 @@ Result<AdversaryView> AdversaryView::Decode(const Bytes& data) {
   return view;
 }
 
-void Ssi::PostQuery(QueryPost post) { post_ = std::move(post); }
+void AdversaryView::ObserveCollection(const std::vector<EncryptedItem>& items) {
+  for (const auto& item : items) {
+    if (item.routing_tag) collection_tag_histogram[*item.routing_tag] += 1;
+    collection_blob_sizes.push_back(item.blob.size());
+  }
+  collection_items += items.size();
+}
 
-void Ssi::ReceiveCollectionItems(std::vector<EncryptedItem> items) {
-  for (auto& item : items) {
-    if (item.routing_tag) {
-      view_.collection_tag_histogram[*item.routing_tag] += 1;
-    }
-    view_.collection_blob_sizes.push_back(item.blob.size());
-    view_.collection_items += 1;
-    collected_.push_back(std::move(item));
+void AdversaryView::ObserveAggregation(const std::vector<EncryptedItem>& items) {
+  aggregation_items += items.size();
+  for (const auto& item : items) {
+    if (item.routing_tag) aggregation_tag_histogram[*item.routing_tag] += 1;
   }
 }
 
-bool Ssi::SizeReached() const {
-  if (!post_.size_max_tuples) return false;
-  return collected_.size() >= *post_.size_max_tuples;
+void AdversaryView::ObserveFiltering(const std::vector<EncryptedItem>& items) {
+  filtering_items += items.size();
 }
 
-std::vector<EncryptedItem> Ssi::TakeCollected() {
-  std::vector<EncryptedItem> out;
-  out.swap(collected_);
-  return out;
-}
-
-std::vector<Partition> Ssi::PartitionRandomly(std::vector<EncryptedItem> items,
-                                              size_t chunk_items, Rng* rng) {
+std::vector<Partition> PartitionRandomly(std::vector<EncryptedItem> items,
+                                         size_t chunk_items, Rng* rng) {
   if (chunk_items == 0) chunk_items = 1;
   rng->Shuffle(&items);
   std::vector<Partition> partitions;
@@ -101,8 +96,7 @@ std::vector<Partition> Ssi::PartitionRandomly(std::vector<EncryptedItem> items,
   return partitions;
 }
 
-Result<std::vector<Partition>> Ssi::PartitionByTag(
-    std::vector<EncryptedItem> items) {
+Result<std::vector<Partition>> PartitionByTag(std::vector<EncryptedItem> items) {
   std::map<Bytes, Partition> by_tag;
   for (auto& item : items) {
     if (!item.routing_tag) {
@@ -119,7 +113,7 @@ Result<std::vector<Partition>> Ssi::PartitionByTag(
   return partitions;
 }
 
-std::vector<Partition> Ssi::SplitPartition(Partition partition, size_t ways) {
+std::vector<Partition> SplitPartition(Partition partition, size_t ways) {
   ways = std::max<size_t>(1, std::min(ways, partition.items.size()));
   std::vector<Partition> out(ways);
   // Round-robin keeps sub-partitions balanced to within one item.
@@ -127,19 +121,6 @@ std::vector<Partition> Ssi::SplitPartition(Partition partition, size_t ways) {
     out[i % ways].items.push_back(std::move(partition.items[i]));
   }
   return out;
-}
-
-void Ssi::ObserveAggregationItems(const std::vector<EncryptedItem>& items) {
-  view_.aggregation_items += items.size();
-  for (const auto& item : items) {
-    if (item.routing_tag) {
-      view_.aggregation_tag_histogram[*item.routing_tag] += 1;
-    }
-  }
-}
-
-void Ssi::ObserveFilteringItems(const std::vector<EncryptedItem>& items) {
-  view_.filtering_items += items.size();
 }
 
 }  // namespace tcells::ssi

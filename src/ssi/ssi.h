@@ -5,14 +5,16 @@
 // partitions when a TDS goes offline. It holds no keys: its entire API
 // consumes and produces EncryptedItems.
 //
-// For the security analysis (§5) the SSI also exposes its AdversaryView —
-// the exact multiset of observations an attacker controlling the SSI gets.
+// The SSI's per-query state lives in net::SsiNode, one record per query.
+// This header holds what both sides of the wire share: the AdversaryView —
+// the exact multiset of observations an attacker controlling the SSI gets,
+// for the security analysis (§5) — and the partition builders the protocols
+// run between rounds.
 #ifndef TCELLS_SSI_SSI_H_
 #define TCELLS_SSI_SSI_H_
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -40,60 +42,30 @@ struct AdversaryView {
   uint64_t aggregation_items = 0;
   uint64_t filtering_items = 0;
 
+  /// Records one accepted collection upload's items.
+  void ObserveCollection(const std::vector<EncryptedItem>& items);
+  void ObserveAggregation(const std::vector<EncryptedItem>& items);
+  void ObserveFiltering(const std::vector<EncryptedItem>& items);
+
   /// Wire codec, so a remote querier can download the view for the exposure
   /// analysis. Maps encode in key order; the round trip is lossless.
   void EncodeTo(Bytes* out) const;
   static Result<AdversaryView> Decode(const Bytes& data);
 };
 
-/// One query's life inside the SSI.
-class Ssi {
- public:
-  Ssi() = default;
+/// ---- Partitioning (steps 5/9) ----
+/// Random partitioning into chunks of at most `chunk_items` items: the only
+/// thing the SSI can do when items carry no routing tag (S_Agg, basic).
+std::vector<Partition> PartitionRandomly(std::vector<EncryptedItem> items,
+                                         size_t chunk_items, Rng* rng);
 
-  /// ---- Querybox (step 1/2) ----
-  void PostQuery(QueryPost post);
-  const QueryPost& query_post() const { return post_; }
+/// Tag-based partitioning: one partition per distinct routing tag (Noise
+/// protocols and ED_Hist). Items without a tag are rejected.
+Result<std::vector<Partition>> PartitionByTag(std::vector<EncryptedItem> items);
 
-  /// ---- Collection phase (steps 3-4) ----
-  /// Appends one TDS's contribution to the temporary storage area.
-  void ReceiveCollectionItems(std::vector<EncryptedItem> items);
-
-  /// True when the SIZE tuple bound has been reached (the SSI counts items;
-  /// it cannot tell true from dummy/fake ones, which is the point).
-  bool SizeReached() const;
-
-  uint64_t NumCollected() const { return collected_.size(); }
-  const std::vector<EncryptedItem>& collected() const { return collected_; }
-  std::vector<EncryptedItem> TakeCollected();
-
-  /// ---- Partitioning (steps 5/9) ----
-  /// Random partitioning into chunks of at most `chunk_items` items: the only
-  /// thing the SSI can do when items carry no routing tag (S_Agg, basic).
-  static std::vector<Partition> PartitionRandomly(
-      std::vector<EncryptedItem> items, size_t chunk_items, Rng* rng);
-
-  /// Tag-based partitioning: one partition per distinct routing tag (Noise
-  /// protocols and ED_Hist). Items without a tag are rejected.
-  static Result<std::vector<Partition>> PartitionByTag(
-      std::vector<EncryptedItem> items);
-
-  /// Splits one partition into up to `ways` roughly equal sub-partitions
-  /// (parallelizing one group/bucket across several TDSs).
-  static std::vector<Partition> SplitPartition(Partition partition,
-                                               size_t ways);
-
-  /// ---- Adversary instrumentation ----
-  AdversaryView& adversary_view() { return view_; }
-  const AdversaryView& adversary_view() const { return view_; }
-  void ObserveAggregationItems(const std::vector<EncryptedItem>& items);
-  void ObserveFilteringItems(const std::vector<EncryptedItem>& items);
-
- private:
-  QueryPost post_;
-  std::vector<EncryptedItem> collected_;
-  AdversaryView view_;
-};
+/// Splits one partition into up to `ways` roughly equal sub-partitions
+/// (parallelizing one group/bucket across several TDSs).
+std::vector<Partition> SplitPartition(Partition partition, size_t ways);
 
 }  // namespace tcells::ssi
 

@@ -6,7 +6,7 @@
 // transitively exposes the querying protocols, sessions, the sharded SSI
 // stack, the query scheduler, dynamic key management and telemetry), fleet
 // construction, the SQL front end and the analysis tooling. Engine internals
-// — the SSI querybox hub, the discovery query builder, the plaintext
+// — the SSI node, the discovery query builder, the plaintext
 // reference executor — are deliberately NOT exported here; include their
 // fine-grained headers directly for targeted/test use.
 //

@@ -1,6 +1,6 @@
 // Tests for the library extensions beyond the paper's minimal protocol set:
-// ORDER BY / LIMIT, VARIANCE / STDDEV, DURATION-bounded collection, the
-// querybox hub, and the compromised-TDS leak instrumentation.
+// ORDER BY / LIMIT, VARIANCE / STDDEV, DURATION-bounded collection, and the
+// compromised-TDS leak instrumentation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "protocol/reference.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
-#include "ssi/querybox.h"
 #include "tcells/engine.h"
 #include "tds/access_control.h"
 #include "workload/generic.h"
@@ -320,55 +319,6 @@ TEST(DurationTest, FullPassWithoutDuration) {
   auto outcome = w.Run("SELECT grp FROM T");
   EXPECT_EQ(outcome.metrics.collection_participants, w.fleet_->size());
   EXPECT_EQ(outcome.metrics.collection_ticks, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// QueryboxHub
-
-TEST(QueryboxTest, GlobalAndPersonalRouting) {
-  ssi::QueryboxHub hub;
-  ssi::QueryPost global;
-  global.query_id = 1;
-  ssi::QueryPost personal;
-  personal.query_id = 2;
-  ASSERT_TRUE(hub.PostGlobal(global).ok());
-  ASSERT_TRUE(hub.PostPersonal(7, personal).ok());
-
-  EXPECT_EQ(hub.Fetch(7).size(), 2u);   // global + its personal
-  EXPECT_EQ(hub.Fetch(8).size(), 1u);   // global only
-  hub.Acknowledge(7, 1);
-  EXPECT_EQ(hub.Fetch(7).size(), 1u);
-  EXPECT_EQ(hub.Fetch(7)[0]->query_id, 2u);
-  hub.Acknowledge(7, 2);
-  EXPECT_TRUE(hub.Fetch(7).empty());
-  EXPECT_EQ(hub.Fetch(8).size(), 1u);   // other TDSs unaffected
-}
-
-TEST(QueryboxTest, DuplicateIdRejectedAndRetire) {
-  ssi::QueryboxHub hub;
-  ssi::QueryPost post;
-  post.query_id = 5;
-  ASSERT_TRUE(hub.PostGlobal(post).ok());
-  EXPECT_FALSE(hub.PostGlobal(post).ok());
-  EXPECT_TRUE(hub.StorageFor(5).ok());
-  EXPECT_FALSE(hub.StorageFor(6).ok());
-  hub.Retire(5);
-  EXPECT_FALSE(hub.StorageFor(5).ok());
-  EXPECT_EQ(hub.num_active(), 0u);
-}
-
-TEST(QueryboxTest, PerQueryStorageIsIndependent) {
-  ssi::QueryboxHub hub;
-  ssi::QueryPost a, b;
-  a.query_id = 1;
-  b.query_id = 2;
-  ASSERT_TRUE(hub.PostGlobal(a).ok());
-  ASSERT_TRUE(hub.PostGlobal(b).ok());
-  ssi::EncryptedItem item;
-  item.blob = Bytes{1, 2, 3};
-  hub.StorageFor(1).ValueOrDie()->ReceiveCollectionItems({item});
-  EXPECT_EQ(hub.StorageFor(1).ValueOrDie()->NumCollected(), 1u);
-  EXPECT_EQ(hub.StorageFor(2).ValueOrDie()->NumCollected(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -728,6 +728,156 @@ TEST(SsiNodeTest, RetireClearsTransferState) {
   EXPECT_TRUE(IsNotFound(client.FetchResult(21).status()));
 }
 
+TEST(SsiNodeTest, SizeClauseEvaluation) {
+  SsiNode node;
+  LoopbackTransport transport(node.handler());
+  SsiClient client(&transport);
+  ssi::QueryPost post;
+  post.query_id = 1;
+  post.size_max_tuples = 3;
+  ASSERT_TRUE(client.PostGlobal(post).ok());
+  EXPECT_FALSE(client.SizeReached(1).ValueOrDie());
+  EXPECT_TRUE(
+      client.UploadCollection(1, 1, {MakeItem(1, false), MakeItem(2, false)})
+          .ValueOrDie());
+  EXPECT_FALSE(client.SizeReached(1).ValueOrDie());
+  EXPECT_TRUE(client.UploadCollection(1, 2, {MakeItem(3, false)}).ValueOrDie());
+  EXPECT_TRUE(client.SizeReached(1).ValueOrDie());
+  // The bound is met: a later upload is acknowledged but discarded.
+  EXPECT_FALSE(client.UploadCollection(1, 3, {MakeItem(4, false)}).ValueOrDie());
+  EXPECT_EQ(client.TakeCollected(1).ValueOrDie().size(), 3u);
+}
+
+TEST(SsiNodeTest, NoSizeClauseNeverReached) {
+  SsiNode node;
+  LoopbackTransport transport(node.handler());
+  SsiClient client(&transport);
+  ASSERT_TRUE(client.PostGlobal({}).ok());
+  EXPECT_TRUE(client.UploadCollection(0, 1, {MakeItem(1, false)}).ValueOrDie());
+  EXPECT_FALSE(client.SizeReached(0).ValueOrDie());
+}
+
+TEST(SsiNodeTest, TakeCollectedDrains) {
+  SsiNode node;
+  LoopbackTransport transport(node.handler());
+  SsiClient client(&transport);
+  ssi::QueryPost post;
+  post.query_id = 1;
+  post.size_max_tuples = 2;
+  ASSERT_TRUE(client.PostGlobal(post).ok());
+  ASSERT_TRUE(
+      client.UploadCollection(1, 1, {MakeItem(1, false), MakeItem(2, false)})
+          .ok());
+  EXPECT_TRUE(client.SizeReached(1).ValueOrDie());
+  EXPECT_EQ(client.TakeCollected(1).ValueOrDie().size(), 2u);
+  // The storage area is empty again, so the SIZE bound no longer holds.
+  EXPECT_FALSE(client.SizeReached(1).ValueOrDie());
+}
+
+TEST(SsiNodeTest, AdversaryViewRecordsTagHistogram) {
+  SsiNode node;
+  LoopbackTransport transport(node.handler());
+  SsiClient client(&transport);
+  ssi::QueryPost post;
+  post.query_id = 1;
+  ASSERT_TRUE(client.PostGlobal(post).ok());
+  ssi::EncryptedItem untagged;
+  untagged.blob = Bytes(16, 4);
+  ASSERT_TRUE(client
+                  .UploadCollection(1, 1,
+                                    {MakeItem(1, true), MakeItem(1, true),
+                                     MakeItem(3, true), untagged})
+                  .ok());
+  auto view = client.GetAdversaryView(1);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(view->collection_items, 4u);
+  ASSERT_EQ(view->collection_tag_histogram.size(), 2u);
+  EXPECT_EQ(view->collection_tag_histogram.at(*MakeItem(1, true).routing_tag),
+            2u);
+  EXPECT_EQ(view->collection_tag_histogram.at(*MakeItem(3, true).routing_tag),
+            1u);
+  ASSERT_EQ(view->collection_blob_sizes.size(), 4u);
+  EXPECT_EQ(view->collection_blob_sizes[3], 16u);
+}
+
+TEST(SsiNodeTest, GlobalAndPersonalRouting) {
+  SsiNode node;
+  LoopbackTransport transport(node.handler());
+  SsiClient client(&transport);
+  ssi::QueryPost global;
+  global.query_id = 1;
+  ssi::QueryPost personal;
+  personal.query_id = 2;
+  ASSERT_TRUE(client.PostGlobal(global).ok());
+  ASSERT_TRUE(client.PostPersonal(7, personal).ok());
+
+  EXPECT_EQ(client.FetchPosts(7).ValueOrDie().size(), 2u);  // global + own
+  EXPECT_EQ(client.FetchPosts(8).ValueOrDie().size(), 1u);  // global only
+  ASSERT_TRUE(client.Acknowledge(7, 1).ok());
+  auto posts = client.FetchPosts(7).ValueOrDie();
+  ASSERT_EQ(posts.size(), 1u);
+  EXPECT_EQ(posts[0].query_id, 2u);
+  ASSERT_TRUE(client.Acknowledge(7, 2).ok());
+  EXPECT_TRUE(client.FetchPosts(7).ValueOrDie().empty());
+  EXPECT_EQ(client.FetchPosts(8).ValueOrDie().size(), 1u);  // others unaffected
+}
+
+TEST(SsiNodeTest, DuplicateIdRejectedAndRetire) {
+  SsiNode node;
+  LoopbackTransport transport(node.handler());
+  SsiClient client(&transport);
+  ssi::QueryPost post;
+  post.query_id = 5;
+  ASSERT_TRUE(client.PostGlobal(post).ok());
+  EXPECT_TRUE(IsInvalidArgument(client.PostGlobal(post)));
+  EXPECT_TRUE(client.GetAdversaryView(5).ok());
+  EXPECT_TRUE(IsNotFound(client.GetAdversaryView(6).status()));
+  EXPECT_EQ(node.num_active_queries(), 1u);
+  ASSERT_TRUE(client.Retire(5).ok());
+  EXPECT_TRUE(IsNotFound(client.GetAdversaryView(5).status()));
+  EXPECT_EQ(node.num_active_queries(), 0u);
+}
+
+TEST(SsiNodeTest, PerQueryStorageIsIndependent) {
+  SsiNode node;
+  LoopbackTransport transport(node.handler());
+  SsiClient client(&transport);
+  ssi::QueryPost a, b;
+  a.query_id = 1;
+  b.query_id = 2;
+  ASSERT_TRUE(client.PostGlobal(a).ok());
+  ASSERT_TRUE(client.PostGlobal(b).ok());
+  ASSERT_TRUE(client.UploadCollection(1, 3, {MakeItem(1, false)}).ok());
+  EXPECT_EQ(client.GetAdversaryView(1).ValueOrDie().collection_items, 1u);
+  EXPECT_EQ(client.GetAdversaryView(2).ValueOrDie().collection_items, 0u);
+  EXPECT_EQ(client.TakeCollected(1).ValueOrDie().size(), 1u);
+  EXPECT_TRUE(client.TakeCollected(2).ValueOrDie().empty());
+}
+
+TEST(SsiNodeTest, EachServedTdsIsRecordedOnce) {
+  // One served-map entry per TDS, whether it uploaded or only acknowledged,
+  // and a later acknowledgement of an uploader adds nothing.
+  SsiNode node;
+  LoopbackTransport transport(node.handler());
+  SsiClient client(&transport);
+  ssi::QueryPost post;
+  post.query_id = 1;
+  ASSERT_TRUE(client.PostGlobal(post).ok());
+  EXPECT_TRUE(client.UploadCollection(1, 3, {MakeItem(1, false)}).ValueOrDie());
+  ASSERT_TRUE(client.Acknowledge(4, 1).ok());
+  ASSERT_TRUE(client.Acknowledge(3, 1).ok());
+  EXPECT_EQ(client.NumAcknowledged(1).ValueOrDie(), 2u);
+  EXPECT_TRUE(client.FetchPosts(3).ValueOrDie().empty());
+  EXPECT_TRUE(client.FetchPosts(4).ValueOrDie().empty());
+  auto posts = client.FetchPosts(5).ValueOrDie();
+  ASSERT_EQ(posts.size(), 1u);
+  EXPECT_EQ(posts[0].query_id, 1u);
+  // A TDS acknowledged without an upload may still contribute once.
+  EXPECT_TRUE(client.UploadCollection(1, 4, {MakeItem(2, false)}).ValueOrDie());
+  EXPECT_EQ(client.NumAcknowledged(1).ValueOrDie(), 2u);
+  EXPECT_EQ(client.TakeCollected(1).ValueOrDie().size(), 2u);
+}
+
 TEST(SsiNodeTest, GarbageRequestFrameIsCorruption) {
   SsiNode node;
   auto reply = node.Handle(MakeBytes({0xEE, 0x01, 0x02}));

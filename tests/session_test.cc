@@ -230,6 +230,10 @@ TEST(SessionTest, InvalidOptionsRejectedAtSubmit) {
   opts = RunOptions();
   opts.alpha = 0.5;
   rejects(opts);
+  // An infinite fan-in would put every round in one partition on one TDS.
+  opts = RunOptions();
+  opts.alpha = std::numeric_limits<double>::infinity();
+  rejects(opts);
   opts = RunOptions();
   opts.dropout_rate = 1.5;
   rejects(opts);

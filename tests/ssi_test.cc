@@ -1,5 +1,6 @@
-// Tests for the SSI: payload framing, partitioners, SIZE evaluation, and the
-// adversary-view instrumentation.
+// Tests for the SSI's shared types: payload framing, batch open, the
+// partitioners and the wire codecs. The per-query state (SIZE evaluation,
+// storage, adversary view) is tested through SsiNode in net_test.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -129,7 +130,7 @@ TEST(SsiTest, PartitionRandomlySplitsAndPreservesItems) {
   Rng rng(1);
   std::vector<EncryptedItem> items;
   for (int i = 0; i < 10; ++i) items.push_back(Item(static_cast<uint8_t>(i)));
-  auto partitions = Ssi::PartitionRandomly(std::move(items), 3, &rng);
+  auto partitions = PartitionRandomly(std::move(items), 3, &rng);
   ASSERT_EQ(partitions.size(), 4u);  // 3+3+3+1
   std::multiset<uint8_t> seen;
   for (const auto& p : partitions) {
@@ -143,7 +144,7 @@ TEST(SsiTest, PartitionRandomlyShuffles) {
   Rng rng(2);
   std::vector<EncryptedItem> items;
   for (int i = 0; i < 32; ++i) items.push_back(Item(static_cast<uint8_t>(i)));
-  auto partitions = Ssi::PartitionRandomly(std::move(items), 32, &rng);
+  auto partitions = PartitionRandomly(std::move(items), 32, &rng);
   ASSERT_EQ(partitions.size(), 1u);
   bool any_moved = false;
   for (size_t i = 0; i < partitions[0].items.size(); ++i) {
@@ -158,7 +159,7 @@ TEST(SsiTest, PartitionByTagGroups) {
     items.push_back(Item(static_cast<uint8_t>(i), 8,
                          Bytes{static_cast<uint8_t>(i % 3)}));
   }
-  auto partitions = Ssi::PartitionByTag(std::move(items)).ValueOrDie();
+  auto partitions = PartitionByTag(std::move(items)).ValueOrDie();
   ASSERT_EQ(partitions.size(), 3u);
   for (const auto& p : partitions) {
     ASSERT_EQ(p.items.size(), 3u);
@@ -170,13 +171,13 @@ TEST(SsiTest, PartitionByTagGroups) {
 
 TEST(SsiTest, PartitionByTagRejectsUntagged) {
   std::vector<EncryptedItem> items = {Item(1)};
-  EXPECT_FALSE(Ssi::PartitionByTag(std::move(items)).ok());
+  EXPECT_FALSE(PartitionByTag(std::move(items)).ok());
 }
 
 TEST(SsiTest, SplitPartitionBalances) {
   Partition p;
   for (int i = 0; i < 10; ++i) p.items.push_back(Item(1));
-  auto subs = Ssi::SplitPartition(std::move(p), 3);
+  auto subs = SplitPartition(std::move(p), 3);
   ASSERT_EQ(subs.size(), 3u);
   EXPECT_EQ(subs[0].items.size(), 4u);
   EXPECT_EQ(subs[1].items.size(), 3u);
@@ -186,41 +187,9 @@ TEST(SsiTest, SplitPartitionBalances) {
 TEST(SsiTest, SplitPartitionMoreWaysThanItems) {
   Partition p;
   p.items.push_back(Item(1));
-  auto subs = Ssi::SplitPartition(std::move(p), 5);
+  auto subs = SplitPartition(std::move(p), 5);
   EXPECT_EQ(subs.size(), 1u);
 }
-
-// ---------------------------------------------------------------------------
-// SIZE + storage
-
-TEST(SsiTest, SizeClauseEvaluation) {
-  Ssi ssi;
-  QueryPost post;
-  post.size_max_tuples = 3;
-  ssi.PostQuery(post);
-  EXPECT_FALSE(ssi.SizeReached());
-  ssi.ReceiveCollectionItems({Item(1), Item(2)});
-  EXPECT_FALSE(ssi.SizeReached());
-  ssi.ReceiveCollectionItems({Item(3)});
-  EXPECT_TRUE(ssi.SizeReached());
-  EXPECT_EQ(ssi.NumCollected(), 3u);
-}
-
-TEST(SsiTest, NoSizeClauseNeverReached) {
-  Ssi ssi;
-  ssi.PostQuery({});
-  ssi.ReceiveCollectionItems({Item(1)});
-  EXPECT_FALSE(ssi.SizeReached());
-}
-
-TEST(SsiTest, TakeCollectedDrains) {
-  Ssi ssi;
-  ssi.ReceiveCollectionItems({Item(1), Item(2)});
-  auto items = ssi.TakeCollected();
-  EXPECT_EQ(items.size(), 2u);
-  EXPECT_EQ(ssi.NumCollected(), 0u);
-}
-
 
 // ---------------------------------------------------------------------------
 // Wire codecs
@@ -335,24 +304,6 @@ TEST(WireTest, QueryPostHostileFlagsAndTrailersRejected) {
   Bytes trailing = buf;
   trailing.push_back(0);
   EXPECT_FALSE(QueryPost::Decode(trailing).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Adversary view
-
-TEST(SsiTest, AdversaryViewRecordsTagHistogram) {
-  Ssi ssi;
-  ssi.ReceiveCollectionItems({
-      Item(1, 8, Bytes{9}), Item(2, 8, Bytes{9}), Item(3, 8, Bytes{7}),
-      Item(4, 16),  // untagged
-  });
-  const auto& view = ssi.adversary_view();
-  EXPECT_EQ(view.collection_items, 4u);
-  ASSERT_EQ(view.collection_tag_histogram.size(), 2u);
-  EXPECT_EQ(view.collection_tag_histogram.at(Bytes{9}), 2u);
-  EXPECT_EQ(view.collection_tag_histogram.at(Bytes{7}), 1u);
-  ASSERT_EQ(view.collection_blob_sizes.size(), 4u);
-  EXPECT_EQ(view.collection_blob_sizes[3], 16u);
 }
 
 }  // namespace
