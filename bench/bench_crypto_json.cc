@@ -485,19 +485,32 @@ int Run(const std::string& out_path) {
     crypto::ForceAesBackend(std::nullopt);
   }
 
-  // --- HMAC over a 64-byte message (backend-independent) ---
+  // --- HMAC over 32/64/80-byte messages, one row per SHA-256 backend ---
+  // The seed row runs on the portable compression too, so
+  // hmac_sha256_64.state_vs_seed compares like with like.
   {
     Bytes mkey = rng.NextBytes(16);
     crypto::HmacState mac(mkey);
-    Bytes data = rng.NextBytes(64);
+    Bytes data64 = rng.NextBytes(64);
+    crypto::ForcePortableSha256(true);
     ms.push_back(Measure("hmac_sha256_64", "seed", 64, 1, [&] {
-      auto d = seedimpl::SeedHmacSha256(mkey, data);
+      auto d = seedimpl::SeedHmacSha256(mkey, data64);
       Consume(d);
     }));
-    ms.push_back(Measure("hmac_sha256_64", "portable", 64, 1, [&] {
-      auto d = mac.Mac(data);
-      Consume(d);
-    }));
+    std::vector<std::string> sha_impls = {"portable"};
+    if (crypto::ShaNiAvailable()) sha_impls.push_back("shani");
+    for (size_t n : {32u, 64u, 80u}) {
+      Bytes data = rng.NextBytes(n);
+      for (const auto& impl : sha_impls) {
+        crypto::ForcePortableSha256(impl == "portable");
+        ms.push_back(Measure("hmac_sha256_" + std::to_string(n), impl, n, 1,
+                             [&] {
+                               auto d = mac.Mac(data);
+                               Consume(d);
+                             }));
+      }
+    }
+    crypto::ForcePortableSha256(false);
   }
 
   // --- nDet_Enc / Det_Enc on a 1 KiB payload ---
@@ -587,6 +600,8 @@ int Run(const std::string& out_path) {
   std::fprintf(f, "  \"bench\": \"bench_crypto_json\",\n");
   std::fprintf(f, "  \"aesni_available\": %s,\n",
                crypto::AesNiAvailable() ? "true" : "false");
+  std::fprintf(f, "  \"shani_available\": %s,\n",
+               crypto::ShaNiAvailable() ? "true" : "false");
   std::fprintf(f, "  \"message_bytes\": %zu,\n", kMsg);
   std::fprintf(f, "  \"benchmarks\": [\n");
   for (size_t i = 0; i < ms.size(); ++i) {

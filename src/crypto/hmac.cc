@@ -1,5 +1,6 @@
 #include "crypto/hmac.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace tcells::crypto {
@@ -10,7 +11,8 @@ HmacState::HmacState(const Bytes& key) {
     auto digest = Sha256::Hash(key);
     std::memcpy(block_key, digest.data(), digest.size());
   } else {
-    std::memcpy(block_key, key.data(), key.size());
+    // Not memcpy: an empty key's data() may be null.
+    std::copy(key.begin(), key.end(), block_key);
   }
   uint8_t pad[Sha256::kBlockSize];
   for (size_t i = 0; i < Sha256::kBlockSize; ++i) pad[i] = block_key[i] ^ 0x36;
@@ -20,12 +22,8 @@ HmacState::HmacState(const Bytes& key) {
 }
 
 std::array<uint8_t, 32> HmacState::Mac(const uint8_t* data, size_t n) const {
-  Sha256 inner = inner_;
-  inner.Update(data, n);
-  auto inner_digest = inner.Finish();
-  Sha256 outer = outer_;
-  outer.Update(inner_digest.data(), inner_digest.size());
-  return outer.Finish();
+  const auto inner_digest = inner_.FinishWith(data, n);
+  return outer_.FinishWith(inner_digest.data(), inner_digest.size());
 }
 
 std::array<uint8_t, 32> HmacSha256(const Bytes& key, const uint8_t* data,
@@ -43,8 +41,8 @@ Bytes DeriveKey(const Bytes& master, std::string_view label) {
   return Bytes(digest.begin(), digest.begin() + 16);
 }
 
-uint64_t KeyedHash64(const Bytes& key, const Bytes& data) {
-  auto digest = HmacSha256(key, data);
+uint64_t KeyedHash64(const HmacState& key, const Bytes& data) {
+  auto digest = key.Mac(data);
   uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(digest[i]) << (8 * i);
   return v;

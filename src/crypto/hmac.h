@@ -3,8 +3,11 @@
 //
 // Per-key work (deriving the ipad/opad blocks and absorbing them into the
 // compression function) is factored into HmacState, which the encryption
-// schemes precompute once at Create time: tagging a short message then costs
-// two SHA-256 compression calls instead of four plus the pad derivation.
+// schemes precompute once at Create time. Tagging an n-byte message then
+// costs exactly ceil((n + 9) / 64) + 1 SHA-256 compressions: the message's
+// whole blocks are compressed in place, its tail is padded in one stack block,
+// and the outer hash is the single block inner digest || 0x80 || zeros ||
+// 768-bit length, compressed from the opad midstate.
 #ifndef TCELLS_CRYPTO_HMAC_H_
 #define TCELLS_CRYPTO_HMAC_H_
 
@@ -27,7 +30,8 @@ class HmacState {
   /// Any key length (keys longer than the SHA-256 block are hashed first).
   explicit HmacState(const Bytes& key);
 
-  /// HMAC-SHA-256 of `data` under the precomputed key.
+  /// HMAC-SHA-256 of `data` under the precomputed key: ceil((n + 9) / 64)
+  /// inner compressions plus one outer, and no per-byte work outside them.
   std::array<uint8_t, 32> Mac(const uint8_t* data, size_t n) const;
   std::array<uint8_t, 32> Mac(const Bytes& data) const {
     return Mac(data.data(), data.size());
@@ -50,7 +54,7 @@ Bytes DeriveKey(const Bytes& master, std::string_view label);
 
 /// Keyed 64-bit hash (HMAC truncated). ED_Hist's h(bucketId): reveals nothing
 /// about the bucket's position in the A_G domain to a party without the key.
-uint64_t KeyedHash64(const Bytes& key, const Bytes& data);
+uint64_t KeyedHash64(const HmacState& key, const Bytes& data);
 
 /// Branch-free byte comparison for authenticator tags: the run time depends
 /// only on `n`, never on where the first mismatch is.

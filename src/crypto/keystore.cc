@@ -10,7 +10,8 @@ KeyStore::KeyStore(NDetEnc k1_ndet, NDetEnc k2_ndet, DetEnc k2_det,
     : k1_ndet_(std::move(k1_ndet)),
       k2_ndet_(std::move(k2_ndet)),
       k2_det_(std::move(k2_det)),
-      k2_hash_(std::move(k2_hash)) {}
+      k2_hash_(std::move(k2_hash)),
+      k2_hash_state_(k2_hash_) {}
 
 Result<std::shared_ptr<const KeyStore>> KeyStore::Create(const Bytes& k1,
                                                          const Bytes& k2) {

@@ -13,6 +13,7 @@
 #include "common/bytes.h"
 #include "common/result.h"
 #include "crypto/encryption.h"
+#include "crypto/hmac.h"
 
 namespace tcells::crypto {
 
@@ -36,6 +37,8 @@ class KeyStore {
   const DetEnc& k2_det() const { return k2_det_; }
   /// Key for the ED_Hist bucket hash h(bucketId).
   const Bytes& k2_hash() const { return k2_hash_; }
+  /// HMAC key schedule of k2_hash(), built once: what KeyedHash64 takes.
+  const HmacState& k2_hash_state() const { return k2_hash_state_; }
 
  private:
   KeyStore(NDetEnc k1_ndet, NDetEnc k2_ndet, DetEnc k2_det, Bytes k2_hash);
@@ -44,6 +47,7 @@ class KeyStore {
   NDetEnc k2_ndet_;
   DetEnc k2_det_;
   Bytes k2_hash_;
+  HmacState k2_hash_state_;
 };
 
 }  // namespace tcells::crypto

@@ -1,6 +1,9 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cassert>
 #include <cstdlib>
 #include <cstring>
 
@@ -31,6 +34,23 @@ constexpr uint32_t kK[64] = {
     0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+
+// Big-endian stores as one byte swap and one plain store. Written byte by
+// byte, the eight digest words vectorize into code slower than a SHA-NI
+// compression.
+void StoreBe32(uint8_t* p, uint32_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap32(v);
+  }
+  std::memcpy(p, &v, sizeof(v));
+}
+
+void StoreBe64(uint8_t* p, uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, sizeof(v));
+}
 
 uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
@@ -70,6 +90,73 @@ bool UseShaNi() {
   return v == 2;
 }
 
+void ProcessOneBlockPortable(uint32_t state[8],
+                             const uint8_t block[Sha256::kBlockSize]) {
+  uint32_t w[64];
+  for (int i = 0; i < 16; ++i) {
+    w[i] = static_cast<uint32_t>(block[4 * i]) << 24 |
+           static_cast<uint32_t>(block[4 * i + 1]) << 16 |
+           static_cast<uint32_t>(block[4 * i + 2]) << 8 |
+           static_cast<uint32_t>(block[4 * i + 3]);
+  }
+  for (int i = 16; i < 64; ++i) {
+    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+  }
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+  for (int i = 0; i < 64; ++i) {
+    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+    uint32_t ch = (e & f) ^ (~e & g);
+    uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+    uint32_t temp2 = s0 + maj;
+    h = g; g = f; f = e; e = d + temp1;
+    d = c; c = b; b = a; a = temp1 + temp2;
+  }
+  state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+  state[4] += e; state[5] += f; state[6] += g; state[7] += h;
+}
+
+// Compresses `nblocks` consecutive 64-byte blocks into `h`, dispatching to
+// the active backend once per call (so bulk input pays one dispatch).
+void ProcessBlocks(uint32_t h[8], const uint8_t* data, size_t nblocks) {
+#if TCELLS_HAVE_SHANI_TU
+  if (UseShaNi()) {
+    Sha256NiProcessBlocks(h, data, nblocks);
+    return;
+  }
+#endif
+  for (size_t b = 0; b < nblocks; ++b, data += Sha256::kBlockSize) {
+    ProcessOneBlockPortable(h, data);
+  }
+}
+
+// Finalizes a message of `total_len` bytes whose last `len` < 64 bytes sit
+// at the front of `block`: writes 0x80, the zero fill and the 64-bit bit
+// length in place, and compresses the one or two final blocks.
+void PadAndProcess(uint32_t h[8], uint8_t block[Sha256::kBlockSize],
+                   size_t len, uint64_t total_len) {
+  constexpr size_t kLengthAt = Sha256::kBlockSize - 8;
+  block[len++] = 0x80;
+  if (len > kLengthAt) {
+    std::memset(block + len, 0, Sha256::kBlockSize - len);
+    ProcessBlocks(h, block, 1);
+    len = 0;
+  }
+  std::memset(block + len, 0, kLengthAt - len);
+  StoreBe64(block + kLengthAt, total_len * 8);
+  ProcessBlocks(h, block, 1);
+}
+
+std::array<uint8_t, Sha256::kDigestSize> DigestOf(const uint32_t h[8]) {
+  std::array<uint8_t, Sha256::kDigestSize> digest;
+  for (int i = 0; i < 8; ++i) StoreBe32(digest.data() + 4 * i, h[i]);
+  return digest;
+}
+
 }  // namespace
 
 bool ShaNiAvailable() {
@@ -94,47 +181,6 @@ Sha256::Sha256() {
   h_[4] = 0x510e527f; h_[5] = 0x9b05688c; h_[6] = 0x1f83d9ab; h_[7] = 0x5be0cd19;
 }
 
-void Sha256::ProcessBlocks(const uint8_t* data, size_t nblocks) {
-#if TCELLS_HAVE_SHANI_TU
-  if (UseShaNi()) {
-    Sha256NiProcessBlocks(h_, data, nblocks);
-    return;
-  }
-#endif
-  for (size_t b = 0; b < nblocks; ++b, data += kBlockSize) {
-    ProcessOneBlockPortable(data);
-  }
-}
-
-void Sha256::ProcessOneBlockPortable(const uint8_t block[kBlockSize]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<uint32_t>(block[4 * i]) << 24 |
-           static_cast<uint32_t>(block[4 * i + 1]) << 16 |
-           static_cast<uint32_t>(block[4 * i + 2]) << 8 |
-           static_cast<uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g; g = f; f = e; e = d + temp1;
-    d = c; c = b; b = a; a = temp1 + temp2;
-  }
-  h_[0] += a; h_[1] += b; h_[2] += c; h_[3] += d;
-  h_[4] += e; h_[5] += f; h_[6] += g; h_[7] += h;
-}
-
 void Sha256::Update(const uint8_t* data, size_t n) {
   total_len_ += n;
   if (buffer_len_ > 0) {
@@ -144,13 +190,13 @@ void Sha256::Update(const uint8_t* data, size_t n) {
     data += take;
     n -= take;
     if (buffer_len_ == kBlockSize) {
-      ProcessBlocks(buffer_, 1);
+      ProcessBlocks(h_, buffer_, 1);
       buffer_len_ = 0;
     }
   }
   if (n >= kBlockSize) {
     const size_t nblocks = n / kBlockSize;
-    ProcessBlocks(data, nblocks);
+    ProcessBlocks(h_, data, nblocks);
     data += nblocks * kBlockSize;
     n -= nblocks * kBlockSize;
   }
@@ -161,26 +207,21 @@ void Sha256::Update(const uint8_t* data, size_t n) {
 }
 
 std::array<uint8_t, Sha256::kDigestSize> Sha256::Finish() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(&zero, 1);
-  uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (8 * (7 - i)));
-  }
-  // Bypass Update for the length to keep total_len_ bookkeeping simple.
-  std::memcpy(buffer_ + 56, len_bytes, 8);
-  ProcessBlocks(buffer_, 1);
-  std::array<uint8_t, kDigestSize> digest;
-  for (int i = 0; i < 8; ++i) {
-    digest[4 * i] = static_cast<uint8_t>(h_[i] >> 24);
-    digest[4 * i + 1] = static_cast<uint8_t>(h_[i] >> 16);
-    digest[4 * i + 2] = static_cast<uint8_t>(h_[i] >> 8);
-    digest[4 * i + 3] = static_cast<uint8_t>(h_[i]);
-  }
-  return digest;
+  PadAndProcess(h_, buffer_, buffer_len_, total_len_);
+  return DigestOf(h_);
+}
+
+std::array<uint8_t, Sha256::kDigestSize> Sha256::FinishWith(
+    const uint8_t* data, size_t n) const {
+  assert(buffer_len_ == 0);
+  uint32_t h[8];
+  std::memcpy(h, h_, sizeof(h));
+  const size_t whole = n / kBlockSize * kBlockSize;
+  if (whole > 0) ProcessBlocks(h, data, whole / kBlockSize);
+  uint8_t block[kBlockSize];
+  if (n > whole) std::memcpy(block, data + whole, n - whole);
+  PadAndProcess(h, block, n - whole, total_len_ + n);
+  return DigestOf(h);
 }
 
 std::array<uint8_t, Sha256::kDigestSize> Sha256::Hash(const Bytes& data) {

@@ -29,19 +29,24 @@ class Sha256 {
   void Update(const uint8_t* data, size_t n);
   void Update(const Bytes& data) { Update(data.data(), data.size()); }
 
-  /// Finalizes and returns the 32-byte digest. The hasher must not be used
-  /// again afterwards.
+  /// Finalizes and returns the 32-byte digest: the padding is written in
+  /// place after the buffered tail, so this costs one or two compressions.
+  /// The hasher must not be used again afterwards.
   std::array<uint8_t, kDigestSize> Finish();
+
+  /// Digest of everything absorbed so far followed by `data[0, n)`, leaving
+  /// this hasher untouched so one midstate can be finished any number of
+  /// times (concurrently too). Whole blocks are compressed straight from
+  /// `data`; only the tail is copied, into the block that carries the
+  /// padding. Requires that only whole blocks were absorbed so far, as for
+  /// an HMAC key midstate.
+  std::array<uint8_t, kDigestSize> FinishWith(const uint8_t* data,
+                                              size_t n) const;
 
   /// One-shot convenience.
   static std::array<uint8_t, kDigestSize> Hash(const Bytes& data);
 
  private:
-  /// Compresses `nblocks` consecutive 64-byte blocks, dispatching to the
-  /// active backend once per call (so bulk input pays one dispatch).
-  void ProcessBlocks(const uint8_t* data, size_t nblocks);
-  void ProcessOneBlockPortable(const uint8_t block[kBlockSize]);
-
   uint32_t h_[8];
   uint8_t buffer_[kBlockSize];
   size_t buffer_len_ = 0;

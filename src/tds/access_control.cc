@@ -3,19 +3,21 @@
 #include <set>
 
 #include "common/strings.h"
-#include "crypto/hmac.h"
 
 namespace tcells::tds {
 
 Bytes Authority::Issue(const std::string& querier_id) const {
   Bytes id_bytes(querier_id.begin(), querier_id.end());
-  auto mac = crypto::HmacSha256(key_, id_bytes);
+  auto mac = mac_.Mac(id_bytes);
   return Bytes(mac.begin(), mac.end());
 }
 
 bool Authority::Verify(const std::string& querier_id,
                        const Bytes& credential) const {
-  return Issue(querier_id) == credential;
+  const Bytes expected = Issue(querier_id);
+  return credential.size() == expected.size() &&
+         crypto::ConstantTimeEqual(expected.data(), credential.data(),
+                                   expected.size());
 }
 
 AccessPolicy AccessPolicy::AllowAll() {

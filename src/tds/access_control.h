@@ -15,23 +15,28 @@
 
 #include "common/bytes.h"
 #include "common/result.h"
+#include "crypto/hmac.h"
 #include "sql/analyzer.h"
 
 namespace tcells::tds {
 
-/// Issues and verifies querier credentials.
+/// Issues and verifies querier credentials. The HMAC key schedule is built
+/// once, at construction.
 class Authority {
  public:
-  explicit Authority(Bytes key) : key_(std::move(key)) {}
+  explicit Authority(const Bytes& key) : mac_(key) {}
 
   /// Credential MAC for a querier identity.
   Bytes Issue(const std::string& querier_id) const;
 
-  /// Constant-content check (timing side channels are out of scope here).
+  /// True iff `credential` is the MAC of `querier_id`. A wrong length is
+  /// rejected outright; the MAC itself is compared with ConstantTimeEqual,
+  /// so the run time does not reveal where a forged credential first
+  /// differs.
   bool Verify(const std::string& querier_id, const Bytes& credential) const;
 
  private:
-  Bytes key_;
+  crypto::HmacState mac_;
 };
 
 /// One grant: querier (or "*" for everyone) may read `table`; if `columns`

@@ -132,7 +132,7 @@ Result<ssi::EncryptedItem> TrustedDataServer::MakeDummy(
       uint32_t bucket = static_cast<uint32_t>(
           rng->NextBelow(config.histogram->num_buckets()));
       tag = HashTagBytes(crypto::KeyedHash64(
-          keys.k2_hash(), EquiDepthHistogram::BucketIdBytes(bucket)));
+          keys.k2_hash_state(), EquiDepthHistogram::BucketIdBytes(bucket)));
       break;
     }
   }
@@ -249,7 +249,7 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
             tuple.values().begin() + query->key_arity));
         uint32_t bucket = config.histogram->BucketOf(key);
         Bytes tag = HashTagBytes(crypto::KeyedHash64(
-            keys.k2_hash(), EquiDepthHistogram::BucketIdBytes(bucket)));
+            keys.k2_hash_state(), EquiDepthHistogram::BucketIdBytes(bucket)));
         items.push_back(SealK2(keys, ws.payload.data(), ws.payload.size(),
                                std::move(tag), rng));
         break;

@@ -2,7 +2,9 @@
 // security-relevant properties of the nDet_Enc / Det_Enc schemes.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <string>
 
 #include "common/hex.h"
 #include "common/rng.h"
@@ -257,6 +259,98 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(ToHex(a.data(), a.size()), ToHex(b.data(), b.size()));
 }
 
+// Padding boundaries: a message of n bytes pads into one final block when
+// n % 64 <= 55 and into two otherwise. Expected digests of the bytes
+// 0, 1, ..., n - 1 from Python's hashlib:
+//   hashlib.sha256(bytes(range(n))).hexdigest()
+struct ShaKat {
+  size_t n;
+  const char* hex;
+};
+constexpr ShaKat kPaddingKats[] = {
+    {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+    {1, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"},
+    {55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59"},
+    {56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562"},
+    {57, "2fe741af801cc238602ac0ec6a7b0c3a8a87c7fc7d7f02a3fe03d1c12eac4d8f"},
+    {63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488"},
+    {64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108"},
+    {65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781"},
+    {119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6"},
+    {120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c"},
+    {127, "92ca0fa6651ee2f97b884b7246a562fa71250fedefe5ebf270d31c546bfea976"},
+    {128, "471fb943aa23c511f6f72f8d1652d9c880cfa392ad80503120547703e56a2be5"},
+};
+
+Bytes Iota(size_t n) {
+  Bytes data(n);
+  for (size_t i = 0; i < n; ++i) data[i] = static_cast<uint8_t>(i);
+  return data;
+}
+
+TEST(Sha256Test, PaddingBoundaryKatsOneShotAndSplit) {
+  for (const auto& kat : kPaddingKats) {
+    const Bytes data = Iota(kat.n);
+    auto d = Sha256::Hash(data);
+    EXPECT_EQ(ToHex(d.data(), d.size()), kat.hex) << "n=" << kat.n;
+    for (size_t split = 0; split <= kat.n; ++split) {
+      Sha256 h;
+      h.Update(data.data(), split);
+      h.Update(data.data() + split, kat.n - split);
+      auto ds = h.Finish();
+      EXPECT_EQ(ToHex(ds.data(), ds.size()), kat.hex)
+          << "n=" << kat.n << " split=" << split;
+    }
+  }
+}
+
+TEST(Sha256Test, FinishWithMatchesKatsFromAlignedStates) {
+  for (const auto& kat : kPaddingKats) {
+    const Bytes data = Iota(kat.n);
+    for (size_t absorbed = 0; absorbed <= kat.n;
+         absorbed += Sha256::kBlockSize) {
+      Sha256 h;
+      h.Update(data.data(), absorbed);
+      auto d = h.FinishWith(data.data() + absorbed, kat.n - absorbed);
+      EXPECT_EQ(ToHex(d.data(), d.size()), kat.hex)
+          << "n=" << kat.n << " absorbed=" << absorbed;
+      // The hasher is untouched: finishing it again gives the same digest.
+      auto again = h.FinishWith(data.data() + absorbed, kat.n - absorbed);
+      EXPECT_EQ(d, again);
+    }
+  }
+}
+
+// The in-process backend differential (the AES suite's counterpart): the
+// same hasher and HMAC inputs, once on the portable compression and once on
+// SHA-NI, must give identical digests and tags.
+TEST(ShaDispatchTest, BackendsAgreeOnRandomInputs) {
+  if (!ShaNiAvailable()) GTEST_SKIP() << "SHA-NI not available";
+  ForcePortableSha256(false);
+  if (std::string(ActiveSha256BackendName()) != "shani") {
+    GTEST_SKIP() << "portable SHA-256 pinned by the environment";
+  }
+  Rng rng(15);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = rng.NextBelow(301);
+    const size_t split = rng.NextBelow(n + 1);
+    const Bytes data = rng.NextBytes(n);
+    const Bytes key = rng.NextBytes(rng.NextBelow(132));
+    std::array<uint8_t, Sha256::kDigestSize> digest[2], mac[2];
+    for (int hw = 0; hw < 2; ++hw) {
+      ForcePortableSha256(hw == 0);
+      Sha256 h;
+      h.Update(data.data(), split);
+      h.Update(data.data() + split, n - split);
+      digest[hw] = h.Finish();
+      mac[hw] = HmacState(key).Mac(data);
+    }
+    ForcePortableSha256(false);
+    EXPECT_EQ(digest[0], digest[1]) << "trial " << trial << " n=" << n;
+    EXPECT_EQ(mac[0], mac[1]) << "trial " << trial << " n=" << n;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // HMAC-SHA-256 (RFC 4231)
 
@@ -303,17 +397,38 @@ TEST(HmacTest, Rfc4231Case4) {
             "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
 }
 
-TEST(HmacStateTest, MatchesOneShotHmac) {
+// HMAC as RFC 2104 writes it, from Sha256::Hash alone:
+// H(K ^ opad || H(K ^ ipad || m)), K being the key (hashed first if longer
+// than a block) zero-padded to one block.
+std::array<uint8_t, 32> ReferenceHmac(const Bytes& key, const Bytes& msg) {
+  Bytes k = key;
+  if (k.size() > Sha256::kBlockSize) {
+    auto d = Sha256::Hash(k);
+    k.assign(d.begin(), d.end());
+  }
+  k.resize(Sha256::kBlockSize, 0);
+  Bytes inner(Sha256::kBlockSize), outer(Sha256::kBlockSize);
+  for (size_t i = 0; i < Sha256::kBlockSize; ++i) {
+    inner[i] = k[i] ^ 0x36;
+    outer[i] = k[i] ^ 0x5c;
+  }
+  inner.insert(inner.end(), msg.begin(), msg.end());
+  auto inner_digest = Sha256::Hash(inner);
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return Sha256::Hash(outer);
+}
+
+TEST(HmacStateTest, MatchesFromSpecReference) {
   Rng rng(30);
-  for (size_t key_len : {0u, 4u, 16u, 64u, 131u}) {
+  for (size_t key_len : {0u, 16u, 64u, 65u, 131u}) {
     Bytes key = rng.NextBytes(key_len);
     HmacState state(key);
-    for (size_t n : {0u, 1u, 55u, 64u, 200u}) {
+    for (size_t n = 0; n <= 200; ++n) {
       Bytes data = rng.NextBytes(n);
-      auto cached = state.Mac(data);
-      auto oneshot = HmacSha256(key, data);
-      EXPECT_EQ(ToHex(cached.data(), cached.size()),
-                ToHex(oneshot.data(), oneshot.size()))
+      auto mac = state.Mac(data);
+      auto expected = ReferenceHmac(key, data);
+      EXPECT_EQ(ToHex(mac.data(), mac.size()),
+                ToHex(expected.data(), expected.size()))
           << "key_len=" << key_len << " n=" << n;
     }
   }
@@ -356,9 +471,15 @@ TEST(KeyDerivationTest, LabelsSeparateKeys) {
 TEST(KeyedHashTest, DeterministicAndKeyed) {
   Rng rng(4);
   Bytes k1 = rng.NextBytes(16), k2 = rng.NextBytes(16);
+  HmacState s1(k1), s2(k2);
   Bytes data = rng.NextBytes(32);
-  EXPECT_EQ(KeyedHash64(k1, data), KeyedHash64(k1, data));
-  EXPECT_NE(KeyedHash64(k1, data), KeyedHash64(k2, data));
+  EXPECT_EQ(KeyedHash64(s1, data), KeyedHash64(s1, data));
+  EXPECT_NE(KeyedHash64(s1, data), KeyedHash64(s2, data));
+  // The first eight HMAC bytes, little-endian.
+  auto mac = HmacSha256(k1, data);
+  uint64_t expected = 0;
+  for (int i = 7; i >= 0; --i) expected = expected << 8 | mac[i];
+  EXPECT_EQ(KeyedHash64(s1, data), expected);
 }
 
 // ---------------------------------------------------------------------------

@@ -32,6 +32,29 @@ TEST(AuthorityTest, IssueVerify) {
   EXPECT_FALSE(authority.Verify("energy-co", bad));
 }
 
+TEST(AuthorityTest, RejectsAlteredCredentials) {
+  Authority authority(Bytes(16, 0x42));
+  const Bytes cred = authority.Issue("energy-co");
+  ASSERT_EQ(cred.size(), 32u);
+  EXPECT_TRUE(authority.Verify("energy-co", cred));
+
+  EXPECT_FALSE(authority.Verify("energy-co", Bytes()));
+  Bytes truncated(cred.begin(), cred.end() - 1);
+  EXPECT_FALSE(authority.Verify("energy-co", truncated));
+  Bytes extended = cred;
+  extended.push_back(0);
+  EXPECT_FALSE(authority.Verify("energy-co", extended));
+  for (size_t bit = 0; bit < 8 * cred.size(); ++bit) {
+    Bytes flipped = cred;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(authority.Verify("energy-co", flipped)) << "bit " << bit;
+  }
+  EXPECT_FALSE(authority.Verify("energy-co", authority.Issue("mallory")));
+  // Another authority's credential for the same querier.
+  EXPECT_FALSE(authority.Verify("energy-co",
+                                Authority(Bytes(16, 0x43)).Issue("energy-co")));
+}
+
 class PolicyTest : public ::testing::Test {
  protected:
   PolicyTest() {
