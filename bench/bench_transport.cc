@@ -1,15 +1,21 @@
 // Loopback-vs-TCP transport throughput harness: times framed request/reply
 // round trips through both Channel backends at several payload sizes (the
-// codec-only floor vs real socket syscalls), plus one end-to-end S_Agg query
-// per backend, and writes the results to BENCH_transport.json (or argv[1]).
+// codec-only floor vs real socket syscalls), the SSI item path (item vectors
+// through SsiClient + SsiNode over loopback, in ns and heap allocations per
+// item), plus one end-to-end S_Agg query per backend, and writes the results
+// to BENCH_transport.json (or argv[1]).
 //
 // Timing is hand-rolled (steady_clock, calibrated batch loops) so the target
 // stays dependency-light and emits machine-readable JSON directly.
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -23,6 +29,30 @@
 #include "tcells/engine.h"
 #include "tds/access_control.h"
 #include "workload/generic.h"
+
+namespace {
+
+std::atomic<uint64_t> g_alloc_count{0};
+
+}  // namespace
+
+// Counting allocator hooks for the item-path rows' allocations per item: a
+// relaxed increment on top of malloc, paid by every row alike. GCC's
+// mismatched-new-delete analysis assumes the default allocator; with every
+// form replaced below the malloc/free pairing is matched by construction.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace tcells {
 namespace {
@@ -126,6 +156,93 @@ Row MeasureBatchSweep(const std::string& transport_name,
   row.mb_per_sec = static_cast<double>(row.bytes_per_op) *
                    static_cast<double>(total_calls) / elapsed / (1024 * 1024);
   return row;
+}
+
+/// One SSI item-path arm: item vectors through SsiClient -> loopback ->
+/// SsiNode and back, per item moved.
+struct ItemRow {
+  std::string name;
+  size_t items_per_op = 0;
+  double ns_per_item = 0;
+  double allocs_per_item = 0;
+};
+
+/// `n` opaque items with 64-byte blobs and one of 4 16-byte routing tags: the
+/// shape of a C_Noise collection or round partition.
+std::vector<ssi::EncryptedItem> OpaqueItems(size_t n) {
+  std::vector<ssi::EncryptedItem> items(n);
+  for (size_t i = 0; i < n; ++i) {
+    items[i].blob = Bytes(64, static_cast<uint8_t>(i));
+    items[i].routing_tag = Bytes(16, static_cast<uint8_t>(i % 4));
+  }
+  return items;
+}
+
+/// Runs `op` (which moves `items_per_op` items) until the sample window
+/// exceeds ~80 ms, after one warm-up op.
+ItemRow MeasureItems(const std::string& name, size_t items_per_op,
+                     const std::function<void()>& op) {
+  op();
+  const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+  const double start = NowSeconds();
+  uint64_t ops = 0;
+  double elapsed = 0;
+  while (elapsed < 0.08) {
+    op();
+    ++ops;
+    elapsed = NowSeconds() - start;
+  }
+  const double items = static_cast<double>(ops * items_per_op);
+  ItemRow row;
+  row.name = name;
+  row.items_per_op = items_per_op;
+  row.ns_per_item = elapsed / items * 1e9;
+  row.allocs_per_item =
+      static_cast<double>(g_alloc_count.load(std::memory_order_relaxed) -
+                          allocs_before) /
+      items;
+  return row;
+}
+
+std::vector<ItemRow> MeasureItemPath() {
+  net::SsiNode node;
+  net::LoopbackTransport transport(node.handler());
+  net::BatchOptions batching;
+  batching.max_calls_per_frame = Engine::kAutoBatchCallsLoopback;
+  net::SsiClient client(&transport, net::RetryPolicy{}, nullptr, batching);
+  std::vector<ItemRow> rows;
+
+  // A round's partition: staged by the querier side, fetched by a TDS.
+  ssi::Partition partition;
+  partition.items = OpaqueItems(256);
+  rows.push_back(MeasureItems("ssi_items_stage_fetch_256", 256, [&] {
+    if (!client.StagePartition(1, 0, partition).ok() ||
+        !client.FetchPartition(1, 0).ok()) {
+      std::abort();
+    }
+  }));
+
+  // A collection: 64 TDS uploads of 16 items each, then the take.
+  std::vector<net::CollectionUpload> uploads(64);
+  for (size_t i = 0; i < uploads.size(); ++i) {
+    uploads[i].tds_id = i;
+    uploads[i].items = OpaqueItems(16);
+  }
+  uint64_t query_id = 100;
+  rows.push_back(MeasureItems("ssi_items_upload_take_1024", 1024, [&] {
+    ssi::QueryPost post;
+    post.query_id = ++query_id;
+    for (net::CollectionUpload& u : uploads) u.query_id = post.query_id;
+    if (!client.PostGlobal(post).ok()) std::abort();
+    for (const Result<bool>& accepted : client.UploadCollectionBatch(uploads)) {
+      if (!accepted.ok() || !*accepted) std::abort();
+    }
+    if (!client.TakeCollected(post.query_id).ok() ||
+        !client.Retire(post.query_id).ok()) {
+      std::abort();
+    }
+  }));
+  return rows;
 }
 
 /// One S_Agg query over a 600-TDS fleet through the given transport and batch
@@ -272,6 +389,8 @@ int Run(const std::string& out_path) {
     }
   }
 
+  const std::vector<ItemRow> item_rows = MeasureItemPath();
+
   const std::vector<E2eRow> e2e = {
       MeasureE2e(net::TransportKind::kLoopback, 1),
       MeasureE2e(net::TransportKind::kLoopback, 32),
@@ -296,6 +415,17 @@ int Run(const std::string& out_path) {
                  r.name.c_str(), r.transport.c_str(), r.bytes_per_op,
                  r.ns_per_op, r.ops_per_sec, r.mb_per_sec,
                  i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"ssi_items\": [\n");
+  for (size_t i = 0; i < item_rows.size(); ++i) {
+    const ItemRow& r = item_rows[i];
+    std::fprintf(f,
+                 "    {\"name\": \"%s\", \"transport\": \"loopback\", "
+                 "\"items_per_op\": %zu, \"ns_per_item\": %.2f, "
+                 "\"allocs_per_item\": %.3f}%s\n",
+                 r.name.c_str(), r.items_per_op, r.ns_per_item,
+                 r.allocs_per_item, i + 1 < item_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"e2e_s_agg\": [\n");

@@ -2,7 +2,9 @@
 //
 // Input: one selector byte, then the payload for the selected codec:
 //   0 -> QueryPost::Decode
-//   1 -> Partition::Decode (accepted partitions must re-encode bit-identical)
+//   1 -> Partition::Decode and ScanItems (both accept exactly the same
+//        inputs with the same count; accepted partitions must re-encode
+//        bit-identical)
 //   2 -> a stream of EncryptedItem::DecodeFrom reads
 //   3 -> DecodePayloadView / DecodePayload (view and copy must agree)
 // Corpus files carry the selector as their first byte (see make_corpus.cc).
@@ -27,7 +29,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     case 1: {
       tcells::Result<tcells::ssi::Partition> partition =
           tcells::ssi::Partition::Decode(input);
+      // The SSI node validates item vectors with the scanner and never
+      // decodes them: it must accept exactly what a decode accepts.
+      ByteReader scan_reader(input);
+      tcells::Result<uint32_t> scanned = tcells::ssi::ScanItems(&scan_reader);
+      FUZZ_ASSERT(scanned.ok() == partition.ok());
       if (partition.ok()) {
+        FUZZ_ASSERT(*scanned == partition->items.size());
         // The wire format is canonical: decode rejects trailing bytes and
         // every field is written one way, so re-encoding an accepted
         // partition must reproduce the input exactly.

@@ -98,6 +98,12 @@ Result<Bytes> ByteReader::GetBytes() {
   return out;
 }
 
+Status ByteReader::Skip(size_t n) {
+  TCELLS_RETURN_IF_ERROR(Need(n));
+  pos_ += n;
+  return Status::OK();
+}
+
 Result<Bytes> ByteReader::GetRaw(size_t n) {
   TCELLS_RETURN_IF_ERROR(Need(n));
   Bytes out(data_ + pos_, data_ + pos_ + n);

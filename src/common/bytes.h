@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,6 +58,8 @@ class ByteReader {
   /// `n` raw bytes with no length prefix (the caller validated `n`);
   /// Corruption on underflow, checked before the copy allocates.
   Result<Bytes> GetRaw(size_t n);
+  /// Consumes `n` bytes without reading them; Corruption on underflow.
+  Status Skip(size_t n);
 
   /// Reads a u32 element count and rejects it (Corruption) unless at least
   /// `count * min_bytes_per_element` bytes remain. Every decoder that loops
@@ -68,6 +71,8 @@ class ByteReader {
   Result<uint16_t> GetCountU16(size_t min_bytes_per_element);
 
   size_t remaining() const { return size_ - pos_; }
+  /// The unread bytes, without consuming them.
+  std::span<const uint8_t> rest() const { return {data_ + pos_, size_ - pos_}; }
   bool AtEnd() const { return pos_ == size_; }
 
  private:

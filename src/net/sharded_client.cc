@@ -256,7 +256,10 @@ Result<std::vector<EncryptedItem>> ShardedSsiClient::TakeCollected(
                               shards_[shard]->TakeCollected(query_id));
     }
   }
+  size_t total = 0;
+  for (const auto& [shard, src] : per_shard) total += src.size();
   std::vector<EncryptedItem> merged;
+  merged.reserve(total);
   std::map<size_t, size_t> cursor;
   for (const auto& [shard, count] : log) {
     std::vector<EncryptedItem>& src = per_shard[shard];

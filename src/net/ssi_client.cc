@@ -1,6 +1,8 @@
 #include "net/ssi_client.h"
 
 #include <algorithm>
+#include <initializer_list>
+#include <span>
 #include <utility>
 
 #include "net/frame.h"
@@ -14,20 +16,27 @@ using ssi::QueryPost;
 
 namespace {
 
-Bytes EncodeItems(const std::vector<EncryptedItem>& items) {
-  Partition p;
-  p.items = items;
-  return p.Encode();
-}
-
 Result<std::vector<EncryptedItem>> ItemsFromBody(const Bytes& body) {
-  TCELLS_ASSIGN_OR_RETURN(Partition p, Partition::Decode(body));
-  return std::move(p.items);
+  ByteReader reader(body);
+  return ssi::DecodeItems(&reader);
 }
 
 void BeginRequest(Bytes* out, MsgType type) {
   ByteWriter w(out);
   w.PutU8(static_cast<uint8_t>(type));
+}
+
+/// A request that carries an item vector: the MsgType, the u64 fields, then
+/// the items encoded straight into the one buffer, sized once.
+Bytes ItemsRequest(MsgType type, std::initializer_list<uint64_t> fields,
+                   std::span<const EncryptedItem> items) {
+  Bytes req;
+  req.reserve(1 + 8 * fields.size() + ssi::EncodedItemsSize(items));
+  BeginRequest(&req, type);
+  ByteWriter w(&req);
+  for (uint64_t field : fields) w.PutU64(field);
+  ssi::EncodeItemsTo(items, &req);
+  return req;
 }
 
 Result<std::vector<QueryPost>> PostsFromBody(const Bytes& body) {
@@ -219,7 +228,7 @@ std::vector<Result<Bytes>> SsiClient::Exchange(std::vector<Bytes> requests,
       if (!envelope.ok()) {
         out.push_back(envelope.status());
       } else {
-        out.push_back(DecodeReply(*envelope));
+        out.push_back(DecodeReply(std::move(*envelope)));
       }
     }
     i = j;
@@ -355,27 +364,12 @@ Result<bool> SsiClient::SizeReached(uint64_t query_id) {
   return flag != 0;
 }
 
-namespace {
-
-Bytes EncodeUploadCollection(uint64_t query_id, uint64_t tds_id,
-                             const std::vector<EncryptedItem>& items) {
-  Bytes req;
-  BeginRequest(&req, MsgType::kUploadCollection);
-  ByteWriter w(&req);
-  w.PutU64(query_id);
-  w.PutU64(tds_id);
-  Bytes encoded = EncodeItems(items);
-  w.PutRaw(encoded.data(), encoded.size());
-  return req;
-}
-
-}  // namespace
-
 Result<bool> SsiClient::UploadCollection(
     uint64_t query_id, uint64_t tds_id,
     const std::vector<EncryptedItem>& items) {
   TCELLS_ASSIGN_OR_RETURN(
-      Bytes body, Call(EncodeUploadCollection(query_id, tds_id, items)));
+      Bytes body, Call(ItemsRequest(MsgType::kUploadCollection,
+                                    {query_id, tds_id}, items)));
   return AcceptedFromBody(body);
 }
 
@@ -390,7 +384,8 @@ std::vector<Result<bool>> SsiClient::UploadCollectionBatch(
   std::vector<Bytes> requests;
   requests.reserve(uploads.size());
   for (const CollectionUpload& u : uploads) {
-    requests.push_back(EncodeUploadCollection(u.query_id, u.tds_id, u.items));
+    requests.push_back(ItemsRequest(MsgType::kUploadCollection,
+                                    {u.query_id, u.tds_id}, u.items));
   }
   std::vector<Result<Bytes>> bodies = Exchange(std::move(requests));
   std::vector<Result<bool>> out;
@@ -416,14 +411,9 @@ Result<std::vector<EncryptedItem>> SsiClient::TakeCollected(
 
 Status SsiClient::StagePartition(uint64_t query_id, uint64_t token,
                                  const Partition& partition) {
-  Bytes req;
-  BeginRequest(&req, MsgType::kStagePartition);
-  ByteWriter w(&req);
-  w.PutU64(query_id);
-  w.PutU64(token);
-  Bytes encoded = partition.Encode();
-  w.PutRaw(encoded.data(), encoded.size());
-  return Call(std::move(req)).status();
+  return Call(ItemsRequest(MsgType::kStagePartition, {query_id, token},
+                           partition.items))
+      .status();
 }
 
 Result<Partition> SsiClient::FetchPartition(uint64_t query_id,
@@ -439,14 +429,9 @@ Result<Partition> SsiClient::FetchPartition(uint64_t query_id,
 
 Status SsiClient::UploadRoundOutput(uint64_t query_id, uint64_t token,
                                     const std::vector<EncryptedItem>& items) {
-  Bytes req;
-  BeginRequest(&req, MsgType::kUploadRoundOutput);
-  ByteWriter w(&req);
-  w.PutU64(query_id);
-  w.PutU64(token);
-  Bytes encoded = EncodeItems(items);
-  w.PutRaw(encoded.data(), encoded.size());
-  return Call(std::move(req)).status();
+  return Call(ItemsRequest(MsgType::kUploadRoundOutput, {query_id, token},
+                           items))
+      .status();
 }
 
 Result<std::vector<EncryptedItem>> SsiClient::TakeRoundOutput(
@@ -473,35 +458,20 @@ Result<std::vector<EncryptedItem>> SsiClient::TakeRoundOutput(
 
 Status SsiClient::ObserveAggregation(
     uint64_t query_id, const std::vector<EncryptedItem>& items) {
-  Bytes req;
-  BeginRequest(&req, MsgType::kObserveAggregation);
-  ByteWriter w(&req);
-  w.PutU64(query_id);
-  Bytes encoded = EncodeItems(items);
-  w.PutRaw(encoded.data(), encoded.size());
-  return Call(std::move(req)).status();
+  return Call(ItemsRequest(MsgType::kObserveAggregation, {query_id}, items))
+      .status();
 }
 
 Status SsiClient::ObserveFiltering(uint64_t query_id,
                                    const std::vector<EncryptedItem>& items) {
-  Bytes req;
-  BeginRequest(&req, MsgType::kObserveFiltering);
-  ByteWriter w(&req);
-  w.PutU64(query_id);
-  Bytes encoded = EncodeItems(items);
-  w.PutRaw(encoded.data(), encoded.size());
-  return Call(std::move(req)).status();
+  return Call(ItemsRequest(MsgType::kObserveFiltering, {query_id}, items))
+      .status();
 }
 
 Status SsiClient::DeliverResult(uint64_t query_id,
                                 const std::vector<EncryptedItem>& items) {
-  Bytes req;
-  BeginRequest(&req, MsgType::kDeliverResult);
-  ByteWriter w(&req);
-  w.PutU64(query_id);
-  Bytes encoded = EncodeItems(items);
-  w.PutRaw(encoded.data(), encoded.size());
-  return Call(std::move(req)).status();
+  return Call(ItemsRequest(MsgType::kDeliverResult, {query_id}, items))
+      .status();
 }
 
 Result<std::vector<EncryptedItem>> SsiClient::FetchResult(uint64_t query_id) {

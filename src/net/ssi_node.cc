@@ -1,6 +1,6 @@
 #include "net/ssi_node.h"
 
-#include <iterator>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -8,15 +8,38 @@
 
 namespace tcells::net {
 
-using ssi::Partition;
 using ssi::QueryPost;
 
 namespace {
 
-/// The rest of a call: an encoded item vector.
-Result<Partition> DecodePartition(ByteReader* reader) {
-  TCELLS_ASSIGN_OR_RETURN(Bytes raw, reader->GetRaw(reader->remaining()));
-  return Partition::Decode(raw);
+/// The rest of a call: an item-vector encoding ssi::ScanItems accepted, as a
+/// view into the call, and its item count.
+struct ItemsBody {
+  std::span<const uint8_t> encoding;
+  uint32_t count = 0;
+
+  /// The concatenated item encodings, without the u32 count in front.
+  std::span<const uint8_t> items() const { return encoding.subspan(4); }
+  Bytes ToBytes() const { return Bytes(encoding.begin(), encoding.end()); }
+};
+
+Result<ItemsBody> ScanItemsBody(ByteReader* reader) {
+  ItemsBody body;
+  body.encoding = reader->rest();
+  TCELLS_ASSIGN_OR_RETURN(body.count, ssi::ScanItems(reader));
+  return body;
+}
+
+/// The OK reply envelope of an item vector stored as its count and the
+/// concatenated item encodings, built with one reserved append.
+Bytes ItemsReply(uint32_t count, const Bytes& items) {
+  Bytes out;
+  out.reserve(1 + 4 + items.size());
+  ByteWriter w(&out);
+  w.PutU8(static_cast<uint8_t>(StatusCode::kOk));
+  w.PutU32(count);
+  w.PutRaw(items.data(), items.size());
+  return out;
 }
 
 Bytes EmptyBody() { return Bytes(); }
@@ -46,13 +69,16 @@ Result<Bytes> SsiNode::Handle(const Bytes& request) {
   };
   std::vector<BatchCall> replies;
   replies.reserve(calls.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const BatchCall& call : calls) {
-    TCELLS_ASSIGN_OR_RETURN(
-        Bytes envelope,
-        filter_ ? filter_(call.payload, honest) : HandleCall(call.payload));
-    replies.push_back(BatchCall{call.correlation_id, std::move(envelope)});
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const BatchCall& call : calls) {
+      TCELLS_ASSIGN_OR_RETURN(
+          Bytes envelope,
+          filter_ ? filter_(call.payload, honest) : HandleCall(call.payload));
+      replies.push_back(BatchCall{call.correlation_id, std::move(envelope)});
+    }
   }
+  // The reply frame owns copies of every envelope: encoded outside the lock.
   return EncodeBatchFrame(replies);
 }
 
@@ -144,7 +170,7 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
     case MsgType::kUploadCollection: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(uint64_t tds_id, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(Partition upload, DecodePartition(&reader));
+      TCELLS_ASSIGN_OR_RETURN(ItemsBody upload, ScanItemsBody(&reader));
       TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
       std::optional<bool>& accepted = query->served[tds_id];
       // A set bit means a duplicate delivery: a transport retry after the
@@ -152,15 +178,18 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
       // contribution (or discarded it at the SIZE bound); replay its reply
       // instead of counting the contribution twice.
       if (!accepted) {
-        // Atomic check-then-receive: when the SIZE bound was reached while
-        // this upload was in flight, the contribution is discarded but the
-        // TDS still counts as having served the query.
-        accepted = !query->SizeReached();
+        // Atomic check-then-receive: when the SIZE bound was reached or the
+        // collection taken while this upload was in flight, the
+        // contribution is discarded but the TDS still counts as having
+        // served the query.
+        accepted = !query->taken && !query->SizeReached();
         if (*accepted) {
-          query->view.ObserveCollection(upload.items);
-          query->collected.insert(query->collected.end(),
-                                  std::make_move_iterator(upload.items.begin()),
-                                  std::make_move_iterator(upload.items.end()));
+          TCELLS_RETURN_IF_ERROR(
+              query->view.ObserveCollection(upload.encoding));
+          const std::span<const uint8_t> items = upload.items();
+          query->collected.insert(query->collected.end(), items.begin(),
+                                  items.end());
+          query->collected_count += upload.count;
         }
       }
       Bytes body;
@@ -171,21 +200,17 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
     case MsgType::kTakeCollected: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
-      // Idempotent despite the destructive drain: a duplicate delivery
-      // (transport retry after a lost reply, or a duplicated frame) replays
-      // the first take's bytes instead of the now-empty collection.
-      if (!query->taken) {
-        Partition p;
-        p.items.swap(query->collected);
-        query->taken = p.Encode();
-      }
-      return EncodeReplyOk(*query->taken);
+      // Closes the storage area. Idempotent: a duplicate delivery
+      // (transport retry after a lost reply, or a duplicated frame) gets
+      // the same bytes.
+      query->taken = true;
+      return ItemsReply(query->collected_count, query->collected);
     }
     case MsgType::kStagePartition: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(uint64_t token, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(Partition p, DecodePartition(&reader));
-      queries_[query_id].staged[token] = std::move(p);
+      TCELLS_ASSIGN_OR_RETURN(ItemsBody p, ScanItemsBody(&reader));
+      queries_[query_id].staged[token] = p.ToBytes();
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kFetchPartition: {
@@ -196,13 +221,13 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
         return Status::NotFound("no staged partition for token");
       }
       // Left staged: a dropout re-dispatch downloads the same bytes again.
-      return EncodeReplyOk(qit->second.staged.at(token).Encode());
+      return EncodeReplyOk(qit->second.staged.at(token));
     }
     case MsgType::kUploadRoundOutput: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(uint64_t token, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(Partition p, DecodePartition(&reader));
-      queries_[query_id].outputs[token] = std::move(p);
+      TCELLS_ASSIGN_OR_RETURN(ItemsBody p, ScanItemsBody(&reader));
+      queries_[query_id].outputs[token] = p.ToBytes();
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kTakeRoundOutput: {
@@ -215,7 +240,7 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
       // Left in place: the take is two-phase. A retry after a lost reply
       // re-downloads the same bytes; only the explicit kAckRoundOutput
       // (sent once the items are safely in the client's hands) erases.
-      return EncodeReplyOk(qit->second.outputs.at(token).Encode());
+      return EncodeReplyOk(qit->second.outputs.at(token));
     }
     case MsgType::kAckRoundOutput: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
@@ -232,22 +257,22 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
     }
     case MsgType::kObserveAggregation: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(Partition p, DecodePartition(&reader));
+      TCELLS_ASSIGN_OR_RETURN(ItemsBody p, ScanItemsBody(&reader));
       TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
-      query->view.ObserveAggregation(p.items);
+      TCELLS_RETURN_IF_ERROR(query->view.ObserveAggregation(p.encoding));
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kObserveFiltering: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(Partition p, DecodePartition(&reader));
+      TCELLS_ASSIGN_OR_RETURN(ItemsBody p, ScanItemsBody(&reader));
       TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
-      query->view.ObserveFiltering(p.items);
+      query->view.ObserveFiltering(p.count);
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kDeliverResult: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(Partition p, DecodePartition(&reader));
-      queries_[query_id].result = std::move(p);
+      TCELLS_ASSIGN_OR_RETURN(ItemsBody p, ScanItemsBody(&reader));
+      queries_[query_id].result = p.ToBytes();
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kFetchResult: {
@@ -256,7 +281,7 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
       if (it == queries_.end() || !it->second.result) {
         return Status::NotFound("no delivered result for query");
       }
-      return EncodeReplyOk(it->second.result->Encode());
+      return EncodeReplyOk(*it->second.result);
     }
     case MsgType::kAdversaryView: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());

@@ -7,6 +7,11 @@
 // frame in (ssi_wire.h; a count of 1 is a single call), one batch reply frame
 // out. The frame's calls dispatch in frame order under one hold of a mutex,
 // so the node can serve the TCP loop thread and in-process callers alike.
+//
+// Items are stored as the wire bytes they arrived in. Every incoming item
+// vector goes through ssi::ItemScanner, which validates it (and feeds the
+// adversary view) without materializing an item; every outgoing one is those
+// validated bytes served verbatim.
 #ifndef TCELLS_NET_SSI_NODE_H_
 #define TCELLS_NET_SSI_NODE_H_
 
@@ -67,24 +72,29 @@ class SsiNode {
     /// retry after a lost reply) replays the bit instead of appending the
     /// contribution a second time.
     std::map<uint64_t, std::optional<bool>> served;
-    std::vector<ssi::EncryptedItem> collected;
-    /// Encoded body of the first kTakeCollected reply. The take drains
-    /// `collected`, so a duplicate delivery must replay the same bytes
-    /// instead of an empty partition.
-    std::optional<Bytes> taken;
+    /// Every accepted collection item, as the concatenation of the item
+    /// encodings the uploads carried, and how many items that is.
+    Bytes collected;
+    uint32_t collected_count = 0;
+    /// Set by the first kTakeCollected, which closes the storage area: a
+    /// later upload is acknowledged but discarded, like one past the SIZE
+    /// bound, and every take — a duplicate delivery included — serves the
+    /// same `collected` bytes.
+    bool taken = false;
     ssi::AdversaryView view;
-    /// token → partition staged for TDS download / round output uploaded by
-    /// the processing TDS.
-    std::map<uint64_t, ssi::Partition> staged;
-    std::map<uint64_t, ssi::Partition> outputs;
-    /// Final result items awaiting querier download.
-    std::optional<ssi::Partition> result;
+    /// token → item-vector encoding staged for TDS download / uploaded as
+    /// the processing TDS's round output.
+    std::map<uint64_t, Bytes> staged;
+    std::map<uint64_t, Bytes> outputs;
+    /// Item-vector encoding of the final result awaiting querier download.
+    std::optional<Bytes> result;
 
     /// The cleartext SIZE clause of a posted query: the SSI counts items and
-    /// cannot tell true from dummy or fake ones, which is the point.
+    /// cannot tell true from dummy or fake ones, which is the point. A taken
+    /// storage area holds nothing more and is not at its bound.
     bool SizeReached() const {
-      return post->size_max_tuples &&
-             collected.size() >= *post->size_max_tuples;
+      return !taken && post->size_max_tuples &&
+             collected_count >= *post->size_max_tuples;
     }
   };
 

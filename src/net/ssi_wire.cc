@@ -40,6 +40,7 @@ Status StatusFromWire(uint8_t code, std::string msg) {
 
 Bytes EncodeReplyOk(const Bytes& body) {
   Bytes out;
+  out.reserve(1 + body.size());
   ByteWriter w(&out);
   w.PutU8(static_cast<uint8_t>(StatusCode::kOk));
   w.PutRaw(body.data(), body.size());
@@ -102,11 +103,13 @@ Result<std::vector<BatchCall>> DecodeBatchFrame(const Bytes& frame) {
   return calls;
 }
 
-Result<Bytes> DecodeReply(const Bytes& reply) {
+Result<Bytes> DecodeReply(Bytes reply) {
   ByteReader reader(reply);
   TCELLS_ASSIGN_OR_RETURN(uint8_t code, reader.GetU8());
   if (static_cast<StatusCode>(code) == StatusCode::kOk) {
-    return reader.GetRaw(reader.remaining());
+    // The body is the envelope minus its status byte: unwrapped in place.
+    reply.erase(reply.begin());
+    return reply;
   }
   TCELLS_ASSIGN_OR_RETURN(std::string msg, reader.GetString());
   Status decoded = StatusFromWire(code, std::move(msg));

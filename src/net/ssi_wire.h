@@ -1,8 +1,11 @@
 // Request/reply wire schema for the SSI RPC surface. Every call is a u8
 // message type followed by type-specific fields; every reply envelope is a
 // u8 status code followed by the body (on OK) or a message string (on error).
-// Item vectors travel as ssi::Partition encodings, so the transport reuses
-// the hardened decoders instead of inventing new ones.
+// Item vectors ("Items" below) travel in the one item-vector encoding of
+// ssi/messages.h: u32 count, then per item a u8 tag flag, the u32-length tag
+// when flagged, and the u32-length blob. The node validates them with
+// ssi::ItemScanner, the reader every client-side decode is built on, and
+// stores and serves the validated bytes as they are.
 //
 // Application-level statuses (NotFound, InvalidArgument, ...) ride INSIDE an
 // OK transport exchange as reply envelopes; only transport-level failures
@@ -31,16 +34,16 @@ enum class MsgType : uint8_t {
   kAcknowledge = 4,       ///< u64 tds_id, u64 query_id → ()
   kNumAcknowledged = 5,   ///< u64 query_id → u64
   kSizeReached = 6,       ///< u64 query_id → u8 bool
-  kUploadCollection = 7,  ///< u64 query_id, u64 tds_id, Partition → u8 accepted
-  kTakeCollected = 8,     ///< u64 query_id → Partition
-  kStagePartition = 9,    ///< u64 query_id, u64 token, Partition → ()
-  kFetchPartition = 10,   ///< u64 query_id, u64 token → Partition
-  kUploadRoundOutput = 11,///< u64 query_id, u64 token, Partition → ()
-  kTakeRoundOutput = 12,  ///< u64 query_id, u64 token → Partition (re-readable)
-  kObserveAggregation = 13,  ///< u64 query_id, Partition → ()
-  kObserveFiltering = 14,    ///< u64 query_id, Partition → ()
-  kDeliverResult = 15,    ///< u64 query_id, Partition → ()
-  kFetchResult = 16,      ///< u64 query_id → Partition
+  kUploadCollection = 7,  ///< u64 query_id, u64 tds_id, Items → u8 accepted
+  kTakeCollected = 8,     ///< u64 query_id → Items
+  kStagePartition = 9,    ///< u64 query_id, u64 token, Items → ()
+  kFetchPartition = 10,   ///< u64 query_id, u64 token → Items
+  kUploadRoundOutput = 11,///< u64 query_id, u64 token, Items → ()
+  kTakeRoundOutput = 12,  ///< u64 query_id, u64 token → Items (re-readable)
+  kObserveAggregation = 13,  ///< u64 query_id, Items → ()
+  kObserveFiltering = 14,    ///< u64 query_id, Items → ()
+  kDeliverResult = 15,    ///< u64 query_id, Items → ()
+  kFetchResult = 16,      ///< u64 query_id → Items
   kAdversaryView = 17,    ///< u64 query_id → AdversaryView
   kRetire = 18,           ///< u64 query_id → ()
   kAckRoundOutput = 19,   ///< u64 query_id, u64 token → () (idempotent erase)
@@ -52,9 +55,11 @@ enum class MsgType : uint8_t {
 Bytes EncodeReplyOk(const Bytes& body);
 Bytes EncodeReplyError(const Status& status);
 
-/// Unwraps a reply envelope: the body on OK, the reconstructed application
-/// Status otherwise. Corruption when the envelope itself is malformed.
-Result<Bytes> DecodeReply(const Bytes& reply);
+/// Unwraps a reply envelope: the body on OK (the envelope's own buffer, so
+/// a moved-in envelope is unwrapped without a copy), the reconstructed
+/// application Status otherwise. Corruption when the envelope itself is
+/// malformed.
+Result<Bytes> DecodeReply(Bytes reply);
 
 // ---- Multi-call batch envelope ----
 

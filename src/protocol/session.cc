@@ -338,7 +338,6 @@ Status QuerySession::Collect(PendingQuery& q) {
     // the serial loop would put them); a transport failure loses that TDS's
     // contribution only.
     std::vector<net::CollectionUpload> batch;
-    std::vector<Serve*> batch_serves;
     for (Serve& serve : serves) {
       const uint64_t tds_id = serve.server->id();
       if (serve.skipped) {
@@ -372,12 +371,11 @@ Status QuerySession::Collect(PendingQuery& q) {
       net::CollectionUpload upload;
       upload.query_id = q.id;
       upload.tds_id = tds_id;
-      upload.items = serve.items;
+      upload.items = std::move(serve.items);
       batch.push_back(std::move(upload));
-      batch_serves.push_back(&serve);
     }
     std::vector<Result<bool>> accepts = client_->UploadCollectionBatch(batch);
-    for (size_t i = 0; i < batch_serves.size() && i < accepts.size(); ++i) {
+    for (size_t i = 0; i < batch.size() && i < accepts.size(); ++i) {
       Result<bool>& accepted = accepts[i];
       if (!accepted.ok()) {
         if (IsTransportError(accepted.status())) continue;
@@ -385,12 +383,12 @@ Status QuerySession::Collect(PendingQuery& q) {
       }
       if (!*accepted) continue;
       // The accepted upload is one collection partition of its TDS.
-      const Serve& serve = *batch_serves[i];
+      const net::CollectionUpload& upload = batch[i];
       uint64_t bytes = 0;
-      for (const auto& item : serve.items) bytes += item.WireSize();
+      for (const auto& item : upload.items) bytes += item.WireSize();
       metrics.accountant.RecordPartition(sim::Phase::kCollection,
-                                         batch[i].tds_id, /*bytes_in=*/0,
-                                         bytes, serve.items.size());
+                                         upload.tds_id, /*bytes_in=*/0,
+                                         bytes, upload.items.size());
     }
     metrics.collection_wall_micros += WallMicrosSince(tick_t0);
   }

@@ -1,14 +1,36 @@
 #include "ssi/messages.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace tcells::ssi {
 
+namespace {
+
+uint8_t* PutLe32(uint8_t* p, size_t v) {
+  for (int i = 0; i < 4; ++i) *p++ = static_cast<uint8_t>(v >> (8 * i));
+  return p;
+}
+
+uint8_t* PutField(uint8_t* p, const Bytes& field) {
+  p = PutLe32(p, field.size());
+  if (!field.empty()) std::memcpy(p, field.data(), field.size());
+  return p + field.size();
+}
+
+/// Writes `item`'s encoding at `p`, which has item.EncodedSize() bytes.
+uint8_t* PutItem(uint8_t* p, const EncryptedItem& item) {
+  *p++ = item.routing_tag ? 1 : 0;
+  if (item.routing_tag) p = PutField(p, *item.routing_tag);
+  return PutField(p, item.blob);
+}
+
+}  // namespace
+
 void EncryptedItem::EncodeTo(Bytes* out) const {
-  ByteWriter w(out);
-  w.PutU8(routing_tag ? 1 : 0);
-  if (routing_tag) w.PutBytes(*routing_tag);
-  w.PutBytes(blob);
+  const size_t start = out->size();
+  out->resize(start + EncodedSize());
+  PutItem(out->data() + start, *this);
 }
 
 Result<EncryptedItem> EncryptedItem::DecodeFrom(ByteReader* reader) {
@@ -21,6 +43,90 @@ Result<EncryptedItem> EncryptedItem::DecodeFrom(ByteReader* reader) {
   }
   TCELLS_ASSIGN_OR_RETURN(item.blob, reader->GetBytes());
   return item;
+}
+
+EncryptedItem ItemView::ToItem() const {
+  EncryptedItem item;
+  item.blob.assign(blob.begin(), blob.end());
+  if (routing_tag) {
+    item.routing_tag.emplace(routing_tag->begin(), routing_tag->end());
+  }
+  return item;
+}
+
+size_t EncodedItemsSize(std::span<const EncryptedItem> items) {
+  size_t n = 4;
+  for (const auto& item : items) n += item.EncodedSize();
+  return n;
+}
+
+void EncodeItemsTo(std::span<const EncryptedItem> items, Bytes* out) {
+  const size_t start = out->size();
+  out->resize(start + EncodedItemsSize(items));
+  uint8_t* p = PutLe32(out->data() + start, items.size());
+  for (const auto& item : items) p = PutItem(p, item);
+}
+
+Result<ItemScanner> ItemScanner::Open(ByteReader* reader) {
+  // Smallest possible item is 5 bytes (tag flag + empty blob length), so a
+  // count larger than remaining/5 cannot be satisfied by the buffer.
+  TCELLS_ASSIGN_OR_RETURN(uint32_t n, reader->GetCountU32(5));
+  const std::span<const uint8_t> items = reader->rest();
+  TCELLS_RETURN_IF_ERROR(reader->Skip(items.size()));
+  if (n == 0 && !items.empty()) {
+    return Status::Corruption("trailing bytes after partition");
+  }
+  return ItemScanner(items, n);
+}
+
+bool ItemScanner::TakeField(std::span<const uint8_t>* field) {
+  if (items_.size() - pos_ < 4) return false;
+  const uint8_t* p = items_.data() + pos_;
+  const size_t n = static_cast<size_t>(p[0]) | static_cast<size_t>(p[1]) << 8 |
+                   static_cast<size_t>(p[2]) << 16 |
+                   static_cast<size_t>(p[3]) << 24;
+  pos_ += 4;
+  if (items_.size() - pos_ < n) return false;
+  *field = items_.subspan(pos_, n);
+  pos_ += n;
+  return true;
+}
+
+Result<ItemView> ItemScanner::Next() {
+  if (read_ == count_) return Status::Corruption("read past item vector");
+  if (pos_ == items_.size()) return Status::Corruption("byte reader underflow");
+  ItemView view;
+  const uint8_t has_tag = items_[pos_++];
+  if (has_tag > 1) return Status::Corruption("bad item tag flag");
+  if (has_tag && !TakeField(&view.routing_tag.emplace())) {
+    return Status::Corruption("byte reader underflow");
+  }
+  if (!TakeField(&view.blob)) {
+    return Status::Corruption("byte reader underflow");
+  }
+  if (++read_ == count_ && pos_ != items_.size()) {
+    return Status::Corruption("trailing bytes after partition");
+  }
+  return view;
+}
+
+Result<uint32_t> ScanItems(ByteReader* reader) {
+  TCELLS_ASSIGN_OR_RETURN(ItemScanner scan, ItemScanner::Open(reader));
+  for (uint32_t i = 0; i < scan.count(); ++i) {
+    TCELLS_RETURN_IF_ERROR(scan.Next().status());
+  }
+  return scan.count();
+}
+
+Result<std::vector<EncryptedItem>> DecodeItems(ByteReader* reader) {
+  TCELLS_ASSIGN_OR_RETURN(ItemScanner scan, ItemScanner::Open(reader));
+  std::vector<EncryptedItem> items;
+  items.reserve(scan.count());
+  for (uint32_t i = 0; i < scan.count(); ++i) {
+    TCELLS_ASSIGN_OR_RETURN(ItemView view, scan.Next());
+    items.push_back(view.ToItem());
+  }
+  return items;
 }
 
 void QueryKeyPosting::EncodeTo(Bytes* out) const {
@@ -90,27 +196,14 @@ Result<QueryPost> QueryPost::Decode(const Bytes& data) {
 
 Bytes Partition::Encode() const {
   Bytes out;
-  ByteWriter w(&out);
-  w.PutU32(static_cast<uint32_t>(items.size()));
-  for (const auto& item : items) item.EncodeTo(&out);
+  EncodeItemsTo(items, &out);
   return out;
 }
 
 Result<Partition> Partition::Decode(const Bytes& data) {
   ByteReader reader(data);
   Partition partition;
-  // Smallest possible item is 5 bytes (tag flag + empty blob length), so a
-  // count larger than remaining/5 cannot be satisfied by the buffer.
-  TCELLS_ASSIGN_OR_RETURN(uint32_t n, reader.GetCountU32(5));
-  partition.items.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    TCELLS_ASSIGN_OR_RETURN(EncryptedItem item,
-                            EncryptedItem::DecodeFrom(&reader));
-    partition.items.push_back(std::move(item));
-  }
-  if (!reader.AtEnd()) {
-    return Status::Corruption("trailing bytes after partition");
-  }
+  TCELLS_ASSIGN_OR_RETURN(partition.items, DecodeItems(&reader));
   return partition;
 }
 

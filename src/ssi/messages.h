@@ -31,9 +31,13 @@ struct EncryptedItem {
     return blob.size() + (routing_tag ? routing_tag->size() : 0);
   }
 
-  /// Wire codec (for transports between real processes; the in-process
-  /// simulation passes the structs directly).
+  /// One item's wire encoding: u8 tag flag (0 or 1), the u32-length tag
+  /// when the flag is 1, then the u32-length blob. Item vectors (below)
+  /// carry it on every SSI call; the contribution digest hashes it.
   void EncodeTo(Bytes* out) const;
+  size_t EncodedSize() const {
+    return 5 + blob.size() + (routing_tag ? 4 + routing_tag->size() : 0);
+  }
   static Result<EncryptedItem> DecodeFrom(::tcells::ByteReader* reader);
 
   /// Field equality is wire equality (the codec is lossless), so integrity
@@ -42,6 +46,58 @@ struct EncryptedItem {
     return a.blob == b.blob && a.routing_tag == b.routing_tag;
   }
 };
+
+/// Zero-copy view of one encoded item: spans into the scanned buffer, valid
+/// while that buffer is unchanged.
+struct ItemView {
+  std::span<const uint8_t> blob;
+  std::optional<std::span<const uint8_t>> routing_tag;
+
+  EncryptedItem ToItem() const;
+};
+
+// ---- Item-vector codec ----
+// An item vector is a u32 count followed by that many item encodings. It is
+// the one way items cross the SSI (net/ssi_wire.h), and ItemScanner is its
+// one reader: the SSI node validates with it without materializing an item,
+// and every decode is built on it, so the two accept exactly the same bytes.
+
+/// Appends the item-vector encoding of `items` to `out`, growing it once.
+void EncodeItemsTo(std::span<const EncryptedItem> items, Bytes* out);
+/// The number of bytes EncodeItemsTo appends for `items`.
+size_t EncodedItemsSize(std::span<const EncryptedItem> items);
+
+/// Reads one item vector that fills the rest of a ByteReader, item by item,
+/// without copying. Corruption on a count the remaining bytes cannot hold at
+/// 5 bytes per item (checked before any item is read), a tag flag above 1, a
+/// length past the end, or bytes left after the last item. Reading all
+/// count() items through Next() performs every one of those checks.
+class ItemScanner {
+ public:
+  /// Reads the count and takes the rest of `reader` as the items.
+  static Result<ItemScanner> Open(::tcells::ByteReader* reader);
+
+  uint32_t count() const { return count_; }
+  /// The next of count() items; the last one also rejects trailing bytes.
+  Result<ItemView> Next();
+
+ private:
+  ItemScanner(std::span<const uint8_t> items, uint32_t count)
+      : items_(items), count_(count) {}
+  /// The u32-length-prefixed field at pos_, or false when it overruns.
+  bool TakeField(std::span<const uint8_t>* field);
+
+  std::span<const uint8_t> items_;
+  size_t pos_ = 0;
+  uint32_t count_;
+  uint32_t read_ = 0;
+};
+
+/// Validates the rest of `reader` as one item vector and returns its count,
+/// materializing nothing.
+Result<uint32_t> ScanItems(::tcells::ByteReader* reader);
+/// Decodes the rest of `reader` as one item vector.
+Result<std::vector<EncryptedItem>> DecodeItems(::tcells::ByteReader* reader);
 
 /// Kinds of plaintext payloads found inside an EncryptedItem blob once a TDS
 /// decrypts it. The SSI can never read this byte.
@@ -142,7 +198,8 @@ struct QueryPost {
   static Result<QueryPost> Decode(const Bytes& data);
 };
 
-/// A chunk of the covering result handed to one TDS.
+/// A chunk of the covering result handed to one TDS. Its codec is the
+/// item-vector codec above.
 struct Partition {
   std::vector<EncryptedItem> items;
 

@@ -62,23 +62,45 @@ Result<AdversaryView> AdversaryView::Decode(const Bytes& data) {
   return view;
 }
 
-void AdversaryView::ObserveCollection(const std::vector<EncryptedItem>& items) {
-  for (const auto& item : items) {
-    if (item.routing_tag) collection_tag_histogram[*item.routing_tag] += 1;
-    collection_blob_sizes.push_back(item.blob.size());
+namespace {
+
+/// Reads one item-vector encoding ScanItems accepted: counts its tags into
+/// `hist` and, when `blob_sizes` is set, records every blob size. Lookup
+/// keys are copied into one scratch buffer reused across the items, so the
+/// only allocations are that buffer (once per call) and the map key of a
+/// first-seen tag. Returns the item count.
+Result<uint32_t> ObserveItems(std::span<const uint8_t> items,
+                              std::map<Bytes, uint64_t>* hist,
+                              std::vector<size_t>* blob_sizes) {
+  ByteReader reader(items.data(), items.size());
+  TCELLS_ASSIGN_OR_RETURN(ItemScanner scan, ItemScanner::Open(&reader));
+  Bytes key;
+  for (uint32_t i = 0; i < scan.count(); ++i) {
+    TCELLS_ASSIGN_OR_RETURN(ItemView item, scan.Next());
+    if (item.routing_tag) {
+      key.assign(item.routing_tag->begin(), item.routing_tag->end());
+      (*hist)[key] += 1;
+    }
+    if (blob_sizes != nullptr) blob_sizes->push_back(item.blob.size());
   }
-  collection_items += items.size();
+  return scan.count();
 }
 
-void AdversaryView::ObserveAggregation(const std::vector<EncryptedItem>& items) {
-  aggregation_items += items.size();
-  for (const auto& item : items) {
-    if (item.routing_tag) aggregation_tag_histogram[*item.routing_tag] += 1;
-  }
+}  // namespace
+
+Status AdversaryView::ObserveCollection(std::span<const uint8_t> items) {
+  TCELLS_ASSIGN_OR_RETURN(uint32_t n,
+                          ObserveItems(items, &collection_tag_histogram,
+                                       &collection_blob_sizes));
+  collection_items += n;
+  return Status::OK();
 }
 
-void AdversaryView::ObserveFiltering(const std::vector<EncryptedItem>& items) {
-  filtering_items += items.size();
+Status AdversaryView::ObserveAggregation(std::span<const uint8_t> items) {
+  TCELLS_ASSIGN_OR_RETURN(
+      uint32_t n, ObserveItems(items, &aggregation_tag_histogram, nullptr));
+  aggregation_items += n;
+  return Status::OK();
 }
 
 std::vector<Partition> PartitionRandomly(std::vector<EncryptedItem> items,

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -42,10 +43,12 @@ struct AdversaryView {
   uint64_t aggregation_items = 0;
   uint64_t filtering_items = 0;
 
-  /// Records one accepted collection upload's items.
-  void ObserveCollection(const std::vector<EncryptedItem>& items);
-  void ObserveAggregation(const std::vector<EncryptedItem>& items);
-  void ObserveFiltering(const std::vector<EncryptedItem>& items);
+  /// Records one accepted collection upload / one aggregation-phase output.
+  /// `items` is an item-vector encoding ScanItems already accepted; it is
+  /// read again here without materializing an item.
+  Status ObserveCollection(std::span<const uint8_t> items);
+  Status ObserveAggregation(std::span<const uint8_t> items);
+  void ObserveFiltering(uint64_t items) { filtering_items += items; }
 
   /// Wire codec, so a remote querier can download the view for the exposure
   /// analysis. Maps encode in key order; the round trip is lossless.

@@ -7,7 +7,9 @@
 // `new` fails loudly while legitimate per-*output* allocations (each sealed
 // item owns its blob) stay comfortably inside the budget. A matching delete
 // hook gives live allocations, so a query-stream test can also pin that
-// per-query state does not outlive its query.
+// per-query state does not outlive its query. The SSI item path is pinned
+// the same way: the node keeps item vectors as the bytes it validated, so a
+// call costs a fixed number of buffers, not one or two per item.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +21,9 @@
 #include <vector>
 
 #include "crypto/keystore.h"
+#include "net/loopback.h"
+#include "net/ssi_client.h"
+#include "net/ssi_node.h"
 #include "protocol/protocols.h"
 #include "ssi/messages.h"
 #include "storage/tuple.h"
@@ -243,6 +248,91 @@ TEST(QueryStateTest, PerQueryHeapStateIsFlat) {
   const int64_t growth = LiveAllocs() - warmed;
   EXPECT_LE(growth, static_cast<int64_t>(kFleet / 10))
       << "live allocations grew by " << growth << " over 50 queries";
+}
+
+// ---------------------------------------------------------------------------
+// The SSI item path: SsiClient -> LoopbackTransport -> SsiNode.
+
+/// `n` opaque items with 64-byte blobs, tagged with one of 4 routing tags
+/// when `tagged` — the shape of a C_Noise collection or round partition.
+std::vector<EncryptedItem> OpaqueItems(size_t n, bool tagged) {
+  std::vector<EncryptedItem> items(n);
+  for (size_t i = 0; i < n; ++i) {
+    items[i].blob = Bytes(64, static_cast<uint8_t>(i));
+    if (tagged) items[i].routing_tag = Bytes(16, static_cast<uint8_t>(i % 4));
+  }
+  return items;
+}
+
+TEST(SsiItemPathTest, StageUploadAndFetchDoNotAllocatePerItemOnTheNode) {
+  constexpr size_t kItems = 256;
+  net::SsiNode node;
+  net::LoopbackTransport transport(node.handler());
+  net::SsiClient client(&transport);
+  ssi::Partition partition;
+  partition.items = OpaqueItems(kItems, /*tagged=*/true);
+  // Warm-up: the query record and the pooled channel exist afterwards.
+  ASSERT_TRUE(client.StagePartition(1, 0, partition).ok());
+  ASSERT_TRUE(client.UploadRoundOutput(1, 0, partition.items).ok());
+
+  // One request buffer, one frame each way, one stored copy and one reply:
+  // a fixed budget however many items the vector holds.
+  const uint64_t stage = CountAllocs([&] {
+    ASSERT_TRUE(client.StagePartition(1, 1, partition).ok());
+  });
+  const uint64_t upload = CountAllocs([&] {
+    ASSERT_TRUE(client.UploadRoundOutput(1, 1, partition.items).ok());
+  });
+  EXPECT_LE(stage, 32u) << "StagePartition allocates per item again";
+  EXPECT_LE(upload, 32u) << "UploadRoundOutput allocates per item again";
+
+  // The fetch materializes the items on the receiving side only: one buffer
+  // per blob and per tag, plus a fixed budget.
+  const uint64_t fetch = CountAllocs([&] {
+    auto fetched = client.FetchPartition(1, 1);
+    ASSERT_TRUE(fetched.ok());
+    ASSERT_EQ(fetched->items.size(), kItems);
+  });
+  EXPECT_LE(fetch, kItems + kItems + 32)
+      << "FetchPartition allocates beyond the items it hands back";
+}
+
+TEST(SsiItemPathTest, CollectionUploadsCostAFixedBudgetPerUpload) {
+  constexpr size_t kUploads = 64;
+  constexpr size_t kItemsPerUpload = 16;
+  net::SsiNode node;
+  net::LoopbackTransport transport(node.handler());
+  // Frames of the size an engine ships over loopback.
+  net::BatchOptions batching;
+  batching.max_calls_per_frame = Engine::kAutoBatchCallsLoopback;
+  net::SsiClient client(&transport, net::RetryPolicy{}, nullptr, batching);
+  ssi::QueryPost post;
+  post.query_id = 1;
+  ASSERT_TRUE(client.PostGlobal(post).ok());
+  auto batch_from = [&](uint64_t first_tds) {
+    std::vector<net::CollectionUpload> batch(kUploads);
+    for (size_t i = 0; i < kUploads; ++i) {
+      batch[i].query_id = 1;
+      batch[i].tds_id = first_tds + i;
+      batch[i].items = OpaqueItems(kItemsPerUpload, /*tagged=*/true);
+    }
+    return batch;
+  };
+  // Warm-up: the view's 4 tag keys and the pooled channel exist afterwards.
+  const std::vector<net::CollectionUpload> warm = batch_from(0);
+  for (const Result<bool>& accepted : client.UploadCollectionBatch(warm)) {
+    ASSERT_TRUE(accepted.ok() && *accepted);
+  }
+
+  const std::vector<net::CollectionUpload> batch = batch_from(kUploads);
+  const uint64_t allocs = CountAllocs([&] {
+    for (const Result<bool>& accepted : client.UploadCollectionBatch(batch)) {
+      ASSERT_TRUE(accepted.ok() && *accepted);
+    }
+  });
+  EXPECT_LE(allocs, 16 * kUploads)
+      << "collection uploads allocate per item again: " << allocs << " for "
+      << kUploads << " uploads";
 }
 
 }  // namespace

@@ -15,12 +15,16 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/hex.h"
 #include "net/byzantine.h"
 #include "net/faulty.h"
 #include "net/frame.h"
@@ -922,6 +926,178 @@ TEST(SsiNodeTest, ServesOverTcp) {
   ASSERT_EQ(fetched->items.size(), 1u);
   EXPECT_EQ(fetched->items[0].blob, partition.items[0].blob);
   EXPECT_TRUE(IsNotFound(client.FetchPartition(31, 99).status()));
+}
+
+TEST(SsiNodeTest, UploadAfterTakeIsNotAcceptedOrObserved) {
+  // The take closes the storage area: a later upload is recorded as served
+  // with accept bit 0 and never observed, exactly like an upload past the
+  // SIZE bound. Before the fix it was accepted, counted in the view, and
+  // then lost — the replayed take never returned it.
+  SsiNode node;
+  LoopbackTransport transport(node.handler());
+  SsiClient client(&transport);
+  ssi::QueryPost post;
+  post.query_id = 1;
+  ASSERT_TRUE(client.PostGlobal(post).ok());
+  EXPECT_TRUE(client.UploadCollection(1, 1, {MakeItem(1, false)}).ValueOrDie());
+  ASSERT_EQ(client.TakeCollected(1).ValueOrDie().size(), 1u);
+
+  EXPECT_FALSE(
+      client.UploadCollection(1, 2, {MakeItem(2, false)}).ValueOrDie());
+  EXPECT_EQ(client.NumAcknowledged(1).ValueOrDie(), 2u);
+  EXPECT_TRUE(client.FetchPosts(2).ValueOrDie().empty());
+  EXPECT_EQ(client.GetAdversaryView(1).ValueOrDie().collection_items, 1u);
+  auto retaken = client.TakeCollected(1);
+  ASSERT_TRUE(retaken.ok()) << retaken.status().ToString();
+  ASSERT_EQ(retaken->size(), 1u);
+  EXPECT_EQ((*retaken)[0], MakeItem(1, false));
+}
+
+/// One call's request payload: the MsgType byte, u64 fields, then `tail`.
+Bytes RawCall(MsgType type, std::initializer_list<uint64_t> fields,
+              const Bytes& tail) {
+  Bytes call;
+  ByteWriter w(&call);
+  w.PutU8(static_cast<uint8_t>(type));
+  for (uint64_t field : fields) w.PutU64(field);
+  w.PutRaw(tail.data(), tail.size());
+  return call;
+}
+
+TEST(SsiNodeTest, HostileItemVectorsAreCorruptionAndChangeNothing) {
+  // Every call that hands the node an item vector goes through the one
+  // validating scan: a malformed vector is Corruption (the transport drops
+  // the connection) and leaves no trace in the node's state.
+  SsiNode node;
+  LoopbackTransport transport(node.handler());
+  SsiClient client(&transport);
+  ssi::QueryPost post;
+  post.query_id = 7;
+  ASSERT_TRUE(client.PostGlobal(post).ok());
+  const std::vector<ssi::EncryptedItem> honest = {MakeItem(1, true),
+                                                  MakeItem(2, false)};
+  ASSERT_TRUE(client.UploadCollection(7, 3, honest).ValueOrDie());
+  ssi::Partition staged;
+  staged.items = honest;
+  ASSERT_TRUE(client.StagePartition(7, 2, staged).ok());
+  ASSERT_TRUE(client.UploadRoundOutput(7, 2, honest).ok());
+  ASSERT_TRUE(client.DeliverResult(7, honest).ok());
+  Bytes view_before;
+  client.GetAdversaryView(7).ValueOrDie().EncodeTo(&view_before);
+
+  const std::vector<std::pair<std::string, Bytes>> hostile = {
+      // Two items declared, bytes for one (5-byte minimum per item).
+      {"count over bound", MakeBytes({2, 0, 0, 0, 0, 0, 0, 0, 0})},
+      {"tag flag 2", MakeBytes({1, 0, 0, 0, 2, 0, 0, 0, 0})},
+      {"truncated tag", MakeBytes({1, 0, 0, 0, 1, 4, 0, 0, 0, 0xAA, 0xBB})},
+      {"truncated blob", MakeBytes({1, 0, 0, 0, 0, 8, 0, 0, 0, 1, 2, 3})},
+      {"trailing byte", MakeBytes({1, 0, 0, 0, 0, 1, 0, 0, 0, 9, 0})},
+  };
+  for (const auto& [name, body] : hostile) {
+    SCOPED_TRACE(name);
+    const std::vector<Bytes> calls = {
+        RawCall(MsgType::kUploadCollection, {7, 4}, body),
+        RawCall(MsgType::kStagePartition, {7, 2}, body),
+        RawCall(MsgType::kUploadRoundOutput, {7, 2}, body),
+        RawCall(MsgType::kDeliverResult, {7}, body),
+    };
+    for (const Bytes& call : calls) {
+      auto reply = node.Handle(EncodeBatchFrame({BatchCall{1, call}}));
+      EXPECT_TRUE(IsCorruption(reply.status()))
+          << "MsgType " << int{call[0]} << ": " << reply.status().ToString();
+    }
+  }
+
+  EXPECT_EQ(client.NumAcknowledged(7).ValueOrDie(), 1u);
+  Bytes view_after;
+  client.GetAdversaryView(7).ValueOrDie().EncodeTo(&view_after);
+  EXPECT_EQ(view_after, view_before);
+  EXPECT_EQ(client.FetchPartition(7, 2).ValueOrDie().items, honest);
+  EXPECT_EQ(client.TakeRoundOutput(7, 2).ValueOrDie(), honest);
+  EXPECT_EQ(client.FetchResult(7).ValueOrDie(), honest);
+  EXPECT_EQ(client.TakeCollected(7).ValueOrDie(), honest);
+}
+
+TEST(SsiNodeTest, ItemVectorWireBytesArePinned) {
+  // Golden bytes for every call that carries an item vector, one way or the
+  // other: a fixed 3-item vector (tagged, untagged, empty blob) crosses the
+  // node, and each request payload and reply envelope must match the
+  // literals below byte for byte. The node may store and serve items any
+  // way it likes; what crosses the wire may not move.
+  SsiNode node;
+  std::map<uint8_t, Bytes> requests;
+  std::map<uint8_t, Bytes> replies;
+  LoopbackTransport transport([&](const Bytes& frame) -> Result<Bytes> {
+    TCELLS_ASSIGN_OR_RETURN(std::vector<BatchCall> calls,
+                            DecodeBatchFrame(frame));
+    TCELLS_ASSIGN_OR_RETURN(Bytes reply, node.Handle(frame));
+    TCELLS_ASSIGN_OR_RETURN(std::vector<BatchCall> answers,
+                            DecodeBatchFrame(reply));
+    for (size_t i = 0; i < calls.size() && i < answers.size(); ++i) {
+      requests[calls[i].payload[0]] = calls[i].payload;
+      replies[calls[i].payload[0]] = answers[i].payload;
+    }
+    return reply;
+  });
+  SsiClient client(&transport);
+
+  ssi::EncryptedItem tagged;
+  tagged.blob = MakeBytes({0x10, 0x11, 0x12});
+  tagged.routing_tag = MakeBytes({0xA0, 0xA1});
+  ssi::EncryptedItem untagged;
+  untagged.blob = MakeBytes({0x20, 0x21});
+  ssi::EncryptedItem empty_blob;
+  empty_blob.routing_tag = MakeBytes({0xC0});
+  const std::vector<ssi::EncryptedItem> items = {tagged, untagged, empty_blob};
+  ssi::Partition partition;
+  partition.items = items;
+
+  ssi::QueryPost post;
+  post.query_id = 7;
+  ASSERT_TRUE(client.PostGlobal(post).ok());
+  ASSERT_TRUE(client.UploadCollection(7, 3, items).ValueOrDie());
+  ASSERT_EQ(client.TakeCollected(7).ValueOrDie(), items);
+  ASSERT_TRUE(client.StagePartition(7, 2, partition).ok());
+  ASSERT_EQ(client.FetchPartition(7, 2).ValueOrDie().items, items);
+  ASSERT_TRUE(client.UploadRoundOutput(7, 2, items).ok());
+  ASSERT_EQ(client.TakeRoundOutput(7, 2).ValueOrDie(), items);
+  ASSERT_TRUE(client.ObserveAggregation(7, items).ok());
+  ASSERT_TRUE(client.ObserveFiltering(7, items).ok());
+  ASSERT_TRUE(client.DeliverResult(7, items).ok());
+  ASSERT_EQ(client.FetchResult(7).ValueOrDie(), items);
+
+  // u32 count; per item u8 tag flag, [u32-len tag], u32-len blob.
+  const std::string kItems =
+      "03000000"
+      "01" "02000000" "a0a1" "03000000" "101112"
+      "00" "02000000" "2021"
+      "01" "01000000" "c0" "00000000";
+  const std::string kQuery = "0700000000000000";
+  const std::string kTds = "0300000000000000";
+  const std::string kToken = "0200000000000000";
+  const std::map<MsgType, std::string> want_requests = {
+      {MsgType::kUploadCollection, "07" + kQuery + kTds + kItems},
+      {MsgType::kStagePartition, "09" + kQuery + kToken + kItems},
+      {MsgType::kUploadRoundOutput, "0b" + kQuery + kToken + kItems},
+      {MsgType::kObserveAggregation, "0d" + kQuery + kItems},
+      {MsgType::kObserveFiltering, "0e" + kQuery + kItems},
+      {MsgType::kDeliverResult, "0f" + kQuery + kItems},
+  };
+  // Each reply envelope: u8 status OK, then the item vector.
+  const std::map<MsgType, std::string> want_replies = {
+      {MsgType::kTakeCollected, "00" + kItems},
+      {MsgType::kFetchPartition, "00" + kItems},
+      {MsgType::kTakeRoundOutput, "00" + kItems},
+      {MsgType::kFetchResult, "00" + kItems},
+  };
+  for (const auto& [type, hex] : want_requests) {
+    EXPECT_EQ(ToHex(requests[static_cast<uint8_t>(type)]), hex)
+        << "request of MsgType " << static_cast<int>(type);
+  }
+  for (const auto& [type, hex] : want_replies) {
+    EXPECT_EQ(ToHex(replies[static_cast<uint8_t>(type)]), hex)
+        << "reply to MsgType " << static_cast<int>(type);
+  }
 }
 
 // ---------------------------------------------------------------------------
