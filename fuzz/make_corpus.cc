@@ -324,7 +324,7 @@ int Run(const std::filesystem::path& out_dir) {
     request(net::MsgType::kStagePartition, stage_body);
     Bytes qid_body;
     ByteWriter(&qid_body).PutU64(900);
-    request(net::MsgType::kNumAcknowledged, qid_body);
+    request(net::MsgType::kFetchPosts, qid_body);
     request(net::MsgType::kRetire, qid_body);
     writer.Add("net", 1,
                net::EncodeBatchFrame({{correlation_id++,
@@ -353,20 +353,20 @@ int Run(const std::filesystem::path& out_dir) {
       w.PutU8(static_cast<uint8_t>(net::MsgType::kAcknowledge));
       w.PutRaw(ack_body.data(), ack_body.size());
     }
-    Bytes count_frame;
+    Bytes fetch_frame;
     {
-      ByteWriter w(&count_frame);
-      w.PutU8(static_cast<uint8_t>(net::MsgType::kNumAcknowledged));
+      ByteWriter w(&fetch_frame);
+      w.PutU8(static_cast<uint8_t>(net::MsgType::kFetchPosts));
       w.PutRaw(qid_body.data(), qid_body.size());
     }
     std::vector<net::BatchCall> batch;
     batch.push_back({/*correlation_id=*/41, ack_frame});
-    batch.push_back({/*correlation_id=*/42, count_frame});
+    batch.push_back({/*correlation_id=*/42, fetch_frame});
     Bytes batch_frame = net::EncodeBatchFrame(batch);
     writer.Add("net", 3, batch_frame);
     writer.Add("net", 1, batch_frame);
     writer.Add("net", 3,
-               net::EncodeBatchFrame({{/*correlation_id=*/1, count_frame}}));
+               net::EncodeBatchFrame({{/*correlation_id=*/1, fetch_frame}}));
     // Header claiming 2^32-1 calls with no room for even one.
     Bytes hostile;
     {

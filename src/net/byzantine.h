@@ -50,6 +50,8 @@ struct TamperPlan {
   bool swap_round_outputs = false;
   /// kUploadCollection: rewrite the accept byte to 0 — every TDS is told its
   /// contribution was rejected while the SSI keeps (and later serves) it.
+  /// The querier forwards uploads only while collection is open, when an
+  /// honest SSI accepts them all, so it aborts the query with Corruption.
   bool forge_accept_byte = false;
   /// Replace OK replies of this message type with a NotFound error.
   std::optional<MsgType> forge_error_on;

@@ -36,11 +36,8 @@ size_t NumKeyFields(MsgType type) {
     case MsgType::kPostPersonal:
     case MsgType::kFetchPosts:
     case MsgType::kFetchEpochBlock:
-    case MsgType::kNumAcknowledged:
-    case MsgType::kSizeReached:
     case MsgType::kTakeCollected:
     case MsgType::kObserveAggregation:
-    case MsgType::kObserveFiltering:
     case MsgType::kDeliverResult:
     case MsgType::kFetchResult:
     case MsgType::kAdversaryView:
@@ -91,8 +88,6 @@ const char* MsgTypeName(uint8_t type) {
     case MsgType::kPostPersonal: return "PostPersonal";
     case MsgType::kFetchPosts: return "FetchPosts";
     case MsgType::kAcknowledge: return "Acknowledge";
-    case MsgType::kNumAcknowledged: return "NumAcknowledged";
-    case MsgType::kSizeReached: return "SizeReached";
     case MsgType::kUploadCollection: return "UploadCollection";
     case MsgType::kTakeCollected: return "TakeCollected";
     case MsgType::kStagePartition: return "StagePartition";
@@ -100,7 +95,6 @@ const char* MsgTypeName(uint8_t type) {
     case MsgType::kUploadRoundOutput: return "UploadRoundOutput";
     case MsgType::kTakeRoundOutput: return "TakeRoundOutput";
     case MsgType::kObserveAggregation: return "ObserveAggregation";
-    case MsgType::kObserveFiltering: return "ObserveFiltering";
     case MsgType::kDeliverResult: return "DeliverResult";
     case MsgType::kFetchResult: return "FetchResult";
     case MsgType::kAdversaryView: return "AdversaryView";

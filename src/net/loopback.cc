@@ -22,10 +22,6 @@ class LoopbackChannel : public Channel {
 }  // namespace
 
 Result<Bytes> LoopbackTransport::DoCall(const Bytes& request) {
-  if (injected_failures_ > 0) {
-    --injected_failures_;
-    return injected_error_;
-  }
   // Enforce the frame codec's length discipline both directions without
   // materializing the wire buffers: the old encode/decode round trip copied
   // every payload four times, which made loopback *slower* than TCP at 1 MB

@@ -3,13 +3,9 @@
 // "server" side and back — so framing bugs and byte counts are exercised
 // identically to the TCP backend, but no sockets or threads are involved and
 // results are bit-identical to a direct method call.
-//
-// For failure-path tests the transport can inject transport-level errors
-// into the next N calls, deterministically.
 #ifndef TCELLS_NET_LOOPBACK_H_
 #define TCELLS_NET_LOOPBACK_H_
 
-#include <cstddef>
 #include <utility>
 
 #include "net/channel.h"
@@ -24,20 +20,11 @@ class LoopbackTransport : public Transport {
   Result<std::unique_ptr<Channel>> Connect() override;
   const char* name() const override { return "loopback"; }
 
-  /// Test hook: the next `count` calls (across all channels of this
-  /// transport) fail with `error` before reaching the handler.
-  void InjectFailures(size_t count, Status error) {
-    injected_failures_ = count;
-    injected_error_ = std::move(error);
-  }
-
   /// One framed request/reply exchange; channels delegate here.
   Result<Bytes> DoCall(const Bytes& request);
 
  private:
   Handler handler_;
-  size_t injected_failures_ = 0;
-  Status injected_error_;
 };
 
 }  // namespace tcells::net

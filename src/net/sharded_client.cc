@@ -1,7 +1,5 @@
 #include "net/sharded_client.h"
 
-#include <algorithm>
-
 namespace tcells::net {
 
 using ssi::AdversaryView;
@@ -68,7 +66,6 @@ Status ShardedSsiClient::PostGlobal(const QueryPost& post) {
   QueryState& state = queries_[post.query_id];
   state.personal = false;
   state.home = static_cast<size_t>(Mix(post.query_id) % shards_.size());
-  state.size_bound = post.size_max_tuples;
   return Status::OK();
 }
 
@@ -79,7 +76,6 @@ Status ShardedSsiClient::PostPersonal(uint64_t tds_id, const QueryPost& post) {
   QueryState& state = queries_[post.query_id];
   state.personal = true;
   state.home = shard;
-  state.size_bound = post.size_max_tuples;
   return Status::OK();
 }
 
@@ -99,17 +95,6 @@ Status ShardedSsiClient::Acknowledge(uint64_t tds_id, uint64_t query_id) {
   return shards_[ShardOfTds(tds_id)]->Acknowledge(tds_id, query_id);
 }
 
-Result<uint64_t> ShardedSsiClient::NumAcknowledged(uint64_t query_id) {
-  // Each TDS acknowledges on its own shard; shards without the query report
-  // zero, so an unconditional sum is exact for global and personal posts.
-  uint64_t total = 0;
-  for (SsiApi* shard : shards_) {
-    TCELLS_ASSIGN_OR_RETURN(uint64_t n, shard->NumAcknowledged(query_id));
-    total += n;
-  }
-  return total;
-}
-
 Status ShardedSsiClient::PostEpochBlock(const Bytes& block) {
   for (SsiApi* shard : shards_) {
     TCELLS_RETURN_IF_ERROR(shard->PostEpochBlock(block));
@@ -121,16 +106,6 @@ Result<Bytes> ShardedSsiClient::FetchEpochBlock(uint64_t tds_id) {
   return shards_[ShardOfTds(tds_id)]->FetchEpochBlock(tds_id);
 }
 
-Result<bool> ShardedSsiClient::SizeReached(uint64_t query_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = queries_.find(query_id);
-  if (it == queries_.end()) {
-    return Status::NotFound("no active query for SizeReached");
-  }
-  const QueryState& state = it->second;
-  return state.size_bound && state.accepted_items >= *state.size_bound;
-}
-
 Result<bool> ShardedSsiClient::UploadCollection(
     uint64_t query_id, uint64_t tds_id,
     const std::vector<EncryptedItem>& items) {
@@ -140,60 +115,16 @@ Result<bool> ShardedSsiClient::UploadCollection(
 
 std::vector<Result<bool>> ShardedSsiClient::UploadCollectionBatch(
     const std::vector<CollectionUpload>& uploads) {
-  // Phase 1 — decide every accept bit in submission order under one lock.
-  // The router only forwards an upload while the global count is below the
-  // bound; the owning shard's local count is then necessarily below the
-  // bound too, so an honest shard always accepts. That makes the serial
-  // accounting computable up front: SIZE cutoffs land between exactly the
-  // two uploads a one-by-one caller would see.
-  enum class Verdict { kForward, kShortCircuit, kNotFound };
-  struct Plan {
-    Verdict verdict = Verdict::kNotFound;
-    size_t shard = 0;
-    size_t log_index = 0;  ///< upload_log slot, for rollback on divergence.
-  };
-  std::vector<Plan> plans(uploads.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < uploads.size(); ++i) {
-      const CollectionUpload& u = uploads[i];
-      plans[i].shard = ShardOfTds(u.tds_id);
-      auto it = queries_.find(u.query_id);
-      if (it == queries_.end()) continue;  // kNotFound
-      QueryState& state = it->second;
-      if (state.size_bound && state.accepted_items >= *state.size_bound) {
-        plans[i].verdict = Verdict::kShortCircuit;
-        continue;
-      }
-      plans[i].verdict = Verdict::kForward;
-      plans[i].log_index = state.upload_log.size();
-      state.accepted_items += u.items.size();
-      state.upload_log.emplace_back(plans[i].shard, u.items.size());
-    }
-  }
-
-  // Phase 2 — fan the forwarded uploads out, one sub-batch per shard in
-  // per-shard submission order; short-circuited uploads only cost an ack.
+  // One sub-batch per shard, in per-shard submission order.
   std::vector<Result<bool>> out(
       uploads.size(), Status::Unavailable("batched upload not dispatched"));
+  std::vector<size_t> shard_of(uploads.size());
   std::vector<std::vector<CollectionUpload>> batch_of(shards_.size());
   std::vector<std::vector<size_t>> slots_of(shards_.size());
   for (size_t i = 0; i < uploads.size(); ++i) {
-    switch (plans[i].verdict) {
-      case Verdict::kNotFound:
-        out[i] = Status::NotFound("no active query for UploadCollection");
-        break;
-      case Verdict::kShortCircuit: {
-        Status st = shards_[plans[i].shard]->Acknowledge(uploads[i].tds_id,
-                                                         uploads[i].query_id);
-        out[i] = st.ok() ? Result<bool>(false) : Result<bool>(st);
-        break;
-      }
-      case Verdict::kForward:
-        batch_of[plans[i].shard].push_back(uploads[i]);
-        slots_of[plans[i].shard].push_back(i);
-        break;
-    }
+    shard_of[i] = ShardOfTds(uploads[i].tds_id);
+    batch_of[shard_of[i]].push_back(uploads[i]);
+    slots_of[shard_of[i]].push_back(i);
   }
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
     if (batch_of[shard].empty()) continue;
@@ -204,32 +135,14 @@ std::vector<Result<bool>> ShardedSsiClient::UploadCollectionBatch(
     }
   }
 
-  // Phase 3 — reconcile divergence. A transport failure or a byzantine
-  // reject means the predicted accounting overcounts; take those entries
-  // back out of the log (highest index first so earlier indices stay valid).
-  std::vector<size_t> rollback;
+  // Log every accepted upload in submission order: the serial arrival order
+  // TakeCollected re-interleaves the per-shard drains along.
+  std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = 0; i < uploads.size(); ++i) {
-    if (plans[i].verdict != Verdict::kForward) continue;
-    if (out[i].ok() && *out[i]) continue;
-    rollback.push_back(i);
-  }
-  if (!rollback.empty()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::sort(rollback.begin(), rollback.end(),
-              [&](size_t a, size_t b) {
-                return plans[a].log_index > plans[b].log_index;
-              });
-    for (size_t i : rollback) {
-      auto it = queries_.find(uploads[i].query_id);
-      if (it == queries_.end()) continue;
-      QueryState& state = it->second;
-      state.accepted_items -= std::min<uint64_t>(state.accepted_items,
-                                                 uploads[i].items.size());
-      if (plans[i].log_index < state.upload_log.size()) {
-        state.upload_log.erase(state.upload_log.begin() +
-                               static_cast<ptrdiff_t>(plans[i].log_index));
-      }
-    }
+    if (!out[i].ok() || !*out[i]) continue;
+    auto it = queries_.find(uploads[i].query_id);
+    if (it == queries_.end()) continue;
+    it->second.upload_log.emplace_back(shard_of[i], uploads[i].items.size());
   }
   return out;
 }
@@ -306,11 +219,6 @@ Result<std::vector<EncryptedItem>> ShardedSsiClient::TakeRoundOutput(
 Status ShardedSsiClient::ObserveAggregation(
     uint64_t query_id, const std::vector<EncryptedItem>& items) {
   return shards_[HomeShard(query_id)]->ObserveAggregation(query_id, items);
-}
-
-Status ShardedSsiClient::ObserveFiltering(
-    uint64_t query_id, const std::vector<EncryptedItem>& items) {
-  return shards_[HomeShard(query_id)]->ObserveFiltering(query_id, items);
 }
 
 Status ShardedSsiClient::DeliverResult(

@@ -8,14 +8,11 @@
 // partitions, round outputs and delivered results in a per-query record that
 // needs no post, so any shard can carry any token's bytes.
 //
-// Per-query coordination lives here, the same at every shard count:
+// Per-query coordination lives here, the same at every shard count. The
+// collection window is not part of it: the SIZE bound and the served count
+// belong to the QuerySession, which sends every upload and acknowledgement
+// and reads every accept bit.
 //
-//   - The SIZE bound is global and tracked querier-side. Each shard only sees
-//     its local item count, so the router tracks accepted items from the
-//     upload accept bits, answers SizeReached from that count without a wire
-//     call, and short-circuits further uploads (acknowledge + reject, exactly
-//     the observable behaviour of a node-side discard) once the bound is
-//     reached. An SSI cannot close collection early by lying about the bound.
 //   - TakeCollected must reproduce the exact arrival order a single node
 //     would have produced, because the collection feeds RNG-driven
 //     partitioning. The router logs (shard, item-count) per accepted upload
@@ -38,7 +35,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -95,7 +91,6 @@ class ShardedSsiClient : public SsiApi {
   std::vector<Result<std::vector<ssi::QueryPost>>> FetchPostsBatch(
       const std::vector<uint64_t>& tds_ids) override;
   Status Acknowledge(uint64_t tds_id, uint64_t query_id) override;
-  Result<uint64_t> NumAcknowledged(uint64_t query_id) override;
 
   // ---- Key epoch distribution ----
   /// Fans the block out to every shard (each TDS fetches from its own
@@ -105,18 +100,12 @@ class ShardedSsiClient : public SsiApi {
   Result<Bytes> FetchEpochBlock(uint64_t tds_id) override;
 
   // ---- Collection phase ----
-  /// Answered from the router's accepted-item count; no shard is asked.
-  Result<bool> SizeReached(uint64_t query_id) override;
   /// A one-upload UploadCollectionBatch.
   Result<bool> UploadCollection(
       uint64_t query_id, uint64_t tds_id,
       const std::vector<ssi::EncryptedItem>& items) override;
-  /// Applies the SIZE-bound accounting for the whole vector in submission
-  /// order under one lock (an honest shard accepts every upload the router
-  /// lets through, so the accept bits are decidable before the wire round
-  /// trip), then fans per-shard sub-batches out and reconciles any shard
-  /// that diverged (transport failure / byzantine reject) against the
-  /// predicted accounting.
+  /// Fans per-shard sub-batches out (per-shard submission order), then logs
+  /// each accepted upload in submission order for TakeCollected.
   std::vector<Result<bool>> UploadCollectionBatch(
       const std::vector<CollectionUpload>& uploads) override;
   Result<std::vector<ssi::EncryptedItem>> TakeCollected(
@@ -134,8 +123,6 @@ class ShardedSsiClient : public SsiApi {
       uint64_t query_id, uint64_t token) override;
   Status ObserveAggregation(
       uint64_t query_id, const std::vector<ssi::EncryptedItem>& items) override;
-  Status ObserveFiltering(
-      uint64_t query_id, const std::vector<ssi::EncryptedItem>& items) override;
 
   // ---- Result delivery / teardown ----
   Status DeliverResult(
@@ -149,8 +136,6 @@ class ShardedSsiClient : public SsiApi {
   struct QueryState {
     bool personal = false;
     size_t home = 0;  ///< personal: the TDS's shard; global: hash(query_id).
-    std::optional<uint64_t> size_bound;
-    uint64_t accepted_items = 0;
     /// (shard, item count) per accepted upload, in serial upload order —
     /// the recipe for reconstructing single-node arrival order at take time.
     std::vector<std::pair<size_t, uint64_t>> upload_log;

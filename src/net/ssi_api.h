@@ -46,21 +46,27 @@ class SsiApi {
   virtual std::vector<Result<std::vector<ssi::QueryPost>>> FetchPostsBatch(
       const std::vector<uint64_t>& tds_ids) = 0;
   virtual Status Acknowledge(uint64_t tds_id, uint64_t query_id) = 0;
-  virtual Result<uint64_t> NumAcknowledged(uint64_t query_id) = 0;
+  /// Retired window probe (MsgType 5): the querier counts the serves itself.
+  /// No SSI serves it and the engine never calls it.
+  virtual Result<uint64_t> NumAcknowledged(uint64_t /*query_id*/) {
+    return Status::Unimplemented("NumAcknowledged is retired");
+  }
 
   // ---- Collection phase ----
-  virtual Result<bool> SizeReached(uint64_t query_id) = 0;
+  /// Retired window probe (MsgType 6): the querier enforces SIZE itself.
+  /// No SSI serves it and the engine never calls it.
+  virtual Result<bool> SizeReached(uint64_t /*query_id*/) {
+    return Status::Unimplemented("SizeReached is retired");
+  }
   /// Uploads one TDS's contribution and acknowledges the query in one
-  /// exchange. Returns whether the contribution was accepted (false when the
-  /// SIZE bound closed the storage area first).
+  /// exchange. Returns whether the contribution was accepted: an honest SSI
+  /// accepts every upload until the collection is taken.
   virtual Result<bool> UploadCollection(
       uint64_t query_id, uint64_t tds_id,
       const std::vector<ssi::EncryptedItem>& items) = 0;
   /// Batched UploadCollection: one accept bit per upload, in order. The
-  /// uploads are applied in vector order with exactly the serial semantics —
-  /// SIZE-bound cutoffs land between the same two uploads a serial caller
-  /// would see — so results are bit-identical to calling UploadCollection
-  /// once per upload.
+  /// uploads are applied in vector order, so results are bit-identical to
+  /// calling UploadCollection once per upload.
   virtual std::vector<Result<bool>> UploadCollectionBatch(
       const std::vector<CollectionUpload>& uploads) = 0;
   virtual Result<std::vector<ssi::EncryptedItem>> TakeCollected(
@@ -78,8 +84,14 @@ class SsiApi {
       uint64_t query_id, uint64_t token) = 0;
   virtual Status ObserveAggregation(
       uint64_t query_id, const std::vector<ssi::EncryptedItem>& items) = 0;
+  /// Retired report (MsgType 14): the node counts the filtering leakage
+  /// when the result is delivered. No SSI serves it and the engine never
+  /// calls it.
   virtual Status ObserveFiltering(
-      uint64_t query_id, const std::vector<ssi::EncryptedItem>& items) = 0;
+      uint64_t /*query_id*/,
+      const std::vector<ssi::EncryptedItem>& /*items*/) {
+    return Status::Unimplemented("ObserveFiltering is retired");
+  }
 
   // ---- Key epoch distribution (dynamic key mode, docs/KEYS.md) ----
   /// Publishes the latest encoded keys::EpochBlock. Opaque bytes at this

@@ -347,23 +347,6 @@ Status SsiClient::Acknowledge(uint64_t tds_id, uint64_t query_id) {
   return Call(std::move(req)).status();
 }
 
-Result<uint64_t> SsiClient::NumAcknowledged(uint64_t query_id) {
-  Bytes req;
-  BeginRequest(&req, MsgType::kNumAcknowledged);
-  ByteWriter(&req).PutU64(query_id);
-  TCELLS_ASSIGN_OR_RETURN(Bytes body, Call(std::move(req)));
-  return ByteReader(body).GetU64();
-}
-
-Result<bool> SsiClient::SizeReached(uint64_t query_id) {
-  Bytes req;
-  BeginRequest(&req, MsgType::kSizeReached);
-  ByteWriter(&req).PutU64(query_id);
-  TCELLS_ASSIGN_OR_RETURN(Bytes body, Call(std::move(req)));
-  TCELLS_ASSIGN_OR_RETURN(uint8_t flag, ByteReader(body).GetU8());
-  return flag != 0;
-}
-
 Result<bool> SsiClient::UploadCollection(
     uint64_t query_id, uint64_t tds_id,
     const std::vector<EncryptedItem>& items) {
@@ -459,12 +442,6 @@ Result<std::vector<EncryptedItem>> SsiClient::TakeRoundOutput(
 Status SsiClient::ObserveAggregation(
     uint64_t query_id, const std::vector<EncryptedItem>& items) {
   return Call(ItemsRequest(MsgType::kObserveAggregation, {query_id}, items))
-      .status();
-}
-
-Status SsiClient::ObserveFiltering(uint64_t query_id,
-                                   const std::vector<EncryptedItem>& items) {
-  return Call(ItemsRequest(MsgType::kObserveFiltering, {query_id}, items))
       .status();
 }
 

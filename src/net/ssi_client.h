@@ -90,7 +90,6 @@ class SsiClient : public SsiApi {
   std::vector<Result<std::vector<ssi::QueryPost>>> FetchPostsBatch(
       const std::vector<uint64_t>& tds_ids) override;
   Status Acknowledge(uint64_t tds_id, uint64_t query_id) override;
-  Result<uint64_t> NumAcknowledged(uint64_t query_id) override;
 
   // ---- Key epoch distribution ----
   Status PostEpochBlock(const Bytes& block) override;
@@ -103,7 +102,6 @@ class SsiClient : public SsiApi {
       const std::vector<uint64_t>& tds_ids);
 
   // ---- Collection phase ----
-  Result<bool> SizeReached(uint64_t query_id) override;
   Result<bool> UploadCollection(
       uint64_t query_id, uint64_t tds_id,
       const std::vector<ssi::EncryptedItem>& items) override;
@@ -128,8 +126,6 @@ class SsiClient : public SsiApi {
   Result<std::vector<ssi::EncryptedItem>> TakeRoundOutput(
       uint64_t query_id, uint64_t token) override;
   Status ObserveAggregation(
-      uint64_t query_id, const std::vector<ssi::EncryptedItem>& items) override;
-  Status ObserveFiltering(
       uint64_t query_id, const std::vector<ssi::EncryptedItem>& items) override;
 
   // ---- Result delivery / teardown ----

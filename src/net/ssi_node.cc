@@ -101,7 +101,7 @@ Status SsiNode::Post(const Bytes& raw, std::optional<uint64_t> personal_tds) {
     return Status::InvalidArgument("duplicate query id: " +
                                    std::to_string(post.query_id));
   }
-  query.post = Query::Post{post.Encode(), post.size_max_tuples, personal_tds};
+  query.post = Query::Post{post.Encode(), personal_tds};
   return Status::OK();
 }
 
@@ -151,22 +151,6 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
       query->served.try_emplace(tds_id);
       return EncodeReplyOk(EmptyBody());
     }
-    case MsgType::kNumAcknowledged: {
-      TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      auto it = queries_.find(query_id);
-      Bytes body;
-      ByteWriter w(&body);
-      w.PutU64(it == queries_.end() ? 0 : it->second.served.size());
-      return EncodeReplyOk(body);
-    }
-    case MsgType::kSizeReached: {
-      TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
-      Bytes body;
-      ByteWriter w(&body);
-      w.PutU8(query->SizeReached() ? 1 : 0);
-      return EncodeReplyOk(body);
-    }
     case MsgType::kUploadCollection: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(uint64_t tds_id, reader.GetU64());
@@ -175,14 +159,13 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
       std::optional<bool>& accepted = query->served[tds_id];
       // A set bit means a duplicate delivery: a transport retry after the
       // reply was lost. The first delivery already stored this TDS's
-      // contribution (or discarded it at the SIZE bound); replay its reply
+      // contribution (or discarded it after the take); replay its reply
       // instead of counting the contribution twice.
       if (!accepted) {
-        // Atomic check-then-receive: when the SIZE bound was reached or the
-        // collection taken while this upload was in flight, the
-        // contribution is discarded but the TDS still counts as having
-        // served the query.
-        accepted = !query->taken && !query->SizeReached();
+        // The node stores what it is sent until the collection is taken; a
+        // later contribution is discarded, but the TDS still counts as
+        // having served the query. The querier alone enforces SIZE.
+        accepted = !query->taken;
         if (*accepted) {
           TCELLS_RETURN_IF_ERROR(
               query->view.ObserveCollection(upload.encoding));
@@ -259,20 +242,21 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(ItemsBody p, ScanItemsBody(&reader));
       TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
-      TCELLS_RETURN_IF_ERROR(query->view.ObserveAggregation(p.encoding));
-      return EncodeReplyOk(EmptyBody());
-    }
-    case MsgType::kObserveFiltering: {
-      TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(ItemsBody p, ScanItemsBody(&reader));
-      TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
-      query->view.ObserveFiltering(p.count);
+      // Observed once per query: a retry after a lost reply adds nothing.
+      if (!query->aggregation_observed) {
+        TCELLS_RETURN_IF_ERROR(query->view.ObserveAggregation(p.encoding));
+        query->aggregation_observed = true;
+      }
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kDeliverResult: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(ItemsBody p, ScanItemsBody(&reader));
-      queries_[query_id].result = p.ToBytes();
+      Query& query = queries_[query_id];
+      // The result crosses the SSI here, so here the filtering leakage is
+      // recorded: on the first delivery to a posted query only.
+      if (query.post && !query.result) query.view.ObserveFiltering(p.count);
+      query.result = p.ToBytes();
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kFetchResult: {

@@ -63,7 +63,6 @@ class SsiNode {
   struct Query {
     struct Post {
       Bytes encoded;  ///< Served as-is by kFetchPosts.
-      std::optional<uint64_t> size_max_tuples;
       std::optional<uint64_t> personal_tds;  ///< nullopt = global.
     };
     std::optional<Post> post;
@@ -77,25 +76,21 @@ class SsiNode {
     Bytes collected;
     uint32_t collected_count = 0;
     /// Set by the first kTakeCollected, which closes the storage area: a
-    /// later upload is acknowledged but discarded, like one past the SIZE
-    /// bound, and every take — a duplicate delivery included — serves the
-    /// same `collected` bytes.
+    /// later upload is acknowledged but discarded, and every take — a
+    /// duplicate delivery included — serves the same `collected` bytes.
     bool taken = false;
     ssi::AdversaryView view;
+    /// Set by the first kObserveAggregation: a retry after a lost reply
+    /// observes nothing twice.
+    bool aggregation_observed = false;
     /// token → item-vector encoding staged for TDS download / uploaded as
     /// the processing TDS's round output.
     std::map<uint64_t, Bytes> staged;
     std::map<uint64_t, Bytes> outputs;
     /// Item-vector encoding of the final result awaiting querier download.
+    /// Its first delivery to a posted query is the filtering-phase leakage
+    /// the view records; a retried delivery records nothing more.
     std::optional<Bytes> result;
-
-    /// The cleartext SIZE clause of a posted query: the SSI counts items and
-    /// cannot tell true from dummy or fake ones, which is the point. A taken
-    /// storage area holds nothing more and is not at its bound.
-    bool SizeReached() const {
-      return !taken && post->size_max_tuples &&
-             collected_count >= *post->size_max_tuples;
-    }
   };
 
   /// One call under mu_: dispatch + error-envelope wrapping.

@@ -27,13 +27,14 @@
 
 namespace tcells::net {
 
+/// Retired numbers stay retired: 5 and 6 (the window probes NumAcknowledged
+/// and SizeReached) and 14 (ObserveFiltering) are never reused. A node answers
+/// them like any unknown type, with Corruption.
 enum class MsgType : uint8_t {
   kPostGlobal = 1,        ///< QueryPost → ()
   kPostPersonal = 2,      ///< u64 tds_id, QueryPost → ()
   kFetchPosts = 3,        ///< u64 tds_id → u32 n, n × (u32-len QueryPost)
   kAcknowledge = 4,       ///< u64 tds_id, u64 query_id → ()
-  kNumAcknowledged = 5,   ///< u64 query_id → u64
-  kSizeReached = 6,       ///< u64 query_id → u8 bool
   kUploadCollection = 7,  ///< u64 query_id, u64 tds_id, Items → u8 accepted
   kTakeCollected = 8,     ///< u64 query_id → Items
   kStagePartition = 9,    ///< u64 query_id, u64 token, Items → ()
@@ -41,7 +42,6 @@ enum class MsgType : uint8_t {
   kUploadRoundOutput = 11,///< u64 query_id, u64 token, Items → ()
   kTakeRoundOutput = 12,  ///< u64 query_id, u64 token → Items (re-readable)
   kObserveAggregation = 13,  ///< u64 query_id, Items → ()
-  kObserveFiltering = 14,    ///< u64 query_id, Items → ()
   kDeliverResult = 15,    ///< u64 query_id, Items → ()
   kFetchResult = 16,      ///< u64 query_id → Items
   kAdversaryView = 17,    ///< u64 query_id → AdversaryView

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <utility>
 
 namespace tcells::protocol {
@@ -116,6 +117,7 @@ Status QuerySession::SubmitInternal(uint64_t query_id,
   TCELLS_ASSIGN_OR_RETURN(ssi::QueryPost post,
                           pending.reader().MakePost(query_id, sql, &post_rng));
   post.key_posting = pending.key_posting;
+  pending.size_max_tuples = post.size_max_tuples;
   pending.duration_ticks = post.size_max_duration_ticks;
   if (tds_id) {
     TCELLS_RETURN_IF_ERROR(client_->PostPersonal(*tds_id, post));
@@ -190,6 +192,14 @@ Status QuerySession::Collect(PendingQuery& q) {
   const uint64_t window = q.duration_ticks.value_or(1);
   const size_t eligible = q.personal_tds ? 1 : fleet_->size();
   RunMetrics& metrics = q.ctx->metrics();
+  // The window's own counts: items accepted so far (the collection tally,
+  // recorded from the accept bits) and serves the SSI confirmed.
+  const sim::PhaseTally& collected =
+      metrics.accountant.phase(sim::Phase::kCollection);
+  auto size_reached = [&](uint64_t items) {
+    return q.size_max_tuples && items >= *q.size_max_tuples;
+  };
+  uint64_t served = 0;
 
   // Per tick: connectors and their downloads are decided serially (SSI state
   // is single-threaded), each connector's serve gets a private Rng stream
@@ -207,11 +217,10 @@ Status QuerySession::Collect(PendingQuery& q) {
     const auto tick_t0 = std::chrono::steady_clock::now();
     // The window stays open while it has ticks left, the SIZE bound is not
     // met and some eligible TDS has yet to serve the query.
-    if (tick >= window) break;
-    TCELLS_ASSIGN_OR_RETURN(bool size_reached, client_->SizeReached(q.id));
-    if (size_reached) break;
-    TCELLS_ASSIGN_OR_RETURN(uint64_t acked, client_->NumAcknowledged(q.id));
-    if (acked >= eligible) break;
+    if (tick >= window || size_reached(collected.tuples_processed) ||
+        served >= eligible) {
+      break;
+    }
     metrics.collection_ticks += 1;
 
     std::vector<size_t> order(fleet_->size());
@@ -331,20 +340,26 @@ Status QuerySession::Collect(PendingQuery& q) {
       });
     }
 
-    // One atomic exchange per serve: the SSI either accepts the contribution
-    // and acknowledges, or — when the SIZE bound closed the storage area
-    // mid-tick — discards it but still acknowledges the serve. The uploads
-    // ship as one batch in serve order (the accept bits land exactly where
-    // the serial loop would put them); a transport failure loses that TDS's
-    // contribution only.
+    // One exchange per serve, in serve order. A contribution is uploaded
+    // while the items already accepted plus those forwarded earlier in this
+    // tick are below the SIZE bound; past it, or with nothing to upload, the
+    // SSI is only told that the TDS served the query. The uploads ship as
+    // one batch in serve order; a transport failure loses that TDS's
+    // contribution only. Every exchange the SSI confirms counts as a serve.
+    auto acknowledge = [&](uint64_t tds_id) -> Status {
+      Status acked = client_->Acknowledge(tds_id, q.id);
+      if (acked.ok()) served += 1;
+      if (!acked.ok() && !IsTransportError(acked)) return acked;
+      return Status::OK();
+    };
+    uint64_t forwarded = collected.tuples_processed;
     std::vector<net::CollectionUpload> batch;
     for (Serve& serve : serves) {
       const uint64_t tds_id = serve.server->id();
       if (serve.skipped) {
         // Nothing to upload, but the serve must still count as served or
         // the "all eligible TDSs answered" close condition never fires.
-        Status acked = client_->Acknowledge(tds_id, q.id);
-        if (!acked.ok() && !IsTransportError(acked)) return acked;
+        TCELLS_RETURN_IF_ERROR(acknowledge(tds_id));
         continue;
       }
       if (q.key_posting) {
@@ -362,12 +377,16 @@ Status QuerySession::Collect(PendingQuery& q) {
             tag, q.id, keys::ContributionDigest(serve.items));
         if (admitted.IsPermissionDenied()) {
           metrics.contributions_rejected += 1;
-          Status acked = client_->Acknowledge(tds_id, q.id);
-          if (!acked.ok() && !IsTransportError(acked)) return acked;
+          TCELLS_RETURN_IF_ERROR(acknowledge(tds_id));
           continue;
         }
         TCELLS_RETURN_IF_ERROR(admitted);
       }
+      if (size_reached(forwarded)) {
+        TCELLS_RETURN_IF_ERROR(acknowledge(tds_id));
+        continue;
+      }
+      forwarded += serve.items.size();
       net::CollectionUpload upload;
       upload.query_id = q.id;
       upload.tds_id = tds_id;
@@ -381,9 +400,18 @@ Status QuerySession::Collect(PendingQuery& q) {
         if (IsTransportError(accepted.status())) continue;
         return accepted.status();
       }
-      if (!*accepted) continue;
-      // The accepted upload is one collection partition of its TDS.
       const net::CollectionUpload& upload = batch[i];
+      if (!*accepted) {
+        // An honest SSI stores every upload sent while collection is open:
+        // a "rejected" reply is a lie, and trusting it would quietly drop
+        // the contribution from the result.
+        return Status::Corruption(
+            "SSI rejected the collection upload of TDS " +
+            std::to_string(upload.tds_id) + " to query " +
+            std::to_string(q.id) + " while collection was open");
+      }
+      served += 1;
+      // The accepted upload is one collection partition of its TDS.
       uint64_t bytes = 0;
       for (const auto& item : upload.items) bytes += item.WireSize();
       metrics.accountant.RecordPartition(sim::Phase::kCollection,
@@ -425,10 +453,9 @@ Result<RunOutcome> QuerySession::Complete(
   TCELLS_ASSIGN_OR_RETURN(
       std::vector<EncryptedItem> result_items,
       RunFilteringPhase(*q.ctx, q.analyzed, q.config, std::move(covering)));
-  TCELLS_RETURN_IF_ERROR(client_->ObserveFiltering(q.id, result_items));
 
-  // Step 13: the TDSs hand the result to the SSI; the querier downloads and
-  // decrypts it.
+  // Step 13: the TDSs hand the result to the SSI (which records the
+  // filtering leakage as it arrives); the querier downloads and decrypts it.
   TCELLS_RETURN_IF_ERROR(client_->DeliverResult(q.id, result_items));
   TCELLS_ASSIGN_OR_RETURN(result_items, client_->FetchResult(q.id));
   RunOutcome outcome;

@@ -60,6 +60,9 @@ class QuerySession {
   /// connecting per tick with RunOptions::connect_prob_per_tick; without
   /// one it is a single full pass (everyone connects once). It also closes
   /// early when the SIZE bound is reached or all eligible TDSs have served.
+  /// The session is the window's only owner: it counts the accepted items and
+  /// the serves from its own uploads and acknowledgements, and past the SIZE
+  /// bound it acknowledges a serve instead of uploading it.
   Result<std::map<uint64_t, RunOutcome>> RunAll();
 
  private:
@@ -80,7 +83,8 @@ class QuerySession {
     const Querier& reader() const {
       return session_querier ? *session_querier : *querier;
     }
-    /// The post's SIZE ... DURATION bound, captured at submit time.
+    /// The post's SIZE ... DURATION bounds, captured at submit time.
+    std::optional<uint64_t> size_max_tuples;
     std::optional<uint64_t> duration_ticks;
     /// This query's span tree (null when the session has no Tracer).
     std::shared_ptr<obs::Trace> trace;

@@ -524,15 +524,16 @@ std::vector<ScenarioSpec> DefaultManifest() {
     manifest.push_back(std::move(spec));
   }
 
-  // Every contribution is told "rejected" while the SSI keeps the data. The
-  // shard router logs only accepted uploads, so it drains nothing and the
-  // result comes back empty; participation accounting must expose the lie
-  // (0 acknowledged participants).
+  // Every contribution is told "rejected" while the SSI keeps the data. An
+  // honest SSI accepts every upload the querier sends while collection is
+  // open, so the first forged reject is Corruption: a clean abort. This pin
+  // is stricter than the earlier one (expect_complete = true), under which
+  // the run completed with an empty result and 0 of 32 participants.
   {
     ScenarioSpec spec = Base("byz-forge-accept", ProtocolKind::kBasicSfw);
     spec.tampering =
         Tamper([](net::TamperPlan* p) { p->forge_accept_byte = true; });
-    spec.expect_complete = true;
+    spec.expect_complete = false;
     manifest.push_back(std::move(spec));
   }
 
@@ -677,7 +678,8 @@ std::vector<ScenarioSpec> SmokeManifest() {
   const char* picks[] = {"clean-S_Agg-zipf",     "chaos-ED_Hist",
                          "token-kill-S_Agg",     "take-reply-dropped",
                          "churn-after-upload",   "byz-replay-output",
-                         "byz-forge-error",      "byz-reverse-collected",
+                         "byz-forge-error",      "byz-forge-accept",
+                         "byz-reverse-collected",
                          "keys-revoked-injection", "keys-forged-rollover"};
   std::vector<ScenarioSpec> smoke;
   for (ScenarioSpec& spec : DefaultManifest()) {

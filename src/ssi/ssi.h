@@ -1,9 +1,11 @@
 // SupportingServerInfrastructure (SSI): the powerful, highly available but
 // honest-but-curious server tier (§2.1-2.2). It stores queryboxes and
 // encrypted intermediate results, partitions covering results for parallel
-// TDS processing, evaluates the cleartext SIZE clause, and re-dispatches
-// partitions when a TDS goes offline. It holds no keys: its entire API
-// consumes and produces EncryptedItems.
+// TDS processing, and re-dispatches partitions when a TDS goes offline. It
+// holds no keys: its entire API consumes and produces EncryptedItems. It sees
+// the cleartext SIZE clause of every post but does not enforce it: the
+// querier, which sends every upload, closes the collection window (DESIGN.md
+// "Who closes the collection window").
 //
 // The SSI's per-query state lives in net::SsiNode, one record per query.
 // This header holds what both sides of the wire share: the AdversaryView —
@@ -48,6 +50,7 @@ struct AdversaryView {
   /// read again here without materializing an item.
   Status ObserveCollection(std::span<const uint8_t> items);
   Status ObserveAggregation(std::span<const uint8_t> items);
+  /// Records the delivered result's item count.
   void ObserveFiltering(uint64_t items) { filtering_items += items; }
 
   /// Wire codec, so a remote querier can download the view for the exposure

@@ -47,6 +47,30 @@ bool IsUnavailable(const Status& s) { return s.IsUnavailable(); }
 bool IsDeadlineExceeded(const Status& s) { return s.IsDeadlineExceeded(); }
 bool IsInvalidArgument(const Status& s) { return s.IsInvalidArgument(); }
 
+/// One kFetchPosts call payload: the MsgType byte and the u64 tds_id.
+Bytes FetchPostsRequest(uint64_t tds_id) {
+  Bytes req;
+  ByteWriter w(&req);
+  w.PutU8(static_cast<uint8_t>(MsgType::kFetchPosts));
+  w.PutU64(tds_id);
+  return req;
+}
+
+/// A scripted plan that injects `kind` on the nth call of `type` (per-type
+/// counter), with everything probabilistic turned off.
+FaultPlan ScriptOne(MsgType type, FaultKind kind, uint64_t nth = 1,
+                    uint64_t repeat = 1) {
+  FaultPlan plan;
+  ScriptedFault fault;
+  fault.type = type;
+  fault.kind = kind;
+  fault.scope = ScriptedFault::Scope::kPerType;
+  fault.nth = nth;
+  fault.repeat = repeat;
+  plan.script.push_back(fault);
+  return plan;
+}
+
 /// A batch reply frame answering every call of request frame `frame` with
 /// `envelope`, for hand-written servers.
 Result<Bytes> AnswerEach(const Bytes& frame, const Bytes& envelope) {
@@ -183,20 +207,24 @@ TEST(LoopbackTest, EchoRoundTripsThroughFrameCodec) {
 }
 
 TEST(LoopbackTest, InjectedFailuresSurfaceThenClear) {
+  // Transport failures are injected by a FaultyTransport around the
+  // backend: scripted request drops never reach the handler, and calls flow
+  // again once the script is spent.
   size_t handled = 0;
-  LoopbackTransport transport([&](const Bytes& req) -> Result<Bytes> {
+  LoopbackTransport loopback([&](const Bytes& req) -> Result<Bytes> {
     ++handled;
     return req;
   });
-  transport.InjectFailures(2, Status::Unavailable("injected"));
+  FaultyTransport transport(
+      &loopback, ScriptOne(MsgType::kFetchPosts, FaultKind::kDropRequest,
+                           /*nth=*/1, /*repeat=*/2));
+  const Bytes frame = EncodeBatchFrame({BatchCall{1, FetchPostsRequest(7)}});
   auto channel = transport.Connect();
   ASSERT_TRUE(channel.ok());
-  EXPECT_TRUE(IsUnavailable(
-      (*channel)->Call(MakeBytes({7}), CallOptions{}).status()));
-  EXPECT_TRUE(IsUnavailable(
-      (*channel)->Call(MakeBytes({7}), CallOptions{}).status()));
+  EXPECT_TRUE(IsUnavailable((*channel)->Call(frame, CallOptions{}).status()));
+  EXPECT_TRUE(IsUnavailable((*channel)->Call(frame, CallOptions{}).status()));
   EXPECT_EQ(handled, 0u);  // injected failures never reach the handler
-  EXPECT_TRUE((*channel)->Call(MakeBytes({7}), CallOptions{}).ok());
+  EXPECT_TRUE((*channel)->Call(frame, CallOptions{}).ok());
   EXPECT_EQ(handled, 1u);
 }
 
@@ -441,9 +469,17 @@ TEST(TcpTest, ServerDropsConnectionOnHandlerFailure) {
 // ---------------------------------------------------------------------------
 // SsiClient retry semantics.
 
+// The retry tests inject transport failures with a FaultyTransport on its
+// own VirtualClock, so the client's clock records exactly its backoff sleeps.
+
 TEST(SsiClientTest, TransientFailuresRetriedThenSucceed) {
   SsiNode node;
-  LoopbackTransport transport(node.handler());
+  LoopbackTransport loopback(node.handler());
+  VirtualClock injector_clock;
+  FaultyTransport transport(
+      &loopback,
+      ScriptOne(MsgType::kFetchPosts, FaultKind::kDropRequest, 1, 2),
+      &injector_clock);
   obs::MetricsRegistry metrics;
   VirtualClock vclock;
   RetryPolicy policy;
@@ -452,10 +488,9 @@ TEST(SsiClientTest, TransientFailuresRetriedThenSucceed) {
   policy.clock = &vclock;
   SsiClient client(&transport, policy, &metrics);
 
-  transport.InjectFailures(2, Status::Unavailable("blip"));
-  auto n = client.NumAcknowledged(1);
+  auto n = client.FetchPosts(1);
   ASSERT_TRUE(n.ok()) << n.status().ToString();
-  EXPECT_EQ(*n, 0u);
+  EXPECT_TRUE(n->empty());
   EXPECT_EQ(metrics.snapshot().counters.at("net.retries"), 2u);
   // Exact backoff schedule, no timing margins: first retry sleeps the base,
   // the second doubles it.
@@ -464,7 +499,12 @@ TEST(SsiClientTest, TransientFailuresRetriedThenSucceed) {
 
 TEST(SsiClientTest, RetriesExhaustedReturnsLastTransportError) {
   SsiNode node;
-  LoopbackTransport transport(node.handler());
+  LoopbackTransport loopback(node.handler());
+  VirtualClock injector_clock;
+  FaultyTransport transport(
+      &loopback,
+      ScriptOne(MsgType::kFetchPosts, FaultKind::kDropRequest, 1, 10),
+      &injector_clock);
   VirtualClock vclock;
   RetryPolicy policy;
   policy.max_attempts = 2;
@@ -472,13 +512,12 @@ TEST(SsiClientTest, RetriesExhaustedReturnsLastTransportError) {
   policy.clock = &vclock;
   SsiClient client(&transport, policy);
 
-  transport.InjectFailures(10, Status::Unavailable("down"));
-  EXPECT_TRUE(IsUnavailable(client.NumAcknowledged(1).status()));
+  EXPECT_TRUE(IsUnavailable(client.FetchPosts(1).status()));
   // 10 injected - 2 attempts consumed = 8 left; drain to prove exactly two
   // attempts were made.
   size_t drained = 0;
   for (; drained < 10; ++drained) {
-    if (client.NumAcknowledged(1).ok()) break;
+    if (client.FetchPosts(1).ok()) break;
   }
   // 8 remaining failures cover attempts for ceil(8/2)=4 more calls.
   EXPECT_EQ(drained, 4u);
@@ -489,17 +528,21 @@ TEST(SsiClientTest, RetriesExhaustedReturnsLastTransportError) {
 
 TEST(SsiClientTest, DeadlineHitsAreCountedAndRetried) {
   SsiNode node;
-  LoopbackTransport transport(node.handler());
+  LoopbackTransport loopback(node.handler());
+  RetryPolicy policy;
+  // A delay at the deadline: the reply arrives after the caller gave up.
+  FaultPlan plan = ScriptOne(MsgType::kFetchPosts, FaultKind::kDelay);
+  plan.delay_seconds = policy.deadline_seconds;
+  VirtualClock injector_clock;
+  FaultyTransport transport(&loopback, plan, &injector_clock);
   obs::MetricsRegistry metrics;
   VirtualClock vclock;
-  RetryPolicy policy;
   policy.max_attempts = 2;
   policy.backoff_seconds = 0.05;
   policy.clock = &vclock;
   SsiClient client(&transport, policy, &metrics);
 
-  transport.InjectFailures(1, Status::DeadlineExceeded("slow"));
-  ASSERT_TRUE(client.NumAcknowledged(1).ok());
+  ASSERT_TRUE(client.FetchPosts(1).ok());
   auto counters = metrics.snapshot().counters;
   EXPECT_EQ(counters.at("net.deadline_hits"), 1u);
   EXPECT_EQ(counters.at("net.retries"), 1u);
@@ -508,7 +551,12 @@ TEST(SsiClientTest, DeadlineHitsAreCountedAndRetried) {
 
 TEST(SsiClientTest, BackoffScheduleIsExponentialAndCapped) {
   SsiNode node;
-  LoopbackTransport transport(node.handler());
+  LoopbackTransport loopback(node.handler());
+  VirtualClock injector_clock;
+  FaultyTransport transport(
+      &loopback,
+      ScriptOne(MsgType::kFetchPosts, FaultKind::kDropRequest, 1, 6),
+      &injector_clock);
   VirtualClock vclock;
   RetryPolicy policy;
   policy.max_attempts = 6;
@@ -517,8 +565,7 @@ TEST(SsiClientTest, BackoffScheduleIsExponentialAndCapped) {
   policy.clock = &vclock;
   SsiClient client(&transport, policy);
 
-  transport.InjectFailures(6, Status::Unavailable("down"));
-  EXPECT_TRUE(IsUnavailable(client.NumAcknowledged(1).status()));
+  EXPECT_TRUE(IsUnavailable(client.FetchPosts(1).status()));
   // Doubling from the base, clamped at the cap once 0.4 would exceed it.
   EXPECT_EQ(vclock.sleeps(),
             (std::vector<double>{0.05, 0.1, 0.2, 0.25, 0.25}));
@@ -540,8 +587,13 @@ TEST(SsiClientTest, DeadlineAbandonedReplyNeverPoisonsLaterCalls) {
                       std::this_thread::sleep_for(
                           std::chrono::milliseconds(200));
                     }
+                    // A FetchPosts body whose one post carries the counter.
+                    ssi::QueryPost post;
+                    post.query_id = n;
                     Bytes body;
-                    ByteWriter(&body).PutU64(n);
+                    ByteWriter w(&body);
+                    w.PutU32(1);
+                    w.PutBytes(post.Encode());
                     return AnswerEach(request, EncodeReplyOk(body));
                   })
                   .ok());
@@ -554,13 +606,15 @@ TEST(SsiClientTest, DeadlineAbandonedReplyNeverPoisonsLaterCalls) {
 
   // First call: the server stalls past every attempt's deadline. Whether it
   // fails or a retry squeaks through, no stale reply may survive it.
-  (void)client.NumAcknowledged(1);
+  (void)client.FetchPosts(1);
   // Let the server finish the delayed handler and flush the abandoned
   // replies; on the pre-fix client they now sit buffered on the connection.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  auto n = client.NumAcknowledged(1);
+  auto n = client.FetchPosts(1);
   ASSERT_TRUE(n.ok()) << n.status().ToString();
-  EXPECT_EQ(*n, handled.load());  // pre-fix: a stale earlier counter value
+  ASSERT_EQ(n->size(), 1u);
+  // pre-fix: a stale earlier counter value
+  EXPECT_EQ((*n)[0].query_id, handled.load());
 }
 
 TEST(SsiClientTest, ApplicationErrorsAreNeverRetried) {
@@ -586,7 +640,7 @@ TEST(SsiClientTest, FramesAndBytesAreCounted) {
   LoopbackTransport transport(node.handler());
   obs::MetricsRegistry metrics;
   SsiClient client(&transport, RetryPolicy{}, &metrics);
-  ASSERT_TRUE(client.NumAcknowledged(1).ok());
+  ASSERT_TRUE(client.FetchPosts(1).ok());
   auto counters = metrics.snapshot().counters;
   EXPECT_EQ(counters.at("net.frames_sent"), 1u);
   EXPECT_EQ(counters.at("net.frames_received"), 1u);
@@ -669,9 +723,7 @@ TEST(SsiNodeTest, DuplicateCollectionUploadIsNotDoubleCounted) {
   auto accepted = client.UploadCollection(5, /*tds_id=*/3, items);
   ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
   EXPECT_TRUE(*accepted);
-  auto n = client.NumAcknowledged(5);
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 1u);
+  EXPECT_TRUE(client.FetchPosts(3).ValueOrDie().empty());  // TDS 3 served
   auto collected = client.TakeCollected(5);
   ASSERT_TRUE(collected.ok());
   EXPECT_EQ(collected->size(), 2u);  // pre-fix: 4 (contribution duplicated)
@@ -732,7 +784,10 @@ TEST(SsiNodeTest, RetireClearsTransferState) {
   EXPECT_TRUE(IsNotFound(client.FetchResult(21).status()));
 }
 
-TEST(SsiNodeTest, SizeClauseEvaluation) {
+TEST(SsiNodeTest, NodeStoresEveryUploadWhateverTheSizeClause) {
+  // The SSI sees the cleartext SIZE clause but does not enforce it: the
+  // querier's session, which decides what to upload, is the one owner of
+  // the collection window. Until the take, every upload is accepted.
   SsiNode node;
   LoopbackTransport transport(node.handler());
   SsiClient client(&transport);
@@ -740,42 +795,12 @@ TEST(SsiNodeTest, SizeClauseEvaluation) {
   post.query_id = 1;
   post.size_max_tuples = 3;
   ASSERT_TRUE(client.PostGlobal(post).ok());
-  EXPECT_FALSE(client.SizeReached(1).ValueOrDie());
   EXPECT_TRUE(
       client.UploadCollection(1, 1, {MakeItem(1, false), MakeItem(2, false)})
           .ValueOrDie());
-  EXPECT_FALSE(client.SizeReached(1).ValueOrDie());
   EXPECT_TRUE(client.UploadCollection(1, 2, {MakeItem(3, false)}).ValueOrDie());
-  EXPECT_TRUE(client.SizeReached(1).ValueOrDie());
-  // The bound is met: a later upload is acknowledged but discarded.
-  EXPECT_FALSE(client.UploadCollection(1, 3, {MakeItem(4, false)}).ValueOrDie());
-  EXPECT_EQ(client.TakeCollected(1).ValueOrDie().size(), 3u);
-}
-
-TEST(SsiNodeTest, NoSizeClauseNeverReached) {
-  SsiNode node;
-  LoopbackTransport transport(node.handler());
-  SsiClient client(&transport);
-  ASSERT_TRUE(client.PostGlobal({}).ok());
-  EXPECT_TRUE(client.UploadCollection(0, 1, {MakeItem(1, false)}).ValueOrDie());
-  EXPECT_FALSE(client.SizeReached(0).ValueOrDie());
-}
-
-TEST(SsiNodeTest, TakeCollectedDrains) {
-  SsiNode node;
-  LoopbackTransport transport(node.handler());
-  SsiClient client(&transport);
-  ssi::QueryPost post;
-  post.query_id = 1;
-  post.size_max_tuples = 2;
-  ASSERT_TRUE(client.PostGlobal(post).ok());
-  ASSERT_TRUE(
-      client.UploadCollection(1, 1, {MakeItem(1, false), MakeItem(2, false)})
-          .ok());
-  EXPECT_TRUE(client.SizeReached(1).ValueOrDie());
-  EXPECT_EQ(client.TakeCollected(1).ValueOrDie().size(), 2u);
-  // The storage area is empty again, so the SIZE bound no longer holds.
-  EXPECT_FALSE(client.SizeReached(1).ValueOrDie());
+  EXPECT_TRUE(client.UploadCollection(1, 3, {MakeItem(4, false)}).ValueOrDie());
+  EXPECT_EQ(client.TakeCollected(1).ValueOrDie().size(), 4u);
 }
 
 TEST(SsiNodeTest, AdversaryViewRecordsTagHistogram) {
@@ -870,7 +895,6 @@ TEST(SsiNodeTest, EachServedTdsIsRecordedOnce) {
   EXPECT_TRUE(client.UploadCollection(1, 3, {MakeItem(1, false)}).ValueOrDie());
   ASSERT_TRUE(client.Acknowledge(4, 1).ok());
   ASSERT_TRUE(client.Acknowledge(3, 1).ok());
-  EXPECT_EQ(client.NumAcknowledged(1).ValueOrDie(), 2u);
   EXPECT_TRUE(client.FetchPosts(3).ValueOrDie().empty());
   EXPECT_TRUE(client.FetchPosts(4).ValueOrDie().empty());
   auto posts = client.FetchPosts(5).ValueOrDie();
@@ -878,7 +902,7 @@ TEST(SsiNodeTest, EachServedTdsIsRecordedOnce) {
   EXPECT_EQ(posts[0].query_id, 1u);
   // A TDS acknowledged without an upload may still contribute once.
   EXPECT_TRUE(client.UploadCollection(1, 4, {MakeItem(2, false)}).ValueOrDie());
-  EXPECT_EQ(client.NumAcknowledged(1).ValueOrDie(), 2u);
+  EXPECT_TRUE(client.FetchPosts(4).ValueOrDie().empty());
   EXPECT_EQ(client.TakeCollected(1).ValueOrDie().size(), 2u);
 }
 
@@ -888,22 +912,15 @@ TEST(SsiNodeTest, GarbageRequestFrameIsCorruption) {
   EXPECT_TRUE(IsCorruption(reply.status())) << reply.status().ToString();
 }
 
-Bytes NumAckedRequest(uint64_t query_id) {
-  Bytes req;
-  ByteWriter w(&req);
-  w.PutU8(static_cast<uint8_t>(MsgType::kNumAcknowledged));
-  w.PutU64(query_id);
-  return req;
-}
-
 TEST(SsiNodeTest, BareSingleCallFrameIsCorruption) {
   // There is one frame format: a well-formed call outside a batch envelope
   // is rejected like any undecodable frame, and the same call inside a
   // batch of one is served.
   SsiNode node;
-  auto bare = node.Handle(NumAckedRequest(1));
+  auto bare = node.Handle(FetchPostsRequest(1));
   EXPECT_TRUE(IsCorruption(bare.status())) << bare.status().ToString();
-  auto batched = node.Handle(EncodeBatchFrame({BatchCall{1, NumAckedRequest(1)}}));
+  auto batched =
+      node.Handle(EncodeBatchFrame({BatchCall{1, FetchPostsRequest(1)}}));
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
 }
 
@@ -930,9 +947,9 @@ TEST(SsiNodeTest, ServesOverTcp) {
 
 TEST(SsiNodeTest, UploadAfterTakeIsNotAcceptedOrObserved) {
   // The take closes the storage area: a later upload is recorded as served
-  // with accept bit 0 and never observed, exactly like an upload past the
-  // SIZE bound. Before the fix it was accepted, counted in the view, and
-  // then lost — the replayed take never returned it.
+  // with accept bit 0 and never observed. Before the fix it was accepted,
+  // counted in the view, and then lost — the replayed take never returned
+  // it.
   SsiNode node;
   LoopbackTransport transport(node.handler());
   SsiClient client(&transport);
@@ -944,7 +961,7 @@ TEST(SsiNodeTest, UploadAfterTakeIsNotAcceptedOrObserved) {
 
   EXPECT_FALSE(
       client.UploadCollection(1, 2, {MakeItem(2, false)}).ValueOrDie());
-  EXPECT_EQ(client.NumAcknowledged(1).ValueOrDie(), 2u);
+  EXPECT_TRUE(client.FetchPosts(1).ValueOrDie().empty());
   EXPECT_TRUE(client.FetchPosts(2).ValueOrDie().empty());
   EXPECT_EQ(client.GetAdversaryView(1).ValueOrDie().collection_items, 1u);
   auto retaken = client.TakeCollected(1);
@@ -1008,7 +1025,8 @@ TEST(SsiNodeTest, HostileItemVectorsAreCorruptionAndChangeNothing) {
     }
   }
 
-  EXPECT_EQ(client.NumAcknowledged(7).ValueOrDie(), 1u);
+  EXPECT_TRUE(client.FetchPosts(3).ValueOrDie().empty());
+  EXPECT_EQ(client.FetchPosts(4).ValueOrDie().size(), 1u);  // not served
   Bytes view_after;
   client.GetAdversaryView(7).ValueOrDie().EncodeTo(&view_after);
   EXPECT_EQ(view_after, view_before);
@@ -1062,7 +1080,6 @@ TEST(SsiNodeTest, ItemVectorWireBytesArePinned) {
   ASSERT_TRUE(client.UploadRoundOutput(7, 2, items).ok());
   ASSERT_EQ(client.TakeRoundOutput(7, 2).ValueOrDie(), items);
   ASSERT_TRUE(client.ObserveAggregation(7, items).ok());
-  ASSERT_TRUE(client.ObserveFiltering(7, items).ok());
   ASSERT_TRUE(client.DeliverResult(7, items).ok());
   ASSERT_EQ(client.FetchResult(7).ValueOrDie(), items);
 
@@ -1080,7 +1097,6 @@ TEST(SsiNodeTest, ItemVectorWireBytesArePinned) {
       {MsgType::kStagePartition, "09" + kQuery + kToken + kItems},
       {MsgType::kUploadRoundOutput, "0b" + kQuery + kToken + kItems},
       {MsgType::kObserveAggregation, "0d" + kQuery + kItems},
-      {MsgType::kObserveFiltering, "0e" + kQuery + kItems},
       {MsgType::kDeliverResult, "0f" + kQuery + kItems},
   };
   // Each reply envelope: u8 status OK, then the item vector.
@@ -1103,26 +1119,11 @@ TEST(SsiNodeTest, ItemVectorWireBytesArePinned) {
 // ---------------------------------------------------------------------------
 // FaultyTransport: the deterministic fault-injection decorator.
 
-/// A scripted plan that injects `kind` on the nth call of `type` (per-type
-/// counter), with everything probabilistic turned off.
-FaultPlan ScriptOne(MsgType type, FaultKind kind, uint64_t nth = 1,
-                    uint64_t repeat = 1) {
-  FaultPlan plan;
-  ScriptedFault fault;
-  fault.type = type;
-  fault.kind = kind;
-  fault.scope = ScriptedFault::Scope::kPerType;
-  fault.nth = nth;
-  fault.repeat = repeat;
-  plan.script.push_back(fault);
-  return plan;
-}
-
 TEST(FaultyTransportTest, DroppedRequestIsRetriedAndCounted) {
   SsiNode node;
   LoopbackTransport inner(node.handler());
   FaultyTransport faulty(&inner,
-                         ScriptOne(MsgType::kNumAcknowledged,
+                         ScriptOne(MsgType::kFetchPosts,
                                    FaultKind::kDropRequest));
   obs::MetricsRegistry metrics;
   VirtualClock vclock;
@@ -1130,7 +1131,7 @@ TEST(FaultyTransportTest, DroppedRequestIsRetriedAndCounted) {
   policy.clock = &vclock;
   SsiClient client(&faulty, policy, &metrics);
 
-  auto n = client.NumAcknowledged(1);
+  auto n = client.FetchPosts(1);
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_EQ(metrics.snapshot().counters.at("net.retries"), 1u);
   EXPECT_EQ(faulty.injected_count(), 1u);
@@ -1140,8 +1141,8 @@ TEST(FaultyTransportTest, DroppedRequestIsRetriedAndCounted) {
 
 TEST(FaultyTransportTest, DroppedReplyStillReachesTheServer) {
   // drop_reply models the server processing the request but the reply frame
-  // dying on the way back: the acknowledgement must be counted exactly once
-  // even though the client retried.
+  // dying on the way back: the acknowledgement reaches the server, and the
+  // client's retry of it succeeds.
   SsiNode node;
   LoopbackTransport inner(node.handler());
   FaultyTransport faulty(&inner,
@@ -1157,9 +1158,9 @@ TEST(FaultyTransportTest, DroppedReplyStillReachesTheServer) {
   post.query_id = 1;
   ASSERT_TRUE(client.PostGlobal(post).ok());
   ASSERT_TRUE(client.Acknowledge(/*tds_id=*/3, /*query_id=*/1).ok());
-  auto n = client.NumAcknowledged(1);
+  auto n = client.FetchPosts(3);
   ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 1u);  // processed once, not twice
+  EXPECT_TRUE(n->empty());  // TDS 3 is recorded as served
   EXPECT_EQ(metrics.snapshot().counters.at("net.retries"), 1u);
 }
 
@@ -1167,10 +1168,10 @@ TEST(FaultyTransportTest, TruncatedReplyIsCorruption) {
   SsiNode node;
   LoopbackTransport inner(node.handler());
   FaultyTransport faulty(&inner,
-                         ScriptOne(MsgType::kNumAcknowledged,
+                         ScriptOne(MsgType::kFetchPosts,
                                    FaultKind::kTruncate));
   SsiClient client(&faulty);
-  auto n = client.NumAcknowledged(1);
+  auto n = client.FetchPosts(1);
   ASSERT_FALSE(n.ok());
   EXPECT_TRUE(IsCorruption(n.status())) << n.status().ToString();
 }
@@ -1195,9 +1196,7 @@ TEST(FaultyTransportTest, DuplicateDeliveryDoesNotDoubleCountMetrics) {
   auto accepted = client.UploadCollection(5, /*tds_id=*/3, items);
   ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
   EXPECT_TRUE(*accepted);
-  auto n = client.NumAcknowledged(5);
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 1u);
+  EXPECT_TRUE(client.FetchPosts(3).ValueOrDie().empty());  // TDS 3 served
   auto collected = client.TakeCollected(5);
   ASSERT_TRUE(collected.ok());
   EXPECT_EQ(collected->size(), 2u);
@@ -1231,7 +1230,7 @@ TEST(FaultyTransportTest, DisconnectKillsTheChannelUntilRedial) {
   SsiNode node;
   LoopbackTransport inner(node.handler());
   FaultyTransport faulty(&inner,
-                         ScriptOne(MsgType::kNumAcknowledged,
+                         ScriptOne(MsgType::kFetchPosts,
                                    FaultKind::kDisconnect));
   obs::MetricsRegistry metrics;
   VirtualClock vclock;
@@ -1241,7 +1240,7 @@ TEST(FaultyTransportTest, DisconnectKillsTheChannelUntilRedial) {
 
   // The client re-dials on Unavailable, so the retry lands on a fresh
   // channel and succeeds.
-  auto n = client.NumAcknowledged(1);
+  auto n = client.FetchPosts(1);
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_EQ(metrics.snapshot().counters.at("net.retries"), 1u);
 }
@@ -1252,7 +1251,7 @@ TEST(FaultyTransportTest, BitFlipIsDeterministicForTheSameSeed) {
   // of (seed, type, key, attempt) — never of arrival order.
   FaultPlan plan;
   plan.seed = 42;
-  plan.per_type[MsgType::kNumAcknowledged].bit_flip = 1.0;
+  plan.per_type[MsgType::kFetchPosts].bit_flip = 1.0;
 
   std::string logs[2];
   for (int run = 0; run < 2; ++run) {
@@ -1260,8 +1259,8 @@ TEST(FaultyTransportTest, BitFlipIsDeterministicForTheSameSeed) {
     LoopbackTransport inner(node.handler());
     FaultyTransport faulty(&inner, plan);
     SsiClient client(&faulty);
-    (void)client.NumAcknowledged(1);
-    (void)client.NumAcknowledged(2);
+    (void)client.FetchPosts(1);
+    (void)client.FetchPosts(2);
     logs[run] = faulty.CanonicalLog();
   }
   EXPECT_EQ(logs[0], logs[1]);
@@ -1269,7 +1268,7 @@ TEST(FaultyTransportTest, BitFlipIsDeterministicForTheSameSeed) {
 }
 
 TEST(FaultyTransportTest, DelayConsumesVirtualTimeOnly) {
-  FaultPlan plan = ScriptOne(MsgType::kNumAcknowledged, FaultKind::kDelay);
+  FaultPlan plan = ScriptOne(MsgType::kFetchPosts, FaultKind::kDelay);
   plan.delay_seconds = 0.5;
   SsiNode node;
   LoopbackTransport inner(node.handler());
@@ -1279,7 +1278,7 @@ TEST(FaultyTransportTest, DelayConsumesVirtualTimeOnly) {
   policy.clock = &vclock;
   SsiClient client(&faulty, policy);
 
-  auto n = client.NumAcknowledged(1);
+  auto n = client.FetchPosts(1);
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_DOUBLE_EQ(vclock.total_slept_seconds(), 0.5);
 }
@@ -1365,17 +1364,15 @@ TEST(ByzantineProxyTest, LiesApplyToEveryCallOfABatchFrame) {
 // ---------------------------------------------------------------------------
 // Shard router.
 
-TEST(ShardedSsiClientTest, SingleAndBatchUploadsCutOffAtTheSameUpload) {
-  // The router enforces the SIZE bound itself, at every shard count. Sent
-  // one call at a time or as one batch, the same upload sequence is cut off
-  // at the same upload: the first one after the upload that crosses the
-  // bound. SizeReached is answered from the router's count, off the wire.
-  auto accept_bits = [](size_t num_shards, bool batched) {
+TEST(ShardedSsiClientTest, TakeCollectedReplaysSubmissionOrder) {
+  // The router routes and logs; it enforces no SIZE bound. Sent one call at
+  // a time or as one batch, at one shard or two, every upload is accepted
+  // and the take serves the items in submission order — the arrival order
+  // one node would have stored.
+  auto collect = [](size_t num_shards, bool batched) {
     SsiNode node0, node1;
     LoopbackTransport transport0(node0.handler()), transport1(node1.handler());
-    obs::MetricsRegistry metrics;
-    SsiClient client0(&transport0, RetryPolicy{}, &metrics);
-    SsiClient client1(&transport1, RetryPolicy{}, &metrics);
+    SsiClient client0(&transport0), client1(&transport1);
     std::vector<SsiApi*> shards = {&client0, &client1};
     shards.resize(num_shards);
     ShardedSsiClient router(shards);
@@ -1384,9 +1381,12 @@ TEST(ShardedSsiClientTest, SingleAndBatchUploadsCutOffAtTheSameUpload) {
     post.size_max_tuples = 5;
     EXPECT_TRUE(router.PostGlobal(post).ok());
     std::vector<CollectionUpload> uploads;
+    std::vector<ssi::EncryptedItem> submitted;
     unsigned shards_hit = 0;
     for (uint8_t tds = 0; tds < 8; ++tds) {
       uploads.push_back({5, tds, {MakeItem(tds, false), MakeItem(tds, true)}});
+      submitted.insert(submitted.end(), uploads.back().items.begin(),
+                       uploads.back().items.end());
       shards_hit |= 1u << router.ShardOfTds(tds);
     }
     if (num_shards == 2) {
@@ -1400,22 +1400,13 @@ TEST(ShardedSsiClientTest, SingleAndBatchUploadsCutOffAtTheSameUpload) {
         replies.push_back(router.UploadCollection(5, u.tds_id, u.items));
       }
     }
-    std::vector<bool> accepted;
-    for (const Result<bool>& r : replies) accepted.push_back(r.ValueOrDie());
-    obs::Counter& calls_sent = metrics.counter("net.calls_sent");
-    const uint64_t calls_before = calls_sent.value();
-    EXPECT_TRUE(router.SizeReached(5).ValueOrDie());
-    EXPECT_EQ(calls_sent.value(), calls_before);
-    EXPECT_EQ(router.TakeCollected(5).ValueOrDie().size(), 6u);
-    return accepted;
+    for (const Result<bool>& r : replies) EXPECT_TRUE(r.ValueOrDie());
+    EXPECT_EQ(router.TakeCollected(5).ValueOrDie(), submitted);
   };
-  // Two items per upload against a bound of 5: the third upload crosses it.
-  const std::vector<bool> expected = {true,  true,  true,  false,
-                                      false, false, false, false};
   for (size_t num_shards : {1, 2}) {
     SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
-    EXPECT_EQ(accept_bits(num_shards, false), expected);
-    EXPECT_EQ(accept_bits(num_shards, true), expected);
+    collect(num_shards, false);
+    collect(num_shards, true);
   }
 }
 
@@ -1603,8 +1594,8 @@ TEST(SsiClientBatchTest, BatchMixesSuccessesAndFailures) {
 }
 
 TEST(SsiClientBatchTest, WholeFrameStaleReplayIsRetriedWithFreshIds) {
-  // FaultyTransport replays the first count's reply frame for the second
-  // count. The replayed frame carries the first exchange's correlation IDs,
+  // FaultyTransport replays the first fetch's reply frame for the second
+  // fetch. The replayed frame carries the first exchange's correlation IDs,
   // which match nothing in the second's attempt — the client must treat the
   // exchange as Unavailable and retry with fresh IDs rather than consume the
   // stale bytes, so the retry sees the server's new state.
@@ -1612,7 +1603,7 @@ TEST(SsiClientBatchTest, WholeFrameStaleReplayIsRetriedWithFreshIds) {
   LoopbackTransport loopback(node.handler());
   FaultPlan plan;
   ScriptedFault fault;
-  fault.type = MsgType::kNumAcknowledged;
+  fault.type = MsgType::kFetchPosts;
   fault.kind = FaultKind::kStaleReplay;
   fault.scope = ScriptedFault::Scope::kPerKey;
   fault.nth = 2;
@@ -1628,14 +1619,14 @@ TEST(SsiClientBatchTest, WholeFrameStaleReplayIsRetriedWithFreshIds) {
   ssi::QueryPost post;
   post.query_id = 1;
   ASSERT_TRUE(client.PostGlobal(post).ok());
-  ASSERT_TRUE(client.Acknowledge(3, 1).ok());
-  auto first = client.NumAcknowledged(1);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(*first, 1u);
   ASSERT_TRUE(client.Acknowledge(4, 1).ok());
-  auto second = client.NumAcknowledged(1);
+  auto first = client.FetchPosts(3);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->size(), 1u);
+  ASSERT_TRUE(client.Acknowledge(3, 1).ok());
+  auto second = client.FetchPosts(3);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(*second, 2u);  // never the replayed 1
+  EXPECT_TRUE(second->empty());  // never the replayed post
   EXPECT_EQ(faulty.injected_count(), 1u);
   auto counters = metrics.snapshot().counters;
   EXPECT_EQ(counters.at("net.retries"), 1u);
@@ -1732,7 +1723,7 @@ TEST(SsiClientBatchTest, LateAckCannotEraseTheNextRoundsTransferState) {
   ASSERT_TRUE(taken.ok()) << taken.status().ToString();
   EXPECT_EQ(*taken, output);
 
-  std::thread other([&] { (void)client.NumAcknowledged(1); });
+  std::thread other([&] { (void)client.FetchPosts(1); });
   (void)gate.WaitHeld(0.1);  // an ack still queued is now held in flight
   ssi::Partition next;
   next.items = {MakeItem(4, false)};
@@ -1765,8 +1756,8 @@ TEST(SsiClientBatchTest, ConcurrentCallersOverTcpKeepEveryCallIntact) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kCallsPerThread; ++i) {
-        auto n = client.NumAcknowledged(1);
-        if (!n.ok() || *n != 0) ++failures;
+        auto n = client.FetchPosts(1);
+        if (!n.ok() || !n->empty()) ++failures;
       }
     });
   }
@@ -1799,7 +1790,7 @@ TEST(SsiNodeTest, ServesBatchFramesInOrder) {
   wa.PutU64(3);  // tds_id
   wa.PutU64(1);  // query_id
   calls.push_back(BatchCall{10, ack});
-  calls.push_back(BatchCall{11, NumAckedRequest(1)});
+  calls.push_back(BatchCall{11, FetchPostsRequest(3)});
   auto reply = node.Handle(EncodeBatchFrame(calls));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   auto replies = DecodeBatchFrame(*reply);
@@ -1807,13 +1798,66 @@ TEST(SsiNodeTest, ServesBatchFramesInOrder) {
   ASSERT_EQ(replies->size(), 2u);
   EXPECT_EQ((*replies)[0].correlation_id, 10u);
   EXPECT_EQ((*replies)[1].correlation_id, 11u);
-  // The ack executed before the count in the same frame: NumAcknowledged
-  // already sees it.
+  // The ack executed before the fetch in the same frame: FetchPosts already
+  // leaves the served query out.
   auto body = DecodeReply((*replies)[1].payload);
   ASSERT_TRUE(body.ok()) << body.status().ToString();
-  auto n = ByteReader(*body).GetU64();
+  auto n = ByteReader(*body).GetU32();
   ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 1u);
+  EXPECT_EQ(*n, 0u);
+}
+
+
+TEST(SsiNodeTest, RetiredMessageTypesAreUnknown) {
+  // MsgTypes 5 and 6 (the window probes) and 14 (ObserveFiltering) are
+  // retired and stay retired: a node treats each like any unknown type.
+  SsiNode node;
+  for (uint8_t retired : {5, 6, 14}) {
+    SCOPED_TRACE("MsgType " + std::to_string(retired));
+    Bytes call;
+    ByteWriter w(&call);
+    w.PutU8(retired);
+    w.PutU64(1);  // the query id the retired calls carried
+    auto reply = node.Handle(EncodeBatchFrame({BatchCall{1, call}}));
+    ASSERT_TRUE(IsCorruption(reply.status())) << reply.status().ToString();
+    EXPECT_EQ(reply.status().message(), "unknown SSI message type");
+  }
+}
+
+TEST(SsiNodeTest, LeakageIsCountedOnceWhereTheBytesArrive) {
+  // The node records the aggregation covering on the first
+  // ObserveAggregation and the filtering leakage on the first DeliverResult
+  // of a posted query. A retry after a lost reply reaches the node a second
+  // time and must add nothing.
+  SsiNode node;
+  LoopbackTransport inner(node.handler());
+  FaultPlan plan;
+  for (MsgType type : {MsgType::kObserveAggregation, MsgType::kDeliverResult}) {
+    ScriptedFault drop;  // the first attempt of the call
+    drop.type = type;
+    drop.kind = FaultKind::kDropReply;
+    plan.script.push_back(drop);
+  }
+  VirtualClock vclock;
+  FaultyTransport faulty(&inner, plan, &vclock);
+  RetryPolicy policy;
+  policy.clock = &vclock;
+  SsiClient client(&faulty, policy);
+
+  ssi::QueryPost post;
+  post.query_id = 7;
+  ASSERT_TRUE(client.PostGlobal(post).ok());
+  const std::vector<ssi::EncryptedItem> covering = {
+      MakeItem(1, true), MakeItem(2, true), MakeItem(3, false)};
+  const std::vector<ssi::EncryptedItem> result = {MakeItem(4, false),
+                                                  MakeItem(5, false)};
+  ASSERT_TRUE(client.ObserveAggregation(7, covering).ok());
+  ASSERT_TRUE(client.DeliverResult(7, result).ok());
+  EXPECT_EQ(faulty.injected_count(), 2u);
+  const ssi::AdversaryView view = client.GetAdversaryView(7).ValueOrDie();
+  EXPECT_EQ(view.aggregation_items, covering.size());
+  EXPECT_EQ(view.filtering_items, result.size());
+  EXPECT_EQ(client.FetchResult(7).ValueOrDie(), result);
 }
 
 }  // namespace

@@ -103,15 +103,19 @@ TEST(ScenarioCampaign, ByzantineReplayIsDetected) {
   EXPECT_FALSE(replay->clean);
 }
 
-// Byzantine SSI forging application errors: the run aborts cleanly instead
-// of fabricating a result.
+// Byzantine SSI forging application errors or "rejected" accept bits: the
+// run aborts cleanly instead of fabricating a result or quietly returning an
+// empty one.
 TEST(ScenarioCampaign, ForgedErrorsAbortCleanly) {
   CampaignResult campaign = MustRun(SmokeManifest(), TransportKind::kLoopback);
-  const ScenarioOutcome* forged = FindOutcome(campaign, "byz-forge-error");
-  ASSERT_NE(forged, nullptr);
-  EXPECT_FALSE(forged->completed);
-  EXPECT_FALSE(forged->abort_status.empty());
-  EXPECT_TRUE(forged->result_table.empty());
+  for (const char* name : {"byz-forge-error", "byz-forge-accept"}) {
+    SCOPED_TRACE(name);
+    const ScenarioOutcome* forged = FindOutcome(campaign, name);
+    ASSERT_NE(forged, nullptr);
+    EXPECT_FALSE(forged->completed);
+    EXPECT_FALSE(forged->abort_status.empty());
+    EXPECT_TRUE(forged->result_table.empty());
+  }
 }
 
 // Tampering that does not change the multiset of collected items (reversing

@@ -16,7 +16,8 @@ namespace {
 
 class SessionWorld {
  public:
-  explicit SessionWorld(size_t n = 60, RunOptions options = {}) {
+  explicit SessionWorld(size_t n = 60, RunOptions options = {},
+                        std::shared_ptr<const net::FaultPlan> faults = nullptr) {
     keys = crypto::KeyStore::CreateForTest(77);
     authority = std::make_shared<tds::Authority>(Bytes(16, 0x21));
     workload::GenericOptions gopts;
@@ -28,6 +29,7 @@ class SessionWorld {
     querier = std::make_unique<Querier>("s", authority->Issue("s"), keys);
     Engine::Config config;
     config.options = options;
+    config.fault_plan = std::move(faults);
     engine = Engine::Create(std::move(built), config).ValueOrDie();
     fleet = &engine->fleet();
   }
@@ -152,6 +154,39 @@ TEST(SessionTest, SizeBoundPerQuery) {
   EXPECT_EQ(sized.Wait().ValueOrDie().adversary.collection_items, 7u);
   EXPECT_EQ(full.Wait().ValueOrDie().adversary.collection_items,
             w.fleet->size());
+}
+
+// Leakage is counted once, on the node that receives the bytes: with the
+// first reply of the result delivery and of the aggregation report lost, the
+// retried calls add nothing to the adversary view.
+TEST(SessionTest, RetriedLeakageReportsCountOnce) {
+  const char* sql = "SELECT grp, COUNT(*), AVG(val) FROM T GROUP BY grp";
+  uint64_t injected = 0;
+  auto run = [&](std::shared_ptr<const net::FaultPlan> faults) {
+    SessionWorld w(60, RunOptions{}, std::move(faults));
+    SAggProtocol s_agg;
+    RunOutcome outcome = w.engine->Run(s_agg, *w.querier, 1, sql).ValueOrDie();
+    if (net::FaultyTransport* injector = w.engine->shard_fault_injector(0)) {
+      injected = injector->injected_count();
+    }
+    return outcome;
+  };
+  auto plan = std::make_shared<net::FaultPlan>();
+  for (net::MsgType type :
+       {net::MsgType::kDeliverResult, net::MsgType::kObserveAggregation}) {
+    net::ScriptedFault drop;
+    drop.type = type;
+    drop.kind = net::FaultKind::kDropReply;
+    plan->script.push_back(drop);
+  }
+  const RunOutcome clean = run(nullptr);
+  const RunOutcome faulty = run(plan);
+  EXPECT_EQ(injected, 2u);
+  EXPECT_EQ(faulty.adversary.filtering_items, faulty.result.rows.size());
+  EXPECT_EQ(faulty.adversary.aggregation_items,
+            clean.adversary.aggregation_items);
+  EXPECT_GT(clean.adversary.aggregation_items, 0u);
+  EXPECT_TRUE(faulty.result.SameRows(clean.result));
 }
 
 TEST(SessionTest, TickedCollectionWindow) {

@@ -1,5 +1,5 @@
 // Tests for the SSI's shared types: payload framing, batch open, the
-// partitioners and the wire codecs. The per-query state (SIZE evaluation,
+// partitioners and the wire codecs. The per-query state (served TDSs,
 // storage, adversary view) is tested through SsiNode in net_test.
 #include <gtest/gtest.h>
 
