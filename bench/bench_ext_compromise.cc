@@ -88,10 +88,10 @@ int main() {
       analysis::CompromiseParams cp;
       cp.nt = kTds;
       cp.groups = kGroups;
-      cp.available = static_cast<double>(kTds) * opts.compute_availability;
+      cp.available_fraction = opts.compute_availability;
       cp.compromised = static_cast<double>(compromised) *
                        opts.compute_availability;  // expected in-pool count
-      auto model = analysis::CompromiseFor(name, cp);
+      auto model = analysis::CompromiseFor(name, cp).ValueOrDie();
       std::printf("%-12zu %-10s %10zu /%zu %12zu /%zu %13.1f%% %13.1f%%\n",
                   compromised, name, log->NumLeakedRawTuples(), kTds,
                   log->NumLeakedGroups(), kGroups,

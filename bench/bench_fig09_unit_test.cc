@@ -44,7 +44,8 @@ int main() {
   std::printf("  %-12s %10.1f us  (%4.1f%%)\n", "encrypt", encrypt * 1e6,
               100 * encrypt / total);
   std::printf("  %-12s %10.1f us\n\n", "total", total * 1e6);
-  std::printf("  per-tuple cost T_t(16B) = %.1f us  (paper uses 16 us)\n\n",
+  std::printf("  per-tuple cost T_t(16B) = %.1f us  (the cost model's T_t; "
+              "the paper quotes ~16 us)\n\n",
               board.PerTupleSeconds(kTupleBytes) * 1e6);
 
   // Host-side calibration run: the same operations in software, as the

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <functional>
 #include <string_view>
-#include <vector>
 
 #include "analysis/cost_model.h"
 
@@ -27,12 +26,6 @@ inline void ParseBenchArgs(int argc, char** argv) {
   }
 }
 
-inline const std::vector<const char*>& Protocols() {
-  static const std::vector<const char*> kProtocols = {
-      "S_Agg", "R2_Noise", "R1000_Noise", "C_Noise", "ED_Hist"};
-  return kProtocols;
-}
-
 using MetricFn = std::function<double(const analysis::CostMetrics&)>;
 
 /// Fig 10 left-column panels: metric vs G (G = 1 .. 10^6, log steps).
@@ -40,13 +33,17 @@ inline void SweepG(const char* title, const MetricFn& metric,
                    double available_fraction = 0.1) {
   if (CsvMode()) {
     std::printf("metric,availability,G");
-    for (const char* p : Protocols()) std::printf(",%s", p);
+    for (const auto& p : analysis::ComparedProtocols()) {
+      std::printf(",%s", p.c_str());
+    }
     std::printf("\n");
   } else {
     std::printf("%s  (N_t=1e6, %.0f%% of N_t available)\n", title,
                 available_fraction * 100);
     std::printf("%-10s", "G");
-    for (const char* p : Protocols()) std::printf(" %14s", p);
+    for (const auto& p : analysis::ComparedProtocols()) {
+      std::printf(" %14s", p.c_str());
+    }
     std::printf("\n");
   }
   for (double g = 1; g <= 1e6; g *= 10) {
@@ -55,13 +52,13 @@ inline void SweepG(const char* title, const MetricFn& metric,
     params.available_fraction = available_fraction;
     if (CsvMode()) {
       std::printf("%s,%.2f,%.0f", title, available_fraction, g);
-      for (const char* p : Protocols()) {
-        std::printf(",%.9g", metric(analysis::CostFor(p, params)));
+      for (const auto& p : analysis::ComparedProtocols()) {
+        std::printf(",%.9g", metric(*analysis::CostFor(p, params)));
       }
     } else {
       std::printf("%-10.0f", g);
-      for (const char* p : Protocols()) {
-        std::printf(" %14.6g", metric(analysis::CostFor(p, params)));
+      for (const auto& p : analysis::ComparedProtocols()) {
+        std::printf(" %14.6g", metric(*analysis::CostFor(p, params)));
       }
     }
     std::printf("\n");
@@ -73,12 +70,16 @@ inline void SweepG(const char* title, const MetricFn& metric,
 inline void SweepNt(const char* title, const MetricFn& metric) {
   if (CsvMode()) {
     std::printf("metric,Nt_million");
-    for (const char* p : Protocols()) std::printf(",%s", p);
+    for (const auto& p : analysis::ComparedProtocols()) {
+      std::printf(",%s", p.c_str());
+    }
     std::printf("\n");
   } else {
     std::printf("%s  (G=1e3, 10%% available)\n", title);
     std::printf("%-12s", "Nt(million)");
-    for (const char* p : Protocols()) std::printf(" %14s", p);
+    for (const auto& p : analysis::ComparedProtocols()) {
+      std::printf(" %14s", p.c_str());
+    }
     std::printf("\n");
   }
   for (double nt = 5e6; nt <= 65e6; nt += 10e6) {
@@ -86,13 +87,13 @@ inline void SweepNt(const char* title, const MetricFn& metric) {
     params.nt = nt;
     if (CsvMode()) {
       std::printf("%s,%.0f", title, nt / 1e6);
-      for (const char* p : Protocols()) {
-        std::printf(",%.9g", metric(analysis::CostFor(p, params)));
+      for (const auto& p : analysis::ComparedProtocols()) {
+        std::printf(",%.9g", metric(*analysis::CostFor(p, params)));
       }
     } else {
       std::printf("%-12.0f", nt / 1e6);
-      for (const char* p : Protocols()) {
-        std::printf(" %14.6g", metric(analysis::CostFor(p, params)));
+      for (const auto& p : analysis::ComparedProtocols()) {
+        std::printf(" %14.6g", metric(*analysis::CostFor(p, params)));
       }
     }
     std::printf("\n");

@@ -3,33 +3,41 @@
 // analysis for every protocol and prints a Fig-11-style recommendation.
 //
 //   $ ./protocol_advisor [Nt] [G] [available_fraction]
+//
+// N_t and G must be positive finite numbers and the availability fraction
+// must lie in (0, 1]; anything else exits 2 with "bad value: ...".
 #include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <vector>
 
 #include "analysis/cost_model.h"
 #include "analysis/tradeoff.h"
+#include "common/strings.h"
 
 using namespace tcells;
 
 int main(int argc, char** argv) {
   analysis::CostParams p;
-  if (argc > 1) p.nt = std::strtod(argv[1], nullptr);
-  if (argc > 2) p.groups = std::strtod(argv[2], nullptr);
-  if (argc > 3) p.available_fraction = std::strtod(argv[3], nullptr);
+  double* positional[] = {&p.nt, &p.groups, &p.available_fraction};
+  for (int i = 1; i < argc; ++i) {
+    double v = 0;
+    bool ok = i <= 3 && ParseFiniteDouble(argv[i], &v) && v > 0;
+    if (i == 3) ok = ok && v <= 1;  // a fraction of the fleet
+    if (!ok) {
+      std::fprintf(stderr, "bad value: %s\n", argv[i]);
+      return 2;
+    }
+    *positional[i - 1] = v;
+  }
 
   std::printf("deployment: N_t=%.0f tuples, G=%.0f groups, %.0f%% of TDSs "
-              "available for compute, s_t=%.0f B, T_t=%.0f us\n\n",
+              "available for compute, s_t=%.0f B, T_t=%.1f us\n\n",
               p.nt, p.groups, p.available_fraction * 100, p.tuple_bytes,
-              p.tuple_seconds * 1e6);
+              p.TupleSeconds() * 1e6);
 
   std::printf("%-12s %14s %14s %12s %14s\n", "protocol", "P_TDS", "Load_Q(MB)",
               "T_Q(s)", "T_local(s)");
-  for (const char* name :
-       {"S_Agg", "R2_Noise", "R1000_Noise", "C_Noise", "ED_Hist"}) {
-    analysis::CostMetrics m = analysis::CostFor(name, p);
-    std::printf("%-12s %14.0f %14.1f %12.4f %14.6f%s\n", name, m.ptds,
+  for (const auto& name : analysis::ComparedProtocols()) {
+    analysis::CostMetrics m = analysis::CostFor(name, p).ValueOrDie();
+    std::printf("%-12s %14.0f %14.1f %12.4f %14.6f%s\n", name.c_str(), m.ptds,
                 m.load_bytes / 1e6, m.tq_seconds, m.tlocal_seconds,
                 m.ram_feasible ? "" : "  [!] partial aggregate exceeds TDS RAM");
   }

@@ -2,90 +2,37 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 namespace tcells::analysis {
 
-namespace {
-
-/// Probability that a uniformly assigned TDS is compromised.
-double Q(const CompromiseParams& p) {
-  if (p.available <= 0) return 0;
-  return std::min(1.0, p.compromised / p.available);
-}
-
-/// 1 - (1-q)^m: probability that at least one of m independent uniform
-/// assignments lands on a compromised TDS.
-double AtLeastOne(double q, double m) {
-  return 1.0 - std::pow(1.0 - q, std::max(0.0, m));
-}
-
-}  // namespace
-
-CompromiseExposure SAggCompromise(const CompromiseParams& p) {
+Result<CompromiseExposure> CompromiseFor(const std::string& protocol,
+                                         CompromiseParams p) {
+  TCELLS_ASSIGN_OR_RETURN(ModelTree tree, ResolveProtocol(protocol, &p));
+  const FanOut f = PlanFanOut(p);
+  // Probability that a uniformly assigned TDS is compromised, and that at
+  // least one of m independent assignments is: 1 - (1-q)^m.
+  const double q =
+      p.Available() <= 0 ? 0 : std::min(1.0, p.compromised / p.Available());
+  auto at_least_one = [q](double m) {
+    return 1.0 - std::pow(1.0 - q, std::max(0.0, m));
+  };
   CompromiseExposure e;
-  double q = Q(p);
   e.raw_tuple_fraction = q;
-  // A group's running aggregate passes through one TDS per merge level:
-  // ~log_alpha(N_t/G) decryptions of (partials containing) that group.
-  double levels =
-      std::max(1.0, std::ceil(std::log(std::max(p.alpha, p.nt / p.groups)) /
-                              std::log(p.alpha)));
-  e.group_aggregate_fraction = AtLeastOne(q, levels);
-  // The final merge root sees every group at once.
-  e.all_groups_probability = q;
-  return e;
-}
-
-CompromiseExposure NoiseCompromise(const CompromiseParams& p) {
-  CompromiseExposure e;
-  double q = Q(p);
-  e.raw_tuple_fraction = q;
-  // Each group is touched by n_NB step-1 TDSs plus one step-2 merger.
-  double n_nb = std::max(
-      1.0, std::min(std::sqrt((p.nf + 1.0) * p.nt / p.groups),
-                    std::max(1.0, p.available / p.groups)));
-  double per_group = AtLeastOne(q, n_nb + 1.0);
-  e.group_aggregate_fraction = per_group;
+  if (tree == ModelTree::kSAgg) {
+    // A group's running aggregate passes through one TDS per merge level,
+    // and the final merge root sees every group at once.
+    e.group_aggregate_fraction = at_least_one(f.sagg_levels);
+    e.all_groups_probability = q;
+    return e;
+  }
+  // A group is touched by its n_NB step-1 TDSs plus one merger (noise), or
+  // by its bucket's n_ED step-1 TDSs and its own m_ED + 1 mergers (ED_Hist).
+  e.group_aggregate_fraction = at_least_one(
+      tree == ModelTree::kNoise ? f.n_nb + 1.0 : f.n_ed + f.m_ed + 1.0);
   // No TDS ever holds more than one group's aggregate; seeing all G groups
   // requires G independent compromised assignments.
-  e.all_groups_probability = std::pow(per_group, p.groups);
+  e.all_groups_probability = std::pow(e.group_aggregate_fraction, p.groups);
   return e;
-}
-
-CompromiseExposure EdHistCompromise(const CompromiseParams& p) {
-  CompromiseExposure e;
-  double q = Q(p);
-  e.raw_tuple_fraction = q;
-  double r = p.h * p.nt / p.groups;
-  double n_ed =
-      std::max(1.0, std::min(std::pow(r, 2.0 / 3.0),
-                             std::max(1.0, p.available * p.h / p.groups)));
-  double m_ed = std::max(
-      1.0, std::min(std::cbrt(r), std::max(1.0, p.available / p.groups)));
-  // A group's aggregates are touched by its bucket's n_ED step-1 TDSs and
-  // its own m_ED + 1 mergers.
-  double per_group = AtLeastOne(q, n_ed + m_ed + 1.0);
-  e.group_aggregate_fraction = per_group;
-  e.all_groups_probability = std::pow(per_group, p.groups);
-  return e;
-}
-
-CompromiseExposure CompromiseFor(const std::string& protocol,
-                                 const CompromiseParams& p) {
-  if (protocol == "S_Agg") return SAggCompromise(p);
-  if (protocol == "ED_Hist") return EdHistCompromise(p);
-  if (protocol == "C_Noise") {
-    CompromiseParams q = p;
-    q.nf = std::max(0.0, p.groups - 1.0);
-    return NoiseCompromise(q);
-  }
-  if (protocol.size() > 1 && protocol[0] == 'R') {
-    CompromiseParams q = p;
-    q.nf = std::strtod(protocol.c_str() + 1, nullptr);
-    return NoiseCompromise(q);
-  }
-  return CompromiseExposure{};
 }
 
 }  // namespace tcells::analysis

@@ -1,9 +1,10 @@
 // Closed-form model for the compromised-TDS threat extension (the paper's
 // future work item 2), complementing the empirical LeakLog measurements.
 //
-// Assumption: c of the A available compute TDSs are compromised and leak
-// everything they decrypt; partition assignment is uniform. Three exposure
-// quantities per protocol:
+// Assumption: c of the A available compute TDSs (CostParams::Available())
+// are compromised and leak everything they decrypt; partition assignment is
+// uniform, and the aggregation trees have the cost model's fan-outs
+// (PlanFanOut). Three exposure quantities per protocol:
 //   * raw tuples  — every collection tuple is decrypted by exactly one
 //     first-step TDS, so the expected leaked fraction is c/A for every
 //     protocol (the protocols differ downstream, not here);
@@ -19,16 +20,14 @@
 
 #include <string>
 
+#include "analysis/cost_model.h"
+#include "common/result.h"
+
 namespace tcells::analysis {
 
-struct CompromiseParams {
-  double nt = 1e6;       ///< collection tuples
-  double groups = 1e3;   ///< G
-  double available = 1e5;///< A: compute-phase TDS pool
-  double compromised = 1;///< c: compromised TDSs within the pool
-  double alpha = 3.6;    ///< S_Agg reduction factor
-  double nf = 2;         ///< Rnf noise volume
-  double h = 5;          ///< ED_Hist collision factor
+/// The cost model's workload, with c compromised TDSs in its compute pool.
+struct CompromiseParams : CostParams {
+  double compromised = 1;  ///< c: compromised TDSs within the pool
 };
 
 struct CompromiseExposure {
@@ -40,13 +39,9 @@ struct CompromiseExposure {
   double all_groups_probability = 0;
 };
 
-CompromiseExposure SAggCompromise(const CompromiseParams& p);
-CompromiseExposure NoiseCompromise(const CompromiseParams& p);
-CompromiseExposure EdHistCompromise(const CompromiseParams& p);
-
-/// Dispatch by the bench protocol names ("S_Agg", "R2_Noise", "ED_Hist", ...).
-CompromiseExposure CompromiseFor(const std::string& protocol,
-                                 const CompromiseParams& p);
+/// Exposure of the protocol named as in ResolveProtocol.
+Result<CompromiseExposure> CompromiseFor(const std::string& protocol,
+                                         CompromiseParams p);
 
 }  // namespace tcells::analysis
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
+
+#include "common/strings.h"
 
 namespace tcells::analysis {
 
@@ -14,27 +17,68 @@ double Waves(double demand, double available) {
   return std::max(1.0, std::ceil(demand / available));
 }
 
-double Available(const CostParams& p) { return p.available_fraction * p.nt; }
-
 /// Shared phase costs: collection is one tuple upload per TDS; filtering
-/// spreads `covering_items` download+upload pairs over the available TDSs.
-void FillCommonPhases(const CostParams& p, double covering_items,
-                      CostMetrics* m) {
-  m->collection_seconds_per_tds = p.tuple_seconds;
-  double waves = Waves(covering_items, Available(p));
-  m->filtering_seconds = waves * 2.0 * p.tuple_seconds;
+/// spreads the G-item covering result's download+upload pairs over the
+/// available TDSs.
+void FillCommonPhases(const CostParams& p, CostMetrics* m) {
+  m->collection_seconds_per_tds = p.TupleSeconds();
+  double waves = Waves(p.groups, p.Available());
+  m->filtering_seconds = waves * 2.0 * p.TupleSeconds();
 }
 
 }  // namespace
+
+FanOut PlanFanOut(const CostParams& p) {
+  FanOut f;
+  const double avail = p.Available();
+  // At least one merge level, however few tuples per group.
+  f.sagg_levels = std::max(
+      1.0, std::ceil(std::log(std::max(p.alpha, p.nt / p.groups)) /
+                     std::log(p.alpha)));
+  // The tag protocols' optima (Cauchy, §6.1.2/§6.1.3) are bounded by the
+  // TDSs that can be devoted to each group (A/G) or bucket (A·h/G): with
+  // fewer, one TDS handles several groups in sequence, which shows up as a
+  // larger per-TDS ingest in step 1 — how scarcity slows these protocols.
+  f.n_nb = std::max(1.0, std::min(std::sqrt((p.nf + 1.0) * p.nt / p.groups),
+                                  std::max(1.0, avail / p.groups)));
+  const double r = p.h * p.nt / p.groups;  // tuples per bucket
+  f.n_ed = std::max(1.0, std::min(std::pow(r, 2.0 / 3.0),
+                                  std::max(1.0, avail * p.h / p.groups)));
+  f.m_ed = std::max(1.0,
+                    std::min(std::cbrt(r), std::max(1.0, avail / p.groups)));
+  return f;
+}
+
+Result<ModelTree> ResolveProtocol(const std::string& name, CostParams* p) {
+  if (name == "S_Agg") return ModelTree::kSAgg;
+  if (name == "ED_Hist") return ModelTree::kEdHist;
+  if (name == "C_Noise") {  // Rnf_Noise with nf = n_d - 1
+    double nd = p->domain_cardinality > 0 ? p->domain_cardinality : p->groups;
+    p->nf = std::max(0.0, nd - 1.0);
+    return ModelTree::kNoise;
+  }
+  constexpr std::string_view kNoise = "_Noise";
+  std::string_view s = name;
+  if (s.starts_with('R') && s.ends_with(kNoise) &&
+      ParseFiniteDouble(s.substr(1, s.size() - 1 - kNoise.size()), &p->nf) &&
+      p->nf >= 0) {
+    return ModelTree::kNoise;
+  }
+  return Status::InvalidArgument("unknown model protocol: " + name);
+}
+
+std::vector<std::string> ComparedProtocols() {
+  return {"S_Agg", "R2_Noise", "R1000_Noise", "C_Noise", "ED_Hist"};
+}
 
 double SAggOptimalAlpha() { return 3.6; }
 
 CostMetrics SAggCost(const CostParams& p) {
   CostMetrics m;
   const double a = p.alpha;
-  const double ratio = std::max(a, p.nt / p.groups);  // at least one step
-  const double n = std::max(1.0, std::ceil(std::log(ratio) / std::log(a)));
-  const double avail = Available(p);
+  const double n = PlanFanOut(p).sagg_levels;
+  const double avail = p.Available();
+  const double tt = p.TupleSeconds();
 
   // N_i = N_t / (G * a^i); the last step has a single TDS.
   double ptds = 0;
@@ -44,7 +88,7 @@ CostMetrics SAggCost(const CostParams& p) {
     double ni = std::max(1.0, p.nt / (p.groups * std::pow(a, i)));
     ptds += ni;
     // Per step: download a*G pairs, upload G pairs (t_i + t_i').
-    tq += Waves(ni, avail) * (a + 1.0) * p.groups * p.tuple_seconds;
+    tq += Waves(ni, avail) * (a + 1.0) * p.groups * tt;
     if (i >= 2) merge_load_tuples += a * p.groups * ni;
   }
 
@@ -56,93 +100,68 @@ CostMetrics SAggCost(const CostParams& p) {
 
   m.ptds = ptds;
   m.tq_seconds = tq;
-  m.tlocal_seconds =
-      (p.nt + merge_load_tuples) * p.tuple_seconds / std::max(1.0, ptds);
-  FillCommonPhases(p, p.groups, &m);
+  m.tlocal_seconds = (p.nt + merge_load_tuples) * tt / std::max(1.0, ptds);
+  FillCommonPhases(p, &m);
   // §4.2: the partial aggregate structure (one state per group) must fit in
   // the device RAM, or S_Agg's merging becomes infeasible on this hardware.
-  m.ram_feasible = p.groups * p.agg_state_bytes <= p.ram_bytes;
+  m.ram_feasible = p.groups * p.agg_state_bytes <= p.device.ram_bytes;
   return m;
 }
 
-namespace {
-
-CostMetrics NoiseCost(const CostParams& p, double nf) {
+CostMetrics RnfNoiseCost(const CostParams& p) {
   CostMetrics m;
-  const double avail = Available(p);
-  const double noisy_nt = (nf + 1.0) * p.nt;
-  // Optimal n_NB = sqrt((nf+1) N_t / G) (§6.1.2, Cauchy), bounded by how many
-  // TDSs can actually be devoted to each group: with only A available TDSs,
-  // at most A/G can cooperate per group (one TDS handles several groups
-  // sequentially otherwise — that sequencing shows up as a larger per-TDS
-  // ingest in step 1, which is how scarcity slows the protocol down).
-  const double n_nb =
-      std::max(1.0, std::min(std::sqrt(noisy_nt / p.groups),
-                             std::max(1.0, avail / p.groups)));
+  const double noisy_nt = (p.nf + 1.0) * p.nt;
+  const double n_nb = PlanFanOut(p).n_nb;
+  const double tt = p.TupleSeconds();
 
   // Step 1: n_NB TDSs per group, each ingesting (nf+1)N_t/(n_NB G) tuples.
-  double t1 = (noisy_nt / (n_nb * p.groups) + 1.0) * p.tuple_seconds;
+  double t1 = (noisy_nt / (n_nb * p.groups) + 1.0) * tt;
   // Step 2: one TDS per group merges the n_NB partials.
-  double t2 = (n_nb + 1.0) * p.tuple_seconds;
+  double t2 = (n_nb + 1.0) * tt;
 
   m.tq_seconds = t1 + t2;
   m.ptds = (n_nb + 1.0) * p.groups;
   m.load_bytes = (noisy_nt + 2.0 * n_nb * p.groups + p.groups) * p.tuple_bytes;
-  m.tlocal_seconds = noisy_nt / p.groups * p.tuple_seconds;
-  FillCommonPhases(p, p.groups, &m);
+  m.tlocal_seconds = noisy_nt / p.groups * tt;
+  FillCommonPhases(p, &m);
   return m;
 }
 
-}  // namespace
-
-CostMetrics RnfNoiseCost(const CostParams& p) { return NoiseCost(p, p.nf); }
-
 CostMetrics CNoiseCost(const CostParams& p) {
-  double nd = p.domain_cardinality > 0 ? p.domain_cardinality : p.groups;
-  return NoiseCost(p, std::max(0.0, nd - 1.0));
+  return CostFor("C_Noise", p).ValueOrDie();
 }
 
 CostMetrics EdHistCost(const CostParams& p) {
   CostMetrics m;
-  const double avail = Available(p);
   const double r = p.h * p.nt / p.groups;  // tuples per bucket
-  // Optimal fan-outs (§6.1.3), bounded by the TDSs available per bucket
-  // (A / #buckets = A·h/G) and per group (A/G) respectively.
-  const double n_ed =
-      std::max(1.0, std::min(std::pow(r, 2.0 / 3.0),
-                             std::max(1.0, avail * p.h / p.groups)));
-  const double m_ed = std::max(
-      1.0, std::min(std::cbrt(r), std::max(1.0, avail / p.groups)));
+  const FanOut f = PlanFanOut(p);
+  const double n_ed = f.n_ed, m_ed = f.m_ed;
+  const double tt = p.TupleSeconds();
 
   // Step 1: n_ED TDSs per bucket ingest r/n_ED tuples and emit one partial
   // per group of the bucket (h uploads).
-  double t1 = (r / n_ed + p.h) * p.tuple_seconds;
+  double t1 = (r / n_ed + p.h) * tt;
   // Step 2: m_ED TDSs per group merge n_ED/m_ED partials each.
-  double t2 = (n_ed / m_ed + 1.0) * p.tuple_seconds;
+  double t2 = (n_ed / m_ed + 1.0) * tt;
   // Step 3: one TDS per group merges the m_ED partials.
-  double t3 = (m_ed + 1.0) * p.tuple_seconds;
+  double t3 = (m_ed + 1.0) * tt;
 
   m.tq_seconds = t1 + t2 + t3;
   m.ptds = (n_ed / p.h + m_ed + 1.0) * p.groups;
   m.load_bytes =
       (p.nt + 2.0 * n_ed * p.groups + 2.0 * m_ed * p.groups + p.groups) *
       p.tuple_bytes;
-  m.tlocal_seconds = (p.nt + n_ed * p.groups + m_ed * p.groups) *
-                     p.tuple_seconds / std::max(1.0, m.ptds);
-  FillCommonPhases(p, p.groups, &m);
+  m.tlocal_seconds = (p.nt + n_ed * p.groups + m_ed * p.groups) * tt /
+                     std::max(1.0, m.ptds);
+  FillCommonPhases(p, &m);
   return m;
 }
 
-CostMetrics CostFor(const std::string& protocol, CostParams p) {
-  if (protocol == "S_Agg") return SAggCost(p);
-  if (protocol == "C_Noise") return CNoiseCost(p);
-  if (protocol == "ED_Hist") return EdHistCost(p);
-  if (protocol.size() > 1 && protocol[0] == 'R') {
-    // "R<nf>_Noise"
-    p.nf = std::strtod(protocol.c_str() + 1, nullptr);
-    return RnfNoiseCost(p);
-  }
-  return CostMetrics{};
+Result<CostMetrics> CostFor(const std::string& protocol, CostParams p) {
+  TCELLS_ASSIGN_OR_RETURN(ModelTree tree, ResolveProtocol(protocol, &p));
+  if (tree == ModelTree::kNoise) return RnfNoiseCost(p);
+  if (tree == ModelTree::kEdHist) return EdHistCost(p);
+  return SAggCost(p);
 }
 
 }  // namespace tcells::analysis

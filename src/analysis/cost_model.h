@@ -14,6 +14,10 @@
 #define TCELLS_ANALYSIS_COST_MODEL_H_
 
 #include <string>
+#include <vector>
+
+#include "common/result.h"
+#include "sim/device_model.h"
 
 namespace tcells::analysis {
 
@@ -22,14 +26,23 @@ struct CostParams {
   double nt = 1e6;        ///< N_t: tuples (== TDSs) in the collection phase
   double groups = 1e3;    ///< G: number of groups
   double tuple_bytes = 16;///< s_t: size of one encrypted tuple
-  double tuple_seconds = 16e-6;  ///< T_t: per-tuple TDS cost (transfer+crypto+CPU)
   double alpha = 3.6;     ///< S_Agg reduction factor (3.6 is optimal)
   double nf = 2;          ///< Rnf_Noise: fakes per true tuple
   double domain_cardinality = 0;  ///< C_Noise: n_d; 0 means n_d == G
   double h = 5;           ///< ED_Hist: groups per hash bucket
   double available_fraction = 0.1;  ///< TDSs available for compute phases / N_t
-  double ram_bytes = 64 * 1024;     ///< TDS RAM for the partial aggregate (§6.2)
   double agg_state_bytes = 48;      ///< per-group in-RAM aggregate state size
+  /// The TDS hardware (§6.2): its DeviceModel gives T_t, the per-tuple cost
+  /// (transfer + crypto + CPU), and its RAM bounds S_Agg's partial aggregate.
+  sim::DeviceParams device;
+
+  /// A: TDSs available for the compute phases.
+  double Available() const { return available_fraction * nt; }
+  /// T_t: DeviceModel::PerTupleSeconds(s_t).
+  double TupleSeconds() const {
+    return sim::DeviceModel(device).PerTupleSeconds(
+        static_cast<uint64_t>(tuple_bytes));
+  }
 };
 
 /// Model outputs.
@@ -49,6 +62,28 @@ struct CostMetrics {
   bool ram_feasible = true;
 };
 
+/// The aggregation trees' fan-outs at `p` (§6.1), each capped by the TDSs
+/// available. The cost and compromise models both read them from here.
+struct FanOut {
+  double sagg_levels = 1;  ///< S_Agg merge levels: ceil(log_alpha(N_t/G))
+  double n_nb = 1;  ///< Noise: step-1 TDSs per group, sqrt((nf+1)·N_t/G)
+  double n_ed = 1;  ///< ED_Hist: step-1 TDSs per bucket, (h·N_t/G)^(2/3)
+  double m_ed = 1;  ///< ED_Hist: step-2 TDSs per group, (h·N_t/G)^(1/3)
+};
+FanOut PlanFanOut(const CostParams& p);
+
+/// The aggregation tree a model protocol builds.
+enum class ModelTree { kSAgg, kNoise, kEdHist };
+
+/// Resolves a model protocol name: "S_Agg", "ED_Hist", "C_Noise" (sets
+/// `p->nf` to n_d - 1) or "R<nf>_Noise" (sets `p->nf`). InvalidArgument on
+/// any other name, or on an nf that is not a finite non-negative number
+/// (`p->nf` is then unspecified).
+Result<ModelTree> ResolveProtocol(const std::string& name, CostParams* p);
+
+/// The protocols of Figs 10 and 11, by model name.
+std::vector<std::string> ComparedProtocols();
+
 /// §6.1.1. Optimal reduction factor: alpha ≈ 3.6 minimizes
 /// (alpha+1)·log_alpha(N_t/G).
 CostMetrics SAggCost(const CostParams& p);
@@ -63,9 +98,8 @@ CostMetrics CNoiseCost(const CostParams& p);
 /// §6.1.3. Optimal n_ED = (h·N_t/G)^(2/3), m_ED = (h·N_t/G)^(1/3).
 CostMetrics EdHistCost(const CostParams& p);
 
-/// Dispatch by protocol name used in benches: "S_Agg", "R2_Noise",
-/// "R1000_Noise", "C_Noise", "ED_Hist" (Rn sets nf accordingly).
-CostMetrics CostFor(const std::string& protocol, CostParams p);
+/// Cost of the protocol named as in ResolveProtocol.
+Result<CostMetrics> CostFor(const std::string& protocol, CostParams p);
 
 }  // namespace tcells::analysis
 

@@ -1,6 +1,7 @@
 #include "analysis/tradeoff.h"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 
 namespace tcells::analysis {
@@ -23,20 +24,14 @@ const char* TradeoffAxisToString(TradeoffAxis axis) {
   return "?";
 }
 
-std::vector<std::string> ComparedProtocols() {
-  return {"S_Agg", "R2_Noise", "R1000_Noise", "C_Noise", "ED_Hist"};
-}
-
 namespace {
 
-/// Ranks protocols worst (largest metric) to best (smallest).
-std::vector<std::string> RankByMetric(
-    const CostParams& params,
-    double (*metric)(const CostMetrics&)) {
+/// Orders ComparedProtocols() worst (largest score) to best (smallest).
+std::vector<std::string> RankWorstFirst(
+    const std::function<double(const std::string&)>& score) {
   std::vector<std::pair<double, std::string>> scored;
   for (const auto& name : ComparedProtocols()) {
-    CostMetrics m = CostFor(name, params);
-    scored.emplace_back(metric(m), name);
+    scored.emplace_back(score(name), name);
   }
   std::stable_sort(scored.begin(), scored.end(),
                    [](const auto& a, const auto& b) { return a.first > b.first; });
@@ -45,16 +40,20 @@ std::vector<std::string> RankByMetric(
   return out;
 }
 
-double TlocalMetric(const CostMetrics& m) { return m.tlocal_seconds; }
-double TqMetric(const CostMetrics& m) { return m.tq_seconds; }
-double LoadMetric(const CostMetrics& m) { return m.load_bytes; }
+/// Ranks by one cost-model output at `p`, the largest worst.
+std::vector<std::string> RankByMetric(const CostParams& p,
+                                      double CostMetrics::*metric) {
+  return RankWorstFirst([&](const std::string& name) {
+    return CostFor(name, p).ValueOrDie().*metric;
+  });
+}
 
 }  // namespace
 
 std::vector<std::string> RankAxis(TradeoffAxis axis, const CostParams& base) {
   switch (axis) {
     case TradeoffAxis::kFeasibilityLocalResource:
-      return RankByMetric(base, TlocalMetric);
+      return RankByMetric(base, &CostMetrics::tlocal_seconds);
     case TradeoffAxis::kResponsivenessLargeG: {
       // Evaluated at abundant availability so the axis reflects the
       // protocols' intrinsic parallel structure, not resource starvation
@@ -62,16 +61,16 @@ std::vector<std::string> RankAxis(TradeoffAxis axis, const CostParams& base) {
       CostParams p = base;
       p.groups = 1e5;
       p.available_fraction = 1.0;
-      return RankByMetric(p, TqMetric);
+      return RankByMetric(p, &CostMetrics::tq_seconds);
     }
     case TradeoffAxis::kResponsivenessSmallG: {
       CostParams p = base;
       p.groups = 5;
       p.available_fraction = 1.0;
-      return RankByMetric(p, TqMetric);
+      return RankByMetric(p, &CostMetrics::tq_seconds);
     }
     case TradeoffAxis::kGlobalResource:
-      return RankByMetric(base, LoadMetric);
+      return RankByMetric(base, &CostMetrics::load_bytes);
     case TradeoffAxis::kConfidentiality:
       // §5's conclusion: noise/histogram schemes must pay (huge noise volume,
       // strong collision) to match S_Agg's exposure; S_Agg is best by
@@ -82,25 +81,17 @@ std::vector<std::string> RankAxis(TradeoffAxis axis, const CostParams& base) {
       // worst = degrades most... S_Agg degrades least but also cannot
       // exploit extra TDSs — the paper ranks it worst on elasticity because
       // its parallelism is capped by G regardless of resources. Rank by
-      // inability to convert resources into speed: ratio of T_Q(abundant)
-      // to T_Q(scarce) — smaller ratio = less elastic = worse.
-      std::vector<std::pair<double, std::string>> scored;
-      for (const auto& name : ComparedProtocols()) {
+      // inability to convert resources into speed: the gain
+      // T_Q(scarce) / T_Q(abundant), negated so that the smallest gain (the
+      // least elastic) ranks worst.
+      return RankWorstFirst([&](const std::string& name) {
         CostParams scarce = base;
         scarce.available_fraction = 0.01;
         CostParams abundant = base;
         abundant.available_fraction = 1.0;
-        double gain = CostFor(name, scarce).tq_seconds /
-                      std::max(1e-12, CostFor(name, abundant).tq_seconds);
-        scored.emplace_back(gain, name);
-      }
-      std::stable_sort(scored.begin(), scored.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.first < b.first;
-                       });
-      std::vector<std::string> out;
-      for (const auto& [score, name] : scored) out.push_back(name);
-      return out;
+        return -(CostFor(name, scarce)->tq_seconds /
+                 std::max(1e-12, CostFor(name, abundant)->tq_seconds));
+      });
     }
   }
   return {};

@@ -23,9 +23,6 @@ enum class TradeoffAxis {
 
 const char* TradeoffAxisToString(TradeoffAxis axis);
 
-/// Protocols compared in Fig 11 (model names).
-std::vector<std::string> ComparedProtocols();
-
 /// Worst-to-best ordering of ComparedProtocols() along `axis`, computed from
 /// the cost model at the paper's reference parameters (confidentiality and
 /// elasticity use the analysis of §5/§6.3).

@@ -1,6 +1,8 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 
 namespace tcells {
 
@@ -53,6 +55,12 @@ std::string_view Trim(std::string_view s) {
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
+}
+
+bool ParseFiniteDouble(std::string_view s, double* out) {
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return !s.empty() && ec == std::errc() && ptr == end && std::isfinite(*out);
 }
 
 }  // namespace tcells

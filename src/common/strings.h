@@ -1,4 +1,4 @@
-// Small string helpers shared by the SQL front-end and debug printers.
+// Small string helpers shared by the SQL front-end, parsers and printers.
 #ifndef TCELLS_COMMON_STRINGS_H_
 #define TCELLS_COMMON_STRINGS_H_
 
@@ -23,6 +23,10 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// Strips ASCII whitespace from both ends.
 std::string_view Trim(std::string_view s);
+
+/// Whole-string decimal parse: false on an empty string, garbage, trailing
+/// characters or a non-finite value ("nan", "inf").
+bool ParseFiniteDouble(std::string_view s, double* out);
 
 }  // namespace tcells
 

@@ -197,9 +197,8 @@ Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
       TCELLS_ASSIGN_OR_RETURN(run.items, process(server, *fetched, &prng));
       run.server_id = server->id();
       for (const auto& item : run.items) run.bytes_out += item.WireSize();
-      run.seconds += device_.TransferSeconds(run.bytes_in + run.bytes_out) +
-                     device_.CryptoSeconds(run.bytes_in + run.bytes_out) +
-                     device_.CpuSeconds(run.tuples);
+      run.seconds +=
+          device_.BusySeconds(run.bytes_in + run.bytes_out, run.tuples);
       Status uploaded = client_->UploadRoundOutput(query_id_, i, run.items);
       if (IsTransportError(uploaded)) {
         run.lost = true;

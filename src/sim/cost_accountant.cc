@@ -48,9 +48,7 @@ double CostAccountant::AverageTdsSeconds(const DeviceModel& model) const {
   if (per_tds_.empty()) return 0;
   double total = 0;
   for (const auto& [id, t] : per_tds_) {
-    total += model.TransferSeconds(t.bytes_in + t.bytes_out) +
-             model.CryptoSeconds(t.bytes_in + t.bytes_out) +
-             model.CpuSeconds(t.tuples);
+    total += model.BusySeconds(t.bytes_in + t.bytes_out, t.tuples);
   }
   return total / static_cast<double>(per_tds_.size());
 }

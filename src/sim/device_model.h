@@ -67,13 +67,18 @@ class DeviceModel {
            params_.cpu_hz;
   }
 
+  /// Busy time of a device that moves `bytes` over its link (both
+  /// directions summed), en/decrypts them and processes `tuples` tuples.
+  double BusySeconds(uint64_t bytes, uint64_t tuples) const {
+    return TransferSeconds(bytes) + CryptoSeconds(bytes) + CpuSeconds(tuples);
+  }
+
   /// Full cost of handling one incoming tuple of `tuple_bytes` (download +
   /// decrypt + process). This is the T_t of the cost model: with the paper's
   /// 16-byte tuples it comes out at 16.2 + 1.4 + 2.0 = 19.6 µs, dominated by
   /// transfer.
   double PerTupleSeconds(uint64_t tuple_bytes) const {
-    return TransferSeconds(tuple_bytes) + CryptoSeconds(tuple_bytes) +
-           CpuSeconds(1);
+    return BusySeconds(tuple_bytes, 1);
   }
 
  private:

@@ -1,6 +1,7 @@
 // Tests for the cost model (§6.1) and the exposure analysis (§5).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "analysis/compromise.h"
@@ -50,9 +51,9 @@ TEST(CostModelTest, TagProtocolsTqShrinksWithG) {
   for (const char* proto : {"R2_Noise", "ED_Hist"}) {
     CostParams p = PaperParams();
     p.groups = 10;
-    double few_groups = CostFor(proto, p).tq_seconds;
+    double few_groups = CostFor(proto, p)->tq_seconds;
     p.groups = 1e5;
-    double many_groups = CostFor(proto, p).tq_seconds;
+    double many_groups = CostFor(proto, p)->tq_seconds;
     EXPECT_LT(many_groups, few_groups) << proto;
   }
 }
@@ -129,8 +130,8 @@ TEST(CostModelTest, SAggInsensitiveToAvailabilityOthersNot) {
     scarce.available_fraction = 0.01;
     CostParams abundant = PaperParams();
     abundant.available_fraction = 1.0;
-    double ratio = CostFor(proto, scarce).tq_seconds /
-                   CostFor(proto, abundant).tq_seconds;
+    double ratio = CostFor(proto, scarce)->tq_seconds /
+                   CostFor(proto, abundant)->tq_seconds;
     if (std::string(proto) == "S_Agg") {
       EXPECT_NEAR(ratio, 1.0, 1e-9) << proto;
     } else {
@@ -162,8 +163,8 @@ TEST(CostModelTest, CNoiseEqualsRnfWithDomainCardinality) {
 TEST(CostModelTest, PhaseCostsFilled) {
   CostParams p = PaperParams();
   for (const char* proto : {"S_Agg", "R2_Noise", "C_Noise", "ED_Hist"}) {
-    CostMetrics m = CostFor(proto, p);
-    EXPECT_DOUBLE_EQ(m.collection_seconds_per_tds, p.tuple_seconds) << proto;
+    CostMetrics m = CostFor(proto, p).ValueOrDie();
+    EXPECT_DOUBLE_EQ(m.collection_seconds_per_tds, p.TupleSeconds()) << proto;
     EXPECT_GT(m.filtering_seconds, 0.0) << proto;
   }
   // Filtering waves appear when the covering result exceeds availability.
@@ -185,26 +186,60 @@ TEST(CostModelTest, SAggRamFeasibilityBound) {
   // Tag-based protocols never trip it.
   EXPECT_TRUE(EdHistCost(p).ram_feasible);
   EXPECT_TRUE(RnfNoiseCost(p).ram_feasible);
-  // A bigger device raises the bound.
-  p.ram_bytes = 64e6;
-  EXPECT_TRUE(SAggCost(p).ram_feasible);
+}
+
+TEST(CostModelTest, FanOutOptimaAndAvailabilityCaps) {
+  CostParams p = PaperParams();
+  p.available_fraction = 1.0;
+  FanOut f = PlanFanOut(p);
+  // ceil(log_3.6(10^3)) = ceil(5.39); the tag optima are uncapped here.
+  EXPECT_EQ(f.sagg_levels, 6);
+  EXPECT_DOUBLE_EQ(f.n_nb, std::sqrt(3.0 * 1e3));
+  EXPECT_DOUBLE_EQ(f.n_ed, std::pow(5e3, 2.0 / 3.0));
+  EXPECT_DOUBLE_EQ(f.m_ed, std::cbrt(5e3));
+  // With A = 10^4, at most A/G = 10 TDSs per group and A·h/G = 50 per
+  // bucket; S_Agg's levels do not depend on A.
+  p.available_fraction = 0.01;
+  f = PlanFanOut(p);
+  EXPECT_EQ(f.sagg_levels, 6);
+  EXPECT_DOUBLE_EQ(f.n_nb, 10);
+  EXPECT_DOUBLE_EQ(f.n_ed, 50);
+  EXPECT_DOUBLE_EQ(f.m_ed, 10);
 }
 
 TEST(CostModelTest, CostForDispatch) {
   CostParams p = PaperParams();
-  EXPECT_GT(CostFor("S_Agg", p).tq_seconds, 0);
-  EXPECT_GT(CostFor("R2_Noise", p).load_bytes,
-            CostFor("S_Agg", p).load_bytes);
-  EXPECT_EQ(CostFor("R1000_Noise", p).load_bytes,
+  EXPECT_GT(CostFor("S_Agg", p)->tq_seconds, 0);
+  EXPECT_GT(CostFor("R2_Noise", p)->load_bytes,
+            CostFor("S_Agg", p)->load_bytes);
+  EXPECT_EQ(CostFor("R1000_Noise", p)->load_bytes,
             [&] { CostParams q = p; q.nf = 1000; return RnfNoiseCost(q).load_bytes; }());
-  EXPECT_EQ(CostFor("unknown", p).tq_seconds, 0);
+  EXPECT_EQ(CostFor("C_Noise", p)->load_bytes, CNoiseCost(p).load_bytes);
+  EXPECT_EQ(CostFor("ED_Hist", p)->load_bytes, EdHistCost(p).load_bytes);
+}
+
+TEST(CostModelTest, UnknownOrMalformedProtocolIsInvalidArgument) {
+  // An unknown name, or an R<nf>_Noise whose nf is not a finite
+  // non-negative number, is an error — never a silent nf = 0 or an
+  // all-zero cost.
+  CostParams p = PaperParams();
+  for (const char* name : {"unknown", "Rx_Noise", "R_Noise", "R2", "R-1_Noise",
+                           "Rnan_Noise", "R2_Noisy", "s_agg"}) {
+    EXPECT_TRUE(CostFor(name, p).status().IsInvalidArgument()) << name;
+    EXPECT_TRUE(CompromiseFor(name, CompromiseParams{}).status()
+                    .IsInvalidArgument())
+        << name;
+  }
 }
 
 TEST(DeviceModelTest, PaperCalibration) {
-  // §6.2/§6.3: with 16-byte tuples, T_t ≈ 16 µs, dominated by transfer.
+  // §6.2/§6.3: with 16-byte tuples T_t = 16.2 µs transfer + 1.4 µs crypto +
+  // 2.0 µs CPU = 19.6 µs, dominated by transfer.
   sim::DeviceModel dm;
   double tt = dm.PerTupleSeconds(16);
-  EXPECT_NEAR(tt, 16e-6, 4e-6);
+  EXPECT_NEAR(tt, 19.6e-6, 0.05e-6);
+  EXPECT_NEAR(dm.TransferSeconds(16), 16.2e-6, 0.05e-6);
+  EXPECT_DOUBLE_EQ(tt, dm.BusySeconds(16, 1));
   EXPECT_GT(dm.TransferSeconds(16), dm.CryptoSeconds(16) * 5);
   // Fig 9b: for a 4 KB partition, transfer dominates crypto.
   EXPECT_GT(dm.TransferSeconds(4096), dm.CryptoSeconds(4096));
@@ -286,7 +321,7 @@ TEST(CompromiseModelTest, RawFractionUniformAcrossProtocols) {
   CompromiseParams p;
   p.compromised = 100;
   for (const char* proto : {"S_Agg", "R2_Noise", "C_Noise", "ED_Hist"}) {
-    EXPECT_DOUBLE_EQ(CompromiseFor(proto, p).raw_tuple_fraction,
+    EXPECT_DOUBLE_EQ(CompromiseFor(proto, p)->raw_tuple_fraction,
                      100.0 / 1e5)
         << proto;
   }
@@ -297,8 +332,8 @@ TEST(CompromiseModelTest, MonotoneInCompromisedCount) {
   lo.compromised = 10;
   hi.compromised = 1000;
   for (const char* proto : {"S_Agg", "R2_Noise", "ED_Hist"}) {
-    EXPECT_LT(CompromiseFor(proto, lo).group_aggregate_fraction,
-              CompromiseFor(proto, hi).group_aggregate_fraction)
+    EXPECT_LT(CompromiseFor(proto, lo)->group_aggregate_fraction,
+              CompromiseFor(proto, hi)->group_aggregate_fraction)
         << proto;
   }
 }
@@ -306,9 +341,9 @@ TEST(CompromiseModelTest, MonotoneInCompromisedCount) {
 TEST(CompromiseModelTest, SAggHasTheAllGroupsSinglePoint) {
   CompromiseParams p;
   p.compromised = 100;  // 0.1% of the pool
-  double s_agg = SAggCompromise(p).all_groups_probability;
-  double ed = EdHistCompromise(p).all_groups_probability;
-  double noise = NoiseCompromise(p).all_groups_probability;
+  double s_agg = CompromiseFor("S_Agg", p)->all_groups_probability;
+  double ed = CompromiseFor("ED_Hist", p)->all_groups_probability;
+  double noise = CompromiseFor("R2_Noise", p)->all_groups_probability;
   // One compromised root leaks everything in S_Agg; tag-based protocols
   // would need ~G independent compromised placements.
   EXPECT_DOUBLE_EQ(s_agg, 1e-3);
@@ -318,14 +353,14 @@ TEST(CompromiseModelTest, SAggHasTheAllGroupsSinglePoint) {
 
 TEST(CompromiseModelTest, BoundsAndSaturation) {
   CompromiseParams p;
-  p.compromised = p.available;  // everything compromised
+  p.compromised = p.Available();  // everything compromised
   for (const char* proto : {"S_Agg", "R2_Noise", "ED_Hist"}) {
-    auto e = CompromiseFor(proto, p);
+    auto e = CompromiseFor(proto, p).ValueOrDie();
     EXPECT_DOUBLE_EQ(e.raw_tuple_fraction, 1.0) << proto;
     EXPECT_DOUBLE_EQ(e.group_aggregate_fraction, 1.0) << proto;
   }
   p.compromised = 0;
-  auto none = SAggCompromise(p);
+  auto none = CompromiseFor("S_Agg", p).ValueOrDie();
   EXPECT_DOUBLE_EQ(none.raw_tuple_fraction, 0.0);
   EXPECT_DOUBLE_EQ(none.group_aggregate_fraction, 0.0);
 }
