@@ -213,6 +213,9 @@ std::vector<ItemRow> MeasureItemPath() {
   std::vector<ItemRow> rows;
 
   // A round's partition: staged by the querier side, fetched by a TDS.
+  ssi::QueryPost round_post;
+  round_post.query_id = 1;
+  if (!client.PostGlobal(round_post).ok()) std::abort();
   ssi::Partition partition;
   partition.items = OpaqueItems(256);
   rows.push_back(MeasureItems("ssi_items_stage_fetch_256", 256, [&] {

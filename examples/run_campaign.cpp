@@ -9,8 +9,9 @@
 //   run_campaign --verbose               # full canonical dump per scenario
 //
 // Every run executes the manifest twice and fails if the two canonical dumps
-// differ — the campaign's own determinism is part of what it checks. Exits
-// nonzero on any invariant violation.
+// differ — the campaign's own determinism is part of what it checks; each
+// diverging scenario is printed with both of its dumps. Exits nonzero on any
+// invariant violation.
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -118,6 +119,15 @@ int main(int argc, char** argv) {
   }
   if (first->Canonical() != second->Canonical()) {
     std::cerr << "NONDETERMINISM: two identical campaign runs diverged\n";
+    for (size_t i = 0; i < first->outcomes.size(); ++i) {
+      const std::string a = first->outcomes[i].Canonical();
+      const std::string b = second->outcomes[i].Canonical();
+      if (a == b) continue;
+      std::cerr << "scenario " << first->outcomes[i].name
+                << " diverged\n--- first run\n"
+                << a << "--- second run\n"
+                << b;
+    }
     return 1;
   }
 

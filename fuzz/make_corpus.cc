@@ -87,12 +87,18 @@ class CorpusWriter {
   size_t written_ = 0;
 };
 
+const Status& StatusOf(const Status& status) { return status; }
+template <typename T>
+const Status& StatusOf(const Result<T>& result) {
+  return result.status();
+}
+
 #define CHECK_OK(expr)                                                \
   do {                                                                \
     auto _status_like = (expr);                                       \
     if (!_status_like.ok()) {                                         \
       std::fprintf(stderr, "make_corpus: %s failed: %s\n", #expr,     \
-                   _status_like.status().ToString().c_str());         \
+                   StatusOf(_status_like).ToString().c_str());        \
       std::exit(1);                                                   \
     }                                                                 \
   } while (0)
@@ -210,6 +216,7 @@ int Run(const std::filesystem::path& out_dir) {
 
     auto post = querier.MakePost(query_id, sql, &ctx.rng());
     CHECK_OK(post);
+    CHECK_OK(client.PostGlobal(*post));
     writer.Add("ssi", 0, post->Encode());
 
     auto config = proto->MakeCollectionConfig(ctx, *analyzed);
@@ -303,12 +310,16 @@ int Run(const std::filesystem::path& out_dir) {
     // batch of one call (u8 message type + fields) — plus an unknown-type
     // call.
     uint64_t correlation_id = 1;
-    auto request = [&](net::MsgType type, const Bytes& body) {
+    auto call = [](net::MsgType type, const Bytes& body) {
       Bytes req;
       ByteWriter w(&req);
       w.PutU8(static_cast<uint8_t>(type));
       w.PutRaw(body.data(), body.size());
-      writer.Add("net", 1, net::EncodeBatchFrame({{correlation_id++, req}}));
+      return req;
+    };
+    auto request = [&](net::MsgType type, const Bytes& body) {
+      writer.Add("net", 1,
+                 net::EncodeBatchFrame({{correlation_id++, call(type, body)}}));
     };
     Rng post_rng(kKeySeed);
     auto net_post = querier.MakePost(900, "SELECT grp, val FROM T", &post_rng);
@@ -329,6 +340,30 @@ int Run(const std::filesystem::path& out_dir) {
     writer.Add("net", 1,
                net::EncodeBatchFrame({{correlation_id++,
                                        Bytes{0xEE, 0x01, 0x02, 0x03}}}));
+    // One query's whole life in one frame: the post, a round on token 0,
+    // the result, and the retire. Every per-query call finds the record.
+    Bytes token_body;
+    {
+      ByteWriter w(&token_body);
+      w.PutU64(900);
+      w.PutU64(0);
+    }
+    Bytes deliver_body = qid_body;
+    deliver_body.insert(deliver_body.end(), partition_bytes.begin(),
+                        partition_bytes.end());
+    std::vector<net::BatchCall> life;
+    for (const Bytes& payload :
+         {call(net::MsgType::kPostGlobal, net_post->Encode()),
+          call(net::MsgType::kStagePartition, stage_body),
+          call(net::MsgType::kFetchPartition, token_body),
+          call(net::MsgType::kUploadRoundOutput, stage_body),
+          call(net::MsgType::kTakeRoundOutput, token_body),
+          call(net::MsgType::kDeliverResult, deliver_body),
+          call(net::MsgType::kFetchResult, qid_body),
+          call(net::MsgType::kRetire, qid_body)}) {
+      life.push_back({correlation_id++, payload});
+    }
+    writer.Add("net", 1, net::EncodeBatchFrame(life));
 
     // Selector 2: reply envelopes — OK wrapping a partition, an encoded
     // application error, and a garbage status code.

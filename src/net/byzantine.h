@@ -7,11 +7,15 @@
 // compromised Supporting Server Infrastructure) allows. It sees every call
 // of every frame, so its lies apply at any batch size.
 //
-// Every mutation is a pure function of the call's wire keys and of
-// replies/requests previously recorded under those same keys, all of which
-// are ordered by the engine's happens-before structure (stage before take,
-// all uploads before any take of a round) — so tampering is deterministic
-// across thread counts, batch sizes and backends.
+// Every lie but one is a pure function of the call's wire keys and of what
+// was recorded under those same keys: RunRound stages, fetches, uploads and
+// takes one (query, token) in order inside one task, and a token's rounds
+// run one after another. Reversing the collection, forging accept bytes or
+// errors, replaying a token's first take and echoing its staged input are
+// therefore deterministic across thread counts, batch sizes and backends.
+// swap_round_outputs is not: it serves token t^1's upload, which another
+// task may or may not have made by the time token t is taken, so what it
+// serves depends on arrival order (open in ROADMAP.md).
 //
 // The client side must either reject each tampering class (clean abort) or
 // survive it with the degradation visible in metrics (partitions_tampered /

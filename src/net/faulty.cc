@@ -49,7 +49,6 @@ size_t NumKeyFields(MsgType type) {
     case MsgType::kFetchPartition:
     case MsgType::kUploadRoundOutput:
     case MsgType::kTakeRoundOutput:
-    case MsgType::kAckRoundOutput:
       return 2;
   }
   return 0;
@@ -99,7 +98,6 @@ const char* MsgTypeName(uint8_t type) {
     case MsgType::kFetchResult: return "FetchResult";
     case MsgType::kAdversaryView: return "AdversaryView";
     case MsgType::kRetire: return "Retire";
-    case MsgType::kAckRoundOutput: return "AckRoundOutput";
     case MsgType::kPostEpochBlock: return "PostEpochBlock";
     case MsgType::kFetchEpochBlock: return "FetchEpochBlock";
   }

@@ -38,10 +38,6 @@ size_t ShardedSsiClient::ShardOfTds(uint64_t tds_id) const {
   return static_cast<size_t>(Mix(tds_id) % shards_.size());
 }
 
-size_t ShardedSsiClient::ShardOfToken(uint64_t query_id, uint64_t token) const {
-  return static_cast<size_t>(Mix(query_id ^ Mix(token)) % shards_.size());
-}
-
 size_t ShardedSsiClient::HomeShard(uint64_t query_id) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -193,27 +189,25 @@ Result<std::vector<EncryptedItem>> ShardedSsiClient::TakeCollected(
 
 Status ShardedSsiClient::StagePartition(uint64_t query_id, uint64_t token,
                                         const Partition& partition) {
-  return shards_[ShardOfToken(query_id, token)]->StagePartition(
-      query_id, token, partition);
+  return shards_[HomeShard(query_id)]->StagePartition(query_id, token,
+                                                      partition);
 }
 
 Result<Partition> ShardedSsiClient::FetchPartition(uint64_t query_id,
                                                    uint64_t token) {
-  return shards_[ShardOfToken(query_id, token)]->FetchPartition(query_id,
-                                                                token);
+  return shards_[HomeShard(query_id)]->FetchPartition(query_id, token);
 }
 
 Status ShardedSsiClient::UploadRoundOutput(
     uint64_t query_id, uint64_t token,
     const std::vector<EncryptedItem>& items) {
-  return shards_[ShardOfToken(query_id, token)]->UploadRoundOutput(
-      query_id, token, items);
+  return shards_[HomeShard(query_id)]->UploadRoundOutput(query_id, token,
+                                                         items);
 }
 
 Result<std::vector<EncryptedItem>> ShardedSsiClient::TakeRoundOutput(
     uint64_t query_id, uint64_t token) {
-  return shards_[ShardOfToken(query_id, token)]->TakeRoundOutput(query_id,
-                                                                 token);
+  return shards_[HomeShard(query_id)]->TakeRoundOutput(query_id, token);
 }
 
 Status ShardedSsiClient::ObserveAggregation(
@@ -266,16 +260,13 @@ Status ShardedSsiClient::Retire(uint64_t query_id) {
     home = it->second.home;
     queries_.erase(it);
   }
-  // Every shard may hold round transfer state for this query's tokens, so
-  // retire everywhere. A personal query is posted only on its home shard;
-  // the other shards drop its transfer remnants and then report NotFound,
-  // which is expected and benign.
+  // Retire wherever the query was posted: its home shard holds all of its
+  // round transfer state too.
+  if (personal) return shards_[home]->Retire(query_id);
   Status first_error = Status::OK();
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Status st = shards_[i]->Retire(query_id);
-    if (st.ok()) continue;
-    if (personal && i != home && st.IsNotFound()) continue;
-    if (first_error.ok()) first_error = st;
+  for (SsiApi* shard : shards_) {
+    Status st = shard->Retire(query_id);
+    if (!st.ok() && first_error.ok()) first_error = st;
   }
   return first_error;
 }

@@ -3,10 +3,10 @@
 //
 // The TDS population is hash-partitioned across shards (shard_of(tds_id) =
 // splitmix64(tds_id) mod N), so all querybox and collection traffic of one
-// TDS lands on one shard. Aggregation/filtering round transfers are
-// partitioned by (query_id, token) instead — an SsiNode keeps staged
-// partitions, round outputs and delivered results in a per-query record that
-// needs no post, so any shard can carry any token's bytes.
+// TDS lands on one shard. Everything else a query sends after collection —
+// its round transfers, aggregation observation and result — goes to its
+// home shard, where the query is posted: an SsiNode keeps that state in the
+// query's record, which only a post creates.
 //
 // Per-query coordination lives here, the same at every shard count. The
 // collection window is not part of it: the SIZE bound and the served count
@@ -78,8 +78,6 @@ class ShardedSsiClient : public SsiApi {
     }
     return out;
   }
-  /// Which shard carries a round transfer token's bytes.
-  size_t ShardOfToken(uint64_t query_id, uint64_t token) const;
 
   // ---- Querybox ----
   Status PostGlobal(const ssi::QueryPost& post) override;
@@ -141,8 +139,8 @@ class ShardedSsiClient : public SsiApi {
     std::vector<std::pair<size_t, uint64_t>> upload_log;
   };
 
-  /// Shard handling result delivery and aggregation observations for a
-  /// query: the personal home, or a query-id hash for global posts (valid
+  /// Shard handling a query's round transfers, aggregation observation and
+  /// result: the personal home, or a query-id hash for global posts (valid
   /// because global posts exist on every shard).
   size_t HomeShard(uint64_t query_id);
 

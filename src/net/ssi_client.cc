@@ -425,18 +425,7 @@ Result<std::vector<EncryptedItem>> SsiClient::TakeRoundOutput(
   w.PutU64(query_id);
   w.PutU64(token);
   TCELLS_ASSIGN_OR_RETURN(Bytes body, Call(std::move(req)));
-  TCELLS_ASSIGN_OR_RETURN(std::vector<EncryptedItem> items,
-                          ItemsFromBody(body));
-  // Phase 2: the items are safely in hand, so erase the server-side copy.
-  // Best-effort — an unacked output is overwritten by the next round's
-  // upload for the same token, or dropped at Retire.
-  Bytes ack;
-  BeginRequest(&ack, MsgType::kAckRoundOutput);
-  ByteWriter aw(&ack);
-  aw.PutU64(query_id);
-  aw.PutU64(token);
-  (void)Call(std::move(ack));
-  return items;
+  return ItemsFromBody(body);
 }
 
 Status SsiClient::ObserveAggregation(

@@ -118,11 +118,9 @@ class SsiClient : public SsiApi {
   Status UploadRoundOutput(
       uint64_t query_id, uint64_t token,
       const std::vector<ssi::EncryptedItem>& items) override;
-  /// Two-phase: downloads the round output (a retried fetch after a lost
-  /// reply re-downloads the same bytes), then acks so the SSI erases the
-  /// token's transfer state. The ack completes before this returns: the
-  /// next round reuses the token, and an ack landing after that round's
-  /// stage or upload would erase the new transfer state.
+  /// A plain read of the token's round output: a retry after a lost reply
+  /// re-downloads the same bytes. The node drops them when the token is
+  /// staged again or the query retires.
   Result<std::vector<ssi::EncryptedItem>> TakeRoundOutput(
       uint64_t query_id, uint64_t token) override;
   Status ObserveAggregation(

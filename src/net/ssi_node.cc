@@ -52,9 +52,7 @@ Status NoActiveQuery(uint64_t query_id) {
 
 size_t SsiNode::num_active_queries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t posted = 0;
-  for (const auto& [id, query] : queries_) posted += query.post ? 1 : 0;
-  return posted;
+  return queries_.size();
 }
 
 SsiNode::SsiNode(CallFilter filter) : filter_(std::move(filter)) {}
@@ -96,18 +94,18 @@ Result<Bytes> SsiNode::HandleCall(const Bytes& call) {
 
 Status SsiNode::Post(const Bytes& raw, std::optional<uint64_t> personal_tds) {
   TCELLS_ASSIGN_OR_RETURN(QueryPost post, QueryPost::Decode(raw));
-  Query& query = queries_[post.query_id];
-  if (query.post) {
+  Query query;
+  query.post = Query::Post{post.Encode(), personal_tds};
+  if (!queries_.try_emplace(post.query_id, std::move(query)).second) {
     return Status::InvalidArgument("duplicate query id: " +
                                    std::to_string(post.query_id));
   }
-  query.post = Query::Post{post.Encode(), personal_tds};
   return Status::OK();
 }
 
 Result<SsiNode::Query*> SsiNode::Posted(uint64_t query_id) {
   auto it = queries_.find(query_id);
-  if (it == queries_.end() || !it->second.post) return NoActiveQuery(query_id);
+  if (it == queries_.end()) return NoActiveQuery(query_id);
   return &it->second;
 }
 
@@ -132,11 +130,11 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
       TCELLS_ASSIGN_OR_RETURN(uint64_t tds_id, reader.GetU64());
       std::vector<const Bytes*> posts;
       for (const auto& [id, query] : queries_) {
-        if (!query.post || query.served.count(tds_id)) continue;
-        if (query.post->personal_tds && *query.post->personal_tds != tds_id) {
+        if (query.served.count(tds_id)) continue;
+        if (query.post.personal_tds && *query.post.personal_tds != tds_id) {
           continue;
         }
-        posts.push_back(&query.post->encoded);
+        posts.push_back(&query.post.encoded);
       }
       Bytes body;
       ByteWriter w(&body);
@@ -193,50 +191,44 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(uint64_t token, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(ItemsBody p, ScanItemsBody(&reader));
-      queries_[query_id].staged[token] = p.ToBytes();
+      TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
+      // Replaces whatever the token held, a previous round's output
+      // included: the token starts a new exchange.
+      query->transfers[token] = Query::Transfer{false, p.ToBytes()};
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kFetchPartition: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(uint64_t token, reader.GetU64());
-      auto qit = queries_.find(query_id);
-      if (qit == queries_.end() || !qit->second.staged.count(token)) {
+      TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
+      auto it = query->transfers.find(token);
+      if (it == query->transfers.end() || it->second.uploaded) {
         return Status::NotFound("no staged partition for token");
       }
       // Left staged: a dropout re-dispatch downloads the same bytes again.
-      return EncodeReplyOk(qit->second.staged.at(token));
+      return EncodeReplyOk(it->second.items);
     }
     case MsgType::kUploadRoundOutput: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(uint64_t token, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(ItemsBody p, ScanItemsBody(&reader));
-      queries_[query_id].outputs[token] = p.ToBytes();
+      TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
+      // Replaces the staged partition: no TDS fetches it after an output
+      // for the token exists.
+      query->transfers[token] = Query::Transfer{true, p.ToBytes()};
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kTakeRoundOutput: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(uint64_t token, reader.GetU64());
-      auto qit = queries_.find(query_id);
-      if (qit == queries_.end() || !qit->second.outputs.count(token)) {
+      TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
+      auto it = query->transfers.find(token);
+      if (it == query->transfers.end() || !it->second.uploaded) {
         return Status::NotFound("no round output for token");
       }
-      // Left in place: the take is two-phase. A retry after a lost reply
-      // re-downloads the same bytes; only the explicit kAckRoundOutput
-      // (sent once the items are safely in the client's hands) erases.
-      return EncodeReplyOk(qit->second.outputs.at(token));
-    }
-    case MsgType::kAckRoundOutput: {
-      TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(uint64_t token, reader.GetU64());
-      // Consume both ends of the exchange so the next round can reuse the
-      // token without mixing stale bytes in. Idempotent: an ack retried
-      // after a lost reply finds nothing and still succeeds.
-      auto qit = queries_.find(query_id);
-      if (qit != queries_.end()) {
-        qit->second.outputs.erase(token);
-        qit->second.staged.erase(token);
-      }
-      return EncodeReplyOk(EmptyBody());
+      // A plain read: a retry after a lost reply re-downloads the same
+      // bytes. The next stage of the token, or kRetire, drops them.
+      return EncodeReplyOk(it->second.items);
     }
     case MsgType::kObserveAggregation: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
@@ -252,20 +244,20 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
     case MsgType::kDeliverResult: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(ItemsBody p, ScanItemsBody(&reader));
-      Query& query = queries_[query_id];
+      TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
       // The result crosses the SSI here, so here the filtering leakage is
-      // recorded: on the first delivery to a posted query only.
-      if (query.post && !query.result) query.view.ObserveFiltering(p.count);
-      query.result = p.ToBytes();
+      // recorded: on the first delivery only.
+      if (!query->result) query->view.ObserveFiltering(p.count);
+      query->result = p.ToBytes();
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kFetchResult: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      auto it = queries_.find(query_id);
-      if (it == queries_.end() || !it->second.result) {
+      TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
+      if (!query->result) {
         return Status::NotFound("no delivered result for query");
       }
-      return EncodeReplyOk(*it->second.result);
+      return EncodeReplyOk(*query->result);
     }
     case MsgType::kAdversaryView: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
@@ -295,12 +287,8 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
     case MsgType::kRetire: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       // Drops the whole record, transfer remnants included, so lost
-      // partitions do not outlive the query inside the SSI — and reports
-      // NotFound when the query was never posted here.
-      auto retired = queries_.extract(query_id);
-      if (retired.empty() || !retired.mapped().post) {
-        return NoActiveQuery(query_id);
-      }
+      // partitions do not outlive the query inside the SSI.
+      if (queries_.erase(query_id) == 0) return NoActiveQuery(query_id);
       return EncodeReplyOk(EmptyBody());
     }
   }

@@ -1,12 +1,16 @@
 // SsiNode: the server side of the SSI RPC surface, and the SSI's whole
-// per-query state: one record per query id holding its querybox post, the
-// TDSs that served it, the collected items, the adversary view, and the
+// per-query state: one record per posted query holding its querybox post,
+// the TDSs that served it, the collected items, the adversary view, and the
 // transient transfer state the framed protocol needs — staged partitions
 // TDSs download, round outputs they upload, and the delivered result the
-// querier fetches. Handle() is the single entry point: one batch request
-// frame in (ssi_wire.h; a count of 1 is a single call), one batch reply frame
-// out. The frame's calls dispatch in frame order under one hold of a mutex,
-// so the node can serve the TCP loop thread and in-process callers alike.
+// querier fetches. kPostGlobal / kPostPersonal create a record and kRetire
+// removes it; nothing else does. Every other per-query call on an id with no
+// record is NotFound and stores nothing.
+//
+// Handle() is the single entry point: one batch request frame in
+// (ssi_wire.h; a count of 1 is a single call), one batch reply frame out.
+// The frame's calls dispatch in frame order under one hold of a mutex, so
+// the node can serve the TCP loop thread and in-process callers alike.
 //
 // Items are stored as the wire bytes they arrived in. Every incoming item
 // vector goes through ssi::ItemScanner, which validates it (and feeds the
@@ -56,16 +60,21 @@ class SsiNode {
   size_t num_active_queries() const;
 
  private:
-  /// One query's SSI state. A record may exist without a post: the round
-  /// transfer calls are keyed by (query, token) on whichever shard the router
-  /// picks, so a personal query's tokens can land on a shard it was never
-  /// posted to.
+  /// One posted query's SSI state.
   struct Query {
     struct Post {
       Bytes encoded;  ///< Served as-is by kFetchPosts.
       std::optional<uint64_t> personal_tds;  ///< nullopt = global.
     };
-    std::optional<Post> post;
+    /// What a round token holds: the partition staged for TDS download
+    /// until the processing TDS uploads its output, then that output until
+    /// the token is staged again. Each write replaces the other, so a reused
+    /// token never mixes rounds.
+    struct Transfer {
+      bool uploaded = false;
+      Bytes items;  ///< Item-vector encoding.
+    };
+    Post post;
     /// tds_id → accept bit of its first collection upload, or nullopt when
     /// it acknowledged the query without one. A duplicate upload (transport
     /// retry after a lost reply) replays the bit instead of appending the
@@ -83,13 +92,10 @@ class SsiNode {
     /// Set by the first kObserveAggregation: a retry after a lost reply
     /// observes nothing twice.
     bool aggregation_observed = false;
-    /// token → item-vector encoding staged for TDS download / uploaded as
-    /// the processing TDS's round output.
-    std::map<uint64_t, Bytes> staged;
-    std::map<uint64_t, Bytes> outputs;
+    std::map<uint64_t, Transfer> transfers;  ///< By round token.
     /// Item-vector encoding of the final result awaiting querier download.
-    /// Its first delivery to a posted query is the filtering-phase leakage
-    /// the view records; a retried delivery records nothing more.
+    /// Its first delivery is the filtering-phase leakage the view records; a
+    /// retried delivery records nothing more.
     std::optional<Bytes> result;
   };
 

@@ -28,8 +28,8 @@
 namespace tcells::net {
 
 /// Retired numbers stay retired: 5 and 6 (the window probes NumAcknowledged
-/// and SizeReached) and 14 (ObserveFiltering) are never reused. A node answers
-/// them like any unknown type, with Corruption.
+/// and SizeReached), 14 (ObserveFiltering) and 19 (AckRoundOutput) are never
+/// reused. A node answers them like any unknown type, with Corruption.
 enum class MsgType : uint8_t {
   kPostGlobal = 1,        ///< QueryPost → ()
   kPostPersonal = 2,      ///< u64 tds_id, QueryPost → ()
@@ -46,7 +46,6 @@ enum class MsgType : uint8_t {
   kFetchResult = 16,      ///< u64 query_id → Items
   kAdversaryView = 17,    ///< u64 query_id → AdversaryView
   kRetire = 18,           ///< u64 query_id → ()
-  kAckRoundOutput = 19,   ///< u64 query_id, u64 token → () (idempotent erase)
   kPostEpochBlock = 20,   ///< encoded keys::EpochBlock → () (opaque to SSI)
   kFetchEpochBlock = 21,  ///< u64 tds_id → encoded keys::EpochBlock
 };

@@ -115,6 +115,7 @@ Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
   Engine::Config config;
   config.tracing = false;
   config.transport = backend;
+  config.num_shards = spec.num_shards;
   config.fault_plan = spec.faults;
   config.tamper_plan = spec.tampering;
   config.options.seed = spec.seed;
@@ -169,12 +170,14 @@ Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
   out.eligible_tds = eligible;
   out.retries = engine->metrics().counter("net.retries").value();
   out.deadline_hits = engine->metrics().counter("net.deadline_hits").value();
-  if (net::FaultyTransport* injector = engine->shard_fault_injector(0)) {
-    out.faults_injected = injector->injected_count();
-    out.fault_log = injector->CanonicalLog();
-  }
-  if (net::ByzantineProxy* proxy = engine->shard_byzantine_proxy(0)) {
-    out.tampers = proxy->stats().total();
+  for (size_t shard = 0; shard < engine->num_shards(); ++shard) {
+    if (net::FaultyTransport* injector = engine->shard_fault_injector(shard)) {
+      out.faults_injected += injector->injected_count();
+      out.fault_log += injector->CanonicalLog();
+    }
+    if (net::ByzantineProxy* proxy = engine->shard_byzantine_proxy(shard)) {
+      out.tampers += proxy->stats().total();
+    }
   }
 
   if (run.ok()) {

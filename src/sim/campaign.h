@@ -45,6 +45,8 @@ struct ScenarioSpec {
 
   uint64_t seed = 11;
   size_t num_threads = 1;
+  /// SSI shards behind the engine's router (Engine::Config::num_shards).
+  size_t num_shards = 1;
   double dropout_rate = 0.0;
   /// Transport retry budget: max_dropout_retries + 1 attempts per message.
   size_t max_dropout_retries = 4;
@@ -113,9 +115,11 @@ struct ScenarioOutcome {
   uint64_t retries = 0;
   uint64_t deadline_hits = 0;
 
+  /// Summed over every shard; the log concatenates each shard's
+  /// FaultyTransport::CanonicalLog() in shard order.
   uint64_t faults_injected = 0;
-  std::string fault_log;  ///< FaultyTransport::CanonicalLog()
-  uint64_t tampers = 0;   ///< ByzantineProxy stats total
+  std::string fault_log;
+  uint64_t tampers = 0;  ///< ByzantineProxy stats total, over every shard
 
   /// Invariant violations detected for this scenario (empty = pass).
   std::vector<std::string> violations;

@@ -11,13 +11,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -658,10 +657,18 @@ ssi::EncryptedItem MakeItem(uint8_t fill, bool tagged) {
   return item;
 }
 
+/// Posts a global query with id `query_id` through `client`.
+void PostQuery(SsiApi* client, uint64_t query_id) {
+  ssi::QueryPost post;
+  post.query_id = query_id;
+  ASSERT_TRUE(client->PostGlobal(post).ok());
+}
+
 TEST(SsiNodeTest, PartitionStageFetchUploadTakeCycle) {
   SsiNode node;
   LoopbackTransport transport(node.handler());
   SsiClient client(&transport);
+  PostQuery(&client, 7);
 
   ssi::Partition partition;
   partition.items = {MakeItem(1, true), MakeItem(2, false)};
@@ -684,9 +691,54 @@ TEST(SsiNodeTest, PartitionStageFetchUploadTakeCycle) {
   ASSERT_EQ(taken->size(), 1u);
   EXPECT_EQ((*taken)[0].blob, output[0].blob);
 
-  // Take is destructive: both the output and the staged partition are gone.
-  EXPECT_TRUE(IsNotFound(client.TakeRoundOutput(7, 0).status()));
+  // The token holds one exchange at a time. The upload replaced the staged
+  // partition, the take is a plain read, and the next round's stage of the
+  // token drops the output.
   EXPECT_TRUE(IsNotFound(client.FetchPartition(7, 0).status()));
+  EXPECT_EQ(client.TakeRoundOutput(7, 0).ValueOrDie(), output);
+  ASSERT_TRUE(client.StagePartition(7, 0, partition).ok());
+  EXPECT_TRUE(IsNotFound(client.TakeRoundOutput(7, 0).status()));
+  EXPECT_EQ(client.FetchPartition(7, 0).ValueOrDie().items, partition.items);
+}
+
+TEST(SsiNodeTest, EveryPerQueryVerbNeedsAPostedQuery) {
+  // Only a post creates a query's record and only Retire removes it. Every
+  // other per-query call on a never-posted or retired id is NotFound and
+  // leaves no record behind.
+  SsiNode node;
+  LoopbackTransport transport(node.handler());
+  SsiClient client(&transport);
+  ssi::Partition partition;
+  partition.items = {MakeItem(1, true)};
+  auto expect_all_not_found = [&](uint64_t id) {
+    EXPECT_TRUE(IsNotFound(client.Acknowledge(3, id)));
+    EXPECT_TRUE(IsNotFound(client.UploadCollection(id, 3, partition.items)
+                               .status()));
+    EXPECT_TRUE(IsNotFound(client.TakeCollected(id).status()));
+    EXPECT_TRUE(IsNotFound(client.StagePartition(id, 0, partition)));
+    EXPECT_TRUE(IsNotFound(client.FetchPartition(id, 0).status()));
+    EXPECT_TRUE(IsNotFound(client.UploadRoundOutput(id, 0, partition.items)));
+    EXPECT_TRUE(IsNotFound(client.TakeRoundOutput(id, 0).status()));
+    EXPECT_TRUE(IsNotFound(client.ObserveAggregation(id, partition.items)));
+    EXPECT_TRUE(IsNotFound(client.DeliverResult(id, partition.items)));
+    EXPECT_TRUE(IsNotFound(client.FetchResult(id).status()));
+    EXPECT_TRUE(IsNotFound(client.GetAdversaryView(id).status()));
+    EXPECT_TRUE(IsNotFound(client.Retire(id)));
+    EXPECT_EQ(node.num_active_queries(), 0u);
+  };
+  {
+    SCOPED_TRACE("never posted");
+    expect_all_not_found(9);
+  }
+  PostQuery(&client, 9);
+  ASSERT_TRUE(client.StagePartition(9, 0, partition).ok());
+  ASSERT_TRUE(client.DeliverResult(9, partition.items).ok());
+  EXPECT_EQ(node.num_active_queries(), 1u);
+  ASSERT_TRUE(client.Retire(9).ok());
+  {
+    SCOPED_TRACE("retired");
+    expect_all_not_found(9);
+  }
 }
 
 /// Wraps an SsiNode handler so that frames whose first call is of
@@ -730,14 +782,14 @@ TEST(SsiNodeTest, DuplicateCollectionUploadIsNotDoubleCounted) {
 }
 
 TEST(SsiNodeTest, RoundOutputTakeSurvivesDuplicateDelivery) {
-  // The round-output take is two-phase: the fetch is a re-downloadable read
-  // (a retry after a lost reply sees the same bytes, instead of NotFound
-  // dropping an already-uploaded output as lost), and only the client's ack
-  // afterwards erases the transfer state.
+  // The round-output take is a re-downloadable read: a retry after a lost
+  // reply sees the same bytes, instead of NotFound dropping an
+  // already-uploaded output as lost.
   SsiNode node;
   LoopbackTransport transport =
       DuplicatingTransport(&node, MsgType::kTakeRoundOutput);
   SsiClient client(&transport);
+  PostQuery(&client, 7);
 
   std::vector<ssi::EncryptedItem> output = {MakeItem(9, true)};
   ASSERT_TRUE(client.UploadRoundOutput(7, 0, output).ok());
@@ -745,8 +797,6 @@ TEST(SsiNodeTest, RoundOutputTakeSurvivesDuplicateDelivery) {
   ASSERT_TRUE(taken.ok()) << taken.status().ToString();  // pre-fix: NotFound
   ASSERT_EQ(taken->size(), 1u);
   EXPECT_EQ((*taken)[0].blob, output[0].blob);
-  // The ack ran once the items were in hand: the state is gone for good.
-  EXPECT_TRUE(IsNotFound(client.TakeRoundOutput(7, 0).status()));
 }
 
 TEST(SsiNodeTest, ResultFetchIsIdempotentUntilRetire) {
@@ -755,6 +805,7 @@ TEST(SsiNodeTest, ResultFetchIsIdempotentUntilRetire) {
   SsiNode node;
   LoopbackTransport transport(node.handler());
   SsiClient client(&transport);
+  PostQuery(&client, 11);
 
   std::vector<ssi::EncryptedItem> result = {MakeItem(3, false),
                                             MakeItem(4, true)};
@@ -765,21 +816,23 @@ TEST(SsiNodeTest, ResultFetchIsIdempotentUntilRetire) {
     ASSERT_EQ(fetched->size(), 2u);
     EXPECT_EQ((*fetched)[1].routing_tag, result[1].routing_tag);
   }
+  ASSERT_TRUE(client.Retire(11).ok());
+  EXPECT_TRUE(IsNotFound(client.FetchResult(11).status()));
 }
 
 TEST(SsiNodeTest, RetireClearsTransferState) {
   SsiNode node;
   LoopbackTransport transport(node.handler());
   SsiClient client(&transport);
+  PostQuery(&client, 21);
 
   ssi::Partition partition;
   partition.items = {MakeItem(5, false)};
   ASSERT_TRUE(client.StagePartition(21, 0, partition).ok());
   ASSERT_TRUE(client.DeliverResult(21, partition.items).ok());
-  // Query 21 was never posted to the hub, so Retire reports NotFound — but
-  // the transfer remnants must be dropped regardless, so lost partitions
+  // Retire drops the transfer remnants with the record, so lost partitions
   // cannot outlive their query inside the SSI.
-  EXPECT_TRUE(IsNotFound(client.Retire(21)));
+  ASSERT_TRUE(client.Retire(21).ok());
   EXPECT_TRUE(IsNotFound(client.FetchPartition(21, 0).status()));
   EXPECT_TRUE(IsNotFound(client.FetchResult(21).status()));
 }
@@ -934,6 +987,7 @@ TEST(SsiNodeTest, ServesOverTcp) {
   RetryPolicy policy;
   policy.deadline_seconds = 5.0;
   SsiClient client(&transport, policy);
+  PostQuery(&client, 31);
 
   ssi::Partition partition;
   partition.items = {MakeItem(6, true)};
@@ -997,7 +1051,7 @@ TEST(SsiNodeTest, HostileItemVectorsAreCorruptionAndChangeNothing) {
   ssi::Partition staged;
   staged.items = honest;
   ASSERT_TRUE(client.StagePartition(7, 2, staged).ok());
-  ASSERT_TRUE(client.UploadRoundOutput(7, 2, honest).ok());
+  ASSERT_TRUE(client.UploadRoundOutput(7, 3, honest).ok());
   ASSERT_TRUE(client.DeliverResult(7, honest).ok());
   Bytes view_before;
   client.GetAdversaryView(7).ValueOrDie().EncodeTo(&view_before);
@@ -1015,7 +1069,7 @@ TEST(SsiNodeTest, HostileItemVectorsAreCorruptionAndChangeNothing) {
     const std::vector<Bytes> calls = {
         RawCall(MsgType::kUploadCollection, {7, 4}, body),
         RawCall(MsgType::kStagePartition, {7, 2}, body),
-        RawCall(MsgType::kUploadRoundOutput, {7, 2}, body),
+        RawCall(MsgType::kUploadRoundOutput, {7, 3}, body),
         RawCall(MsgType::kDeliverResult, {7}, body),
     };
     for (const Bytes& call : calls) {
@@ -1031,7 +1085,7 @@ TEST(SsiNodeTest, HostileItemVectorsAreCorruptionAndChangeNothing) {
   client.GetAdversaryView(7).ValueOrDie().EncodeTo(&view_after);
   EXPECT_EQ(view_after, view_before);
   EXPECT_EQ(client.FetchPartition(7, 2).ValueOrDie().items, honest);
-  EXPECT_EQ(client.TakeRoundOutput(7, 2).ValueOrDie(), honest);
+  EXPECT_EQ(client.TakeRoundOutput(7, 3).ValueOrDie(), honest);
   EXPECT_EQ(client.FetchResult(7).ValueOrDie(), honest);
   EXPECT_EQ(client.TakeCollected(7).ValueOrDie(), honest);
 }
@@ -1315,10 +1369,11 @@ TEST(ByzantineProxyTest, ReplayedRoundOutputIsServedOnLaterTakes) {
   SsiNode node(proxy.filter());
   LoopbackTransport transport(node.handler());
   SsiClient client(&transport);
+  PostQuery(&client, 7);
 
   std::vector<ssi::EncryptedItem> round1 = {MakeItem(1, false)};
   ASSERT_TRUE(client.UploadRoundOutput(7, 0, round1).ok());
-  auto take1 = client.TakeRoundOutput(7, 0);  // acks internally
+  auto take1 = client.TakeRoundOutput(7, 0);
   ASSERT_TRUE(take1.ok());
 
   std::vector<ssi::EncryptedItem> round2 = {MakeItem(2, false)};
@@ -1407,6 +1462,76 @@ TEST(ShardedSsiClientTest, TakeCollectedReplaysSubmissionOrder) {
     SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
     collect(num_shards, false);
     collect(num_shards, true);
+  }
+}
+
+TEST(ShardedSsiClientTest, QueryStateLivesOnItsHomeNode) {
+  // A query's round transfers, result and Retire go to the node it was
+  // posted to: for a personal query, its TDS's node and no other; for a
+  // global one, a single node besides the post and Retire fan-out.
+  constexpr size_t kShards = 4;
+  for (bool personal : {true, false}) {
+    SCOPED_TRACE(personal ? "personal" : "global");
+    std::vector<std::unique_ptr<SsiNode>> nodes;
+    std::vector<std::vector<uint8_t>> seen(kShards);
+    std::vector<std::unique_ptr<LoopbackTransport>> transports;
+    std::vector<std::unique_ptr<SsiClient>> clients;
+    std::vector<SsiApi*> shards;
+    for (size_t i = 0; i < kShards; ++i) {
+      nodes.push_back(std::make_unique<SsiNode>());
+      transports.push_back(std::make_unique<LoopbackTransport>(
+          [&seen, &nodes, i](const Bytes& frame) -> Result<Bytes> {
+            TCELLS_ASSIGN_OR_RETURN(std::vector<BatchCall> calls,
+                                    DecodeBatchFrame(frame));
+            for (const BatchCall& call : calls) {
+              seen[i].push_back(call.payload[0]);
+            }
+            return nodes[i]->Handle(frame);
+          }));
+      clients.push_back(std::make_unique<SsiClient>(transports[i].get()));
+      shards.push_back(clients[i].get());
+    }
+    ShardedSsiClient router(shards);
+    ssi::QueryPost post;
+    post.query_id = 42;
+    const uint64_t tds_id = 5;
+    ASSERT_TRUE(personal ? router.PostPersonal(tds_id, post).ok()
+                         : router.PostGlobal(post).ok());
+    for (std::vector<uint8_t>& types : seen) types.clear();
+
+    ssi::Partition partition;
+    partition.items = {MakeItem(1, true)};
+    for (uint64_t token = 0; token < 8; ++token) {
+      ASSERT_TRUE(router.StagePartition(42, token, partition).ok());
+      ASSERT_EQ(router.FetchPartition(42, token).ValueOrDie().items,
+                partition.items);
+      ASSERT_TRUE(router.UploadRoundOutput(42, token, partition.items).ok());
+      ASSERT_EQ(router.TakeRoundOutput(42, token).ValueOrDie(),
+                partition.items);
+    }
+    ASSERT_TRUE(router.DeliverResult(42, partition.items).ok());
+    ASSERT_EQ(router.FetchResult(42).ValueOrDie(), partition.items);
+    size_t home = kShards;
+    for (size_t i = 0; i < kShards; ++i) {
+      if (seen[i].empty()) continue;
+      EXPECT_EQ(home, kShards) << "a second node served the query: " << i;
+      home = i;
+    }
+    ASSERT_LT(home, kShards);
+    if (personal) {
+      EXPECT_EQ(home, router.ShardOfTds(tds_id));
+    }
+    EXPECT_EQ(seen[home].size(), 8u * 4u + 2u);
+
+    ASSERT_TRUE(router.Retire(42).ok());
+    for (size_t i = 0; i < kShards; ++i) {
+      SCOPED_TRACE("node " + std::to_string(i));
+      const size_t retires = personal && i != home ? 0u : 1u;
+      EXPECT_EQ(std::count(seen[i].begin(), seen[i].end(),
+                           static_cast<uint8_t>(MsgType::kRetire)),
+                static_cast<std::ptrdiff_t>(retires));
+      EXPECT_EQ(nodes[i]->num_active_queries(), 0u);
+    }
   }
 }
 
@@ -1570,6 +1695,7 @@ TEST(SsiClientBatchTest, BatchMixesSuccessesAndFailures) {
   SsiNode node;
   LoopbackTransport transport(node.handler());
   SsiClient client(&transport, RetryPolicy{}, nullptr, TestBatch(4));
+  PostQuery(&client, 7);
 
   ssi::Partition partition;
   partition.items = {MakeItem(1, false)};
@@ -1635,107 +1761,6 @@ TEST(SsiClientBatchTest, WholeFrameStaleReplayIsRetriedWithFreshIds) {
   // frames_sent <= calls_sent survives the retry.
   EXPECT_EQ(counters.at("net.frames_sent"), 6u);
   EXPECT_EQ(counters.at("net.calls_sent"), 6u);
-}
-
-/// Holds every frame that carries a round-output ack until Release() (or a
-/// short timeout), so a frame dispatched later can overtake it on the way
-/// to the SSI — as two frames in flight on different channels may.
-class AckGateTransport : public Transport {
- public:
-  explicit AckGateTransport(Transport* inner) : inner_(inner) {}
-
-  Result<std::unique_ptr<Channel>> Connect() override {
-    TCELLS_ASSIGN_OR_RETURN(std::unique_ptr<Channel> channel,
-                            inner_->Connect());
-    return std::unique_ptr<Channel>(new Gated(this, std::move(channel)));
-  }
-  const char* name() const override { return "ack-gate"; }
-
-  /// True once an ack frame is being held (waits up to `seconds`).
-  bool WaitHeld(double seconds) {
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, std::chrono::duration<double>(seconds),
-                        [&] { return held_; });
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(mu_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  class Gated : public Channel {
-   public:
-    Gated(AckGateTransport* gate, std::unique_ptr<Channel> inner)
-        : gate_(gate), inner_(std::move(inner)) {}
-    Result<Bytes> Call(const Bytes& request,
-                       const CallOptions& opts) override {
-      if (CarriesAck(request)) gate_->Hold();
-      return inner_->Call(request, opts);
-    }
-
-   private:
-    AckGateTransport* gate_;
-    std::unique_ptr<Channel> inner_;
-  };
-
-  static bool CarriesAck(const Bytes& frame) {
-    auto calls = DecodeBatchFrame(frame);
-    if (!calls.ok()) return false;
-    for (const BatchCall& call : *calls) {
-      if (!call.payload.empty() &&
-          call.payload[0] == static_cast<uint8_t>(MsgType::kAckRoundOutput)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void Hold() {
-    std::unique_lock<std::mutex> lock(mu_);
-    held_ = true;
-    cv_.notify_all();
-    cv_.wait_for(lock, std::chrono::milliseconds(200),
-                 [&] { return released_; });
-  }
-
-  Transport* inner_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool held_ = false;
-  bool released_ = false;
-};
-
-TEST(SsiClientBatchTest, LateAckCannotEraseTheNextRoundsTransferState) {
-  // The next round reuses the token, so TakeRoundOutput's ack must have
-  // reached the SSI before the take returns. An ack left queued rides
-  // whatever frame goes out next — here another thread's — and when that
-  // frame is overtaken by the next round's stage, it erases the fresh
-  // partition and the fetch fails.
-  SsiNode node;
-  LoopbackTransport loopback(node.handler());
-  AckGateTransport gate(&loopback);
-  SsiClient client(&gate, RetryPolicy{}, nullptr, TestBatch(8));
-
-  std::vector<ssi::EncryptedItem> output = {MakeItem(3, false)};
-  ASSERT_TRUE(client.UploadRoundOutput(7, 0, output).ok());
-  auto taken = client.TakeRoundOutput(7, 0);
-  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
-  EXPECT_EQ(*taken, output);
-
-  std::thread other([&] { (void)client.FetchPosts(1); });
-  (void)gate.WaitHeld(0.1);  // an ack still queued is now held in flight
-  ssi::Partition next;
-  next.items = {MakeItem(4, false)};
-  ASSERT_TRUE(client.StagePartition(7, 0, next).ok());
-  gate.Release();
-  other.join();
-
-  auto fetched = client.FetchPartition(7, 0);
-  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
-  EXPECT_EQ(fetched->items, next.items);
-  // The round-r output itself is gone: the ack did land.
-  EXPECT_TRUE(IsNotFound(client.TakeRoundOutput(7, 0).status()));
 }
 
 TEST(SsiClientBatchTest, ConcurrentCallersOverTcpKeepEveryCallIntact) {
@@ -1809,10 +1834,11 @@ TEST(SsiNodeTest, ServesBatchFramesInOrder) {
 
 
 TEST(SsiNodeTest, RetiredMessageTypesAreUnknown) {
-  // MsgTypes 5 and 6 (the window probes) and 14 (ObserveFiltering) are
-  // retired and stay retired: a node treats each like any unknown type.
+  // MsgTypes 5 and 6 (the window probes), 14 (ObserveFiltering) and 19
+  // (AckRoundOutput) are retired and stay retired: a node treats each like
+  // any unknown type.
   SsiNode node;
-  for (uint8_t retired : {5, 6, 14}) {
+  for (uint8_t retired : {5, 6, 14, 19}) {
     SCOPED_TRACE("MsgType " + std::to_string(retired));
     Bytes call;
     ByteWriter w(&call);

@@ -177,5 +177,46 @@ TEST(ScenarioCampaign, CanonicalDumpIdenticalAcrossBackends) {
   EXPECT_FALSE(loopback.empty());
 }
 
+std::vector<ScenarioSpec> AtShards(std::vector<ScenarioSpec> manifest,
+                                   size_t num_shards) {
+  for (ScenarioSpec& spec : manifest) spec.num_shards = num_shards;
+  return manifest;
+}
+
+// The full manifest holds its invariants on a sharded SSI too, where the
+// collection spreads over the shards and each query's rounds ride its home
+// shard. Outcomes may differ from one shard, but no violation may appear.
+TEST(ScenarioCampaign, DefaultManifestHasNoViolationsAcrossShards) {
+  for (size_t num_shards : {2, 4}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    CampaignResult campaign = MustRun(AtShards(DefaultManifest(), num_shards),
+                                      TransportKind::kLoopback);
+    for (const ScenarioOutcome& outcome : campaign.outcomes) {
+      EXPECT_TRUE(outcome.violations.empty())
+          << outcome.name << ": " << outcome.violations.front();
+    }
+    EXPECT_EQ(campaign.total_violations, 0u);
+    EXPECT_EQ(campaign.outcomes.size(), DefaultManifest().size());
+  }
+}
+
+// The determinism contract at two shards: byte-identical dumps across
+// thread counts and across backends.
+TEST(ScenarioCampaign, ShardedCanonicalDumpIdenticalAcrossThreadsAndBackends) {
+  std::string dumps[3];
+  const size_t kThreads[3] = {1, 2, 8};
+  for (size_t i = 0; i < 3; ++i) {
+    std::vector<ScenarioSpec> manifest = AtShards(SmokeManifest(), 2);
+    for (ScenarioSpec& spec : manifest) spec.num_threads = kThreads[i];
+    dumps[i] = MustRun(manifest, TransportKind::kLoopback).Canonical();
+  }
+  EXPECT_EQ(dumps[0], dumps[1]);
+  EXPECT_EQ(dumps[1], dumps[2]);
+  EXPECT_FALSE(dumps[0].empty());
+  EXPECT_EQ(
+      MustRun(AtShards(SmokeManifest(), 2), TransportKind::kTcp).Canonical(),
+      dumps[0]);
+}
+
 }  // namespace
 }  // namespace tcells::sim
