@@ -24,6 +24,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "net/channel.h"
@@ -79,7 +80,8 @@ class SsiNode {
     /// it acknowledged the query without one. A duplicate upload (transport
     /// retry after a lost reply) replays the bit instead of appending the
     /// contribution a second time.
-    std::map<uint64_t, std::optional<bool>> served;
+    /// Looked up, never iterated.
+    std::unordered_map<uint64_t, std::optional<bool>> served;
     /// Every accepted collection item, as the concatenation of the item
     /// encodings the uploads carried, and how many items that is.
     Bytes collected;

@@ -479,7 +479,9 @@ Result<RunOutcome> QuerySession::Complete(
   }
   metrics.aggregation_rounds =
       metrics.accountant.phase(sim::Phase::kAggregation).iterations;
-  outcome.metrics = metrics;
+  // The query's context is done with its tally: move it, do not copy the
+  // per-TDS charges.
+  outcome.metrics = std::move(metrics);
   TCELLS_ASSIGN_OR_RETURN(outcome.adversary, client_->GetAdversaryView(q.id));
   if (telemetry_.metrics != nullptr) {
     PublishEngineCounters(outcome.metrics, telemetry_.metrics);

@@ -1,5 +1,7 @@
 #include "sim/cost_accountant.h"
 
+#include <algorithm>
+
 namespace tcells::sim {
 
 const char* PhaseToString(Phase phase) {
@@ -21,11 +23,7 @@ void CostAccountant::RecordPartition(Phase phase,
   t.bytes_downloaded += bytes_in;
   t.bytes_uploaded += bytes_out;
   t.tuples_processed += tuples;
-  TdsTally& d = per_tds_[*tds_id];
-  d.bytes_in += bytes_in;
-  d.bytes_out += bytes_out;
-  d.tuples += tuples;
-  d.participations += 1;
+  charges_.push_back({*tds_id, {bytes_in, bytes_out, tuples, 1}});
 }
 
 void CostAccountant::RecordIteration(Phase phase) {
@@ -44,13 +42,35 @@ uint64_t CostAccountant::TotalBytes() const {
   return total;
 }
 
+std::vector<std::pair<uint64_t, TdsTally>> CostAccountant::per_tds() const {
+  std::vector<std::pair<uint64_t, TdsTally>> folded = charges_;
+  std::sort(folded.begin(), folded.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Merge each run of one id into its first charge.
+  size_t n = 0;
+  for (const auto& [id, c] : folded) {
+    if (n > 0 && folded[n - 1].first == id) {
+      TdsTally& d = folded[n - 1].second;
+      d.bytes_in += c.bytes_in;
+      d.bytes_out += c.bytes_out;
+      d.tuples += c.tuples;
+      d.participations += c.participations;
+    } else {
+      folded[n++] = {id, c};
+    }
+  }
+  folded.resize(n);
+  return folded;
+}
+
 double CostAccountant::AverageTdsSeconds(const DeviceModel& model) const {
-  if (per_tds_.empty()) return 0;
+  const std::vector<std::pair<uint64_t, TdsTally>> tallies = per_tds();
+  if (tallies.empty()) return 0;
   double total = 0;
-  for (const auto& [id, t] : per_tds_) {
+  for (const auto& [id, t] : tallies) {
     total += model.BusySeconds(t.bytes_in + t.bytes_out, t.tuples);
   }
-  return total / static_cast<double>(per_tds_.size());
+  return total / static_cast<double>(tallies.size());
 }
 
 }  // namespace tcells::sim

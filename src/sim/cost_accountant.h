@@ -9,8 +9,9 @@
 #define TCELLS_SIM_COST_ACCOUNTANT_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "sim/device_model.h"
 
@@ -54,20 +55,23 @@ class CostAccountant {
   const PhaseTally& phase(Phase p) const {
     return phases_[static_cast<int>(p)];
   }
-  const std::map<uint64_t, TdsTally>& per_tds() const { return per_tds_; }
+  /// Per-TDS tallies in id order, folded from the recorded charges.
+  std::vector<std::pair<uint64_t, TdsTally>> per_tds() const;
 
   /// Number of distinct TDSs that participated anywhere — P_TDS.
-  size_t DistinctTds() const { return per_tds_.size(); }
+  size_t DistinctTds() const { return per_tds().size(); }
 
   /// Total bytes through the system — Load_Q.
   uint64_t TotalBytes() const;
 
-  /// Average per-TDS busy time under `model` — T_local.
+  /// Average per-TDS busy time under `model` — T_local, summed in id order.
   double AverageTdsSeconds(const DeviceModel& model) const;
 
  private:
   PhaseTally phases_[3];
-  std::map<uint64_t, TdsTally> per_tds_;
+  /// One (TDS id, charge) per partition, in arrival order; per_tds() sorts
+  /// and merges by id, so recording is one append, not a tree insertion.
+  std::vector<std::pair<uint64_t, TdsTally>> charges_;
 };
 
 }  // namespace tcells::sim

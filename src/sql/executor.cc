@@ -72,61 +72,65 @@ std::string QueryResult::ToString() const {
   return os.str();
 }
 
-Result<std::vector<Tuple>> CombinedRows(const storage::Database& db,
-                                        const AnalyzedQuery& q) {
-  // Gather the FROM tables.
+Result<std::vector<Tuple>> CollectionTuples(const storage::Database& db,
+                                            const AnalyzedQuery& q) {
+  const std::vector<ExprPtr>& exprs =
+      q.is_aggregation ? q.collection_exprs : q.select_row_exprs;
+  std::vector<Tuple> out;
+  // WHERE, then the projection, evaluated on one combined row.
+  auto emit = [&](const Tuple& row) -> Status {
+    EvalContext ctx{&row, 0};
+    if (q.where) {
+      TCELLS_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*q.where, ctx));
+      if (!keep) return Status::OK();
+    }
+    std::vector<Value> projected;
+    projected.reserve(exprs.size());
+    for (const auto& e : exprs) {
+      TCELLS_ASSIGN_OR_RETURN(Value v, Eval(*e, ctx));
+      projected.push_back(std::move(v));
+    }
+    out.emplace_back(std::move(projected));
+    return Status::OK();
+  };
+
+  // A single-table query evaluates on the stored rows themselves.
+  if (q.from.size() == 1) {
+    TCELLS_ASSIGN_OR_RETURN(const storage::Table* t,
+                            db.GetTable(q.from[0].table));
+    for (const Tuple& row : t->rows()) TCELLS_RETURN_IF_ERROR(emit(row));
+    return out;
+  }
+  // A local join: the Cartesian product of the FROM tables, constrained by
+  // WHERE. The per-TDS tables are tiny, so nested loops are appropriate;
+  // each concatenation is materialized into one reused row.
   std::vector<const storage::Table*> tables;
   for (const auto& ref : q.from) {
     TCELLS_ASSIGN_OR_RETURN(const storage::Table* t, db.GetTable(ref.table));
     tables.push_back(t);
   }
-
-  // Cartesian product (local internal joins are constrained by WHERE). The
-  // per-TDS tables are tiny, so nested loops are appropriate.
-  std::vector<Tuple> rows;
-  std::vector<size_t> idx(tables.size(), 0);
   for (const auto* t : tables) {
-    if (t->num_rows() == 0) return rows;  // empty product
+    if (t->num_rows() == 0) return out;  // empty product
   }
+  std::vector<size_t> idx(tables.size(), 0);
+  Tuple combined;
   for (;;) {
-    Tuple combined;
+    std::vector<Value>& values = combined.mutable_values();
+    values.clear();
     for (size_t i = 0; i < tables.size(); ++i) {
-      combined = Tuple::Concat(combined, tables[i]->row(idx[i]));
+      const std::vector<Value>& part = tables[i]->row(idx[i]).values();
+      values.insert(values.end(), part.begin(), part.end());
     }
-    bool keep = true;
-    if (q.where) {
-      EvalContext ctx{&combined, 0};
-      TCELLS_ASSIGN_OR_RETURN(keep, EvalPredicate(*q.where, ctx));
-    }
-    if (keep) rows.push_back(std::move(combined));
+    TCELLS_RETURN_IF_ERROR(emit(combined));
     // Advance the odometer.
     size_t k = tables.size();
     while (k > 0) {
       --k;
       if (++idx[k] < tables[k]->num_rows()) break;
       idx[k] = 0;
-      if (k == 0) return rows;
+      if (k == 0) return out;
     }
   }
-}
-
-Result<std::vector<Tuple>> CollectionTuples(const storage::Database& db,
-                                            const AnalyzedQuery& q) {
-  TCELLS_ASSIGN_OR_RETURN(std::vector<Tuple> combined, CombinedRows(db, q));
-  const std::vector<ExprPtr>& exprs =
-      q.is_aggregation ? q.collection_exprs : q.select_row_exprs;
-  std::vector<Tuple> out;
-  out.reserve(combined.size());
-  for (const auto& row : combined) {
-    EvalContext ctx{&row, 0};
-    Tuple projected;
-    for (const auto& e : exprs) {
-      TCELLS_ASSIGN_OR_RETURN(Value v, Eval(*e, ctx));
-      projected.Append(std::move(v));
-    }
-    out.push_back(std::move(projected));
-  }
-  return out;
 }
 
 Result<QueryResult> FinalizeAggregation(const GroupedAggregation& agg,

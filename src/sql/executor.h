@@ -31,14 +31,11 @@ struct QueryResult {
   std::string ToString() const;
 };
 
-/// Cartesian product of the FROM tables filtered by WHERE — the combined rows
-/// a TDS's local data contributes to the query.
-Result<std::vector<storage::Tuple>> CombinedRows(const storage::Database& db,
-                                                 const AnalyzedQuery& q);
-
 /// Collection-phase tuples: for aggregation queries, rows of
 /// [group values..., aggregate inputs...]; for plain SFW queries, the
-/// projected SELECT rows. One entry per qualifying combined row.
+/// projected SELECT rows. One entry per combined row (Cartesian product of
+/// the FROM tables) that passes WHERE; a single-table query is evaluated on
+/// its stored rows without copying them.
 Result<std::vector<storage::Tuple>> CollectionTuples(
     const storage::Database& db, const AnalyzedQuery& q);
 

@@ -1,5 +1,8 @@
 #include "storage/schema.h"
 
+#include <mutex>
+#include <utility>
+
 #include "common/strings.h"
 
 namespace tcells::storage {
@@ -58,23 +61,25 @@ std::vector<std::string> Catalog::TableNames() const {
   return names;
 }
 
-std::string Catalog::Fingerprint() const {
-  // tables_ is an ordered map keyed by lower-cased name, so iteration order
-  // (and therefore the fingerprint) is deterministic. The separators cannot
-  // appear in identifiers, so distinct catalogs cannot collide.
-  std::string out;
-  for (const auto& [key, value] : tables_) {
-    out += key;
-    out += '(';
-    for (const auto& col : value.second.columns()) {
-      out += ToLower(col.name);
-      out += ':';
-      out += static_cast<char>('0' + static_cast<int>(col.type));
-      out += ',';
+std::shared_ptr<const Catalog> Catalog::Intern(Catalog catalog) {
+  static std::mutex mu;
+  static std::vector<std::weak_ptr<const Catalog>> pool;
+  std::lock_guard<std::mutex> lock(mu);
+  // A fleet has a handful of live shapes, so a scan beats hashing a
+  // catalog. Expired entries are dropped on the way.
+  for (size_t i = 0; i < pool.size();) {
+    std::shared_ptr<const Catalog> live = pool[i].lock();
+    if (live == nullptr) {
+      std::swap(pool[i], pool.back());
+      pool.pop_back();
+      continue;
     }
-    out += ");";
+    if (*live == catalog) return live;
+    ++i;
   }
-  return out;
+  auto interned = std::make_shared<const Catalog>(std::move(catalog));
+  pool.push_back(interned);
+  return interned;
 }
 
 }  // namespace tcells::storage

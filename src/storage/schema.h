@@ -5,6 +5,7 @@
 #define TCELLS_STORAGE_SCHEMA_H_
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -18,6 +19,9 @@ namespace tcells::storage {
 struct Column {
   std::string name;
   ValueType type = ValueType::kNull;
+
+  /// Exact: the name's case counts.
+  bool operator==(const Column& other) const = default;
 };
 
 /// Ordered column list of one table.
@@ -36,14 +40,18 @@ class Schema {
   /// Concatenation (used for local internal joins).
   static Schema Concat(const Schema& a, const Schema& b);
 
+  /// Binding equality: column names compare case-insensitively.
   bool Equals(const Schema& other) const;
+  /// Exact equality: names with their case, and column types.
+  bool operator==(const Schema& other) const = default;
 
  private:
   std::vector<Column> columns_;
 };
 
-/// Named tables -> schemas. Every TDS holds a catalog instance (same shape
-/// across the fleet); the analyzer binds queries against it.
+/// Named tables -> schemas. The analyzer binds queries against it. A
+/// Database holds its catalog interned (Catalog::Intern), so the TDSs of a
+/// fleet built on the common schema share one immutable instance.
 class Catalog {
  public:
   /// Fails if the name is already taken (case-insensitive).
@@ -53,11 +61,17 @@ class Catalog {
   bool HasTable(std::string_view name) const;
   std::vector<std::string> TableNames() const;
 
-  /// Deterministic description of every table and column: two catalogs with
-  /// equal fingerprints bind queries identically. The fleet-wide analysis
-  /// memo (sql::AnalyzeSqlShared) keys on this, so TDSs sharing the common
-  /// schema share one analysis per distinct query text.
-  std::string Fingerprint() const;
+  /// Exact equality: table and column names with their case, and column
+  /// types.
+  bool operator==(const Catalog& other) const = default;
+
+  /// The process-wide instance equal to `catalog` (operator==), created
+  /// from it if no live one exists. Two databases of the same shape thus
+  /// hold the same pointer, and the fleet-wide analysis memo
+  /// (sql::AnalyzeSqlShared) keys on that identity. Thread-safe. The pool
+  /// holds its instances weakly: a shape no database holds any more is
+  /// freed.
+  static std::shared_ptr<const Catalog> Intern(Catalog catalog);
 
  private:
   // Keyed by lower-cased name.

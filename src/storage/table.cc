@@ -37,8 +37,16 @@ Status Table::InsertAll(std::vector<Tuple> rows) {
   return Status::OK();
 }
 
+Database::Database() {
+  static const std::shared_ptr<const Catalog> empty =
+      Catalog::Intern(Catalog());
+  catalog_ = empty;
+}
+
 Status Database::CreateTable(const std::string& name, Schema schema) {
-  TCELLS_RETURN_IF_ERROR(catalog_.AddTable(name, schema));
+  Catalog next = *catalog_;
+  TCELLS_RETURN_IF_ERROR(next.AddTable(name, schema));
+  catalog_ = Catalog::Intern(std::move(next));
   tables_.push_back(std::make_unique<Table>(name, std::move(schema)));
   return Status::OK();
 }

@@ -37,19 +37,28 @@ class Table {
   std::vector<Tuple> rows_;
 };
 
-/// A set of named tables with a shared catalog — one TDS's local database, or
-/// the plaintext union database used as the test oracle.
+/// A set of named tables with an interned catalog — one TDS's local
+/// database, or the plaintext union database used as the test oracle.
 class Database {
  public:
-  /// Registers the table in the catalog and creates empty storage.
+  /// Starts with the interned empty catalog.
+  Database();
+
+  /// Interns the current catalog plus the new table (Catalog::Intern) and
+  /// creates empty storage.
   Status CreateTable(const std::string& name, Schema schema);
 
   Result<Table*> GetTable(std::string_view name);
   Result<const Table*> GetTable(std::string_view name) const;
-  const Catalog& catalog() const { return catalog_; }
+  const Catalog& catalog() const { return *catalog_; }
+  /// The interned instance itself: every database of the same shape holds
+  /// the same pointer.
+  const std::shared_ptr<const Catalog>& shared_catalog() const {
+    return catalog_;
+  }
 
  private:
-  Catalog catalog_;
+  std::shared_ptr<const Catalog> catalog_;
   // Parallel to catalog registration order; keyed by lower-case name.
   std::vector<std::unique_ptr<Table>> tables_;
 };

@@ -1,6 +1,7 @@
 #include "tds/tds.h"
 
 #include <string>
+#include <string_view>
 
 #include "crypto/hmac.h"
 
@@ -152,9 +153,10 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
   // catalog.
   TCELLS_ASSIGN_OR_RETURN(Bytes sql_bytes,
                           keys.k1_ndet().Decrypt(post.encrypted_query));
-  std::string sql(sql_bytes.begin(), sql_bytes.end());
+  const std::string_view sql(reinterpret_cast<const char*>(sql_bytes.data()),
+                             sql_bytes.size());
   TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const sql::AnalyzedQuery> query,
-                          sql::AnalyzeSqlShared(sql, db_.catalog()));
+                          sql::AnalyzeSqlShared(sql, db_.shared_catalog()));
   // Credential + policy checks (step 2). A denied querier still gets a
   // well-formed dummy built from the analyzed shape, never an error.
   const bool granted =

@@ -105,9 +105,10 @@ class TrustedDataServer {
 
   /// Collection phase (§3.2 steps 2-4 / §4 collection). Opens the post on
   /// every call: resolves the query's KeyStore, decrypts the SQL under k1,
-  /// analyzes it (sql::AnalyzeSqlShared, memoized fleet-wide, so a repeat
-  /// serve does not re-parse), verifies the credential and checks the
-  /// access policy. Returns the items to upload: true tuples (plus noise
+  /// analyzes it (sql::AnalyzeSqlShared, memoized fleet-wide on the
+  /// database's interned catalog, so a repeat serve on any same-shape TDS
+  /// neither re-parses nor builds a key), verifies the credential and checks
+  /// the access policy. Returns the items to upload: true tuples (plus noise
   /// under kDetTag) or a single dummy when the local result is empty or
   /// access was denied — a denial is answered, never reported, so the SSI
   /// cannot learn who denied. Re-serving a post repeats only deterministic

@@ -1,8 +1,16 @@
 // Tests for semantic analysis: binding, validation, collection/output
-// layouts.
+// layouts, and the fleet-wide analysis memo keyed on interned catalogs.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
+#include "crypto/keystore.h"
+#include "protocol/fleet.h"
 #include "sql/analyzer.h"
+#include "storage/table.h"
+#include "tds/access_control.h"
+#include "workload/generic.h"
 #include "workload/smart_meter.h"
 
 namespace tcells::sql {
@@ -145,6 +153,85 @@ TEST(AnalyzerTest, SizeClausePropagates) {
   auto q = AnalyzeSql("SELECT cid FROM Consumer SIZE 42", cat).ValueOrDie();
   ASSERT_TRUE(q.size.has_value());
   EXPECT_EQ(q.size->max_tuples.value(), 42u);
+}
+
+// ---------------------------------------------------------------------------
+// AnalyzeSqlShared: one analysis per (interned catalog, SQL text).
+
+storage::Database GenericDb(storage::ValueType val_type) {
+  std::vector<storage::Column> cols = workload::GenericSchema().columns();
+  cols[2].type = val_type;  // "val"
+  storage::Database db;
+  EXPECT_TRUE(db.CreateTable("T", storage::Schema(std::move(cols))).ok());
+  return db;
+}
+
+TEST(AnalyzeSqlSharedTest, SameShapeDatabasesShareOneAnalysis) {
+  const std::string sql = "SELECT grp, val FROM T WHERE cat < 4";
+  storage::Database a = GenericDb(storage::ValueType::kDouble);
+  storage::Database b = GenericDb(storage::ValueType::kDouble);
+  auto qa = AnalyzeSqlShared(sql, a.shared_catalog()).ValueOrDie();
+  auto qb = AnalyzeSqlShared(sql, b.shared_catalog()).ValueOrDie();
+  EXPECT_EQ(qa.get(), qb.get());
+  EXPECT_EQ(qa->result_schema.num_columns(), 2u);
+}
+
+TEST(AnalyzeSqlSharedTest, ColumnTypeChangeGetsItsOwnAnalysis) {
+  const std::string sql = "SELECT grp, val FROM T WHERE cat < 4";
+  storage::Database dbl = GenericDb(storage::ValueType::kDouble);
+  storage::Database i64 = GenericDb(storage::ValueType::kInt64);
+  auto qd = AnalyzeSqlShared(sql, dbl.shared_catalog()).ValueOrDie();
+  auto qi = AnalyzeSqlShared(sql, i64.shared_catalog()).ValueOrDie();
+  EXPECT_NE(qd.get(), qi.get());
+  EXPECT_EQ(qd->result_schema.column(1).type, storage::ValueType::kDouble);
+  EXPECT_EQ(qi->result_schema.column(1).type, storage::ValueType::kInt64);
+}
+
+// The catalog pool and the memo are process-wide mutable state: fleets
+// built and queried on several threads at once must still meet on one
+// catalog and one analysis. Registered under the tsan label
+// (tests/CMakeLists.txt).
+TEST(AnalyzeSqlSharedTest, ConcurrentFleetsShareCatalogAndAnalysis) {
+  constexpr size_t kThreads = 4;
+  constexpr size_t kFleet = 500;
+  const std::string sql = "SELECT grp, COUNT(*), AVG(val) FROM T GROUP BY grp";
+  auto keys = crypto::KeyStore::CreateForTest(3);
+  auto authority = std::make_shared<tds::Authority>(Bytes(16, 7));
+
+  std::vector<std::unique_ptr<protocol::Fleet>> fleets(kThreads);
+  std::vector<std::vector<const storage::Catalog*>> catalogs(kThreads);
+  std::vector<std::vector<const AnalyzedQuery*>> analyses(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      workload::GenericOptions opts;
+      opts.num_tds = kFleet;
+      opts.seed = 100 + t;
+      auto fleet = workload::BuildGenericFleet(opts, keys, authority,
+                                               tds::AccessPolicy::AllowAll());
+      if (!fleet.ok()) return;
+      fleets[t] = std::move(fleet).ValueOrDie();
+      for (size_t i = 0; i < fleets[t]->size(); ++i) {
+        const auto& catalog = fleets[t]->at(i)->db().shared_catalog();
+        catalogs[t].push_back(catalog.get());
+        auto query = AnalyzeSqlShared(sql, catalog);
+        analyses[t].push_back(query.ok() ? query.ValueOrDie().get()
+                                         : nullptr);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_NE(fleets[t], nullptr) << "thread " << t;
+    ASSERT_EQ(catalogs[t].size(), kFleet);
+    ASSERT_EQ(analyses[t].size(), kFleet);
+    for (size_t i = 0; i < kFleet; ++i) {
+      EXPECT_EQ(catalogs[t][i], catalogs[0][0]) << t << "/" << i;
+      EXPECT_EQ(analyses[t][i], analyses[0][0]) << t << "/" << i;
+    }
+  }
+  EXPECT_NE(analyses[0][0], nullptr);
 }
 
 }  // namespace

@@ -1,14 +1,18 @@
 // Tests for src/storage: Value semantics, tuple encoding, schema/catalog,
-// table type checking.
+// catalog interning, table type checking.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 
+#include "common/rng.h"
 #include "storage/schema.h"
+#include "storage/secure_store.h"
 #include "storage/table.h"
 #include "storage/tuple.h"
 #include "storage/value.h"
+#include "workload/generic.h"
+#include "workload/smart_meter.h"
 
 namespace tcells::storage {
 namespace {
@@ -235,6 +239,97 @@ TEST(DatabaseTest, CreateAndGet) {
   EXPECT_FALSE(db.GetTable("c").ok());
   EXPECT_FALSE(db.CreateTable("A", Schema()).ok());
   EXPECT_EQ(db.catalog().TableNames().size(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Catalog interning: databases of one shape share one Catalog instance.
+
+Database GenericDb() {
+  Database db;
+  EXPECT_TRUE(db.CreateTable("T", workload::GenericSchema()).ok());
+  return db;
+}
+
+/// GenericSchema with column `i` replaced by `col`.
+Schema GenericSchemaWith(size_t i, Column col) {
+  std::vector<Column> cols = workload::GenericSchema().columns();
+  cols[i] = std::move(col);
+  return Schema(std::move(cols));
+}
+
+TEST(CatalogInterningTest, SameShapeDatabasesShareOneCatalog) {
+  Database a = GenericDb();
+  Database b = GenericDb();
+  EXPECT_EQ(a.shared_catalog().get(), b.shared_catalog().get());
+  EXPECT_EQ(&a.catalog(), &b.catalog());
+  // Two empty databases share the empty catalog too.
+  EXPECT_EQ(Database().shared_catalog().get(),
+            Database().shared_catalog().get());
+}
+
+TEST(CatalogInterningTest, CreateTableLeavesTheOtherDatabaseUnchanged) {
+  Database a = GenericDb();
+  Database b = GenericDb();
+  const Catalog* shared = b.shared_catalog().get();
+  ASSERT_TRUE(a.CreateTable("U", Schema({{"x", ValueType::kInt64}})).ok());
+
+  EXPECT_NE(a.shared_catalog().get(), shared);
+  EXPECT_TRUE(a.catalog().HasTable("U"));
+  EXPECT_TRUE(a.GetTable("U").ok());
+  EXPECT_EQ(a.catalog().TableNames(), (std::vector<std::string>{"T", "U"}));
+
+  EXPECT_EQ(b.shared_catalog().get(), shared);
+  EXPECT_FALSE(b.catalog().HasTable("U"));
+  EXPECT_FALSE(b.GetTable("U").ok());
+  EXPECT_EQ(b.catalog().TableNames(), std::vector<std::string>{"T"});
+  EXPECT_TRUE(b.GetTable("T").ok());
+}
+
+TEST(CatalogInterningTest, TypeOrCaseDifferencesAreDistinctInstances) {
+  Database base = GenericDb();
+  Database retyped;
+  ASSERT_TRUE(retyped
+                  .CreateTable("T", GenericSchemaWith(
+                                        2, {"val", ValueType::kInt64}))
+                  .ok());
+  Database column_case;
+  ASSERT_TRUE(column_case
+                  .CreateTable("T", GenericSchemaWith(
+                                        1, {"GRP", ValueType::kString}))
+                  .ok());
+  Database table_case;
+  ASSERT_TRUE(table_case.CreateTable("t", workload::GenericSchema()).ok());
+
+  const Catalog* instances[] = {
+      base.shared_catalog().get(), retyped.shared_catalog().get(),
+      column_case.shared_catalog().get(), table_case.shared_catalog().get()};
+  for (size_t i = 0; i < 4; ++i) {
+    for (size_t j = i + 1; j < 4; ++j) {
+      EXPECT_NE(instances[i], instances[j]) << i << " vs " << j;
+    }
+  }
+  // Each differing catalog is itself interned: a second copy of its shape
+  // lands on it.
+  Database retyped_again;
+  ASSERT_TRUE(retyped_again
+                  .CreateTable("T", GenericSchemaWith(
+                                        2, {"val", ValueType::kInt64}))
+                  .ok());
+  EXPECT_EQ(retyped_again.shared_catalog().get(), instances[1]);
+}
+
+TEST(CatalogInterningTest, SealOpenRoundTripLandsOnTheInternedInstance) {
+  Database db;
+  workload::SmartMeterOptions opts;
+  opts.readings_per_tds = 3;
+  Rng data_rng(4);
+  ASSERT_TRUE(
+      workload::PopulateSmartMeterDb(&db, /*cid=*/1, opts, &data_rng).ok());
+  Rng rng(5);
+  const Bytes key = Rng(6).NextBytes(16);
+  auto image = SecureDatabase::Seal(db, key, &rng).ValueOrDie();
+  Database loaded = SecureDatabase::Open(image, key).ValueOrDie();
+  EXPECT_EQ(loaded.shared_catalog().get(), db.shared_catalog().get());
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // validation).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <set>
 
 #include "protocol/discovery.h"
@@ -182,6 +184,61 @@ TEST(CostAccountantTest, TalliesAndDerivedMetrics) {
 
   sim::DeviceModel dm;
   EXPECT_GT(acc.AverageTdsSeconds(dm), 0.0);
+}
+
+TEST(CostAccountantTest, FoldMatchesMapReference) {
+  // Charges arrive out of id order, span all three phases and revisit ids;
+  // some partitions were processed by no TDS.
+  struct Charge {
+    sim::Phase phase;
+    std::optional<uint64_t> tds;
+    uint64_t in, out, tuples;
+  };
+  const Charge charges[] = {
+      {sim::Phase::kCollection, 42, 0, 64, 1},
+      {sim::Phase::kCollection, 7, 0, 80, 2},
+      {sim::Phase::kCollection, 1000, 0, 48, 1},
+      {sim::Phase::kAggregation, 7, 500, 90, 12},
+      {sim::Phase::kAggregation, std::nullopt, 0, 0, 0},
+      {sim::Phase::kAggregation, 3, 250, 70, 6},
+      {sim::Phase::kFiltering, 42, 120, 33, 3},
+      {sim::Phase::kFiltering, std::nullopt, 0, 0, 0},
+      {sim::Phase::kAggregation, 1000, 310, 41, 7},
+      {sim::Phase::kCollection, 3, 0, 72, 2},
+  };
+  sim::CostAccountant acc;
+  std::map<uint64_t, sim::TdsTally> ref;
+  for (const Charge& c : charges) {
+    acc.RecordPartition(c.phase, c.tds, c.in, c.out, c.tuples);
+    if (!c.tds) continue;
+    sim::TdsTally& t = ref[*c.tds];
+    t.bytes_in += c.in;
+    t.bytes_out += c.out;
+    t.tuples += c.tuples;
+    t.participations += 1;
+  }
+
+  const auto folded = acc.per_tds();
+  ASSERT_EQ(folded.size(), ref.size());
+  auto it = ref.begin();
+  for (const auto& [id, t] : folded) {
+    EXPECT_EQ(id, it->first);
+    EXPECT_EQ(t.bytes_in, it->second.bytes_in) << id;
+    EXPECT_EQ(t.bytes_out, it->second.bytes_out) << id;
+    EXPECT_EQ(t.tuples, it->second.tuples) << id;
+    EXPECT_EQ(t.participations, it->second.participations) << id;
+    ++it;
+  }
+  EXPECT_EQ(acc.DistinctTds(), ref.size());
+
+  // T_local sums in id order, as the map reference does: bit-identical.
+  sim::DeviceModel dm;
+  double total = 0;
+  for (const auto& [id, t] : ref) {
+    total += dm.BusySeconds(t.bytes_in + t.bytes_out, t.tuples);
+  }
+  EXPECT_EQ(acc.AverageTdsSeconds(dm),
+            total / static_cast<double>(ref.size()));
 }
 
 // ---------------------------------------------------------------------------
