@@ -170,10 +170,11 @@ struct ItemRow {
 /// `n` opaque items with 64-byte blobs and one of 4 16-byte routing tags: the
 /// shape of a C_Noise collection or round partition.
 std::vector<ssi::EncryptedItem> OpaqueItems(size_t n) {
-  std::vector<ssi::EncryptedItem> items(n);
+  std::vector<ssi::EncryptedItem> items;
+  items.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    items[i].blob = Bytes(64, static_cast<uint8_t>(i));
-    items[i].routing_tag = Bytes(16, static_cast<uint8_t>(i % 4));
+    items.emplace_back(Bytes(64, static_cast<uint8_t>(i)),
+                       Bytes(16, static_cast<uint8_t>(i % 4)));
   }
   return items;
 }

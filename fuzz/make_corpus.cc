@@ -16,11 +16,13 @@
 // bit-for-bit, and wire-format changes show up as a corpus diff.
 //
 // Usage: make_corpus [OUT_DIR]   (default: fuzz/corpus)
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -111,10 +113,13 @@ void CaptureItems(CorpusWriter* w, const crypto::KeyStore& keys,
   size_t captured = 0;
   for (const EncryptedItem& item : items) {
     if (captured++ >= max_items) break;
-    w->Add("crypto", under_k1 ? 2 : 0, item.blob);
-    if (item.routing_tag) w->Add("crypto", 1, *item.routing_tag);
+    const Bytes blob(item.blob().begin(), item.blob().end());
+    w->Add("crypto", under_k1 ? 2 : 0, blob);
+    if (const auto tag = item.routing_tag()) {
+      w->Add("crypto", 1, Bytes(tag->begin(), tag->end()));
+    }
     const crypto::NDetEnc& enc = under_k1 ? keys.k1_ndet() : keys.k2_ndet();
-    Result<Bytes> plain = enc.Decrypt(item.blob);
+    Result<Bytes> plain = enc.Decrypt(blob);
     if (!plain.ok()) continue;  // Det-tagged histogram blobs etc.
     w->Add("ssi", 3, *plain);
     Result<ssi::PayloadView> view =
@@ -234,12 +239,11 @@ int Run(const std::filesystem::path& out_dir) {
     Partition collected;
     collected.items = items;
     writer.Add("ssi", 1, collected.Encode());
-    // A short item stream for the streaming decoder mode.
-    Bytes stream;
-    for (size_t i = 0; i < items.size() && i < 3; ++i) {
-      items[i].EncodeTo(&stream);
-    }
-    writer.Add("ssi", 2, stream);
+    // A short item vector for the adopt-then-free decoder mode.
+    Bytes head;
+    const size_t head_items = std::min<size_t>(3, items.size());
+    ssi::EncodeItemsTo(std::span(items).first(head_items), &head);
+    writer.Add("ssi", 2, head);
     CaptureItems(&writer, *keys, items, /*under_k1=*/false,
                  /*storage_selector=*/-1, /*max_items=*/4);
 
@@ -284,11 +288,8 @@ int Run(const std::filesystem::path& out_dir) {
 
   // ---- fuzz_net seeds: frame streams, request frames, reply envelopes ----
   {
-    ssi::EncryptedItem tagged;
-    tagged.blob = Bytes(12, 0xA1);
-    tagged.routing_tag = Bytes(4, 0x5C);
-    ssi::EncryptedItem plain;
-    plain.blob = Bytes(8, 0xB2);
+    const ssi::EncryptedItem tagged(Bytes(12, 0xA1), Bytes(4, 0x5C));
+    const ssi::EncryptedItem plain(Bytes(8, 0xB2));
     Partition partition;
     partition.items = {tagged, plain};
     Bytes partition_bytes = partition.Encode();

@@ -54,13 +54,18 @@ Result<NDetEnc> NDetEnc::Create(const Bytes& master_key) {
   return NDetEnc(aes, HmacState(mac_key));
 }
 
+void NDetEnc::EncryptInto(const uint8_t* plaintext, size_t n, Rng* rng,
+                          uint8_t* out) const {
+  rng->FillBytes(out, kIvSize);
+  CtrXor(aes_, out, plaintext, n, out + kIvSize);
+  auto tag = mac_.Mac(out, kIvSize + n);
+  std::memcpy(out + kIvSize + n, tag.data(), kTagSize);
+}
+
 void NDetEnc::Encrypt(const uint8_t* plaintext, size_t n, Rng* rng,
                       Bytes* out) const {
   out->resize(kIvSize + n + kTagSize);
-  rng->FillBytes(out->data(), kIvSize);
-  CtrXor(aes_, out->data(), plaintext, n, out->data() + kIvSize);
-  auto tag = mac_.Mac(out->data(), kIvSize + n);
-  std::memcpy(out->data() + kIvSize + n, tag.data(), kTagSize);
+  EncryptInto(plaintext, n, rng, out->data());
 }
 
 Bytes NDetEnc::Encrypt(const Bytes& plaintext, Rng* rng) const {

@@ -51,6 +51,11 @@ class NDetEnc {
   Bytes Encrypt(const Bytes& plaintext, Rng* rng) const;
   /// Same, into `out` (overwritten; capacity reused).
   void Encrypt(const uint8_t* plaintext, size_t n, Rng* rng, Bytes* out) const;
+  /// Zero-allocation form, the mirror of DecryptInto: writes exactly
+  /// `n + kOverhead` ciphertext bytes to `out` (caller-sized, e.g. the
+  /// encoding of an item vector being sealed). Draws the IV like Encrypt.
+  void EncryptInto(const uint8_t* plaintext, size_t n, Rng* rng,
+                   uint8_t* out) const;
 
   /// Decrypts and verifies the tag; Corruption on any mismatch.
   Result<Bytes> Decrypt(const Bytes& ciphertext) const;

@@ -147,11 +147,8 @@ size_t QueryKeysMemoSize() {
 
 Bytes ContributionDigest(const std::vector<ssi::EncryptedItem>& items) {
   crypto::Sha256 hasher;
-  Bytes scratch;
   for (const ssi::EncryptedItem& item : items) {
-    scratch.clear();
-    item.EncodeTo(&scratch);
-    hasher.Update(scratch);
+    hasher.Update(item.encoding().data(), item.EncodedSize());
   }
   auto digest = hasher.Finish();
   return Bytes(digest.begin(), digest.end());

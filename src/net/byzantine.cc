@@ -109,12 +109,15 @@ Result<Bytes> ByzantineProxy::Serve(const Bytes& request,
   switch (type) {
     case MsgType::kTakeCollected: {
       if (!plan_.reverse_collected) break;
-      Result<ssi::Partition> p = ssi::Partition::Decode(*body);
-      if (!p.ok() || p->items.size() < 2) break;
-      std::reverse(p->items.begin(), p->items.end());
+      Result<std::vector<ssi::EncryptedItem>> items =
+          ssi::DecodeItems(*std::move(body));
+      if (!items.ok() || items->size() < 2) break;
+      std::reverse(items->begin(), items->end());
       std::lock_guard<std::mutex> lock(mu_);
       stats_.reversed_collected += 1;
-      return EncodeReplyOk(p->Encode());
+      Bytes reversed;
+      ssi::EncodeItemsTo(*items, &reversed);
+      return EncodeReplyOk(reversed);
     }
     case MsgType::kUploadCollection: {
       if (!plan_.forge_accept_byte) break;

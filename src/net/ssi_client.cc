@@ -16,11 +16,6 @@ using ssi::QueryPost;
 
 namespace {
 
-Result<std::vector<EncryptedItem>> ItemsFromBody(const Bytes& body) {
-  ByteReader reader(body);
-  return ssi::DecodeItems(&reader);
-}
-
 void BeginRequest(Bytes* out, MsgType type) {
   ByteWriter w(out);
   w.PutU8(static_cast<uint8_t>(type));
@@ -389,7 +384,7 @@ Result<std::vector<EncryptedItem>> SsiClient::TakeCollected(
   BeginRequest(&req, MsgType::kTakeCollected);
   ByteWriter(&req).PutU64(query_id);
   TCELLS_ASSIGN_OR_RETURN(Bytes body, Call(std::move(req)));
-  return ItemsFromBody(body);
+  return ssi::DecodeItems(std::move(body));
 }
 
 Status SsiClient::StagePartition(uint64_t query_id, uint64_t token,
@@ -407,7 +402,9 @@ Result<Partition> SsiClient::FetchPartition(uint64_t query_id,
   w.PutU64(query_id);
   w.PutU64(token);
   TCELLS_ASSIGN_OR_RETURN(Bytes body, Call(std::move(req)));
-  return Partition::Decode(body);
+  Partition partition;
+  TCELLS_ASSIGN_OR_RETURN(partition.items, ssi::DecodeItems(std::move(body)));
+  return partition;
 }
 
 Status SsiClient::UploadRoundOutput(uint64_t query_id, uint64_t token,
@@ -425,7 +422,7 @@ Result<std::vector<EncryptedItem>> SsiClient::TakeRoundOutput(
   w.PutU64(query_id);
   w.PutU64(token);
   TCELLS_ASSIGN_OR_RETURN(Bytes body, Call(std::move(req)));
-  return ItemsFromBody(body);
+  return ssi::DecodeItems(std::move(body));
 }
 
 Status SsiClient::ObserveAggregation(
@@ -445,7 +442,7 @@ Result<std::vector<EncryptedItem>> SsiClient::FetchResult(uint64_t query_id) {
   BeginRequest(&req, MsgType::kFetchResult);
   ByteWriter(&req).PutU64(query_id);
   TCELLS_ASSIGN_OR_RETURN(Bytes body, Call(std::move(req)));
-  return ItemsFromBody(body);
+  return ssi::DecodeItems(std::move(body));
 }
 
 Result<ssi::AdversaryView> SsiClient::GetAdversaryView(uint64_t query_id) {

@@ -32,7 +32,10 @@ Result<sql::QueryResult> Querier::DecryptResult(
   sql::QueryResult result;
   result.schema = query.result_schema;
   for (const auto& item : items) {
-    TCELLS_ASSIGN_OR_RETURN(Bytes plain, keys_->k1_ndet().Decrypt(item.blob));
+    const std::span<const uint8_t> blob = item.blob();
+    Bytes plain;
+    TCELLS_RETURN_IF_ERROR(
+        keys_->k1_ndet().Decrypt(blob.data(), blob.size(), &plain));
     TCELLS_ASSIGN_OR_RETURN(ssi::DecodedPayload payload,
                             ssi::DecodePayload(plain));
     if (payload.kind != ssi::PayloadKind::kResultRow) {

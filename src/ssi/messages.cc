@@ -1,6 +1,7 @@
 #include "ssi/messages.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 namespace tcells::ssi {
@@ -12,46 +13,72 @@ uint8_t* PutLe32(uint8_t* p, size_t v) {
   return p;
 }
 
-uint8_t* PutField(uint8_t* p, const Bytes& field) {
+uint8_t* PutField(uint8_t* p, std::span<const uint8_t> field) {
   p = PutLe32(p, field.size());
   if (!field.empty()) std::memcpy(p, field.data(), field.size());
   return p + field.size();
 }
 
-/// Writes `item`'s encoding at `p`, which has item.EncodedSize() bytes.
-uint8_t* PutItem(uint8_t* p, const EncryptedItem& item) {
-  *p++ = item.routing_tag ? 1 : 0;
-  if (item.routing_tag) p = PutField(p, *item.routing_tag);
-  return PutField(p, item.blob);
+/// Writes the head of an item encoding — tag flag, the tag when present, the
+/// blob length — at `p` and returns where the blob goes.
+uint8_t* PutItemHead(uint8_t* p,
+                     std::optional<std::span<const uint8_t>> routing_tag,
+                     size_t blob_size) {
+  *p++ = routing_tag ? 1 : 0;
+  if (routing_tag) p = PutField(p, *routing_tag);
+  return PutLe32(p, blob_size);
 }
+
+size_t ItemEncodedSize(std::optional<std::span<const uint8_t>> routing_tag,
+                       size_t blob_size) {
+  return 5 + blob_size + (routing_tag ? 4 + routing_tag->size() : 0);
+}
+
+/// The encoding of the default item: no tag, empty blob.
+constexpr uint8_t kEmptyItem[5] = {0, 0, 0, 0, 0};
 
 }  // namespace
 
-void EncryptedItem::EncodeTo(Bytes* out) const {
-  const size_t start = out->size();
-  out->resize(start + EncodedSize());
-  PutItem(out->data() + start, *this);
+EncryptedItem::EncryptedItem()
+    : data_(std::shared_ptr<const uint8_t>(), kEmptyItem),
+      size_(sizeof(kEmptyItem)),
+      blob_offset_(kUntaggedBlobOffset) {}
+
+EncryptedItem::EncryptedItem(
+    std::span<const uint8_t> blob,
+    std::optional<std::span<const uint8_t>> routing_tag) {
+  const size_t size = ItemEncodedSize(routing_tag, blob.size());
+  auto buffer = std::make_shared_for_overwrite<uint8_t[]>(size);
+  uint8_t* p = PutItemHead(buffer.get(), routing_tag, blob.size());
+  if (!blob.empty()) std::memcpy(p, blob.data(), blob.size());
+  size_ = static_cast<uint32_t>(size);
+  blob_offset_ = static_cast<uint32_t>(p - buffer.get());
+  uint8_t* start = buffer.get();
+  data_ = std::shared_ptr<const uint8_t>(std::move(buffer), start);
 }
 
-Result<EncryptedItem> EncryptedItem::DecodeFrom(ByteReader* reader) {
-  EncryptedItem item;
-  TCELLS_ASSIGN_OR_RETURN(uint8_t has_tag, reader->GetU8());
-  if (has_tag > 1) return Status::Corruption("bad item tag flag");
-  if (has_tag) {
-    TCELLS_ASSIGN_OR_RETURN(Bytes tag, reader->GetBytes());
-    item.routing_tag = std::move(tag);
-  }
-  TCELLS_ASSIGN_OR_RETURN(item.blob, reader->GetBytes());
-  return item;
+bool operator==(const EncryptedItem& a, const EncryptedItem& b) {
+  return a.size_ == b.size_ &&
+         (a.data_.get() == b.data_.get() ||
+          std::memcmp(a.data_.get(), b.data_.get(), a.size_) == 0);
 }
 
-EncryptedItem ItemView::ToItem() const {
-  EncryptedItem item;
-  item.blob.assign(blob.begin(), blob.end());
-  if (routing_tag) {
-    item.routing_tag.emplace(routing_tag->begin(), routing_tag->end());
+Result<std::vector<EncryptedItem>> EncryptedItem::Adopt(
+    const std::shared_ptr<const void>& owner, std::span<const uint8_t> items) {
+  ByteReader reader(items.data(), items.size());
+  TCELLS_ASSIGN_OR_RETURN(ItemScanner scan, ItemScanner::Open(&reader));
+  std::vector<EncryptedItem> out;
+  out.reserve(scan.count());
+  for (uint32_t i = 0; i < scan.count(); ++i) {
+    TCELLS_ASSIGN_OR_RETURN(ItemView view, scan.Next());
+    if (view.encoding_.size() > UINT32_MAX) {
+      return Status::Corruption("item encoding exceeds 4 GiB");
+    }
+    out.push_back(EncryptedItem(
+        std::shared_ptr<const uint8_t>(owner, view.encoding_.data()),
+        static_cast<uint32_t>(view.encoding_.size()), view.blob_offset_));
   }
-  return item;
+  return out;
 }
 
 size_t EncodedItemsSize(std::span<const EncryptedItem> items) {
@@ -64,7 +91,10 @@ void EncodeItemsTo(std::span<const EncryptedItem> items, Bytes* out) {
   const size_t start = out->size();
   out->resize(start + EncodedItemsSize(items));
   uint8_t* p = PutLe32(out->data() + start, items.size());
-  for (const auto& item : items) p = PutItem(p, item);
+  for (const auto& item : items) {
+    std::memcpy(p, item.encoding().data(), item.EncodedSize());
+    p += item.EncodedSize();
+  }
 }
 
 Result<ItemScanner> ItemScanner::Open(ByteReader* reader) {
@@ -95,19 +125,22 @@ bool ItemScanner::TakeField(std::span<const uint8_t>* field) {
 Result<ItemView> ItemScanner::Next() {
   if (read_ == count_) return Status::Corruption("read past item vector");
   if (pos_ == items_.size()) return Status::Corruption("byte reader underflow");
-  ItemView view;
+  const size_t start = pos_;
   const uint8_t has_tag = items_[pos_++];
   if (has_tag > 1) return Status::Corruption("bad item tag flag");
-  if (has_tag && !TakeField(&view.routing_tag.emplace())) {
+  std::span<const uint8_t> field;
+  if (has_tag && !TakeField(&field)) {
     return Status::Corruption("byte reader underflow");
   }
-  if (!TakeField(&view.blob)) {
+  if (!TakeField(&field)) {
     return Status::Corruption("byte reader underflow");
   }
   if (++read_ == count_ && pos_ != items_.size()) {
     return Status::Corruption("trailing bytes after partition");
   }
-  return view;
+  return ItemView(
+      items_.subspan(start, pos_ - start),
+      static_cast<uint32_t>(field.data() - (items_.data() + start)));
 }
 
 Result<uint32_t> ScanItems(ByteReader* reader) {
@@ -118,15 +151,41 @@ Result<uint32_t> ScanItems(ByteReader* reader) {
   return scan.count();
 }
 
-Result<std::vector<EncryptedItem>> DecodeItems(ByteReader* reader) {
-  TCELLS_ASSIGN_OR_RETURN(ItemScanner scan, ItemScanner::Open(reader));
-  std::vector<EncryptedItem> items;
-  items.reserve(scan.count());
-  for (uint32_t i = 0; i < scan.count(); ++i) {
-    TCELLS_ASSIGN_OR_RETURN(ItemView view, scan.Next());
-    items.push_back(view.ToItem());
-  }
-  return items;
+Result<std::vector<EncryptedItem>> DecodeItems(Bytes data) {
+  auto owner = std::make_shared<const Bytes>(std::move(data));
+  return EncryptedItem::Adopt(owner, *owner);
+}
+
+ItemsBuilder::ItemsBuilder(Bytes* scratch) : scratch_(scratch) {
+  assert(scratch_->empty() && "a scratch buffer backs two live builders");
+  scratch_->resize(4);  // the count, written by Finish
+}
+
+ItemsBuilder::~ItemsBuilder() { scratch_->clear(); }
+
+void ItemsBuilder::Seal(const crypto::NDetEnc& enc,
+                        std::span<const uint8_t> plaintext,
+                        std::optional<std::span<const uint8_t>> routing_tag,
+                        Rng* rng) {
+  const size_t blob_size = plaintext.size() + crypto::NDetEnc::kOverhead;
+  const size_t start = scratch_->size();
+  scratch_->resize(start + ItemEncodedSize(routing_tag, blob_size));
+  uint8_t* blob =
+      PutItemHead(scratch_->data() + start, routing_tag, blob_size);
+  enc.EncryptInto(plaintext.data(), plaintext.size(), rng, blob);
+  count_ += 1;
+}
+
+Result<std::vector<EncryptedItem>> ItemsBuilder::Finish() {
+  PutLe32(scratch_->data(), count_);
+  const size_t size = scratch_->size();
+  std::shared_ptr<uint8_t[]> buffer =
+      std::make_shared_for_overwrite<uint8_t[]>(size);
+  std::memcpy(buffer.get(), scratch_->data(), size);
+  scratch_->resize(4);
+  count_ = 0;
+  const std::span<const uint8_t> items(buffer.get(), size);
+  return EncryptedItem::Adopt(std::move(buffer), items);
 }
 
 void QueryKeyPosting::EncodeTo(Bytes* out) const {
@@ -200,13 +259,6 @@ Bytes Partition::Encode() const {
   return out;
 }
 
-Result<Partition> Partition::Decode(const Bytes& data) {
-  ByteReader reader(data);
-  Partition partition;
-  TCELLS_ASSIGN_OR_RETURN(partition.items, DecodeItems(&reader));
-  return partition;
-}
-
 Bytes EncodePayload(PayloadKind kind, const Bytes& body, size_t pad_to) {
   return EncodePayload(kind, body.data(), body.size(), pad_to);
 }
@@ -254,31 +306,19 @@ Result<PayloadView> DecodePayloadView(const uint8_t* payload, size_t n) {
   return view;
 }
 
-Status OpenAll(const crypto::NDetEnc& enc,
-               std::span<const EncryptedItem> items,
-               std::vector<Bytes>* plains) {
-  plains->resize(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    TCELLS_RETURN_IF_ERROR(
-        enc.Decrypt(items[i].blob.data(), items[i].blob.size(),
-                    &(*plains)[i]));
-  }
-  return Status::OK();
-}
-
 Status OpenAllInto(const crypto::NDetEnc& enc,
                    std::span<const EncryptedItem> items, Arena* arena,
                    std::vector<std::span<const uint8_t>>* plains) {
   plains->clear();
   plains->reserve(items.size());
   for (const auto& item : items) {
-    if (item.blob.size() < crypto::NDetEnc::kOverhead) {
+    const std::span<const uint8_t> blob = item.blob();
+    if (blob.size() < crypto::NDetEnc::kOverhead) {
       return Status::Corruption("nDet ciphertext too short");
     }
-    const size_t plain_size = item.blob.size() - crypto::NDetEnc::kOverhead;
+    const size_t plain_size = blob.size() - crypto::NDetEnc::kOverhead;
     uint8_t* out = arena->Allocate(plain_size, 1);
-    TCELLS_RETURN_IF_ERROR(
-        enc.DecryptInto(item.blob.data(), item.blob.size(), out));
+    TCELLS_RETURN_IF_ERROR(enc.DecryptInto(blob.data(), blob.size(), out));
     plains->emplace_back(out, plain_size);
   }
   return Status::OK();

@@ -1,9 +1,10 @@
 // Wire messages exchanged through the SSI. Everything the SSI can see is in
-// these structs; everything sensitive is inside `blob` ciphertexts.
+// these types; everything sensitive is inside item blob ciphertexts.
 #ifndef TCELLS_SSI_MESSAGES_H_
 #define TCELLS_SSI_MESSAGES_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -12,57 +13,126 @@
 #include "common/arena.h"
 #include "common/bytes.h"
 #include "common/result.h"
+#include "common/rng.h"
 #include "crypto/encryption.h"
 #include "storage/tuple.h"
 
 namespace tcells::ssi {
 
+/// Where the blob starts in an untagged item's encoding: after the flag
+/// byte and the blob length. A tagged item's blob starts 4 + tag bytes later.
+inline constexpr uint32_t kUntaggedBlobOffset = 5;
+
+/// Zero-copy view of one encoded item: its encoding — u8 tag flag (0 or
+/// 1), the u32-length tag when the flag is 1, then the u32-length blob — and
+/// where the blob starts in it. The spans point into the buffer the view was
+/// read from and are valid while that buffer is unchanged. ItemScanner
+/// yields these, and EncryptedItem reads its fields through one.
+class ItemView {
+ public:
+  std::span<const uint8_t> blob() const {
+    return encoding_.subspan(blob_offset_);
+  }
+  /// The tag follows the flag and its u32 length; the blob's u32 length
+  /// follows the tag.
+  std::optional<std::span<const uint8_t>> routing_tag() const {
+    if (blob_offset_ == kUntaggedBlobOffset) return std::nullopt;
+    return encoding_.subspan(5, blob_offset_ - 9);
+  }
+  /// The whole item encoding, from the tag flag to the blob's last byte.
+  std::span<const uint8_t> encoding() const { return encoding_; }
+
+ private:
+  friend class ItemScanner;
+  friend class EncryptedItem;
+
+  ItemView(std::span<const uint8_t> encoding, uint32_t blob_offset)
+      : encoding_(encoding), blob_offset_(blob_offset) {}
+
+  std::span<const uint8_t> encoding_;
+  uint32_t blob_offset_;
+};
+
 /// An encrypted unit flowing through the SSI: a collection tuple, a partial
-/// aggregation, or a final result row. `routing_tag`, when present, is the
+/// aggregation, or a final result row. Its routing tag, when present, is the
 /// only cleartext channel a protocol deliberately exposes to the SSI for
 /// partitioning: Det_Enc(A_G) bytes (Noise protocols), h(bucketId) (ED_Hist
 /// phase 1) or Det_Enc(group) (ED_Hist phase 2). S_Agg and the basic
 /// protocol expose no tag at all.
-struct EncryptedItem {
-  Bytes blob;
-  std::optional<Bytes> routing_tag;
+///
+/// An item is a read-only handle on its own wire encoding (see ItemView)
+/// inside a buffer it shares with the other items of the vector it was
+/// sealed or received in (ItemsBuilder, DecodeItems). Copying an item bumps
+/// that buffer's reference count and copies no bytes.
+///
+/// Two rules keep the sharing sound:
+///  - Lifetime: an item keeps its whole source buffer alive (a received
+///    reply body, a sealed serve), so a single surviving item pins it.
+///  - Threads: the bytes are never written after construction, so items of
+///    one buffer may be read from any number of threads; the atomic
+///    reference count is the only state they share.
+class EncryptedItem {
+ public:
+  /// No tag and an empty blob; points at a static encoding and allocates
+  /// nothing.
+  EncryptedItem();
+  /// An item holding a copy of `blob` (and of `routing_tag`, when present)
+  /// in a buffer of its own. A present-but-empty tag stays distinct from no
+  /// tag. For tests and cold single-item paths; vectors go through
+  /// ItemsBuilder or DecodeItems.
+  explicit EncryptedItem(
+      std::span<const uint8_t> blob,
+      std::optional<std::span<const uint8_t>> routing_tag = std::nullopt);
 
+  std::span<const uint8_t> blob() const { return view().blob(); }
+  std::optional<std::span<const uint8_t>> routing_tag() const {
+    return view().routing_tag();
+  }
+  /// The item's whole wire encoding: what item vectors carry on every SSI
+  /// call and what the contribution digest hashes.
+  std::span<const uint8_t> encoding() const { return {data_.get(), size_}; }
+
+  /// Blob plus tag bytes: what the item puts on the wire beyond framing.
   size_t WireSize() const {
-    return blob.size() + (routing_tag ? routing_tag->size() : 0);
+    const auto tag = routing_tag();
+    return blob().size() + (tag ? tag->size() : 0);
   }
+  size_t EncodedSize() const { return size_; }
 
-  /// One item's wire encoding: u8 tag flag (0 or 1), the u32-length tag
-  /// when the flag is 1, then the u32-length blob. Item vectors (below)
-  /// carry it on every SSI call; the contribution digest hashes it.
-  void EncodeTo(Bytes* out) const;
-  size_t EncodedSize() const {
-    return 5 + blob.size() + (routing_tag ? 4 + routing_tag->size() : 0);
-  }
-  static Result<EncryptedItem> DecodeFrom(::tcells::ByteReader* reader);
+  /// Encoding equality. The codec is canonical, so this is field equality
+  /// (blob, tag presence, tag bytes), and integrity checks can compare items
+  /// directly instead of re-encoding and hashing.
+  friend bool operator==(const EncryptedItem& a, const EncryptedItem& b);
 
-  /// Field equality is wire equality (the codec is lossless), so integrity
-  /// checks can compare items directly instead of re-encoding and hashing.
-  friend bool operator==(const EncryptedItem& a, const EncryptedItem& b) {
-    return a.blob == b.blob && a.routing_tag == b.routing_tag;
-  }
-};
+ private:
+  friend class ItemsBuilder;
+  friend Result<std::vector<EncryptedItem>> DecodeItems(Bytes data);
 
-/// Zero-copy view of one encoded item: spans into the scanned buffer, valid
-/// while that buffer is unchanged.
-struct ItemView {
-  std::span<const uint8_t> blob;
-  std::optional<std::span<const uint8_t>> routing_tag;
+  EncryptedItem(std::shared_ptr<const uint8_t> data, uint32_t size,
+                uint32_t blob_offset)
+      : data_(std::move(data)), size_(size), blob_offset_(blob_offset) {}
+  ItemView view() const { return ItemView(encoding(), blob_offset_); }
+  /// Validates `items` (an item-vector encoding inside the buffer `owner`
+  /// keeps alive) and returns one item per encoding, each sharing `owner`.
+  static Result<std::vector<EncryptedItem>> Adopt(
+      const std::shared_ptr<const void>& owner,
+      std::span<const uint8_t> items);
 
-  EncryptedItem ToItem() const;
+  /// Aliases the source buffer's owner and points at this item's encoding.
+  std::shared_ptr<const uint8_t> data_;
+  uint32_t size_;
+  uint32_t blob_offset_;
 };
 
 // ---- Item-vector codec ----
 // An item vector is a u32 count followed by that many item encodings. It is
 // the one way items cross the SSI (net/ssi_wire.h), and ItemScanner is its
 // one reader: the SSI node validates with it without materializing an item,
-// and every decode is built on it, so the two accept exactly the same bytes.
+// and the one decode is built on it, so the two accept exactly the same
+// bytes.
 
-/// Appends the item-vector encoding of `items` to `out`, growing it once.
+/// Appends the item-vector encoding of `items` to `out`, growing it once:
+/// one memcpy per item encoding.
 void EncodeItemsTo(std::span<const EncryptedItem> items, Bytes* out);
 /// The number of bytes EncodeItemsTo appends for `items`.
 size_t EncodedItemsSize(std::span<const EncryptedItem> items);
@@ -96,8 +166,37 @@ class ItemScanner {
 /// Validates the rest of `reader` as one item vector and returns its count,
 /// materializing nothing.
 Result<uint32_t> ScanItems(::tcells::ByteReader* reader);
-/// Decodes the rest of `reader` as one item vector.
-Result<std::vector<EncryptedItem>> DecodeItems(::tcells::ByteReader* reader);
+/// Decodes `data`, which must hold exactly one item vector. The items adopt
+/// `data` as their shared buffer: one validating ItemScanner pass, no copy
+/// and no allocation per item. Every reply that carries items is decoded
+/// here.
+Result<std::vector<EncryptedItem>> DecodeItems(Bytes data);
+
+/// Seals one item vector straight into its encoding. The encodings are
+/// written into a caller-lent scratch buffer (whose capacity a warmed thread
+/// reuses across calls) and Finish() hands them out over one exact-size
+/// shared buffer, so a vector costs one buffer, not two per item. A scratch
+/// buffer must never back two live builders: a live builder keeps it
+/// non-empty, and a second one asserts that it is empty.
+class ItemsBuilder {
+ public:
+  explicit ItemsBuilder(Bytes* scratch);
+  ~ItemsBuilder();
+  ItemsBuilder(const ItemsBuilder&) = delete;
+  ItemsBuilder& operator=(const ItemsBuilder&) = delete;
+
+  /// Appends one item whose blob is nDet_Enc(`plaintext`) under `enc`, with
+  /// the IV drawn from `rng` exactly as NDetEnc::Encrypt draws it.
+  void Seal(const crypto::NDetEnc& enc, std::span<const uint8_t> plaintext,
+            std::optional<std::span<const uint8_t>> routing_tag, Rng* rng);
+  /// The items sealed so far, in order, over one new buffer. The builder
+  /// is empty afterwards and may seal a new vector.
+  Result<std::vector<EncryptedItem>> Finish();
+
+ private:
+  Bytes* scratch_;
+  uint32_t count_ = 0;
+};
 
 /// Kinds of plaintext payloads found inside an EncryptedItem blob once a TDS
 /// decrypts it. The SSI can never read this byte.
@@ -143,18 +242,11 @@ inline Result<PayloadView> DecodePayloadView(const Bytes& payload) {
   return DecodePayloadView(payload.data(), payload.size());
 }
 
-/// Batch-opens every item blob under `enc` into `plains` (resized to
-/// items.size(); each element's capacity is reused across calls, so a
-/// caller that keeps the vector alive across partitions stops allocating
-/// once the buffers have grown). Returns the first decryption failure.
-Status OpenAll(const crypto::NDetEnc& enc,
-               std::span<const EncryptedItem> items,
-               std::vector<Bytes>* plains);
-
-/// Arena-backed batch open: every plaintext lives in `arena` and `plains` is
-/// filled with views into it, so a warmed arena makes the whole open
-/// allocation-free. The views are valid until the arena's next Reset(); the
-/// caller owns that lifetime (the TDS resets once per partition).
+/// Batch open: every item blob is decrypted under `enc` into `arena` and
+/// `plains` is filled with views into it, so a warmed arena makes the whole
+/// open allocation-free. Returns the first decryption failure. The views are
+/// valid until the arena's next Reset(); the caller owns that lifetime (the
+/// TDS resets once per partition).
 Status OpenAllInto(const crypto::NDetEnc& enc,
                    std::span<const EncryptedItem> items, Arena* arena,
                    std::vector<std::span<const uint8_t>>* plains);
@@ -199,7 +291,7 @@ struct QueryPost {
 };
 
 /// A chunk of the covering result handed to one TDS. Its codec is the
-/// item-vector codec above.
+/// item-vector codec above (Encode here, DecodeItems to read it back).
 struct Partition {
   std::vector<EncryptedItem> items;
 
@@ -210,7 +302,6 @@ struct Partition {
   }
 
   Bytes Encode() const;
-  static Result<Partition> Decode(const Bytes& data);
 };
 
 }  // namespace tcells::ssi

@@ -77,14 +77,25 @@ Result<uint32_t> ObserveItems(std::span<const uint8_t> items,
   Bytes key;
   for (uint32_t i = 0; i < scan.count(); ++i) {
     TCELLS_ASSIGN_OR_RETURN(ItemView item, scan.Next());
-    if (item.routing_tag) {
-      key.assign(item.routing_tag->begin(), item.routing_tag->end());
+    if (const auto tag = item.routing_tag()) {
+      key.assign(tag->begin(), tag->end());
       (*hist)[key] += 1;
     }
-    if (blob_sizes != nullptr) blob_sizes->push_back(item.blob.size());
+    if (blob_sizes != nullptr) blob_sizes->push_back(item.blob().size());
   }
   return scan.count();
 }
+
+/// Orders tags as std::map<Bytes> does (lexicographically), and lets a
+/// span look up a Bytes key without building one.
+struct TagLess {
+  using is_transparent = void;
+  bool operator()(std::span<const uint8_t> a,
+                  std::span<const uint8_t> b) const {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
+};
 
 }  // namespace
 
@@ -119,13 +130,21 @@ std::vector<Partition> PartitionRandomly(std::vector<EncryptedItem> items,
 }
 
 Result<std::vector<Partition>> PartitionByTag(std::vector<EncryptedItem> items) {
-  std::map<Bytes, Partition> by_tag;
+  // Tags are looked up as spans into the items' buffers; a key is built only
+  // for a first-seen tag.
+  std::map<Bytes, Partition, TagLess> by_tag;
   for (auto& item : items) {
-    if (!item.routing_tag) {
+    const auto tag = item.routing_tag();
+    if (!tag) {
       return Status::InvalidArgument(
           "tag-based partitioning requires routing tags on all items");
     }
-    by_tag[*item.routing_tag].items.push_back(std::move(item));
+    auto it = by_tag.lower_bound(*tag);
+    if (it == by_tag.end() || TagLess()(*tag, it->first)) {
+      it = by_tag.emplace_hint(it, Bytes(tag->begin(), tag->end()),
+                               Partition{});
+    }
+    it->second.items.push_back(std::move(item));
   }
   std::vector<Partition> partitions;
   partitions.reserve(by_tag.size());

@@ -7,8 +7,6 @@
 
 namespace tcells::tds {
 
-using ssi::EncryptedItem;
-using ssi::Partition;
 using ssi::PayloadKind;
 using storage::Tuple;
 using storage::Value;
@@ -26,12 +24,15 @@ Bytes HashTagBytes(uint64_t h) {
 /// transient within one Process* call: the arena holds decrypted plaintexts
 /// (reset at the start of each partition), the Bytes buffers hold encodings
 /// in flight, and the tuple is the per-item decode target. Thread-local so
-/// the engine's pool threads each warm their own and never contend.
+/// the engine's pool threads each warm their own and never contend. Each
+/// Process* call runs one ItemsBuilder over `items` and calls no other
+/// Process*, so the scratch never backs two live builders.
 struct Workspace {
   Arena arena;
   std::vector<std::span<const uint8_t>> plains;
   Bytes payload;         // EncodePayloadTo target
   Bytes body;            // tuple/aggregation encoding in flight
+  Bytes items;           // the output item vector being sealed
   storage::Tuple tuple;  // per-item decode target
 };
 
@@ -72,24 +73,6 @@ Result<keys::ContributionTag> TrustedDataServer::TagContribution(
   return key_state_->Tag(query_id, keys::ContributionDigest(items));
 }
 
-ssi::EncryptedItem TrustedDataServer::SealK2(const crypto::KeyStore& keys,
-                                             const Bytes& payload,
-                                             std::optional<Bytes> tag,
-                                             Rng* rng) const {
-  return SealK2(keys, payload.data(), payload.size(), std::move(tag), rng);
-}
-
-ssi::EncryptedItem TrustedDataServer::SealK2(const crypto::KeyStore& keys,
-                                             const uint8_t* payload,
-                                             size_t payload_size,
-                                             std::optional<Bytes> tag,
-                                             Rng* rng) const {
-  EncryptedItem item;
-  keys.k2_ndet().Encrypt(payload, payload_size, rng, &item.blob);
-  item.routing_tag = std::move(tag);
-  return item;
-}
-
 Bytes TrustedDataServer::GroupKeyTagBytes(const crypto::KeyStore& keys,
                                           const Tuple& collection_tuple,
                                           size_t key_arity) const {
@@ -100,9 +83,10 @@ Bytes TrustedDataServer::GroupKeyTagBytes(const crypto::KeyStore& keys,
   return keys.k2_det().Encrypt(key.Encode());
 }
 
-Result<ssi::EncryptedItem> TrustedDataServer::MakeDummy(
-    const crypto::KeyStore& keys, const sql::AnalyzedQuery& query,
-    const CollectionConfig& config, Rng* rng) const {
+Status TrustedDataServer::SealDummy(const crypto::KeyStore& keys,
+                                    const sql::AnalyzedQuery& query,
+                                    const CollectionConfig& config, Rng* rng,
+                                    ssi::ItemsBuilder* out) const {
   // Dummy body: an all-NULL tuple of the collection arity, so its size is in
   // family with true tuples even without padding.
   Tuple dummy_tuple(std::vector<Value>(
@@ -137,7 +121,8 @@ Result<ssi::EncryptedItem> TrustedDataServer::MakeDummy(
       break;
     }
   }
-  return SealK2(keys, payload, std::move(tag), rng);
+  out->Seal(keys.k2_ndet(), payload, tag, rng);
+  return Status::OK();
 }
 
 Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
@@ -167,12 +152,14 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
   if (granted) {
     TCELLS_ASSIGN_OR_RETURN(tuples, sql::CollectionTuples(db_, *query));
   }
+  // Every item of the serve is sealed straight into one item vector.
+  auto& ws = ThreadWorkspace();
+  ssi::ItemsBuilder items(&ws.items);
   if (tuples.empty()) {
     // Empty result or denied: a single dummy (§3.2 step 4'), so the SSI
     // cannot learn the query's selectivity or the policy outcome.
-    TCELLS_ASSIGN_OR_RETURN(EncryptedItem dummy,
-                            MakeDummy(keys, *query, config, rng));
-    return std::vector<EncryptedItem>{std::move(dummy)};
+    TCELLS_RETURN_IF_ERROR(SealDummy(keys, *query, config, rng, &items));
+    return items.Finish();
   }
 
   // Everything about a fake tuple except its IV is a pure function of the
@@ -201,8 +188,6 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
     }
   }
 
-  auto& ws = ThreadWorkspace();
-  std::vector<EncryptedItem> items;
   for (const Tuple& tuple : tuples) {
     ws.body.clear();
     tuple.EncodeTo(&ws.body);
@@ -210,22 +195,19 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
                          ws.body.size(), config.pad_payload_to, &ws.payload);
     switch (config.mode) {
       case CollectionMode::kNDet:
-        items.push_back(SealK2(keys, ws.payload.data(), ws.payload.size(),
-                               std::nullopt, rng));
+        items.Seal(keys.k2_ndet(), ws.payload, std::nullopt, rng);
         break;
       case CollectionMode::kDetTag: {
-        items.push_back(SealK2(
-            keys, ws.payload.data(), ws.payload.size(),
-            GroupKeyTagBytes(keys, tuple, query->key_arity), rng));
+        items.Seal(keys.k2_ndet(), ws.payload,
+                   GroupKeyTagBytes(keys, tuple, query->key_arity), rng);
         const auto& domain = *config.noise.group_domain;
         Tuple true_key(std::vector<Value>(
             tuple.values().begin(),
             tuple.values().begin() + query->key_arity));
         // Noise tuples: identified by their payload kind, invisible to SSI.
         auto emit_fake = [&](size_t domain_index) {
-          items.push_back(SealK2(keys, fake_payloads[domain_index].data(),
-                                 fake_payloads[domain_index].size(),
-                                 fake_tags[domain_index], rng));
+          items.Seal(keys.k2_ndet(), fake_payloads[domain_index],
+                     fake_tags[domain_index], rng);
         };
         if (config.noise.complementary) {
           // C_Noise: one fake per domain value different from the true one —
@@ -252,13 +234,12 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
         uint32_t bucket = config.histogram->BucketOf(key);
         Bytes tag = HashTagBytes(crypto::KeyedHash64(
             keys.k2_hash_state(), EquiDepthHistogram::BucketIdBytes(bucket)));
-        items.push_back(SealK2(keys, ws.payload.data(), ws.payload.size(),
-                               std::move(tag), rng));
+        items.Seal(keys.k2_ndet(), ws.payload, tag, rng);
         break;
       }
     }
   }
-  return items;
+  return items.Finish();
 }
 
 Result<std::vector<ssi::EncryptedItem>>
@@ -333,19 +314,18 @@ TrustedDataServer::ProcessAggregationPartition(
         "partial aggregate exceeds TDS RAM budget");
   }
 
-  std::vector<EncryptedItem> out;
+  ssi::ItemsBuilder out(&ws.items);
   switch (tag_policy) {
     case OutputTagPolicy::kNone: {
       ws.body.clear();
       agg.EncodeTo(&ws.body);
       ssi::EncodePayloadTo(PayloadKind::kPartialAgg, ws.body.data(),
                            ws.body.size(), 0, &ws.payload);
-      out.push_back(SealK2(keys, ws.payload.data(), ws.payload.size(),
-                           std::nullopt, rng));
+      out.Seal(keys.k2_ndet(), ws.payload, std::nullopt, rng);
       break;
     }
     case OutputTagPolicy::kPreserve: {
-      if (partition.items.empty() || !partition.items[0].routing_tag) {
+      if (partition.items.empty() || !partition.items[0].routing_tag()) {
         return Status::FailedPrecondition(
             "preserve-tag output needs a tagged input partition");
       }
@@ -353,8 +333,8 @@ TrustedDataServer::ProcessAggregationPartition(
       agg.EncodeTo(&ws.body);
       ssi::EncodePayloadTo(PayloadKind::kPartialAgg, ws.body.data(),
                            ws.body.size(), 0, &ws.payload);
-      out.push_back(SealK2(keys, ws.payload.data(), ws.payload.size(),
-                           partition.items[0].routing_tag, rng));
+      out.Seal(keys.k2_ndet(), ws.payload, partition.items[0].routing_tag(),
+               rng);
       break;
     }
     case OutputTagPolicy::kPerGroupDet: {
@@ -366,13 +346,13 @@ TrustedDataServer::ProcessAggregationPartition(
         sql::GroupedAggregation::EncodeSingleRowTo(key, states, &ws.body);
         ssi::EncodePayloadTo(PayloadKind::kPartialAgg, ws.body.data(),
                              ws.body.size(), 0, &ws.payload);
-        out.push_back(SealK2(keys, ws.payload.data(), ws.payload.size(),
-                             keys.k2_det().Encrypt(key.Encode()), rng));
+        out.Seal(keys.k2_ndet(), ws.payload,
+                 keys.k2_det().Encrypt(key.Encode()), rng);
       }
       break;
     }
   }
-  return out;
+  return out.Finish();
 }
 
 Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessFiltering(
@@ -381,8 +361,8 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessFiltering(
   TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const crypto::KeyStore> keys_sp,
                           KeysForQuery(config.key_posting));
   const crypto::KeyStore& keys = *keys_sp;
-  std::vector<EncryptedItem> out;
   auto& ws = ThreadWorkspace();
+  ssi::ItemsBuilder out(&ws.items);
   ws.arena.Reset();
   TCELLS_RETURN_IF_ERROR(
       ssi::OpenAllInto(keys.k2_ndet(), partition.items, &ws.arena,
@@ -416,12 +396,9 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessFiltering(
       row.EncodeTo(&ws.body);
       ssi::EncodePayloadTo(PayloadKind::kResultRow, ws.body.data(),
                            ws.body.size(), 0, &ws.payload);
-      EncryptedItem item;
-      keys.k1_ndet().Encrypt(ws.payload.data(), ws.payload.size(), rng,
-                             &item.blob);
-      out.push_back(std::move(item));
+      out.Seal(keys.k1_ndet(), ws.payload, std::nullopt, rng);
     }
-    return out;
+    return out.Finish();
   }
 
   // Plain SFW: drop dummies, re-encrypt true tuples under k1 (step 11-12).
@@ -443,12 +420,9 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessFiltering(
     }
     ssi::EncodePayloadTo(PayloadKind::kResultRow, payload.body,
                          payload.body_size, 0, &ws.payload);
-    EncryptedItem out_item;
-    keys.k1_ndet().Encrypt(ws.payload.data(), ws.payload.size(), rng,
-                           &out_item.blob);
-    out.push_back(std::move(out_item));
+    out.Seal(keys.k1_ndet(), ws.payload, std::nullopt, rng);
   }
-  return out;
+  return out.Finish();
 }
 
 }  // namespace tcells::tds

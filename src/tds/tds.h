@@ -143,18 +143,12 @@ class TrustedDataServer {
   /// cannot reach the posting's epoch.
   Result<std::shared_ptr<const crypto::KeyStore>> KeysForQuery(
       const std::optional<ssi::QueryKeyPosting>& posting) const;
-  /// One dummy item shaped/tagged per the collection mode.
-  Result<ssi::EncryptedItem> MakeDummy(const crypto::KeyStore& keys,
-                                       const sql::AnalyzedQuery& query,
-                                       const CollectionConfig& config,
-                                       Rng* rng) const;
-  /// Encrypt payload under k2 (nDet).
-  ssi::EncryptedItem SealK2(const crypto::KeyStore& keys, const Bytes& payload,
-                            std::optional<Bytes> tag, Rng* rng) const;
-  /// Span form for sealing straight out of a scratch buffer.
-  ssi::EncryptedItem SealK2(const crypto::KeyStore& keys,
-                            const uint8_t* payload, size_t payload_size,
-                            std::optional<Bytes> tag, Rng* rng) const;
+  /// Seals one dummy item, shaped/tagged per the collection mode, under k2
+  /// into `out`.
+  Status SealDummy(const crypto::KeyStore& keys,
+                   const sql::AnalyzedQuery& query,
+                   const CollectionConfig& config, Rng* rng,
+                   ssi::ItemsBuilder* out) const;
 
   uint64_t id_;
   std::shared_ptr<const crypto::KeyStore> keys_;

@@ -651,10 +651,18 @@ TEST(SsiClientTest, FramesAndBytesAreCounted) {
 // SsiNode RPC surface: the transfer state behind the channel.
 
 ssi::EncryptedItem MakeItem(uint8_t fill, bool tagged) {
-  ssi::EncryptedItem item;
-  item.blob = Bytes(8, fill);
-  if (tagged) item.routing_tag = Bytes(4, static_cast<uint8_t>(fill ^ 0xFF));
-  return item;
+  if (!tagged) return ssi::EncryptedItem(Bytes(8, fill));
+  return ssi::EncryptedItem(Bytes(8, fill),
+                            Bytes(4, static_cast<uint8_t>(fill ^ 0xFF)));
+}
+
+Bytes BlobOf(const ssi::EncryptedItem& item) {
+  return Bytes(item.blob().begin(), item.blob().end());
+}
+
+std::optional<Bytes> TagOf(const ssi::EncryptedItem& item) {
+  if (!item.routing_tag()) return std::nullopt;
+  return Bytes(item.routing_tag()->begin(), item.routing_tag()->end());
 }
 
 /// Posts a global query with id `query_id` through `client`.
@@ -679,9 +687,9 @@ TEST(SsiNodeTest, PartitionStageFetchUploadTakeCycle) {
     auto fetched = client.FetchPartition(7, 0);
     ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
     ASSERT_EQ(fetched->items.size(), 2u);
-    EXPECT_EQ(fetched->items[0].blob, partition.items[0].blob);
-    EXPECT_EQ(fetched->items[0].routing_tag, partition.items[0].routing_tag);
-    EXPECT_EQ(fetched->items[1].routing_tag, std::nullopt);
+    EXPECT_EQ(BlobOf(fetched->items[0]), BlobOf(partition.items[0]));
+    EXPECT_EQ(TagOf(fetched->items[0]), TagOf(partition.items[0]));
+    EXPECT_EQ(TagOf(fetched->items[1]), std::nullopt);
   }
 
   std::vector<ssi::EncryptedItem> output = {MakeItem(9, false)};
@@ -689,7 +697,7 @@ TEST(SsiNodeTest, PartitionStageFetchUploadTakeCycle) {
   auto taken = client.TakeRoundOutput(7, 0);
   ASSERT_TRUE(taken.ok());
   ASSERT_EQ(taken->size(), 1u);
-  EXPECT_EQ((*taken)[0].blob, output[0].blob);
+  EXPECT_EQ(BlobOf((*taken)[0]), BlobOf(output[0]));
 
   // The token holds one exchange at a time. The upload replaced the staged
   // partition, the take is a plain read, and the next round's stage of the
@@ -796,7 +804,7 @@ TEST(SsiNodeTest, RoundOutputTakeSurvivesDuplicateDelivery) {
   auto taken = client.TakeRoundOutput(7, 0);
   ASSERT_TRUE(taken.ok()) << taken.status().ToString();  // pre-fix: NotFound
   ASSERT_EQ(taken->size(), 1u);
-  EXPECT_EQ((*taken)[0].blob, output[0].blob);
+  EXPECT_EQ(BlobOf((*taken)[0]), BlobOf(output[0]));
 }
 
 TEST(SsiNodeTest, ResultFetchIsIdempotentUntilRetire) {
@@ -814,7 +822,7 @@ TEST(SsiNodeTest, ResultFetchIsIdempotentUntilRetire) {
     auto fetched = client.FetchResult(11);
     ASSERT_TRUE(fetched.ok());
     ASSERT_EQ(fetched->size(), 2u);
-    EXPECT_EQ((*fetched)[1].routing_tag, result[1].routing_tag);
+    EXPECT_EQ(TagOf((*fetched)[1]), TagOf(result[1]));
   }
   ASSERT_TRUE(client.Retire(11).ok());
   EXPECT_TRUE(IsNotFound(client.FetchResult(11).status()));
@@ -863,8 +871,7 @@ TEST(SsiNodeTest, AdversaryViewRecordsTagHistogram) {
   ssi::QueryPost post;
   post.query_id = 1;
   ASSERT_TRUE(client.PostGlobal(post).ok());
-  ssi::EncryptedItem untagged;
-  untagged.blob = Bytes(16, 4);
+  ssi::EncryptedItem untagged(Bytes(16, 4));
   ASSERT_TRUE(client
                   .UploadCollection(1, 1,
                                     {MakeItem(1, true), MakeItem(1, true),
@@ -874,9 +881,9 @@ TEST(SsiNodeTest, AdversaryViewRecordsTagHistogram) {
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_EQ(view->collection_items, 4u);
   ASSERT_EQ(view->collection_tag_histogram.size(), 2u);
-  EXPECT_EQ(view->collection_tag_histogram.at(*MakeItem(1, true).routing_tag),
+  EXPECT_EQ(view->collection_tag_histogram.at(*TagOf(MakeItem(1, true))),
             2u);
-  EXPECT_EQ(view->collection_tag_histogram.at(*MakeItem(3, true).routing_tag),
+  EXPECT_EQ(view->collection_tag_histogram.at(*TagOf(MakeItem(3, true))),
             1u);
   ASSERT_EQ(view->collection_blob_sizes.size(), 4u);
   EXPECT_EQ(view->collection_blob_sizes[3], 16u);
@@ -995,7 +1002,7 @@ TEST(SsiNodeTest, ServesOverTcp) {
   auto fetched = client.FetchPartition(31, 2);
   ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
   ASSERT_EQ(fetched->items.size(), 1u);
-  EXPECT_EQ(fetched->items[0].blob, partition.items[0].blob);
+  EXPECT_EQ(BlobOf(fetched->items[0]), BlobOf(partition.items[0]));
   EXPECT_TRUE(IsNotFound(client.FetchPartition(31, 99).status()));
 }
 
@@ -1113,13 +1120,10 @@ TEST(SsiNodeTest, ItemVectorWireBytesArePinned) {
   });
   SsiClient client(&transport);
 
-  ssi::EncryptedItem tagged;
-  tagged.blob = MakeBytes({0x10, 0x11, 0x12});
-  tagged.routing_tag = MakeBytes({0xA0, 0xA1});
-  ssi::EncryptedItem untagged;
-  untagged.blob = MakeBytes({0x20, 0x21});
-  ssi::EncryptedItem empty_blob;
-  empty_blob.routing_tag = MakeBytes({0xC0});
+  const ssi::EncryptedItem tagged(MakeBytes({0x10, 0x11, 0x12}),
+                                  MakeBytes({0xA0, 0xA1}));
+  const ssi::EncryptedItem untagged(MakeBytes({0x20, 0x21}));
+  const ssi::EncryptedItem empty_blob(Bytes{}, MakeBytes({0xC0}));
   const std::vector<ssi::EncryptedItem> items = {tagged, untagged, empty_blob};
   ssi::Partition partition;
   partition.items = items;
@@ -1383,7 +1387,7 @@ TEST(ByzantineProxyTest, ReplayedRoundOutputIsServedOnLaterTakes) {
   // The proxy served round 1's recorded bytes instead of round 2's upload —
   // exactly what the engine's digest check must catch.
   ASSERT_EQ(take2->size(), 1u);
-  EXPECT_EQ((*take2)[0].blob, round1[0].blob);
+  EXPECT_EQ(BlobOf((*take2)[0]), BlobOf(round1[0]));
   EXPECT_EQ(proxy.stats().replayed_round_outputs, 1u);
 }
 
@@ -1713,9 +1717,9 @@ TEST(SsiClientBatchTest, BatchMixesSuccessesAndFailures) {
       client.Exchange({make_fetch(7), make_fetch(99)});
   ASSERT_EQ(replies.size(), 2u);
   ASSERT_TRUE(replies[0].ok()) << replies[0].status().ToString();
-  auto decoded = ssi::Partition::Decode(*replies[0]);
+  auto decoded = ssi::DecodeItems(*replies[0]);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->items.size(), 1u);
+  EXPECT_EQ(decoded->size(), 1u);
   EXPECT_TRUE(IsNotFound(replies[1].status()));
 }
 

@@ -98,9 +98,8 @@ class TamperWorld : public ::testing::Test {
 
   ssi::EncryptedItem GoodItem(Rng* rng) {
     Tuple t({Value::String("G00")});
-    ssi::EncryptedItem item;
-    item.blob = keys_->k2_ndet().Encrypt(
-        ssi::EncodePayload(ssi::PayloadKind::kTrueTuple, t.Encode()), rng);
+    ssi::EncryptedItem item(keys_->k2_ndet().Encrypt(
+        ssi::EncodePayload(ssi::PayloadKind::kTrueTuple, t.Encode()), rng));
     return item;
   }
 
@@ -114,8 +113,12 @@ TEST_F(TamperWorld, TamperedPartitionItemIsCorruption) {
   Rng rng(13);
   ssi::Partition partition;
   partition.items.push_back(GoodItem(&rng));
-  partition.items.push_back(GoodItem(&rng));
-  partition.items[1].blob[8] ^= 0x40;  // a "malicious SSI" flips a bit
+  // A "malicious SSI" flips a bit: items are immutable, so it serves a
+  // flipped copy in place of the good one.
+  const ssi::EncryptedItem good = GoodItem(&rng);
+  Bytes flipped(good.blob().begin(), good.blob().end());
+  flipped[8] ^= 0x40;
+  partition.items.push_back(ssi::EncryptedItem(flipped));
   auto result = server_->ProcessAggregationPartition(
       query_, partition, tds::OutputTagPolicy::kNone, {}, &rng);
   ASSERT_FALSE(result.ok());
@@ -126,9 +129,8 @@ TEST_F(TamperWorld, WrongChannelItemRejected) {
   Rng rng(14);
   // An item encrypted under k1 smuggled into a k2 partition.
   Tuple t({Value::String("G00")});
-  ssi::EncryptedItem item;
-  item.blob = keys_->k1_ndet().Encrypt(
-      ssi::EncodePayload(ssi::PayloadKind::kTrueTuple, t.Encode()), &rng);
+  ssi::EncryptedItem item(keys_->k1_ndet().Encrypt(
+      ssi::EncodePayload(ssi::PayloadKind::kTrueTuple, t.Encode()), &rng));
   ssi::Partition partition;
   partition.items.push_back(std::move(item));
   EXPECT_FALSE(server_
@@ -141,9 +143,8 @@ TEST_F(TamperWorld, WrongChannelItemRejected) {
 TEST_F(TamperWorld, ResultRowInAggregationRejected) {
   Rng rng(15);
   Tuple t({Value::String("G00")});
-  ssi::EncryptedItem item;
-  item.blob = keys_->k2_ndet().Encrypt(
-      ssi::EncodePayload(ssi::PayloadKind::kResultRow, t.Encode()), &rng);
+  ssi::EncryptedItem item(keys_->k2_ndet().Encrypt(
+      ssi::EncodePayload(ssi::PayloadKind::kResultRow, t.Encode()), &rng));
   ssi::Partition partition;
   partition.items.push_back(std::move(item));
   auto result = server_->ProcessAggregationPartition(

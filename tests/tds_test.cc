@@ -19,6 +19,15 @@ using ssi::PayloadKind;
 using storage::Tuple;
 using storage::Value;
 
+Bytes BlobOf(const EncryptedItem& item) {
+  return Bytes(item.blob().begin(), item.blob().end());
+}
+
+std::optional<Bytes> TagOf(const EncryptedItem& item) {
+  if (!item.routing_tag()) return std::nullopt;
+  return Bytes(item.routing_tag()->begin(), item.routing_tag()->end());
+}
+
 // ---------------------------------------------------------------------------
 // Authority / AccessPolicy
 
@@ -262,7 +271,7 @@ class TdsTest : public ::testing::Test {
   }
 
   ssi::DecodedPayload Open(const EncryptedItem& item) {
-    Bytes plain = keys_->k2_ndet().Decrypt(item.blob).ValueOrDie();
+    Bytes plain = keys_->k2_ndet().Decrypt(BlobOf(item)).ValueOrDie();
     return ssi::DecodePayload(plain).ValueOrDie();
   }
 
@@ -280,7 +289,7 @@ TEST_F(TdsTest, CollectionNDetEmitsTrueTuples) {
                        config, &rng_)
                    .ValueOrDie();
   ASSERT_EQ(items.size(), 1u);  // one row per TDS by default
-  EXPECT_FALSE(items[0].routing_tag.has_value());
+  EXPECT_FALSE(items[0].routing_tag().has_value());
   auto payload = Open(items[0]);
   EXPECT_EQ(payload.kind, PayloadKind::kTrueTuple);
   Tuple t = Tuple::Decode(payload.body).ValueOrDie();
@@ -348,14 +357,14 @@ TEST_F(TdsTest, DetTagModeTagsAndAddsNoise) {
   ASSERT_EQ(items.size(), 4u);  // 1 true + nf fakes
   int fakes = 0, trues = 0;
   for (const auto& item : items) {
-    ASSERT_TRUE(item.routing_tag.has_value());
+    ASSERT_TRUE(item.routing_tag().has_value());
     auto payload = Open(item);
     if (payload.kind == PayloadKind::kFakeTuple) ++fakes;
     if (payload.kind == PayloadKind::kTrueTuple) ++trues;
     // Tag must decrypt (under k2 Det) to the tuple's group key.
     Tuple inner = Tuple::Decode(payload.body).ValueOrDie();
     Bytes key_bytes =
-        keys_->k2_det().Decrypt(*item.routing_tag).ValueOrDie();
+        keys_->k2_det().Decrypt(*TagOf(item)).ValueOrDie();
     Tuple key = Tuple::Decode(key_bytes).ValueOrDie();
     EXPECT_TRUE(key.at(0).IsSameGroup(inner.at(0)));
   }
@@ -380,7 +389,7 @@ TEST_F(TdsTest, ComplementaryNoiseCoversDomain) {
   // 1 true + (nd - 1) fakes covering every other domain value: flat.
   ASSERT_EQ(items.size(), 4u);
   std::set<Bytes> tags;
-  for (const auto& item : items) tags.insert(*item.routing_tag);
+  for (const auto& item : items) tags.insert(*TagOf(item));
   EXPECT_EQ(tags.size(), 4u);
 }
 
@@ -400,8 +409,8 @@ TEST_F(TdsTest, HistTagModeUsesKeyedBucketHash) {
                        config, &rng_)
                    .ValueOrDie();
   ASSERT_EQ(items.size(), 1u);
-  ASSERT_TRUE(items[0].routing_tag.has_value());
-  EXPECT_EQ(items[0].routing_tag->size(), 8u);  // 64-bit keyed hash
+  ASSERT_TRUE(items[0].routing_tag().has_value());
+  EXPECT_EQ(items[0].routing_tag()->size(), 8u);  // 64-bit keyed hash
 }
 
 TEST_F(TdsTest, AggregationPartitionFoldsTuplesAndPartials) {
@@ -416,8 +425,7 @@ TEST_F(TdsTest, AggregationPartitionFoldsTuplesAndPartials) {
   for (int i = 0; i < 5; ++i) {
     Tuple t({Value::String("G00")});
     Bytes payload = ssi::EncodePayload(PayloadKind::kTrueTuple, t.Encode());
-    EncryptedItem item;
-    item.blob = keys_->k2_ndet().Encrypt(payload, &rng_);
+    EncryptedItem item(keys_->k2_ndet().Encrypt(payload, &rng_));
     partition.items.push_back(std::move(item));
   }
   auto out1 = server_
@@ -455,9 +463,8 @@ TEST_F(TdsTest, AggregationDropsDummiesAndFakes) {
   Tuple t({Value::String("G00")});
   for (PayloadKind kind : {PayloadKind::kTrueTuple, PayloadKind::kDummyTuple,
                            PayloadKind::kFakeTuple}) {
-    EncryptedItem item;
-    item.blob = keys_->k2_ndet().Encrypt(
-        ssi::EncodePayload(kind, t.Encode()), &rng_);
+    EncryptedItem item(keys_->k2_ndet().Encrypt(
+        ssi::EncodePayload(kind, t.Encode()), &rng_));
     partition.items.push_back(std::move(item));
   }
   auto out = server_
@@ -489,9 +496,8 @@ TEST_F(TdsTest, RamBudgetEnforced) {
   ssi::Partition partition;
   for (int g = 0; g < 500; ++g) {
     Tuple t({Value::Int64(g)});
-    EncryptedItem item;
-    item.blob = keys_->k2_ndet().Encrypt(
-        ssi::EncodePayload(PayloadKind::kTrueTuple, t.Encode()), &rng_);
+    EncryptedItem item(keys_->k2_ndet().Encrypt(
+        ssi::EncodePayload(PayloadKind::kTrueTuple, t.Encode()), &rng_));
     partition.items.push_back(std::move(item));
   }
   auto result = tiny->ProcessAggregationPartition(
@@ -516,16 +522,15 @@ TEST_F(TdsTest, FilteringAppliesHavingAndEncryptsUnderK1) {
   Bytes body;
   agg.EncodeTo(&body);
   ssi::Partition partition;
-  EncryptedItem item;
-  item.blob = keys_->k2_ndet().Encrypt(
-      ssi::EncodePayload(PayloadKind::kPartialAgg, body), &rng_);
+  EncryptedItem item(keys_->k2_ndet().Encrypt(
+      ssi::EncodePayload(PayloadKind::kPartialAgg, body), &rng_));
   partition.items.push_back(std::move(item));
 
   auto out = server_->ProcessFiltering(query, partition, &rng_).ValueOrDie();
   ASSERT_EQ(out.size(), 1u);  // G01 filtered out by HAVING
   // The result decrypts under k1, not k2.
-  EXPECT_FALSE(keys_->k2_ndet().Decrypt(out[0].blob).ok());
-  Bytes plain = keys_->k1_ndet().Decrypt(out[0].blob).ValueOrDie();
+  EXPECT_FALSE(keys_->k2_ndet().Decrypt(BlobOf(out[0])).ok());
+  Bytes plain = keys_->k1_ndet().Decrypt(BlobOf(out[0])).ValueOrDie();
   auto payload = ssi::DecodePayload(plain).ValueOrDie();
   EXPECT_EQ(payload.kind, PayloadKind::kResultRow);
   Tuple row = Tuple::Decode(payload.body).ValueOrDie();
@@ -540,14 +545,13 @@ TEST_F(TdsTest, FilteringSfwDropsDummies) {
   Tuple t({Value::String("G02")});
   for (PayloadKind kind :
        {PayloadKind::kTrueTuple, PayloadKind::kDummyTuple}) {
-    EncryptedItem item;
-    item.blob = keys_->k2_ndet().Encrypt(
-        ssi::EncodePayload(kind, t.Encode()), &rng_);
+    EncryptedItem item(keys_->k2_ndet().Encrypt(
+        ssi::EncodePayload(kind, t.Encode()), &rng_));
     partition.items.push_back(std::move(item));
   }
   auto out = server_->ProcessFiltering(query, partition, &rng_).ValueOrDie();
   ASSERT_EQ(out.size(), 1u);
-  Bytes plain = keys_->k1_ndet().Decrypt(out[0].blob).ValueOrDie();
+  Bytes plain = keys_->k1_ndet().Decrypt(BlobOf(out[0])).ValueOrDie();
   auto payload = ssi::DecodePayload(plain).ValueOrDie();
   EXPECT_EQ(Tuple::Decode(payload.body).ValueOrDie().at(0).AsString(), "G02");
 }
@@ -589,9 +593,8 @@ TEST_F(TdsTest, PerGroupDetTagsOutput) {
   ssi::Partition partition;
   for (const char* g : {"G00", "G00", "G01", "G02"}) {
     Tuple t({Value::String(g)});
-    EncryptedItem item;
-    item.blob = keys_->k2_ndet().Encrypt(
-        ssi::EncodePayload(PayloadKind::kTrueTuple, t.Encode()), &rng_);
+    EncryptedItem item(keys_->k2_ndet().Encrypt(
+        ssi::EncodePayload(PayloadKind::kTrueTuple, t.Encode()), &rng_));
     partition.items.push_back(std::move(item));
   }
   auto out = server_
@@ -602,10 +605,10 @@ TEST_F(TdsTest, PerGroupDetTagsOutput) {
   ASSERT_EQ(out.size(), 3u);  // three distinct groups
   std::set<Bytes> tags;
   for (const auto& item : out) {
-    ASSERT_TRUE(item.routing_tag.has_value());
-    tags.insert(*item.routing_tag);
+    ASSERT_TRUE(item.routing_tag().has_value());
+    tags.insert(*TagOf(item));
     // Tag decrypts to the single group key of the partial inside.
-    Bytes key_bytes = keys_->k2_det().Decrypt(*item.routing_tag).ValueOrDie();
+    Bytes key_bytes = keys_->k2_det().Decrypt(*TagOf(item)).ValueOrDie();
     Tuple key = Tuple::Decode(key_bytes).ValueOrDie();
     auto payload = Open(item);
     auto agg = sql::GroupedAggregation::Decode(query.agg_specs, payload.body)
@@ -632,8 +635,8 @@ TEST_F(TdsTest, ReServingAPostIsIdentical) {
   ASSERT_EQ(first.size(), 1u);
   ASSERT_EQ(again.size(), first.size());
   for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(again[i].blob, first[i].blob);
-    EXPECT_EQ(again[i].routing_tag, first[i].routing_tag);
+    EXPECT_EQ(BlobOf(again[i]), BlobOf(first[i]));
+    EXPECT_EQ(TagOf(again[i]), TagOf(first[i]));
   }
 }
 
