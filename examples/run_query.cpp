@@ -199,8 +199,8 @@ int main(int argc, char** argv) {
               engine.fleet().size(), protocol->name(),
               outcome->result.ToString().c_str());
 
-  auto oracle = protocol::ExecuteReference(engine.fleet(), sql);
-  bool match = oracle.ok() && outcome->result.SameRows(*oracle);
+  const bool match =
+      protocol::MatchesReference(engine.fleet(), sql, outcome->result);
   std::printf("matches plaintext oracle: %s\n", match ? "yes" : "NO");
 
   const auto& m = outcome->metrics;

@@ -44,4 +44,15 @@ Result<sql::QueryResult> ExecuteReference(const Fleet& fleet,
   return result;
 }
 
+bool MatchesReference(const Fleet& fleet, const std::string& sql,
+                      const sql::QueryResult& result) {
+  Result<sql::QueryResult> oracle = ExecuteReference(fleet, sql);
+  if (!oracle.ok()) return false;
+  // The oracle analyzed this text against this catalog, so this cannot fail.
+  const sql::AnalyzedQuery query =
+      sql::AnalyzeSql(sql, fleet.at(0)->db().catalog()).ValueOrDie();
+  return query.sort_keys.empty() ? result.SameRows(*oracle)
+                                 : result.SameRowsInOrder(*oracle);
+}
+
 }  // namespace tcells::protocol

@@ -18,6 +18,12 @@ namespace tcells::protocol {
 Result<sql::QueryResult> ExecuteReference(const Fleet& fleet,
                                           const std::string& sql);
 
+/// The oracle check of a protocol's `result` for `sql`: ExecuteReference's
+/// rows in the same order when the query has ORDER BY (its order is part of
+/// the answer), the same multiset otherwise. False when the oracle fails.
+bool MatchesReference(const Fleet& fleet, const std::string& sql,
+                      const sql::QueryResult& result);
+
 }  // namespace tcells::protocol
 
 #endif  // TCELLS_PROTOCOL_REFERENCE_H_

@@ -55,6 +55,15 @@ bool QueryResult::SameRows(const QueryResult& other, double rel_tol) const {
   return true;
 }
 
+bool QueryResult::SameRowsInOrder(const QueryResult& other,
+                                  double rel_tol) const {
+  if (rows.size() != other.rows.size()) return false;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!RowsClose(rows[i], other.rows[i], rel_tol)) return false;
+  }
+  return true;
+}
+
 std::string QueryResult::ToString() const {
   std::ostringstream os;
   for (size_t i = 0; i < schema.num_columns(); ++i) {
@@ -171,17 +180,32 @@ Status ApplyOrderAndLimit(const AnalyzedQuery& q, QueryResult* result) {
     result->rows = std::move(unique);
   }
   if (!q.sort_keys.empty()) {
+    // Rows that tie on every sort key are ordered by the full row, column by
+    // column ascending: a total order, so LIMIT keeps the same rows whatever
+    // order the TDSs answered in.
     Status sort_status = Status::OK();
+    auto compare = [&](const Value& a, const Value& b, int* out) {
+      auto cmp = a.Compare(b);
+      if (!cmp.ok()) {
+        if (sort_status.ok()) sort_status = cmp.status();
+        return false;
+      }
+      *out = *cmp;
+      return true;
+    };
     std::stable_sort(
         result->rows.begin(), result->rows.end(),
         [&](const Tuple& a, const Tuple& b) {
+          int cmp = 0;
           for (const auto& key : q.sort_keys) {
-            auto cmp = a.at(key.column).Compare(b.at(key.column));
-            if (!cmp.ok()) {
-              if (sort_status.ok()) sort_status = cmp.status();
+            if (!compare(a.at(key.column), b.at(key.column), &cmp)) {
               return false;
             }
-            if (*cmp != 0) return key.descending ? *cmp > 0 : *cmp < 0;
+            if (cmp != 0) return key.descending ? cmp > 0 : cmp < 0;
+          }
+          for (size_t i = 0; i < a.size(); ++i) {
+            if (!compare(a.at(i), b.at(i), &cmp)) return false;
+            if (cmp != 0) return cmp < 0;
           }
           return false;
         });

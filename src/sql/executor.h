@@ -26,6 +26,9 @@ struct QueryResult {
   /// order). Doubles are compared with a small relative tolerance because
   /// distributed AVG/SUM merge in a different order than local execution.
   bool SameRows(const QueryResult& other, double rel_tol = 1e-9) const;
+  /// Row-for-row equality in order, with SameRows' tolerance: the check for
+  /// a query with ORDER BY, whose row order is part of its answer.
+  bool SameRowsInOrder(const QueryResult& other, double rel_tol = 1e-9) const;
 
   /// Pretty table rendering for examples and debugging.
   std::string ToString() const;
@@ -47,7 +50,9 @@ Result<QueryResult> FinalizeAggregation(const GroupedAggregation& agg,
 
 /// Sorts and truncates `result` per the query's ORDER BY / LIMIT. Called by
 /// the querier after decryption (and by the oracle); a no-op when the query
-/// has neither clause.
+/// has neither clause. Rows that tie on every ORDER BY key are ordered by the
+/// full row, so the order (and the rows LIMIT keeps) does not depend on the
+/// order the rows arrived in.
 Status ApplyOrderAndLimit(const AnalyzedQuery& q, QueryResult* result);
 
 /// Runs the entire query locally (the trusted oracle path).

@@ -1,5 +1,6 @@
 #include "tds/tds.h"
 
+#include <algorithm>
 #include <string>
 #include <string_view>
 
@@ -34,6 +35,9 @@ struct Workspace {
   Bytes body;            // tuple/aggregation encoding in flight
   Bytes items;           // the output item vector being sealed
   storage::Tuple tuple;  // per-item decode target
+  storage::Tuple key;    // a true tuple's group key (Det-tag collection)
+  Bytes key_bytes;       // its encoding
+  Bytes tag;             // its Det tag
 };
 
 Workspace& ThreadWorkspace() {
@@ -73,19 +77,10 @@ Result<keys::ContributionTag> TrustedDataServer::TagContribution(
   return key_state_->Tag(query_id, keys::ContributionDigest(items));
 }
 
-Bytes TrustedDataServer::GroupKeyTagBytes(const crypto::KeyStore& keys,
-                                          const Tuple& collection_tuple,
-                                          size_t key_arity) const {
-  Tuple key(std::vector<Value>(collection_tuple.values().begin(),
-                               collection_tuple.values().begin() +
-                                   std::min(key_arity,
-                                            collection_tuple.size())));
-  return keys.k2_det().Encrypt(key.Encode());
-}
-
 Status TrustedDataServer::SealDummy(const crypto::KeyStore& keys,
                                     const sql::AnalyzedQuery& query,
-                                    const CollectionConfig& config, Rng* rng,
+                                    const CollectionConfig& config,
+                                    const FakeTemplates* fakes, Rng* rng,
                                     ssi::ItemsBuilder* out) const {
   // Dummy body: an all-NULL tuple of the collection arity, so its size is in
   // family with true tuples even without padding.
@@ -98,17 +93,10 @@ Status TrustedDataServer::SealDummy(const crypto::KeyStore& keys,
   switch (config.mode) {
     case CollectionMode::kNDet:
       break;
-    case CollectionMode::kDetTag: {
+    case CollectionMode::kDetTag:
       // Tag with a random domain key so the dummy blends into a real group.
-      if (!config.noise.group_domain || config.noise.group_domain->empty()) {
-        return Status::FailedPrecondition(
-            "Det-tag collection requires a group domain");
-      }
-      const auto& domain = *config.noise.group_domain;
-      const Tuple& key = domain[rng->NextBelow(domain.size())];
-      tag = keys.k2_det().Encrypt(key.Encode());
+      tag = fakes->tags[rng->NextBelow(fakes->tags.size())];
       break;
-    }
     case CollectionMode::kHistTag: {
       if (!config.histogram || config.histogram->num_buckets() == 0) {
         return Status::FailedPrecondition(
@@ -152,40 +140,24 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
   if (granted) {
     TCELLS_ASSIGN_OR_RETURN(tuples, sql::CollectionTuples(db_, *query));
   }
+  // Everything about a fake tuple except its IV is a pure function of the
+  // query, the domain value, the padding and k2: the fleet shares one set of
+  // fake payloads and Det tags per (query, key set), and a serve only seals.
+  std::shared_ptr<const FakeTemplates> fakes;
+  if (config.mode == CollectionMode::kDetTag) {
+    TCELLS_ASSIGN_OR_RETURN(
+        fakes, FakeTemplatesShared(query, keys_sp, config.noise.group_domain,
+                                   config.pad_payload_to));
+  }
   // Every item of the serve is sealed straight into one item vector.
   auto& ws = ThreadWorkspace();
   ssi::ItemsBuilder items(&ws.items);
   if (tuples.empty()) {
     // Empty result or denied: a single dummy (§3.2 step 4'), so the SSI
     // cannot learn the query's selectivity or the policy outcome.
-    TCELLS_RETURN_IF_ERROR(SealDummy(keys, *query, config, rng, &items));
+    TCELLS_RETURN_IF_ERROR(
+        SealDummy(keys, *query, config, fakes.get(), rng, &items));
     return items.Finish();
-  }
-
-  // Everything about a fake tuple except its IV is a pure function of the
-  // domain value, so the fake payloads and Det tags are computed once per
-  // call instead of once per (true tuple, fake) pair — under C_Noise that is
-  // the difference between O(n) and O(n * |domain|) encode/Det-encrypt work.
-  std::vector<Bytes> fake_payloads;
-  std::vector<Bytes> fake_tags;
-  if (config.mode == CollectionMode::kDetTag) {
-    if (!config.noise.group_domain || config.noise.group_domain->empty()) {
-      return Status::FailedPrecondition(
-          "Det-tag collection requires a group domain");
-    }
-    const auto& domain = *config.noise.group_domain;
-    fake_payloads.reserve(domain.size());
-    fake_tags.reserve(domain.size());
-    for (const Tuple& fake_key : domain) {
-      Tuple fake = fake_key;
-      for (size_t i = query->key_arity;
-           i < query->collection_schema.num_columns(); ++i) {
-        fake.Append(Value::Null());
-      }
-      fake_payloads.push_back(ssi::EncodePayload(
-          PayloadKind::kFakeTuple, fake.Encode(), config.pad_payload_to));
-      fake_tags.push_back(keys.k2_det().Encrypt(fake_key.Encode()));
-    }
   }
 
   for (const Tuple& tuple : tuples) {
@@ -198,22 +170,26 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
         items.Seal(keys.k2_ndet(), ws.payload, std::nullopt, rng);
         break;
       case CollectionMode::kDetTag: {
-        items.Seal(keys.k2_ndet(), ws.payload,
-                   GroupKeyTagBytes(keys, tuple, query->key_arity), rng);
+        // The true tuple's group key and its Det tag, in the workspace.
+        const auto first = tuple.values().begin();
+        ws.key.mutable_values().assign(
+            first, first + std::min(query->key_arity, tuple.size()));
+        ws.key_bytes.clear();
+        ws.key.EncodeTo(&ws.key_bytes);
+        keys.k2_det().Encrypt(ws.key_bytes.data(), ws.key_bytes.size(),
+                              &ws.tag);
+        items.Seal(keys.k2_ndet(), ws.payload, ws.tag, rng);
         const auto& domain = *config.noise.group_domain;
-        Tuple true_key(std::vector<Value>(
-            tuple.values().begin(),
-            tuple.values().begin() + query->key_arity));
         // Noise tuples: identified by their payload kind, invisible to SSI.
         auto emit_fake = [&](size_t domain_index) {
-          items.Seal(keys.k2_ndet(), fake_payloads[domain_index],
-                     fake_tags[domain_index], rng);
+          items.Seal(keys.k2_ndet(), fakes->payloads[domain_index],
+                     fakes->tags[domain_index], rng);
         };
         if (config.noise.complementary) {
           // C_Noise: one fake per domain value different from the true one —
           // the mixed distribution is flat by construction (§4.3).
           for (size_t d = 0; d < domain.size(); ++d) {
-            if (!domain[d].IsSameGroup(true_key)) emit_fake(d);
+            if (!domain[d].IsSameGroup(ws.key)) emit_fake(d);
           }
         } else {
           // Rnf_Noise: nf random fakes per true tuple.

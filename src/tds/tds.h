@@ -40,6 +40,7 @@
 #include "storage/table.h"
 #include "tds/access_control.h"
 #include "tds/config.h"
+#include "tds/fake_templates.h"
 #include "tds/leak_log.h"
 
 namespace tcells::tds {
@@ -109,9 +110,10 @@ class TrustedDataServer {
   /// database's interned catalog, so a repeat serve on any same-shape TDS
   /// neither re-parses nor builds a key), verifies the credential and checks
   /// the access policy. Returns the items to upload: true tuples (plus noise
-  /// under kDetTag) or a single dummy when the local result is empty or
-  /// access was denied — a denial is answered, never reported, so the SSI
-  /// cannot learn who denied. Re-serving a post repeats only deterministic
+  /// under kDetTag, sealed from the fleet-shared FakeTemplatesShared, so a
+  /// serve builds no fake payload or fake tag of its own) or a single dummy
+  /// when the local result is empty or access was denied — a denial is
+  /// answered, never reported, so the SSI cannot learn who denied. Re-serving a post repeats only deterministic
   /// work; with equal rng states it yields byte-identical items.
   Result<std::vector<ssi::EncryptedItem>> ProcessCollection(
       const ssi::QueryPost& post, const CollectionConfig& config, Rng* rng);
@@ -131,11 +133,6 @@ class TrustedDataServer {
       const sql::AnalyzedQuery& query, const ssi::Partition& partition,
       Rng* rng, const CollectionConfig& config = {});
 
-  /// Encodes the canonical group-key bytes used for Det tags.
-  Bytes GroupKeyTagBytes(const crypto::KeyStore& keys,
-                         const storage::Tuple& collection_tuple,
-                         size_t key_arity) const;
-
  private:
   /// The KeyStore a query runs under: the static provisioned store when
   /// `posting` is absent, the per-query session store derived through the
@@ -144,11 +141,12 @@ class TrustedDataServer {
   Result<std::shared_ptr<const crypto::KeyStore>> KeysForQuery(
       const std::optional<ssi::QueryKeyPosting>& posting) const;
   /// Seals one dummy item, shaped/tagged per the collection mode, under k2
-  /// into `out`.
+  /// into `out`. Under kDetTag its tag is a random domain value's, taken
+  /// from `fakes`.
   Status SealDummy(const crypto::KeyStore& keys,
                    const sql::AnalyzedQuery& query,
-                   const CollectionConfig& config, Rng* rng,
-                   ssi::ItemsBuilder* out) const;
+                   const CollectionConfig& config, const FakeTemplates* fakes,
+                   Rng* rng, ssi::ItemsBuilder* out) const;
 
   uint64_t id_;
   std::shared_ptr<const crypto::KeyStore> keys_;

@@ -209,6 +209,45 @@ TEST_F(AllocRegressionTest, SteadyStateCollectionTickIsBounded) {
                            "on the memo-hit path";
 }
 
+TEST_F(AllocRegressionTest, SteadyStateCNoiseServeOnlySeals) {
+  // A cnoise_g32 serve: one 4-row TDS over a 32-value domain seals its 4
+  // true tuples and 4 x 31 fakes. The fake payloads and Det tags come from
+  // the fleet-shared templates, and the true tuples' group keys and tags are
+  // built in the thread workspace, so a memo-hit serve allocates a fixed
+  // handful, not per item.
+  TrustedDataServer server(/*id=*/1, keys_, authority_,
+                           AccessPolicy::AllowAll());
+  workload::GenericOptions opts;
+  opts.num_groups = 32;
+  opts.rows_per_tds = 4;
+  Rng data_rng(9);
+  ASSERT_TRUE(
+      workload::PopulateGenericDb(&server.db(), 1, opts, &data_rng).ok());
+  auto domain = std::make_shared<std::vector<Tuple>>();
+  for (size_t g = 0; g < opts.num_groups; ++g) {
+    domain->push_back(Tuple({Value::String(workload::GroupName(g))}));
+  }
+  CollectionConfig config;
+  config.mode = CollectionMode::kDetTag;
+  config.noise.complementary = true;
+  config.noise.group_domain = domain;
+  auto post = Post("SELECT grp, COUNT(*), SUM(cat), AVG(val) FROM T "
+                   "GROUP BY grp");
+  // Warm-up fills the analysis and template memos and the thread workspace.
+  ASSERT_TRUE(server.ProcessCollection(post, config, &rng_).ok());
+
+  // The bound is the exact count: 526 while every serve rebuilt the 32 fake
+  // payloads and tags and allocated each true tuple's key and tag, 12 with
+  // the templates shared and the keys in the workspace.
+  const uint64_t allocs = CountAllocs([&] {
+    auto out = server.ProcessCollection(post, config, &rng_);
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out.ValueOrDie().size(), 4u * 32u);
+  });
+  EXPECT_LE(allocs, 12u) << "a C_Noise serve builds fakes or keys again: "
+                        << allocs;
+}
+
 TEST(QueryStateTest, PerQueryHeapStateIsFlat) {
   // A query leaves nothing behind once it completes: not in the TDSs (which
   // keep no per-query state), not in the SSI stack, not in the engine. Live

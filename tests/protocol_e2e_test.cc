@@ -125,7 +125,8 @@ TEST_P(ProtocolOracleTest, MatchesPlaintextOracle) {
 
   auto outcome = w.engine->Run(*protocol, *w.querier, 1, c.sql).ValueOrDie();
   auto expected = ExecuteReference(*w.fleet, c.sql).ValueOrDie();
-  EXPECT_TRUE(outcome.result.SameRows(expected))
+  // In order when the query has ORDER BY.
+  EXPECT_TRUE(MatchesReference(*w.fleet, c.sql, outcome.result))
       << "protocol:\n" << outcome.result.ToString()
       << "oracle:\n" << expected.ToString();
   EXPECT_FALSE(expected.rows.empty());
@@ -147,6 +148,10 @@ constexpr E2eCase kAggCases[] = {
     {"multikey",
      "SELECT grp, cat, COUNT(*), AVG(val) FROM T GROUP BY grp, cat"},
     {"variance", "SELECT grp, VARIANCE(val) FROM T GROUP BY grp"},
+    // Rows tie on the ORDER BY key; LIMIT cuts inside a tie.
+    {"order_limit",
+     "SELECT grp, cat, COUNT(*) FROM T GROUP BY grp, cat ORDER BY grp "
+     "DESC LIMIT 4"},
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -179,6 +184,31 @@ TEST(BasicSfwTest, MatchesOracleAndDropsDummies) {
   EXPECT_EQ(outcome.adversary.collection_items, w.fleet->size());
   EXPECT_EQ(outcome.result.rows.size(), expected.rows.size());
   EXPECT_LT(outcome.result.rows.size(), w.fleet->size());
+}
+
+TEST(BasicSfwTest, OrderByTiesKeepTheOraclesRowsUnderLimit) {
+  // Many rows tie on grp. Ties break on the full row, so LIMIT keeps the
+  // rows the oracle keeps, in its order, whichever TDSs answered first.
+  // Before, a stable sort kept arrival order inside a tie, and the
+  // protocol's LIMIT kept other (SQL-valid) rows than the oracle's.
+  workload::GenericOptions gopts;
+  gopts.num_tds = 200;
+  gopts.num_groups = 5;
+  gopts.group_skew = 1.2;
+  // run_query's engine defaults and query id: at these, the serve order
+  // differs from the fleet order inside the first tie.
+  Engine::Config cfg;
+  cfg.options.expected_groups = gopts.num_groups;
+  TestWorld w = TestWorld::Generic(gopts, cfg);
+  BasicSfwProtocol protocol;
+  const std::string sql =
+      "SELECT grp, cat FROM T WHERE cat < 2 ORDER BY grp LIMIT 5";
+  auto outcome = w.engine->Run(protocol, *w.querier, 2, sql).ValueOrDie();
+  auto expected = ExecuteReference(*w.fleet, sql).ValueOrDie();
+  ASSERT_EQ(expected.rows.size(), 5u);
+  EXPECT_TRUE(outcome.result.SameRowsInOrder(expected))
+      << "protocol:\n" << outcome.result.ToString()
+      << "oracle:\n" << expected.ToString();
 }
 
 TEST(BasicSfwTest, RejectsAggregationQuery) {

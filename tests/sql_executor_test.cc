@@ -1,6 +1,8 @@
 // Tests for local query execution (the per-TDS path and the oracle).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sql/executor.h"
 #include "storage/table.h"
 
@@ -145,11 +147,35 @@ TEST_F(ExecutorTest, SameRowsComparator) {
   auto b = a;
   std::reverse(b.rows.begin(), b.rows.end());
   EXPECT_TRUE(a.SameRows(b));  // order-insensitive
+  EXPECT_FALSE(a.SameRowsInOrder(b));
+  EXPECT_TRUE(a.SameRowsInOrder(a));
   b.rows.pop_back();
   EXPECT_FALSE(a.SameRows(b));
   auto c = Run("SELECT cid FROM Consumer");
   c.rows[0] = Tuple({Value::Int64(999)});
   EXPECT_FALSE(a.SameRows(c));
+}
+
+TEST_F(ExecutorTest, OrderByTiesBreakOnTheFullRow) {
+  // Two consumers per district tie on the ORDER BY key. In whichever order
+  // the rows arrive, ties sort by the full row, so LIMIT keeps the same rows
+  // in the same order.
+  auto q = AnalyzeSql(
+               "SELECT district, cid FROM Consumer ORDER BY district DESC "
+               "LIMIT 3",
+               db_.catalog())
+               .ValueOrDie();
+  QueryResult in_order, reversed;
+  in_order.rows = CollectionTuples(db_, q).ValueOrDie();
+  reversed.rows = in_order.rows;
+  std::reverse(reversed.rows.begin(), reversed.rows.end());
+  ASSERT_TRUE(ApplyOrderAndLimit(q, &in_order).ok());
+  ASSERT_TRUE(ApplyOrderAndLimit(q, &reversed).ok());
+  ASSERT_EQ(in_order.rows.size(), 3u);
+  EXPECT_EQ(in_order.rows[0].at(1).AsInt64(), 2);
+  EXPECT_EQ(in_order.rows[1].at(1).AsInt64(), 3);
+  EXPECT_EQ(in_order.rows[2].at(1).AsInt64(), 0);
+  EXPECT_TRUE(reversed.SameRowsInOrder(in_order));
 }
 
 TEST_F(ExecutorTest, SameRowsToleratesFloatJitter) {

@@ -2,11 +2,16 @@
 // (including dummy and noise behaviour), aggregation and filtering steps.
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <set>
+#include <thread>
 
 #include "crypto/keystore.h"
+#include "keys/key_authority.h"
+#include "keys/tds_keys.h"
 #include "ssi/ssi.h"
 #include "tds/access_control.h"
+#include "tds/fake_templates.h"
 #include "tds/histogram.h"
 #include "tds/tds.h"
 #include "workload/generic.h"
@@ -26,6 +31,15 @@ Bytes BlobOf(const EncryptedItem& item) {
 std::optional<Bytes> TagOf(const EncryptedItem& item) {
   if (!item.routing_tag()) return std::nullopt;
   return Bytes(item.routing_tag()->begin(), item.routing_tag()->end());
+}
+
+/// The A_G domain G00, G01, ... of the generic workload.
+std::shared_ptr<const std::vector<Tuple>> GroupDomain(size_t num_groups) {
+  auto domain = std::make_shared<std::vector<Tuple>>();
+  for (size_t g = 0; g < num_groups; ++g) {
+    domain->push_back(Tuple({Value::String(workload::GroupName(g))}));
+  }
+  return domain;
 }
 
 // ---------------------------------------------------------------------------
@@ -638,6 +652,236 @@ TEST_F(TdsTest, ReServingAPostIsIdentical) {
     EXPECT_EQ(BlobOf(again[i]), BlobOf(first[i]));
     EXPECT_EQ(TagOf(again[i]), TagOf(first[i]));
   }
+}
+
+TEST_F(TdsTest, ConcurrentCNoiseServesShareTemplates) {
+  // Four threads serve one C_Noise post on one TDS at once over a domain no
+  // serve has used, so their first template lookups race on one missing
+  // entry. Every serve from equal rng states is byte-identical to a serial
+  // one: the racing builds agree, and the shared templates are only read.
+  CollectionConfig config;
+  config.mode = CollectionMode::kDetTag;
+  config.noise.complementary = true;
+  config.noise.group_domain = GroupDomain(32);
+  const auto post = Post("SELECT grp, COUNT(*) FROM T GROUP BY grp", "q");
+  auto encode = [](const std::vector<EncryptedItem>& items) {
+    std::vector<Bytes> out;
+    for (const auto& item : items) {
+      out.emplace_back(item.encoding().begin(), item.encoding().end());
+    }
+    return out;
+  };
+  constexpr int kThreads = 4;
+  constexpr int kServes = 20;
+  std::latch start(kThreads);
+  std::vector<std::vector<std::vector<Bytes>>> served(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int i = 0; i < kServes; ++i) {
+        Rng rng(7);
+        auto items = server_->ProcessCollection(post, config, &rng);
+        if (!items.ok()) return;
+        served[t].push_back(encode(*items));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  Rng rng(7);
+  const auto reference =
+      encode(server_->ProcessCollection(post, config, &rng).ValueOrDie());
+  EXPECT_EQ(reference.size(), 32u);  // 1 true tuple + 31 fakes
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(served[t].size(), static_cast<size_t>(kServes));
+    for (const auto& items : served[t]) EXPECT_EQ(items, reference);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fake templates (Det-tag collection)
+
+class FakeTemplatesTest : public ::testing::Test {
+ protected:
+  FakeTemplatesTest() {
+    EXPECT_TRUE(db_.CreateTable("T", workload::GenericSchema()).ok());
+  }
+
+  std::shared_ptr<const sql::AnalyzedQuery> Analyze(std::string_view sql) {
+    return sql::AnalyzeSqlShared(sql, db_.shared_catalog()).ValueOrDie();
+  }
+
+  storage::Database db_;
+};
+
+TEST_F(FakeTemplatesTest, KeySetsGetSeparateTemplates) {
+  const auto query = Analyze("SELECT grp, AVG(val) FROM T GROUP BY grp");
+  const auto domain = GroupDomain(32);
+  const auto keys_a = crypto::KeyStore::CreateForTest(101);
+  const auto keys_b = crypto::KeyStore::CreateForTest(102);
+  const auto a = FakeTemplatesShared(query, keys_a, domain, 0).ValueOrDie();
+  const auto b = FakeTemplatesShared(query, keys_b, domain, 0).ValueOrDie();
+  ASSERT_NE(a, b);
+  ASSERT_EQ(a->tags.size(), domain->size());
+  ASSERT_EQ(b->tags.size(), domain->size());
+  for (size_t d = 0; d < domain->size(); ++d) {
+    const Bytes value = (*domain)[d].Encode();
+    // Each tag is Det_Enc of its domain value under its own k2 only.
+    EXPECT_EQ(keys_a->k2_det().Decrypt(a->tags[d]).ValueOrDie(), value);
+    EXPECT_EQ(keys_b->k2_det().Decrypt(b->tags[d]).ValueOrDie(), value);
+    EXPECT_FALSE(keys_b->k2_det().Decrypt(a->tags[d]).ok());
+    EXPECT_FALSE(keys_a->k2_det().Decrypt(b->tags[d]).ok());
+    // The payload is the value padded with NULLs to the collection arity
+    // [grp, val]; it does not depend on the keys.
+    EXPECT_EQ(a->payloads[d], b->payloads[d]);
+    auto payload = ssi::DecodePayload(a->payloads[d]).ValueOrDie();
+    EXPECT_EQ(payload.kind, PayloadKind::kFakeTuple);
+    Tuple fake = Tuple::Decode(payload.body).ValueOrDie();
+    ASSERT_EQ(fake.size(), 2u);
+    EXPECT_TRUE(fake.at(0).IsSameGroup((*domain)[d].at(0)));
+    EXPECT_TRUE(fake.at(1).is_null());
+  }
+}
+
+TEST_F(FakeTemplatesTest, DomainPaddingOrQueryChangeIsAMiss) {
+  const auto query = Analyze("SELECT grp, AVG(val) FROM T GROUP BY grp");
+  const auto other_query = Analyze("SELECT grp, SUM(val) FROM T GROUP BY grp");
+  const auto keys = crypto::KeyStore::CreateForTest(103);
+  const auto domain = GroupDomain(8);
+  const auto base = FakeTemplatesShared(query, keys, domain, 0).ValueOrDie();
+  EXPECT_EQ(FakeTemplatesShared(query, keys, domain, 0).ValueOrDie(), base);
+
+  // Equal contents in another domain instance, another padding, another
+  // query: each is its own entry.
+  const auto same_values = GroupDomain(8);
+  std::vector<std::shared_ptr<const FakeTemplates>> held = {
+      base,
+      FakeTemplatesShared(query, keys, same_values, 0).ValueOrDie(),
+      FakeTemplatesShared(query, keys, domain, 64).ValueOrDie(),
+      FakeTemplatesShared(other_query, keys, domain, 0).ValueOrDie(),
+  };
+  std::set<const FakeTemplates*> distinct;
+  for (const auto& t : held) distinct.insert(t.get());
+  EXPECT_EQ(distinct.size(), held.size());
+  EXPECT_EQ(held[1]->payloads, base->payloads);
+  EXPECT_EQ(held[2]->payloads[0].size(), 64u);
+
+  EXPECT_TRUE(FakeTemplatesShared(query, keys, nullptr, 0)
+                  .status()
+                  .IsFailedPrecondition());
+  EXPECT_TRUE(FakeTemplatesShared(query, keys, GroupDomain(0), 0)
+                  .status()
+                  .IsFailedPrecondition());
+}
+
+TEST_F(FakeTemplatesTest, CapacityResetKeepsHandedOutTemplatesValid) {
+  const auto query = Analyze("SELECT grp, COUNT(*) FROM T GROUP BY grp");
+  const auto keys = crypto::KeyStore::CreateForTest(104);
+  const auto domain = GroupDomain(4);
+  const auto held = FakeTemplatesShared(query, keys, domain, 0).ValueOrDie();
+  const FakeTemplates copy = *held;
+  // A full capacity of other entries after `held`'s: the memo resets at
+  // least once and drops it.
+  for (size_t pad = 1; pad <= kFakeTemplatesMemoCapacity; ++pad) {
+    ASSERT_TRUE(FakeTemplatesShared(query, keys, domain, pad).ok());
+  }
+  EXPECT_LE(FakeTemplatesMemoSize(), kFakeTemplatesMemoCapacity);
+  EXPECT_EQ(held->payloads, copy.payloads);
+  EXPECT_EQ(held->tags, copy.tags);
+  for (size_t d = 0; d < domain->size(); ++d) {
+    EXPECT_EQ(keys->k2_det().Decrypt(held->tags[d]).ValueOrDie(),
+              (*domain)[d].Encode());
+  }
+  // The dropped key misses and rebuilds byte-identical templates.
+  const auto rebuilt = FakeTemplatesShared(query, keys, domain, 0).ValueOrDie();
+  EXPECT_NE(rebuilt, held);
+  EXPECT_EQ(rebuilt->payloads, held->payloads);
+  EXPECT_EQ(rebuilt->tags, held->tags);
+}
+
+/// Serves every TDS the authority's current epoch block.
+class AuthoritySource : public keys::EpochBlockSource {
+ public:
+  explicit AuthoritySource(const keys::KeyAuthority* authority)
+      : authority_(authority) {}
+  Result<Bytes> FetchLatestBlock(uint64_t) override {
+    return authority_->CurrentBlock();
+  }
+
+ private:
+  const keys::KeyAuthority* authority_;
+};
+
+TEST(FakeTemplatesFleetTest, DynamicPostingsGetOwnEntriesAFleetSharesOne) {
+  constexpr size_t kFleet = 8;
+  auto key_authority =
+      keys::KeyAuthority::Create(Bytes(16, 0x5a), kFleet, 11).ValueOrDie();
+  AuthoritySource source(key_authority.get());
+  auto authority = std::make_shared<Authority>(Bytes(16, 1));
+  std::vector<std::unique_ptr<keys::TdsKeyState>> states;
+  std::vector<std::unique_ptr<TrustedDataServer>> fleet;
+  for (size_t i = 0; i < kFleet; ++i) {
+    states.push_back(std::make_unique<keys::TdsKeyState>(
+        i, key_authority->EnrollDevice(i).ValueOrDie(), &source));
+    ASSERT_TRUE(states.back()->Refresh().ok());
+    fleet.push_back(std::make_unique<TrustedDataServer>(
+        i, crypto::KeyStore::CreateForTest(1), authority,
+        AccessPolicy::AllowAll()));
+    fleet.back()->InstallKeyState(states.back().get());
+    workload::GenericOptions opts;
+    opts.num_groups = 4;
+    Rng data_rng(i);
+    ASSERT_TRUE(
+        workload::PopulateGenericDb(&fleet.back()->db(), i, opts, &data_rng)
+            .ok());
+  }
+  CollectionConfig config;
+  config.mode = CollectionMode::kDetTag;
+  config.noise.complementary = true;
+  config.noise.group_domain = GroupDomain(4);
+  const std::string sql = "SELECT grp, COUNT(*) FROM T GROUP BY grp";
+  Rng rng(3);
+  auto serve_fleet = [&](const ssi::QueryKeyPosting& posting) {
+    auto session = key_authority->QuerierKeysFor(posting).ValueOrDie();
+    ssi::QueryPost post;
+    post.query_id = posting.query_id;
+    post.encrypted_query =
+        session->k1_ndet().Encrypt(Bytes(sql.begin(), sql.end()), &rng);
+    post.querier_id = "q";
+    post.credential_mac = authority->Issue("q");
+    post.key_posting = posting;
+    for (auto& tds : fleet) {
+      ASSERT_EQ(tds->ProcessCollection(post, config, &rng).ValueOrDie().size(),
+                4u);
+    }
+  };
+
+  const size_t before = FakeTemplatesMemoSize();
+  ASSERT_LE(before + 2, kFakeTemplatesMemoCapacity) << "no reset in between";
+  const auto first = key_authority->NewPosting(1, &rng);
+  serve_fleet(first);
+  EXPECT_EQ(FakeTemplatesMemoSize(), before + 1)
+      << "8 TDSs serving one posting share one entry";
+  const auto second = key_authority->NewPosting(2, &rng);
+  serve_fleet(second);
+  EXPECT_EQ(FakeTemplatesMemoSize(), before + 2)
+      << "another posting's session keys get their own entry";
+
+  // Every TDS reaches the same session KeyStore for a posting, so the same
+  // templates; the two postings' templates differ in their tags.
+  const auto query =
+      sql::AnalyzeSqlShared(sql, fleet[0]->db().shared_catalog())
+          .ValueOrDie();
+  auto templates_of = [&](size_t tds, const ssi::QueryKeyPosting& posting) {
+    return FakeTemplatesShared(query,
+                               states[tds]->KeysFor(posting).ValueOrDie(),
+                               config.noise.group_domain, 0)
+        .ValueOrDie();
+  };
+  EXPECT_EQ(templates_of(0, first), templates_of(kFleet - 1, first));
+  EXPECT_NE(templates_of(0, first)->tags, templates_of(0, second)->tags);
+  EXPECT_EQ(FakeTemplatesMemoSize(), before + 2);
 }
 
 }  // namespace
