@@ -1,9 +1,11 @@
 // Loopback-vs-TCP transport throughput harness: times framed request/reply
 // round trips through both Channel backends at several payload sizes (the
-// codec-only floor vs real socket syscalls), the SSI item path (item vectors
-// through SsiClient + SsiNode over loopback, in ns and heap allocations per
-// item), plus one end-to-end S_Agg query per backend, and writes the results
-// to BENCH_transport.json (or argv[1]).
+// codec-only floor vs real socket syscalls), the SSI call path (a call that
+// carries no items, alone and in an 8-call frame, in ns and heap allocations
+// per call), the SSI item path (item vectors through SsiClient + SsiNode over
+// loopback, in ns and heap allocations per item), plus one end-to-end S_Agg
+// query per backend, and writes the results to BENCH_transport.json (or
+// argv[1]).
 //
 // Timing is hand-rolled (steady_clock, calibrated batch loops) so the target
 // stays dependency-light and emits machine-readable JSON directly.
@@ -158,8 +160,8 @@ Row MeasureBatchSweep(const std::string& transport_name,
   return row;
 }
 
-/// One SSI item-path arm: item vectors through SsiClient -> loopback ->
-/// SsiNode and back, per item moved.
+/// One SSI path arm: calls or item vectors through SsiClient -> loopback ->
+/// SsiNode and back, per call or item moved.
 struct ItemRow {
   std::string name;
   size_t items_per_op = 0;
@@ -244,6 +246,29 @@ std::vector<ItemRow> MeasureItemPath() {
     if (!client.TakeCollected(post.query_id).ok() ||
         !client.Retire(post.query_id).ok()) {
       std::abort();
+    }
+  }));
+  return rows;
+}
+
+/// The SSI call path without items: kFetchPosts against an empty querybox,
+/// SsiClient -> loopback -> SsiNode, one call per frame or 8 per frame (the
+/// engine's loopback batch size). What a call costs here is the transport's
+/// own: encoding, framing, dispatch and reply matching.
+std::vector<ItemRow> MeasureCallPath() {
+  net::SsiNode node;
+  net::LoopbackTransport transport(node.handler());
+  net::BatchOptions batching;
+  batching.max_calls_per_frame = Engine::kAutoBatchCallsLoopback;
+  net::SsiClient client(&transport, net::RetryPolicy{}, nullptr, batching);
+  std::vector<ItemRow> rows;
+  rows.push_back(MeasureItems("ssi_call_single", 1, [&] {
+    if (!client.FetchPosts(7).ok()) std::abort();
+  }));
+  const std::vector<uint64_t> ids = {0, 1, 2, 3, 4, 5, 6, 7};
+  rows.push_back(MeasureItems("ssi_call_frame8", ids.size(), [&] {
+    for (const auto& posts : client.FetchPostsBatch(ids)) {
+      if (!posts.ok()) std::abort();
     }
   }));
   return rows;
@@ -357,14 +382,19 @@ int Run(const std::string& out_path) {
   // and answers it with an OK envelope, so the client's correlation/decode
   // path runs for real while the handler itself stays O(bytes).
   net::Handler batch_echo = [](const Bytes& request) -> Result<Bytes> {
-    auto calls = net::DecodeBatchFrame(request);
+    auto calls = net::BatchFrameReader::Open(request);
     if (!calls.ok()) return calls.status();
-    std::vector<net::BatchCall> replies;
-    replies.reserve(calls->size());
-    for (const net::BatchCall& call : *calls) {
-      replies.push_back({call.correlation_id, net::EncodeReplyOk(call.payload)});
+    Bytes reply;
+    reply.reserve(request.size() + calls->count());
+    net::BatchFrameWriter writer(&reply);
+    for (uint32_t i = 0; i < calls->count(); ++i) {
+      const net::BatchCall call = calls->Next();
+      writer.Open(call.correlation_id);
+      net::AppendReplyOk(&reply, call.payload);
+      writer.Close();
     }
-    return net::EncodeBatchFrame(replies);
+    writer.Finish();
+    return reply;
   };
   const Bytes small(64, 0x5A);
   const std::vector<size_t> frame_sizes = {1, 4, 16, 64};
@@ -393,6 +423,7 @@ int Run(const std::string& out_path) {
     }
   }
 
+  const std::vector<ItemRow> call_rows = MeasureCallPath();
   const std::vector<ItemRow> item_rows = MeasureItemPath();
 
   const std::vector<E2eRow> e2e = {
@@ -419,6 +450,17 @@ int Run(const std::string& out_path) {
                  r.name.c_str(), r.transport.c_str(), r.bytes_per_op,
                  r.ns_per_op, r.ops_per_sec, r.mb_per_sec,
                  i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"ssi_calls\": [\n");
+  for (size_t i = 0; i < call_rows.size(); ++i) {
+    const ItemRow& r = call_rows[i];
+    std::fprintf(f,
+                 "    {\"name\": \"%s\", \"transport\": \"loopback\", "
+                 "\"calls_per_op\": %zu, \"ns_per_call\": %.2f, "
+                 "\"allocs_per_call\": %.3f}%s\n",
+                 r.name.c_str(), r.items_per_op, r.ns_per_item,
+                 r.allocs_per_item, i + 1 < call_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"ssi_items\": [\n");

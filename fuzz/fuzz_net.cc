@@ -1,11 +1,14 @@
 // Fuzz harness for the transport layer's untrusted decode surfaces.
 //
 // Input: one selector byte, then the payload for the selected surface:
-//   0 -> TryExtractFrame over the body as a hostile socket receive buffer
+//   0 -> FrameReceiver over the body as a hostile socket byte stream
 //   1 -> SsiNode::Handle on the body as one batch request frame
 //   2 -> DecodeReply on the body as one reply envelope
-//   3 -> DecodeBatchFrame on the body as one multi-call batch envelope
+//   3 -> BatchFrameReader on the body as one multi-call batch envelope
 // Corpus files carry the selector as their first byte (see make_corpus.cc).
+#include <algorithm>
+#include <cstring>
+
 #include "common/bytes.h"
 #include "fuzz_util.h"
 #include "net/frame.h"
@@ -16,25 +19,66 @@ using tcells::Bytes;
 using tcells::Result;
 using tcells::Status;
 
+namespace {
+
+/// Reads `frame` with BatchFrameReader and writes its calls back with
+/// BatchFrameWriter: the frame codec's two halves, composed.
+Result<Bytes> Rewrite(std::span<const uint8_t> frame) {
+  TCELLS_ASSIGN_OR_RETURN(tcells::net::BatchFrameReader reader,
+                          tcells::net::BatchFrameReader::Open(frame));
+  Bytes out;
+  tcells::net::BatchFrameWriter writer(&out);
+  for (uint32_t i = 0; i < reader.count(); ++i) {
+    const tcells::net::BatchCall call = reader.Next();
+    writer.Open(call.correlation_id);
+    out.insert(out.end(), call.payload.begin(), call.payload.end());
+    writer.Close();
+  }
+  writer.Finish();
+  return out;
+}
+
+}  // namespace
+
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size == 0) return 0;
   const uint8_t selector = data[0] % 4;
   Bytes input(data + 1, data + size);
   switch (selector) {
     case 0: {
-      // Drain the buffer the way the socket loops do. Every extracted frame
-      // must respect the payload cap (the length prefix is checked before
-      // any allocation), the buffer must shrink on every success so the loop
-      // terminates, and a hostile prefix must surface as Corruption — the
+      // Feed the stream the way the socket loops do, receive by receive: in
+      // place where the receiver offers room, otherwise in chunks through
+      // Consume (the chunk size and the receiver's buffer bound vary with
+      // the input). Every receive makes progress, every complete frame
+      // respects the payload cap (the length prefix is checked before any
+      // allocation), and a hostile prefix surfaces as Corruption — the
       // signal transports use to drop the connection.
-      Bytes buf = input;
-      Bytes frame;
+      const size_t chunk = 1 + input.size() % 37;
+      tcells::net::FrameReceiver receiver(
+          /*max_buffer=*/64 + input.size() % 512);
       Status error;
-      while (true) {
-        size_t before = buf.size();
-        if (!tcells::net::TryExtractFrame(&buf, &frame, &error)) break;
-        FUZZ_ASSERT(frame.size() <= tcells::net::kMaxFramePayload);
-        FUZZ_ASSERT(buf.size() < before);
+      for (size_t pos = 0; pos < input.size();) {
+        const std::span<uint8_t> space = receiver.Space();
+        size_t n = 0;
+        if (!space.empty()) {
+          n = std::min(space.size(), input.size() - pos);
+          std::memcpy(space.data(), input.data() + pos, n);
+          receiver.Commit(n);
+        } else {
+          Result<size_t> used = receiver.Consume(
+              {input.data() + pos, std::min(chunk, input.size() - pos)});
+          if (!used.ok()) {
+            error = used.status();
+            break;
+          }
+          n = *used;
+        }
+        FUZZ_ASSERT(n > 0);
+        pos += n;
+        if (receiver.complete()) {
+          FUZZ_ASSERT(receiver.TakeFrame().size() <=
+                      tcells::net::kMaxFramePayload);
+        }
       }
       FUZZ_ASSERT(error.ok() || error.IsCorruption());
       break;
@@ -45,7 +89,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       // crash, and the node never fabricates transport-level codes — those
       // belong to the channel alone. Only a batch frame is accepted, and it
       // yields a batch reply answering every inner call with its
-      // correlation ID, in order, each with a parseable reply envelope.
+      // correlation ID, in order, each with a parseable reply envelope. The
+      // node writes its reply frame in place: reading it and writing it
+      // back must reproduce it.
       static tcells::net::SsiNode& node = *new tcells::net::SsiNode();
       Result<Bytes> reply = node.Handle(input);
       if (reply.ok()) {
@@ -58,10 +104,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         for (size_t i = 0; i < calls->size(); ++i) {
           FUZZ_ASSERT((*replies)[i].correlation_id ==
                       (*calls)[i].correlation_id);
-          Result<Bytes> unwrapped =
+          Result<std::span<const uint8_t>> unwrapped =
               tcells::net::DecodeReply((*replies)[i].payload);
           FUZZ_ASSERT(unwrapped.ok() || !unwrapped.status().IsCorruption());
         }
+        Result<Bytes> rewritten = Rewrite(*reply);
+        FUZZ_ASSERT(rewritten.ok() && *rewritten == *reply);
       } else {
         FUZZ_ASSERT(!reply.status().IsUnavailable());
         FUZZ_ASSERT(!reply.status().IsDeadlineExceeded());
@@ -72,7 +120,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       // Client-side reply envelope parse. An accepted OK envelope is the
       // identity wrapping of its body, so re-encoding must reproduce the
       // input bit-for-bit.
-      Result<Bytes> body = tcells::net::DecodeReply(input);
+      Result<std::span<const uint8_t>> body = tcells::net::DecodeReply(input);
       if (body.ok()) {
         FUZZ_ASSERT(tcells::net::EncodeReplyOk(*body) == input);
       }
@@ -83,14 +131,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       // length before any allocation, so a hostile count can never reserve
       // gigabytes; an accepted batch re-encodes to the input bit-for-bit
       // (the codec has no redundant representations).
-      Result<std::vector<tcells::net::BatchCall>> calls =
-          tcells::net::DecodeBatchFrame(input);
-      if (calls.ok()) {
-        FUZZ_ASSERT(!calls->empty());
-        FUZZ_ASSERT(calls->size() <= tcells::net::kMaxCallsPerBatch);
-        FUZZ_ASSERT(tcells::net::EncodeBatchFrame(*calls) == input);
+      Result<tcells::net::BatchFrameReader> reader =
+          tcells::net::BatchFrameReader::Open(input);
+      if (reader.ok()) {
+        FUZZ_ASSERT(reader->count() > 0);
+        FUZZ_ASSERT(reader->count() <= tcells::net::kMaxCallsPerBatch);
+        Result<Bytes> rewritten = Rewrite(input);
+        FUZZ_ASSERT(rewritten.ok() && *rewritten == input);
       } else {
-        FUZZ_ASSERT(calls.status().IsCorruption());
+        FUZZ_ASSERT(reader.status().IsCorruption());
       }
       break;
     }

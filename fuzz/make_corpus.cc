@@ -319,8 +319,9 @@ int Run(const std::filesystem::path& out_dir) {
       return req;
     };
     auto request = [&](net::MsgType type, const Bytes& body) {
+      const Bytes payload = call(type, body);
       writer.Add("net", 1,
-                 net::EncodeBatchFrame({{correlation_id++, call(type, body)}}));
+                 net::EncodeBatchFrame({{correlation_id++, payload}}));
     };
     Rng post_rng(kKeySeed);
     auto net_post = querier.MakePost(900, "SELECT grp, val FROM T", &post_rng);
@@ -338,9 +339,9 @@ int Run(const std::filesystem::path& out_dir) {
     ByteWriter(&qid_body).PutU64(900);
     request(net::MsgType::kFetchPosts, qid_body);
     request(net::MsgType::kRetire, qid_body);
+    const Bytes unknown_type = {0xEE, 0x01, 0x02, 0x03};
     writer.Add("net", 1,
-               net::EncodeBatchFrame({{correlation_id++,
-                                       Bytes{0xEE, 0x01, 0x02, 0x03}}}));
+               net::EncodeBatchFrame({{correlation_id++, unknown_type}}));
     // One query's whole life in one frame: the post, a round on token 0,
     // the result, and the retire. Every per-query call finds the record.
     Bytes token_body;
@@ -352,16 +353,18 @@ int Run(const std::filesystem::path& out_dir) {
     Bytes deliver_body = qid_body;
     deliver_body.insert(deliver_body.end(), partition_bytes.begin(),
                         partition_bytes.end());
+    const std::vector<Bytes> life_calls = {
+        call(net::MsgType::kPostGlobal, net_post->Encode()),
+        call(net::MsgType::kStagePartition, stage_body),
+        call(net::MsgType::kFetchPartition, token_body),
+        call(net::MsgType::kUploadRoundOutput, stage_body),
+        call(net::MsgType::kTakeRoundOutput, token_body),
+        call(net::MsgType::kDeliverResult, deliver_body),
+        call(net::MsgType::kFetchResult, qid_body),
+        call(net::MsgType::kRetire, qid_body)};
+    // The calls are views into life_calls, which outlives the encode.
     std::vector<net::BatchCall> life;
-    for (const Bytes& payload :
-         {call(net::MsgType::kPostGlobal, net_post->Encode()),
-          call(net::MsgType::kStagePartition, stage_body),
-          call(net::MsgType::kFetchPartition, token_body),
-          call(net::MsgType::kUploadRoundOutput, stage_body),
-          call(net::MsgType::kTakeRoundOutput, token_body),
-          call(net::MsgType::kDeliverResult, deliver_body),
-          call(net::MsgType::kFetchResult, qid_body),
-          call(net::MsgType::kRetire, qid_body)}) {
+    for (const Bytes& payload : life_calls) {
       life.push_back({correlation_id++, payload});
     }
     writer.Add("net", 1, net::EncodeBatchFrame(life));

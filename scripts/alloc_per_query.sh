@@ -2,9 +2,11 @@
 # Heap allocations per query of one benchmark workload, from an LD_PRELOAD
 # malloc counter around the built tcells_bench.
 #
-#   scripts/alloc_per_query.sh [WORKLOAD] [BENCH_BUILD_DIR]
+#   scripts/alloc_per_query.sh [WORKLOAD|all] [BENCH_BUILD_DIR]
 #
-# WORKLOAD defaults to cnoise_g32; BENCH_BUILD_DIR to .bench_build/suite,
+# WORKLOAD defaults to cnoise_g32; `all` measures every workload
+# BENCHMARK.json lists, one line each. BENCH_BUILD_DIR defaults to
+# .bench_build/suite,
 # where `python3 bench/suite/run_bench.py` builds tcells_bench. The script
 # compiles the counter into BENCH_BUILD_DIR/alloc_counter.so, runs the bench
 # untraced twice (SHORT_S and LONG_S seconds, default 3 and 8; SEED, default
@@ -83,15 +85,30 @@ run() {
   echo "$(cat "$out") $queries"
 }
 
-read -r a_short q_short < <(run "$short_s")
-read -r a_long q_long < <(run "$long_s")
-if (( q_long <= q_short )); then
-  echo "the $long_s s run measured no more queries than the $short_s s run" >&2
-  exit 1
-fi
-python3 - "$workload" "$a_short" "$q_short" "$a_long" "$q_long" <<'EOF'
+# Prints the slope line of one workload.
+slope() {
+  workload="$1"
+  read -r a_short q_short < <(run "$short_s")
+  read -r a_long q_long < <(run "$long_s")
+  if (( q_long <= q_short )); then
+    echo "$workload: the $long_s s run measured no more queries than the" \
+      "$short_s s run" >&2
+    return 1
+  fi
+  python3 - "$workload" "$a_short" "$q_short" "$a_long" "$q_long" <<'EOF'
 import sys
 w, a0, q0, a1, q1 = sys.argv[1], *map(int, sys.argv[2:])
 print("%s: %d allocations / %d queries, %d / %d -> %.0f allocations per query"
       % (w, a0, q0, a1, q1, (a1 - a0) / (q1 - q0)))
 EOF
+}
+
+if [[ "$workload" == all ]]; then
+  status=0
+  for w in $(python3 -c 'import json
+for w in json.load(open("BENCHMARK.json"))["workloads"]: print(w["name"])'); do
+    slope "$w" || status=1
+  done
+  exit "$status"
+fi
+slope "$workload"

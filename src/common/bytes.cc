@@ -6,18 +6,24 @@ namespace tcells {
 
 void ByteWriter::PutU8(uint8_t v) { out_->push_back(v); }
 
-void ByteWriter::PutU16(uint16_t v) {
-  out_->push_back(static_cast<uint8_t>(v));
-  out_->push_back(static_cast<uint8_t>(v >> 8));
+namespace {
+
+/// Appends the `N` little-endian bytes of `v` with one resize.
+template <size_t N, typename T>
+void PutLe(Bytes* out, T v) {
+  const size_t at = out->size();
+  out->resize(at + N);
+  uint8_t* p = out->data() + at;
+  for (size_t i = 0; i < N; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
-void ByteWriter::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
+}  // namespace
 
-void ByteWriter::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
+void ByteWriter::PutU16(uint16_t v) { PutLe<2>(out_, v); }
+
+void ByteWriter::PutU32(uint32_t v) { PutLe<4>(out_, v); }
+
+void ByteWriter::PutU64(uint64_t v) { PutLe<8>(out_, v); }
 
 void ByteWriter::PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
 

@@ -46,6 +46,8 @@ class ByteReader {
  public:
   ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
   explicit ByteReader(const Bytes& b) : data_(b.data()), size_(b.size()) {}
+  explicit ByteReader(std::span<const uint8_t> b)
+      : data_(b.data()), size_(b.size()) {}
 
   Result<uint8_t> GetU8();
   Result<uint16_t> GetU16();

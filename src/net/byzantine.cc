@@ -13,12 +13,12 @@ struct ParsedRequest {
   uint64_t a = 0;
   uint64_t b = 0;
   /// Remainder of the request after the keys (the partition payload for
-  /// stage/upload messages).
-  Bytes payload;
+  /// stage/upload messages), as a view into the request.
+  std::span<const uint8_t> payload;
   bool ok = false;
 };
 
-ParsedRequest Parse(const Bytes& request, size_t num_u64s) {
+ParsedRequest Parse(std::span<const uint8_t> request, size_t num_u64s) {
   ParsedRequest parsed;
   ByteReader reader(request);
   Result<uint8_t> type = reader.GetU8();
@@ -34,15 +34,13 @@ ParsedRequest Parse(const Bytes& request, size_t num_u64s) {
     if (!b.ok()) return parsed;
     parsed.b = *b;
   }
-  Result<Bytes> rest = reader.GetRaw(reader.remaining());
-  if (!rest.ok()) return parsed;
-  parsed.payload = std::move(*rest);
+  parsed.payload = reader.rest();
   parsed.ok = true;
   return parsed;
 }
 
-Result<uint8_t> RequestType(const Bytes& request) {
-  return ByteReader(request).GetU8();
+bool SameBytes(const Bytes& a, std::span<const uint8_t> b) {
+  return std::ranges::equal(a, b);
 }
 
 }  // namespace
@@ -50,9 +48,8 @@ Result<uint8_t> RequestType(const Bytes& request) {
 ByzantineProxy::ByzantineProxy(TamperPlan plan) : plan_(plan) {}
 
 CallFilter ByzantineProxy::filter() {
-  return [this](const Bytes& request, const CallHandler& honest) {
-    return Serve(request, honest);
-  };
+  return [this](std::span<const uint8_t> request, const CallHandler& honest,
+                Bytes* reply) { return Serve(request, honest, reply); };
 }
 
 TamperStats ByzantineProxy::stats() const {
@@ -60,11 +57,10 @@ TamperStats ByzantineProxy::stats() const {
   return stats_;
 }
 
-Result<Bytes> ByzantineProxy::Serve(const Bytes& request,
-                                    const CallHandler& honest) {
-  Result<uint8_t> raw_type = RequestType(request);
-  if (!raw_type.ok()) return honest(request);
-  const MsgType type = static_cast<MsgType>(*raw_type);
+Status ByzantineProxy::Serve(std::span<const uint8_t> request,
+                             const CallHandler& honest, Bytes* reply) {
+  if (request.empty()) return honest(request, reply);
+  const MsgType type = static_cast<MsgType>(request[0]);
 
   // Record the payloads future lies are built from, then let the honest
   // node answer.
@@ -75,7 +71,8 @@ Result<Bytes> ByzantineProxy::Serve(const Bytes& request,
       std::lock_guard<std::mutex> lock(mu_);
       auto& store =
           type == MsgType::kStagePartition ? staged_ : uploaded_;
-      store[{parsed.a, parsed.b}] = parsed.payload;
+      store[{parsed.a, parsed.b}] =
+          Bytes(parsed.payload.begin(), parsed.payload.end());
     }
   }
   if (type == MsgType::kRetire) {
@@ -92,38 +89,52 @@ Result<Bytes> ByzantineProxy::Serve(const Bytes& request,
     }
   }
 
-  TCELLS_ASSIGN_OR_RETURN(Bytes reply, honest(request));
+  const size_t start = reply->size();
+  TCELLS_RETURN_IF_ERROR(honest(request, reply));
+  // Serving a lie replaces the honest envelope at the end of the frame.
+  auto lie = [&](const Status& error, std::span<const uint8_t> body) {
+    reply->resize(start);
+    if (error.ok()) {
+      AppendReplyOk(reply, body);
+    } else {
+      AppendReplyError(reply, error);
+    }
+    return Status::OK();
+  };
 
   // Forged errors apply regardless of what the honest reply was.
   if (plan_.forge_error_on && *plan_.forge_error_on == type) {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.forged_errors += 1;
-    return EncodeReplyError(Status::NotFound("byzantine SSI: no such data"));
+    return lie(Status::NotFound("byzantine SSI: no such data"), {});
   }
 
   // Every other lie rewrites an OK envelope; application errors pass
   // through untouched.
-  Result<Bytes> body = DecodeReply(reply);
-  if (!body.ok()) return reply;
+  Result<std::span<const uint8_t>> decoded = DecodeReply(
+      std::span<const uint8_t>(reply->data() + start, reply->size() - start));
+  if (!decoded.ok()) return Status::OK();
+  const std::span<const uint8_t> body = *decoded;
 
   switch (type) {
     case MsgType::kTakeCollected: {
       if (!plan_.reverse_collected) break;
       Result<std::vector<ssi::EncryptedItem>> items =
-          ssi::DecodeItems(*std::move(body));
+          ssi::DecodeItems(Bytes(body.begin(), body.end()));
       if (!items.ok() || items->size() < 2) break;
       std::reverse(items->begin(), items->end());
       std::lock_guard<std::mutex> lock(mu_);
       stats_.reversed_collected += 1;
       Bytes reversed;
       ssi::EncodeItemsTo(*items, &reversed);
-      return EncodeReplyOk(reversed);
+      return lie(Status::OK(), reversed);
     }
     case MsgType::kUploadCollection: {
       if (!plan_.forge_accept_byte) break;
       std::lock_guard<std::mutex> lock(mu_);
       stats_.forged_accepts += 1;
-      return EncodeReplyOk(Bytes{0});
+      const uint8_t rejected = 0;
+      return lie(Status::OK(), {&rejected, 1});
     }
     case MsgType::kTakeRoundOutput: {
       ParsedRequest parsed = Parse(request, 2);
@@ -133,24 +144,24 @@ Result<Bytes> ByzantineProxy::Serve(const Bytes& request,
       if (plan_.replay_round_output) {
         auto it = first_take_reply_.find(key);
         if (it == first_take_reply_.end()) {
-          first_take_reply_[key] = *body;
-        } else if (it->second != *body) {
+          first_take_reply_[key] = Bytes(body.begin(), body.end());
+        } else if (!SameBytes(it->second, body)) {
           stats_.replayed_round_outputs += 1;
-          return EncodeReplyOk(it->second);
+          return lie(Status::OK(), it->second);
         }
       }
       if (plan_.echo_input_as_output) {
         auto it = staged_.find(key);
-        if (it != staged_.end() && it->second != *body) {
+        if (it != staged_.end() && !SameBytes(it->second, body)) {
           stats_.echoed_inputs += 1;
-          return EncodeReplyOk(it->second);
+          return lie(Status::OK(), it->second);
         }
       }
       if (plan_.swap_round_outputs) {
         auto it = uploaded_.find({parsed.a, parsed.b ^ 1});
-        if (it != uploaded_.end() && it->second != *body) {
+        if (it != uploaded_.end() && !SameBytes(it->second, body)) {
           stats_.swapped_round_outputs += 1;
-          return EncodeReplyOk(it->second);
+          return lie(Status::OK(), it->second);
         }
       }
       break;
@@ -158,7 +169,7 @@ Result<Bytes> ByzantineProxy::Serve(const Bytes& request,
     default:
       break;
   }
-  return reply;
+  return Status::OK();
 }
 
 }  // namespace tcells::net

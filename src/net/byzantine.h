@@ -28,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "net/ssi_node.h"
@@ -89,7 +90,8 @@ class ByzantineProxy {
   TamperStats stats() const;
 
  private:
-  Result<Bytes> Serve(const Bytes& request, const CallHandler& honest);
+  Status Serve(std::span<const uint8_t> request, const CallHandler& honest,
+               Bytes* reply);
 
   TamperPlan plan_;
 

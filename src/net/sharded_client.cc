@@ -112,24 +112,14 @@ Result<bool> ShardedSsiClient::UploadCollection(
 std::vector<Result<bool>> ShardedSsiClient::UploadCollectionBatch(
     const std::vector<CollectionUpload>& uploads) {
   // One sub-batch per shard, in per-shard submission order.
-  std::vector<Result<bool>> out(
-      uploads.size(), Status::Unavailable("batched upload not dispatched"));
-  std::vector<size_t> shard_of(uploads.size());
-  std::vector<std::vector<CollectionUpload>> batch_of(shards_.size());
-  std::vector<std::vector<size_t>> slots_of(shards_.size());
-  for (size_t i = 0; i < uploads.size(); ++i) {
-    shard_of[i] = ShardOfTds(uploads[i].tds_id);
-    batch_of[shard_of[i]].push_back(uploads[i]);
-    slots_of[shard_of[i]].push_back(i);
-  }
-  for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    if (batch_of[shard].empty()) continue;
-    std::vector<Result<bool>> replies =
-        shards_[shard]->UploadCollectionBatch(batch_of[shard]);
-    for (size_t k = 0; k < replies.size() && k < slots_of[shard].size(); ++k) {
-      out[slots_of[shard][k]] = std::move(replies[k]);
-    }
-  }
+  std::vector<Result<bool>> out = Scatter<bool>(
+      uploads.size(), [&](size_t i) { return uploads[i].tds_id; },
+      [&](size_t shard, const std::vector<size_t>& slots) {
+        std::vector<CollectionUpload> batch;
+        batch.reserve(slots.size());
+        for (size_t slot : slots) batch.push_back(uploads[slot]);
+        return shards_[shard]->UploadCollectionBatch(batch);
+      });
 
   // Log every accepted upload in submission order: the serial arrival order
   // TakeCollected re-interleaves the per-shard drains along.
@@ -138,7 +128,8 @@ std::vector<Result<bool>> ShardedSsiClient::UploadCollectionBatch(
     if (!out[i].ok() || !*out[i]) continue;
     auto it = queries_.find(uploads[i].query_id);
     if (it == queries_.end()) continue;
-    it->second.upload_log.emplace_back(shard_of[i], uploads[i].items.size());
+    it->second.upload_log.emplace_back(ShardOfTds(uploads[i].tds_id),
+                                       uploads[i].items.size());
   }
   return out;
 }

@@ -4,17 +4,20 @@
 // failures (Unavailable / DeadlineExceeded) with bounded exponential backoff,
 // and decode the reply envelope back into the application Status/value.
 //
-// There is one exchange path. Exchange ships a caller's requests from the
-// calling thread as a sequence of batch frames (ssi_wire.h), one frame at a
-// time, each holding at most BatchOptions::max_calls_per_frame calls and
+// There is one exchange path. It ships a caller's calls from the calling
+// thread as a sequence of batch frames (ssi_wire.h), one frame at a time,
+// each holding at most BatchOptions::max_calls_per_frame calls and
 // max_bytes_per_frame payload bytes; a single call is a frame with a count of
 // 1. A caller's calls therefore reach the SSI in submission order, and a
-// call's reply is in hand before its successor leaves. Replies are matched
-// to calls by correlation ID, so a server may complete a frame's calls out of
-// order; every retry re-correlates the whole frame with fresh IDs, and
-// replies carrying stale or duplicate IDs are dropped. Concurrent callers
-// each run their own exchange on their own channel (pooled between
-// exchanges, dialed when the pool is empty).
+// call's reply is in hand before its successor leaves. A frame is the only
+// buffer a call lives in, in each direction: the typed methods encode each
+// call straight into the outgoing frame, and read each reply body in place
+// in the reply frame, which the item pulls adopt as their items' owner.
+// Replies are matched to calls by correlation ID, so a server may complete a
+// frame's calls out of order; every retry re-correlates the whole frame with
+// fresh IDs, and replies carrying stale or duplicate IDs are dropped.
+// Concurrent callers each run their own exchange on their own channel
+// (pooled between exchanges, dialed when the pool is empty).
 //
 // Thread-safety: all methods may be called concurrently. Application-level
 // errors returned by the SSI (NotFound, InvalidArgument, ...) are never
@@ -26,6 +29,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/clock.h"
@@ -79,8 +84,10 @@ class SsiClient : public SsiApi {
   /// the next frame leaves. A non-zero `reply_bytes` (the expected size of
   /// each reply) also caps the calls per frame so their replies fit
   /// max_bytes_per_frame. Returns the decoded reply body (or the
-  /// application/transport error) per request, in order.
-  std::vector<Result<Bytes>> Exchange(std::vector<Bytes> requests,
+  /// application/transport error) per request, in order, each body copied
+  /// out of the reply frame. The typed methods below take the same path
+  /// without the copies.
+  std::vector<Result<Bytes>> Exchange(const std::vector<Bytes>& requests,
                                       size_t reply_bytes = 0);
 
   // ---- Querybox ----
@@ -135,15 +142,34 @@ class SsiClient : public SsiApi {
   Status Retire(uint64_t query_id) override;
 
  private:
-  /// One RPC: Exchange({request})[0].
-  Result<Bytes> Call(Bytes request);
-  /// The physical exchange + retry loop for one frame; returns one reply
-  /// envelope (or error) per call, in order. Each attempt assigns the calls
-  /// fresh correlation IDs. `channel` is the caller's connection — dialed
-  /// lazily, reset on transport failure, and handed back for pooling when the
-  /// exchange ends.
-  std::vector<Result<Bytes>> ExchangeFrame(std::vector<BatchCall> calls,
-                                           std::unique_ptr<Channel>* channel);
+  class ReplyFrame;
+  /// A call's reply envelope in the reply frame; nullopt until matched.
+  using Envelopes = std::vector<std::optional<std::span<const uint8_t>>>;
+
+  /// The exchange path. Ships `n` calls as Exchange does; `encode(i, frame)`
+  /// appends call i's payload (u8 MsgType + fields) to the frame being
+  /// written, and `decode(i, body, reply)` receives call i's reply body — a
+  /// view into the reply frame `reply`, valid for the call — or its
+  /// application or transport error, for i = 0..n-1 in order. Defined in
+  /// ssi_client.cc, its one user.
+  template <typename Encode, typename Decode>
+  void Run(size_t n, size_t reply_bytes, const Encode& encode,
+           const Decode& decode);
+  /// One call: its Status, the body ignored.
+  template <typename Encode>
+  Status CallStatus(const Encode& encode);
+  /// One call whose body `parse(body, reply)` reads into a T.
+  template <typename T, typename Encode, typename Parse>
+  Result<T> CallOne(const Encode& encode, const Parse& parse);
+  /// The physical exchange + retry loop for the `n` calls of `frame`. Each
+  /// attempt writes fresh correlation IDs into the frame. On success,
+  /// `reply` holds the reply frame and `envelopes` each call's envelope in
+  /// it; a non-OK return is the error every call of the frame gets.
+  /// `channel` is the caller's connection — dialed lazily, reset on
+  /// transport failure, and handed back for pooling when the exchange ends.
+  Status ExchangeFrame(Bytes* frame, size_t n,
+                       std::unique_ptr<Channel>* channel, ReplyFrame* reply,
+                       Envelopes* envelopes);
 
   Transport* transport_;
   RetryPolicy policy_;
@@ -164,9 +190,18 @@ class SsiClient : public SsiApi {
   std::atomic<uint64_t> next_correlation_{1};
   /// Calls inside frames on the wire, across every caller.
   std::atomic<size_t> inflight_calls_{0};
-  /// Guards channels_, the idle channel pool.
+  /// A connection and the buffers an exchange on it reuses: the request
+  /// frame and the reply envelopes' views. Pooled between exchanges; a
+  /// request frame above kKeptFrameCapacity is freed rather than kept.
+  struct Link {
+    std::unique_ptr<Channel> channel;
+    Bytes frame;
+    Envelopes envelopes;
+  };
+  static constexpr size_t kKeptFrameCapacity = 1u << 20;
+  /// Guards links_, the idle link pool.
   std::mutex mu_;
-  std::vector<std::unique_ptr<Channel>> channels_;
+  std::vector<Link> links_;
   /// Size of the last epoch block posted or fetched (FetchEpochBlockBatch).
   std::atomic<size_t> epoch_block_bytes_{0};
 };

@@ -1,5 +1,6 @@
 #include "net/ssi_node.h"
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <utility>
@@ -13,7 +14,7 @@ using ssi::QueryPost;
 namespace {
 
 /// The rest of a call: an item-vector encoding ssi::ScanItems accepted, as a
-/// view into the call, and its item count.
+/// view into the request frame, and its item count.
 struct ItemsBody {
   std::span<const uint8_t> encoding;
   uint32_t count = 0;
@@ -23,6 +24,11 @@ struct ItemsBody {
   Bytes ToBytes() const { return Bytes(encoding.begin(), encoding.end()); }
 };
 
+/// The least Handle reserves for a reply frame, the first of its type
+/// included: the frame header and a few envelopes fit, and a body beyond
+/// them grows the frame once, to its size.
+constexpr size_t kMinReplyReserve = 64;
+
 Result<ItemsBody> ScanItemsBody(ByteReader* reader) {
   ItemsBody body;
   body.encoding = reader->rest();
@@ -30,19 +36,20 @@ Result<ItemsBody> ScanItemsBody(ByteReader* reader) {
   return body;
 }
 
-/// The OK reply envelope of an item vector stored as its count and the
-/// concatenated item encodings, built with one reserved append.
-Bytes ItemsReply(uint32_t count, const Bytes& items) {
-  Bytes out;
-  out.reserve(1 + 4 + items.size());
-  ByteWriter w(&out);
+/// Appends the OK envelope of an item vector stored as its count and the
+/// concatenated item encodings.
+void AppendItemsReply(Bytes* reply, uint32_t count, const Bytes& items) {
+  ByteWriter w(reply);
   w.PutU8(static_cast<uint8_t>(StatusCode::kOk));
   w.PutU32(count);
   w.PutRaw(items.data(), items.size());
-  return out;
 }
 
-Bytes EmptyBody() { return Bytes(); }
+/// Appends an OK envelope with an empty body.
+Status ReplyOk(Bytes* reply) {
+  AppendReplyOk(reply, {});
+  return Status::OK();
+}
 
 Status NoActiveQuery(uint64_t query_id) {
   return Status::NotFound("no active query " + std::to_string(query_id));
@@ -59,40 +66,53 @@ SsiNode::SsiNode(CallFilter filter) : filter_(std::move(filter)) {}
 
 Result<Bytes> SsiNode::Handle(const Bytes& request) {
   // Every request frame is a batch envelope; anything else — a bare
-  // single-call frame included — fails to decode as Corruption.
-  TCELLS_ASSIGN_OR_RETURN(std::vector<BatchCall> calls,
-                          DecodeBatchFrame(request));
-  const CallHandler honest = [this](const Bytes& call) {
-    return HandleCall(call);
+  // single-call frame included — fails to decode as Corruption, before any
+  // call is dispatched.
+  TCELLS_ASSIGN_OR_RETURN(BatchFrameReader calls,
+                          BatchFrameReader::Open(request));
+  const CallHandler honest = [this](std::span<const uint8_t> call,
+                                    Bytes* reply) {
+    return HandleCall(call, reply);
   };
-  std::vector<BatchCall> replies;
-  replies.reserve(calls.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const BatchCall& call : calls) {
-      TCELLS_ASSIGN_OR_RETURN(
-          Bytes envelope,
-          filter_ ? filter_(call.payload, honest) : HandleCall(call.payload));
-      replies.push_back(BatchCall{call.correlation_id, std::move(envelope)});
-    }
+  Bytes reply;
+  std::lock_guard<std::mutex> lock(mu_);
+  BatchCall call = calls.Next();
+  // The frames a client sends of one message type carry like-sized replies
+  // (a querybox post per TDS, an epoch block per TDS, a partition), so the
+  // last reply frame led by the same type sizes this one.
+  uint32_t& size_hint =
+      reply_size_hint_[call.payload.empty() ? 0 : call.payload[0]];
+  reply.reserve(std::max<size_t>(size_hint, kMinReplyReserve));
+  BatchFrameWriter writer(&reply);
+  for (uint32_t i = 0; i < calls.count(); ++i) {
+    if (i > 0) call = calls.Next();
+    writer.Open(call.correlation_id);
+    TCELLS_RETURN_IF_ERROR(filter_ ? filter_(call.payload, honest, &reply)
+                                   : HandleCall(call.payload, &reply));
+    writer.Close();
   }
-  // The reply frame owns copies of every envelope: encoded outside the lock.
-  return EncodeBatchFrame(replies);
+  writer.Finish();
+  size_hint = static_cast<uint32_t>(reply.size());
+  return reply;
 }
 
-Result<Bytes> SsiNode::HandleCall(const Bytes& call) {
-  Result<Bytes> reply = Dispatch(call);
-  if (reply.ok()) return reply;
-  Status status = reply.status();
+Status SsiNode::HandleCall(std::span<const uint8_t> call, Bytes* reply) {
+  const size_t start = reply->size();
+  Status status = Dispatch(call, reply);
+  if (status.ok()) return status;
   if (status.IsCorruption()) {
     // Undecodable call: surface to the transport, which drops the
     // connection (the stream cannot be trusted further).
     return status;
   }
-  return EncodeReplyError(status);
+  // The error envelope replaces whatever the call wrote.
+  reply->resize(start);
+  AppendReplyError(reply, status);
+  return Status::OK();
 }
 
-Status SsiNode::Post(const Bytes& raw, std::optional<uint64_t> personal_tds) {
+Status SsiNode::Post(std::span<const uint8_t> raw,
+                     std::optional<uint64_t> personal_tds) {
   TCELLS_ASSIGN_OR_RETURN(QueryPost post, QueryPost::Decode(raw));
   Query query;
   query.post = Query::Post{post.Encode(), personal_tds};
@@ -109,45 +129,47 @@ Result<SsiNode::Query*> SsiNode::Posted(uint64_t query_id) {
   return &it->second;
 }
 
-Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
+Status SsiNode::Dispatch(std::span<const uint8_t> call, Bytes* reply) {
   ByteReader reader(call);
   TCELLS_ASSIGN_OR_RETURN(uint8_t type_byte, reader.GetU8());
   switch (static_cast<MsgType>(type_byte)) {
     case MsgType::kPostGlobal: {
-      TCELLS_ASSIGN_OR_RETURN(Bytes raw, reader.GetRaw(reader.remaining()));
-      TCELLS_RETURN_IF_ERROR(Post(raw, std::nullopt));
-      return EncodeReplyOk(EmptyBody());
+      TCELLS_RETURN_IF_ERROR(Post(reader.rest(), std::nullopt));
+      return ReplyOk(reply);
     }
     case MsgType::kPostPersonal: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t tds_id, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(Bytes raw, reader.GetRaw(reader.remaining()));
-      TCELLS_RETURN_IF_ERROR(Post(raw, tds_id));
-      return EncodeReplyOk(EmptyBody());
+      TCELLS_RETURN_IF_ERROR(Post(reader.rest(), tds_id));
+      return ReplyOk(reply);
     }
     case MsgType::kFetchPosts: {
       // Every global post plus the TDS's personal ones, minus those it has
       // already served, in query-id order.
       TCELLS_ASSIGN_OR_RETURN(uint64_t tds_id, reader.GetU64());
-      std::vector<const Bytes*> posts;
+      ByteWriter w(reply);
+      w.PutU8(static_cast<uint8_t>(StatusCode::kOk));
+      const size_t count_at = reply->size();
+      w.PutU32(0);  // the post count, patched below
+      uint32_t n = 0;
       for (const auto& [id, query] : queries_) {
         if (query.served.count(tds_id)) continue;
         if (query.post.personal_tds && *query.post.personal_tds != tds_id) {
           continue;
         }
-        posts.push_back(&query.post.encoded);
+        w.PutBytes(query.post.encoded);
+        n += 1;
       }
-      Bytes body;
-      ByteWriter w(&body);
-      w.PutU32(static_cast<uint32_t>(posts.size()));
-      for (const Bytes* post : posts) w.PutBytes(*post);
-      return EncodeReplyOk(body);
+      for (int i = 0; i < 4; ++i) {
+        (*reply)[count_at + i] = static_cast<uint8_t>(n >> (8 * i));
+      }
+      return Status::OK();
     }
     case MsgType::kAcknowledge: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t tds_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
       query->served.try_emplace(tds_id);
-      return EncodeReplyOk(EmptyBody());
+      return ReplyOk(reply);
     }
     case MsgType::kUploadCollection: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
@@ -173,10 +195,10 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
           query->collected_count += upload.count;
         }
       }
-      Bytes body;
-      ByteWriter w(&body);
+      ByteWriter w(reply);
+      w.PutU8(static_cast<uint8_t>(StatusCode::kOk));
       w.PutU8(*accepted ? 1 : 0);
-      return EncodeReplyOk(body);
+      return Status::OK();
     }
     case MsgType::kTakeCollected: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
@@ -185,7 +207,8 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
       // (transport retry after a lost reply, or a duplicated frame) gets
       // the same bytes.
       query->taken = true;
-      return ItemsReply(query->collected_count, query->collected);
+      AppendItemsReply(reply, query->collected_count, query->collected);
+      return Status::OK();
     }
     case MsgType::kStagePartition: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
@@ -195,7 +218,7 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
       // Replaces whatever the token held, a previous round's output
       // included: the token starts a new exchange.
       query->transfers[token] = Query::Transfer{false, p.ToBytes()};
-      return EncodeReplyOk(EmptyBody());
+      return ReplyOk(reply);
     }
     case MsgType::kFetchPartition: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
@@ -206,7 +229,8 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
         return Status::NotFound("no staged partition for token");
       }
       // Left staged: a dropout re-dispatch downloads the same bytes again.
-      return EncodeReplyOk(it->second.items);
+      AppendReplyOk(reply, it->second.items);
+      return Status::OK();
     }
     case MsgType::kUploadRoundOutput: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
@@ -216,7 +240,7 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
       // Replaces the staged partition: no TDS fetches it after an output
       // for the token exists.
       query->transfers[token] = Query::Transfer{true, p.ToBytes()};
-      return EncodeReplyOk(EmptyBody());
+      return ReplyOk(reply);
     }
     case MsgType::kTakeRoundOutput: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
@@ -228,7 +252,8 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
       }
       // A plain read: a retry after a lost reply re-downloads the same
       // bytes. The next stage of the token, or kRetire, drops them.
-      return EncodeReplyOk(it->second.items);
+      AppendReplyOk(reply, it->second.items);
+      return Status::OK();
     }
     case MsgType::kObserveAggregation: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
@@ -239,7 +264,7 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
         TCELLS_RETURN_IF_ERROR(query->view.ObserveAggregation(p.encoding));
         query->aggregation_observed = true;
       }
-      return EncodeReplyOk(EmptyBody());
+      return ReplyOk(reply);
     }
     case MsgType::kDeliverResult: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
@@ -249,7 +274,7 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
       // recorded: on the first delivery only.
       if (!query->result) query->view.ObserveFiltering(p.count);
       query->result = p.ToBytes();
-      return EncodeReplyOk(EmptyBody());
+      return ReplyOk(reply);
     }
     case MsgType::kFetchResult: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
@@ -257,22 +282,23 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
       if (!query->result) {
         return Status::NotFound("no delivered result for query");
       }
-      return EncodeReplyOk(*query->result);
+      AppendReplyOk(reply, *query->result);
+      return Status::OK();
     }
     case MsgType::kAdversaryView: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
-      Bytes body;
-      query->view.EncodeTo(&body);
-      return EncodeReplyOk(body);
+      ByteWriter(reply).PutU8(static_cast<uint8_t>(StatusCode::kOk));
+      query->view.EncodeTo(reply);
+      return Status::OK();
     }
     case MsgType::kPostEpochBlock: {
       // Opaque to the SSI: the block is broadcast-encrypted key material the
       // node merely stores and serves. Later posts overwrite earlier ones —
       // the authority always publishes the full current window.
-      TCELLS_ASSIGN_OR_RETURN(epoch_block_,
-                              reader.GetRaw(reader.remaining()));
-      return EncodeReplyOk(EmptyBody());
+      const std::span<const uint8_t> block = reader.rest();
+      epoch_block_.assign(block.begin(), block.end());
+      return ReplyOk(reply);
     }
     case MsgType::kFetchEpochBlock: {
       // The tds_id exists only to shard-route and fault-key the fetch; the
@@ -282,14 +308,15 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& call) {
       if (epoch_block_.empty()) {
         return Status::NotFound("no epoch block published");
       }
-      return EncodeReplyOk(epoch_block_);
+      AppendReplyOk(reply, epoch_block_);
+      return Status::OK();
     }
     case MsgType::kRetire: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       // Drops the whole record, transfer remnants included, so lost
       // partitions do not outlive the query inside the SSI.
       if (queries_.erase(query_id) == 0) return NoActiveQuery(query_id);
-      return EncodeReplyOk(EmptyBody());
+      return ReplyOk(reply);
     }
   }
   return Status::Corruption("unknown SSI message type");

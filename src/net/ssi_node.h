@@ -10,7 +10,11 @@
 // Handle() is the single entry point: one batch request frame in
 // (ssi_wire.h; a count of 1 is a single call), one batch reply frame out.
 // The frame's calls dispatch in frame order under one hold of a mutex, so
-// the node can serve the TCP loop thread and in-process callers alike.
+// the node can serve the TCP loop thread and in-process callers alike. Each
+// call is read as a view into the request frame, and each reply envelope is
+// written straight into the reply frame, reserved at the size of the last
+// reply to a frame of the same message type: a frame costs the node one
+// reply buffer, however many calls it carries.
 //
 // Items are stored as the wire bytes they arrived in. Every incoming item
 // vector goes through ssi::ItemScanner, which validates it (and feeds the
@@ -19,11 +23,13 @@
 #ifndef TCELLS_NET_SSI_NODE_H_
 #define TCELLS_NET_SSI_NODE_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -33,12 +39,15 @@
 namespace tcells::net {
 
 /// One call's dispatch: its request payload (u8 MsgType + fields) in, its
-/// reply envelope out. A non-OK return means the call could not be decoded.
-using CallHandler = std::function<Result<Bytes>(const Bytes& call)>;
+/// reply envelope appended to `reply`, the reply frame being written. A
+/// non-OK return means the call could not be decoded.
+using CallHandler =
+    std::function<Status(std::span<const uint8_t> call, Bytes* reply)>;
 /// A decorator around a node's per-call dispatch (ByzantineProxy): sees each
-/// call and the honest dispatch, and returns the reply envelope to send.
-using CallFilter =
-    std::function<Result<Bytes>(const Bytes& call, const CallHandler& honest)>;
+/// call and the honest dispatch, and leaves the reply envelope to send at
+/// the end of `reply`, where the honest dispatch appends its own.
+using CallFilter = std::function<Status(
+    std::span<const uint8_t> call, const CallHandler& honest, Bytes* reply)>;
 
 class SsiNode {
  public:
@@ -101,15 +110,22 @@ class SsiNode {
     std::optional<Bytes> result;
   };
 
-  /// One call under mu_: dispatch + error-envelope wrapping.
-  Result<Bytes> HandleCall(const Bytes& call);
-  Result<Bytes> Dispatch(const Bytes& call);
-  Status Post(const Bytes& raw, std::optional<uint64_t> personal_tds);
+  /// One call under mu_: dispatch, and on an application error an error
+  /// envelope in place of whatever the call wrote.
+  Status HandleCall(std::span<const uint8_t> call, Bytes* reply);
+  /// Appends the call's OK envelope to `reply`, or returns its error.
+  Status Dispatch(std::span<const uint8_t> call, Bytes* reply);
+  Status Post(std::span<const uint8_t> raw,
+              std::optional<uint64_t> personal_tds);
   /// The posted record of `query_id`, or NotFound.
   Result<Query*> Posted(uint64_t query_id);
 
   CallFilter filter_;
   mutable std::mutex mu_;
+  /// By the MsgType byte of a frame's first call: the size of the last
+  /// reply frame Handle wrote for such a frame, which it reserves for the
+  /// next.
+  std::array<uint32_t, 256> reply_size_hint_{};
   std::map<uint64_t, Query> queries_;
   /// Latest published key-epoch block (encoded keys::EpochBlock, opaque
   /// here). Deliberately NOT per-query and NOT touched by kRetire: the key

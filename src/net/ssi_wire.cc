@@ -36,43 +36,90 @@ Status StatusFromWire(uint8_t code, std::string msg) {
   return Status::Corruption("unknown status code in reply envelope");
 }
 
+uint32_t GetLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+uint64_t GetLe64(const uint8_t* p) {
+  return GetLe32(p) | static_cast<uint64_t>(GetLe32(p + 4)) << 32;
+}
+
+void PutLe32(uint8_t* p, size_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+void PutLe64(uint8_t* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
 }  // namespace
 
-Bytes EncodeReplyOk(const Bytes& body) {
-  Bytes out;
-  out.reserve(1 + body.size());
-  ByteWriter w(&out);
+void AppendReplyOk(Bytes* out, std::span<const uint8_t> body) {
+  ByteWriter w(out);
   w.PutU8(static_cast<uint8_t>(StatusCode::kOk));
   w.PutRaw(body.data(), body.size());
+}
+
+void AppendReplyError(Bytes* out, const Status& status) {
+  ByteWriter w(out);
+  w.PutU8(static_cast<uint8_t>(status.code()));
+  w.PutString(status.message());
+}
+
+Bytes EncodeReplyOk(std::span<const uint8_t> body) {
+  Bytes out;
+  out.reserve(1 + body.size());
+  AppendReplyOk(&out, body);
   return out;
 }
 
 Bytes EncodeReplyError(const Status& status) {
   Bytes out;
-  ByteWriter w(&out);
-  w.PutU8(static_cast<uint8_t>(status.code()));
-  w.PutString(status.message());
+  AppendReplyError(&out, status);
   return out;
 }
 
-Bytes EncodeBatchFrame(const std::vector<BatchCall>& calls) {
-  Bytes out;
-  size_t total = 6;
-  for (const BatchCall& call : calls) total += 12 + call.payload.size();
-  out.reserve(total);
-  ByteWriter w(&out);
+Result<std::span<const uint8_t>> DecodeReply(
+    std::span<const uint8_t> envelope) {
+  ByteReader reader(envelope.data(), envelope.size());
+  TCELLS_ASSIGN_OR_RETURN(uint8_t code, reader.GetU8());
+  if (static_cast<StatusCode>(code) == StatusCode::kOk) {
+    return envelope.subspan(1);
+  }
+  TCELLS_ASSIGN_OR_RETURN(std::string msg, reader.GetString());
+  Status decoded = StatusFromWire(code, std::move(msg));
+  if (decoded.ok()) {
+    // An error envelope must not carry the OK code twice removed.
+    return Status::Corruption("error envelope with OK status code");
+  }
+  return decoded;
+}
+
+BatchFrameWriter::BatchFrameWriter(Bytes* frame) : frame_(frame) {
+  ByteWriter w(frame_);
   w.PutU8(kBatchMagic);
   w.PutU8(kBatchVersion);
-  w.PutU32(static_cast<uint32_t>(calls.size()));
-  for (const BatchCall& call : calls) {
-    w.PutU64(call.correlation_id);
-    w.PutBytes(call.payload);
-  }
-  return out;
+  w.PutU32(0);  // the count, patched by Finish
 }
 
-Result<std::vector<BatchCall>> DecodeBatchFrame(const Bytes& frame) {
-  ByteReader reader(frame);
+void BatchFrameWriter::Open(uint64_t correlation_id) {
+  open_ = frame_->size();
+  ByteWriter w(frame_);
+  w.PutU64(correlation_id);
+  w.PutU32(0);  // the payload length, patched by Close
+}
+
+void BatchFrameWriter::Close() {
+  PutLe32(frame_->data() + open_ + 8, open_payload_size());
+  count_ += 1;
+}
+
+void BatchFrameWriter::Finish() { PutLe32(frame_->data() + 2, count_); }
+
+Result<BatchFrameReader> BatchFrameReader::Open(
+    std::span<const uint8_t> frame) {
+  ByteReader reader(frame.data(), frame.size());
   TCELLS_ASSIGN_OR_RETURN(uint8_t magic, reader.GetU8());
   if (magic != kBatchMagic) {
     return Status::Corruption("not a batch frame");
@@ -83,41 +130,68 @@ Result<std::vector<BatchCall>> DecodeBatchFrame(const Bytes& frame) {
   }
   // Each call is at least a u64 correlation id + u32 payload length; the
   // count getter rejects anything the remaining bytes cannot hold before a
-  // single element is allocated.
-  TCELLS_ASSIGN_OR_RETURN(uint32_t count, reader.GetCountU32(12));
+  // single call is looked at.
+  TCELLS_ASSIGN_OR_RETURN(uint32_t count,
+                          reader.GetCountU32(kBatchCallHeaderSize));
   if (count == 0) return Status::Corruption("empty batch frame");
   if (count > kMaxCallsPerBatch) {
     return Status::Corruption("batch frame exceeds kMaxCallsPerBatch");
   }
-  std::vector<BatchCall> calls;
-  calls.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    BatchCall call;
-    TCELLS_ASSIGN_OR_RETURN(call.correlation_id, reader.GetU64());
-    TCELLS_ASSIGN_OR_RETURN(call.payload, reader.GetBytes());
-    calls.push_back(std::move(call));
+    TCELLS_RETURN_IF_ERROR(reader.Skip(8));
+    TCELLS_ASSIGN_OR_RETURN(uint32_t len, reader.GetU32());
+    TCELLS_RETURN_IF_ERROR(reader.Skip(len));
   }
   if (reader.remaining() != 0) {
     return Status::Corruption("trailing bytes after batch frame");
   }
-  return calls;
+  return BatchFrameReader(frame, count);
 }
 
-Result<Bytes> DecodeReply(Bytes reply) {
-  ByteReader reader(reply);
-  TCELLS_ASSIGN_OR_RETURN(uint8_t code, reader.GetU8());
-  if (static_cast<StatusCode>(code) == StatusCode::kOk) {
-    // The body is the envelope minus its status byte: unwrapped in place.
-    reply.erase(reply.begin());
-    return reply;
+BatchCall BatchFrameReader::Next() {
+  // Open() checked every header and length this reads.
+  BatchCall call;
+  call.correlation_id = GetLe64(frame_.data() + pos_);
+  const size_t len = GetLe32(frame_.data() + pos_ + 8);
+  call.payload = frame_.subspan(pos_ + kBatchCallHeaderSize, len);
+  pos_ += kBatchCallHeaderSize + len;
+  return call;
+}
+
+void SetCorrelationIds(Bytes* frame, uint64_t first) {
+  const uint32_t count = GetLe32(frame->data() + 2);
+  size_t pos = kBatchHeaderSize;
+  for (uint32_t i = 0; i < count; ++i) {
+    PutLe64(frame->data() + pos, first + i);
+    pos += kBatchCallHeaderSize + GetLe32(frame->data() + pos + 8);
   }
-  TCELLS_ASSIGN_OR_RETURN(std::string msg, reader.GetString());
-  Status decoded = StatusFromWire(code, std::move(msg));
-  if (decoded.ok()) {
-    // An error envelope must not carry the OK code twice removed.
-    return Status::Corruption("error envelope with OK status code");
+}
+
+Bytes EncodeBatchFrame(const std::vector<BatchCall>& calls) {
+  Bytes frame;
+  size_t total = kBatchHeaderSize;
+  for (const BatchCall& call : calls) {
+    total += kBatchCallHeaderSize + call.payload.size();
   }
-  return decoded;
+  frame.reserve(total);
+  BatchFrameWriter writer(&frame);
+  for (const BatchCall& call : calls) {
+    writer.Open(call.correlation_id);
+    ByteWriter(&frame).PutRaw(call.payload.data(), call.payload.size());
+    writer.Close();
+  }
+  writer.Finish();
+  return frame;
+}
+
+Result<std::vector<BatchCall>> DecodeBatchFrame(
+    std::span<const uint8_t> frame) {
+  TCELLS_ASSIGN_OR_RETURN(BatchFrameReader reader,
+                          BatchFrameReader::Open(frame));
+  std::vector<BatchCall> calls;
+  calls.reserve(reader.count());
+  for (uint32_t i = 0; i < reader.count(); ++i) calls.push_back(reader.Next());
+  return calls;
 }
 
 }  // namespace tcells::net

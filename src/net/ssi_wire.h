@@ -20,10 +20,12 @@
 #define TCELLS_NET_SSI_WIRE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/result.h"
+#include "net/frame.h"
 
 namespace tcells::net {
 
@@ -50,15 +52,18 @@ enum class MsgType : uint8_t {
   kFetchEpochBlock = 21,  ///< u64 tds_id → encoded keys::EpochBlock
 };
 
-/// Reply envelope: u8 StatusCode + body (OK) or message string (error).
-Bytes EncodeReplyOk(const Bytes& body);
+/// Appends a reply envelope to `out`: the OK code and `body`, or the
+/// status's code and its message string.
+void AppendReplyOk(Bytes* out, std::span<const uint8_t> body);
+void AppendReplyError(Bytes* out, const Status& status);
+/// A reply envelope as a buffer of its own (tests and tools).
+Bytes EncodeReplyOk(std::span<const uint8_t> body);
 Bytes EncodeReplyError(const Status& status);
 
-/// Unwraps a reply envelope: the body on OK (the envelope's own buffer, so
-/// a moved-in envelope is unwrapped without a copy), the reconstructed
-/// application Status otherwise. Corruption when the envelope itself is
-/// malformed.
-Result<Bytes> DecodeReply(Bytes reply);
+/// Unwraps a reply envelope: the body on OK, as a view into `envelope`, the
+/// reconstructed application Status otherwise. Corruption when the envelope
+/// itself is malformed.
+Result<std::span<const uint8_t>> DecodeReply(std::span<const uint8_t> envelope);
 
 // ---- Multi-call batch envelope ----
 
@@ -71,26 +76,85 @@ inline constexpr uint8_t kBatchVersion = 1;
 /// Hard cap on calls per batch frame, far above any client flush policy.
 /// Enforced at decode before any allocation.
 inline constexpr uint32_t kMaxCallsPerBatch = 4096;
+/// Bytes of the frame header (magic, version, count) and of each call's
+/// header (correlation ID, payload length).
+inline constexpr size_t kBatchHeaderSize = 6;
+inline constexpr size_t kBatchCallHeaderSize = 12;
 
 /// One logical call (or its reply envelope) inside a batch frame: a u8
 /// MsgType request on the way out, a u8-status reply envelope on the way
 /// back.
 struct BatchCall {
   uint64_t correlation_id = 0;
-  Bytes payload;
+  FrameBytes payload;
 };
 
-/// Encodes `calls` as one batch frame:
+/// Writes one batch frame in place:
 ///   u8 kBatchMagic, u8 version, u32 count,
 ///   count x { u64 correlation_id, u32 payload_len, payload }.
-/// The same envelope carries requests and replies.
+/// Open() writes a call's correlation ID and reserves its u32 length; the
+/// caller appends the payload to the frame buffer itself, and Close()
+/// patches the length. Finish() patches the count. The same envelope
+/// carries requests and replies.
+class BatchFrameWriter {
+ public:
+  /// Starts a frame in `frame`, which must be empty.
+  explicit BatchFrameWriter(Bytes* frame);
+
+  /// Opens the next call: its payload is everything appended to the frame
+  /// buffer until Close() or Abandon().
+  void Open(uint64_t correlation_id);
+  /// Bytes appended to the open call so far.
+  size_t open_payload_size() const {
+    return frame_->size() - open_ - kBatchCallHeaderSize;
+  }
+  /// Drops the open call, header included: the frame ends before it.
+  void Abandon() { frame_->resize(open_); }
+  /// Patches the open call's payload length.
+  void Close();
+  /// Patches the count of closed calls; the frame is complete.
+  void Finish();
+
+ private:
+  Bytes* frame_;
+  size_t open_ = 0;
+  uint32_t count_ = 0;
+};
+
+/// Reads a batch frame's calls as views into the frame. Open() validates the
+/// whole frame before a call is read — a bad magic or version, a count that
+/// is 0, exceeds kMaxCallsPerBatch or the bytes actually present (checked
+/// before anything else), a payload length overrunning the frame, or
+/// trailing bytes after the last call are Corruption — so a frame is either
+/// read whole or not at all, and Next() cannot fail.
+class BatchFrameReader {
+ public:
+  static Result<BatchFrameReader> Open(std::span<const uint8_t> frame);
+
+  uint32_t count() const { return count_; }
+  /// The next of count() calls.
+  BatchCall Next();
+
+ private:
+  BatchFrameReader(std::span<const uint8_t> frame, uint32_t count)
+      : frame_(frame), count_(count) {}
+
+  std::span<const uint8_t> frame_;
+  size_t pos_ = kBatchHeaderSize;
+  uint32_t count_;
+};
+
+/// Writes consecutive correlation IDs from `first` into the calls of a
+/// frame BatchFrameWriter wrote, in place.
+void SetCorrelationIds(Bytes* frame, uint64_t first);
+
+/// Encodes `calls` as one batch frame through BatchFrameWriter.
 Bytes EncodeBatchFrame(const std::vector<BatchCall>& calls);
 
-/// Decodes a batch frame. Corruption on a bad magic/version, a count that
-/// exceeds kMaxCallsPerBatch or the bytes actually present (checked before
-/// any allocation), a payload length overrunning the frame, or trailing
-/// bytes after the last call.
-Result<std::vector<BatchCall>> DecodeBatchFrame(const Bytes& frame);
+/// Every call of a batch frame through BatchFrameReader, as views into
+/// `frame`.
+Result<std::vector<BatchCall>> DecodeBatchFrame(
+    std::span<const uint8_t> frame);
 
 }  // namespace tcells::net
 

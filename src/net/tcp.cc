@@ -7,11 +7,14 @@
 #include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <deque>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -46,15 +49,67 @@ int RemainingMillis(std::chrono::steady_clock::time_point deadline) {
   return left.count() > 0 ? static_cast<int>(left.count()) : 0;
 }
 
-/// Per-connection server state: bytes received but not yet framed, response
-/// bytes accepted but not yet written to the socket, and the epoll interest
-/// mask currently registered for the fd (so the loop only issues
-/// EPOLL_CTL_MOD when the desired mask actually changes).
+/// Sends what the socket takes of a frame's wire bytes — the u32 length
+/// prefix, then `payload` — from wire offset `off`, gathered from where they
+/// lie instead of copied together. Returns ::sendmsg's result.
+ssize_t SendFrameFrom(int fd, std::span<const uint8_t> payload, size_t off) {
+  uint8_t header[4];
+  for (int i = 0; i < 4; ++i) {
+    header[i] = static_cast<uint8_t>(payload.size() >> (8 * i));
+  }
+  struct iovec iov[2];
+  size_t count = 0;
+  if (off < 4) iov[count++] = {header + off, 4 - off};
+  const size_t body = off < 4 ? 0 : off - 4;
+  if (body < payload.size()) {
+    iov[count++] = {const_cast<uint8_t*>(payload.data()) + body,
+                    payload.size() - body};
+  }
+  struct msghdr msg;
+  std::memset(&msg, 0, sizeof(msg));
+  msg.msg_iov = iov;
+  msg.msg_iovlen = count;
+  return ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+}
+
+/// Bytes one receive takes when it starts a frame: a frame this small
+/// arrives whole in one system call.
+constexpr size_t kRecvChunk = 16384;
+
+/// One ::recv for `receiver`, returning its result: straight into the
+/// payload in progress where Space() allows (and committed), otherwise into
+/// `chunk`, whose received bytes `*unconsumed` then names for Consume().
+ssize_t RecvFor(int fd, FrameReceiver* receiver, std::span<uint8_t> chunk,
+                std::span<const uint8_t>* unconsumed) {
+  *unconsumed = {};
+  const std::span<uint8_t> space = receiver->Space();
+  if (!space.empty()) {
+    const ssize_t n = ::recv(fd, space.data(), space.size(), 0);
+    if (n > 0) receiver->Commit(static_cast<size_t>(n));
+    return n;
+  }
+  const ssize_t n = ::recv(fd, chunk.data(), chunk.size(), 0);
+  if (n > 0) *unconsumed = chunk.first(static_cast<size_t>(n));
+  return n;
+}
+
+/// Per-connection server state: the frame being received, request frames
+/// received but not yet served, reply frames not yet fully written to the
+/// socket (with the wire bytes of each queue and how much of the first reply
+/// went out), and the epoll interest mask currently registered for the fd
+/// (so the loop only issues EPOLL_CTL_MOD when the desired mask actually
+/// changes).
 struct Conn {
-  Bytes in;
-  Bytes out;
+  FrameReceiver receiver;
+  std::deque<Bytes> in;
+  size_t in_bytes = 0;
+  std::deque<Bytes> out;
+  size_t out_bytes = 0;
   size_t out_pos = 0;
   uint32_t interest = 0;
+
+  size_t buffered() const { return in_bytes + receiver.pending(); }
+  size_t backlog() const { return out_bytes - out_pos; }
 };
 
 class TcpChannel : public Channel {
@@ -74,32 +129,28 @@ class TcpChannel : public Channel {
         std::chrono::microseconds(
             static_cast<int64_t>(opts.deadline_seconds * 1e6));
 
-    Bytes wire;
-    AppendFrame(&wire, request);
-    Status sent = SendAll(wire, deadline);
+    Status sent = SendFrame(request, deadline);
     if (!sent.ok()) {
       Close();
       return sent;
     }
     // Frames are strictly request/reply per channel, so everything that
-    // arrives now belongs to this call's response.
-    Status error;
-    Bytes frame;
-    while (!TryExtractFrame(&recv_buf_, &frame, &error)) {
-      if (!error.ok()) {
-        Close();
-        return error;  // Hostile length prefix: fatal, not retryable.
-      }
+    // arrives now belongs to this call's response: its first receive takes
+    // the header and the start of the body, and the rest of a large body is
+    // received straight into the reply's own buffer.
+    while (!receiver_.complete()) {
       Status received = RecvSome(deadline);
       if (!received.ok()) {
         // Abandoning a call mid-receive (deadline expiry included) leaves
         // its reply in flight; the stream can never again be paired with a
         // later call, so the channel closes rather than serve stale bytes.
+        // A hostile length prefix, or bytes past the reply, is fatal the same
+        // way, and not retryable.
         Close();
         return received;
       }
     }
-    return frame;
+    return receiver_.TakeFrame();
   }
 
  private:
@@ -110,9 +161,10 @@ class TcpChannel : public Channel {
     }
   }
 
-  Status SendAll(const Bytes& data, std::chrono::steady_clock::time_point deadline) {
+  Status SendFrame(const Bytes& payload,
+                   std::chrono::steady_clock::time_point deadline) {
     size_t off = 0;
-    while (off < data.size()) {
+    while (off < FrameWireSize(payload.size())) {
       struct pollfd pfd = {fd_, POLLOUT, 0};
       int ms = RemainingMillis(deadline);
       if (ms == 0) return Status::DeadlineExceeded("send deadline expired");
@@ -122,8 +174,7 @@ class TcpChannel : public Channel {
         if (errno == EINTR) continue;
         return Errno("poll");
       }
-      ssize_t n = ::send(fd_, data.data() + off, data.size() - off,
-                         MSG_NOSIGNAL);
+      ssize_t n = SendFrameFrom(fd_, payload, off);
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
         return Errno("send");
@@ -143,8 +194,9 @@ class TcpChannel : public Channel {
       if (errno == EINTR) return Status::OK();
       return Errno("poll");
     }
-    uint8_t chunk[16384];
-    ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    uint8_t chunk[kRecvChunk];
+    std::span<const uint8_t> unconsumed;
+    ssize_t n = RecvFor(fd_, &receiver_, chunk, &unconsumed);
     if (n == 0) {
       Close();
       return Status::Unavailable("peer closed connection");
@@ -156,12 +208,18 @@ class TcpChannel : public Channel {
       Close();
       return Errno("recv");
     }
-    recv_buf_.insert(recv_buf_.end(), chunk, chunk + n);
+    if (unconsumed.empty()) return Status::OK();
+    TCELLS_ASSIGN_OR_RETURN(size_t used, receiver_.Consume(unconsumed));
+    if (used < unconsumed.size()) {
+      // The peer sent more than the reply: nothing it sends can be paired
+      // with a call any more.
+      return Status::Corruption("bytes after the reply frame");
+    }
     return Status::OK();
   }
 
   int fd_;
-  Bytes recv_buf_;
+  FrameReceiver receiver_;
 };
 
 }  // namespace
@@ -257,11 +315,11 @@ void TcpServer::Loop() {
   // the kernel re-delivers readiness once the mask re-arms.
   auto desired_interest = [&](const Conn& conn) -> uint32_t {
     uint32_t events = 0;
-    size_t backlog = conn.out.size() - conn.out_pos;
-    if (conn.in.size() < max_in_buffer_ && backlog < max_out_backlog_) {
+    if (conn.buffered() < max_in_buffer_ &&
+        conn.backlog() < max_out_backlog_) {
       events |= EPOLLIN;
     }
-    if (backlog > 0) events |= EPOLLOUT;
+    if (conn.backlog() > 0) events |= EPOLLOUT;
     return events;
   };
   auto update_interest = [&](int fd, Conn& conn) {
@@ -302,6 +360,7 @@ void TcpServer::Loop() {
           }
           SetNoDelay(cfd);
           Conn fresh;
+          fresh.receiver = FrameReceiver(max_in_buffer_);
           fresh.interest = EPOLLIN;
           arm(cfd, EPOLLIN);
           conns.emplace(cfd, std::move(fresh));
@@ -317,11 +376,26 @@ void TcpServer::Loop() {
       if (revents & (EPOLLERR | EPOLLHUP)) drop = true;
 
       if (!drop && (revents & EPOLLIN)) {
-        uint8_t chunk[16384];
-        while (conn.in.size() < max_in_buffer_) {
-          ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+        uint8_t chunk[kRecvChunk];
+        while (conn.buffered() < max_in_buffer_) {
+          std::span<const uint8_t> unconsumed;
+          ssize_t n = RecvFor(fd, &conn.receiver, chunk, &unconsumed);
           if (n > 0) {
-            conn.in.insert(conn.in.end(), chunk, chunk + n);
+            // A chunk may complete several pipelined frames.
+            for (;;) {
+              if (conn.receiver.complete()) {
+                conn.in.push_back(conn.receiver.TakeFrame());
+                conn.in_bytes += FrameWireSize(conn.in.back().size());
+              }
+              if (unconsumed.empty()) break;
+              Result<size_t> used = conn.receiver.Consume(unconsumed);
+              if (!used.ok()) {
+                drop = true;  // Hostile length prefix.
+                break;
+              }
+              unconsumed = unconsumed.subspan(*used);
+            }
+            if (drop) break;
             continue;
           }
           if (n == 0) drop = true;  // Peer closed.
@@ -331,31 +405,18 @@ void TcpServer::Loop() {
         }
       }
 
-      if (!drop && conn.out_pos < conn.out.size()) {
-        ssize_t n = ::send(fd, conn.out.data() + conn.out_pos,
-                           conn.out.size() - conn.out_pos, MSG_NOSIGNAL);
-        if (n > 0) {
-          conn.out_pos += static_cast<size_t>(n);
-          if (conn.out_pos == conn.out.size()) {
-            conn.out.clear();
-            conn.out_pos = 0;
-          }
-        } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-                   errno != EINTR) {
-          drop = true;
-        }
-      }
-
-      // Serve pipelined frames after the send above, pausing while the
-      // reply backlog is at its cap. Frames that stay buffered here imply a
-      // non-empty backlog, so the interest mask keeps EPOLLOUT armed and
-      // this loop resumes once the peer drains replies — never a silent
-      // stall.
-      if (!drop) {
-        Bytes frame;
-        Status error;
-        while (conn.out.size() - conn.out_pos < max_out_backlog_ &&
-               TryExtractFrame(&conn.in, &frame, &error)) {
+      // Serve received frames in arrival order, pausing while the reply
+      // backlog is at its cap, and write replies while the socket takes
+      // them. Frames that stay queued here imply a non-empty backlog, so
+      // the interest mask keeps EPOLLOUT armed and this loop resumes once
+      // the peer drains replies — never a silent stall.
+      bool progress = true;
+      while (!drop && progress) {
+        progress = false;
+        while (conn.backlog() < max_out_backlog_ && !conn.in.empty()) {
+          const Bytes frame = std::move(conn.in.front());
+          conn.in.pop_front();
+          conn.in_bytes -= FrameWireSize(frame.size());
           Result<Bytes> reply = handler_(frame);
           if (!reply.ok()) {
             // The handler wraps application errors into reply payloads; a
@@ -363,9 +424,28 @@ void TcpServer::Loop() {
             drop = true;
             break;
           }
-          AppendFrame(&conn.out, *reply);
+          conn.out_bytes += FrameWireSize(reply->size());
+          conn.out.push_back(std::move(*reply));
+          progress = true;
         }
-        if (!error.ok()) drop = true;  // Hostile length prefix.
+        while (!drop && !conn.out.empty()) {
+          const Bytes& front = conn.out.front();
+          ssize_t n = SendFrameFrom(fd, front, conn.out_pos);
+          if (n <= 0) {
+            if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+                errno != EINTR) {
+              drop = true;
+            }
+            break;
+          }
+          conn.out_pos += static_cast<size_t>(n);
+          if (conn.out_pos == FrameWireSize(front.size())) {
+            conn.out_bytes -= conn.out_pos;
+            conn.out_pos = 0;
+            conn.out.pop_front();
+          }
+          progress = true;
+        }
       }
 
       if (drop) {

@@ -6,8 +6,8 @@
 //
 // Error mapping at the channel surface: connection loss, reset, or peer
 // close mid-frame → Unavailable (retryable); deadline expiry → DeadlineExceeded
-// (retryable); a hostile length prefix → Corruption (fatal, the stream cannot
-// be re-synchronized, so the connection is dropped).
+// (retryable); a hostile length prefix, or bytes after a reply → Corruption
+// (fatal, the stream cannot be re-synchronized, so the connection is dropped).
 #ifndef TCELLS_NET_TCP_H_
 #define TCELLS_NET_TCP_H_
 
@@ -45,6 +45,8 @@ class TcpServer {
   /// reply backlog reaches `max_out_backlog`, and it defers serving further
   /// pipelined frames until the peer drains replies — so a peer that floods
   /// requests or never reads replies cannot grow the buffers without bound.
+  /// A frame's payload buffer never outgrows `max_in` ahead of its bytes'
+  /// arrival, whatever length its header announces.
   /// Each cap must be at least one full frame (`FrameWireSize` of the
   /// largest expected payload) for progress; the defaults hold one maximum
   /// frame. Call before Start().

@@ -151,9 +151,14 @@ Result<uint32_t> ScanItems(ByteReader* reader) {
   return scan.count();
 }
 
+Result<std::vector<EncryptedItem>> DecodeItems(
+    const std::shared_ptr<const void>& owner, std::span<const uint8_t> data) {
+  return EncryptedItem::Adopt(owner, data);
+}
+
 Result<std::vector<EncryptedItem>> DecodeItems(Bytes data) {
   auto owner = std::make_shared<const Bytes>(std::move(data));
-  return EncryptedItem::Adopt(owner, *owner);
+  return DecodeItems(owner, *owner);
 }
 
 ItemsBuilder::ItemsBuilder(Bytes* scratch) : scratch_(scratch) {
@@ -208,7 +213,12 @@ Result<QueryKeyPosting> QueryKeyPosting::DecodeFrom(ByteReader* reader) {
 
 Bytes QueryPost::Encode() const {
   Bytes out;
-  ByteWriter w(&out);
+  EncodeTo(&out);
+  return out;
+}
+
+void QueryPost::EncodeTo(Bytes* out) const {
+  ByteWriter w(out);
   w.PutU64(query_id);
   w.PutBytes(encrypted_query);
   w.PutString(querier_id);
@@ -218,11 +228,10 @@ Bytes QueryPost::Encode() const {
                                (key_posting ? 4 : 0)));
   if (size_max_tuples) w.PutU64(*size_max_tuples);
   if (size_max_duration_ticks) w.PutU64(*size_max_duration_ticks);
-  if (key_posting) key_posting->EncodeTo(&out);
-  return out;
+  if (key_posting) key_posting->EncodeTo(out);
 }
 
-Result<QueryPost> QueryPost::Decode(const Bytes& data) {
+Result<QueryPost> QueryPost::Decode(std::span<const uint8_t> data) {
   ByteReader reader(data);
   QueryPost post;
   TCELLS_ASSIGN_OR_RETURN(post.query_id, reader.GetU64());

@@ -106,7 +106,8 @@ class EncryptedItem {
 
  private:
   friend class ItemsBuilder;
-  friend Result<std::vector<EncryptedItem>> DecodeItems(Bytes data);
+  friend Result<std::vector<EncryptedItem>> DecodeItems(
+      const std::shared_ptr<const void>& owner, std::span<const uint8_t> data);
 
   EncryptedItem(std::shared_ptr<const uint8_t> data, uint32_t size,
                 uint32_t blob_offset)
@@ -166,10 +167,13 @@ class ItemScanner {
 /// Validates the rest of `reader` as one item vector and returns its count,
 /// materializing nothing.
 Result<uint32_t> ScanItems(::tcells::ByteReader* reader);
-/// Decodes `data`, which must hold exactly one item vector. The items adopt
-/// `data` as their shared buffer: one validating ItemScanner pass, no copy
-/// and no allocation per item. Every reply that carries items is decoded
-/// here.
+/// Decodes `data`, which must hold exactly one item vector inside a buffer
+/// `owner` keeps alive. The items share `owner`: one validating ItemScanner
+/// pass, no copy and no allocation per item. Every reply that carries items
+/// is decoded here, with the reply frame as the owner.
+Result<std::vector<EncryptedItem>> DecodeItems(
+    const std::shared_ptr<const void>& owner, std::span<const uint8_t> data);
+/// DecodeItems over a buffer of its own, which the items adopt.
 Result<std::vector<EncryptedItem>> DecodeItems(Bytes data);
 
 /// Seals one item vector straight into its encoding. The encodings are
@@ -287,7 +291,9 @@ struct QueryPost {
   std::optional<QueryKeyPosting> key_posting;  ///< dynamic key mode only
 
   Bytes Encode() const;
-  static Result<QueryPost> Decode(const Bytes& data);
+  /// Appends the encoding to `out`.
+  void EncodeTo(Bytes* out) const;
+  static Result<QueryPost> Decode(std::span<const uint8_t> data);
 };
 
 /// A chunk of the covering result handed to one TDS. Its codec is the

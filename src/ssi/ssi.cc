@@ -40,7 +40,7 @@ void AdversaryView::EncodeTo(Bytes* out) const {
   w.PutU64(filtering_items);
 }
 
-Result<AdversaryView> AdversaryView::Decode(const Bytes& data) {
+Result<AdversaryView> AdversaryView::Decode(std::span<const uint8_t> data) {
   ByteReader reader(data);
   AdversaryView view;
   TCELLS_ASSIGN_OR_RETURN(view.collection_tag_histogram,

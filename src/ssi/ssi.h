@@ -56,7 +56,7 @@ struct AdversaryView {
   /// Wire codec, so a remote querier can download the view for the exposure
   /// analysis. Maps encode in key order; the round trip is lossless.
   void EncodeTo(Bytes* out) const;
-  static Result<AdversaryView> Decode(const Bytes& data);
+  static Result<AdversaryView> Decode(std::span<const uint8_t> data);
 };
 
 /// ---- Partitioning (steps 5/9) ----

@@ -1,20 +1,31 @@
 #include "tds/access_control.h"
 
+#include <array>
 #include <set>
 
 #include "common/strings.h"
 
 namespace tcells::tds {
 
+namespace {
+
+std::array<uint8_t, 32> MacOf(const crypto::HmacState& mac,
+                              const std::string& querier_id) {
+  return mac.Mac(reinterpret_cast<const uint8_t*>(querier_id.data()),
+                 querier_id.size());
+}
+
+}  // namespace
+
 Bytes Authority::Issue(const std::string& querier_id) const {
-  Bytes id_bytes(querier_id.begin(), querier_id.end());
-  auto mac = mac_.Mac(id_bytes);
+  const auto mac = MacOf(mac_, querier_id);
   return Bytes(mac.begin(), mac.end());
 }
 
 bool Authority::Verify(const std::string& querier_id,
                        const Bytes& credential) const {
-  const Bytes expected = Issue(querier_id);
+  // The expected MAC lives on the stack: a serve verifies without a buffer.
+  const auto expected = MacOf(mac_, querier_id);
   return credential.size() == expected.size() &&
          crypto::ConstantTimeEqual(expected.data(), credential.data(),
                                    expected.size());

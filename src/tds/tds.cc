@@ -38,6 +38,7 @@ struct Workspace {
   storage::Tuple key;    // a true tuple's group key (Det-tag collection)
   Bytes key_bytes;       // its encoding
   Bytes tag;             // its Det tag
+  Bytes sql;             // a collection's decrypted query text
 };
 
 Workspace& ThreadWorkspace() {
@@ -122,12 +123,13 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
                           KeysForQuery(post.key_posting));
   const crypto::KeyStore& keys = *keys_sp;
   // Decrypt the query text with k1 (step 3) — the per-query session k1q when
-  // the post carries a key posting — and analyze it against the local
-  // catalog.
-  TCELLS_ASSIGN_OR_RETURN(Bytes sql_bytes,
-                          keys.k1_ndet().Decrypt(post.encrypted_query));
-  const std::string_view sql(reinterpret_cast<const char*>(sql_bytes.data()),
-                             sql_bytes.size());
+  // the post carries a key posting — into the thread workspace, and analyze
+  // it against the local catalog.
+  auto& ws = ThreadWorkspace();
+  TCELLS_RETURN_IF_ERROR(keys.k1_ndet().Decrypt(
+      post.encrypted_query.data(), post.encrypted_query.size(), &ws.sql));
+  const std::string_view sql(reinterpret_cast<const char*>(ws.sql.data()),
+                             ws.sql.size());
   TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const sql::AnalyzedQuery> query,
                           sql::AnalyzeSqlShared(sql, db_.shared_catalog()));
   // Credential + policy checks (step 2). A denied querier still gets a
@@ -150,7 +152,6 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
                                    config.pad_payload_to));
   }
   // Every item of the serve is sealed straight into one item vector.
-  auto& ws = ThreadWorkspace();
   ssi::ItemsBuilder items(&ws.items);
   if (tuples.empty()) {
     // Empty result or denied: a single dummy (§3.2 step 4'), so the SSI

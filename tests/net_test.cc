@@ -24,6 +24,7 @@
 
 #include "common/clock.h"
 #include "common/hex.h"
+#include "crypto/sha256.h"
 #include "net/byzantine.h"
 #include "net/faulty.h"
 #include "net/frame.h"
@@ -92,7 +93,7 @@ TEST(FrameTest, RoundTrip) {
   ByteReader reader(wire);
   auto decoded = DecodeFrame(&reader);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, payload);
+  EXPECT_EQ(Bytes(*decoded), payload);
   EXPECT_EQ(reader.remaining(), 0u);
 }
 
@@ -137,48 +138,126 @@ TEST(FrameTest, RejectsLengthBeyondRemaining) {
   EXPECT_TRUE(IsCorruption(DecodeFrame(&reader).status()));
 }
 
-TEST(FrameTest, TryExtractNeedsWholeHeader) {
-  Bytes buf = MakeBytes({5, 0});  // half a length prefix
-  Bytes frame;
-  Status error;
-  EXPECT_FALSE(TryExtractFrame(&buf, &frame, &error));
-  EXPECT_TRUE(error.ok());
-  EXPECT_EQ(buf.size(), 2u);  // nothing consumed
+/// Feeds `stream` to `receiver` the way a socket loop does, receive by
+/// receive of at most `chunk` bytes — in place where the receiver offers
+/// Space(), through Consume() otherwise — and returns the frames completed
+/// on the way.
+Result<std::vector<Bytes>> Receive(FrameReceiver* receiver,
+                                   const Bytes& stream, size_t chunk = 16) {
+  std::vector<Bytes> frames;
+  size_t pos = 0;
+  while (pos < stream.size()) {
+    const std::span<uint8_t> space = receiver->Space();
+    if (!space.empty()) {
+      const size_t n = std::min(space.size(), stream.size() - pos);
+      std::memcpy(space.data(), stream.data() + pos, n);
+      receiver->Commit(n);
+      pos += n;
+    } else {
+      const size_t n = std::min(chunk, stream.size() - pos);
+      std::span<const uint8_t> rest(stream.data() + pos, n);
+      pos += n;
+      while (!rest.empty()) {
+        TCELLS_ASSIGN_OR_RETURN(size_t used, receiver->Consume(rest));
+        rest = rest.subspan(used);
+        if (receiver->complete()) frames.push_back(receiver->TakeFrame());
+      }
+    }
+    if (receiver->complete()) frames.push_back(receiver->TakeFrame());
+  }
+  return frames;
 }
 
-TEST(FrameTest, TryExtractNeedsWholePayload) {
+TEST(FrameTest, ReceiverNeedsWholeHeader) {
+  FrameReceiver receiver;
+  auto frames = Receive(&receiver, MakeBytes({5, 0}));  // half a prefix
+  ASSERT_TRUE(frames.ok());
+  EXPECT_TRUE(frames->empty());
+  EXPECT_FALSE(receiver.complete());
+  EXPECT_EQ(receiver.pending(), 2u);
+  EXPECT_TRUE(receiver.Space().empty());  // a header goes through Consume
+}
+
+TEST(FrameTest, ReceiverNeedsWholePayload) {
   Bytes buf;
   AppendFrame(&buf, MakeBytes({1, 2, 3}));
   buf.pop_back();  // last payload byte still in flight
-  Bytes frame;
-  Status error;
-  EXPECT_FALSE(TryExtractFrame(&buf, &frame, &error));
-  EXPECT_TRUE(error.ok());
+  FrameReceiver receiver;
+  auto frames = Receive(&receiver, buf);
+  ASSERT_TRUE(frames.ok());
+  EXPECT_TRUE(frames->empty());
+  EXPECT_EQ(receiver.Space().size(), 1u);  // never past the payload
+  // A chunk holding more than the frame is taken only up to its end.
+  const Bytes tail = MakeBytes({3, 9, 9});
+  auto used = receiver.Consume(tail);
+  ASSERT_TRUE(used.ok());
+  EXPECT_EQ(*used, 1u);
+  ASSERT_TRUE(receiver.complete());
+  EXPECT_EQ(receiver.TakeFrame(), MakeBytes({1, 2, 3}));
 }
 
-TEST(FrameTest, TryExtractConsumesExactlyOneFrame) {
+TEST(FrameTest, ReceiverSplitsPipelinedFramesExactly) {
   Bytes buf;
   AppendFrame(&buf, MakeBytes({1, 2}));
+  AppendFrame(&buf, Bytes());
   AppendFrame(&buf, MakeBytes({3}));
-  Bytes frame;
-  Status error;
-  ASSERT_TRUE(TryExtractFrame(&buf, &frame, &error));
-  EXPECT_EQ(frame, MakeBytes({1, 2}));
-  ASSERT_TRUE(TryExtractFrame(&buf, &frame, &error));
-  EXPECT_EQ(frame, MakeBytes({3}));
-  EXPECT_TRUE(buf.empty());
-  EXPECT_FALSE(TryExtractFrame(&buf, &frame, &error));
-  EXPECT_TRUE(error.ok());
+  for (size_t chunk : {1u, 3u, 64u}) {
+    FrameReceiver receiver;
+    auto frames = Receive(&receiver, buf, chunk);
+    ASSERT_TRUE(frames.ok());
+    ASSERT_EQ(frames->size(), 3u) << "chunk " << chunk;
+    EXPECT_EQ((*frames)[0], MakeBytes({1, 2}));
+    EXPECT_TRUE((*frames)[1].empty());
+    EXPECT_EQ((*frames)[2], MakeBytes({3}));
+    EXPECT_EQ(receiver.pending(), 0u);
+  }
 }
 
-TEST(FrameTest, TryExtractRejectsHostileLengthBeforeBuffering) {
+TEST(FrameTest, ReceiverGrowsPastItsFirstChunk) {
+  // A payload larger than the receiver's first allocation arrives whole.
+  Bytes payload(3u << 20);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 7);
+  }
+  Bytes buf;
+  AppendFrame(&buf, payload);
+  FrameReceiver receiver;
+  auto frames = Receive(&receiver, buf, /*chunk=*/16384);
+  ASSERT_TRUE(frames.ok());
+  ASSERT_EQ(frames->size(), 1u);
+  EXPECT_EQ((*frames)[0], payload);
+}
+
+TEST(FrameTest, ReceiverAllocatesNoFurtherAheadThanItsBuffer) {
+  // A legal but large length in a bare header: the receiver allocates at
+  // most its first chunk (64 KiB) ahead of the bytes that arrived, and no
+  // more than `max_buffer` when that is smaller.
+  Bytes header;
+  ByteWriter(&header).PutU32(1u << 20);
+  FrameReceiver unbounded;
+  ASSERT_TRUE(unbounded.Consume(header).ok());
+  EXPECT_EQ(unbounded.Space().size(), 64u << 10);
+  FrameReceiver bounded(/*max_buffer=*/4096);
+  ASSERT_TRUE(bounded.Consume(header).ok());
+  const std::span<uint8_t> space = bounded.Space();
+  EXPECT_EQ(space.size(), 4096u);
+  bounded.Commit(space.size());
+  // The buffer is full: further bytes go through Consume, which takes only
+  // what arrived.
+  EXPECT_TRUE(bounded.Space().empty());
+  const Bytes more(100, 7);
+  auto used = bounded.Consume(more);
+  ASSERT_TRUE(used.ok());
+  EXPECT_EQ(*used, more.size());
+  EXPECT_EQ(bounded.pending(), 4 + 4096 + more.size());
+}
+
+TEST(FrameTest, ReceiverRejectsHostileLengthBeforeBuffering) {
   // The stream decoder must flag Corruption as soon as the header is
   // readable, not wait for 4 GiB that will never arrive.
-  Bytes buf = MakeBytes({0xff, 0xff, 0xff, 0xff, 0x00});
-  Bytes frame;
-  Status error;
-  EXPECT_FALSE(TryExtractFrame(&buf, &frame, &error));
-  EXPECT_TRUE(IsCorruption(error));
+  FrameReceiver receiver;
+  EXPECT_TRUE(IsCorruption(
+      Receive(&receiver, MakeBytes({0xff, 0xff, 0xff, 0xff, 0x00})).status()));
 }
 
 TEST(TransportKindTest, NameRoundTrip) {
@@ -217,7 +296,8 @@ TEST(LoopbackTest, InjectedFailuresSurfaceThenClear) {
   FaultyTransport transport(
       &loopback, ScriptOne(MsgType::kFetchPosts, FaultKind::kDropRequest,
                            /*nth=*/1, /*repeat=*/2));
-  const Bytes frame = EncodeBatchFrame({BatchCall{1, FetchPostsRequest(7)}});
+  const Bytes call = FetchPostsRequest(7);
+  const Bytes frame = EncodeBatchFrame({BatchCall{1, call}});
   auto channel = transport.Connect();
   ASSERT_TRUE(channel.ok());
   EXPECT_TRUE(IsUnavailable((*channel)->Call(frame, CallOptions{}).status()));
@@ -385,6 +465,28 @@ TEST(TcpTest, HostileReplyLengthIsCorruption) {
     // A length prefix beyond the cap: fatal, not retryable — the stream can
     // never be re-synchronized.
     listener.Send(MakeBytes({0xff, 0xff, 0xff, 0xff}));
+  });
+  TcpTransport transport("127.0.0.1", listener.port());
+  auto channel = transport.Connect();
+  ASSERT_TRUE(channel.ok());
+  auto reply = (*channel)->Call(MakeBytes({42}), CallOptions{});
+  peer.join();
+  ASSERT_FALSE(reply.ok());
+  EXPECT_TRUE(IsCorruption(reply.status())) << reply.status().ToString();
+}
+
+TEST(TcpTest, BytesAfterTheReplyAreCorruption) {
+  RawListener listener;
+  std::thread peer([&] {
+    ASSERT_GE(listener.Accept(), 0);
+    listener.DrainRequest();
+    // A whole reply frame and, in the same send, bytes nobody asked for:
+    // the stream can no longer be paired with calls, so it is fatal.
+    Bytes wire;
+    AppendFrame(&wire, MakeBytes({7}));
+    wire.push_back(0xAA);
+    wire.push_back(0xBB);
+    listener.Send(wire);
   });
   TcpTransport transport("127.0.0.1", listener.port());
   auto channel = transport.Connect();
@@ -979,8 +1081,8 @@ TEST(SsiNodeTest, BareSingleCallFrameIsCorruption) {
   SsiNode node;
   auto bare = node.Handle(FetchPostsRequest(1));
   EXPECT_TRUE(IsCorruption(bare.status())) << bare.status().ToString();
-  auto batched =
-      node.Handle(EncodeBatchFrame({BatchCall{1, FetchPostsRequest(1)}}));
+  const Bytes call = FetchPostsRequest(1);
+  auto batched = node.Handle(EncodeBatchFrame({BatchCall{1, call}}));
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
 }
 
@@ -1172,6 +1274,120 @@ TEST(SsiNodeTest, ItemVectorWireBytesArePinned) {
     EXPECT_EQ(ToHex(replies[static_cast<uint8_t>(type)]), hex)
         << "reply to MsgType " << static_cast<int>(type);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Wire pinning: what a client session puts on the wire, frame by frame.
+
+TEST(SsiWireTest, FramesArePinned) {
+  // A scripted session that sends every live MsgType, draws one
+  // application-error reply and ships one 8-call frame. The SHA-256 of every
+  // request and reply frame must match the digests below: however the
+  // client and node build and read their frames, the bytes may not move.
+  SsiNode node;
+  std::vector<std::string> frames;
+  LoopbackTransport transport([&](const Bytes& request) -> Result<Bytes> {
+    TCELLS_ASSIGN_OR_RETURN(Bytes reply, node.Handle(request));
+    const auto request_digest = crypto::Sha256::Hash(request);
+    const auto reply_digest = crypto::Sha256::Hash(reply);
+    frames.push_back(ToHex(request_digest.data(), request_digest.size()) +
+                     " " + ToHex(reply_digest.data(), reply_digest.size()));
+    return reply;
+  });
+  BatchOptions batching;
+  batching.max_calls_per_frame = 8;
+  SsiClient client(&transport, RetryPolicy{}, nullptr, batching);
+
+  const ssi::EncryptedItem tagged(MakeBytes({0x10, 0x11, 0x12}),
+                                  MakeBytes({0xA0, 0xA1}));
+  const ssi::EncryptedItem untagged(MakeBytes({0x20, 0x21}));
+  const std::vector<ssi::EncryptedItem> items = {tagged, untagged};
+  ssi::Partition partition;
+  partition.items = items;
+
+  ssi::QueryPost global;
+  global.query_id = 7;
+  global.encrypted_query = MakeBytes({0x51, 0x52, 0x53, 0x54});
+  global.querier_id = "querier";
+  global.credential_mac = MakeBytes({0xC1, 0xC2});
+  global.size_max_tuples = 100;
+  ssi::QueryPost personal;
+  personal.query_id = 8;
+  personal.encrypted_query = MakeBytes({0x61});
+  personal.querier_id = "q";
+  personal.size_max_duration_ticks = 3;
+  personal.key_posting =
+      ssi::QueryKeyPosting{2, 8, Bytes(ssi::QueryKeyPosting::kNonceSize, 0x4e)};
+
+  ASSERT_TRUE(client.PostGlobal(global).ok());
+  ASSERT_TRUE(client.PostPersonal(5, personal).ok());
+  ASSERT_TRUE(client.PostEpochBlock(MakeBytes({0xE0, 0xE1, 0xE2})).ok());
+  ASSERT_EQ(client.FetchEpochBlock(3).ValueOrDie(),
+            MakeBytes({0xE0, 0xE1, 0xE2}));
+  ASSERT_EQ(client.FetchPosts(3).ValueOrDie().size(), 1u);
+  std::vector<Result<std::vector<ssi::QueryPost>>> posts =
+      client.FetchPostsBatch({1, 2, 3, 4, 5, 6, 7, 8});
+  ASSERT_EQ(posts.size(), 8u);
+  ASSERT_EQ(posts[4].ValueOrDie().size(), 2u);
+  ASSERT_TRUE(client.Acknowledge(4, 7).ok());
+  ASSERT_TRUE(client.UploadCollection(7, 3, items).ValueOrDie());
+  ASSERT_EQ(client.TakeCollected(7).ValueOrDie(), items);
+  ASSERT_TRUE(client.StagePartition(7, 2, partition).ok());
+  ASSERT_EQ(client.FetchPartition(7, 2).ValueOrDie().items, items);
+  ASSERT_TRUE(client.UploadRoundOutput(7, 2, items).ok());
+  ASSERT_EQ(client.TakeRoundOutput(7, 2).ValueOrDie(), items);
+  ASSERT_TRUE(client.ObserveAggregation(7, items).ok());
+  ASSERT_TRUE(client.DeliverResult(7, items).ok());
+  ASSERT_EQ(client.FetchResult(7).ValueOrDie(), items);
+  ASSERT_EQ(client.GetAdversaryView(7).ValueOrDie().collection_items, 2u);
+  ASSERT_TRUE(IsNotFound(client.FetchPartition(7, 99).status()));
+  ASSERT_TRUE(client.Retire(7).ok());
+  ASSERT_TRUE(client.Retire(8).ok());
+
+  // One "request-digest reply-digest" line per frame, in session order.
+  const std::vector<std::string> want = {
+      "6fa146acabd4154df8c4c864cdf5ea7402fd578d4ede865fbfb0c0e5da77550e"
+      " 236bc39db406da35999a3a7d427cd4c00a52d012c228257420ed9b74836ab584",
+      "b99d8ec8dd88b78dabe5f120d66b4f938c19a1847e6ef54b93eef922844071b9"
+      " 56cc55f6c733192fb68d54500e391f9f5e8cbec156bd48ffc2b891f125dcde63",
+      "1e85219b6bf157a252fc502ea14cfd4d03550e862031e910f6b254043be9b594"
+      " e88d5bc134808c4bfa495e205351230b46a7725f41a9cf96ee9fa6ad530e0b9a",
+      "91ff6cf00642bb4c3da8cb52610ce4f7684a2984ad9634edc23b6e109207a888"
+      " 74a3db5aa89f45a13180f06a66df191ce5ac8102925e7455c98f76162e9033b5",
+      "d067e5a4fd058955c0e0be98cde77a40ae330331360dbd345f7cd255a9d2ac41"
+      " a2a5f9ce945ec8d16eb02ff39ec895c3ea9389cc48b38170dc037c40fccc782d",
+      "efe15a9655dd26024d5734f172283367399d5edc43d20712359b71d9d9c2c433"
+      " d85592a22dd04a19727ef3bec6969767e8790552efa517cc2a03f7ab991f6e0a",
+      "bd4d1fe4411e4e6f7202897c57f64447b12704de6c9be182cb4b10c7d56b47af"
+      " 803bcc8714bbc21dfa70242c001187375af09445d44eca87398ffbfa632f2881",
+      "3464163e6e2d7fa30ce8939b3ed03179f72484f6a4dadcdb81a4010b8d71ac21"
+      " 7e1f8d96ac48311dc7c995aa79281d9f05b42866b3c6aa52b229bc99557f8053",
+      "bcc8f48fca230e76984511305ce1deceb6acdff94547eed223d3b745427407c6"
+      " 9ea38b7fa34e6c2b2d017685225fc9ae9459bb62dbe6d9373d005728ef9d3683",
+      "3f6963a84684edb7ef8825c06ea24b8f807baf29bbb8d044464486fe66e0638b"
+      " 518a88e2fe62e7bbaef45d8b98c8bd05c9cc8188e22975c13343651afe58eddd",
+      "c755a820e5c1620fc04f961cbdd232ceeaf6056da0ae042b83ecddfc14b0caf8"
+      " 215773fed2ae28ce2541d17dfbc3b4782434eb081b4f9f3c5370ea1b1fdb7938",
+      "df6058676f257b81660ae87341fe5887d7271edb7bd462357088b558ea46ffe5"
+      " 617e9aa0f1458d7409661b1c943d9a57a1a4c4b273c32494e1aee284f8717b21",
+      "934fa8ecf2d77eda8fdc59aa0285707523f13af1a1e0449ffca67725ca7b0033"
+      " 76dff8a8a531b3157ff2098b3fae0400c3ef685ca81e60f1cdb9644e72cf2a10",
+      "e944bb7c92c9184930e277212c1a5697be907c55d515ff707c8c2311c7b0ada9"
+      " 2285d4a4e44524ed49fb85aeeeddfb13df0f1ecdfe40a59c0adb39f1df52e3cc",
+      "bbee8695957dab92ba7254e71d13db626eed569d00ff8e732c9e83b32a0289c7"
+      " 9a7df7f3053a90e3f9a0e536b5e5ee053a50e5fc94003a1ccbb1a6cef12400b8",
+      "2bd088f55fb125cad40c1137105beeb50e4563a22474d739622dd19fc72b3202"
+      " 1272601ca1a0ee343003cf4420bb5b7b5d74a4edf9e0a8e27b33d259f8983372",
+      "975999d65d38a924405581663445f64dc6e7c72f84895a73d432be70c7479048"
+      " b1e91c836fbf325be103de5cd955a4468cf467b83345b702b08e8eb93cb94b31",
+      "23f6dd8fcf110dc5ec21c93ead33ba76d34d6a310cd8ce03fb5c8a2dbd500ae6"
+      " ee7146589a704b5383192fc5294b4bf3040b84438bdca86d02ad281d5489eb3f",
+      "05d2f114adf333a5116c7a5c4637951f27185cfb0a0f7d4431b195206c9835f9"
+      " ec2f8e66b1a5fe4942a5ea8f040ea930eafe2eef2b6238ff81158962d220db66",
+      "8979a60db1b8a9efe8e3e06e2b9fb0a838eb7f2342d91eaf2aaf19aa7b0f1afd"
+      " becba30d96e879f63116ea9afff65cf5a0de3506501aecc9f35ff8ba27947c05",
+  };
+  EXPECT_EQ(frames, want);
 }
 
 // ---------------------------------------------------------------------------
@@ -1469,6 +1685,78 @@ TEST(ShardedSsiClientTest, TakeCollectedReplaysSubmissionOrder) {
   }
 }
 
+/// A shard that answers only the first `answered` calls of every batch.
+class ShortReplyingClient : public SsiClient {
+ public:
+  ShortReplyingClient(Transport* transport, size_t answered)
+      : SsiClient(transport), answered_(answered) {}
+
+  std::vector<Result<std::vector<ssi::QueryPost>>> FetchPostsBatch(
+      const std::vector<uint64_t>& tds_ids) override {
+    auto replies = SsiClient::FetchPostsBatch(tds_ids);
+    replies.erase(replies.begin() + std::min(replies.size(), answered_),
+                  replies.end());
+    return replies;
+  }
+  std::vector<Result<bool>> UploadCollectionBatch(
+      const std::vector<CollectionUpload>& uploads) override {
+    auto replies = SsiClient::UploadCollectionBatch(uploads);
+    replies.erase(replies.begin() + std::min(replies.size(), answered_),
+                  replies.end());
+    return replies;
+  }
+
+ private:
+  size_t answered_;
+};
+
+TEST(ShardedSsiClientTest, ShortShardRepliesLeaveExactlyTheirSlotsUnavailable) {
+  // Shard 1 answers only the first 2 calls of each batch it is sent. The
+  // router hands every other slot its own reply, and exactly shard 1's
+  // unanswered slots come back Unavailable.
+  SsiNode node0, node1;
+  LoopbackTransport transport0(node0.handler()), transport1(node1.handler());
+  SsiClient client0(&transport0);
+  ShortReplyingClient client1(&transport1, /*answered=*/2);
+  ShardedSsiClient router({&client0, &client1});
+  ssi::QueryPost post;
+  post.query_id = 5;
+  ASSERT_TRUE(router.PostGlobal(post).ok());
+
+  std::vector<uint64_t> ids;
+  std::vector<CollectionUpload> uploads;
+  for (uint8_t tds = 0; tds < 12; ++tds) {
+    ids.push_back(tds);
+    uploads.push_back({5, tds, {MakeItem(tds, false)}});
+  }
+  // Which slots shard 1 leaves unanswered: all of its slots after its 2nd.
+  std::vector<bool> unanswered(ids.size(), false);
+  size_t on_shard1 = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (router.ShardOfTds(ids[i]) == 1 && ++on_shard1 > 2) {
+      unanswered[i] = true;
+    }
+  }
+  ASSERT_GT(on_shard1, 2u);
+  ASSERT_LT(on_shard1, ids.size());
+
+  auto posts = router.FetchPostsBatch(ids);
+  ASSERT_EQ(posts.size(), ids.size());
+  auto accepts = router.UploadCollectionBatch(uploads);
+  ASSERT_EQ(accepts.size(), uploads.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    SCOPED_TRACE("slot " + std::to_string(i));
+    if (unanswered[i]) {
+      EXPECT_TRUE(IsUnavailable(posts[i].status()));
+      EXPECT_TRUE(IsUnavailable(accepts[i].status()));
+    } else {
+      ASSERT_TRUE(posts[i].ok()) << posts[i].status().ToString();
+      EXPECT_EQ(posts[i]->size(), 1u);
+      EXPECT_TRUE(accepts[i].ValueOrDie());
+    }
+  }
+}
+
 TEST(ShardedSsiClientTest, QueryStateLivesOnItsHomeNode) {
   // A query's round transfers, result and Retire go to the node it was
   // posted to: for a personal query, its TDS's node and no other; for a
@@ -1543,18 +1831,49 @@ TEST(ShardedSsiClientTest, QueryStateLivesOnItsHomeNode) {
 // Batch envelope wire format.
 
 TEST(BatchWireTest, RoundTrip) {
-  std::vector<BatchCall> calls;
-  calls.push_back(BatchCall{7, MakeBytes({1, 2, 3})});
-  calls.push_back(BatchCall{9, Bytes()});
-  calls.push_back(BatchCall{0xFFFFFFFFFFFFFFFFULL, MakeBytes({4})});
+  const std::vector<Bytes> payloads = {MakeBytes({1, 2, 3}), Bytes(),
+                                       MakeBytes({4})};
+  const std::vector<BatchCall> calls = {
+      BatchCall{7, payloads[0]}, BatchCall{9, payloads[1]},
+      BatchCall{0xFFFFFFFFFFFFFFFFULL, payloads[2]}};
   Bytes frame = EncodeBatchFrame(calls);
   auto decoded = DecodeBatchFrame(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_EQ(decoded->size(), 3u);
   for (size_t i = 0; i < calls.size(); ++i) {
     EXPECT_EQ((*decoded)[i].correlation_id, calls[i].correlation_id);
-    EXPECT_EQ((*decoded)[i].payload, calls[i].payload);
+    EXPECT_EQ(Bytes((*decoded)[i].payload), payloads[i]);
+    // The decoded payloads are views into the frame.
+    EXPECT_GE((*decoded)[i].payload.data(), frame.data());
+    EXPECT_LE((*decoded)[i].payload.data() + payloads[i].size(),
+              frame.data() + frame.size());
   }
+}
+
+TEST(BatchWireTest, WriterAbandonsAnOpenCall) {
+  // A call the client abandons (it opens the next frame instead) leaves a
+  // well-formed frame of the calls closed before it.
+  Bytes frame;
+  BatchFrameWriter writer(&frame);
+  writer.Open(1);
+  frame.push_back(0xAC);
+  EXPECT_EQ(writer.open_payload_size(), 1u);
+  writer.Close();
+  writer.Open(2);
+  frame.push_back(0xBB);
+  frame.push_back(0xBC);
+  writer.Abandon();
+  writer.Finish();
+  const Bytes payload = MakeBytes({0xAC});
+  EXPECT_EQ(frame, EncodeBatchFrame({BatchCall{1, payload}}));
+}
+
+TEST(BatchWireTest, CorrelationIdsAreWrittenInPlace) {
+  const Bytes a = MakeBytes({1});
+  const Bytes b = MakeBytes({2, 3});
+  Bytes frame = EncodeBatchFrame({BatchCall{0, a}, BatchCall{0, b}});
+  SetCorrelationIds(&frame, 40);
+  EXPECT_EQ(frame, EncodeBatchFrame({BatchCall{40, a}, BatchCall{41, b}}));
 }
 
 TEST(BatchWireTest, RejectsHostileCountBeforeAllocation) {
@@ -1593,7 +1912,8 @@ TEST(BatchWireTest, RejectsEmptyVersionedAndTrailingGarbage) {
   we.PutU32(0);
   EXPECT_TRUE(IsCorruption(DecodeBatchFrame(empty).status()));
 
-  std::vector<BatchCall> calls = {BatchCall{1, MakeBytes({1})}};
+  const Bytes payload = MakeBytes({1});
+  std::vector<BatchCall> calls = {BatchCall{1, payload}};
   Bytes versioned = EncodeBatchFrame(calls);
   versioned[1] = kBatchVersion + 1;
   EXPECT_TRUE(IsCorruption(DecodeBatchFrame(versioned).status()));
@@ -1641,13 +1961,15 @@ TEST(SsiClientBatchTest, OutOfOrderRepliesAreMatchedByCorrelationId) {
   LoopbackTransport transport([&](const Bytes& req) -> Result<Bytes> {
     TCELLS_ASSIGN_OR_RETURN(std::vector<BatchCall> calls,
                             DecodeBatchFrame(req));
-    std::vector<BatchCall> replies;
-    for (BatchCall& call : calls) {
-      replies.push_back(BatchCall{call.correlation_id,
-                                  EncodeReplyOk(call.payload)});
+    Bytes reply;
+    BatchFrameWriter writer(&reply);
+    for (auto call = calls.rbegin(); call != calls.rend(); ++call) {
+      writer.Open(call->correlation_id);
+      AppendReplyOk(&reply, call->payload);
+      writer.Close();
     }
-    std::reverse(replies.begin(), replies.end());
-    return EncodeBatchFrame(replies);
+    writer.Finish();
+    return reply;
   });
   SsiClient client(&transport, RetryPolicy{}, nullptr, TestBatch(8));
 
@@ -1669,14 +1991,13 @@ TEST(SsiClientBatchTest, UnknownAndDuplicateCorrelationIdsAreDropped) {
   LoopbackTransport transport([&](const Bytes& req) -> Result<Bytes> {
     TCELLS_ASSIGN_OR_RETURN(std::vector<BatchCall> calls,
                             DecodeBatchFrame(req));
-    std::vector<BatchCall> replies;
-    replies.push_back(BatchCall{calls[0].correlation_id,
-                                EncodeReplyOk(MakeBytes({1}))});
-    replies.push_back(BatchCall{calls[0].correlation_id,
-                                EncodeReplyOk(MakeBytes({2}))});
-    replies.push_back(BatchCall{calls[0].correlation_id + 1000000,
-                                EncodeReplyOk(MakeBytes({3}))});
-    return EncodeBatchFrame(replies);
+    const Bytes one = EncodeReplyOk(MakeBytes({1}));
+    const Bytes two = EncodeReplyOk(MakeBytes({2}));
+    const Bytes three = EncodeReplyOk(MakeBytes({3}));
+    return EncodeBatchFrame({BatchCall{calls[0].correlation_id, one},
+                             BatchCall{calls[0].correlation_id, two},
+                             BatchCall{calls[0].correlation_id + 1000000,
+                                       three}});
   });
   RetryPolicy policy;
   policy.max_attempts = 1;
@@ -1818,8 +2139,9 @@ TEST(SsiNodeTest, ServesBatchFramesInOrder) {
   wa.PutU8(static_cast<uint8_t>(MsgType::kAcknowledge));
   wa.PutU64(3);  // tds_id
   wa.PutU64(1);  // query_id
+  const Bytes fetch = FetchPostsRequest(3);
   calls.push_back(BatchCall{10, ack});
-  calls.push_back(BatchCall{11, FetchPostsRequest(3)});
+  calls.push_back(BatchCall{11, fetch});
   auto reply = node.Handle(EncodeBatchFrame(calls));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   auto replies = DecodeBatchFrame(*reply);
