@@ -15,17 +15,25 @@
 // Load_Q per point — the curve the per-tuple arena/span rework makes
 // affordable to measure at 1M.
 //
+// Every cell and curve point also records its memory: the process's peak
+// RSS while its queries run (VmHWM, reset once the fleet and engine are
+// built) and the transient bytes per TDS, that peak minus the RSS the built
+// fleet and engine held before the first query, divided by the fleet size.
+//
 // Output: a human-readable table plus BENCH_fleet.json (or argv[1]) with
-// qps, p50/p99 latency and wall time per cell. Timing is hand-rolled
-// (steady_clock) so the target stays dependency-light.
+// qps, p50/p99 latency, wall time and memory per cell. Timing is
+// hand-rolled (steady_clock) so the target stays dependency-light.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/process_memory.h"
 #include "protocol/reference.h"
 #include "tcells/engine.h"
 #include "tds/access_control.h"
@@ -49,7 +57,25 @@ struct Cell {
   double p50_ms;
   double p99_ms;
   bool all_match;
+  double peak_rss_mb;
+  double transient_bytes_per_tds;
 };
+
+/// Resets the peak-RSS mark and returns the resident bytes it starts from.
+uint64_t StartMemoryMark() {
+  ResetPeakRss();
+  return CurrentRssBytes();
+}
+
+/// The peak RSS since StartMemoryMark, in MB, and what it added over
+/// `baseline` per TDS of a `num_tds` fleet, in bytes.
+std::pair<double, double> EndMemoryMark(uint64_t baseline, size_t num_tds) {
+  const uint64_t peak = PeakRssBytes();
+  const double added = peak > baseline ? static_cast<double>(peak - baseline)
+                                       : 0.0;
+  return {static_cast<double>(peak) / (1024.0 * 1024.0),
+          added / static_cast<double>(num_tds)};
+}
 
 double Quantile(std::vector<double> sorted, double q) {
   if (sorted.empty()) return 0;
@@ -97,6 +123,7 @@ Cell RunCell(size_t num_tds, size_t shards, net::TransportKind transport,
   std::vector<std::thread> waiters;
   waiters.reserve(kQueries);
 
+  const uint64_t rss_baseline = StartMemoryMark();
   auto wall0 = std::chrono::steady_clock::now();
   for (size_t i = 0; i < kQueries; ++i) {
     QueryHandle handle =
@@ -115,6 +142,8 @@ Cell RunCell(size_t num_tds, size_t shards, net::TransportKind transport,
                     .count();
 
   Cell cell;
+  std::tie(cell.peak_rss_mb, cell.transient_bytes_per_tds) =
+      EndMemoryMark(rss_baseline, num_tds);
   cell.num_tds = num_tds;
   cell.shards = shards;
   cell.transport = transport;
@@ -142,6 +171,8 @@ struct CurvePoint {
   uint64_t query_path_tuples;
   double ns_per_tuple;
   bool match;
+  double peak_rss_mb;
+  double transient_bytes_per_tds;
 };
 
 CurvePoint RunCurvePoint(size_t num_tds) {
@@ -177,6 +208,7 @@ CurvePoint RunCurvePoint(size_t num_tds) {
   auto engine = Engine::Create(std::move(fleet), cfg).ValueOrDie();
 
   protocol::SAggProtocol s_agg;
+  const uint64_t rss_baseline = StartMemoryMark();
   auto wall0 = std::chrono::steady_clock::now();
   auto outcome = engine->Run(s_agg, querier, /*query_id=*/1, sql);
   double wall = std::chrono::duration<double>(
@@ -184,6 +216,8 @@ CurvePoint RunCurvePoint(size_t num_tds) {
                     .count();
 
   CurvePoint pt;
+  std::tie(pt.peak_rss_mb, pt.transient_bytes_per_tds) =
+      EndMemoryMark(rss_baseline, num_tds);
   pt.num_tds = num_tds;
   pt.wall_seconds = wall;
   pt.match = outcome.ok() && outcome->result.SameRows(oracle);
@@ -231,9 +265,9 @@ int main(int argc, char** argv) {
 
   std::printf("=== fleet scale: %zu concurrent S_Agg queries, %zu slots ===\n",
               kQueries, kMaxInflight);
-  std::printf("%-10s %-8s %-10s %-6s %10s %10s %12s %12s %-6s\n", "N_t",
-              "shards", "transport", "batch", "wall(s)", "qps", "p50(ms)",
-              "p99(ms)", "match");
+  std::printf("%-10s %-8s %-10s %-6s %10s %10s %12s %12s %10s %10s %-6s\n",
+              "N_t", "shards", "transport", "batch", "wall(s)", "qps",
+              "p50(ms)", "p99(ms)", "peak(MB)", "B/TDS", "match");
 
   std::string json_rows;
   bool ok = true;
@@ -241,19 +275,23 @@ int main(int argc, char** argv) {
     Cell c = RunCell(p.num_tds, p.shards, p.transport, p.batch_max_calls);
     ok = ok && c.all_match;
     const std::string transport = net::TransportKindToString(c.transport);
-    std::printf("%-10zu %-8zu %-10s %-6zu %10.3f %10.2f %12.1f %12.1f %-6s\n",
-                c.num_tds, c.shards, transport.c_str(), c.batch_max_calls,
-                c.wall_seconds, c.qps, c.p50_ms, c.p99_ms,
-                c.all_match ? "yes" : "NO");
-    char row[400];
+    std::printf(
+        "%-10zu %-8zu %-10s %-6zu %10.3f %10.2f %12.1f %12.1f %10.1f %10.0f "
+        "%-6s\n",
+        c.num_tds, c.shards, transport.c_str(), c.batch_max_calls,
+        c.wall_seconds, c.qps, c.p50_ms, c.p99_ms, c.peak_rss_mb,
+        c.transient_bytes_per_tds, c.all_match ? "yes" : "NO");
+    char row[512];
     std::snprintf(row, sizeof(row),
                   "    {\"num_tds\": %zu, \"shards\": %zu, "
                   "\"transport\": \"%s\", \"batch_max_calls\": %zu, "
                   "\"queries\": %zu, "
                   "\"wall_seconds\": %.3f, \"qps\": %.2f, \"p50_ms\": %.1f, "
-                  "\"p99_ms\": %.1f, \"all_match\": %s}",
+                  "\"p99_ms\": %.1f, \"peak_rss_mb\": %.1f, "
+                  "\"transient_bytes_per_tds\": %.0f, \"all_match\": %s}",
                   c.num_tds, c.shards, transport.c_str(), c.batch_max_calls,
                   kQueries, c.wall_seconds, c.qps, c.p50_ms, c.p99_ms,
+                  c.peak_rss_mb, c.transient_bytes_per_tds,
                   c.all_match ? "true" : "false");
     if (!json_rows.empty()) json_rows += ",\n";
     json_rows += row;
@@ -271,25 +309,30 @@ int main(int argc, char** argv) {
                                              1000000};
     std::printf("\n=== scale curve: single S_Agg query, auto-batched "
                 "loopback, 4 shards ===\n");
-    std::printf("%-10s %10s %10s %10s %14s %12s %-6s\n", "N_t", "wall(s)",
-                "T_Q(s)", "P_TDS", "Load_Q(MB)", "ns/tuple", "match");
+    std::printf("%-10s %10s %10s %10s %14s %12s %10s %10s %-6s\n", "N_t",
+                "wall(s)", "T_Q(s)", "P_TDS", "Load_Q(MB)", "ns/tuple",
+                "peak(MB)", "B/TDS", "match");
     for (size_t n : curve_sizes) {
       CurvePoint pt = RunCurvePoint(n);
       ok = ok && pt.match;
-      std::printf("%-10zu %10.3f %10.3f %10zu %14.2f %12.1f %-6s\n",
+      std::printf("%-10zu %10.3f %10.3f %10zu %14.2f %12.1f %10.1f %10.0f "
+                  "%-6s\n",
                   pt.num_tds, pt.wall_seconds, pt.tq_seconds, pt.p_tds,
                   static_cast<double>(pt.load_bytes) / 1e6, pt.ns_per_tuple,
+                  pt.peak_rss_mb, pt.transient_bytes_per_tds,
                   pt.match ? "yes" : "NO");
-      char row[400];
+      char row[512];
       std::snprintf(row, sizeof(row),
                     "    {\"num_tds\": %zu, \"wall_seconds\": %.3f, "
                     "\"tq_seconds\": %.3f, \"p_tds\": %zu, "
                     "\"load_bytes\": %llu, \"query_path_tuples\": %llu, "
-                    "\"ns_per_tuple\": %.1f, \"match\": %s}",
+                    "\"ns_per_tuple\": %.1f, \"peak_rss_mb\": %.1f, "
+                    "\"transient_bytes_per_tds\": %.0f, \"match\": %s}",
                     pt.num_tds, pt.wall_seconds, pt.tq_seconds, pt.p_tds,
                     static_cast<unsigned long long>(pt.load_bytes),
                     static_cast<unsigned long long>(pt.query_path_tuples),
-                    pt.ns_per_tuple, pt.match ? "true" : "false");
+                    pt.ns_per_tuple, pt.peak_rss_mb,
+                    pt.transient_bytes_per_tds, pt.match ? "true" : "false");
       if (!curve_rows.empty()) curve_rows += ",\n";
       curve_rows += row;
     }

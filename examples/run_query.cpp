@@ -1,6 +1,7 @@
 // run_query: a small CLI that executes an arbitrary SQL query of the
 // supported dialect over a simulated fleet with a chosen protocol, printing
-// the result, the oracle check, the cost metrics and the adversary view.
+// the result, the oracle check, the cost metrics and the adversary view,
+// and its peak RSS (VmHWM) on stderr.
 // Built on the tcells::Engine facade, so every run records telemetry: a
 // per-query span tree (exportable with --trace-json) and engine-wide
 // counters/histograms.
@@ -44,6 +45,7 @@
 #include <string>
 #include <type_traits>
 
+#include "common/process_memory.h"
 #include "protocol/reference.h"
 #include "tcells/engine.h"
 #include "tds/access_control.h"
@@ -214,6 +216,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   outcome->adversary.collection_items),
               outcome->adversary.collection_tag_histogram.size());
+  // Process-wide and host-dependent, so it goes to stderr, never into the
+  // deterministic exports.
+  std::fprintf(stderr, "peak RSS (VmHWM): %.1f MB\n",
+               static_cast<double>(PeakRssBytes()) / (1024.0 * 1024.0));
 
   if (!trace_json_path.empty()) {
     if (!outcome->trace) {

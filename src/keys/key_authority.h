@@ -20,6 +20,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <shared_mutex>
 #include <vector>
 
 #include "common/bytes.h"
@@ -80,6 +81,14 @@ class KeyAuthority {
   Status VerifyContribution(const ContributionTag& tag, uint64_t query_id,
                             const Bytes& digest) const;
 
+  /// Orders epoch publication against admission. A collection wave holds it
+  /// shared from its uploaders' pre-tag refresh to its last
+  /// VerifyContribution, and whoever rolls the epoch holds it exclusively
+  /// until the new block is on the SSI. So a rollover lands before a wave's
+  /// refresh or after its checks, never between a tag and its check, where
+  /// it would turn honest uploads into stale-epoch rejections.
+  std::shared_mutex& publication_mutex() const { return publication_mu_; }
+
  private:
   KeyAuthority(Bytes master, crypto::BroadcastChannel channel,
                size_t num_devices, uint64_t seed);
@@ -92,6 +101,7 @@ class KeyAuthority {
   const crypto::BroadcastChannel channel_;
   const size_t num_devices_;
 
+  mutable std::shared_mutex publication_mu_;
   mutable std::mutex mu_;
   Rng rng_;
   uint32_t epoch_ = 0;

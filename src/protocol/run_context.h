@@ -94,7 +94,7 @@ struct RunOptions {
   std::function<void(uint64_t)> tick_hook;
 
   /// Cooperative cancellation flag (borrowed; may be null). Checked at the
-  /// run's natural serial boundaries — each collection tick, each
+  /// run's natural serial boundaries — each collection tick and wave, each
   /// aggregation/filtering round, each per-query completion step — so a
   /// cancelled run stops promptly, returns Status::Cancelled, and never
   /// leaves a phase half-applied. Engine::QueryHandle::Cancel sets it.

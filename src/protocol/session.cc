@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
+#include <shared_mutex>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -11,10 +14,22 @@ using ssi::EncryptedItem;
 
 namespace {
 
+/// Connectors a collection tick serves at once. A wave fetches its posts,
+/// serves, tags and uploads, then frees all of it before the next wave, so
+/// a tick's transient memory is set by the wave, not the fleet. No output
+/// depends on the value (collection_wave_test pins that); docs/PERFORMANCE.md
+/// "Collection memory" has the runs it was picked from.
+constexpr size_t kCollectionWave = 4096;
+
 double WallMicrosSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// Whether `items` forwarded meet a SIZE bound (never without one).
+bool SizeReached(const std::optional<uint64_t>& bound, uint64_t items) {
+  return bound && items >= *bound;
 }
 
 /// Transport failures degrade gracefully (the TDS/querier just misses this
@@ -196,19 +211,19 @@ Status QuerySession::Collect(PendingQuery& q) {
   // recorded from the accept bits) and serves the SSI confirmed.
   const sim::PhaseTally& collected =
       metrics.accountant.phase(sim::Phase::kCollection);
-  auto size_reached = [&](uint64_t items) {
-    return q.size_max_tuples && items >= *q.size_max_tuples;
-  };
   uint64_t served = 0;
+  auto cancelled = [&] {
+    return options_.cancel != nullptr &&
+           options_.cancel->load(std::memory_order_relaxed);
+  };
 
-  // Per tick: connectors and their downloads are decided serially (SSI state
-  // is single-threaded), each connector's serve gets a private Rng stream
-  // forked from the query's context in a fixed order, local evaluation fans
-  // out across the worker threads, and the contributions are uploaded in
-  // serve order. Bit-identical for any thread count.
+  // Per tick: the connectors are drawn serially from the session rng, then
+  // served in waves of kCollectionWave, in connector order (ServeWave). The
+  // waves fork serve streams, upload and acknowledge in exactly the order
+  // one pass over the tick would, so the outcome is bit-identical for any
+  // thread count and any wave size.
   for (uint64_t tick = 0;; ++tick) {
-    if (options_.cancel != nullptr &&
-        options_.cancel->load(std::memory_order_relaxed)) {
+    if (cancelled()) {
       return Status::Cancelled("query cancelled during collection");
     }
     // Campaign hook: a deterministic point to revoke TDSs / roll the key
@@ -217,208 +232,243 @@ Status QuerySession::Collect(PendingQuery& q) {
     const auto tick_t0 = std::chrono::steady_clock::now();
     // The window stays open while it has ticks left, the SIZE bound is not
     // met and some eligible TDS has yet to serve the query.
-    if (tick >= window || size_reached(collected.tuples_processed) ||
+    if (tick >= window ||
+        SizeReached(q.size_max_tuples, collected.tuples_processed) ||
         served >= eligible) {
       break;
     }
     metrics.collection_ticks += 1;
 
-    std::vector<size_t> order(fleet_->size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    session_rng.Shuffle(&order);
-
-    // One serve = the query downloaded by one connecting TDS.
-    struct Serve {
-      tds::TrustedDataServer* server;
-      ssi::QueryPost post;
-      Rng rng{0};
-      std::vector<EncryptedItem> items;
-      /// Dynamic key mode: the TDS could not derive the posting's session
-      /// keys (revoked before the query / no key state) — it is acknowledged
-      /// as served but contributes nothing.
-      bool skipped = false;
-    };
-    // The tick's connectors are decided first (consuming the session rng in
-    // shuffle order exactly as a serial loop would), then every connector's
-    // querybox download goes out as one batched fetch — the transport
-    // coalesces them into multi-call frames when batching is on, or replays
-    // the serial call sequence when it is off. Neither FetchPosts nor the
-    // batch variant touches any rng, so the draw order is unchanged.
-    std::vector<tds::TrustedDataServer*> connecting;
-    for (size_t idx : order) {
-      if (tick_mode &&
-          !session_rng.NextBool(options_.connect_prob_per_tick)) {
-        continue;
-      }
-      connecting.push_back(fleet_->at(idx));
-    }
-    std::vector<uint64_t> connecting_ids;
-    connecting_ids.reserve(connecting.size());
-    for (tds::TrustedDataServer* server : connecting) {
-      connecting_ids.push_back(server->id());
-    }
-    std::vector<Result<std::vector<ssi::QueryPost>>> fetched =
-        client_->FetchPostsBatch(connecting_ids);
-
-    std::vector<Serve> serves;
-    // Sized once: growing this fleet-sized vector by doubling measurably
-    // raises peak RSS on 10k-50k TDS fleets.
-    serves.reserve(connecting.size());
-    for (size_t c = 0; c < connecting.size() && c < fetched.size(); ++c) {
-      // Step 2: the connecting TDS downloads its pending queries, other
-      // sessions' included. A transport failure just means this TDS missed
-      // the tick; it can connect again on a later one.
-      Result<std::vector<ssi::QueryPost>>& posts = fetched[c];
-      if (!posts.ok()) {
-        if (IsTransportError(posts.status())) continue;
-        return posts.status();
-      }
-      for (ssi::QueryPost& post : *posts) {
-        if (post.query_id != q.id) continue;
-        Serve serve;
-        serve.server = connecting[c];
-        serve.post = std::move(post);
-        serve.rng = q.ctx->rng().Fork();
-        serves.push_back(std::move(serve));
-        break;
-      }
-    }
-
-    // Dynamic key mode: connectors refresh their epoch window in batches
-    // (one fetch for all of them), each batch covering every serve that
-    // `needs` it. Returns how many refreshed.
-    auto refresh_serves = [&](auto needs) {
-      std::vector<keys::TdsKeyState*> states;
-      for (const Serve& serve : serves) {
-        keys::TdsKeyState* state = serve.server->key_state();
-        if (state != nullptr && needs(*state, serve)) states.push_back(state);
-      }
-      (void)keys::TdsKeyState::RefreshAll(states);
-      return states.size();
-    };
-    // A TDS whose window lacks the posting's epoch (the fleet rolled since
-    // it last synced) refreshes before it serves. A serve whose TDS still
-    // cannot reach the epoch (revoked before the post) is skipped.
-    auto behind = [](const keys::TdsKeyState& state, const Serve& serve) {
-      return serve.post.key_posting &&
-             !state.Reaches(serve.post.key_posting->epoch);
-    };
-    if (refresh_serves(behind) > 0) {
-      for (Serve& serve : serves) {
-        keys::TdsKeyState* state = serve.server->key_state();
-        serve.skipped = state != nullptr && behind(*state, serve);
-      }
-    }
-
-    TCELLS_RETURN_IF_ERROR(executor_->ForEachIndex(
-        serves.size(), [&](size_t i) -> Status {
-          Serve& serve = serves[i];
-          if (serve.skipped) return Status::OK();
-          Result<std::vector<EncryptedItem>> items =
-              serve.server->ProcessCollection(serve.post, q.config,
-                                              &serve.rng);
-          if (!items.ok() && q.key_posting &&
-              (items.status().IsNotFound() ||
-               items.status().IsFailedPrecondition())) {
-            // The posting's epoch is unreachable for this TDS. It cannot
-            // answer; mark the serve so it is acknowledged without an
-            // upload (otherwise the collection window never closes).
-            serve.skipped = true;
-            return Status::OK();
-          }
-          TCELLS_ASSIGN_OR_RETURN(serve.items, std::move(items));
-          return Status::OK();
-        }));
-
-    // Every TDS about to tag an upload refreshes first, so an honest TDS
-    // authenticates under the newest epoch it can open. This must stay right
-    // before the tags: a rollover during the tick's serving must reach them,
-    // or their uploads would be tagged under the old epoch and rejected.
-    if (q.key_posting) {
-      refresh_serves([](const keys::TdsKeyState&, const Serve& serve) {
-        return !serve.skipped;
-      });
-    }
-
-    // One exchange per serve, in serve order. A contribution is uploaded
-    // while the items already accepted plus those forwarded earlier in this
-    // tick are below the SIZE bound; past it, or with nothing to upload, the
-    // SSI is only told that the TDS served the query. The uploads ship as
-    // one batch in serve order; a transport failure loses that TDS's
-    // contribution only. Every exchange the SSI confirms counts as a serve.
-    auto acknowledge = [&](uint64_t tds_id) -> Status {
-      Status acked = client_->Acknowledge(tds_id, q.id);
-      if (acked.ok()) served += 1;
-      if (!acked.ok() && !IsTransportError(acked)) return acked;
-      return Status::OK();
-    };
-    uint64_t forwarded = collected.tuples_processed;
-    std::vector<net::CollectionUpload> batch;
-    for (Serve& serve : serves) {
-      const uint64_t tds_id = serve.server->id();
-      if (serve.skipped) {
-        // Nothing to upload, but the serve must still count as served or
-        // the "all eligible TDSs answered" close condition never fires.
-        TCELLS_RETURN_IF_ERROR(acknowledge(tds_id));
-        continue;
-      }
-      if (q.key_posting) {
-        // Dynamic key mode: admission-check the upload before it counts.
-        // The TDS authenticates (query_id, items digest) under its newest
-        // reachable epoch's contribution key; the authority rejects stale
-        // epochs (a TDS revoked mid-query is pinned to its pre-revocation
-        // epoch), revoked ids and bad MACs. A rejected upload is
-        // acknowledged and dropped — visible in contributions_rejected,
-        // never folded into the result.
-        TCELLS_ASSIGN_OR_RETURN(
-            keys::ContributionTag tag,
-            serve.server->TagContribution(q.id, serve.items));
-        Status admitted = options_.key_authority->VerifyContribution(
-            tag, q.id, keys::ContributionDigest(serve.items));
-        if (admitted.IsPermissionDenied()) {
-          metrics.contributions_rejected += 1;
-          TCELLS_RETURN_IF_ERROR(acknowledge(tds_id));
-          continue;
+    // The tick's connectors, as fleet indices in serve order: a shuffle of
+    // the fleet, thinned by the per-TDS connect draw in a DURATION window.
+    // This list is the only fleet-sized state a tick keeps.
+    std::vector<size_t> connectors(fleet_->size());
+    std::iota(connectors.begin(), connectors.end(), size_t{0});
+    session_rng.Shuffle(&connectors);
+    if (tick_mode) {
+      size_t kept = 0;
+      for (size_t idx : connectors) {
+        if (session_rng.NextBool(options_.connect_prob_per_tick)) {
+          connectors[kept++] = idx;
         }
-        TCELLS_RETURN_IF_ERROR(admitted);
       }
-      if (size_reached(forwarded)) {
-        TCELLS_RETURN_IF_ERROR(acknowledge(tds_id));
-        continue;
-      }
-      forwarded += serve.items.size();
-      net::CollectionUpload upload;
-      upload.query_id = q.id;
-      upload.tds_id = tds_id;
-      upload.items = std::move(serve.items);
-      batch.push_back(std::move(upload));
+      connectors.resize(kept);
     }
-    std::vector<Result<bool>> accepts = client_->UploadCollectionBatch(batch);
-    for (size_t i = 0; i < batch.size() && i < accepts.size(); ++i) {
-      Result<bool>& accepted = accepts[i];
-      if (!accepted.ok()) {
-        if (IsTransportError(accepted.status())) continue;
-        return accepted.status();
+
+    // Items forwarded in this window: those accepted in earlier ticks plus
+    // every upload sent earlier in this tick, whichever wave sent it. An
+    // upload that a transport failure loses still counts against SIZE for
+    // the rest of the tick.
+    uint64_t forwarded = collected.tuples_processed;
+    for (size_t begin = 0; begin < connectors.size();
+         begin += kCollectionWave) {
+      if (cancelled()) {
+        return Status::Cancelled("query cancelled during collection");
       }
-      const net::CollectionUpload& upload = batch[i];
-      if (!*accepted) {
-        // An honest SSI stores every upload sent while collection is open:
-        // a "rejected" reply is a lie, and trusting it would quietly drop
-        // the contribution from the result.
-        return Status::Corruption(
-            "SSI rejected the collection upload of TDS " +
-            std::to_string(upload.tds_id) + " to query " +
-            std::to_string(q.id) + " while collection was open");
-      }
-      served += 1;
-      // The accepted upload is one collection partition of its TDS.
-      uint64_t bytes = 0;
-      for (const auto& item : upload.items) bytes += item.WireSize();
-      metrics.accountant.RecordPartition(sim::Phase::kCollection,
-                                         upload.tds_id, /*bytes_in=*/0,
-                                         bytes, upload.items.size());
+      const size_t size =
+          std::min(kCollectionWave, connectors.size() - begin);
+      TCELLS_RETURN_IF_ERROR(
+          ServeWave(q, std::span<const size_t>(connectors).subspan(begin, size),
+                    &forwarded, &served));
     }
     metrics.collection_wall_micros += WallMicrosSince(tick_t0);
+  }
+  return Status::OK();
+}
+
+Status QuerySession::ServeWave(PendingQuery& q,
+                               std::span<const size_t> connectors,
+                               uint64_t* forwarded, uint64_t* served) {
+  RunMetrics& metrics = q.ctx->metrics();
+  // One serve = the query downloaded by one connecting TDS.
+  struct Serve {
+    tds::TrustedDataServer* server;
+    ssi::QueryPost post;
+    Rng rng{0};
+    std::vector<EncryptedItem> items;
+    /// Dynamic key mode: the TDS could not derive the posting's session
+    /// keys (revoked before the query / no key state) — it is acknowledged
+    /// as served but contributes nothing.
+    bool skipped = false;
+  };
+  // Every connector's querybox download goes out as one batched fetch — the
+  // transport coalesces them into multi-call frames when batching is on, or
+  // replays the serial call sequence when it is off. Neither FetchPosts nor
+  // the batch variant touches any rng.
+  std::vector<uint64_t> ids;
+  ids.reserve(connectors.size());
+  for (size_t idx : connectors) ids.push_back(fleet_->at(idx)->id());
+  std::vector<Result<std::vector<ssi::QueryPost>>> fetched =
+      client_->FetchPostsBatch(ids);
+  if (fetched.size() != ids.size()) {
+    return Status::Internal("FetchPostsBatch returned " +
+                            std::to_string(fetched.size()) + " results for " +
+                            std::to_string(ids.size()) + " TDSs");
+  }
+
+  std::vector<Serve> serves;
+  serves.reserve(connectors.size());
+  for (size_t c = 0; c < connectors.size(); ++c) {
+    // Step 2: the connecting TDS downloads its pending queries, other
+    // sessions' included. A transport failure just means this TDS missed
+    // the tick; it can connect again on a later one.
+    Result<std::vector<ssi::QueryPost>>& posts = fetched[c];
+    if (!posts.ok()) {
+      if (IsTransportError(posts.status())) continue;
+      return posts.status();
+    }
+    for (ssi::QueryPost& post : *posts) {
+      if (post.query_id != q.id) continue;
+      Serve serve;
+      serve.server = fleet_->at(connectors[c]);
+      serve.post = std::move(post);
+      serve.rng = q.ctx->rng().Fork();
+      serves.push_back(std::move(serve));
+      break;
+    }
+  }
+
+  // Dynamic key mode: connectors refresh their epoch window in batches
+  // (one fetch for all of them), each batch covering every serve that
+  // `needs` it. Returns how many refreshed.
+  auto refresh_serves = [&](auto needs) {
+    std::vector<keys::TdsKeyState*> states;
+    for (const Serve& serve : serves) {
+      keys::TdsKeyState* state = serve.server->key_state();
+      if (state != nullptr && needs(*state, serve)) states.push_back(state);
+    }
+    (void)keys::TdsKeyState::RefreshAll(states);
+    return states.size();
+  };
+  // A TDS whose window lacks the posting's epoch (the fleet rolled since
+  // it last synced) refreshes before it serves. A serve whose TDS still
+  // cannot reach the epoch (revoked before the post) is skipped.
+  auto behind = [](const keys::TdsKeyState& state, const Serve& serve) {
+    return serve.post.key_posting &&
+           !state.Reaches(serve.post.key_posting->epoch);
+  };
+  if (refresh_serves(behind) > 0) {
+    for (Serve& serve : serves) {
+      keys::TdsKeyState* state = serve.server->key_state();
+      serve.skipped = state != nullptr && behind(*state, serve);
+    }
+  }
+
+  TCELLS_RETURN_IF_ERROR(executor_->ForEachIndex(
+      serves.size(), [&](size_t i) -> Status {
+        Serve& serve = serves[i];
+        if (serve.skipped) return Status::OK();
+        Result<std::vector<EncryptedItem>> items =
+            serve.server->ProcessCollection(serve.post, q.config, &serve.rng);
+        if (!items.ok() && q.key_posting &&
+            (items.status().IsNotFound() ||
+             items.status().IsFailedPrecondition())) {
+          // The posting's epoch is unreachable for this TDS. It cannot
+          // answer; mark the serve so it is acknowledged without an
+          // upload (otherwise the collection window never closes).
+          serve.skipped = true;
+          return Status::OK();
+        }
+        TCELLS_ASSIGN_OR_RETURN(serve.items, std::move(items));
+        return Status::OK();
+      }));
+
+  // Every TDS about to tag an upload refreshes first, so an honest TDS
+  // authenticates under the newest epoch it can open. This must stay right
+  // before the tags: a rollover during the wave's serving must reach them,
+  // or their uploads would be tagged under the old epoch and rejected. From
+  // the refresh to the last admission check no rollover can land
+  // (KeyAuthority::publication_mutex).
+  std::shared_lock<std::shared_mutex> admission;
+  if (q.key_posting) {
+    admission = std::shared_lock(options_.key_authority->publication_mutex());
+    refresh_serves([](const keys::TdsKeyState&, const Serve& serve) {
+      return !serve.skipped;
+    });
+  }
+
+  // One exchange per serve, in serve order. A contribution is uploaded
+  // while the items already forwarded are below the SIZE bound; past it, or
+  // with nothing to upload, the SSI is only told that the TDS served the
+  // query. The uploads ship as one batch in serve order; a transport
+  // failure loses that TDS's contribution only. Every exchange the SSI
+  // confirms counts as a serve.
+  auto acknowledge = [&](uint64_t tds_id) -> Status {
+    Status acked = client_->Acknowledge(tds_id, q.id);
+    if (acked.ok()) *served += 1;
+    if (!acked.ok() && !IsTransportError(acked)) return acked;
+    return Status::OK();
+  };
+  std::vector<net::CollectionUpload> batch;
+  for (Serve& serve : serves) {
+    const uint64_t tds_id = serve.server->id();
+    if (serve.skipped) {
+      // Nothing to upload, but the serve must still count as served or
+      // the "all eligible TDSs answered" close condition never fires.
+      TCELLS_RETURN_IF_ERROR(acknowledge(tds_id));
+      continue;
+    }
+    if (q.key_posting) {
+      // Dynamic key mode: admission-check the upload before it counts.
+      // The TDS authenticates (query_id, items digest) under its newest
+      // reachable epoch's contribution key; the authority rejects stale
+      // epochs (a TDS revoked mid-query is pinned to its pre-revocation
+      // epoch), revoked ids and bad MACs. A rejected upload is
+      // acknowledged and dropped — visible in contributions_rejected,
+      // never folded into the result.
+      TCELLS_ASSIGN_OR_RETURN(
+          keys::ContributionTag tag,
+          serve.server->TagContribution(q.id, serve.items));
+      Status admitted = options_.key_authority->VerifyContribution(
+          tag, q.id, keys::ContributionDigest(serve.items));
+      if (admitted.IsPermissionDenied()) {
+        metrics.contributions_rejected += 1;
+        TCELLS_RETURN_IF_ERROR(acknowledge(tds_id));
+        continue;
+      }
+      TCELLS_RETURN_IF_ERROR(admitted);
+    }
+    if (SizeReached(q.size_max_tuples, *forwarded)) {
+      TCELLS_RETURN_IF_ERROR(acknowledge(tds_id));
+      continue;
+    }
+    *forwarded += serve.items.size();
+    net::CollectionUpload upload;
+    upload.query_id = q.id;
+    upload.tds_id = tds_id;
+    upload.items = std::move(serve.items);
+    batch.push_back(std::move(upload));
+  }
+  if (admission.owns_lock()) admission.unlock();
+  std::vector<Result<bool>> accepts = client_->UploadCollectionBatch(batch);
+  if (accepts.size() != batch.size()) {
+    return Status::Internal("UploadCollectionBatch returned " +
+                            std::to_string(accepts.size()) + " results for " +
+                            std::to_string(batch.size()) + " uploads");
+  }
+  for (size_t i = 0; i < batch.size(); ++i) {
+    Result<bool>& accepted = accepts[i];
+    if (!accepted.ok()) {
+      if (IsTransportError(accepted.status())) continue;
+      return accepted.status();
+    }
+    const net::CollectionUpload& upload = batch[i];
+    if (!*accepted) {
+      // An honest SSI stores every upload sent while collection is open:
+      // a "rejected" reply is a lie, and trusting it would quietly drop
+      // the contribution from the result.
+      return Status::Corruption(
+          "SSI rejected the collection upload of TDS " +
+          std::to_string(upload.tds_id) + " to query " +
+          std::to_string(q.id) + " while collection was open");
+    }
+    *served += 1;
+    // The accepted upload is one collection partition of its TDS.
+    uint64_t bytes = 0;
+    for (const auto& item : upload.items) bytes += item.WireSize();
+    metrics.accountant.RecordPartition(sim::Phase::kCollection,
+                                       upload.tds_id, /*bytes_in=*/0,
+                                       bytes, upload.items.size());
   }
   return Status::OK();
 }

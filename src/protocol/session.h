@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "net/ssi_api.h"
@@ -95,6 +96,12 @@ class QuerySession {
                         const std::string& sql);
   /// The collection phase: connection ticks until the window closes.
   Status Collect(PendingQuery& q);
+  /// One wave of a tick: `connectors` (fleet indices, in serve order) fetch
+  /// their posts, serve, tag and upload. `forwarded` counts the items sent
+  /// in the window so far (the SIZE rule) and `served` the serves the SSI
+  /// confirmed; both carry over from wave to wave.
+  Status ServeWave(PendingQuery& q, std::span<const size_t> connectors,
+                   uint64_t* forwarded, uint64_t* served);
   /// Aggregation, filtering, result delivery and decryption.
   Result<RunOutcome> Complete(PendingQuery& q,
                               std::chrono::steady_clock::time_point wall_t0);

@@ -1,6 +1,7 @@
 #include "tcells/engine.h"
 
 #include <algorithm>
+#include <mutex>
 
 #include "crypto/hmac.h"
 #include "net/ssi_wire.h"
@@ -200,6 +201,7 @@ Status Engine::RevokeTds(const std::vector<uint64_t>& tds_ids) {
     return Status::FailedPrecondition(
         "RevokeTds requires Config::key_mode == KeyMode::kDynamic");
   }
+  std::unique_lock lock(key_authority_->publication_mutex());
   TCELLS_RETURN_IF_ERROR(key_authority_->Revoke(tds_ids));
   revocations_->Increment();
   return router_->PostEpochBlock(key_authority_->CurrentBlock());
@@ -210,6 +212,7 @@ Status Engine::RolloverEpoch() {
     return Status::FailedPrecondition(
         "RolloverEpoch requires Config::key_mode == KeyMode::kDynamic");
   }
+  std::unique_lock lock(key_authority_->publication_mutex());
   TCELLS_RETURN_IF_ERROR(key_authority_->Rollover());
   rollovers_->Increment();
   return router_->PostEpochBlock(key_authority_->CurrentBlock());

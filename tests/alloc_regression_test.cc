@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -36,6 +37,7 @@
 #include "net/ssi_wire.h"
 #include "net/tcp.h"
 #include "protocol/protocols.h"
+#include "protocol/session.h"
 #include "ssi/messages.h"
 #include "storage/tuple.h"
 #include "tcells/engine.h"
@@ -49,11 +51,16 @@ std::atomic<uint64_t> g_alloc_count{0};
 std::atomic<uint64_t> g_free_count{0};
 /// The largest single allocation since a test last reset it.
 std::atomic<size_t> g_largest_alloc{0};
+/// Bytes held by live allocations (malloc_usable_size, so the allocator's
+/// rounding counts), and their high-water mark since a test last reset it.
+std::atomic<int64_t> g_live_bytes{0};
+std::atomic<int64_t> g_peak_live_bytes{0};
 
 }  // namespace
 
 // Counting allocator hooks: every global allocation bumps one counter (and
-// the largest-allocation mark) and every non-null delete the other. Kept trivial (malloc pass-through) so
+// the largest-allocation mark and the live-byte count with its peak) and
+// every non-null delete the other. Kept trivial (malloc pass-through) so
 // behaviour under sanitizers is unchanged apart from the counts. GCC's
 // mismatched-new-delete analysis assumes the default allocator and flags
 // the malloc/free pairing; with every form replaced below the pairing is
@@ -68,14 +75,28 @@ void* operator new(std::size_t size) {
          !g_largest_alloc.compare_exchange_weak(largest, size,
                                                 std::memory_order_relaxed)) {
   }
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  if (void* p = std::malloc(size ? size : 1)) {
+    const auto usable = static_cast<int64_t>(malloc_usable_size(p));
+    const int64_t live =
+        g_live_bytes.fetch_add(usable, std::memory_order_relaxed) + usable;
+    int64_t peak = g_peak_live_bytes.load(std::memory_order_relaxed);
+    while (live > peak &&
+           !g_peak_live_bytes.compare_exchange_weak(
+               peak, live, std::memory_order_relaxed)) {
+    }
+    return p;
+  }
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void operator delete(void* p) noexcept {
-  if (p != nullptr) g_free_count.fetch_add(1, std::memory_order_relaxed);
+  if (p != nullptr) {
+    g_free_count.fetch_add(1, std::memory_order_relaxed);
+    g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  }
   std::free(p);
 }
 void operator delete[](void* p) noexcept { ::operator delete(p); }
@@ -309,6 +330,49 @@ TEST(QueryStateTest, PerQueryHeapStateIsFlat) {
   const int64_t growth = LiveAllocs() - warmed;
   EXPECT_LE(growth, static_cast<int64_t>(kFleet / 10))
       << "live allocations grew by " << growth << " over 50 queries";
+}
+
+TEST(QueryStateTest, CollectionTransientMemoryIsSetByTheWave) {
+  // A collection tick serves its connectors in waves of 4096 (session.cc)
+  // and frees each wave's posts, serves and upload batch before the next, so
+  // what a query holds beyond the fleet grows with the collected items, not
+  // with everything the tick touched. Over 3 waves plus a remainder the peak
+  // of live heap bytes during RunAll, above what was live before it, stays
+  // under the bound per TDS. Measured: 1073 B per TDS while a tick held the
+  // whole fleet's work at once, 485 B with waves.
+  constexpr size_t kFleet = 3 * 4096 + 517;
+  workload::GenericOptions gopts;
+  gopts.num_tds = kFleet;
+  gopts.num_groups = 8;
+  gopts.rows_per_tds = 1;
+  gopts.seed = 6;
+  auto keys = crypto::KeyStore::CreateForTest(gopts.seed);
+  auto authority = std::make_shared<Authority>(Bytes(16, 0x34));
+  auto fleet = workload::BuildGenericFleet(gopts, keys, authority,
+                                           AccessPolicy::AllowAll())
+                   .ValueOrDie();
+  Engine::Config cfg;
+  cfg.tracing = false;
+  cfg.options.compute_availability = 200.0 / kFleet;
+  cfg.options.expected_groups = gopts.num_groups;
+  cfg.options.num_threads = 1;
+  auto engine = Engine::Create(std::move(fleet), cfg).ValueOrDie();
+  protocol::Querier querier("q", authority->Issue("q"), keys);
+  protocol::SAggProtocol sagg;
+  const std::string sql = "SELECT grp, COUNT(*), SUM(cat) FROM T GROUP BY grp";
+  // Warm the SSI stack's pooled frames and the process-wide memos first.
+  ASSERT_TRUE(engine->Run(sagg, querier, 1, sql).ok());
+
+  protocol::QuerySession session(&engine->fleet(), engine->device(),
+                                 engine->options(), {}, engine->ssi_client());
+  ASSERT_TRUE(session.Submit(2, &querier, &sagg, sql).ok());
+  const int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  g_peak_live_bytes.store(before, std::memory_order_relaxed);
+  ASSERT_TRUE(session.RunAll().ok());
+  const int64_t per_tds =
+      (g_peak_live_bytes.load(std::memory_order_relaxed) - before) /
+      static_cast<int64_t>(kFleet);
+  EXPECT_LE(per_tds, 700) << "transient bytes per TDS: " << per_tds;
 }
 
 // ---------------------------------------------------------------------------

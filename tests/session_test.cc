@@ -3,8 +3,14 @@
 // Engine::Submit handles, each a one-query session on the scheduler.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <future>
 #include <limits>
+#include <thread>
 
+#include "net/sharded_client.h"
 #include "protocol/reference.h"
 #include "tcells/engine.h"
 #include "tds/access_control.h"
@@ -17,7 +23,8 @@ namespace {
 class SessionWorld {
  public:
   explicit SessionWorld(size_t n = 60, RunOptions options = {},
-                        std::shared_ptr<const net::FaultPlan> faults = nullptr) {
+                        std::shared_ptr<const net::FaultPlan> faults = nullptr,
+                        KeyMode key_mode = KeyMode::kStatic) {
     keys = crypto::KeyStore::CreateForTest(77);
     authority = std::make_shared<tds::Authority>(Bytes(16, 0x21));
     workload::GenericOptions gopts;
@@ -30,6 +37,7 @@ class SessionWorld {
     Engine::Config config;
     config.options = options;
     config.fault_plan = std::move(faults);
+    config.key_mode = key_mode;
     engine = Engine::Create(std::move(built), config).ValueOrDie();
     fleet = &engine->fleet();
   }
@@ -46,6 +54,42 @@ class SessionWorld {
   std::unique_ptr<Querier> querier;
   std::unique_ptr<Engine> engine;
   Fleet* fleet = nullptr;  // owned by the engine
+};
+
+/// A one-shard router over an engine's SSI that counts the two collection
+/// batches, lets a test edit their replies and runs a hook on each
+/// acknowledgement.
+class InterceptingRouter : public net::ShardedSsiClient {
+ public:
+  using Fetched = std::vector<Result<std::vector<ssi::QueryPost>>>;
+  using Accepts = std::vector<Result<bool>>;
+
+  explicit InterceptingRouter(net::SsiApi* inner) : ShardedSsiClient({inner}) {}
+
+  Fetched FetchPostsBatch(const std::vector<uint64_t>& tds_ids) override {
+    Fetched out = ShardedSsiClient::FetchPostsBatch(tds_ids);
+    fetch_batches += 1;
+    if (on_fetch) on_fetch(&out);
+    return out;
+  }
+  Accepts UploadCollectionBatch(
+      const std::vector<net::CollectionUpload>& uploads) override {
+    Accepts out = ShardedSsiClient::UploadCollectionBatch(uploads);
+    upload_batches += 1;
+    if (on_upload) on_upload(&out);
+    return out;
+  }
+
+  Status Acknowledge(uint64_t tds_id, uint64_t query_id) override {
+    if (on_acknowledge) on_acknowledge();
+    return ShardedSsiClient::Acknowledge(tds_id, query_id);
+  }
+
+  std::function<void(Fetched*)> on_fetch;
+  std::function<void(Accepts*)> on_upload;
+  std::function<void()> on_acknowledge;
+  size_t fetch_batches = 0;
+  size_t upload_batches = 0;
 };
 
 TEST(FleetTest, SampleAvailableOnEmptyFleetIsEmpty) {
@@ -204,6 +248,86 @@ TEST(SessionTest, TickedCollectionWindow) {
   EXPECT_LE(m.collection_ticks, 3u);
   EXPECT_LT(m.collection_participants, w.fleet->size());
   EXPECT_GT(m.collection_participants, 0u);
+}
+
+// A tick serves its connectors in waves of 4096 (session.cc), and a cancel
+// raised while the first wave fetches stops the tick before the second:
+// exactly one wave's uploads reach the SSI.
+TEST(SessionTest, CancelTakesEffectBetweenWaves) {
+  SessionWorld w(2 * 4096 + 100);
+  std::atomic<bool> cancel{false};
+  RunOptions opts = w.engine->options();
+  opts.cancel = &cancel;
+  InterceptingRouter router(w.engine->ssi_client());
+  router.on_fetch = [&](InterceptingRouter::Fetched*) { cancel = true; };
+  QuerySession session(w.fleet, w.engine->device(), opts, {}, &router);
+  SAggProtocol s_agg;
+  ASSERT_TRUE(session
+                  .Submit(1, w.querier.get(), &s_agg,
+                          "SELECT grp, COUNT(*) FROM T GROUP BY grp")
+                  .ok());
+  Status s = session.RunAll().status();
+  EXPECT_TRUE(s.IsCancelled()) << s.ToString();
+  EXPECT_EQ(router.fetch_batches, 1u);
+  EXPECT_EQ(router.upload_batches, 1u);
+}
+
+// A batch reply shorter than its request is a broken transport, not a set
+// of TDSs that missed the tick: the query fails, naming the call.
+TEST(SessionTest, ShortBatchRepliesFailLoudly) {
+  for (const char* call : {"FetchPostsBatch", "UploadCollectionBatch"}) {
+    SessionWorld w;
+    InterceptingRouter router(w.engine->ssi_client());
+    if (std::string(call) == "FetchPostsBatch") {
+      router.on_fetch = [](InterceptingRouter::Fetched* r) { r->pop_back(); };
+    } else {
+      router.on_upload = [](InterceptingRouter::Accepts* r) { r->pop_back(); };
+    }
+    QuerySession session(w.fleet, w.engine->device(), w.engine->options(), {},
+                         &router);
+    SAggProtocol s_agg;
+    ASSERT_TRUE(session
+                    .Submit(1, w.querier.get(), &s_agg,
+                            "SELECT grp, COUNT(*) FROM T GROUP BY grp")
+                    .ok());
+    Status s = session.RunAll().status();
+    EXPECT_TRUE(s.IsInternal()) << call << ": " << s.ToString();
+    EXPECT_NE(s.ToString().find(call), std::string::npos) << s.ToString();
+  }
+}
+
+// A key rollover that starts while a wave admits its uploads waits for the
+// wave's last admission check: an honest upload is never tagged under one
+// epoch and checked under the next. Past the SIZE bound a serve is tagged,
+// checked and acknowledged, so the first acknowledgement falls between the
+// checks; the rollover starts there and gets 200 ms to finish.
+TEST(SessionTest, RolloverWaitsForTheWavesAdmissionChecks) {
+  SessionWorld w(60, RunOptions{}, nullptr, KeyMode::kDynamic);
+  InterceptingRouter router(w.engine->ssi_client());
+  std::thread roller;
+  std::future<Status> rolled;
+  router.on_acknowledge = [&] {
+    if (roller.joinable()) return;
+    std::packaged_task<Status()> rollover(
+        [&] { return w.engine->RolloverEpoch(); });
+    rolled = rollover.get_future();
+    roller = std::thread(std::move(rollover));
+    rolled.wait_for(std::chrono::milliseconds(200));
+  };
+  QuerySession session(w.fleet, w.engine->device(), w.engine->options(), {},
+                       &router);
+  SAggProtocol s_agg;
+  ASSERT_TRUE(session
+                  .Submit(1, w.querier.get(), &s_agg,
+                          "SELECT grp, COUNT(*) FROM T GROUP BY grp SIZE 5")
+                  .ok());
+  auto outcomes = session.RunAll();
+  ASSERT_TRUE(roller.joinable());
+  roller.join();
+  EXPECT_TRUE(rolled.get().ok());
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+  EXPECT_EQ(outcomes->at(1).metrics.contributions_rejected, 0u);
+  EXPECT_EQ(outcomes->at(1).adversary.collection_items, 5u);
 }
 
 // A session runs one query: a second Submit, under any id, is refused and
