@@ -10,11 +10,14 @@
 //   * the published block: header entries (cover size, checked against the
 //     NNL r*log2(N/r) bound) and encoded bytes;
 //   * one surviving TDS adopting the new epoch (EpochBlock decode +
-//     broadcast unwrap + window authentication).
+//     broadcast unwrap + window authentication);
+//   * the wire bytes of that TDS's refresh from a loopback SSI: once moving
+//     the block, then once finding it current (the conditional fetch).
 //
 // It also times a whole fleet adopting the current block from an SSI over
-// TCP, serially (one FetchEpochBlock round trip per TDS) against one batched
-// TdsKeyState::RefreshAll, and counts the frames each sends.
+// TCP, serially (one round trip per TDS) against one batched
+// TdsKeyState::RefreshAll, then a second batched refresh that finds the
+// block current, and counts the frames and bytes each sends.
 //
 // Timing is hand-rolled (steady_clock) so the target stays dependency-light
 // and emits machine-readable JSON directly; run from the repo root so the
@@ -34,6 +37,7 @@
 #include "keys/epoch.h"
 #include "keys/key_authority.h"
 #include "keys/tds_keys.h"
+#include "net/loopback.h"
 #include "net/ssi_client.h"
 #include "net/ssi_node.h"
 #include "net/tcp.h"
@@ -60,7 +64,11 @@ constexpr size_t kFleetCallsPerFrame = 64;
 
 class LocalSource : public keys::EpochBlockSource {
  public:
-  Result<Bytes> FetchLatestBlock(uint64_t) override { return block_; }
+  std::vector<Result<Bytes>> FetchLatestBlocks(
+      const std::vector<uint64_t>& tds_ids,
+      const std::vector<uint64_t>&) override {
+    return std::vector<Result<Bytes>>(tds_ids.size(), block_);
+  }
   Bytes block_;
 };
 
@@ -68,23 +76,31 @@ class LocalSource : public keys::EpochBlockSource {
 class ClientSource : public keys::EpochBlockSource {
  public:
   explicit ClientSource(net::SsiClient* client) : client_(client) {}
-  Result<Bytes> FetchLatestBlock(uint64_t tds_id) override {
-    return client_->FetchEpochBlock(tds_id);
-  }
   std::vector<Result<Bytes>> FetchLatestBlocks(
-      const std::vector<uint64_t>& tds_ids) override {
-    return client_->FetchEpochBlockBatch(tds_ids);
+      const std::vector<uint64_t>& tds_ids,
+      const std::vector<uint64_t>& held_tags) override {
+    return client_->FetchEpochBlockBatch(tds_ids, held_tags);
   }
 
  private:
   net::SsiClient* client_;
 };
 
+/// Request plus reply bytes an SSI client has moved.
+uint64_t WireBytes(obs::MetricsRegistry& metrics) {
+  return metrics.counter("net.bytes_sent").value() +
+         metrics.counter("net.bytes_received").value();
+}
+
 struct FleetRefresh {
   double serial_ms = 0;   ///< Refresh() on every TDS, one after another
   double batched_ms = 0;  ///< one TdsKeyState::RefreshAll over the fleet
+  double current_ms = 0;  ///< a second RefreshAll: the block is current
   uint64_t serial_frames = 0;
   uint64_t batched_frames = 0;
+  uint64_t current_frames = 0;
+  uint64_t batched_bytes = 0;
+  uint64_t current_bytes = 0;
 };
 
 /// Two identical fleets of kFleetTds fresh key states adopt the current
@@ -124,21 +140,36 @@ Result<FleetRefresh> MeasureFleetRefresh() {
   });
   out.serial_frames = frames.value() - before;
   before = frames.value();
+  uint64_t bytes_before = WireBytes(metrics);
   out.batched_ms = MillisOf(
       [&] { (void)keys::TdsKeyState::RefreshAll(batch_states); });
   out.batched_frames = frames.value() - before;
+  out.batched_bytes = WireBytes(metrics) - bytes_before;
   for (size_t i = 0; i < kFleetTds; ++i) {
     if (!serial[i]->known_epoch().ok() || !batched[i]->known_epoch().ok()) {
       return Status::Internal("a TDS failed to adopt the fleet-refresh block");
     }
   }
+  before = frames.value();
+  bytes_before = WireBytes(metrics);
+  std::vector<Status> current;
+  out.current_ms = MillisOf(
+      [&] { current = keys::TdsKeyState::RefreshAll(batch_states); });
+  out.current_frames = frames.value() - before;
+  out.current_bytes = WireBytes(metrics) - bytes_before;
+  for (const Status& status : current) TCELLS_RETURN_IF_ERROR(status);
   std::fprintf(stderr,
                "fleet refresh, %zu TDSs over TCP: serial %8.1f ms (%llu "
-               "frames)  batched %8.1f ms (%llu frames)\n",
+               "frames)  batched %8.1f ms (%llu frames, %llu B)  current "
+               "%8.1f ms (%llu frames, %llu B)\n",
                kFleetTds, out.serial_ms,
                static_cast<unsigned long long>(out.serial_frames),
                out.batched_ms,
-               static_cast<unsigned long long>(out.batched_frames));
+               static_cast<unsigned long long>(out.batched_frames),
+               static_cast<unsigned long long>(out.batched_bytes),
+               out.current_ms,
+               static_cast<unsigned long long>(out.current_frames),
+               static_cast<unsigned long long>(out.current_bytes));
   return out;
 }
 
@@ -150,6 +181,8 @@ struct Row {
   double nnl_bound;            ///< r * log2(N/r)
   size_t block_bytes;          ///< encoded EpochBlock size
   double refresh_ms;           ///< one surviving TDS adopting the new epoch
+  uint64_t refresh_wire_bytes;  ///< its refresh moving the block (loopback)
+  uint64_t current_refresh_wire_bytes;  ///< its refresh finding it current
 };
 
 Result<Row> MeasureAt(size_t revoked_count) {
@@ -193,12 +226,30 @@ Result<Row> MeasureAt(size_t revoked_count) {
     return Status::Internal("survivor failed to adopt the current epoch");
   }
 
+  net::SsiNode node;
+  net::LoopbackTransport transport(node.handler());
+  obs::MetricsRegistry metrics;
+  net::SsiClient client(&transport, net::RetryPolicy(), &metrics);
+  TCELLS_RETURN_IF_ERROR(client.PostEpochBlock(encoded));
+  ClientSource wire_source(&client);
+  keys::TdsKeyState fetcher(0, survivor_keys, &wire_source);
+  uint64_t before = WireBytes(metrics);
+  TCELLS_RETURN_IF_ERROR(fetcher.Refresh());
+  row.refresh_wire_bytes = WireBytes(metrics) - before;
+  before = WireBytes(metrics);
+  TCELLS_RETURN_IF_ERROR(fetcher.Refresh());
+  row.current_refresh_wire_bytes = WireBytes(metrics) - before;
+
   std::fprintf(stderr,
                "|R|=%-7zu revoke %8.1f ms  rollover %8.1f ms  cover %7zu "
-               "(bound %9.0f)  block %9zu B  refresh %7.1f ms\n",
+               "(bound %9.0f)  block %9zu B  refresh %7.1f ms  wire %9llu B, "
+               "current %llu B\n",
                row.revoked, row.revoke_broadcast_ms, row.rollover_ms,
                row.cover_nodes, row.nnl_bound, row.block_bytes,
-               row.refresh_ms);
+               row.refresh_ms,
+               static_cast<unsigned long long>(row.refresh_wire_bytes),
+               static_cast<unsigned long long>(
+                   row.current_refresh_wire_bytes));
   return row;
 }
 
@@ -242,9 +293,12 @@ int Run(const std::string& out_path) {
                  "    {\"revoked\": %zu, \"revoke_broadcast_ms\": %.2f, "
                  "\"rollover_ms\": %.2f, \"cover_nodes\": %zu, "
                  "\"nnl_bound\": %.0f, \"block_bytes\": %zu, "
-                 "\"tds_refresh_ms\": %.2f}%s\n",
+                 "\"tds_refresh_ms\": %.2f, \"refresh_wire_bytes\": %llu, "
+                 "\"current_refresh_wire_bytes\": %llu}%s\n",
                  r.revoked, r.revoke_broadcast_ms, r.rollover_ms,
                  r.cover_nodes, r.nnl_bound, r.block_bytes, r.refresh_ms,
+                 static_cast<unsigned long long>(r.refresh_wire_bytes),
+                 static_cast<unsigned long long>(r.current_refresh_wire_bytes),
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -252,11 +306,17 @@ int Run(const std::string& out_path) {
                "  \"fleet_refresh\": {\"tds\": %zu, \"transport\": \"tcp\", "
                "\"calls_per_frame\": %zu, \"serial_ms\": %.2f, "
                "\"serial_frames\": %llu, \"batched_ms\": %.2f, "
-               "\"batched_frames\": %llu},\n",
+               "\"batched_frames\": %llu, \"batched_bytes\": %llu, "
+               "\"current\": {\"ms\": %.2f, \"frames\": %llu, "
+               "\"bytes\": %llu}},\n",
                kFleetTds, kFleetCallsPerFrame, fleet->serial_ms,
                static_cast<unsigned long long>(fleet->serial_frames),
                fleet->batched_ms,
-               static_cast<unsigned long long>(fleet->batched_frames));
+               static_cast<unsigned long long>(fleet->batched_frames),
+               static_cast<unsigned long long>(fleet->batched_bytes),
+               fleet->current_ms,
+               static_cast<unsigned long long>(fleet->current_frames),
+               static_cast<unsigned long long>(fleet->current_bytes));
   std::fprintf(f, "  \"acceptance\": {\n");
   std::fprintf(f, "    \"cover_within_nnl_bound\": %s,\n",
                all_within_bound ? "true" : "false");

@@ -368,6 +368,29 @@ int Run(const std::filesystem::path& out_dir) {
       life.push_back({correlation_id++, payload});
     }
     writer.Add("net", 1, net::EncodeBatchFrame(life));
+    // A key refresh in one frame: an epoch block is posted, then fetched
+    // holding its tag (the empty "current" reply) and holding none (the
+    // whole block).
+    const Bytes epoch_block = {0xE0, 0xE1, 0xE2};
+    Bytes held_body;
+    Bytes fresh_body;
+    {
+      ByteWriter held(&held_body);
+      held.PutU64(3);  // tds_id
+      held.PutU64(ssi::EpochBlockTag(epoch_block));
+      ByteWriter fresh(&fresh_body);
+      fresh.PutU64(3);
+      fresh.PutU64(0);
+    }
+    const std::vector<Bytes> refresh_calls = {
+        call(net::MsgType::kPostEpochBlock, epoch_block),
+        call(net::MsgType::kFetchEpochBlock, held_body),
+        call(net::MsgType::kFetchEpochBlock, fresh_body)};
+    std::vector<net::BatchCall> refresh;
+    for (const Bytes& payload : refresh_calls) {
+      refresh.push_back({correlation_id++, payload});
+    }
+    writer.Add("net", 1, net::EncodeBatchFrame(refresh));
 
     // Selector 2: reply envelopes — OK wrapping a partition, an encoded
     // application error, and a garbage status code.

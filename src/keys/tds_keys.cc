@@ -4,14 +4,6 @@
 
 namespace tcells::keys {
 
-std::vector<Result<Bytes>> EpochBlockSource::FetchLatestBlocks(
-    const std::vector<uint64_t>& tds_ids) {
-  std::vector<Result<Bytes>> out;
-  out.reserve(tds_ids.size());
-  for (uint64_t tds_id : tds_ids) out.push_back(FetchLatestBlock(tds_id));
-  return out;
-}
-
 TdsKeyState::TdsKeyState(uint64_t tds_id,
                          crypto::BroadcastDeviceKeys device_keys,
                          EpochBlockSource* source,
@@ -50,15 +42,18 @@ Status TdsKeyState::Adopt(const Bytes& encoded) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     adopted = AdoptLocked(encoded);
+    if (adopted.ok()) held_tag_ = ssi::EpochBlockTag(encoded);
   }
   if (!adopted.ok() && counters_ != nullptr) counters_->refused->Increment();
   return adopted;
 }
 
-Status TdsKeyState::Refresh() {
-  TCELLS_ASSIGN_OR_RETURN(Bytes encoded, source_->FetchLatestBlock(tds_id_));
-  return Adopt(encoded);
+uint64_t TdsKeyState::held_tag() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return held_tag_;
 }
+
+Status TdsKeyState::Refresh() { return RefreshAll({this}).front(); }
 
 std::vector<Status> TdsKeyState::RefreshAll(
     const std::vector<TdsKeyState*>& states) {
@@ -67,23 +62,33 @@ std::vector<Status> TdsKeyState::RefreshAll(
   EpochBlockSource* source = states.front()->source_;
   std::vector<size_t> batched;
   std::vector<uint64_t> ids;
+  std::vector<uint64_t> held_tags;
   for (size_t i = 0; i < states.size(); ++i) {
     if (states[i]->source_ == source) {
       batched.push_back(i);
       ids.push_back(states[i]->tds_id_);
+      held_tags.push_back(states[i]->held_tag());
     } else {
       out[i] = states[i]->Refresh();
     }
   }
-  std::vector<Result<Bytes>> blocks = source->FetchLatestBlocks(ids);
+  std::vector<Result<Bytes>> blocks = source->FetchLatestBlocks(ids, held_tags);
   for (size_t k = 0; k < batched.size(); ++k) {
+    TdsKeyState* state = states[batched[k]];
     Status& status = out[batched[k]];
     if (k >= blocks.size()) {
       status = Status::Internal("block source returned too few replies");
     } else if (!blocks[k].ok()) {
       status = blocks[k].status();
+    } else if (blocks[k]->empty() && held_tags[k] != 0) {
+      // The block this state adopted is still the latest; adopting it again
+      // would be an OK no-op.
+      if (state->counters_ != nullptr) {
+        state->counters_->fetched->Increment();
+        state->counters_->current->Increment();
+      }
     } else {
-      status = states[batched[k]]->Adopt(*blocks[k]);
+      status = state->Adopt(*blocks[k]);
     }
   }
   return out;

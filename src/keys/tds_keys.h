@@ -16,8 +16,13 @@
 // where key material is needed: the engine primes every TDS at bring-up, and
 // each collection tick refreshes the TDSs whose window lacks a posting's
 // epoch before they serve, and the TDSs about to tag an upload right before
-// they tag. Tag itself never fetches. KeysFor falls back to one serial
-// refresh on a window miss, for callers outside those batches.
+// they tag. Tag itself never fetches. KeysFor falls back to one refresh of
+// its own on a window miss, for callers outside those batches.
+//
+// The fetch is conditional: each request carries the EpochBlockTag of the
+// last block the state adopted, and a source may answer a match with an
+// empty body instead of the block. Adopting bytes already accepted is always
+// an OK no-op, so that reply ends the refresh with OK and touches nothing.
 //
 // Session keys come from the process-wide memo (DeriveQueryKeysShared), which
 // a TDS reaches only with the secret its own window produced; the state
@@ -48,19 +53,22 @@ namespace tcells::keys {
 class EpochBlockSource {
  public:
   virtual ~EpochBlockSource() = default;
-  virtual Result<Bytes> FetchLatestBlock(uint64_t tds_id) = 0;
-  /// One reply per id, in input order. The default fetches them one by one;
-  /// a transport-backed source overrides it to batch the round trips.
+  /// One reply per id, in input order. `held_tags[i]` is the EpochBlockTag
+  /// of the last block tds_ids[i] adopted (0: none yet). A reply is the
+  /// latest block, or an empty body when that block's tag is held_tags[i];
+  /// a source may always answer with the block.
   virtual std::vector<Result<Bytes>> FetchLatestBlocks(
-      const std::vector<uint64_t>& tds_ids);
+      const std::vector<uint64_t>& tds_ids,
+      const std::vector<uint64_t>& held_tags) = 0;
 };
 
 /// Pre-registered instruments of the refresh path (docs/OBSERVABILITY.md).
-/// All three must be non-null.
+/// All four must be non-null.
 struct RefreshCounters {
-  obs::Counter* fetched = nullptr;  ///< blocks handed to Adopt
+  obs::Counter* fetched = nullptr;  ///< refresh replies, plus direct Adopts
   obs::Counter* adopted = nullptr;  ///< blocks that advanced the window
   obs::Counter* refused = nullptr;  ///< blocks that failed validation
+  obs::Counter* current = nullptr;  ///< replies that carried no block
 };
 
 class TdsKeyState {
@@ -73,14 +81,15 @@ class TdsKeyState {
 
   uint64_t tds_id() const { return tds_id_; }
 
-  /// Fetches the latest block and adopts it. Failures leave the state
-  /// untouched.
+  /// RefreshAll of this state alone.
   Status Refresh();
 
-  /// Refresh for many states: the states sharing the first state's source
-  /// (all of an engine's do) fetch through one FetchLatestBlocks call, then
-  /// each adopts its own reply; any other state refreshes serially. One
-  /// status per state, each what a serial Refresh() would have returned.
+  /// Fetches the latest block for many states and adopts it: the states
+  /// sharing the first state's source (all of an engine's do) fetch through
+  /// one FetchLatestBlocks call, then each adopts its own reply; any other
+  /// state refreshes on its own. An empty reply to a state holding a block
+  /// is OK and changes nothing. One status per state; failures leave the
+  /// state untouched.
   static std::vector<Status> RefreshAll(
       const std::vector<TdsKeyState*>& states);
 
@@ -88,7 +97,8 @@ class TdsKeyState {
   /// the TDS holds; a same-epoch or older block is an OK no-op (a replay can
   /// never roll a TDS backwards). NotFound means the TDS is excluded from
   /// the cover (revoked), Corruption a malformed, forged or re-stamped block;
-  /// either way the state is untouched.
+  /// either way the state is untouched. An OK Adopt records the block's
+  /// EpochBlockTag for the next conditional fetch.
   Status Adopt(const Bytes& encoded);
 
   /// Whether the adopted window holds `epoch`'s secret.
@@ -112,6 +122,7 @@ class TdsKeyState {
 
  private:
   Status AdoptLocked(const Bytes& encoded);
+  uint64_t held_tag() const;
   /// A copy of `epoch`'s secret; NotFound outside the window.
   Result<Bytes> SecretFor(uint32_t epoch) const;
 
@@ -124,6 +135,7 @@ class TdsKeyState {
   bool has_window_ = false;
   EpochSecrets window_;  ///< last good window; back() is the newest secret
   Bytes contribution_key_;  ///< derived from window_.secrets.back()
+  uint64_t held_tag_ = 0;  ///< EpochBlockTag of the last OK Adopt; 0: none
 };
 
 }  // namespace tcells::keys

@@ -81,8 +81,12 @@ Result<std::vector<QueryPost>> ShardedSsiClient::FetchPosts(uint64_t tds_id) {
 
 std::vector<Result<std::vector<QueryPost>>> ShardedSsiClient::FetchPostsBatch(
     const std::vector<uint64_t>& tds_ids) {
-  return ScatterByShard<std::vector<QueryPost>>(
-      tds_ids, [this](size_t shard, const std::vector<uint64_t>& ids) {
+  return Scatter<std::vector<QueryPost>>(
+      tds_ids.size(), [&](size_t i) { return tds_ids[i]; },
+      [&](size_t shard, const std::vector<size_t>& slots) {
+        std::vector<uint64_t> ids;
+        ids.reserve(slots.size());
+        for (size_t slot : slots) ids.push_back(tds_ids[slot]);
         return shards_[shard]->FetchPostsBatch(ids);
       });
 }

@@ -52,21 +52,36 @@ class ShardedSsiClient : public SsiApi {
 
   /// Which shard owns a TDS's querybox + collection traffic.
   size_t ShardOfTds(uint64_t tds_id) const;
-  /// A per-TDS batch routed to the owning shards: calls
-  /// `per_shard(shard, ids)` once per shard that owns some of `tds_ids`
-  /// (with those ids in input order) and scatters the per-shard replies back
-  /// into input order. A slot its shard left unanswered is Unavailable.
-  template <typename T, typename PerShard>
-  std::vector<Result<T>> ScatterByShard(const std::vector<uint64_t>& tds_ids,
-                                        PerShard per_shard) const {
-    return Scatter<T>(
-        tds_ids.size(), [&](size_t i) { return tds_ids[i]; },
-        [&](size_t shard, const std::vector<size_t>& slots) {
-          std::vector<uint64_t> ids;
-          ids.reserve(slots.size());
-          for (size_t slot : slots) ids.push_back(tds_ids[slot]);
-          return per_shard(shard, ids);
-        });
+  /// The scatter-gather behind every per-TDS batch: slot i of `n` goes to
+  /// the shard that owns TDS `tds_of(i)`, `per_shard(shard, slots)` answers
+  /// one shard's slots (in input order) once per shard that owns some, and
+  /// the replies come back in input order. Only a slot its shard left
+  /// unanswered becomes Unavailable.
+  template <typename T, typename TdsOf, typename PerShard>
+  std::vector<Result<T>> Scatter(size_t n, TdsOf tds_of,
+                                 PerShard per_shard) const {
+    std::vector<std::vector<size_t>> slots_of(shards_.size());
+    for (size_t i = 0; i < n; ++i) slots_of[ShardOfTds(tds_of(i))].push_back(i);
+    std::vector<std::vector<Result<T>>> replies(shards_.size());
+    for (size_t shard = 0; shard < shards_.size(); ++shard) {
+      if (!slots_of[shard].empty()) {
+        replies[shard] = per_shard(shard, slots_of[shard]);
+      }
+    }
+    // Slot i is the next unread reply of its shard.
+    std::vector<size_t> next(shards_.size(), 0);
+    std::vector<Result<T>> out;
+    out.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t shard = ShardOfTds(tds_of(i));
+      const size_t k = next[shard]++;
+      if (k < replies[shard].size()) {
+        out.push_back(std::move(replies[shard][k]));
+      } else {
+        out.push_back(Status::Unavailable("batched call not dispatched"));
+      }
+    }
+    return out;
   }
 
   // ---- Querybox ----
@@ -121,38 +136,6 @@ class ShardedSsiClient : public SsiApi {
   Status Retire(uint64_t query_id) override;
 
  private:
-  /// The scatter-gather behind every per-TDS batch: slot i of `n` goes to
-  /// the shard that owns TDS `tds_of(i)`, `per_shard(shard, slots)` answers
-  /// one shard's slots (in input order) once per shard that owns some, and
-  /// the replies come back in input order. Only a slot its shard left
-  /// unanswered becomes Unavailable.
-  template <typename T, typename TdsOf, typename PerShard>
-  std::vector<Result<T>> Scatter(size_t n, TdsOf tds_of,
-                                 PerShard per_shard) const {
-    std::vector<std::vector<size_t>> slots_of(shards_.size());
-    for (size_t i = 0; i < n; ++i) slots_of[ShardOfTds(tds_of(i))].push_back(i);
-    std::vector<std::vector<Result<T>>> replies(shards_.size());
-    for (size_t shard = 0; shard < shards_.size(); ++shard) {
-      if (!slots_of[shard].empty()) {
-        replies[shard] = per_shard(shard, slots_of[shard]);
-      }
-    }
-    // Slot i is the next unread reply of its shard.
-    std::vector<size_t> next(shards_.size(), 0);
-    std::vector<Result<T>> out;
-    out.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      const size_t shard = ShardOfTds(tds_of(i));
-      const size_t k = next[shard]++;
-      if (k < replies[shard].size()) {
-        out.push_back(std::move(replies[shard][k]));
-      } else {
-        out.push_back(Status::Unavailable("batched call not dispatched"));
-      }
-    }
-    return out;
-  }
-
   struct QueryState {
     bool personal = false;
     size_t home = 0;  ///< personal: the TDS's shard; global: hash(query_id).

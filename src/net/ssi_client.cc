@@ -368,28 +368,25 @@ Status SsiClient::PostEpochBlock(const Bytes& block) {
 }
 
 Result<Bytes> SsiClient::FetchEpochBlock(uint64_t tds_id) {
-  Result<Bytes> block = CallOne<Bytes>(
-      [&](Bytes* out) {
-        PutRequest(out, MsgType::kFetchEpochBlock, {tds_id});
-      },
-      [](Body body, ReplyFrame*) { return Bytes(body.begin(), body.end()); });
-  if (block.ok()) epoch_block_bytes_ = block->size();
-  return block;
+  return std::move(FetchEpochBlockBatch({tds_id}, {0}).front());
 }
 
 std::vector<Result<Bytes>> SsiClient::FetchEpochBlockBatch(
-    const std::vector<uint64_t>& tds_ids) {
+    const std::vector<uint64_t>& tds_ids,
+    const std::vector<uint64_t>& held_tags) {
   std::vector<Result<Bytes>> blocks;
   blocks.reserve(tds_ids.size());
   Run(
       tds_ids.size(), epoch_block_bytes_,
       [&](size_t i, Bytes* frame) {
-        PutRequest(frame, MsgType::kFetchEpochBlock, {tds_ids[i]});
+        PutRequest(frame, MsgType::kFetchEpochBlock,
+                   {tds_ids[i], held_tags[i]});
       },
       [&](size_t, const Result<Body>& body, ReplyFrame*) {
         if (body.ok()) {
           blocks.push_back(Bytes(body->begin(), body->end()));
-          epoch_block_bytes_ = body->size();
+          // An empty "still current" reply says nothing about block size.
+          if (!body->empty()) epoch_block_bytes_ = body->size();
         } else {
           blocks.push_back(body.status());
         }

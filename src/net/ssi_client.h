@@ -100,13 +100,16 @@ class SsiClient : public SsiApi {
 
   // ---- Key epoch distribution ----
   Status PostEpochBlock(const Bytes& block) override;
+  /// Holds no block: sends a held tag of 0.
   Result<Bytes> FetchEpochBlock(uint64_t tds_id) override;
-  /// FetchEpochBlock for many TDSs in one Exchange; one reply per id. Every
-  /// reply carries the whole block, so a frame holds no more calls than keep
-  /// its replies within max_bytes_per_frame, sized by the last block this
-  /// client posted or fetched.
+  /// Conditional fetches for many TDSs in one Exchange; one reply per id:
+  /// the block, or an empty body when held_tags[i] is its
+  /// ssi::EpochBlockTag. A reply may carry the whole block, so a frame holds
+  /// no more calls than keep its replies within max_bytes_per_frame, sized
+  /// by the last block this client posted or fetched.
   std::vector<Result<Bytes>> FetchEpochBlockBatch(
-      const std::vector<uint64_t>& tds_ids);
+      const std::vector<uint64_t>& tds_ids,
+      const std::vector<uint64_t>& held_tags);
 
   // ---- Collection phase ----
   Result<bool> UploadCollection(

@@ -298,16 +298,21 @@ Status SsiNode::Dispatch(std::span<const uint8_t> call, Bytes* reply) {
       // the authority always publishes the full current window.
       const std::span<const uint8_t> block = reader.rest();
       epoch_block_.assign(block.begin(), block.end());
+      epoch_block_tag_ = ssi::EpochBlockTag(epoch_block_);
       return ReplyOk(reply);
     }
     case MsgType::kFetchEpochBlock: {
       // The tds_id exists only to shard-route and fault-key the fetch; the
-      // reply is the same latest block for every caller.
+      // reply is the same latest block for every caller, or an empty body to
+      // a caller whose held tag names it. A published block is never empty,
+      // so an empty body is unambiguous.
       TCELLS_ASSIGN_OR_RETURN(uint64_t tds_id, reader.GetU64());
+      TCELLS_ASSIGN_OR_RETURN(uint64_t held_tag, reader.GetU64());
       (void)tds_id;
       if (epoch_block_.empty()) {
         return Status::NotFound("no epoch block published");
       }
+      if (held_tag == epoch_block_tag_) return ReplyOk(reply);
       AppendReplyOk(reply, epoch_block_);
       return Status::OK();
     }

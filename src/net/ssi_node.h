@@ -131,6 +131,7 @@ class SsiNode {
   /// here). Deliberately NOT per-query and NOT touched by kRetire: the key
   /// schedule outlives every query.
   Bytes epoch_block_;
+  uint64_t epoch_block_tag_ = 0;  ///< ssi::EpochBlockTag(epoch_block_)
 };
 
 }  // namespace tcells::net

@@ -49,7 +49,9 @@ enum class MsgType : uint8_t {
   kAdversaryView = 17,    ///< u64 query_id → AdversaryView
   kRetire = 18,           ///< u64 query_id → ()
   kPostEpochBlock = 20,   ///< encoded keys::EpochBlock → () (opaque to SSI)
-  kFetchEpochBlock = 21,  ///< u64 tds_id → encoded keys::EpochBlock
+  /// u64 tds_id, u64 held_tag → encoded keys::EpochBlock, or () when
+  /// held_tag is the block's ssi::EpochBlockTag (0: none held)
+  kFetchEpochBlock = 21,
 };
 
 /// Appends a reply envelope to `out`: the OK code and `body`, or the

@@ -1,8 +1,11 @@
 #include "ssi/messages.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
+
+#include "crypto/sha256.h"
 
 namespace tcells::ssi {
 
@@ -209,6 +212,15 @@ Result<QueryKeyPosting> QueryKeyPosting::DecodeFrom(ByteReader* reader) {
     return Status::Corruption("key posting nonce must be 16 bytes");
   }
   return posting;
+}
+
+uint64_t EpochBlockTag(std::span<const uint8_t> block) {
+  crypto::Sha256 sha;
+  sha.Update(block.data(), block.size());
+  const std::array<uint8_t, crypto::Sha256::kDigestSize> digest = sha.Finish();
+  uint64_t tag = 0;
+  for (size_t i = 8; i-- > 0;) tag = (tag << 8) | digest[i];
+  return tag == 0 ? 1 : tag;
 }
 
 Bytes QueryPost::Encode() const {

@@ -276,6 +276,13 @@ struct QueryKeyPosting {
   }
 };
 
+/// The tag a conditional epoch-block fetch (net::MsgType::kFetchEpochBlock)
+/// names a key-epoch block by: the first 8 bytes of SHA-256 over the
+/// encoded block, read little-endian, with 0 mapped to 1, since a held tag
+/// of 0 means "no block held". The SSI tags the opaque bytes it serves, a
+/// TDS the bytes it adopted (docs/KEYS.md "When a TDS refreshes").
+uint64_t EpochBlockTag(std::span<const uint8_t> block);
+
 /// What the querier posts on the SSI (§3.2 step 1): the encrypted query, the
 /// querier's credential (signed by an authority), and the SIZE clause in
 /// cleartext so the SSI can evaluate it. A dynamically-keyed query also

@@ -13,22 +13,28 @@ namespace {
 
 /// Adapter: TdsKeyStates fetch the latest epoch block from their home shard
 /// (the router's ShardOfTds), a batched refresh as one ordered batch per
-/// shard straight to the shard's client.
+/// shard, each id with its held tag, straight to the shard's client.
 class RouterBlockSource : public keys::EpochBlockSource {
  public:
   RouterBlockSource(net::ShardedSsiClient* router,
                     std::vector<net::SsiClient*> shards)
       : router_(router), shards_(std::move(shards)) {}
 
-  Result<Bytes> FetchLatestBlock(uint64_t tds_id) override {
-    return router_->FetchEpochBlock(tds_id);
-  }
-
   std::vector<Result<Bytes>> FetchLatestBlocks(
-      const std::vector<uint64_t>& tds_ids) override {
-    return router_->ScatterByShard<Bytes>(
-        tds_ids, [this](size_t shard, const std::vector<uint64_t>& ids) {
-          return shards_[shard]->FetchEpochBlockBatch(ids);
+      const std::vector<uint64_t>& tds_ids,
+      const std::vector<uint64_t>& held_tags) override {
+    return router_->Scatter<Bytes>(
+        tds_ids.size(), [&](size_t i) { return tds_ids[i]; },
+        [&](size_t shard, const std::vector<size_t>& slots) {
+          std::vector<uint64_t> ids;
+          std::vector<uint64_t> tags;
+          ids.reserve(slots.size());
+          tags.reserve(slots.size());
+          for (size_t slot : slots) {
+            ids.push_back(tds_ids[slot]);
+            tags.push_back(held_tags[slot]);
+          }
+          return shards_[shard]->FetchEpochBlockBatch(ids, tags);
         });
   }
 
@@ -165,6 +171,7 @@ Status Engine::StartKeys() {
   refresh_counters_.fetched = &metrics_.counter("keys.blocks_fetched");
   refresh_counters_.adopted = &metrics_.counter("keys.blocks_adopted");
   refresh_counters_.refused = &metrics_.counter("keys.blocks_refused");
+  refresh_counters_.current = &metrics_.counter("keys.blocks_current");
   rollovers_ = &metrics_.counter("keys.rollovers");
   revocations_ = &metrics_.counter("keys.revocations");
   key_states_.reserve(fleet_->size());

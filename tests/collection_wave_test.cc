@@ -6,6 +6,10 @@
 // digests are pinned: they were taken on the code that served a whole tick
 // at once, so a wave that reorders an Rng fork, an upload or an
 // acknowledgement, or counts the SIZE bound differently, moves a digest.
+// The dynamic-key digests were re-pinned once, when the key refresh became a
+// conditional fetch: that moved only their metrics section (the byte counts
+// net.bytes_* and net.frame_bytes' sum, and the new keys.blocks_current),
+// while their rows, trace and view sections hash as before.
 //
 // The fleet is 3 full waves plus a ragged remainder. Transport batching is
 // one call per frame, so the net.* frame counters are part of the pin too
@@ -149,17 +153,17 @@ TEST(CollectionWaveTest, FullPassDigestsArePinned) {
       {"s_agg static s4",
        "716578029d9776ebb366029f0c1fee4807298c7a243ec64ad931469d380ffe5f"},
       {"s_agg dynamic s1",
-       "a0728643ebe19c502b08187c254bb8ef9dfd880207457c9fc654b6a460b89998"},
+       "12d24cf7f2279fff31639b5a81f0811ec1ad25ea1fa800a40436e19fbab8e422"},
       {"s_agg dynamic s4",
-       "ea0cdacaab664d376759b1e6789b31603211b8ed6e1113861f3578178c9d6da1"},
+       "c5272a72985ad4b36a45a636fa66eaf952f79acf85d8eb9f4f5353830c630d0b"},
       {"c_noise static s1",
        "317a58c835d0850bdbca505dac0cc15c2d0e20e5cfa2eba9ec531b246c926ce1"},
       {"c_noise static s4",
        "2f5e3d480eb3fb71dfe07e9ef110bb1966eeb6013956b473add971bba3f8df7c"},
       {"c_noise dynamic s1",
-       "b824e8cef5b30a9f34c3596bf9a3b0ceedc9064ce98047931378a382758d862c"},
+       "bb686ba3a5d5500a16a9aea647affe8e698eaafa149df64632cabcd1da40b76f"},
       {"c_noise dynamic s4",
-       "8a10c5f45229d28f19b9eb064dbc0765c149300bdb7f5cc2619ef7544d0a80c7"},
+       "b31c3726f8133a4f085f0afd867241a099aa1b605524a67615dad388d8bfbcb1"},
   };
   for (ProtocolKind protocol : {ProtocolKind::kSAgg, ProtocolKind::kCNoise}) {
     for (KeyMode key_mode : {KeyMode::kStatic, KeyMode::kDynamic}) {

@@ -35,6 +35,10 @@
 #include "keys/key_authority.h"
 #include "keys/tds_keys.h"
 #include "net/channel.h"
+#include "net/loopback.h"
+#include "net/ssi_client.h"
+#include "net/ssi_node.h"
+#include "obs/metrics.h"
 #include "protocol/protocols.h"
 #include "protocol/reference.h"
 #include "sim/campaign.h"
@@ -265,9 +269,14 @@ TEST(EpochCodec, FullWindowAtTheLastEpochDecodes) {
 
 class CannedSource : public keys::EpochBlockSource {
  public:
-  Result<Bytes> FetchLatestBlock(uint64_t) override {
-    if (fail_) return Status::Unavailable("block source offline");
-    return block_;
+  std::vector<Result<Bytes>> FetchLatestBlocks(
+      const std::vector<uint64_t>& tds_ids,
+      const std::vector<uint64_t>&) override {
+    if (fail_) {
+      return std::vector<Result<Bytes>>(
+          tds_ids.size(), Status::Unavailable("block source offline"));
+    }
+    return std::vector<Result<Bytes>>(tds_ids.size(), block_);
   }
   void Serve(Bytes block) {
     block_ = std::move(block);
@@ -481,13 +490,13 @@ class PerIdSource : public keys::EpochBlockSource {
  public:
   explicit PerIdSource(std::map<uint64_t, Result<Bytes>> replies)
       : replies_(std::move(replies)) {}
-  Result<Bytes> FetchLatestBlock(uint64_t tds_id) override {
-    return replies_.at(tds_id);
-  }
   std::vector<Result<Bytes>> FetchLatestBlocks(
-      const std::vector<uint64_t>& tds_ids) override {
+      const std::vector<uint64_t>& tds_ids,
+      const std::vector<uint64_t>&) override {
     ++batches;
-    return EpochBlockSource::FetchLatestBlocks(tds_ids);
+    std::vector<Result<Bytes>> out;
+    for (uint64_t tds_id : tds_ids) out.push_back(replies_.at(tds_id));
+    return out;
   }
   int batches = 0;
 
@@ -525,9 +534,9 @@ TEST(TdsKeyStateBatch, RefreshAllEndsLikeSerialRefresh) {
   };
 
   obs::MetricsRegistry registry;
-  keys::RefreshCounters counters{&registry.counter("fetched"),
-                                 &registry.counter("adopted"),
-                                 &registry.counter("refused")};
+  keys::RefreshCounters counters{
+      &registry.counter("fetched"), &registry.counter("adopted"),
+      &registry.counter("refused"), &registry.counter("current")};
   PerIdSource serial_source(replies), batch_source(replies);
   std::vector<std::unique_ptr<keys::TdsKeyState>> serial, batched;
   std::vector<keys::TdsKeyState*> batch_ptrs;
@@ -579,6 +588,135 @@ TEST(TdsKeyStateBatch, RefreshAllEndsLikeSerialRefresh) {
   EXPECT_EQ(registry.counter("fetched").value() - primed, 7u);  // not id 5
   EXPECT_EQ(registry.counter("adopted").value() - primed_adopted, 1u);
   EXPECT_EQ(registry.counter("refused").value(), 4u);
+}
+
+/// Fetches through one SSI client, each id with its held tag.
+class ClientSource : public keys::EpochBlockSource {
+ public:
+  explicit ClientSource(net::SsiClient* client) : client_(client) {}
+  std::vector<Result<Bytes>> FetchLatestBlocks(
+      const std::vector<uint64_t>& tds_ids,
+      const std::vector<uint64_t>& held_tags) override {
+    return client_->FetchEpochBlockBatch(tds_ids, held_tags);
+  }
+
+ private:
+  net::SsiClient* client_;
+};
+
+/// Forwards every fetch with each held tag zeroed: an unconditional refresh.
+class ZeroTagSource : public keys::EpochBlockSource {
+ public:
+  explicit ZeroTagSource(keys::EpochBlockSource* inner) : inner_(inner) {}
+  std::vector<Result<Bytes>> FetchLatestBlocks(
+      const std::vector<uint64_t>& tds_ids,
+      const std::vector<uint64_t>& held_tags) override {
+    return inner_->FetchLatestBlocks(
+        tds_ids, std::vector<uint64_t>(held_tags.size(), 0));
+  }
+
+ private:
+  keys::EpochBlockSource* inner_;
+};
+
+// A conditional refresh ends every state exactly as an unconditional one.
+// Two fleets of the same devices refresh from one SSI node through one
+// script of publications; the twin fleet's source zeroes every held tag, so
+// it is always sent the whole block. After every RefreshAll the fleets agree
+// on each status, known epoch and reachable epoch. A refresh that finds the
+// block current moves at most 32 wire bytes per TDS each way.
+TEST(TdsKeyStateBatch, ConditionalRefreshEndsLikeUnconditionalRefresh) {
+  constexpr uint64_t kStates = 16;
+  constexpr uint64_t kRevoked = 5;
+  auto authority =
+      keys::KeyAuthority::Create(Bytes(16, 0x42), kStates, 3).ValueOrDie();
+  net::SsiNode node;
+  net::LoopbackTransport transport(node.handler());
+  net::BatchOptions batch;
+  batch.max_calls_per_frame = 64;
+  obs::MetricsRegistry wire;
+  net::SsiClient client(&transport, net::RetryPolicy{}, &wire, batch);
+  net::SsiClient twin_client(&transport, net::RetryPolicy{}, nullptr, batch);
+  net::SsiClient publisher(&transport, net::RetryPolicy{}, nullptr, batch);
+  ClientSource source(&client);
+  ClientSource twin_client_source(&twin_client);
+  ZeroTagSource twin_source(&twin_client_source);
+
+  obs::MetricsRegistry registry;
+  keys::RefreshCounters counters{
+      &registry.counter("fetched"), &registry.counter("adopted"),
+      &registry.counter("refused"), &registry.counter("current")};
+  std::vector<std::unique_ptr<keys::TdsKeyState>> owned;
+  std::vector<keys::TdsKeyState*> fleet, twins;
+  for (uint64_t id = 0; id < kStates; ++id) {
+    auto device = authority->EnrollDevice(id).ValueOrDie();
+    owned.push_back(std::make_unique<keys::TdsKeyState>(id, device, &source,
+                                                        &counters));
+    fleet.push_back(owned.back().get());
+    owned.push_back(
+        std::make_unique<keys::TdsKeyState>(id, device, &twin_source));
+    twins.push_back(owned.back().get());
+  }
+
+  std::vector<Status> last;
+  auto refresh = [&](const std::string& step) {
+    SCOPED_TRACE(step);
+    last = keys::TdsKeyState::RefreshAll(fleet);
+    const std::vector<Status> want = keys::TdsKeyState::RefreshAll(twins);
+    ASSERT_EQ(last.size(), kStates);
+    ASSERT_EQ(want.size(), kStates);
+    for (uint64_t id = 0; id < kStates; ++id) {
+      SCOPED_TRACE("tds " + std::to_string(id));
+      EXPECT_EQ(last[id].code(), want[id].code());
+      const Result<uint32_t> epoch = fleet[id]->known_epoch();
+      const Result<uint32_t> want_epoch = twins[id]->known_epoch();
+      ASSERT_EQ(epoch.status().code(), want_epoch.status().code());
+      if (epoch.ok()) {
+        EXPECT_EQ(*epoch, *want_epoch);
+      }
+      for (uint32_t e = 0; e <= 3; ++e) {
+        EXPECT_EQ(fleet[id]->Reaches(e), twins[id]->Reaches(e));
+      }
+    }
+  };
+  // Each publication is refreshed twice: the second finds it current.
+  auto publish = [&](const std::string& step, const Bytes& block) {
+    ASSERT_TRUE(publisher.PostEpochBlock(block).ok());
+    refresh(step);
+    refresh(step + ", again");
+  };
+  obs::Counter& current = registry.counter("current");
+
+  const Bytes block0 = authority->CurrentBlock();
+  ASSERT_TRUE(publisher.PostEpochBlock(block0).ok());
+  refresh("prime");
+  EXPECT_EQ(current.value(), 0u);
+
+  const uint64_t sent = wire.counter("net.bytes_sent").value();
+  const uint64_t received = wire.counter("net.bytes_received").value();
+  refresh("current");
+  EXPECT_EQ(current.value(), kStates);
+  EXPECT_LE(wire.counter("net.bytes_sent").value() - sent, 32 * kStates);
+  EXPECT_LE(wire.counter("net.bytes_received").value() - received,
+            32 * kStates);
+
+  ASSERT_TRUE(authority->Rollover().ok());
+  publish("rollover", authority->CurrentBlock());
+  ASSERT_TRUE(authority->Revoke({kRevoked}).ok());
+  publish("revocation", authority->CurrentBlock());
+  EXPECT_TRUE(last[kRevoked].IsNotFound());
+  publish("garbage", Bytes(64, 0x5a));
+  EXPECT_TRUE(last[0].IsCorruption());
+  publish("stale replay", block0);
+  EXPECT_TRUE(last[0].ok());
+  publish("honest block again", authority->CurrentBlock());
+  EXPECT_TRUE(last[kRevoked].IsNotFound());
+  EXPECT_EQ(fleet[0]->known_epoch().ValueOrDie(), 2u);
+  EXPECT_EQ(fleet[kRevoked]->known_epoch().ValueOrDie(), 1u);
+  // Besides the "current" step, the second refresh found the block current
+  // for every state after the rollover and the stale replay, and for all but
+  // the revoked one after the revocation and the honest block's return.
+  EXPECT_EQ(current.value(), kStates + 2 * kStates + 2 * (kStates - 1));
 }
 
 // ---------------------------------------------------------------------------

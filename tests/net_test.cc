@@ -1352,7 +1352,7 @@ TEST(SsiWireTest, FramesArePinned) {
       " 56cc55f6c733192fb68d54500e391f9f5e8cbec156bd48ffc2b891f125dcde63",
       "1e85219b6bf157a252fc502ea14cfd4d03550e862031e910f6b254043be9b594"
       " e88d5bc134808c4bfa495e205351230b46a7725f41a9cf96ee9fa6ad530e0b9a",
-      "91ff6cf00642bb4c3da8cb52610ce4f7684a2984ad9634edc23b6e109207a888"
+      "650e65880f427404515f5eab33bbd6e73cd7a3026bbc2434a4abcce70d9beee1"
       " 74a3db5aa89f45a13180f06a66df191ce5ac8102925e7455c98f76162e9033b5",
       "d067e5a4fd058955c0e0be98cde77a40ae330331360dbd345f7cd255a9d2ac41"
       " a2a5f9ce945ec8d16eb02ff39ec895c3ea9389cc48b38170dc037c40fccc782d",
@@ -1946,11 +1946,66 @@ TEST(SsiClientBatchTest, EpochBlockBatchKeepsRepliesWithinTheFrameBudget) {
   obs::Counter& frames = metrics.counter("net.frames_sent");
   const uint64_t before = frames.value();
   std::vector<Result<Bytes>> replies =
-      client.FetchEpochBlockBatch({0, 1, 2, 3, 4, 5, 6, 7});
+      client.FetchEpochBlockBatch({0, 1, 2, 3, 4, 5, 6, 7},
+                                  std::vector<uint64_t>(8, 0));
   ASSERT_EQ(replies.size(), 8u);
   for (const Result<Bytes>& reply : replies) {
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     EXPECT_EQ(*reply, block);
+  }
+  EXPECT_EQ(frames.value() - before, 3u);  // 3 + 3 + 2 calls
+}
+
+// A conditional fetch: a held tag naming the node's block gets an empty OK
+// body, a zero or stale tag the whole block, and no tag makes a missing
+// block appear.
+TEST(SsiClientBatchTest, EpochBlockFetchAnswersAHeldTagWithAnEmptyBody) {
+  SsiNode node;
+  LoopbackTransport transport(node.handler());
+  SsiClient client(&transport, RetryPolicy{}, nullptr, TestBatch(8));
+  const Bytes block0 = MakeBytes({0xE0, 0xE1, 0xE2});
+  const Bytes block1 = MakeBytes({0xE3, 0xE4});
+  const uint64_t tag0 = ssi::EpochBlockTag(block0);
+  EXPECT_TRUE(IsNotFound(client.FetchEpochBlockBatch({1}, {tag0})[0].status()));
+  ASSERT_TRUE(client.PostEpochBlock(block0).ok());
+  std::vector<Result<Bytes>> replies =
+      client.FetchEpochBlockBatch({1, 2}, {0, tag0});
+  EXPECT_EQ(replies[0].ValueOrDie(), block0);
+  EXPECT_EQ(replies[1].ValueOrDie(), Bytes());
+  ASSERT_TRUE(client.PostEpochBlock(block1).ok());
+  replies = client.FetchEpochBlockBatch(
+      {1, 2}, {tag0, ssi::EpochBlockTag(block1)});
+  EXPECT_EQ(replies[0].ValueOrDie(), block1);
+  EXPECT_EQ(replies[1].ValueOrDie(), Bytes());
+  EXPECT_EQ(client.FetchEpochBlock(3).ValueOrDie(), block1);
+}
+
+// An empty "still current" reply must not shrink the block size a batched
+// fetch budgets its frames by: the next stale fetch moves whole blocks.
+TEST(SsiClientBatchTest, CurrentEpochBlockRepliesKeepTheFrameBudget) {
+  SsiNode node;
+  LoopbackTransport transport(node.handler());
+  obs::MetricsRegistry metrics;
+  SsiClient client(&transport, RetryPolicy{}, &metrics, TestBatch(64));
+  SsiClient publisher(&transport, RetryPolicy{}, nullptr, TestBatch(64));
+  const Bytes block(300u << 10, 0x7b);
+  const uint64_t tag = ssi::EpochBlockTag(block);
+  ASSERT_TRUE(client.PostEpochBlock(block).ok());
+  std::vector<Result<Bytes>> current = client.FetchEpochBlockBatch({0}, {tag});
+  ASSERT_TRUE(current[0].ok()) << current[0].status().ToString();
+  ASSERT_TRUE(current[0]->empty());
+  // Published by another client, so only this client's fetches size its
+  // frames.
+  const Bytes next(300u << 10, 0x7c);
+  ASSERT_TRUE(publisher.PostEpochBlock(next).ok());
+  obs::Counter& frames = metrics.counter("net.frames_sent");
+  const uint64_t before = frames.value();
+  std::vector<Result<Bytes>> replies = client.FetchEpochBlockBatch(
+      {0, 1, 2, 3, 4, 5, 6, 7}, std::vector<uint64_t>(8, tag));
+  ASSERT_EQ(replies.size(), 8u);
+  for (const Result<Bytes>& reply : replies) {
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(*reply, next);
   }
   EXPECT_EQ(frames.value() - before, 3u);  // 3 + 3 + 2 calls
 }

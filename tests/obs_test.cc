@@ -455,6 +455,35 @@ TEST(ObsEngineTest, KeyCountersTrackRefreshesRolloversAndRevocations) {
   EXPECT_EQ(counter("keys.blocks_refused"), 1u);
 }
 
+// keys.blocks_current over the same three phases. Priming fetches every
+// block whole, and so does the rolled run's pre-tag refresh, which meets the
+// new epoch's block. After the revocation each of the n - 1 survivors
+// refreshes twice, and the second (pre-tag) refresh finds the block it just
+// adopted; the revoked TDS holds the old block's tag and is sent the new one.
+TEST(ObsEngineTest, KeyCurrentCounterCountsRepliesWithoutABlock) {
+  Engine::Config config;
+  config.key_mode = KeyMode::kDynamic;
+  auto engine_cell = std::make_shared<Engine*>(nullptr);
+  auto rolled = std::make_shared<bool>(false);
+  config.options.tick_hook = [engine_cell, rolled](uint64_t tick) {
+    if (tick == 0 && !*rolled && *engine_cell != nullptr) {
+      *rolled = true;
+      ASSERT_TRUE((*engine_cell)->RolloverEpoch().ok());
+    }
+  };
+  ObsWorld w(config);
+  *engine_cell = w.engine.get();
+  const uint64_t n = w.engine->fleet().size();
+  obs::Counter& current = w.engine->metrics().counter("keys.blocks_current");
+
+  EXPECT_EQ(current.value(), 0u);
+  RunKind(w, protocol::ProtocolKind::kSAgg, 1);
+  EXPECT_EQ(current.value(), 0u);
+  ASSERT_TRUE(w.engine->RevokeTds({w.engine->fleet().at(0)->id()}).ok());
+  RunKind(w, protocol::ProtocolKind::kSAgg, 2);
+  EXPECT_EQ(current.value(), n - 1);
+}
+
 TEST(ObsEngineTest, EngineCreateValidatesOptions) {
   auto keys = crypto::KeyStore::CreateForTest(91);
   auto authority = std::make_shared<tds::Authority>(Bytes(16, 0x31));

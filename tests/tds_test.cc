@@ -805,8 +805,11 @@ class AuthoritySource : public keys::EpochBlockSource {
  public:
   explicit AuthoritySource(const keys::KeyAuthority* authority)
       : authority_(authority) {}
-  Result<Bytes> FetchLatestBlock(uint64_t) override {
-    return authority_->CurrentBlock();
+  std::vector<Result<Bytes>> FetchLatestBlocks(
+      const std::vector<uint64_t>& tds_ids,
+      const std::vector<uint64_t>&) override {
+    return std::vector<Result<Bytes>>(tds_ids.size(),
+                                      authority_->CurrentBlock());
   }
 
  private:
