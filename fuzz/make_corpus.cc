@@ -219,7 +219,8 @@ int Run(const std::filesystem::path& out_dir) {
     protocol::RunContext ctx(fleet.get(), &client, &executor, query_id,
                              sim::DeviceModel(), opts);
 
-    auto post = querier.MakePost(query_id, sql, &ctx.rng());
+    Rng post_rng(Rng::Keyed(opts.seed, RngDomain::kPost));
+    auto post = querier.MakePost(query_id, sql, &post_rng);
     CHECK_OK(post);
     CHECK_OK(client.PostGlobal(*post));
     writer.Add("ssi", 0, post->Encode());

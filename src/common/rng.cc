@@ -6,8 +6,10 @@
 namespace tcells {
 
 namespace {
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
+constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+
+/// The splitmix64 finalizer: a bijective 64-bit mix.
+uint64_t Mix64(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
@@ -18,7 +20,14 @@ uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
-  for (auto& s : s_) s = SplitMix64(&sm);
+  for (auto& s : s_) s = Mix64(sm += kGolden);
+}
+
+uint64_t Rng::Keyed(uint64_t seed, RngDomain domain, uint64_t a,
+                    uint64_t b) {
+  uint64_t h = Mix64(seed ^ Mix64(static_cast<uint64_t>(domain) + kGolden));
+  h = Mix64(h ^ Mix64(a + kGolden));
+  return Mix64(h ^ Mix64(b + kGolden));
 }
 
 uint64_t Rng::Next() {

@@ -12,10 +12,31 @@
 
 namespace tcells {
 
+/// The random choices of a query, one domain each, with the coordinates (a, b)
+/// Rng::Keyed takes for each. A round is a phase and the round's index in it.
+enum class RngDomain : uint64_t {
+  kPost = 1,         // the querier's query post encryption
+  kPosting,          // dynamic keys: the key posting's nonce
+  kConnect,          // (tick, tds_id): whether the TDS connects in a tick
+  kServeOrder,       // (tick): the order a tick serves its connectors in
+  kServe,            // (tds_id): one TDS's collection serve
+  kComputePool,      // the TDSs available to the query's rounds
+  kPartitioning,     // (round): the items' split into a round's partitions
+  kPartition,        // (round, token): one partition's TDS, dropouts, seals
+};
+
 /// xoshiro256** with splitmix64 seeding. Fast, decent quality, reproducible.
+/// A query's streams are seeded by Keyed, never forked from one another: what
+/// a choice draws depends neither on the choices before it nor on threads.
 class Rng {
  public:
   explicit Rng(uint64_t seed);
+
+  /// The seed of the stream for `domain` at coordinates (a, b) under `seed`:
+  /// a splitmix64 mix of the four words, as counter-based generators derive
+  /// streams (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3").
+  static uint64_t Keyed(uint64_t seed, RngDomain domain, uint64_t a = 0,
+                        uint64_t b = 0);
 
   /// Uniform 64-bit value.
   uint64_t Next();
@@ -39,14 +60,6 @@ class Rng {
   /// would return, without the allocation (hot seal paths draw one IV per
   /// tuple).
   void FillBytes(uint8_t* out, size_t n);
-
-  /// Derives an independent child generator by drawing one value from this
-  /// stream (the child re-expands it through splitmix64 seeding, so parent
-  /// and child sequences are well separated). Forking serially and handing
-  /// each partition/TDS its own child stream makes parallel fan-out
-  /// bit-identical to serial execution: the bits any task draws depend only
-  /// on the fork order, never on thread scheduling.
-  Rng Fork() { return Rng(Next()); }
 
   /// Fisher-Yates shuffle.
   template <typename T>

@@ -3,7 +3,7 @@
 // counter and the *caller participates* in draining it, so a pool that is
 // busy (or has size 1) degenerates to an inline loop instead of deadlocking.
 // Determinism is the callers' job — tasks write to disjoint per-index slots
-// and draw randomness from per-index Rng streams forked before the fan-out —
+// and draw randomness from per-index Rng streams keyed by identity —
 // the pool only guarantees that every index runs exactly once and that the
 // lowest-index exception is rethrown after all tasks finished.
 #ifndef TCELLS_COMMON_THREAD_POOL_H_
@@ -39,7 +39,7 @@ class ThreadPool {
 
   /// Runs fn(0), ..., fn(n-1), blocking until every invocation finished.
   /// Invocations may run concurrently and in any order; callers must make
-  /// tasks independent (disjoint output slots, pre-forked RNG streams).
+  /// tasks independent (disjoint output slots, keyed Rng streams).
   /// Every index runs even if an earlier one threw; after all finished, the
   /// exception thrown by the lowest index (if any) is rethrown. This matches
   /// the serial inline path exactly, keeping side effects (e.g. leak-log

@@ -7,7 +7,7 @@
 // concurrently on the same executor.
 //
 // Determinism contract: jobs must be independent (disjoint output slots,
-// per-index Rng streams forked serially before the fan-out) so that every
+// per-index Rng streams keyed by identity, Rng::Keyed) so that every
 // thread count — including 1 — produces bit-identical results. All jobs run
 // even when one fails; the lowest-index failure is reported, matching what a
 // serial sweep that never short-circuits would report.

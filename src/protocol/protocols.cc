@@ -115,8 +115,10 @@ Result<std::vector<EncryptedItem>> SAggProtocol::RunAggregation(
         std::min(first ? first_chunk : alpha,
                  static_cast<double>(std::max<size_t>(1, items.size()))));
     first = false;
+    Rng rng = ctx.Stream(RngDomain::kPartitioning,
+                         ctx.NextRound(sim::Phase::kAggregation));
     std::vector<Partition> partitions =
-        ssi::PartitionRandomly(std::move(items), chunk, &ctx.rng());
+        ssi::PartitionRandomly(std::move(items), chunk, &rng);
     TCELLS_ASSIGN_OR_RETURN(
         items, ctx.RunRound(sim::Phase::kAggregation, partitions,
                             AggregateFn(query, OutputTagPolicy::kNone,
@@ -236,8 +238,10 @@ Result<std::vector<EncryptedItem>> RunFilteringPhase(
   if (covering.empty()) return std::vector<EncryptedItem>{};
   size_t pool_size = std::max<size_t>(1, ctx.compute_pool().size());
   size_t chunk = (covering.size() + pool_size - 1) / pool_size;
+  Rng rng = ctx.Stream(RngDomain::kPartitioning,
+                       ctx.NextRound(sim::Phase::kFiltering));
   std::vector<Partition> partitions =
-      ssi::PartitionRandomly(std::move(covering), chunk, &ctx.rng());
+      ssi::PartitionRandomly(std::move(covering), chunk, &rng);
   return ctx.RunRound(sim::Phase::kFiltering, partitions,
                       [&query, &config](tds::TrustedDataServer* server,
                                         const Partition& partition, Rng* rng) {

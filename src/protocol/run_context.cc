@@ -1,7 +1,6 @@
 #include "protocol/run_context.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 namespace tcells::protocol {
@@ -12,19 +11,17 @@ Status BadOption(const char* what) {
   return Status::InvalidArgument(std::string("RunOptions: ") + what);
 }
 
+}  // namespace
+
+bool IsTransportError(const Status& s) {
+  return s.IsUnavailable() || s.IsDeadlineExceeded();
+}
+
 double WallMicrosSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - t0)
       .count();
 }
-
-/// Transport-level failures degrade the round (the partition is lost);
-/// anything else is a protocol error and aborts the run.
-bool IsTransportError(const Status& s) {
-  return s.IsUnavailable() || s.IsDeadlineExceeded();
-}
-
-}  // namespace
 
 net::RetryPolicy TransportRetryPolicy(const RunOptions& options) {
   net::RetryPolicy policy;
@@ -74,15 +71,14 @@ RunContext::RunContext(Fleet* fleet, net::SsiApi* client,
       query_id_(query_id),
       device_(device),
       options_(options),
-      rng_(options.seed),
       trace_(trace) {}
 
 const std::vector<tds::TrustedDataServer*>& RunContext::compute_pool() {
   if (!pool_sampled_) {
-    pool_ = fleet_->SampleAvailable(options_.compute_availability, &rng_);
-    // Dynamic key mode: revoked TDSs are dropped AFTER sampling, so the rng
-    // draw sequence (and hence every non-revoked TDS's partition stream) is
-    // unchanged by who happens to be revoked.
+    Rng rng = Stream(RngDomain::kComputePool);
+    pool_ = fleet_->SampleAvailable(options_.compute_availability, &rng);
+    // Dynamic key mode: revoked TDSs are dropped after sampling, so who
+    // happens to be revoked does not change which others are sampled.
     if (options_.key_authority != nullptr) {
       pool_.erase(std::remove_if(pool_.begin(), pool_.end(),
                                  [&](tds::TrustedDataServer* server) {
@@ -112,13 +108,7 @@ Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
         "no non-revoked compute TDS available for the round");
   }
   const size_t n = partitions.size();
-
-  // Serial prelude: fork one private Rng stream per partition. This is the
-  // only master-Rng consumption of the round, so it is independent of the
-  // thread count — and everything a task draws comes from its own stream.
-  std::vector<Rng> streams;
-  streams.reserve(n);
-  for (size_t i = 0; i < n; ++i) streams.push_back(rng_.Fork());
+  const uint64_t round = NextRound(phase);
 
   // Per-partition results, filled by the fan-out into disjoint slots.
   struct PartitionRun {
@@ -143,7 +133,7 @@ Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
 
   TCELLS_RETURN_IF_ERROR(executor_->ForEachIndex(n, [&](size_t i) -> Status {
     const ssi::Partition& partition = partitions[i];
-    Rng& prng = streams[i];
+    Rng prng = Stream(RngDomain::kPartition, round, i);
     PartitionRun& run = runs[i];
     run.bytes_in = partition.WireSize();
     run.tuples = partition.items.size();
@@ -158,10 +148,9 @@ Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
     TCELLS_RETURN_IF_ERROR(staged);
 
     // Fault injection: a TDS may drop mid-partition; the SSI re-dispatches
-    // after a timeout until a TDS completes it (§3.2 Correctness). The Rng
-    // consumption here is exactly one NextBelow + NextBool per attempt —
-    // transport calls draw nothing — so the dropout schedule is identical
-    // on every backend.
+    // after a timeout until a TDS completes it (§3.2 Correctness). The
+    // schedule comes from the partition's stream alone, never from a
+    // transport call, so it is identical on every backend.
     for (size_t attempt = 0; attempt <= options_.max_dropout_retries;
          ++attempt) {
       tds::TrustedDataServer* server = pool[prng.NextBelow(pool.size())];
@@ -207,7 +196,7 @@ Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
       TCELLS_RETURN_IF_ERROR(uploaded);
       // Download the round output back inside the task — per-partition SSI
       // state is keyed by (query_id, token), so takes from concurrent tasks
-      // never interleave on shared state, and the transport draws no rng.
+      // never interleave on shared state.
       // The codec round trip is lossless; the bytes served must be exactly
       // the bytes this TDS uploaded. A mismatch means a byzantine SSI
       // replayed a stale output or swapped partitions — the partition is

@@ -12,6 +12,7 @@
 #define TCELLS_PROTOCOL_RUN_CONTEXT_H_
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -67,8 +68,8 @@ struct RunOptions {
   /// every aggregation/filtering round fan their partitions out across this
   /// many threads (the calling thread included). 1 = fully serial; 0 = use
   /// std::thread::hardware_concurrency(). Results are bit-identical for any
-  /// value: each TDS/partition draws from its own Rng stream forked serially
-  /// from the run seed, so thread scheduling can never reach the bits.
+  /// value: each TDS/partition draws from its own Rng stream keyed by its
+  /// identity (Rng::Keyed), so thread scheduling can never reach the bits.
   size_t num_threads = 0;
   /// Hard cap on num_threads (sanity bound: each is one pool thread).
   static constexpr size_t kMaxThreads = 256;
@@ -115,6 +116,11 @@ struct RunOptions {
 /// dropout_timeout_seconds of *simulated* time; transport retries cost real
 /// wall clock.)
 net::RetryPolicy TransportRetryPolicy(const RunOptions& options);
+
+/// Transport failures degrade a run (a TDS misses the exchange, a round loses
+/// the partition); anything else aborts it.
+bool IsTransportError(const Status& s);
+double WallMicrosSince(std::chrono::steady_clock::time_point t0);
 
 /// Simulated wall-clock per phase, computed on the critical path: each round
 /// of partitions runs in parallel across the available TDSs; a round's time
@@ -206,8 +212,17 @@ class RunContext {
              uint64_t query_id, const sim::DeviceModel& device,
              RunOptions options, obs::Trace* trace = nullptr);
 
-  Rng& rng() { return rng_; }
   const RunOptions& options() const { return options_; }
+  /// This query's stream for `domain` at (a, b): every random choice of the
+  /// query draws from one, keyed on the query seed (options().seed).
+  Rng Stream(RngDomain domain, uint64_t a = 0, uint64_t b = 0) const {
+    return Rng(Rng::Keyed(options_.seed, domain, a, b));
+  }
+  /// The key of the next `phase` round RunRound runs: phase and index in it.
+  uint64_t NextRound(sim::Phase phase) const {
+    return static_cast<uint64_t>(phase) << 32 |
+           metrics_.accountant.phase(phase).iterations;
+  }
   /// The query's one tally (RunRound and the collection record into it).
   RunMetrics& metrics() { return metrics_; }
 
@@ -218,8 +233,8 @@ class RunContext {
   const std::vector<tds::TrustedDataServer*>& compute_pool();
 
   /// Processor invoked per partition: returns the TDS's output items. The
-  /// Rng is the partition's private stream — implementations must draw all
-  /// their randomness from it, never from ctx.rng(), so that partitions can
+  /// Rng is the partition's private stream, keyed on (round, token):
+  /// implementations draw all their randomness from it, so partitions can
   /// run concurrently without perturbing each other's bits.
   using PartitionFn = std::function<Result<std::vector<ssi::EncryptedItem>>(
       tds::TrustedDataServer*, const ssi::Partition&, Rng*)>;
@@ -229,9 +244,9 @@ class RunContext {
   /// processed — across the worker threads when options.num_threads allows —
   /// then outputs are concatenated in partition order, and cost and
   /// critical-path time are recorded under `phase` in partition order.
-  /// Deterministic for any thread count: each
-  /// partition's TDS choice, dropout schedule and processing randomness come
-  /// from a per-partition stream forked from the run Rng before the fan-out.
+  /// Deterministic for any thread count: each partition's TDS choice,
+  /// dropout schedule and processing randomness come from its own stream,
+  /// keyed on (NextRound(phase), partition index).
   Result<std::vector<ssi::EncryptedItem>> RunRound(
       sim::Phase phase, const std::vector<ssi::Partition>& partitions,
       const PartitionFn& process);
@@ -243,7 +258,6 @@ class RunContext {
   uint64_t query_id_;
   sim::DeviceModel device_;
   RunOptions options_;
-  Rng rng_;
   RunMetrics metrics_;
   obs::Trace* trace_;
   double sim_now_seconds_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -21,21 +20,9 @@ namespace {
 /// "Collection memory" has the runs it was picked from.
 constexpr size_t kCollectionWave = 4096;
 
-double WallMicrosSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// Whether `items` forwarded meet a SIZE bound (never without one).
 bool SizeReached(const std::optional<uint64_t>& bound, uint64_t items) {
   return bound && items >= *bound;
-}
-
-/// Transport failures degrade gracefully (the TDS/querier just misses this
-/// exchange); anything else aborts the run.
-bool IsTransportError(const Status& s) {
-  return s.IsUnavailable() || s.IsDeadlineExceeded();
 }
 
 /// Adds one completed query's metrics to the engine-wide engine.* counters —
@@ -108,20 +95,17 @@ Status QuerySession::SubmitInternal(uint64_t query_id,
       pending.analyzed,
       querier->AnalyzeAgainst(sql, fleet_->at(0)->db().catalog()));
 
-  // The query's context (metrics, rng stream) derives only from (seed,
+  // The query's context (metrics, keyed streams) derives only from (seed,
   // query id), and it gets its own record on the SSI.
   RunOptions opts = options_;
   opts.seed = options_.seed + query_id * 0x9e37;
-  Rng post_rng(opts.seed ^ 0xabcdef);
   if (options_.key_authority != nullptr) {
     // Dynamic key mode: mint this query's public key posting (current epoch
     // + fresh nonce), derive the per-query session keys on the querier side
     // and post under them. TDSs re-derive the same keys from the posting
     // through their broadcast-sealed epoch secrets; nothing but the static
-    // flow changes when the authority is absent. The nonce draws from its
-    // own stream so MakePost consumes identical rng draws in both key modes
-    // (the static/dynamic differential compares adversary-view statistics).
-    Rng posting_rng(opts.seed ^ 0x6b657973);
+    // flow changes when the authority is absent.
+    Rng posting_rng(Rng::Keyed(opts.seed, RngDomain::kPosting));
     pending.key_posting =
         options_.key_authority->NewPosting(query_id, &posting_rng);
     TCELLS_ASSIGN_OR_RETURN(
@@ -129,6 +113,7 @@ Status QuerySession::SubmitInternal(uint64_t query_id,
         options_.key_authority->QuerierKeysFor(*pending.key_posting));
     pending.session_querier = querier->WithKeys(std::move(session_keys));
   }
+  Rng post_rng(Rng::Keyed(opts.seed, RngDomain::kPost));
   TCELLS_ASSIGN_OR_RETURN(ssi::QueryPost post,
                           pending.reader().MakePost(query_id, sql, &post_rng));
   post.key_posting = pending.key_posting;
@@ -200,7 +185,6 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll() {
 }
 
 Status QuerySession::Collect(PendingQuery& q) {
-  Rng session_rng(options_.seed ^ 0x5e5510f);
   // Collection window in connection ticks: the DURATION bound, or a single
   // full pass. Only a DURATION-bounded window draws per-tick connectivity.
   const bool tick_mode = q.duration_ticks.has_value();
@@ -217,11 +201,10 @@ Status QuerySession::Collect(PendingQuery& q) {
            options_.cancel->load(std::memory_order_relaxed);
   };
 
-  // Per tick: the connectors are drawn serially from the session rng, then
-  // served in waves of kCollectionWave, in connector order (ServeWave). The
-  // waves fork serve streams, upload and acknowledge in exactly the order
-  // one pass over the tick would, so the outcome is bit-identical for any
-  // thread count and any wave size.
+  // Per tick: the connectors are drawn, then served in waves of
+  // kCollectionWave in connector order (ServeWave), uploading and
+  // acknowledging in the order one pass over the tick would. With keyed
+  // serve streams the outcome is the same for any thread count and wave size.
   for (uint64_t tick = 0;; ++tick) {
     if (cancelled()) {
       return Status::Cancelled("query cancelled during collection");
@@ -239,21 +222,19 @@ Status QuerySession::Collect(PendingQuery& q) {
     }
     metrics.collection_ticks += 1;
 
-    // The tick's connectors, as fleet indices in serve order: a shuffle of
-    // the fleet, thinned by the per-TDS connect draw in a DURATION window.
-    // This list is the only fleet-sized state a tick keeps.
-    std::vector<size_t> connectors(fleet_->size());
-    std::iota(connectors.begin(), connectors.end(), size_t{0});
-    session_rng.Shuffle(&connectors);
-    if (tick_mode) {
-      size_t kept = 0;
-      for (size_t idx : connectors) {
-        if (session_rng.NextBool(options_.connect_prob_per_tick)) {
-          connectors[kept++] = idx;
-        }
+    // The tick's connectors as fleet indices in serve order: the fleet, or in
+    // a DURATION window the TDSs whose connect draw came up, shuffled. This
+    // list is the only fleet-sized state a tick keeps.
+    std::vector<size_t> connectors;
+    connectors.reserve(fleet_->size());
+    for (size_t idx = 0; idx < fleet_->size(); ++idx) {
+      if (!tick_mode ||
+          q.ctx->Stream(RngDomain::kConnect, tick, fleet_->at(idx)->id())
+              .NextBool(options_.connect_prob_per_tick)) {
+        connectors.push_back(idx);
       }
-      connectors.resize(kept);
     }
+    q.ctx->Stream(RngDomain::kServeOrder, tick).Shuffle(&connectors);
 
     // Items forwarded in this window: those accepted in earlier ticks plus
     // every upload sent earlier in this tick, whichever wave sent it. An
@@ -284,7 +265,6 @@ Status QuerySession::ServeWave(PendingQuery& q,
   struct Serve {
     tds::TrustedDataServer* server;
     ssi::QueryPost post;
-    Rng rng{0};
     std::vector<EncryptedItem> items;
     /// Dynamic key mode: the TDS could not derive the posting's session
     /// keys (revoked before the query / no key state) — it is acknowledged
@@ -293,8 +273,7 @@ Status QuerySession::ServeWave(PendingQuery& q,
   };
   // Every connector's querybox download goes out as one batched fetch — the
   // transport coalesces them into multi-call frames when batching is on, or
-  // replays the serial call sequence when it is off. Neither FetchPosts nor
-  // the batch variant touches any rng.
+  // replays the serial call sequence when it is off.
   std::vector<uint64_t> ids;
   ids.reserve(connectors.size());
   for (size_t idx : connectors) ids.push_back(fleet_->at(idx)->id());
@@ -322,7 +301,6 @@ Status QuerySession::ServeWave(PendingQuery& q,
       Serve serve;
       serve.server = fleet_->at(connectors[c]);
       serve.post = std::move(post);
-      serve.rng = q.ctx->rng().Fork();
       serves.push_back(std::move(serve));
       break;
     }
@@ -358,8 +336,9 @@ Status QuerySession::ServeWave(PendingQuery& q,
       serves.size(), [&](size_t i) -> Status {
         Serve& serve = serves[i];
         if (serve.skipped) return Status::OK();
+        Rng rng = q.ctx->Stream(RngDomain::kServe, serve.server->id());
         Result<std::vector<EncryptedItem>> items =
-            serve.server->ProcessCollection(serve.post, q.config, &serve.rng);
+            serve.server->ProcessCollection(serve.post, q.config, &rng);
         if (!items.ok() && q.key_posting &&
             (items.status().IsNotFound() ||
              items.status().IsFailedPrecondition())) {

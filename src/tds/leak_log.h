@@ -35,11 +35,6 @@ class LeakLog {
     group_keys_.insert(key);
     per_tds_groups_[tds_id] += 1;
   }
-  void RecordResultRow(uint64_t tds_id, const storage::Tuple& row) {
-    std::lock_guard<std::mutex> lock(mu_);
-    result_rows_.insert(row);
-    (void)tds_id;
-  }
 
   /// Distinct raw collection tuples an attacker learned in plaintext.
   size_t NumLeakedRawTuples() const {
@@ -50,10 +45,6 @@ class LeakLog {
   size_t NumLeakedGroups() const {
     std::lock_guard<std::mutex> lock(mu_);
     return group_keys_.size();
-  }
-  size_t NumLeakedResultRows() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return result_rows_.size();
   }
 
   /// Total appends seen per kind (counts duplicates the sets deduplicate);
@@ -76,7 +67,6 @@ class LeakLog {
     std::lock_guard<std::mutex> lock(mu_);
     raw_tuples_.clear();
     group_keys_.clear();
-    result_rows_.clear();
     per_tds_raw_.clear();
     per_tds_groups_.clear();
   }
@@ -85,7 +75,6 @@ class LeakLog {
   mutable std::mutex mu_;
   std::set<storage::Tuple> raw_tuples_;
   std::set<storage::Tuple> group_keys_;
-  std::set<storage::Tuple> result_rows_;
   std::map<uint64_t, uint64_t> per_tds_raw_;
   std::map<uint64_t, uint64_t> per_tds_groups_;
 };

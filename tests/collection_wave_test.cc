@@ -3,13 +3,11 @@
 // nothing a query computes may depend on where the wave boundaries fall.
 // Each run below is reduced to one SHA-256 over its result rows, its
 // metrics export, its trace export and its encoded AdversaryView, and the
-// digests are pinned: they were taken on the code that served a whole tick
-// at once, so a wave that reorders an Rng fork, an upload or an
-// acknowledgement, or counts the SIZE bound differently, moves a digest.
-// The dynamic-key digests were re-pinned once, when the key refresh became a
-// conditional fetch: that moved only their metrics section (the byte counts
-// net.bytes_* and net.frame_bytes' sum, and the new keys.blocks_current),
-// while their rows, trace and view sections hash as before.
+// digests are pinned: a wave that reorders an upload or an acknowledgement,
+// or counts the SIZE bound differently, moves a digest. They were last
+// re-pinned when every random draw became keyed (Rng::Keyed): a new merge
+// tree moves S_Agg's AVG in its last bits and C_Noise's row order, so every
+// rows section moved with the draws.
 //
 // The fleet is 3 full waves plus a ragged remainder. Transport batching is
 // one call per frame, so the net.* frame counters are part of the pin too
@@ -149,21 +147,21 @@ RunOutcome RunQuery(const WaveRun& run, std::string* digest) {
 TEST(CollectionWaveTest, FullPassDigestsArePinned) {
   const std::map<std::string, std::string> want = {
       {"s_agg static s1",
-       "e3d47bd600155ef74ba2170c3121b58fa058c76bb3d49ac196baf3351064fc28"},
+       "3f0d64fb0d36a844d6d36aab53a52f3a3b5cbbd750c96c8177ff31d162774eaf"},
       {"s_agg static s4",
-       "716578029d9776ebb366029f0c1fee4807298c7a243ec64ad931469d380ffe5f"},
+       "4238e4168f34cb3d1e9a8683dbe61762a069451c9c8cbb9d8b664d57c4a16200"},
       {"s_agg dynamic s1",
-       "12d24cf7f2279fff31639b5a81f0811ec1ad25ea1fa800a40436e19fbab8e422"},
+       "45a95473b706872b3e4d1f21e9df2f393115b3bbe69600cc60d0b957d7172980"},
       {"s_agg dynamic s4",
-       "c5272a72985ad4b36a45a636fa66eaf952f79acf85d8eb9f4f5353830c630d0b"},
+       "30d036e9ae7ab2d63761ff908440ab4dea3639feb1c59013973d7afbf5b651f6"},
       {"c_noise static s1",
-       "317a58c835d0850bdbca505dac0cc15c2d0e20e5cfa2eba9ec531b246c926ce1"},
+       "bfe3517f62d0ace880e3d3ad38b4f6852f4577682ce7833b22f7e24f8d8ae2d4"},
       {"c_noise static s4",
-       "2f5e3d480eb3fb71dfe07e9ef110bb1966eeb6013956b473add971bba3f8df7c"},
+       "9a17a48872a827dbf4f206ce0cf31f54d925435346f846e5a0717088e0ec0543"},
       {"c_noise dynamic s1",
-       "bb686ba3a5d5500a16a9aea647affe8e698eaafa149df64632cabcd1da40b76f"},
+       "3cc4dbfb46e8150ccec8c18cad3a4805848e9622b34a2d1d1084c0e4e5bc1675"},
       {"c_noise dynamic s4",
-       "b31c3726f8133a4f085f0afd867241a099aa1b605524a67615dad388d8bfbcb1"},
+       "a20533f667c9217a9b076f84e28678c494e7d4b4d19ca5ea1cf4411a11ecb43b"},
   };
   for (ProtocolKind protocol : {ProtocolKind::kSAgg, ProtocolKind::kCNoise}) {
     for (KeyMode key_mode : {KeyMode::kStatic, KeyMode::kDynamic}) {
@@ -204,7 +202,7 @@ TEST(CollectionWaveTest, SizeBoundReachedMidTickIsPinned) {
   EXPECT_EQ(outcome.metrics.collection_ticks, 2u);
   EXPECT_EQ(outcome.adversary.collection_items, 10500u);
   EXPECT_EQ(digest,
-            "68e12b72b26732bbe7a86677d50bcb5d0da116c1ea43c33e4e12d12e866ed399");
+            "5f1b3ce775c2aae32c7a65e82a2fb0392ed2309f0e1b4309796dfd299f3ee5e5");
 }
 
 }  // namespace

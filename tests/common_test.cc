@@ -224,6 +224,25 @@ TEST(RngTest, ShufflePreservesElements) {
   EXPECT_EQ(v, orig);
 }
 
+// A keyed seed is a pure function of its four words, and changing any one
+// word (domain or coordinate, including swapping the two coordinates) gives
+// another stream.
+TEST(RngTest, KeyedSeedsAreDeterministicAndSeparated) {
+  EXPECT_EQ(Rng::Keyed(5, RngDomain::kServe, 7),
+            Rng::Keyed(5, RngDomain::kServe, 7));
+  std::set<uint64_t> seeds;
+  for (uint64_t seed : {0u, 5u}) {
+    for (RngDomain domain : {RngDomain::kConnect, RngDomain::kPartition}) {
+      for (uint64_t a = 0; a < 8; ++a) {
+        for (uint64_t b = 0; b < 8; ++b) {
+          seeds.insert(Rng::Keyed(seed, domain, a, b));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(seeds.size(), 2u * 2u * 8u * 8u);
+}
+
 TEST(ZipfTest, UniformWhenSkewZero) {
   ZipfSampler z(4, 0.0);
   EXPECT_NEAR(z.Pmf(0), 0.25, 1e-12);

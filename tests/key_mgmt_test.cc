@@ -937,7 +937,7 @@ TEST(KeyScenarioSuite, RevokedMidQueryContributionsRejectedPinned) {
   EXPECT_TRUE(outcome.completed);
   // Pinned: with this spec's seed, exactly this many uploads from the four
   // revoked TDSs land after the tick-1 revocation broadcast.
-  EXPECT_EQ(outcome.contributions_rejected, 3u);
+  EXPECT_EQ(outcome.contributions_rejected, 4u);
   EXPECT_FALSE(outcome.clean);  // the rejections are visible, not silent
 
   // The rejection count is part of the determinism contract: identical

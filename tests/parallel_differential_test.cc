@@ -37,7 +37,6 @@ struct RunSnapshot {
   RunOutcome outcome;
   size_t leaked_raw_tuples = 0;
   size_t leaked_groups = 0;
-  size_t leaked_result_rows = 0;
   uint64_t leak_appends = 0;
 };
 
@@ -123,7 +122,6 @@ RunSnapshot RunWith(ProtocolKind kind, size_t num_threads, uint64_t seed,
       engine->Run(*protocol, querier, 1, QueryFor(kind)).ValueOrDie();
   snapshot.leaked_raw_tuples = leak_log->NumLeakedRawTuples();
   snapshot.leaked_groups = leak_log->NumLeakedGroups();
-  snapshot.leaked_result_rows = leak_log->NumLeakedResultRows();
   snapshot.leak_appends = leak_log->NumRawAppends();
   return snapshot;
 }
@@ -192,7 +190,6 @@ void ExpectIdentical(const RunSnapshot& serial, const RunSnapshot& parallel) {
   // Compromised-TDS exposure counters.
   EXPECT_EQ(serial.leaked_raw_tuples, parallel.leaked_raw_tuples);
   EXPECT_EQ(serial.leaked_groups, parallel.leaked_groups);
-  EXPECT_EQ(serial.leaked_result_rows, parallel.leaked_result_rows);
   EXPECT_EQ(serial.leak_appends, parallel.leak_appends);
 }
 

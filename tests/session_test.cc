@@ -8,6 +8,8 @@
 #include <functional>
 #include <future>
 #include <limits>
+#include <map>
+#include <set>
 #include <thread>
 
 #include "net/sharded_client.h"
@@ -57,8 +59,8 @@ class SessionWorld {
 };
 
 /// A one-shard router over an engine's SSI that counts the two collection
-/// batches, lets a test edit their replies and runs a hook on each
-/// acknowledgement.
+/// batches, keeps every collection upload it forwards, lets a test edit the
+/// batches' replies and runs a hook on each acknowledgement.
 class InterceptingRouter : public net::ShardedSsiClient {
  public:
   using Fetched = std::vector<Result<std::vector<ssi::QueryPost>>>;
@@ -76,6 +78,9 @@ class InterceptingRouter : public net::ShardedSsiClient {
       const std::vector<net::CollectionUpload>& uploads) override {
     Accepts out = ShardedSsiClient::UploadCollectionBatch(uploads);
     upload_batches += 1;
+    for (const net::CollectionUpload& upload : uploads) {
+      uploaded[upload.tds_id] = upload.items;
+    }
     if (on_upload) on_upload(&out);
     return out;
   }
@@ -90,6 +95,7 @@ class InterceptingRouter : public net::ShardedSsiClient {
   std::function<void()> on_acknowledge;
   size_t fetch_batches = 0;
   size_t upload_batches = 0;
+  std::map<uint64_t, std::vector<ssi::EncryptedItem>> uploaded;
 };
 
 TEST(FleetTest, SampleAvailableOnEmptyFleetIsEmpty) {
@@ -248,6 +254,78 @@ TEST(SessionTest, TickedCollectionWindow) {
   EXPECT_LE(m.collection_ticks, 3u);
   EXPECT_LT(m.collection_participants, w.fleet->size());
   EXPECT_GT(m.collection_participants, 0u);
+}
+
+// Each query draws its own collection window: its serve order and per-tick
+// connectivity are keyed on the query's seed, which the query id moves. On
+// one engine, a SIZE-bounded query and a DURATION-bounded query each answer
+// differently under three query ids, so no fixed subset of the fleet answers
+// every query.
+TEST(SessionTest, EachQueryDrawsItsOwnCollectionWindow) {
+  SessionWorld w(1000);
+  SAggProtocol s_agg;
+  for (const char* sql :
+       {"SELECT grp, COUNT(*), SUM(val) FROM T GROUP BY grp SIZE 50",
+        "SELECT grp, COUNT(*), SUM(val) FROM T GROUP BY grp "
+        "SIZE DURATION 2"}) {
+    std::vector<sql::QueryResult> results;
+    for (uint64_t id : {11u, 12u, 13u}) {
+      results.push_back(
+          w.engine->Run(s_agg, *w.querier, id, sql).ValueOrDie().result);
+    }
+    for (size_t i = 0; i < results.size(); ++i) {
+      for (size_t j = i + 1; j < results.size(); ++j) {
+        EXPECT_FALSE(results[i].SameRows(results[j]))
+            << sql << ": queries " << 11 + i << " and " << 11 + j;
+      }
+    }
+  }
+}
+
+// Each draw is keyed by what it is about, not by how many draws came before
+// it. When one TDS's post fetch fails, every other TDS seals exactly the
+// upload bytes of the clean run, and the rounds run on the same compute pool.
+TEST(SessionTest, LostFetchMovesNoOtherTdsDraw) {
+  RunOptions opts;
+  opts.compute_availability = 0.015;  // 3 of 200 TDSs, each in every round
+  struct Run {
+    std::map<uint64_t, std::vector<ssi::EncryptedItem>> uploaded;
+    std::set<uint64_t> round_tds;
+  };
+  auto run = [&](bool lose_first_fetch) {
+    SessionWorld w(200, opts);
+    InterceptingRouter router(w.engine->ssi_client());
+    if (lose_first_fetch) {
+      router.on_fetch = [](InterceptingRouter::Fetched* r) {
+        r->front() = Status::Unavailable("fetch lost");
+      };
+    }
+    QuerySession session(w.fleet, w.engine->device(), w.engine->options(), {},
+                         &router);
+    SAggProtocol s_agg;
+    EXPECT_TRUE(session
+                    .Submit(1, w.querier.get(), &s_agg,
+                            "SELECT grp, COUNT(*) FROM T GROUP BY grp")
+                    .ok());
+    const RunOutcome outcome = session.RunAll().ValueOrDie().at(1);
+    Run out;
+    out.uploaded = std::move(router.uploaded);
+    // A collection upload downloads nothing; a round partition does.
+    for (const auto& [id, tally] : outcome.metrics.accountant.per_tds()) {
+      if (tally.bytes_in > 0) out.round_tds.insert(id);
+    }
+    return out;
+  };
+  const Run clean = run(false);
+  const Run lossy = run(true);
+  ASSERT_EQ(clean.uploaded.size(), 200u);
+  ASSERT_EQ(lossy.uploaded.size(), 199u);
+  for (const auto& [id, items] : clean.uploaded) {
+    if (!lossy.uploaded.contains(id)) continue;
+    EXPECT_EQ(lossy.uploaded.at(id), items) << "TDS " << id;
+  }
+  EXPECT_EQ(clean.round_tds.size(), 3u);
+  EXPECT_EQ(lossy.round_tds, clean.round_tds);
 }
 
 // A tick serves its connectors in waves of 4096 (session.cc), and a cancel

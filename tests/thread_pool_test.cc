@@ -1,6 +1,5 @@
 // Unit tests for the fleet engine's fan-out primitives: the fixed-size
-// ThreadPool, the Status-based ParallelExecutor, and the Rng::Fork stream
-// splitting that makes parallel runs bit-identical to serial ones.
+// ThreadPool and the Status-based ParallelExecutor.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -159,51 +158,6 @@ TEST(ParallelExecutorTest, EmptyRangeIsOk) {
   EXPECT_TRUE(executor.ForEachIndex(0, [](size_t) -> Status {
                         return Status::Internal("never called");
                       }).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Rng::Fork — the determinism mechanism under the whole engine
-
-TEST(RngForkTest, ForkIsDeterministicAndConsumesOneDraw) {
-  Rng a(1234), b(1234);
-  Rng child_a = a.Fork();
-  Rng child_b = b.Fork();
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(child_a.Next(), child_b.Next());
-  // The parents stayed in lockstep too: Fork consumed exactly one draw.
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(a.Next(), b.Next());
-}
-
-TEST(RngForkTest, SiblingsAndParentDiverge) {
-  Rng parent(42);
-  Rng c1 = parent.Fork();
-  Rng c2 = parent.Fork();
-  // Not a statistical test — just that the streams are distinct.
-  bool all_equal = true;
-  for (int i = 0; i < 16; ++i) {
-    if (c1.Next() != c2.Next()) all_equal = false;
-  }
-  EXPECT_FALSE(all_equal);
-}
-
-TEST(RngForkTest, ForkedStreamsUnaffectedByInterleaving) {
-  // The property RunRound relies on: once forked, a stream's bits do not
-  // depend on when (or on which thread) they are drawn.
-  Rng parent(7);
-  Rng c1 = parent.Fork();
-  Rng c2 = parent.Fork();
-  std::vector<uint64_t> sequential;
-  for (int i = 0; i < 8; ++i) sequential.push_back(c1.Next());
-  for (int i = 0; i < 8; ++i) sequential.push_back(c2.Next());
-
-  Rng parent2(7);
-  Rng d1 = parent2.Fork();
-  Rng d2 = parent2.Fork();
-  std::vector<uint64_t> interleaved(16);
-  for (int i = 0; i < 8; ++i) {
-    interleaved[8 + i] = d2.Next();
-    interleaved[i] = d1.Next();
-  }
-  EXPECT_EQ(sequential, interleaved);
 }
 
 }  // namespace
