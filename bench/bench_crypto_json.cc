@@ -5,8 +5,10 @@
 // The embedded baseline is the byte-wise AES (per-byte GF(2^8) Mul loops in
 // InvMixColumns), the one-shot HMAC that re-derives ipad/opad per call, and
 // the allocation-heavy nDet/Det scheme bodies — exactly what shipped before
-// the T-table/AES-NI engine, so the reported speedups measure this PR's
-// kernels, on this machine, in a single run.
+// the T-table/AES-NI engine, so the reported speedups measure the engine's
+// kernels, on this machine, in a single run. The aes128_create baseline is
+// the Mul-loop decryption schedule the engine built until it switched to a
+// packed-word InvMixColumns.
 //
 // Timing is hand-rolled (steady_clock, calibrated batch loops) so the target
 // stays dependency-light and emits machine-readable JSON directly.
@@ -175,7 +177,36 @@ class SeedAes128 {
 
  private:
   std::array<uint8_t, 176> round_keys_{};
+
+  friend std::array<uint8_t, 176> MulDecSchedule(const SeedAes128& aes);
 };
+
+// The equivalent-inverse-cipher schedule the engine's Aes128::Create built
+// before its packed-word InvMixColumns: round keys reversed, InvMixColumns
+// of the middle nine by four shift-and-add GF(2^8) multiplies per byte.
+std::array<uint8_t, 176> MulDecSchedule(const SeedAes128& aes) {
+  const uint8_t* rk = aes.round_keys_.data();
+  std::array<uint8_t, 176> dk{};
+  std::memcpy(dk.data(), rk + 160, 16);
+  std::memcpy(dk.data() + 160, rk, 16);
+  for (int round = 1; round < 10; ++round) {
+    const uint8_t* src = rk + 16 * (10 - round);
+    uint8_t* dst = dk.data() + 16 * round;
+    for (int c = 0; c < 4; ++c) {
+      const uint8_t a0 = src[4 * c], a1 = src[4 * c + 1];
+      const uint8_t a2 = src[4 * c + 2], a3 = src[4 * c + 3];
+      dst[4 * c] = static_cast<uint8_t>(Mul(a0, 14) ^ Mul(a1, 11) ^
+                                        Mul(a2, 13) ^ Mul(a3, 9));
+      dst[4 * c + 1] = static_cast<uint8_t>(Mul(a0, 9) ^ Mul(a1, 14) ^
+                                            Mul(a2, 11) ^ Mul(a3, 13));
+      dst[4 * c + 2] = static_cast<uint8_t>(Mul(a0, 13) ^ Mul(a1, 9) ^
+                                            Mul(a2, 14) ^ Mul(a3, 11));
+      dst[4 * c + 3] = static_cast<uint8_t>(Mul(a0, 11) ^ Mul(a1, 13) ^
+                                            Mul(a2, 9) ^ Mul(a3, 14));
+    }
+  }
+  return dk;
+}
 
 // Seed one-shot HMAC: re-derives the padded key blocks on every call.
 std::array<uint8_t, 32> SeedHmacSha256(const Bytes& key, const Bytes& data) {
@@ -446,6 +477,43 @@ int Run(const std::string& out_path) {
     crypto::ForceAesBackend(std::nullopt);
   }
 
+  // --- Per-key set-up: AES key schedules and a whole nDet_Enc ---
+  // What every broadcast unwrap and epoch adoption pays per key. The seed
+  // row builds the decryption schedule with the byte-wise multiply loop.
+  {
+    Bytes create_key = rng.NextBytes(16);
+    const auto mul_schedule =
+        seedimpl::MulDecSchedule(seedimpl::SeedAes128(create_key));
+    if (std::memcmp(mul_schedule.data(),
+                    crypto::Aes128::Create(create_key)
+                        .ValueOrDie()
+                        .dec_schedule(),
+                    mul_schedule.size()) != 0) {
+      std::fprintf(stderr, "FATAL: decryption schedules disagree\n");
+      return 1;
+    }
+    ms.push_back(Measure("aes128_create", "seed", 0, 1, [&] {
+      create_key[0] ^= 1;
+      auto dk = seedimpl::MulDecSchedule(seedimpl::SeedAes128(create_key));
+      Consume(dk);
+    }));
+    for (const auto& impl : impls) {
+      crypto::ForceAesBackend(impl == "aesni" ? crypto::AesBackend::kAesNi
+                                              : crypto::AesBackend::kPortable);
+      ms.push_back(Measure("aes128_create", impl, 0, 1, [&] {
+        create_key[0] ^= 1;
+        auto created = crypto::Aes128::Create(create_key);
+        Consume(created);
+      }));
+      ms.push_back(Measure("ndet_create", impl, 0, 1, [&] {
+        create_key[0] ^= 1;
+        auto created = crypto::NDetEnc::Create(create_key);
+        Consume(created);
+      }));
+    }
+    crypto::ForceAesBackend(std::nullopt);
+  }
+
   // --- AES batched blocks (64 at a time, in place) ---
   {
     Bytes buf = rng.NextBytes(64 * 16);
@@ -580,6 +648,7 @@ int Run(const std::string& out_path) {
        "portable"},
       {"aes128_encrypt_block.aesni_vs_seed", "aes128_encrypt_block", "aesni"},
       {"aes128_decrypt_block.aesni_vs_seed", "aes128_decrypt_block", "aesni"},
+      {"aes128_create.portable_vs_seed", "aes128_create", "portable"},
       {"ctr_xor_1k.portable_vs_seed", "ctr_xor_1k", "portable"},
       {"ctr_xor_1k.aesni_vs_seed", "ctr_xor_1k", "aesni"},
       {"hmac_sha256_64.state_vs_seed", "hmac_sha256_64", "portable"},

@@ -10,9 +10,16 @@
 //   * the published block: header entries (cover size, checked against the
 //     NNL r*log2(N/r) bound) and encoded bytes;
 //   * one surviving TDS adopting the new epoch (EpochBlock decode +
-//     broadcast unwrap + window authentication);
+//     broadcast unwrap + window authentication), and the unwrap alone
+//     (finding its cover entry, then two nDet_Enc opens);
 //   * the wire bytes of that TDS's refresh from a loopback SSI: once moving
 //     the block, then once finding it current (the conditional fetch).
+//
+// Per TDS, at a 10k and a 2^20 id space with nothing revoked, it times the
+// fixed-key work of bring-up and admission: enrolling a device (its path's
+// node keys), adopting the epoch block (decode, broadcast unwrap, window
+// and contribution key), tagging one upload and the authority's check of
+// that tag.
 //
 // It also times a whole fleet adopting the current block from an SSI over
 // TCP, serially (one round trip per TDS) against one batched
@@ -22,6 +29,7 @@
 // Timing is hand-rolled (steady_clock) so the target stays dependency-light
 // and emits machine-readable JSON directly; run from the repo root so the
 // default output lands at ./BENCH_keys.json (or pass an explicit path).
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -34,6 +42,7 @@
 
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "crypto/broadcast.h"
 #include "keys/epoch.h"
 #include "keys/key_authority.h"
 #include "keys/tds_keys.h"
@@ -173,6 +182,109 @@ Result<FleetRefresh> MeasureFleetRefresh() {
   return out;
 }
 
+/// TDSs each per-TDS pass times, spread evenly over the id space.
+constexpr size_t kPerTdsSample = 5000;
+/// Passes per per-TDS row, each over fresh key states; the row reports the
+/// median pass per column, so one disturbed pass (the process's first heap
+/// growth, a busy neighbour) does not set it.
+constexpr size_t kPerTdsPasses = 5;
+
+struct PerTdsRow {
+  size_t id_space;
+  double enroll_us;  ///< KeyAuthority::EnrollDevice
+  double adopt_us;   ///< TdsKeyState::Adopt of the current block
+  double tag_us;     ///< TdsKeyState::Tag of one upload digest
+  double verify_us;  ///< KeyAuthority::VerifyContribution of that tag
+};
+
+/// One pass: kPerTdsSample devices enrolled, then adopting, tagging and
+/// checking a tag, each phase timed over the whole sample.
+Result<PerTdsRow> PerTdsPass(const keys::KeyAuthority& authority,
+                             const Bytes& block) {
+  PerTdsRow row;
+  row.id_space = authority.num_devices();
+  const size_t stride = row.id_space / kPerTdsSample;
+  const double per_tds_us = 1000.0 / static_cast<double>(kPerTdsSample);
+
+  std::vector<crypto::BroadcastDeviceKeys> devices(kPerTdsSample);
+  Status status;
+  row.enroll_us = per_tds_us * MillisOf([&] {
+    for (size_t i = 0; i < kPerTdsSample && status.ok(); ++i) {
+      Result<crypto::BroadcastDeviceKeys> device =
+          authority.EnrollDevice(i * stride);
+      if (device.ok()) {
+        devices[i] = std::move(*device);
+      } else {
+        status = device.status();
+      }
+    }
+  });
+  TCELLS_RETURN_IF_ERROR(status);
+
+  std::vector<std::unique_ptr<keys::TdsKeyState>> states;
+  for (size_t i = 0; i < kPerTdsSample; ++i) {
+    states.push_back(std::make_unique<keys::TdsKeyState>(
+        i * stride, std::move(devices[i]), /*source=*/nullptr));
+  }
+  row.adopt_us = per_tds_us * MillisOf([&] {
+    for (size_t i = 0; i < kPerTdsSample && status.ok(); ++i) {
+      status = states[i]->Adopt(block);
+    }
+  });
+  TCELLS_RETURN_IF_ERROR(status);
+
+  const Bytes digest(32, 0x5d);
+  std::vector<keys::ContributionTag> tags(kPerTdsSample);
+  row.tag_us = per_tds_us * MillisOf([&] {
+    for (size_t i = 0; i < kPerTdsSample && status.ok(); ++i) {
+      Result<keys::ContributionTag> tag = states[i]->Tag(7, digest);
+      if (tag.ok()) {
+        tags[i] = std::move(*tag);
+      } else {
+        status = tag.status();
+      }
+    }
+  });
+  TCELLS_RETURN_IF_ERROR(status);
+  row.verify_us = per_tds_us * MillisOf([&] {
+    for (size_t i = 0; i < kPerTdsSample && status.ok(); ++i) {
+      status = authority.VerifyContribution(tags[i], 7, digest);
+    }
+  });
+  TCELLS_RETURN_IF_ERROR(status);
+  return row;
+}
+
+Result<PerTdsRow> MeasurePerTds(size_t id_space) {
+  TCELLS_ASSIGN_OR_RETURN(
+      std::unique_ptr<keys::KeyAuthority> authority,
+      keys::KeyAuthority::Create(Bytes(16, 0x7d), id_space, kSeed));
+  const Bytes block = authority->CurrentBlock();
+  std::vector<PerTdsRow> passes;
+  for (size_t pass = 0; pass < kPerTdsPasses; ++pass) {
+    TCELLS_ASSIGN_OR_RETURN(PerTdsRow row, PerTdsPass(*authority, block));
+    passes.push_back(row);
+  }
+  auto median = [&](double PerTdsRow::*column) {
+    std::vector<double> values;
+    for (const PerTdsRow& pass : passes) values.push_back(pass.*column);
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+  };
+  PerTdsRow row;
+  row.id_space = id_space;
+  row.enroll_us = median(&PerTdsRow::enroll_us);
+  row.adopt_us = median(&PerTdsRow::adopt_us);
+  row.tag_us = median(&PerTdsRow::tag_us);
+  row.verify_us = median(&PerTdsRow::verify_us);
+  std::fprintf(stderr,
+               "per TDS, %7zu ids: enroll %6.2f us  adopt %6.2f us  tag "
+               "%5.2f us  verify %5.2f us (median of %zu passes)\n",
+               id_space, row.enroll_us, row.adopt_us, row.tag_us,
+               row.verify_us, kPerTdsPasses);
+  return row;
+}
+
 struct Row {
   size_t revoked;
   double revoke_broadcast_ms;  ///< Revoke(): reseal + publish, end to end
@@ -181,6 +293,7 @@ struct Row {
   double nnl_bound;            ///< r * log2(N/r)
   size_t block_bytes;          ///< encoded EpochBlock size
   double refresh_ms;           ///< one surviving TDS adopting the new epoch
+  double unwrap_ms;  ///< its BroadcastChannel::Decrypt of the decoded block
   uint64_t refresh_wire_bytes;  ///< its refresh moving the block (loopback)
   uint64_t current_refresh_wire_bytes;  ///< its refresh finding it current
 };
@@ -221,6 +334,12 @@ Result<Row> MeasureAt(size_t revoked_count) {
                           authority->EnrollDevice(0));
   keys::TdsKeyState survivor(0, survivor_keys, &source);
   row.refresh_ms = MillisOf([&] { (void)survivor.Refresh(); });
+  Status unwrapped;
+  row.unwrap_ms = MillisOf([&] {
+    unwrapped = crypto::BroadcastChannel::Decrypt(block.message, survivor_keys)
+                    .status();
+  });
+  TCELLS_RETURN_IF_ERROR(unwrapped);
   TCELLS_ASSIGN_OR_RETURN(uint32_t adopted, survivor.known_epoch());
   if (adopted != authority->current_epoch()) {
     return Status::Internal("survivor failed to adopt the current epoch");
@@ -242,11 +361,11 @@ Result<Row> MeasureAt(size_t revoked_count) {
 
   std::fprintf(stderr,
                "|R|=%-7zu revoke %8.1f ms  rollover %8.1f ms  cover %7zu "
-               "(bound %9.0f)  block %9zu B  refresh %7.1f ms  wire %9llu B, "
-               "current %llu B\n",
+               "(bound %9.0f)  block %9zu B  refresh %7.1f ms  unwrap %6.3f "
+               "ms  wire %9llu B, current %llu B\n",
                row.revoked, row.revoke_broadcast_ms, row.rollover_ms,
                row.cover_nodes, row.nnl_bound, row.block_bytes,
-               row.refresh_ms,
+               row.refresh_ms, row.unwrap_ms,
                static_cast<unsigned long long>(row.refresh_wire_bytes),
                static_cast<unsigned long long>(
                    row.current_refresh_wire_bytes));
@@ -254,6 +373,18 @@ Result<Row> MeasureAt(size_t revoked_count) {
 }
 
 int Run(const std::string& out_path) {
+  // Per-TDS rows first, on a heap the multi-megabyte blocks below have not
+  // fragmented yet, as at an engine's bring-up.
+  std::vector<PerTdsRow> per_tds;
+  for (size_t id_space : {kFleetTds, kIdSpace}) {
+    Result<PerTdsRow> row = MeasurePerTds(id_space);
+    if (!row.ok()) {
+      std::fprintf(stderr, "per-TDS bench failed at %zu ids: %s\n", id_space,
+                   row.status().ToString().c_str());
+      return 1;
+    }
+    per_tds.push_back(*row);
+  }
   std::vector<Row> rows;
   for (size_t revoked : {size_t{1000}, size_t{10000}, size_t{100000}}) {
     Result<Row> row = MeasureAt(revoked);
@@ -293,13 +424,27 @@ int Run(const std::string& out_path) {
                  "    {\"revoked\": %zu, \"revoke_broadcast_ms\": %.2f, "
                  "\"rollover_ms\": %.2f, \"cover_nodes\": %zu, "
                  "\"nnl_bound\": %.0f, \"block_bytes\": %zu, "
-                 "\"tds_refresh_ms\": %.2f, \"refresh_wire_bytes\": %llu, "
+                 "\"tds_refresh_ms\": %.2f, \"tds_unwrap_ms\": %.3f, "
+                 "\"refresh_wire_bytes\": %llu, "
                  "\"current_refresh_wire_bytes\": %llu}%s\n",
                  r.revoked, r.revoke_broadcast_ms, r.rollover_ms,
                  r.cover_nodes, r.nnl_bound, r.block_bytes, r.refresh_ms,
+                 r.unwrap_ms,
                  static_cast<unsigned long long>(r.refresh_wire_bytes),
                  static_cast<unsigned long long>(r.current_refresh_wire_bytes),
                  i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"per_tds\": [\n");
+  for (size_t i = 0; i < per_tds.size(); ++i) {
+    const PerTdsRow& r = per_tds[i];
+    std::fprintf(f,
+                 "    {\"id_space\": %zu, \"tds\": %zu, \"passes\": %zu, "
+                 "\"enroll_us\": %.2f, \"adopt_us\": %.2f, "
+                 "\"tag_us\": %.2f, \"verify_us\": %.2f}%s\n",
+                 r.id_space, kPerTdsSample, kPerTdsPasses, r.enroll_us,
+                 r.adopt_us, r.tag_us, r.verify_us,
+                 i + 1 < per_tds.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,

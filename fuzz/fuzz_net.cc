@@ -5,12 +5,16 @@
 //   1 -> SsiNode::Handle on the body as one batch request frame
 //   2 -> DecodeReply on the body as one reply envelope
 //   3 -> BatchFrameReader on the body as one multi-call batch envelope
+//   4 -> keys::EpochBlock::Decode on the body as the block a TDS fetched
 // Corpus files carry the selector as their first byte (see make_corpus.cc).
+// The selector-4 seeds are hand-built: a small real epoch block and the
+// same block with two header entries swapped, which Decode must refuse.
 #include <algorithm>
 #include <cstring>
 
 #include "common/bytes.h"
 #include "fuzz_util.h"
+#include "keys/epoch.h"
 #include "net/frame.h"
 #include "net/ssi_node.h"
 #include "net/ssi_wire.h"
@@ -42,7 +46,7 @@ Result<Bytes> Rewrite(std::span<const uint8_t> frame) {
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size == 0) return 0;
-  const uint8_t selector = data[0] % 4;
+  const uint8_t selector = data[0] % 5;
   Bytes input(data + 1, data + size);
   switch (selector) {
     case 0: {
@@ -123,6 +127,25 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       Result<std::span<const uint8_t>> body = tcells::net::DecodeReply(input);
       if (body.ok()) {
         FUZZ_ASSERT(tcells::net::EncodeReplyOk(*body) == input);
+      }
+      break;
+    }
+    case 4: {
+      // Epoch block parse, the bytes an SSI hands a refreshing TDS. An
+      // accepted block lists a nonzero, strictly ascending node id per
+      // entry (devices binary-search it) and re-encodes to the input
+      // bit-for-bit.
+      Result<tcells::keys::EpochBlock> block =
+          tcells::keys::EpochBlock::Decode(input);
+      if (block.ok()) {
+        const auto& header = block->message.header;
+        FUZZ_ASSERT(!header.empty() && header.front().first > 0);
+        for (size_t i = 1; i < header.size(); ++i) {
+          FUZZ_ASSERT(header[i - 1].first < header[i].first);
+        }
+        FUZZ_ASSERT(block->Encode() == input);
+      } else {
+        FUZZ_ASSERT(block.status().IsCorruption());
       }
       break;
     }

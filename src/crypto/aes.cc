@@ -1,6 +1,7 @@
 #include "crypto/aes.h"
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 
@@ -127,11 +128,30 @@ inline uint32_t LoadBe32(const uint8_t* p) {
          static_cast<uint32_t>(p[2]) << 8 | static_cast<uint32_t>(p[3]);
 }
 
+// One byte swap and one plain store: written byte by byte, the 88 schedule
+// words Create stores cost more than the rest of the key set-up.
 inline void StoreBe32(uint8_t* p, uint32_t v) {
-  p[0] = static_cast<uint8_t>(v >> 24);
-  p[1] = static_cast<uint8_t>(v >> 16);
-  p[2] = static_cast<uint8_t>(v >> 8);
-  p[3] = static_cast<uint8_t>(v);
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap32(v);
+  }
+  std::memcpy(p, &v, sizeof(v));
+}
+
+// Xtime on all four bytes of a word at once, without branches.
+constexpr uint32_t Xtime4(uint32_t x) {
+  return ((x & 0x7f7f7f7fu) << 1) ^ (((x >> 7) & 0x01010101u) * 0x1bu);
+}
+
+// InvMixColumns of one column packed big-endian (row 0 in the top byte).
+// The inverse matrix factors as MixColumns times circ(5, 0, 4, 0), so the
+// column is first pre-mixed (a_i ^= 4 (a_i ^ a_{i+2})) and then mixed
+// forward (b_i = 2 u_i ^ 3 u_{i+1} ^ u_{i+2} ^ u_{i+3}): six word-wide
+// Xtime4 steps and no per-byte GF(2^8) multiplies or table lookups, so the
+// run time does not depend on the key.
+constexpr uint32_t InvMixColumn(uint32_t a) {
+  const uint32_t u = a ^ Xtime4(Xtime4(a ^ RotR(a, 16)));
+  const uint32_t u1 = RotR(u, 24);  // byte i holds u_{i+1}
+  return Xtime4(u ^ u1) ^ u1 ^ RotR(u, 16) ^ RotR(u, 8);
 }
 
 void PortableEncryptBlock(const uint32_t rk[44], const uint8_t in[16],
@@ -292,52 +312,43 @@ Result<Aes128> Aes128::Create(const Bytes& key) {
   if (key.size() != kKeySize) {
     return Status::InvalidArgument("AES-128 key must be 16 bytes");
   }
+  // Both schedules are built as big-endian words, the form the T-table path
+  // uses, and written out as bytes once at the end, so no step reads back
+  // bytes just stored.
   Aes128 aes;
-  uint8_t* rk = aes.enc_keys_.data();
-  std::memcpy(rk, key.data(), kKeySize);
+  uint32_t* w = aes.enc_words_.data();
+  for (int i = 0; i < 4; ++i) w[i] = LoadBe32(key.data() + 4 * i);
   for (int i = 4; i < 44; ++i) {
-    uint8_t temp[4];
-    std::memcpy(temp, rk + 4 * (i - 1), 4);
+    uint32_t temp = w[i - 1];
     if (i % 4 == 0) {
       // RotWord + SubWord + Rcon.
-      uint8_t t = temp[0];
-      temp[0] = static_cast<uint8_t>(kSbox[temp[1]] ^ kRcon[i / 4]);
-      temp[1] = kSbox[temp[2]];
-      temp[2] = kSbox[temp[3]];
-      temp[3] = kSbox[t];
+      temp = static_cast<uint32_t>(kSbox[(temp >> 16) & 0xff] ^ kRcon[i / 4])
+                 << 24 |
+             static_cast<uint32_t>(kSbox[(temp >> 8) & 0xff]) << 16 |
+             static_cast<uint32_t>(kSbox[temp & 0xff]) << 8 |
+             static_cast<uint32_t>(kSbox[temp >> 24]);
     }
-    for (int k = 0; k < 4; ++k) {
-      rk[4 * i + k] = rk[4 * (i - 4) + k] ^ temp[k];
-    }
+    w[i] = w[i - 4] ^ temp;
   }
 
   // Equivalent-inverse-cipher schedule: reverse the round-key order and fold
   // InvMixColumns into the nine middle keys, once per key instead of per
   // block (this is also exactly the AESIMC transform the hardware path
   // expects).
-  uint8_t* dk = aes.dec_keys_.data();
-  std::memcpy(dk, rk + 160, 16);
-  std::memcpy(dk + 160, rk, 16);
+  uint32_t* d = aes.dec_words_.data();
+  for (int c = 0; c < 4; ++c) {
+    d[c] = w[40 + c];
+    d[40 + c] = w[c];
+  }
   for (int round = 1; round < 10; ++round) {
-    const uint8_t* src = rk + 16 * (10 - round);
-    uint8_t* dst = dk + 16 * round;
     for (int c = 0; c < 4; ++c) {
-      const uint8_t a0 = src[4 * c], a1 = src[4 * c + 1];
-      const uint8_t a2 = src[4 * c + 2], a3 = src[4 * c + 3];
-      dst[4 * c] = static_cast<uint8_t>(Mul(a0, 14) ^ Mul(a1, 11) ^
-                                        Mul(a2, 13) ^ Mul(a3, 9));
-      dst[4 * c + 1] = static_cast<uint8_t>(Mul(a0, 9) ^ Mul(a1, 14) ^
-                                            Mul(a2, 11) ^ Mul(a3, 13));
-      dst[4 * c + 2] = static_cast<uint8_t>(Mul(a0, 13) ^ Mul(a1, 9) ^
-                                            Mul(a2, 14) ^ Mul(a3, 11));
-      dst[4 * c + 3] = static_cast<uint8_t>(Mul(a0, 11) ^ Mul(a1, 13) ^
-                                            Mul(a2, 9) ^ Mul(a3, 14));
+      d[4 * round + c] = InvMixColumn(w[4 * (10 - round) + c]);
     }
   }
 
   for (int i = 0; i < 44; ++i) {
-    aes.enc_words_[i] = LoadBe32(rk + 4 * i);
-    aes.dec_words_[i] = LoadBe32(dk + 4 * i);
+    StoreBe32(aes.enc_keys_.data() + 4 * i, w[i]);
+    StoreBe32(aes.dec_keys_.data() + 4 * i, d[i]);
   }
   return aes;
 }

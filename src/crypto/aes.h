@@ -36,7 +36,9 @@ class Aes128 {
   static constexpr size_t kScheduleBytes = 176;
 
   /// Expands the encryption key schedule and the equivalent-inverse-cipher
-  /// decryption schedule. `key` must be exactly kKeySize bytes.
+  /// decryption schedule, both as 32-bit words: InvMixColumns of a round
+  /// key is a few branch-free word operations, not byte multiplies or a
+  /// table indexed by key bytes. `key` must be exactly kKeySize bytes.
   static Result<Aes128> Create(const Bytes& key);
 
   /// Encrypts one 16-byte block in place.

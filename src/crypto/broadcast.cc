@@ -1,9 +1,9 @@
 #include "crypto/broadcast.h"
 
-#include <string>
+#include <algorithm>
+#include <bit>
 
 #include "crypto/encryption.h"
-#include "crypto/hmac.h"
 
 namespace tcells::crypto {
 
@@ -27,7 +27,7 @@ Result<BroadcastChannel> BroadcastChannel::Create(const Bytes& master,
 }
 
 Bytes BroadcastChannel::NodeKey(uint32_t node) const {
-  return DeriveKey(master_, "bc-node-" + std::to_string(node));
+  return DeriveKey(master_, NumberedLabel("bc-node-", node));
 }
 
 Result<BroadcastDeviceKeys> BroadcastChannel::DeviceKeys(size_t index) const {
@@ -36,6 +36,7 @@ Result<BroadcastDeviceKeys> BroadcastChannel::DeviceKeys(size_t index) const {
   }
   BroadcastDeviceKeys out;
   out.device_index = index;
+  out.node_keys.reserve(std::bit_width(capacity_));
   // Heap numbering: root = 1, leaves = capacity .. 2*capacity-1.
   for (uint32_t node = static_cast<uint32_t>(capacity_ + index); node >= 1;
        node /= 2) {
@@ -52,27 +53,47 @@ std::vector<uint32_t> BroadcastChannel::Cover(
   // keys exist but no real device holds them, so covering them is harmless
   // for security yet would waste header space; treating them as revoked
   // keeps the cover tight and the invariants uniform).
-  std::set<uint32_t> dirty;
+  //
+  // The dirty marks live in a bitmap over heap ids (2 * capacity_ bits).
+  // Only the paths of revoked leaves and of the first padding leaf are
+  // marked, each walk stopping at the first node already marked; a subtree
+  // lying wholly in the padding stays unmarked and is recognised by its
+  // first leaf instead.
+  const bool any_revoked = !revoked.empty() && *revoked.begin() < num_devices_;
+  if (!any_revoked && num_devices_ == capacity_) {
+    return {1};  // nobody revoked, no padding: the root covers everyone
+  }
+  std::vector<uint64_t> dirty((2 * capacity_ + 63) / 64, 0);
+  auto is_dirty = [&](uint64_t node) {
+    return (dirty[node / 64] >> (node % 64)) & 1;
+  };
   auto mark = [&](size_t leaf_index) {
-    for (uint32_t node = static_cast<uint32_t>(capacity_ + leaf_index);
-         node >= 1; node /= 2) {
-      dirty.insert(node);
-      if (node == 1) break;
+    for (uint64_t node = capacity_ + leaf_index; node >= 1 && !is_dirty(node);
+         node /= 2) {
+      dirty[node / 64] |= uint64_t{1} << (node % 64);
     }
   };
   for (size_t r : revoked) {
     if (r < num_devices_) mark(r);
   }
-  for (size_t pad = num_devices_; pad < capacity_; ++pad) mark(pad);
+  if (num_devices_ < capacity_) mark(num_devices_);
 
-  if (dirty.empty()) return {1};  // nobody revoked: the root covers everyone
-
-  // Cover = maximal clean subtrees = clean children of dirty nodes.
+  // Cover = maximal clean subtrees = clean children of dirty nodes, read in
+  // ascending heap order so the cover comes out ascending.
+  const int leaf_depth = std::bit_width(capacity_) - 1;
+  auto clean = [&](uint64_t node) {
+    const int depth = std::bit_width(node) - 1;
+    const uint64_t first_leaf = (node << (leaf_depth - depth)) - capacity_;
+    return !is_dirty(node) && first_leaf < num_devices_;
+  };
   std::vector<uint32_t> cover;
-  for (uint32_t node : dirty) {
-    if (node >= capacity_) continue;  // leaves have no children
-    for (uint32_t child : {2 * node, 2 * node + 1}) {
-      if (!dirty.count(child)) cover.push_back(child);
+  for (size_t word = 0; word * 64 < capacity_; ++word) {
+    for (uint64_t bits = dirty[word]; bits != 0; bits &= bits - 1) {
+      const uint64_t node = word * 64 + std::countr_zero(bits);
+      if (node >= capacity_) break;  // leaves have no children
+      for (uint64_t child : {2 * node, 2 * node + 1}) {
+        if (clean(child)) cover.push_back(static_cast<uint32_t>(child));
+      }
     }
   }
   return cover;
@@ -93,15 +114,22 @@ Result<BroadcastMessage> BroadcastChannel::Encrypt(
 
 Result<Bytes> BroadcastChannel::Decrypt(const BroadcastMessage& message,
                                         const BroadcastDeviceKeys& device) {
-  for (const auto& [node, wrap] : message.header) {
-    for (const auto& [held_node, key] : device.node_keys) {
-      if (held_node != node) continue;
-      TCELLS_ASSIGN_OR_RETURN(NDetEnc wrapper, NDetEnc::Create(key));
-      TCELLS_ASSIGN_OR_RETURN(Bytes payload_key, wrapper.Decrypt(wrap));
-      TCELLS_ASSIGN_OR_RETURN(NDetEnc body_sealer,
-                              NDetEnc::Create(payload_key));
-      return body_sealer.Decrypt(message.body);
-    }
+  // A device holds one key per node on its leaf-to-root path; in a cover at
+  // most one of them appears. Walk the path from the root down and take the
+  // first held node the header lists.
+  for (auto held = device.node_keys.rbegin(); held != device.node_keys.rend();
+       ++held) {
+    const uint32_t node = held->first;
+    auto entry = std::lower_bound(
+        message.header.begin(), message.header.end(), node,
+        [](const auto& header_entry, uint32_t id) {
+          return header_entry.first < id;
+        });
+    if (entry == message.header.end() || entry->first != node) continue;
+    TCELLS_ASSIGN_OR_RETURN(NDetEnc wrapper, NDetEnc::Create(held->second));
+    TCELLS_ASSIGN_OR_RETURN(Bytes payload_key, wrapper.Decrypt(entry->second));
+    TCELLS_ASSIGN_OR_RETURN(NDetEnc body_sealer, NDetEnc::Create(payload_key));
+    return body_sealer.Decrypt(message.body);
   }
   return Status::NotFound("device is not covered by this broadcast");
 }

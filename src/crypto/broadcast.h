@@ -20,6 +20,7 @@
 #include "common/bytes.h"
 #include "common/result.h"
 #include "common/rng.h"
+#include "crypto/hmac.h"
 
 namespace tcells::crypto {
 
@@ -31,8 +32,10 @@ struct BroadcastDeviceKeys {
 
 /// A broadcast: the wrapped payload key per cover node, plus the sealed body.
 struct BroadcastMessage {
-  std::vector<std::pair<uint32_t, Bytes>> header;  // node id -> wrap
-  Bytes body;                                      // nDet_payloadkey(payload)
+  /// node id -> wrap, in strictly ascending node id order (Encrypt emits it
+  /// so; Decrypt looks entries up by binary search).
+  std::vector<std::pair<uint32_t, Bytes>> header;
+  Bytes body;  // nDet_payloadkey(payload)
 };
 
 /// Operator-side state (the key tree is derived from a master secret, so
@@ -49,7 +52,8 @@ class BroadcastChannel {
   /// The keys to burn into device `index`.
   Result<BroadcastDeviceKeys> DeviceKeys(size_t index) const;
 
-  /// The cover node ids for a revocation set (exposed for analysis/tests).
+  /// The cover node ids for a revocation set (exposed for analysis/tests),
+  /// in ascending order. Ids at or beyond num_devices() are ignored.
   std::vector<uint32_t> Cover(const std::set<size_t>& revoked) const;
 
   /// Seals `payload` for every device not in `revoked`.
@@ -58,19 +62,19 @@ class BroadcastChannel {
                                    Rng* rng) const;
 
   /// Device side: unwraps with the burned-in keys. NotFound when the device
-  /// is not covered (i.e. it was revoked).
+  /// is not covered (i.e. it was revoked). The device's entry is found by
+  /// binary search, so the header must be ascending (EpochBlock::Decode
+  /// refuses any other order); in an unordered one the lookup may miss.
   static Result<Bytes> Decrypt(const BroadcastMessage& message,
                                const BroadcastDeviceKeys& device);
 
  private:
-  BroadcastChannel(Bytes master, size_t num_devices, size_t capacity)
-      : master_(std::move(master)),
-        num_devices_(num_devices),
-        capacity_(capacity) {}
+  BroadcastChannel(const Bytes& master, size_t num_devices, size_t capacity)
+      : master_(master), num_devices_(num_devices), capacity_(capacity) {}
 
   Bytes NodeKey(uint32_t node) const;
 
-  Bytes master_;
+  HmacState master_;  ///< every node key is one MAC under this state
   size_t num_devices_;
   size_t capacity_;  // padded leaf count (power of two)
 };

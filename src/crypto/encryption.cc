@@ -48,8 +48,9 @@ Result<NDetEnc> NDetEnc::Create(const Bytes& master_key) {
   if (master_key.size() != Aes128::kKeySize) {
     return Status::InvalidArgument("master key must be 16 bytes");
   }
-  Bytes enc_key = DeriveKey(master_key, "ndet-enc");
-  Bytes mac_key = DeriveKey(master_key, "ndet-mac");
+  const HmacState master(master_key);
+  Bytes enc_key = DeriveKey(master, "ndet-enc");
+  Bytes mac_key = DeriveKey(master, "ndet-mac");
   TCELLS_ASSIGN_OR_RETURN(Aes128 aes, Aes128::Create(enc_key));
   return NDetEnc(aes, HmacState(mac_key));
 }
@@ -120,8 +121,9 @@ Result<DetEnc> DetEnc::Create(const Bytes& master_key) {
   if (master_key.size() != Aes128::kKeySize) {
     return Status::InvalidArgument("master key must be 16 bytes");
   }
-  Bytes enc_key = DeriveKey(master_key, "det-enc");
-  Bytes mac_key = DeriveKey(master_key, "det-siv");
+  const HmacState master(master_key);
+  Bytes enc_key = DeriveKey(master, "det-enc");
+  Bytes mac_key = DeriveKey(master, "det-siv");
   TCELLS_ASSIGN_OR_RETURN(Aes128 aes, Aes128::Create(enc_key));
   return DetEnc(aes, HmacState(mac_key));
 }

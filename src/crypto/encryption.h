@@ -12,9 +12,9 @@
 //    as an authenticator on decryption.
 //
 // Both schemes are key-separated from a single 16-byte master key via
-// DeriveKey labels, and both precompute their HMAC key state at Create time
-// so an n-byte MAC costs ceil((n + 9) / 64) + 1 compression calls and no
-// per-key work (see hmac.h).
+// DeriveKey labels (both subkeys from one HmacState of the master), and both
+// precompute their HMAC key state at Create time so an n-byte MAC costs
+// ceil((n + 9) / 64) + 1 compression calls and no per-key work (see hmac.h).
 //
 // Every Encrypt/Decrypt has a span-in, buffer-out form that reuses the
 // output vector's capacity — the hot paths (TDS seal/open of every tuple in

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "common/bytes.h"
@@ -21,9 +22,9 @@
 namespace tcells::crypto {
 
 /// Precomputed HMAC-SHA-256 key state: SHA-256 midstates with the ipad and
-/// opad blocks already absorbed. Copy-cheap (a few hundred bytes) and
-/// immutable after construction, so one instance can serve any number of
-/// Mac() calls (including concurrently).
+/// opad blocks already absorbed. Copy-cheap (64 bytes: the two chaining
+/// values) and immutable after construction, so one instance can serve any
+/// number of Mac() calls (including concurrently).
 class HmacState {
  public:
   HmacState() = default;
@@ -36,10 +37,14 @@ class HmacState {
   std::array<uint8_t, 32> Mac(const Bytes& data) const {
     return Mac(data.data(), data.size());
   }
+  /// HMAC-SHA-256 of `head` followed by `tail`, without joining them in a
+  /// buffer first.
+  std::array<uint8_t, 32> Mac(std::span<const uint8_t> head,
+                              std::span<const uint8_t> tail) const;
 
  private:
-  Sha256 inner_;  ///< midstate after absorbing key ^ ipad
-  Sha256 outer_;  ///< midstate after absorbing key ^ opad
+  std::array<uint32_t, 8> inner_{};  ///< after absorbing key ^ ipad
+  std::array<uint32_t, 8> outer_{};  ///< after absorbing key ^ opad
 };
 
 /// HMAC-SHA-256 of `data` under `key` (any key length). One-shot; prefer a
@@ -51,6 +56,23 @@ std::array<uint8_t, 32> HmacSha256(const Bytes& key, const Bytes& data);
 /// Derives a 16-byte subkey from a master key and a label, so that the
 /// encryption, MAC and hashing uses of k1/k2 are key-separated.
 Bytes DeriveKey(const Bytes& master, std::string_view label);
+/// The same subkey from the master's precomputed state: a caller deriving
+/// several subkeys of one master builds its HmacState once, and each
+/// derivation then costs one MAC.
+Bytes DeriveKey(const HmacState& master, std::string_view label);
+
+/// A derivation label made of a short literal `prefix` and a number in
+/// decimal ("bc-node-17"), formatted on the stack.
+class NumberedLabel {
+ public:
+  NumberedLabel(std::string_view prefix, uint64_t n);
+  operator std::string_view() const { return {buf_, len_}; }
+
+ private:
+  static constexpr size_t kMaxPrefix = 24;
+  char buf_[kMaxPrefix + 20];  // 20: the digits of UINT64_MAX
+  size_t len_ = 0;
+};
 
 /// Keyed 64-bit hash (HMAC truncated). ED_Hist's h(bucketId): reveals nothing
 /// about the bucket's position in the A_G domain to a party without the key.

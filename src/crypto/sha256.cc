@@ -181,7 +181,19 @@ Sha256::Sha256() {
   h_[4] = 0x510e527f; h_[5] = 0x9b05688c; h_[6] = 0x1f83d9ab; h_[7] = 0x5be0cd19;
 }
 
+Sha256::Sha256(const std::array<uint32_t, 8>& chaining_value, uint64_t blocks)
+    : total_len_(blocks * kBlockSize) {
+  std::memcpy(h_, chaining_value.data(), sizeof(h_));
+}
+
+std::array<uint32_t, 8> Sha256::chaining_value() const {
+  std::array<uint32_t, 8> out;
+  std::memcpy(out.data(), h_, sizeof(h_));
+  return out;
+}
+
 void Sha256::Update(const uint8_t* data, size_t n) {
+  if (n == 0) return;  // an empty span's data() may be null
   total_len_ += n;
   if (buffer_len_ > 0) {
     size_t take = std::min(n, kBlockSize - buffer_len_);

@@ -24,6 +24,13 @@ class Sha256 {
   static constexpr size_t kBlockSize = 64;
 
   Sha256();
+  /// Resumes hashing from `chaining_value`, the state after `blocks` whole
+  /// blocks of input (a midstate saved with chaining_value()).
+  Sha256(const std::array<uint32_t, 8>& chaining_value, uint64_t blocks);
+
+  /// The compression state; a resumable midstate once only whole blocks
+  /// were absorbed.
+  std::array<uint32_t, 8> chaining_value() const;
 
   /// Absorbs more input.
   void Update(const uint8_t* data, size_t n);

@@ -31,10 +31,16 @@ Result<EpochBlock> EpochBlock::Decode(const Bytes& data) {
   TCELLS_ASSIGN_OR_RETURN(uint32_t n, reader.GetCountU32(8));
   if (n == 0) return Status::Corruption("epoch block covers no subtree");
   block.message.header.reserve(n);
+  uint32_t previous = 0;  // node ids start at 1
   for (uint32_t i = 0; i < n; ++i) {
     uint32_t node;
     TCELLS_ASSIGN_OR_RETURN(node, reader.GetU32());
     if (node == 0) return Status::Corruption("epoch block has node id 0");
+    if (node <= previous) {
+      // Devices find their entry by binary search over the header.
+      return Status::Corruption("epoch block node ids not ascending");
+    }
+    previous = node;
     TCELLS_ASSIGN_OR_RETURN(Bytes wrap, reader.GetBytes());
     block.message.header.emplace_back(node, std::move(wrap));
   }
@@ -86,11 +92,14 @@ Result<EpochSecrets> DecodeEpochSecrets(const Bytes& data) {
 }
 
 Bytes DeriveEpochSecret(const Bytes& authority_master, uint32_t epoch) {
-  return crypto::DeriveKey(authority_master, "ems-" + std::to_string(epoch));
+  return crypto::DeriveKey(authority_master,
+                           crypto::NumberedLabel("ems-", epoch));
 }
 
-Bytes DeriveContributionKey(const Bytes& epoch_secret, uint64_t tds_id) {
-  return crypto::DeriveKey(epoch_secret, "auth-" + std::to_string(tds_id));
+crypto::HmacState ContributionKey(const crypto::HmacState& epoch_secret,
+                                  uint64_t tds_id) {
+  return crypto::HmacState(
+      crypto::DeriveKey(epoch_secret, crypto::NumberedLabel("auth-", tds_id)));
 }
 
 Result<std::shared_ptr<const crypto::KeyStore>> DeriveQueryKeys(
@@ -100,8 +109,9 @@ Result<std::shared_ptr<const crypto::KeyStore>> DeriveQueryKeys(
   }
   std::string suffix =
       std::to_string(posting.query_id) + "-" + ToHex(posting.nonce);
-  Bytes k1q = crypto::DeriveKey(epoch_secret, "qk1-" + suffix);
-  Bytes k2q = crypto::DeriveKey(epoch_secret, "qk2-" + suffix);
+  const crypto::HmacState secret(epoch_secret);
+  Bytes k1q = crypto::DeriveKey(secret, "qk1-" + suffix);
+  Bytes k2q = crypto::DeriveKey(secret, "qk2-" + suffix);
   return crypto::KeyStore::Create(k1q, k2q);
 }
 
@@ -154,14 +164,20 @@ Bytes ContributionDigest(const std::vector<ssi::EncryptedItem>& items) {
   return Bytes(digest.begin(), digest.end());
 }
 
-Bytes ContributionMac(const Bytes& contribution_key, uint64_t query_id,
-                      const Bytes& digest) {
-  Bytes message;
-  ByteWriter w(&message);
-  w.PutU64(query_id);
-  w.PutBytes(digest);
-  auto mac = crypto::HmacSha256(contribution_key, message);
-  return Bytes(mac.begin(), mac.end());
+std::array<uint8_t, 32> ContributionMac(
+    const crypto::HmacState& contribution_key, uint64_t query_id,
+    const Bytes& digest) {
+  // The MAC input is ByteWriter's PutU64(query_id), PutBytes(digest): the
+  // 12-byte little-endian head is laid out on the stack.
+  uint8_t head[12];
+  const auto size = static_cast<uint32_t>(digest.size());
+  for (int i = 0; i < 8; ++i) {
+    head[i] = static_cast<uint8_t>(query_id >> (8 * i));
+  }
+  for (int i = 0; i < 4; ++i) {
+    head[8 + i] = static_cast<uint8_t>(size >> (8 * i));
+  }
+  return contribution_key.Mac(head, digest);
 }
 
 }  // namespace tcells::keys

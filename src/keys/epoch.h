@@ -30,6 +30,7 @@
 #ifndef TCELLS_KEYS_EPOCH_H_
 #define TCELLS_KEYS_EPOCH_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -37,6 +38,7 @@
 #include "common/bytes.h"
 #include "common/result.h"
 #include "crypto/broadcast.h"
+#include "crypto/hmac.h"
 #include "crypto/keystore.h"
 #include "ssi/messages.h"
 
@@ -56,6 +58,8 @@ struct EpochBlock {
   crypto::BroadcastMessage message;
 
   Bytes Encode() const;
+  /// Corruption unless the header's node ids are nonzero and strictly
+  /// ascending, as BroadcastChannel::Encrypt emits them.
   static Result<EpochBlock> Decode(const Bytes& data);
 };
 
@@ -87,7 +91,11 @@ struct ContributionTag {
 /// Derivation helpers shared by the authority and the TDS side; both sides
 /// must agree on these labels byte-for-byte.
 Bytes DeriveEpochSecret(const Bytes& authority_master, uint32_t epoch);
-Bytes DeriveContributionKey(const Bytes& epoch_secret, uint64_t tds_id);
+/// The HMAC state of TDS `tds_id`'s contribution key under an epoch secret's
+/// state: built once per (epoch, TDS) by the TDS, once per check by the
+/// authority.
+crypto::HmacState ContributionKey(const crypto::HmacState& epoch_secret,
+                                  uint64_t tds_id);
 Result<std::shared_ptr<const crypto::KeyStore>> DeriveQueryKeys(
     const Bytes& epoch_secret, const ssi::QueryKeyPosting& posting);
 
@@ -113,8 +121,9 @@ size_t QueryKeysMemoSize();
 Bytes ContributionDigest(const std::vector<ssi::EncryptedItem>& items);
 
 /// MAC over (query_id, digest) under the per-TDS contribution key.
-Bytes ContributionMac(const Bytes& contribution_key, uint64_t query_id,
-                      const Bytes& digest);
+std::array<uint8_t, 32> ContributionMac(
+    const crypto::HmacState& contribution_key, uint64_t query_id,
+    const Bytes& digest);
 
 }  // namespace tcells::keys
 

@@ -84,6 +84,7 @@ Status KeyAuthority::ResealLocked(uint32_t epoch) {
   current_block_ = block.Encode();
   epoch_ = epoch;
   window_ = std::move(window);
+  secret_state_ = crypto::HmacState(window_.secrets.back());
   return Status::OK();
 }
 
@@ -139,7 +140,7 @@ Result<std::shared_ptr<const crypto::KeyStore>> KeyAuthority::QuerierKeysFor(
 Status KeyAuthority::VerifyContribution(const ContributionTag& tag,
                                         uint64_t query_id,
                                         const Bytes& digest) const {
-  Bytes secret;
+  crypto::HmacState secret;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (tag.epoch != epoch_) {
@@ -148,11 +149,10 @@ Status KeyAuthority::VerifyContribution(const ContributionTag& tag,
     if (revoked_.count(static_cast<size_t>(tag.tds_id)) > 0) {
       return Status::PermissionDenied("contributing TDS is revoked");
     }
-    secret = window_.secrets.back();
+    secret = secret_state_;
   }
-  Bytes expected =
-      ContributionMac(DeriveContributionKey(secret, tag.tds_id), query_id,
-                      digest);
+  const auto expected =
+      ContributionMac(ContributionKey(secret, tag.tds_id), query_id, digest);
   if (tag.mac.size() != expected.size() ||
       !crypto::ConstantTimeEqual(tag.mac.data(), expected.data(),
                                  expected.size())) {

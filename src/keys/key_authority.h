@@ -27,6 +27,7 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "crypto/broadcast.h"
+#include "crypto/hmac.h"
 #include "crypto/keystore.h"
 #include "keys/epoch.h"
 #include "ssi/messages.h"
@@ -109,6 +110,9 @@ class KeyAuthority {
   /// The secrets the current block seals (inner_epoch == epoch_), derived
   /// once per epoch so admission checks and querier postings only look up.
   EpochSecrets window_;
+  /// HMAC state of window_.secrets.back(), built once per epoch: an
+  /// admission check copies it (no heap) and derives the TDS's key from it.
+  crypto::HmacState secret_state_;
   Bytes current_block_;  ///< encoded EpochBlock of epoch_
 };
 

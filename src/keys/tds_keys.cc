@@ -31,7 +31,8 @@ Status TdsKeyState::AdoptLocked(const Bytes& encoded) {
   }
   window_ = std::move(window);
   has_window_ = true;
-  contribution_key_ = DeriveContributionKey(window_.secrets.back(), tds_id_);
+  contribution_key_ =
+      ContributionKey(crypto::HmacState(window_.secrets.back()), tds_id_);
   if (counters_ != nullptr) counters_->adopted->Increment();
   return Status::OK();
 }
@@ -131,7 +132,8 @@ Result<ContributionTag> TdsKeyState::Tag(uint64_t query_id,
   ContributionTag tag;
   tag.epoch = window_.inner_epoch;
   tag.tds_id = tds_id_;
-  tag.mac = ContributionMac(contribution_key_, query_id, digest);
+  const auto mac = ContributionMac(contribution_key_, query_id, digest);
+  tag.mac.assign(mac.begin(), mac.end());
   return tag;
 }
 

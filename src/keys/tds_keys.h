@@ -41,6 +41,7 @@
 #include "common/bytes.h"
 #include "common/result.h"
 #include "crypto/broadcast.h"
+#include "crypto/hmac.h"
 #include "crypto/keystore.h"
 #include "keys/epoch.h"
 #include "obs/metrics.h"
@@ -134,7 +135,9 @@ class TdsKeyState {
   mutable std::mutex mu_;
   bool has_window_ = false;
   EpochSecrets window_;  ///< last good window; back() is the newest secret
-  Bytes contribution_key_;  ///< derived from window_.secrets.back()
+  /// HMAC state of the contribution key derived from
+  /// window_.secrets.back(), built once per adopted window.
+  crypto::HmacState contribution_key_;
   uint64_t held_tag_ = 0;  ///< EpochBlockTag of the last OK Adopt; 0: none
 };
 

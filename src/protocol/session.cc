@@ -320,12 +320,13 @@ Status QuerySession::ServeWave(PendingQuery& q,
   };
   // A TDS whose window lacks the posting's epoch (the fleet rolled since
   // it last synced) refreshes before it serves. A serve whose TDS still
-  // cannot reach the epoch (revoked before the post) is skipped.
+  // cannot reach the epoch (revoked before the post) is skipped. A static
+  // key query has no key state to consult, so its waves skip the scan.
   auto behind = [](const keys::TdsKeyState& state, const Serve& serve) {
     return serve.post.key_posting &&
            !state.Reaches(serve.post.key_posting->epoch);
   };
-  if (refresh_serves(behind) > 0) {
+  if (q.key_posting && refresh_serves(behind) > 0) {
     for (Serve& serve : serves) {
       keys::TdsKeyState* state = serve.server->key_state();
       serve.skipped = state != nullptr && behind(*state, serve);

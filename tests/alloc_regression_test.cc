@@ -30,6 +30,8 @@
 #include <vector>
 
 #include "crypto/keystore.h"
+#include "keys/key_authority.h"
+#include "keys/tds_keys.h"
 #include "net/loopback.h"
 #include "net/sharded_client.h"
 #include "net/ssi_client.h"
@@ -702,6 +704,36 @@ TEST(SsiItemPathTest, ShardedUploadSubBatchesShareItemBytes) {
   EXPECT_LE(allocs, 5 * kUploads)
       << "sharded uploads copy items again: " << allocs << " for "
       << kUploads << " uploads";
+}
+
+TEST(KeyPathTest, TagAndAdmissionCheckCostOneBufferEach) {
+  // A TDS tags under the contribution key state it built at Adopt, and the
+  // authority checks under the epoch secret's state it built at the
+  // rollover: the MAC input is laid out on the stack, so a tag costs its
+  // MAC's buffer and a check the derived key's.
+  auto authority =
+      keys::KeyAuthority::Create(Bytes(16, 0x42), 64, 3).ValueOrDie();
+  keys::TdsKeyState state(5, authority->EnrollDevice(5).ValueOrDie(),
+                          /*source=*/nullptr);
+  ASSERT_TRUE(state.Adopt(authority->CurrentBlock()).ok());
+  const Bytes digest(32, 0x77);
+  auto tag = state.Tag(11, digest);
+  ASSERT_TRUE(tag.ok());
+
+  const uint64_t tag_allocs = CountAllocs([&] {
+    auto again = state.Tag(11, digest);
+    ASSERT_TRUE(again.ok());
+  });
+  // Measured: 4 with the MAC input assembled in a growing heap buffer.
+  EXPECT_LE(tag_allocs, 1u) << "one Tag allocates " << tag_allocs;
+
+  const uint64_t verify_allocs = CountAllocs([&] {
+    ASSERT_TRUE(authority->VerifyContribution(*tag, 11, digest).ok());
+  });
+  // Measured: 6 with the epoch secret copied, and the derived key, the MAC
+  // input and the expected MAC in heap buffers, per check.
+  EXPECT_LE(verify_allocs, 1u)
+      << "one VerifyContribution allocates " << verify_allocs;
 }
 
 TEST(TcpTest, BareHeaderAllocatesWithinTheBufferCap) {

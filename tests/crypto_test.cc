@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 #include <set>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/hex.h"
 #include "common/rng.h"
@@ -88,6 +91,67 @@ TEST_P(AesBackendTest, Fips197Vector) {
   EXPECT_EQ(ToHex(block, 16), "69c4e0d86a7b0430d8cdb78070b4c55a");
   aes.DecryptBlock(block);
   EXPECT_EQ(Bytes(block, block + 16), pt);
+}
+
+// The decryption schedule as Create computed it before the packed-word
+// InvMixColumns: the FIPS-197 matrix applied byte by byte with a
+// shift-and-add GF(2^8) multiply.
+uint8_t MulReference(uint8_t x, uint8_t y) {
+  uint8_t r = 0;
+  while (y) {
+    if (y & 1) r ^= x;
+    x = static_cast<uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
+    y >>= 1;
+  }
+  return r;
+}
+
+std::array<uint8_t, Aes128::kScheduleBytes> ReferenceDecSchedule(
+    const uint8_t* rk) {
+  std::array<uint8_t, Aes128::kScheduleBytes> dk{};
+  std::copy(rk + 160, rk + 176, dk.begin());
+  std::copy(rk, rk + 16, dk.begin() + 160);
+  for (int round = 1; round < 10; ++round) {
+    const uint8_t* src = rk + 16 * (10 - round);
+    uint8_t* dst = dk.data() + 16 * round;
+    for (int c = 0; c < 4; ++c) {
+      const uint8_t a0 = src[4 * c], a1 = src[4 * c + 1];
+      const uint8_t a2 = src[4 * c + 2], a3 = src[4 * c + 3];
+      dst[4 * c] = MulReference(a0, 14) ^ MulReference(a1, 11) ^
+                   MulReference(a2, 13) ^ MulReference(a3, 9);
+      dst[4 * c + 1] = MulReference(a0, 9) ^ MulReference(a1, 14) ^
+                       MulReference(a2, 11) ^ MulReference(a3, 13);
+      dst[4 * c + 2] = MulReference(a0, 13) ^ MulReference(a1, 9) ^
+                       MulReference(a2, 14) ^ MulReference(a3, 11);
+      dst[4 * c + 3] = MulReference(a0, 11) ^ MulReference(a1, 13) ^
+                       MulReference(a2, 9) ^ MulReference(a3, 14);
+    }
+  }
+  return dk;
+}
+
+TEST_P(AesBackendTest, DecryptionScheduleMatchesMulReference) {
+  std::vector<Bytes> keys = {Hex("2b7e151628aed2a6abf7158809cf4f3c")};
+  Rng rng(13);
+  for (int i = 0; i < 1000; ++i) keys.push_back(rng.NextBytes(16));
+  for (const Bytes& key : keys) {
+    auto aes = Aes128::Create(key).ValueOrDie();
+    const auto want = ReferenceDecSchedule(aes.enc_schedule());
+    ASSERT_EQ(ToHex(aes.dec_schedule(), Aes128::kScheduleBytes),
+              ToHex(want.data(), want.size()))
+        << "key " << ToHex(key.data(), key.size());
+    // The schedule drives this backend's decryption.
+    Bytes block = rng.NextBytes(16);
+    Bytes round_trip = block;
+    aes.EncryptBlock(round_trip.data());
+    aes.DecryptBlock(round_trip.data());
+    ASSERT_EQ(round_trip, block);
+  }
+  // FIPS-197 A.1: the key expansion of 2b7e1516... ends in round key
+  // w[40..43], which opens the decryption schedule.
+  auto fips = Aes128::Create(keys.front()).ValueOrDie();
+  EXPECT_EQ(ToHex(fips.dec_schedule(), 16),
+            "d014f9a8c9ee2589e13f0cc8b6630ca6");
 }
 
 TEST_P(AesBackendTest, Sp800_38aCtrVector) {
@@ -445,6 +509,23 @@ TEST(HmacStateTest, ReusableAcrossMessages) {
   EXPECT_NE(ToHex(ma1.data(), ma1.size()), ToHex(mb.data(), mb.size()));
 }
 
+TEST(HmacStateTest, TwoPartMacMatchesJoinedMessage) {
+  Rng rng(33);
+  HmacState state(rng.NextBytes(16));
+  for (size_t head_len : {0u, 12u, 63u, 64u, 100u}) {
+    for (size_t tail_len : {0u, 1u, 32u, 70u}) {
+      Bytes head = rng.NextBytes(head_len), tail = rng.NextBytes(tail_len);
+      Bytes joined = head;
+      joined.insert(joined.end(), tail.begin(), tail.end());
+      auto two_part = state.Mac(head, tail);
+      auto whole = state.Mac(joined);
+      EXPECT_EQ(ToHex(two_part.data(), two_part.size()),
+                ToHex(whole.data(), whole.size()))
+          << "head=" << head_len << " tail=" << tail_len;
+    }
+  }
+}
+
 TEST(ConstantTimeEqualTest, ComparesCorrectly) {
   Rng rng(32);
   Bytes a = rng.NextBytes(32);
@@ -466,6 +547,28 @@ TEST(KeyDerivationTest, LabelsSeparateKeys) {
   EXPECT_EQ(a.size(), 16u);
   EXPECT_NE(a, b);
   EXPECT_EQ(a, DeriveKey(master, "enc"));  // deterministic
+}
+
+TEST(KeyDerivationTest, StateFormMatchesBytesForm) {
+  Rng rng(5);
+  for (int i = 0; i < 20; ++i) {
+    Bytes master = rng.NextBytes(16);
+    const HmacState state(master);
+    for (std::string_view label :
+         {std::string_view(""), std::string_view("ndet-enc"),
+          std::string_view("a label longer than one SHA-256 block, so the "
+                           "MAC input spans two compressions")}) {
+      EXPECT_EQ(DeriveKey(state, label), DeriveKey(master, label)) << label;
+    }
+  }
+}
+
+TEST(KeyDerivationTest, NumberedLabelIsPrefixThenDecimal) {
+  for (uint64_t n : {uint64_t{0}, uint64_t{7}, uint64_t{1048575},
+                     std::numeric_limits<uint64_t>::max()}) {
+    EXPECT_EQ(std::string_view(NumberedLabel("bc-node-", n)),
+              "bc-node-" + std::to_string(n));
+  }
 }
 
 TEST(KeyedHashTest, DeterministicAndKeyed) {

@@ -28,9 +28,11 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/hex.h"
 #include "common/rng.h"
 #include "crypto/broadcast.h"
 #include "crypto/keystore.h"
+#include "crypto/sha256.h"
 #include "keys/epoch.h"
 #include "keys/key_authority.h"
 #include "keys/tds_keys.h"
@@ -106,6 +108,57 @@ TEST(CompleteSubtreeProperty, RandomRevocationSetsPartitionExactly) {
       }
       for (size_t i = 0; i < num_devices; ++i) {
         ASSERT_EQ(covered[i], revoked.count(i) == 0) << "gap at device " << i;
+      }
+    }
+  }
+}
+
+/// The cover as an ordered set of dirty nodes builds it: every node on the
+/// path of a revoked or padding leaf is dirty, and the cover is the clean
+/// children of dirty nodes in ascending order.
+std::vector<uint32_t> ReferenceCover(size_t num_devices, size_t capacity,
+                                     const std::set<size_t>& revoked) {
+  std::set<uint32_t> dirty;
+  auto mark = [&](size_t leaf_index) {
+    for (uint32_t node = static_cast<uint32_t>(capacity + leaf_index);
+         node >= 1; node /= 2) {
+      dirty.insert(node);
+      if (node == 1) break;
+    }
+  };
+  for (size_t r : revoked) {
+    if (r < num_devices) mark(r);
+  }
+  for (size_t pad = num_devices; pad < capacity; ++pad) mark(pad);
+  if (dirty.empty()) return {1};
+  std::vector<uint32_t> cover;
+  for (uint32_t node : dirty) {
+    if (node >= capacity) continue;
+    for (uint32_t child : {2 * node, 2 * node + 1}) {
+      if (!dirty.count(child)) cover.push_back(child);
+    }
+  }
+  return cover;
+}
+
+// The bitmap cover is the ordered-set cover, node for node and in the same
+// order, for random revocation sets over padded and power-of-two fleets
+// (ids beyond the fleet included: both ignore them).
+TEST(CompleteSubtreeProperty, CoverMatchesOrderedSetReference) {
+  Rng rng(0x636f766572);
+  for (size_t num_devices : {size_t{1}, size_t{2}, size_t{3}, size_t{21},
+                             size_t{96}, size_t{1024}, size_t{4097}}) {
+    auto channel =
+        BroadcastChannel::Create(rng.NextBytes(16), num_devices).ValueOrDie();
+    for (size_t r : {size_t{0}, size_t{1}, size_t{2}, size_t{7}, size_t{64},
+                     num_devices / 3, num_devices}) {
+      SCOPED_TRACE("devices=" + std::to_string(num_devices) +
+                   " revoked=" + std::to_string(r));
+      for (int trial = 0; trial < 4; ++trial) {
+        std::set<size_t> revoked = RandomRevoked(
+            std::min(r, num_devices + 4), num_devices + 4, &rng);
+        EXPECT_EQ(channel.Cover(revoked),
+                  ReferenceCover(num_devices, channel.capacity(), revoked));
       }
     }
   }
@@ -201,6 +254,70 @@ TEST(EpochCodec, ZeroCoverAndNodeZeroAndTrailingBytesAreCorruption) {
   Bytes trailing = authority->CurrentBlock();
   trailing.push_back(0x00);
   EXPECT_TRUE(keys::EpochBlock::Decode(trailing).status().IsCorruption());
+}
+
+// Devices find their header entry by binary search, so a header whose node
+// ids are not strictly ascending is Corruption at decode, and a TDS fed one
+// keeps no window from it.
+TEST(EpochCodec, HeaderOutOfOrderIsCorruption) {
+  auto authority =
+      keys::KeyAuthority::Create(Bytes(16, 0x23), 64, 11).ValueOrDie();
+  ASSERT_TRUE(authority->Revoke({5, 40}).ok());
+  const auto block =
+      keys::EpochBlock::Decode(authority->CurrentBlock()).ValueOrDie();
+  const auto& header = block.message.header;
+  ASSERT_GE(header.size(), 3u);
+  for (size_t i = 1; i < header.size(); ++i) {
+    ASSERT_LT(header[i - 1].first, header[i].first);
+  }
+
+  auto swapped = block;
+  std::swap(swapped.message.header[0], swapped.message.header[1]);
+  auto reversed = block;
+  std::reverse(reversed.message.header.begin(),
+               reversed.message.header.end());
+  auto repeated = block;
+  repeated.message.header[2].first = repeated.message.header[1].first;
+  for (const keys::EpochBlock* hostile : {&swapped, &reversed, &repeated}) {
+    const Bytes encoded = hostile->Encode();
+    EXPECT_TRUE(keys::EpochBlock::Decode(encoded).status().IsCorruption());
+    keys::TdsKeyState state(7, authority->EnrollDevice(7).ValueOrDie(),
+                            /*source=*/nullptr);
+    EXPECT_TRUE(state.Adopt(encoded).IsCorruption());
+    EXPECT_TRUE(state.known_epoch().status().IsNotFound());
+  }
+}
+
+// The published blocks of a fixed (master, id space, seed) are pinned byte
+// for byte through create, revoke and rollover, with a TDS's contribution
+// tag under the last one: the key path's crypto may get faster, never
+// different. The digests were taken before the table-free decryption
+// schedule and the shared HMAC midstates.
+TEST(KeyAuthorityPin, BlocksAndTagAreByteIdentical) {
+  auto authority =
+      keys::KeyAuthority::Create(Bytes(16, 0x3c), 1000, 17).ValueOrDie();
+  auto block_digest = [&] {
+    const auto digest = crypto::Sha256::Hash(authority->CurrentBlock());
+    return ToHex(digest.data(), digest.size());
+  };
+  EXPECT_EQ(block_digest(),
+            "5a4624c0f91b6183e59da0c1da428aedc870707708aa5e6fbba065126315e774");
+  ASSERT_TRUE(authority->Revoke({3, 500, 999}).ok());
+  EXPECT_EQ(block_digest(),
+            "b4ceccb658877e11d217c75615dbfc71ec3d94e25b7146994f8a5895de8296d8");
+  ASSERT_TRUE(authority->Rollover().ok());
+  EXPECT_EQ(block_digest(),
+            "8a5804b2d3f06b007be5f14ce51f7a47e5c48fc232ef4ceddbe5994c0a8759a9");
+
+  keys::TdsKeyState state(42, authority->EnrollDevice(42).ValueOrDie(),
+                          /*source=*/nullptr);
+  ASSERT_TRUE(state.Adopt(authority->CurrentBlock()).ok());
+  const Bytes digest(32, 0x5d);
+  auto tag = state.Tag(9, digest).ValueOrDie();
+  EXPECT_EQ(tag.epoch, 2u);
+  EXPECT_EQ(ToHex(tag.mac.data(), tag.mac.size()),
+            "23a6b2f09890b435e4949ac3666f024fe0a3cdf9a434b2f0084996b901652be6");
+  EXPECT_TRUE(authority->VerifyContribution(tag, 9, digest).ok());
 }
 
 TEST(EpochCodec, EpochSecretsRoundTripAndHostileWindows) {
