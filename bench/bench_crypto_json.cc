@@ -10,6 +10,11 @@
 // the Mul-loop decryption schedule the engine built until it switched to a
 // packed-word InvMixColumns.
 //
+// It also times, engine-only, the other unit operations that calibrate the
+// cost model (§6.2): SHA-256 at 64 B and 4 KiB, a tuple encode+decode, the
+// flagship SQL parse, and partial aggregation into 4 or 256 groups (per
+// tuple).
+//
 // Timing is hand-rolled (steady_clock, calibrated batch loops) so the target
 // stays dependency-light and emits machine-readable JSON directly.
 #include <algorithm>
@@ -28,6 +33,9 @@
 #include "crypto/encryption.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
+#include "sql/aggregates.h"
+#include "sql/parser.h"
+#include "storage/tuple.h"
 
 namespace tcells {
 namespace seedimpl {
@@ -318,7 +326,8 @@ struct SeedDetEnc {
 
 namespace {
 
-// A compiler fence standing in for benchmark::DoNotOptimize.
+// A compiler fence: keeps `value` observable, so the timed work is not
+// optimized away.
 template <typename T>
 inline void Consume(const T& value) {
   asm volatile("" : : "r,m"(value) : "memory");
@@ -579,6 +588,63 @@ int Run(const std::string& out_path) {
       }
     }
     crypto::ForcePortableSha256(false);
+  }
+
+  // --- SHA-256 over 64 B and 4 KiB, one row per SHA-256 backend ---
+  {
+    std::vector<std::string> sha_impls = {"portable"};
+    if (crypto::ShaNiAvailable()) sha_impls.push_back("shani");
+    for (size_t n : {64u, 4096u}) {
+      Bytes data = rng.NextBytes(n);
+      const std::string name = n == 64 ? "sha256_64" : "sha256_4k";
+      for (const auto& impl : sha_impls) {
+        crypto::ForcePortableSha256(impl == "portable");
+        ms.push_back(Measure(name, impl, n, 1, [&] {
+          auto d = crypto::Sha256::Hash(data);
+          Consume(d);
+        }));
+      }
+    }
+    crypto::ForcePortableSha256(false);
+  }
+
+  // --- Tuple codec, SQL parse and partial aggregation (engine only) ---
+  {
+    const storage::Tuple tuple({storage::Value::String("D042"),
+                                storage::Value::Double(1.25),
+                                storage::Value::Int64(7)});
+    ms.push_back(Measure("tuple_encode_decode", "engine", 0, 1, [&] {
+      auto back = storage::Tuple::Decode(tuple.Encode());
+      Consume(back);
+    }));
+    const std::string sql =
+        "SELECT AVG(Cons) FROM Power P, Consumer C "
+        "WHERE C.accomodation='detached house' AND C.cid = P.cid "
+        "GROUP BY C.district HAVING COUNT(DISTINCT C.cid) > 100 SIZE 50000";
+    ms.push_back(Measure("sql_parse_flagship", "engine", 0, 1, [&] {
+      auto stmt = sql::Parse(sql);
+      Consume(stmt);
+    }));
+    sql::AggSpec spec;
+    spec.kind = sql::AggKind::kAvg;
+    spec.input_index = 1;
+    constexpr size_t kTuples = 1024;
+    for (size_t groups : {4u, 256u}) {
+      std::vector<storage::Tuple> tuples;
+      for (size_t i = 0; i < kTuples; ++i) {
+        tuples.push_back(storage::Tuple(
+            {storage::Value::Int64(static_cast<int64_t>(rng.NextBelow(groups))),
+             storage::Value::Double(rng.NextDouble())}));
+      }
+      ms.push_back(Measure("partial_agg_g" + std::to_string(groups), "engine",
+                           0, kTuples, [&] {
+                             sql::GroupedAggregation agg({spec});
+                             for (const auto& t : tuples) {
+                               Consume(agg.AccumulateTuple(t, 1).ok());
+                             }
+                             Consume(agg.num_groups());
+                           }));
+    }
   }
 
   // --- nDet_Enc / Det_Enc on a 1 KiB payload ---

@@ -87,36 +87,30 @@ int main(int argc, char** argv) {
     auto engine = Engine::Create(std::move(fleet), cfg).ValueOrDie();
     auto discovered = engine->DiscoverInputs(querier, 1, sql).ValueOrDie();
 
-    struct Entry {
-      const char* name;
-      std::unique_ptr<protocol::Protocol> protocol;
-    };
-    std::vector<Entry> entries;
-    entries.push_back({"S_Agg", std::make_unique<protocol::SAggProtocol>()});
-    entries.push_back(
-        {"R2_Noise", std::make_unique<protocol::NoiseProtocol>(false, domain)});
-    entries.push_back(
-        {"C_Noise", std::make_unique<protocol::NoiseProtocol>(true, domain)});
-    entries.push_back(
-        {"ED_Hist", protocol::EdHistProtocol::FromDistribution(
-                        discovered.distribution,
-                        std::max<size_t>(1, groups / 4))});
+    std::vector<std::unique_ptr<protocol::Protocol>> protocols;
+    protocols.push_back(std::make_unique<protocol::SAggProtocol>());
+    protocols.push_back(
+        std::make_unique<protocol::NoiseProtocol>(false, domain));
+    protocols.push_back(std::make_unique<protocol::NoiseProtocol>(true, domain));
+    protocols.push_back(protocol::EdHistProtocol::FromDistribution(
+        discovered.distribution, std::max<size_t>(1, groups / 4)));
 
     uint64_t query_id = 10;
-    for (auto& e : entries) {
+    for (const auto& proto : protocols) {
+      const char* name = proto->name();
       std::optional<protocol::RunOutcome> best;
       double best_wall_ns = 0;
       bool match = true;
       bool errored = false;
       for (int rep = 0; rep < kReps; ++rep) {
         const auto wall0 = std::chrono::steady_clock::now();
-        auto outcome = engine->Run(*e.protocol, querier, query_id++, sql);
+        auto outcome = engine->Run(*proto, querier, query_id++, sql);
         const double wall_ns =
             std::chrono::duration<double, std::nano>(
                 std::chrono::steady_clock::now() - wall0)
                 .count();
         if (!outcome.ok()) {
-          std::printf("%-6zu %-10s ERROR %s\n", groups, e.name,
+          std::printf("%-6zu %-10s ERROR %s\n", groups, name,
                       outcome.status().ToString().c_str());
           errored = true;
           break;
@@ -139,10 +133,10 @@ int main(int argc, char** argv) {
           m.accountant.phase(sim::Phase::kCollection).tuples_processed +
           m.QueryPathTuples();
       std::printf("%-6zu %-10s %-6s %8zu %12llu %10.5f %12.6f %7zu\n", groups,
-                  e.name, match ? "yes" : "NO", m.Ptds(),
+                  name, match ? "yes" : "NO", m.Ptds(),
                   static_cast<unsigned long long>(m.LoadBytes()), m.Tq(),
                   m.Tlocal(device), m.aggregation_rounds);
-      run_csv += std::to_string(groups) + "," + e.name + "," +
+      run_csv += std::to_string(groups) + "," + name + "," +
                  (match ? "1" : "0") + "," + std::to_string(m.Ptds()) + "," +
                  std::to_string(m.LoadBytes()) + "," +
                  obs::FormatDouble(m.Tq()) + "," +
@@ -164,7 +158,7 @@ int main(int argc, char** argv) {
           "\"tuples_processed\": %llu, "
           "\"ns_per_tuple\": %.1f, \"p_tds\": %zu, \"load_bytes\": %llu, "
           "\"tq_seconds\": %.6f, \"rounds\": %zu}",
-          groups, e.name, match ? "true" : "false", wall_ns / 1e6,
+          groups, name, match ? "true" : "false", wall_ns / 1e6,
           m.collection_wall_micros / 1e3, query_path_wall_us / 1e3,
           static_cast<unsigned long long>(query_path_tuples),
           static_cast<unsigned long long>(tuples), ns_per_tuple,

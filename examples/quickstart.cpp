@@ -9,11 +9,8 @@
 #include <cstdio>
 
 #include "protocol/discovery.h"
-#include "protocol/protocols.h"
 #include "protocol/reference.h"
-#include "tcells/engine.h"
-#include "tds/access_control.h"
-#include "workload/smart_meter.h"
+#include "tcells/tcells.h"
 
 using namespace tcells;
 

@@ -99,17 +99,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       static tcells::net::SsiNode& node = *new tcells::net::SsiNode();
       Result<Bytes> reply = node.Handle(input);
       if (reply.ok()) {
-        Result<std::vector<tcells::net::BatchCall>> calls =
-            tcells::net::DecodeBatchFrame(input);
-        Result<std::vector<tcells::net::BatchCall>> replies =
-            tcells::net::DecodeBatchFrame(*reply);
+        Result<tcells::net::BatchFrameReader> calls =
+            tcells::net::BatchFrameReader::Open(input);
+        Result<tcells::net::BatchFrameReader> replies =
+            tcells::net::BatchFrameReader::Open(*reply);
         FUZZ_ASSERT(calls.ok() && replies.ok());
-        FUZZ_ASSERT(replies->size() == calls->size());
-        for (size_t i = 0; i < calls->size(); ++i) {
-          FUZZ_ASSERT((*replies)[i].correlation_id ==
-                      (*calls)[i].correlation_id);
+        FUZZ_ASSERT(replies->count() == calls->count());
+        for (uint32_t i = 0; i < calls->count(); ++i) {
+          const tcells::net::BatchCall answer = replies->Next();
+          FUZZ_ASSERT(answer.correlation_id == calls->Next().correlation_id);
           Result<std::span<const uint8_t>> unwrapped =
-              tcells::net::DecodeReply((*replies)[i].payload);
+              tcells::net::DecodeReply(answer.payload);
           FUZZ_ASSERT(unwrapped.ok() || !unwrapped.status().IsCorruption());
         }
         Result<Bytes> rewritten = Rewrite(*reply);
@@ -126,7 +126,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       // input bit-for-bit.
       Result<std::span<const uint8_t>> body = tcells::net::DecodeReply(input);
       if (body.ok()) {
-        FUZZ_ASSERT(tcells::net::EncodeReplyOk(*body) == input);
+        Bytes rewrapped;
+        tcells::net::AppendReplyOk(&rewrapped, *body);
+        FUZZ_ASSERT(rewrapped == input);
       }
       break;
     }

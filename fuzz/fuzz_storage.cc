@@ -4,43 +4,20 @@
 //   0            -> Tuple::Decode (accepted tuples must re-encode identical)
 //   1 + k        -> GroupedAggregation::Decode against canned spec set k
 //                   (see fuzz_specs.h; make_corpus tags bodies the same way).
-//   0xFF         -> EquiDepthHistogram::Decode (a dedicated selector value so
-//                   the legacy modulo mapping of the committed corpus is
-//                   untouched). Accepted histograms must re-encode identical
-//                   and keep BucketOf inside the bucket range — the
-//                   lower_bound contract a forged encoding used to break.
 // Accepted aggregations additionally run Finalize and MemoryFootprint so the
 // post-decode arithmetic paths see hostile states too.
-#include <algorithm>
 #include <vector>
 
 #include "fuzz_specs.h"
 #include "fuzz_util.h"
 #include "sql/aggregates.h"
 #include "storage/tuple.h"
-#include "storage/value.h"
-#include "tds/histogram.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   static const std::vector<std::vector<tcells::sql::AggSpec>>& spec_sets =
       *new std::vector<std::vector<tcells::sql::AggSpec>>(
           tcells::fuzz::SpecSets());
   if (size == 0) return 0;
-  if (data[0] == 0xFF) {
-    tcells::Bytes input(data + 1, data + size);
-    tcells::Result<tcells::tds::EquiDepthHistogram> hist =
-        tcells::tds::EquiDepthHistogram::Decode(input);
-    if (hist.ok()) {
-      tcells::Bytes re;
-      hist->EncodeTo(&re);
-      FUZZ_ASSERT(re == input);
-      tcells::storage::Tuple probe({tcells::storage::Value::Int64(0)});
-      FUZZ_ASSERT(hist->BucketOf(probe) <
-                  std::max<size_t>(1, hist->num_buckets()));
-      (void)hist->CollisionFactor();
-    }
-    return 0;
-  }
   const uint8_t selector = data[0] % (1 + spec_sets.size());
   const uint8_t* body = data + 1;
   const size_t body_size = size - 1;

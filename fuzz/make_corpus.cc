@@ -5,9 +5,8 @@
 // harness consumes (selector byte + encoding, see the fuzz_*.cc headers):
 // query posts, partitions, item streams and decrypted payloads for fuzz_ssi;
 // k1/k2 ciphertext blobs for fuzz_crypto; collection/result tuples,
-// GroupedAggregation bodies (tagged with their fuzz_specs.h query index) and
-// histogram encodings — including the forged frames the Decode hardening
-// rejects — for fuzz_storage; frame streams, request frames and reply
+// GroupedAggregation bodies (tagged with their fuzz_specs.h query index) for
+// fuzz_storage; frame streams, request frames and reply
 // envelopes for fuzz_net; and the query texts plus edge-case statements for
 // fuzz_sql.
 //
@@ -29,13 +28,12 @@
 #include "common/hex.h"
 #include "crypto/keystore.h"
 #include "crypto/sha256.h"
+#include "frame_builders.h"
 #include "fuzz_specs.h"
-#include "net/frame.h"
 #include "net/loopback.h"
 #include "net/ssi_client.h"
 #include "net/ssi_node.h"
 #include "net/ssi_wire.h"
-#include "tds/histogram.h"
 #include "protocol/factory.h"
 #include "protocol/protocols.h"
 #include "sim/device_model.h"
@@ -439,37 +437,6 @@ int Run(const std::filesystem::path& out_dir) {
       w.PutU32(0xffffffff);
     }
     writer.Add("net", 3, hostile);
-  }
-
-  // ---- Histogram seeds (fuzz_storage selector 0xFF) ----
-  {
-    Bytes valid;
-    tds::EquiDepthHistogram::Build(freq, 2).EncodeTo(&valid);
-    writer.Add("storage", 0xFF, valid);
-
-    // The forged frame behind the Decode hardening: claims zero distinct
-    // keys while carrying two buckets (num_keys_ < upper_bounds_.size()),
-    // which used to slip through and corrupt CollisionFactor downstream.
-    Bytes forged_keys;
-    {
-      ByteWriter w(&forged_keys);
-      w.PutU64(0);
-      w.PutU32(2);
-      (*domain)[0].EncodeTo(&forged_keys);
-      (*domain)[1].EncodeTo(&forged_keys);
-    }
-    writer.Add("storage", 0xFF, forged_keys);
-
-    // Unsorted bounds: breaks BucketOf's lower_bound contract.
-    Bytes forged_order;
-    {
-      ByteWriter w(&forged_order);
-      w.PutU64(10);
-      w.PutU32(2);
-      (*domain)[1].EncodeTo(&forged_order);
-      (*domain)[0].EncodeTo(&forged_order);
-    }
-    writer.Add("storage", 0xFF, forged_order);
   }
 
   std::printf("make_corpus: wrote %zu files under %s\n", writer.written(),

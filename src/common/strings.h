@@ -4,25 +4,14 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace tcells {
 
 /// ASCII lower-casing (SQL keywords are case-insensitive).
 std::string ToLower(std::string_view s);
-std::string ToUpper(std::string_view s);
 
 /// Case-insensitive ASCII comparison.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
-
-/// Splits on a single character, keeping empty fields.
-std::vector<std::string> Split(std::string_view s, char sep);
-
-/// Joins with a separator.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
-/// Strips ASCII whitespace from both ends.
-std::string_view Trim(std::string_view s);
 
 /// Whole-string decimal parse: false on an empty string, garbage, trailing
 /// characters or a non-finite value ("nan", "inf").

@@ -52,11 +52,6 @@ bool KeyAuthority::IsRevoked(uint64_t tds_id) const {
   return revoked_.count(static_cast<size_t>(tds_id)) > 0;
 }
 
-std::set<size_t> KeyAuthority::revoked() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return revoked_;
-}
-
 Bytes KeyAuthority::CurrentBlock() const {
   std::lock_guard<std::mutex> lock(mu_);
   return current_block_;

@@ -51,7 +51,6 @@ class KeyAuthority {
 
   uint32_t current_epoch() const;
   bool IsRevoked(uint64_t tds_id) const;
-  std::set<size_t> revoked() const;
 
   /// The latest published block, encoded for the SSI.
   Bytes CurrentBlock() const;

@@ -139,7 +139,6 @@ struct FaultyTransport::State {
   std::map<KeyId, Bytes> last_request;
   std::map<KeyId, Bytes> last_reply;
   std::vector<FaultEvent> events;
-  uint64_t calls = 0;
 
   /// Scripted triggers first, then a seeded draw per probability in fixed
   /// order. Pure function of (seed, key, per-key/per-type counters).
@@ -237,7 +236,6 @@ Result<Bytes> FaultyChannel::Call(const Bytes& request,
   bool have_prior = false;
   {
     std::lock_guard<std::mutex> lock(st.mu);
-    st.calls += 1;
     key_attempt = ++st.key_attempts[{key.type, key.a, key.b}];
     uint64_t type_count = ++st.type_counts[key.type];
     kind = st.Decide(key, key_attempt, type_count);
@@ -381,11 +379,6 @@ std::string FaultyTransport::CanonicalLog() const {
         << "\n";
   }
   return out.str();
-}
-
-uint64_t FaultyTransport::call_count() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->calls;
 }
 
 uint64_t FaultyTransport::injected_count() const {

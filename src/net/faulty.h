@@ -136,9 +136,7 @@ class FaultyTransport : public Transport {
   /// canonical_events() rendered one per line, for logs and byte-compares.
   std::string CanonicalLog() const;
 
-  /// Total calls seen (excluding calls rejected on an already-disconnected
-  /// channel) / total faults injected.
-  uint64_t call_count() const;
+  /// Total faults injected.
   uint64_t injected_count() const;
 
   /// Shared injector state (implementation detail, public so the channel

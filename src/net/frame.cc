@@ -6,25 +6,6 @@
 
 namespace tcells::net {
 
-void AppendFrame(Bytes* out, std::span<const uint8_t> payload) {
-  ByteWriter w(out);
-  w.PutU32(static_cast<uint32_t>(payload.size()));
-  w.PutRaw(payload.data(), payload.size());
-}
-
-Result<FrameBytes> DecodeFrame(ByteReader* reader) {
-  TCELLS_ASSIGN_OR_RETURN(uint32_t len, reader->GetU32());
-  if (len > kMaxFramePayload) {
-    return Status::Corruption("frame length exceeds cap");
-  }
-  if (len > reader->remaining()) {
-    return Status::Corruption("frame length exceeds remaining bytes");
-  }
-  const FrameBytes payload = reader->rest().first(len);
-  TCELLS_RETURN_IF_ERROR(reader->Skip(len));
-  return payload;
-}
-
 Result<size_t> FrameReceiver::Consume(std::span<const uint8_t> bytes) {
   size_t used = 0;
   if (have_ < 4) {

@@ -1,12 +1,11 @@
 // Length-prefixed message framing for the SSI transport layer. Every message
 // crossing the TDS↔SSI boundary travels as one frame: a u32 little-endian
-// payload length followed by the payload bytes. The decoders enforce the
+// payload length followed by the payload bytes. The receiver enforces the
 // same hostile-length discipline as the ByteReader count getters: a length
-// prefix above the hard cap is rejected *before* any allocation, and so is
-// one that exceeds the bytes present in a complete buffer (DecodeFrame).
-// The stream receiver allocates a legal length's payload at most a fixed
-// chunk ahead of the bytes that actually arrived, so a malicious peer
-// cannot drive oversized reserves with a 4-byte header.
+// prefix above the hard cap is rejected *before* any allocation, and a legal
+// length's payload is allocated at most a fixed chunk ahead of the bytes
+// that actually arrived, so a malicious peer cannot drive oversized reserves
+// with a 4-byte header.
 #ifndef TCELLS_NET_FRAME_H_
 #define TCELLS_NET_FRAME_H_
 
@@ -43,14 +42,6 @@ class FrameBytes : public std::span<const uint8_t> {
     return Bytes(begin(), end());
   }
 };
-
-/// Appends one frame (u32 LE length + payload) to `out`.
-void AppendFrame(Bytes* out, std::span<const uint8_t> payload);
-
-/// Reads the next frame of a complete buffer: its payload, as a view into
-/// the reader's buffer. Corruption when the length prefix exceeds
-/// kMaxFramePayload or the bytes remaining in the reader.
-Result<FrameBytes> DecodeFrame(ByteReader* reader);
 
 /// Reassembles frames from a byte stream (a socket). A receive that starts
 /// a frame goes into a caller's scratch chunk and is handed to Consume(), so

@@ -67,19 +67,6 @@ void AppendReplyError(Bytes* out, const Status& status) {
   w.PutString(status.message());
 }
 
-Bytes EncodeReplyOk(std::span<const uint8_t> body) {
-  Bytes out;
-  out.reserve(1 + body.size());
-  AppendReplyOk(&out, body);
-  return out;
-}
-
-Bytes EncodeReplyError(const Status& status) {
-  Bytes out;
-  AppendReplyError(&out, status);
-  return out;
-}
-
 Result<std::span<const uint8_t>> DecodeReply(
     std::span<const uint8_t> envelope) {
   ByteReader reader(envelope.data(), envelope.size());
@@ -165,33 +152,6 @@ void SetCorrelationIds(Bytes* frame, uint64_t first) {
     PutLe64(frame->data() + pos, first + i);
     pos += kBatchCallHeaderSize + GetLe32(frame->data() + pos + 8);
   }
-}
-
-Bytes EncodeBatchFrame(const std::vector<BatchCall>& calls) {
-  Bytes frame;
-  size_t total = kBatchHeaderSize;
-  for (const BatchCall& call : calls) {
-    total += kBatchCallHeaderSize + call.payload.size();
-  }
-  frame.reserve(total);
-  BatchFrameWriter writer(&frame);
-  for (const BatchCall& call : calls) {
-    writer.Open(call.correlation_id);
-    ByteWriter(&frame).PutRaw(call.payload.data(), call.payload.size());
-    writer.Close();
-  }
-  writer.Finish();
-  return frame;
-}
-
-Result<std::vector<BatchCall>> DecodeBatchFrame(
-    std::span<const uint8_t> frame) {
-  TCELLS_ASSIGN_OR_RETURN(BatchFrameReader reader,
-                          BatchFrameReader::Open(frame));
-  std::vector<BatchCall> calls;
-  calls.reserve(reader.count());
-  for (uint32_t i = 0; i < reader.count(); ++i) calls.push_back(reader.Next());
-  return calls;
 }
 
 }  // namespace tcells::net

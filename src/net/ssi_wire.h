@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/result.h"
@@ -58,9 +57,6 @@ enum class MsgType : uint8_t {
 /// status's code and its message string.
 void AppendReplyOk(Bytes* out, std::span<const uint8_t> body);
 void AppendReplyError(Bytes* out, const Status& status);
-/// A reply envelope as a buffer of its own (tests and tools).
-Bytes EncodeReplyOk(std::span<const uint8_t> body);
-Bytes EncodeReplyError(const Status& status);
 
 /// Unwraps a reply envelope: the body on OK, as a view into `envelope`, the
 /// reconstructed application Status otherwise. Corruption when the envelope
@@ -149,14 +145,6 @@ class BatchFrameReader {
 /// Writes consecutive correlation IDs from `first` into the calls of a
 /// frame BatchFrameWriter wrote, in place.
 void SetCorrelationIds(Bytes* frame, uint64_t first);
-
-/// Encodes `calls` as one batch frame through BatchFrameWriter.
-Bytes EncodeBatchFrame(const std::vector<BatchCall>& calls);
-
-/// Every call of a batch frame through BatchFrameReader, as views into
-/// `frame`.
-Result<std::vector<BatchCall>> DecodeBatchFrame(
-    std::span<const uint8_t> frame);
 
 }  // namespace tcells::net
 

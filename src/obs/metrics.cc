@@ -63,10 +63,6 @@ std::vector<double> Histogram::DefaultSizeBounds() {
   return ExponentialBounds(64, 4, 11);  // 64 B .. 64 MiB
 }
 
-std::vector<double> Histogram::DefaultLatencyBounds() {
-  return ExponentialBounds(1e-3, 4, 12);  // 1 ms .. ~4200 s
-}
-
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
@@ -78,10 +74,7 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
                                       std::vector<double> bounds) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
-  if (!slot) {
-    if (bounds.empty()) bounds = Histogram::DefaultLatencyBounds();
-    slot = std::make_unique<Histogram>(std::move(bounds));
-  }
+  if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
   return *slot;
 }
 

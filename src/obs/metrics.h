@@ -61,8 +61,6 @@ class Histogram {
                                                size_t n);
   /// Default size buckets (bytes): 64 B .. 64 MB, x4 steps.
   static std::vector<double> DefaultSizeBounds();
-  /// Default latency buckets (seconds): 1 ms .. ~4000 s, x4 steps.
-  static std::vector<double> DefaultLatencyBounds();
 
  private:
   mutable std::mutex mu_;
@@ -80,10 +78,8 @@ class Histogram {
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name);
-  /// `bounds` is consulted only on first creation of `name`; empty = default
-  /// latency bounds.
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> bounds = {});
+  /// `bounds` is consulted only on first creation of `name`.
+  Histogram& histogram(const std::string& name, std::vector<double> bounds);
 
   struct Snapshot {
     std::map<std::string, uint64_t> counters;

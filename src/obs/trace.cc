@@ -132,42 +132,11 @@ std::string Trace::ToJson(const TraceExportOptions& options) const {
   return out;
 }
 
-std::string Trace::ToCsv(const TraceExportOptions& options) const {
-  std::string out = "span_id,parent_id,name,attr,value\n";
-  ForEach([&](const Span& span, int) {
-    std::string prefix = std::to_string(span.id) + "," +
-                         std::to_string(span.parent_id) + "," + span.name +
-                         ",";
-    out += prefix + "sim_begin_seconds," +
-           FormatDouble(span.sim_begin_seconds) + "\n";
-    out += prefix + "sim_end_seconds," + FormatDouble(span.sim_end_seconds) +
-           "\n";
-    if (options.include_wall_time) {
-      out += prefix + "wall_micros," + FormatDouble(span.wall_micros) + "\n";
-    }
-    for (const auto& [key, value] : span.counts) {
-      out += prefix + "count:" + key + "," + std::to_string(value) + "\n";
-    }
-    for (const auto& [key, value] : span.values) {
-      out += prefix + "value:" + key + "," + FormatDouble(value) + "\n";
-    }
-    for (const auto& [key, value] : span.labels) {
-      out += prefix + "label:" + key + "," + value + "\n";
-    }
-  });
-  return out;
-}
-
 std::shared_ptr<Trace> Tracer::StartTrace(uint64_t query_id) {
   auto trace = std::make_shared<Trace>(query_id);
   std::lock_guard<std::mutex> lock(mu_);
   traces_.push_back(trace);
   return trace;
-}
-
-std::vector<std::shared_ptr<const Trace>> Tracer::traces() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {traces_.begin(), traces_.end()};
 }
 
 std::shared_ptr<const Trace> Tracer::TraceFor(uint64_t query_id) const {
@@ -181,17 +150,6 @@ std::shared_ptr<const Trace> Tracer::TraceFor(uint64_t query_id) const {
 size_t Tracer::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return traces_.size();
-}
-
-std::string Tracer::ToJson(const TraceExportOptions& options) const {
-  auto snapshot = traces();
-  std::string out = "[";
-  for (size_t i = 0; i < snapshot.size(); ++i) {
-    out += i ? ",\n" : "\n";
-    out += snapshot[i]->ToJson(options);
-  }
-  out += "]\n";
-  return out;
 }
 
 }  // namespace tcells::obs

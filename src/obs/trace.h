@@ -90,8 +90,6 @@ class Trace {
   size_t CountSpans(const std::string& span_name) const;
 
   std::string ToJson(const TraceExportOptions& options = {}) const;
-  /// Flat rows: span_id,parent_id,name,attr,value (one row per attribute).
-  std::string ToCsv(const TraceExportOptions& options = {}) const;
 
  private:
   uint64_t query_id_;
@@ -106,13 +104,9 @@ class Tracer {
  public:
   std::shared_ptr<Trace> StartTrace(uint64_t query_id);
 
-  std::vector<std::shared_ptr<const Trace>> traces() const;
   /// Latest trace recorded for `query_id`, or nullptr.
   std::shared_ptr<const Trace> TraceFor(uint64_t query_id) const;
   size_t size() const;
-
-  /// JSON array of all traces, in start order.
-  std::string ToJson(const TraceExportOptions& options = {}) const;
 
  private:
   mutable std::mutex mu_;

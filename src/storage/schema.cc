@@ -22,17 +22,6 @@ Schema Schema::Concat(const Schema& a, const Schema& b) {
   return Schema(std::move(cols));
 }
 
-bool Schema::Equals(const Schema& other) const {
-  if (columns_.size() != other.columns_.size()) return false;
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (!EqualsIgnoreCase(columns_[i].name, other.columns_[i].name) ||
-        columns_[i].type != other.columns_[i].type) {
-      return false;
-    }
-  }
-  return true;
-}
-
 Status Catalog::AddTable(const std::string& name, Schema schema) {
   std::string key = ToLower(name);
   if (tables_.count(key)) {

@@ -40,8 +40,6 @@ class Schema {
   /// Concatenation (used for local internal joins).
   static Schema Concat(const Schema& a, const Schema& b);
 
-  /// Binding equality: column names compare case-insensitively.
-  bool Equals(const Schema& other) const;
   /// Exact equality: names with their case, and column types.
   bool operator==(const Schema& other) const = default;
 

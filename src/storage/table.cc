@@ -30,13 +30,6 @@ Status Table::Insert(Tuple row) {
   return Status::OK();
 }
 
-Status Table::InsertAll(std::vector<Tuple> rows) {
-  for (auto& r : rows) {
-    TCELLS_RETURN_IF_ERROR(Insert(std::move(r)));
-  }
-  return Status::OK();
-}
-
 Database::Database() {
   static const std::shared_ptr<const Catalog> empty =
       Catalog::Intern(Catalog());

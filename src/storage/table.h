@@ -27,7 +27,6 @@ class Table {
 
   /// Checks arity and per-column type (NULL fits any column).
   Status Insert(Tuple row);
-  Status InsertAll(std::vector<Tuple> rows);
 
   void Clear() { rows_.clear(); }
 

@@ -29,8 +29,6 @@ enum class QueryState {
   kCancelled,  ///< cancelled before or during execution
 };
 
-const char* QueryStateToString(QueryState state);
-
 namespace internal {
 
 /// Shared state between a QueryHandle and the scheduler worker running the

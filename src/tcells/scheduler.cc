@@ -4,17 +4,6 @@
 
 namespace tcells {
 
-const char* QueryStateToString(QueryState state) {
-  switch (state) {
-    case QueryState::kQueued: return "queued";
-    case QueryState::kRunning: return "running";
-    case QueryState::kDone: return "done";
-    case QueryState::kFailed: return "failed";
-    case QueryState::kCancelled: return "cancelled";
-  }
-  return "unknown";
-}
-
 QueryScheduler::QueryScheduler(size_t max_inflight, Runner runner)
     : max_inflight_(max_inflight), runner_(std::move(runner)) {
   workers_.reserve(max_inflight_);

@@ -31,7 +31,6 @@
 #include "sql/analyzer.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
-#include "storage/secure_store.h"
 #include "storage/table.h"
 
 // The facade: Engine + protocols + sessions + telemetry (obs/).

@@ -7,7 +7,6 @@ namespace tcells::tds {
 EquiDepthHistogram EquiDepthHistogram::Build(
     const std::map<storage::Tuple, uint64_t>& freq, size_t num_buckets) {
   EquiDepthHistogram hist;
-  hist.num_keys_ = freq.size();
   if (freq.empty()) return hist;
   num_buckets = std::max<size_t>(1, std::min(num_buckets, freq.size()));
 
@@ -51,55 +50,11 @@ uint32_t EquiDepthHistogram::BucketOf(const storage::Tuple& key) const {
   return static_cast<uint32_t>(it - upper_bounds_.begin());
 }
 
-double EquiDepthHistogram::CollisionFactor() const {
-  if (upper_bounds_.empty()) return 0;
-  return static_cast<double>(num_keys_) /
-         static_cast<double>(upper_bounds_.size());
-}
-
 Bytes EquiDepthHistogram::BucketIdBytes(uint32_t bucket) {
   Bytes out;
   ByteWriter w(&out);
   w.PutU32(bucket);
   return out;
-}
-
-void EquiDepthHistogram::EncodeTo(Bytes* out) const {
-  ByteWriter w(out);
-  w.PutU64(num_keys_);
-  w.PutU32(static_cast<uint32_t>(upper_bounds_.size()));
-  for (const auto& bound : upper_bounds_) bound.EncodeTo(out);
-}
-
-Result<EquiDepthHistogram> EquiDepthHistogram::Decode(const Bytes& data) {
-  EquiDepthHistogram hist;
-  ByteReader reader(data);
-  TCELLS_ASSIGN_OR_RETURN(hist.num_keys_, reader.GetU64());
-  // Smallest encoded Tuple is its u16 arity alone, so a bucket count larger
-  // than remaining/2 cannot be satisfied — reject it before reserving.
-  TCELLS_ASSIGN_OR_RETURN(uint32_t n, reader.GetCountU32(2));
-  hist.upper_bounds_.reserve(n);
-  storage::Tuple prev;
-  for (uint32_t i = 0; i < n; ++i) {
-    TCELLS_ASSIGN_OR_RETURN(storage::Tuple bound,
-                            storage::Tuple::DecodeFrom(&reader));
-    if (i > 0 && !(prev < bound)) {
-      return Status::Corruption("histogram bounds not strictly increasing");
-    }
-    prev = bound;
-    hist.upper_bounds_.push_back(std::move(bound));
-  }
-  if (!reader.AtEnd()) {
-    return Status::Corruption("trailing bytes after histogram");
-  }
-  // Build() emits one upper bound per non-empty bucket, so a well-formed
-  // encoding never claims fewer distinct keys than buckets. A forged frame
-  // violating this breaks CollisionFactor() and the equi-depth invariant
-  // downstream consumers assume.
-  if (hist.num_keys_ < hist.upper_bounds_.size()) {
-    return Status::Corruption("histogram claims fewer keys than buckets");
-  }
-  return hist;
 }
 
 }  // namespace tcells::tds

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/result.h"
 #include "storage/tuple.h"
 
 namespace tcells::tds {
@@ -32,27 +31,13 @@ class EquiDepthHistogram {
 
   size_t num_buckets() const { return upper_bounds_.size(); }
 
-  /// Average number of distinct observed keys per bucket — the collision
-  /// factor h of the exposure analysis (§5).
-  double CollisionFactor() const;
-
   /// Canonical bytes of a bucket id (input to the keyed hash).
   static Bytes BucketIdBytes(uint32_t bucket);
-
-  /// Wire encoding, so the discovery result can be distributed to the fleet
-  /// (inside an encrypted envelope — bucket bounds reveal the distribution).
-  void EncodeTo(Bytes* out) const;
-  static Result<EquiDepthHistogram> Decode(const Bytes& data);
-
-  bool Equals(const EquiDepthHistogram& other) const {
-    return upper_bounds_ == other.upper_bounds_ && num_keys_ == other.num_keys_;
-  }
 
  private:
   // upper_bounds_[i] is the largest key assigned to bucket i; buckets are
   // contiguous ranges in key order.
   std::vector<storage::Tuple> upper_bounds_;
-  size_t num_keys_ = 0;
 };
 
 }  // namespace tcells::tds

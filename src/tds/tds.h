@@ -20,8 +20,8 @@
 // calls — several queries' phases on one TDS, as the engine scheduler
 // produces — read only immutable members and `db_` and need no lock. What
 // they reach through pointers (the key state, the leak log) is thread-safe
-// itself. The setters (set_leak_log, InstallKeyState, RestoreDatabase) are
-// setup-time and must not race a phase call.
+// itself. The setters (set_leak_log, InstallKeyState) are setup-time and
+// must not race a phase call.
 #ifndef TCELLS_TDS_TDS_H_
 #define TCELLS_TDS_TDS_H_
 
@@ -36,7 +36,6 @@
 #include "sql/analyzer.h"
 #include "sql/executor.h"
 #include "ssi/messages.h"
-#include "storage/secure_store.h"
 #include "storage/table.h"
 #include "tds/access_control.h"
 #include "tds/config.h"
@@ -86,23 +85,6 @@ class TrustedDataServer {
   /// installed key state.
   Result<keys::ContributionTag> TagContribution(
       uint64_t query_id, const std::vector<ssi::EncryptedItem>& items);
-
-  /// Power-down: seals the local database into an encrypted flash image
-  /// (Fig 1's untrusted mass storage) under the device storage key.
-  Result<storage::SecureDatabase::Image> SealDatabase(
-      const Bytes& storage_key, Rng* rng) const {
-    return storage::SecureDatabase::Seal(db_, storage_key, rng);
-  }
-
-  /// Power-up: verifies and restores the database from a flash image,
-  /// replacing the in-memory state.
-  Status RestoreDatabase(const storage::SecureDatabase::Image& image,
-                         const Bytes& storage_key) {
-    TCELLS_ASSIGN_OR_RETURN(storage::Database db,
-                            storage::SecureDatabase::Open(image, storage_key));
-    db_ = std::move(db);
-    return Status::OK();
-  }
 
   /// Collection phase (§3.2 steps 2-4 / §4 collection). Opens the post on
   /// every call: resolves the query's KeyStore, decrypts the SQL under k1,

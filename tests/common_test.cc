@@ -272,27 +272,12 @@ TEST(ZipfTest, SamplesMatchPmfRoughly) {
 
 TEST(StringsTest, CaseConversion) {
   EXPECT_EQ(ToLower("SeLeCt"), "select");
-  EXPECT_EQ(ToUpper("grp"), "GRP");
 }
 
 TEST(StringsTest, EqualsIgnoreCase) {
   EXPECT_TRUE(EqualsIgnoreCase("GROUP", "group"));
   EXPECT_FALSE(EqualsIgnoreCase("GROUP", "groupe"));
   EXPECT_FALSE(EqualsIgnoreCase("a", "b"));
-}
-
-TEST(StringsTest, SplitAndJoin) {
-  auto parts = Split("a,b,,c", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(Join({"x", "y", "z"}, "-"), "x-y-z");
-  EXPECT_EQ(Join({}, "-"), "");
-}
-
-TEST(StringsTest, Trim) {
-  EXPECT_EQ(Trim("  hi \t\n"), "hi");
-  EXPECT_EQ(Trim(""), "");
-  EXPECT_EQ(Trim("   "), "");
 }
 
 // ---------------------------------------------------------------------------

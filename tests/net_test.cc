@@ -25,6 +25,7 @@
 #include "common/clock.h"
 #include "common/hex.h"
 #include "crypto/sha256.h"
+#include "frame_builders.h"
 #include "net/byzantine.h"
 #include "net/faulty.h"
 #include "net/frame.h"
@@ -85,59 +86,6 @@ Result<Bytes> AnswerEach(const Bytes& frame, const Bytes& envelope) {
 // ---------------------------------------------------------------------------
 // Frame codec.
 
-TEST(FrameTest, RoundTrip) {
-  Bytes wire;
-  Bytes payload = MakeBytes({1, 2, 3, 4, 5});
-  AppendFrame(&wire, payload);
-  EXPECT_EQ(wire.size(), FrameWireSize(payload.size()));
-  ByteReader reader(wire);
-  auto decoded = DecodeFrame(&reader);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(Bytes(*decoded), payload);
-  EXPECT_EQ(reader.remaining(), 0u);
-}
-
-TEST(FrameTest, EmptyPayloadRoundTrips) {
-  Bytes wire;
-  AppendFrame(&wire, Bytes());
-  ByteReader reader(wire);
-  auto decoded = DecodeFrame(&reader);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->empty());
-}
-
-TEST(FrameTest, RejectsLengthBeyondCapBeforeAllocation) {
-  // A 4-byte header claiming ~4 GiB must be rejected up front — if the
-  // decoder tried to reserve that much first, a peer could drive huge
-  // allocations with tiny writes.
-  Bytes wire = MakeBytes({0xff, 0xff, 0xff, 0xff});
-  ByteReader reader(wire);
-  auto decoded = DecodeFrame(&reader);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_TRUE(IsCorruption(decoded.status()));
-}
-
-TEST(FrameTest, RejectsLengthJustAboveCap) {
-  uint32_t n = static_cast<uint32_t>(kMaxFramePayload) + 1;
-  Bytes wire;
-  ByteWriter writer(&wire);
-  writer.PutU32(n);
-  ByteReader reader(wire);
-  EXPECT_TRUE(IsCorruption(DecodeFrame(&reader).status()));
-}
-
-TEST(FrameTest, RejectsLengthBeyondRemaining) {
-  // Claims 100 payload bytes, provides 3.
-  Bytes wire;
-  ByteWriter writer(&wire);
-  writer.PutU32(100);
-  wire.push_back(9);
-  wire.push_back(9);
-  wire.push_back(9);
-  ByteReader reader(wire);
-  EXPECT_TRUE(IsCorruption(DecodeFrame(&reader).status()));
-}
-
 /// Feeds `stream` to `receiver` the way a socket loop does, receive by
 /// receive of at most `chunk` bytes — in place where the receiver offers
 /// Space(), through Consume() otherwise — and returns the frames completed
@@ -166,6 +114,29 @@ Result<std::vector<Bytes>> Receive(FrameReceiver* receiver,
     if (receiver->complete()) frames.push_back(receiver->TakeFrame());
   }
   return frames;
+}
+
+TEST(FrameTest, RoundTrip) {
+  Bytes wire;
+  Bytes payload = MakeBytes({1, 2, 3, 4, 5});
+  AppendFrame(&wire, payload);
+  EXPECT_EQ(wire.size(), FrameWireSize(payload.size()));
+  FrameReceiver receiver;
+  auto frames = Receive(&receiver, wire);
+  ASSERT_TRUE(frames.ok());
+  ASSERT_EQ(frames->size(), 1u);
+  EXPECT_EQ((*frames)[0], payload);
+  EXPECT_EQ(receiver.pending(), 0u);
+}
+
+TEST(FrameTest, EmptyPayloadRoundTrips) {
+  Bytes wire;
+  AppendFrame(&wire, Bytes());
+  FrameReceiver receiver;
+  auto frames = Receive(&receiver, wire);
+  ASSERT_TRUE(frames.ok());
+  ASSERT_EQ(frames->size(), 1u);
+  EXPECT_TRUE((*frames)[0].empty());
 }
 
 TEST(FrameTest, ReceiverNeedsWholeHeader) {
@@ -258,6 +229,13 @@ TEST(FrameTest, ReceiverRejectsHostileLengthBeforeBuffering) {
   FrameReceiver receiver;
   EXPECT_TRUE(IsCorruption(
       Receive(&receiver, MakeBytes({0xff, 0xff, 0xff, 0xff, 0x00})).status()));
+}
+
+TEST(FrameTest, ReceiverRejectsLengthJustAboveCap) {
+  Bytes header;
+  ByteWriter(&header).PutU32(static_cast<uint32_t>(kMaxFramePayload) + 1);
+  FrameReceiver receiver;
+  EXPECT_TRUE(IsCorruption(receiver.Consume(header).status()));
 }
 
 TEST(TransportKindTest, NameRoundTrip) {
@@ -541,12 +519,14 @@ TEST(TcpTest, PipelinedRequestsBackpressuredNotDropped) {
       ASSERT_GT(n, 0) << "reply " << i << " truncated";
       got += static_cast<size_t>(n);
     }
-    ByteReader reader(reply);
-    auto payload = DecodeFrame(&reader);
-    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
-    ASSERT_EQ(payload->size(), kPayload + 1);
-    EXPECT_EQ((*payload)[0], static_cast<uint8_t>(i));
-    EXPECT_EQ(payload->back(), 0x5A);
+    FrameReceiver receiver;
+    auto frames = Receive(&receiver, reply);
+    ASSERT_TRUE(frames.ok()) << frames.status().ToString();
+    ASSERT_EQ(frames->size(), 1u);
+    const Bytes& payload = (*frames)[0];
+    ASSERT_EQ(payload.size(), kPayload + 1);
+    EXPECT_EQ(payload[0], static_cast<uint8_t>(i));
+    EXPECT_EQ(payload.back(), 0x5A);
   }
   ::close(fd);
 }

@@ -106,11 +106,9 @@ TEST(TraceTest, WallTimeExcludedFromExportByDefault) {
   obs::Span* s = trace.StartSpan(nullptr, "round");
   s->wall_micros = 123.5;
   EXPECT_EQ(trace.ToJson().find("wall_micros"), std::string::npos);
-  EXPECT_EQ(trace.ToCsv().find("wall_micros"), std::string::npos);
   obs::TraceExportOptions with_wall;
   with_wall.include_wall_time = true;
   EXPECT_NE(trace.ToJson(with_wall).find("wall_micros"), std::string::npos);
-  EXPECT_NE(trace.ToCsv(with_wall).find("wall_micros"), std::string::npos);
 }
 
 TEST(TraceTest, TracerKeepsLatestPerQueryId) {
@@ -372,7 +370,7 @@ TEST(ObsEngineTest, MetricsRegistryAgreesWithAccountant) {
 /// count: spans are only written from the engine's serial sections, and the
 /// default export omits wall times.
 TEST(ObsEngineTest, TraceExportsIdenticalAcrossThreadCounts) {
-  std::string baseline_json, baseline_csv;
+  std::string baseline_json;
   for (size_t threads : {1u, 2u, 8u}) {
     Engine::Config config;
     config.options.num_threads = threads;
@@ -383,14 +381,11 @@ TEST(ObsEngineTest, TraceExportsIdenticalAcrossThreadCounts) {
         RunKind(w, protocol::ProtocolKind::kSAgg, 6);
     ASSERT_NE(outcome.trace, nullptr);
     std::string json = outcome.trace->ToJson();
-    std::string csv = outcome.trace->ToCsv();
     if (threads == 1) {
       baseline_json = json;
-      baseline_csv = csv;
       continue;
     }
     EXPECT_EQ(json, baseline_json) << "threads=" << threads;
-    EXPECT_EQ(csv, baseline_csv) << "threads=" << threads;
   }
 }
 

@@ -5,14 +5,11 @@
 #include <cmath>
 #include <limits>
 
-#include "common/rng.h"
 #include "storage/schema.h"
-#include "storage/secure_store.h"
 #include "storage/table.h"
 #include "storage/tuple.h"
 #include "storage/value.h"
 #include "workload/generic.h"
-#include "workload/smart_meter.h"
 
 namespace tcells::storage {
 namespace {
@@ -316,20 +313,6 @@ TEST(CatalogInterningTest, TypeOrCaseDifferencesAreDistinctInstances) {
                                         2, {"val", ValueType::kInt64}))
                   .ok());
   EXPECT_EQ(retyped_again.shared_catalog().get(), instances[1]);
-}
-
-TEST(CatalogInterningTest, SealOpenRoundTripLandsOnTheInternedInstance) {
-  Database db;
-  workload::SmartMeterOptions opts;
-  opts.readings_per_tds = 3;
-  Rng data_rng(4);
-  ASSERT_TRUE(
-      workload::PopulateSmartMeterDb(&db, /*cid=*/1, opts, &data_rng).ok());
-  Rng rng(5);
-  const Bytes key = Rng(6).NextBytes(16);
-  auto image = SecureDatabase::Seal(db, key, &rng).ValueOrDie();
-  Database loaded = SecureDatabase::Open(image, key).ValueOrDie();
-  EXPECT_EQ(loaded.shared_catalog().get(), db.shared_catalog().get());
 }
 
 }  // namespace
