@@ -8,10 +8,10 @@
 //   2 -> DecodeItems of a copy the harness frees at once: every surviving
 //        item is read after its vector and the input copy are gone, so a
 //        slice that outlives its owner is a use-after-free under ASan
-//   3 -> DecodePayloadView / DecodePayload (view and copy must agree)
+//   3 -> DecodePayloadView (an accepted body lies inside the input, just
+//        past the header)
 // Corpus files carry the selector as their first byte (see make_corpus.cc).
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "common/bytes.h"
@@ -88,15 +88,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     default: {
       tcells::Result<tcells::ssi::PayloadView> view =
           tcells::ssi::DecodePayloadView(input.data(), input.size());
-      tcells::Result<tcells::ssi::DecodedPayload> copy =
-          tcells::ssi::DecodePayload(input);
-      FUZZ_ASSERT(view.ok() == copy.ok());
       if (view.ok()) {
-        FUZZ_ASSERT(view->kind == copy->kind);
-        FUZZ_ASSERT(view->body_size == copy->body.size());
-        FUZZ_ASSERT(view->body_size == 0 ||
-                    std::memcmp(view->body, copy->body.data(),
-                                view->body_size) == 0);
+        // An accepted body follows the 5-byte header and ends inside the
+        // input.
+        FUZZ_ASSERT(view->body == input.data() + 5);
+        FUZZ_ASSERT(view->body_size <= input.size() - 5);
       }
       break;
     }

@@ -1,5 +1,6 @@
 #include "crypto/aes.h"
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
@@ -18,8 +19,6 @@ namespace tcells::crypto {
 // Implemented in aes_ni.cc (compiled with -maes).
 namespace aesni {
 void EncryptBlocks(const uint8_t schedule[Aes128::kScheduleBytes],
-                   const uint8_t* in, uint8_t* out, size_t nblocks);
-void DecryptBlocks(const uint8_t schedule[Aes128::kScheduleBytes],
                    const uint8_t* in, uint8_t* out, size_t nblocks);
 }  // namespace aesni
 #endif
@@ -50,30 +49,6 @@ constexpr uint8_t kSbox[256] = {
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f,
     0xb0, 0x54, 0xbb, 0x16};
 
-constexpr uint8_t kInvSbox[256] = {
-    0x52, 0x09, 0x6a, 0xd5, 0x30, 0x36, 0xa5, 0x38, 0xbf, 0x40, 0xa3, 0x9e,
-    0x81, 0xf3, 0xd7, 0xfb, 0x7c, 0xe3, 0x39, 0x82, 0x9b, 0x2f, 0xff, 0x87,
-    0x34, 0x8e, 0x43, 0x44, 0xc4, 0xde, 0xe9, 0xcb, 0x54, 0x7b, 0x94, 0x32,
-    0xa6, 0xc2, 0x23, 0x3d, 0xee, 0x4c, 0x95, 0x0b, 0x42, 0xfa, 0xc3, 0x4e,
-    0x08, 0x2e, 0xa1, 0x66, 0x28, 0xd9, 0x24, 0xb2, 0x76, 0x5b, 0xa2, 0x49,
-    0x6d, 0x8b, 0xd1, 0x25, 0x72, 0xf8, 0xf6, 0x64, 0x86, 0x68, 0x98, 0x16,
-    0xd4, 0xa4, 0x5c, 0xcc, 0x5d, 0x65, 0xb6, 0x92, 0x6c, 0x70, 0x48, 0x50,
-    0xfd, 0xed, 0xb9, 0xda, 0x5e, 0x15, 0x46, 0x57, 0xa7, 0x8d, 0x9d, 0x84,
-    0x90, 0xd8, 0xab, 0x00, 0x8c, 0xbc, 0xd3, 0x0a, 0xf7, 0xe4, 0x58, 0x05,
-    0xb8, 0xb3, 0x45, 0x06, 0xd0, 0x2c, 0x1e, 0x8f, 0xca, 0x3f, 0x0f, 0x02,
-    0xc1, 0xaf, 0xbd, 0x03, 0x01, 0x13, 0x8a, 0x6b, 0x3a, 0x91, 0x11, 0x41,
-    0x4f, 0x67, 0xdc, 0xea, 0x97, 0xf2, 0xcf, 0xce, 0xf0, 0xb4, 0xe6, 0x73,
-    0x96, 0xac, 0x74, 0x22, 0xe7, 0xad, 0x35, 0x85, 0xe2, 0xf9, 0x37, 0xe8,
-    0x1c, 0x75, 0xdf, 0x6e, 0x47, 0xf1, 0x1a, 0x71, 0x1d, 0x29, 0xc5, 0x89,
-    0x6f, 0xb7, 0x62, 0x0e, 0xaa, 0x18, 0xbe, 0x1b, 0xfc, 0x56, 0x3e, 0x4b,
-    0xc6, 0xd2, 0x79, 0x20, 0x9a, 0xdb, 0xc0, 0xfe, 0x78, 0xcd, 0x5a, 0xf4,
-    0x1f, 0xdd, 0xa8, 0x33, 0x88, 0x07, 0xc7, 0x31, 0xb1, 0x12, 0x10, 0x59,
-    0x27, 0x80, 0xec, 0x5f, 0x60, 0x51, 0x7f, 0xa9, 0x19, 0xb5, 0x4a, 0x0d,
-    0x2d, 0xe5, 0x7a, 0x9f, 0x93, 0xc9, 0x9c, 0xef, 0xa0, 0xe0, 0x3b, 0x4d,
-    0xae, 0x2a, 0xf5, 0xb0, 0xc8, 0xeb, 0xbb, 0x3c, 0x83, 0x53, 0x99, 0x61,
-    0x17, 0x2b, 0x04, 0x7e, 0xba, 0x77, 0xd6, 0x26, 0xe1, 0x69, 0x14, 0x63,
-    0x55, 0x21, 0x0c, 0x7d};
-
 constexpr uint8_t kRcon[11] = {0x00, 0x01, 0x02, 0x04, 0x08, 0x10,
                                0x20, 0x40, 0x80, 0x1b, 0x36};
 
@@ -81,77 +56,39 @@ constexpr uint8_t Xtime(uint8_t x) {
   return static_cast<uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
 }
 
-constexpr uint8_t Mul(uint8_t x, uint8_t y) {
-  uint8_t r = 0;
-  while (y) {
-    if (y & 1) r ^= x;
-    x = Xtime(x);
-    y >>= 1;
-  }
-  return r;
-}
-
 constexpr uint32_t RotR(uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
-// T-tables (generated at compile time): Te0[x] is MixColumns applied to the
+// T-table (generated at compile time): Te0[x] is MixColumns applied to the
 // column (S[x], 0, 0, 0) packed big-endian, so one lookup covers SubBytes +
-// MixColumns for one byte; Te1..Te3 are byte rotations of Te0. Td0 is the
-// decryption analogue built on InvSbox and the InvMixColumns matrix.
-struct AesTables {
-  uint32_t te0[256];
-  uint32_t td0[256];
-};
-
-constexpr AesTables MakeTables() {
-  AesTables t{};
+// MixColumns for one byte; the other three columns use byte rotations of it.
+constexpr std::array<uint32_t, 256> MakeTe0() {
+  std::array<uint32_t, 256> te0{};
   for (int i = 0; i < 256; ++i) {
     const uint8_t s = kSbox[i];
-    t.te0[i] = (static_cast<uint32_t>(Xtime(s)) << 24) |
-               (static_cast<uint32_t>(s) << 16) |
-               (static_cast<uint32_t>(s) << 8) |
-               static_cast<uint32_t>(static_cast<uint8_t>(Xtime(s) ^ s));
-    const uint8_t is = kInvSbox[i];
-    t.td0[i] = (static_cast<uint32_t>(Mul(is, 14)) << 24) |
-               (static_cast<uint32_t>(Mul(is, 9)) << 16) |
-               (static_cast<uint32_t>(Mul(is, 13)) << 8) |
-               static_cast<uint32_t>(Mul(is, 11));
+    te0[i] = (static_cast<uint32_t>(Xtime(s)) << 24) |
+             (static_cast<uint32_t>(s) << 16) |
+             (static_cast<uint32_t>(s) << 8) |
+             static_cast<uint32_t>(static_cast<uint8_t>(Xtime(s) ^ s));
   }
-  return t;
+  return te0;
 }
 
-constexpr AesTables kT = MakeTables();
+constexpr std::array<uint32_t, 256> kTe0 = MakeTe0();
 
 inline uint32_t LoadBe32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) << 24 | static_cast<uint32_t>(p[1]) << 16 |
          static_cast<uint32_t>(p[2]) << 8 | static_cast<uint32_t>(p[3]);
 }
 
-// One byte swap and one plain store: written byte by byte, the 88 schedule
+// One byte swap and one plain store: written byte by byte, the 44 schedule
 // words Create stores cost more than the rest of the key set-up.
 inline void StoreBe32(uint8_t* p, uint32_t v) {
   if constexpr (std::endian::native == std::endian::little) {
     v = __builtin_bswap32(v);
   }
   std::memcpy(p, &v, sizeof(v));
-}
-
-// Xtime on all four bytes of a word at once, without branches.
-constexpr uint32_t Xtime4(uint32_t x) {
-  return ((x & 0x7f7f7f7fu) << 1) ^ (((x >> 7) & 0x01010101u) * 0x1bu);
-}
-
-// InvMixColumns of one column packed big-endian (row 0 in the top byte).
-// The inverse matrix factors as MixColumns times circ(5, 0, 4, 0), so the
-// column is first pre-mixed (a_i ^= 4 (a_i ^ a_{i+2})) and then mixed
-// forward (b_i = 2 u_i ^ 3 u_{i+1} ^ u_{i+2} ^ u_{i+3}): six word-wide
-// Xtime4 steps and no per-byte GF(2^8) multiplies or table lookups, so the
-// run time does not depend on the key.
-constexpr uint32_t InvMixColumn(uint32_t a) {
-  const uint32_t u = a ^ Xtime4(Xtime4(a ^ RotR(a, 16)));
-  const uint32_t u1 = RotR(u, 24);  // byte i holds u_{i+1}
-  return Xtime4(u ^ u1) ^ u1 ^ RotR(u, 16) ^ RotR(u, 8);
 }
 
 void PortableEncryptBlock(const uint32_t rk[44], const uint8_t in[16],
@@ -162,18 +99,18 @@ void PortableEncryptBlock(const uint32_t rk[44], const uint8_t in[16],
   uint32_t s3 = LoadBe32(in + 12) ^ rk[3];
   for (int round = 1; round < 10; ++round) {
     const uint32_t* k = rk + 4 * round;
-    uint32_t t0 = kT.te0[s0 >> 24] ^ RotR(kT.te0[(s1 >> 16) & 0xff], 8) ^
-                  RotR(kT.te0[(s2 >> 8) & 0xff], 16) ^
-                  RotR(kT.te0[s3 & 0xff], 24) ^ k[0];
-    uint32_t t1 = kT.te0[s1 >> 24] ^ RotR(kT.te0[(s2 >> 16) & 0xff], 8) ^
-                  RotR(kT.te0[(s3 >> 8) & 0xff], 16) ^
-                  RotR(kT.te0[s0 & 0xff], 24) ^ k[1];
-    uint32_t t2 = kT.te0[s2 >> 24] ^ RotR(kT.te0[(s3 >> 16) & 0xff], 8) ^
-                  RotR(kT.te0[(s0 >> 8) & 0xff], 16) ^
-                  RotR(kT.te0[s1 & 0xff], 24) ^ k[2];
-    uint32_t t3 = kT.te0[s3 >> 24] ^ RotR(kT.te0[(s0 >> 16) & 0xff], 8) ^
-                  RotR(kT.te0[(s1 >> 8) & 0xff], 16) ^
-                  RotR(kT.te0[s2 & 0xff], 24) ^ k[3];
+    uint32_t t0 = kTe0[s0 >> 24] ^ RotR(kTe0[(s1 >> 16) & 0xff], 8) ^
+                  RotR(kTe0[(s2 >> 8) & 0xff], 16) ^
+                  RotR(kTe0[s3 & 0xff], 24) ^ k[0];
+    uint32_t t1 = kTe0[s1 >> 24] ^ RotR(kTe0[(s2 >> 16) & 0xff], 8) ^
+                  RotR(kTe0[(s3 >> 8) & 0xff], 16) ^
+                  RotR(kTe0[s0 & 0xff], 24) ^ k[1];
+    uint32_t t2 = kTe0[s2 >> 24] ^ RotR(kTe0[(s3 >> 16) & 0xff], 8) ^
+                  RotR(kTe0[(s0 >> 8) & 0xff], 16) ^
+                  RotR(kTe0[s1 & 0xff], 24) ^ k[2];
+    uint32_t t3 = kTe0[s3 >> 24] ^ RotR(kTe0[(s0 >> 16) & 0xff], 8) ^
+                  RotR(kTe0[(s1 >> 8) & 0xff], 16) ^
+                  RotR(kTe0[s2 & 0xff], 24) ^ k[3];
     s0 = t0; s1 = t1; s2 = t2; s3 = t3;
   }
   const uint32_t* k = rk + 40;
@@ -193,53 +130,6 @@ void PortableEncryptBlock(const uint32_t rk[44], const uint8_t in[16],
                  static_cast<uint32_t>(kSbox[(s0 >> 16) & 0xff]) << 16 |
                  static_cast<uint32_t>(kSbox[(s1 >> 8) & 0xff]) << 8 |
                  static_cast<uint32_t>(kSbox[s2 & 0xff])) ^ k[3];
-  StoreBe32(out, o0);
-  StoreBe32(out + 4, o1);
-  StoreBe32(out + 8, o2);
-  StoreBe32(out + 12, o3);
-}
-
-// Equivalent inverse cipher: the round keys already carry InvMixColumns, so
-// each round is four Td0 lookups per word — no GF(2^8) multiply loops.
-void PortableDecryptBlock(const uint32_t rk[44], const uint8_t in[16],
-                          uint8_t out[16]) {
-  uint32_t s0 = LoadBe32(in) ^ rk[0];
-  uint32_t s1 = LoadBe32(in + 4) ^ rk[1];
-  uint32_t s2 = LoadBe32(in + 8) ^ rk[2];
-  uint32_t s3 = LoadBe32(in + 12) ^ rk[3];
-  for (int round = 1; round < 10; ++round) {
-    const uint32_t* k = rk + 4 * round;
-    uint32_t t0 = kT.td0[s0 >> 24] ^ RotR(kT.td0[(s3 >> 16) & 0xff], 8) ^
-                  RotR(kT.td0[(s2 >> 8) & 0xff], 16) ^
-                  RotR(kT.td0[s1 & 0xff], 24) ^ k[0];
-    uint32_t t1 = kT.td0[s1 >> 24] ^ RotR(kT.td0[(s0 >> 16) & 0xff], 8) ^
-                  RotR(kT.td0[(s3 >> 8) & 0xff], 16) ^
-                  RotR(kT.td0[s2 & 0xff], 24) ^ k[1];
-    uint32_t t2 = kT.td0[s2 >> 24] ^ RotR(kT.td0[(s1 >> 16) & 0xff], 8) ^
-                  RotR(kT.td0[(s0 >> 8) & 0xff], 16) ^
-                  RotR(kT.td0[s3 & 0xff], 24) ^ k[2];
-    uint32_t t3 = kT.td0[s3 >> 24] ^ RotR(kT.td0[(s2 >> 16) & 0xff], 8) ^
-                  RotR(kT.td0[(s1 >> 8) & 0xff], 16) ^
-                  RotR(kT.td0[s0 & 0xff], 24) ^ k[3];
-    s0 = t0; s1 = t1; s2 = t2; s3 = t3;
-  }
-  const uint32_t* k = rk + 40;
-  uint32_t o0 = (static_cast<uint32_t>(kInvSbox[s0 >> 24]) << 24 |
-                 static_cast<uint32_t>(kInvSbox[(s3 >> 16) & 0xff]) << 16 |
-                 static_cast<uint32_t>(kInvSbox[(s2 >> 8) & 0xff]) << 8 |
-                 static_cast<uint32_t>(kInvSbox[s1 & 0xff])) ^ k[0];
-  uint32_t o1 = (static_cast<uint32_t>(kInvSbox[s1 >> 24]) << 24 |
-                 static_cast<uint32_t>(kInvSbox[(s0 >> 16) & 0xff]) << 16 |
-                 static_cast<uint32_t>(kInvSbox[(s3 >> 8) & 0xff]) << 8 |
-                 static_cast<uint32_t>(kInvSbox[s2 & 0xff])) ^ k[1];
-  uint32_t o2 = (static_cast<uint32_t>(kInvSbox[s2 >> 24]) << 24 |
-                 static_cast<uint32_t>(kInvSbox[(s1 >> 16) & 0xff]) << 16 |
-                 static_cast<uint32_t>(kInvSbox[(s0 >> 8) & 0xff]) << 8 |
-                 static_cast<uint32_t>(kInvSbox[s3 & 0xff])) ^ k[2];
-  uint32_t o3 = (static_cast<uint32_t>(kInvSbox[s3 >> 24]) << 24 |
-                 static_cast<uint32_t>(kInvSbox[(s2 >> 16) & 0xff]) << 16 |
-                 static_cast<uint32_t>(kInvSbox[(s1 >> 8) & 0xff]) << 8 |
-                 static_cast<uint32_t>(kInvSbox[s0 & 0xff])) ^ k[3];
   StoreBe32(out, o0);
   StoreBe32(out + 4, o1);
   StoreBe32(out + 8, o2);
@@ -312,7 +202,7 @@ Result<Aes128> Aes128::Create(const Bytes& key) {
   if (key.size() != kKeySize) {
     return Status::InvalidArgument("AES-128 key must be 16 bytes");
   }
-  // Both schedules are built as big-endian words, the form the T-table path
+  // The schedule is built as big-endian words, the form the T-table path
   // uses, and written out as bytes once at the end, so no step reads back
   // bytes just stored.
   Aes128 aes;
@@ -330,35 +220,12 @@ Result<Aes128> Aes128::Create(const Bytes& key) {
     }
     w[i] = w[i - 4] ^ temp;
   }
-
-  // Equivalent-inverse-cipher schedule: reverse the round-key order and fold
-  // InvMixColumns into the nine middle keys, once per key instead of per
-  // block (this is also exactly the AESIMC transform the hardware path
-  // expects).
-  uint32_t* d = aes.dec_words_.data();
-  for (int c = 0; c < 4; ++c) {
-    d[c] = w[40 + c];
-    d[40 + c] = w[c];
-  }
-  for (int round = 1; round < 10; ++round) {
-    for (int c = 0; c < 4; ++c) {
-      d[4 * round + c] = InvMixColumn(w[4 * (10 - round) + c]);
-    }
-  }
-
-  for (int i = 0; i < 44; ++i) {
-    StoreBe32(aes.enc_keys_.data() + 4 * i, w[i]);
-    StoreBe32(aes.dec_keys_.data() + 4 * i, d[i]);
-  }
+  for (int i = 0; i < 44; ++i) StoreBe32(aes.enc_keys_.data() + 4 * i, w[i]);
   return aes;
 }
 
 void Aes128::EncryptBlock(uint8_t block[kBlockSize]) const {
   EncryptBlocks(block, block, 1);
-}
-
-void Aes128::DecryptBlock(uint8_t block[kBlockSize]) const {
-  DecryptBlocks(block, block, 1);
 }
 
 void Aes128::EncryptBlocks(const uint8_t* in, uint8_t* out,
@@ -371,19 +238,6 @@ void Aes128::EncryptBlocks(const uint8_t* in, uint8_t* out,
 #endif
   for (size_t b = 0; b < nblocks; ++b) {
     PortableEncryptBlock(enc_words_.data(), in + 16 * b, out + 16 * b);
-  }
-}
-
-void Aes128::DecryptBlocks(const uint8_t* in, uint8_t* out,
-                           size_t nblocks) const {
-#if TCELLS_HAVE_AESNI_TU
-  if (ActiveAesBackend() == AesBackend::kAesNi) {
-    aesni::DecryptBlocks(dec_keys_.data(), in, out, nblocks);
-    return;
-  }
-#endif
-  for (size_t b = 0; b < nblocks; ++b) {
-    PortableDecryptBlock(dec_words_.data(), in + 16 * b, out + 16 * b);
   }
 }
 

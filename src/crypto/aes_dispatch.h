@@ -2,9 +2,8 @@
 //
 // Two implementations produce bit-identical output:
 //
-//  * kPortable — 32-bit T-table cipher (rijndael-alg-fst style) with an
-//    equivalent-inverse-cipher key schedule precomputed at Aes128::Create.
-//  * kAesNi    — hardware AES instructions (AESENC/AESDEC), compiled in a
+//  * kPortable — 32-bit T-table cipher (rijndael-alg-fst style).
+//  * kAesNi    — hardware AES instructions (AESENC), compiled in a
 //    separate translation unit with -maes and selected only when CPUID
 //    reports support.
 //

@@ -214,7 +214,7 @@ void SsiClient::Run(size_t n, size_t reply_bytes, const Encode& encode,
                     const Decode& decode) {
   size_t max_calls = std::max<size_t>(1, batch_.max_calls_per_frame);
   if (reply_bytes > 0) {
-    max_calls = std::clamp<size_t>(batch_.max_bytes_per_frame / reply_bytes,
+    max_calls = std::clamp<size_t>(kMaxBytesPerFrame / reply_bytes,
                                    1, max_calls);
   }
   Link link;
@@ -237,7 +237,7 @@ void SsiClient::Run(size_t n, size_t reply_bytes, const Encode& encode,
       writer.Open(0);  // IDs are written per attempt
       encode(j, &frame);
       const size_t size = writer.open_payload_size();
-      if (j > i && bytes + size > batch_.max_bytes_per_frame) {
+      if (j > i && bytes + size > kMaxBytesPerFrame) {
         // Over the byte budget: the call opens the next frame instead.
         writer.Abandon();
         break;

@@ -7,7 +7,7 @@
 // There is one exchange path. It ships a caller's calls from the calling
 // thread as a sequence of batch frames (ssi_wire.h), one frame at a time,
 // each holding at most BatchOptions::max_calls_per_frame calls and
-// max_bytes_per_frame payload bytes; a single call is a frame with a count of
+// kMaxBytesPerFrame payload bytes; a single call is a frame with a count of
 // 1. A caller's calls therefore reach the SSI in submission order, and a
 // call's reply is in hand before its successor leaves. A frame is the only
 // buffer a call lives in, in each direction: the typed methods encode each
@@ -58,14 +58,15 @@ struct RetryPolicy {
   Clock* clock = nullptr;
 };
 
+/// Payload bytes per frame, at most (a single oversized call still ships
+/// alone).
+inline constexpr size_t kMaxBytesPerFrame = 1u << 20;
+
 /// How Exchange splits a request sequence into frames (docs/TRANSPORT.md
 /// "Batched exchanges").
 struct BatchOptions {
   /// Calls per frame, at most. 1 = every call in a frame of its own.
   size_t max_calls_per_frame = 1;
-  /// Payload bytes per frame, at most (a single oversized call still ships
-  /// alone).
-  size_t max_bytes_per_frame = 1u << 20;
 };
 
 class SsiClient : public SsiApi {
@@ -80,10 +81,10 @@ class SsiClient : public SsiApi {
 
   /// Ships `requests` (each an encoded u8 MsgType + fields) from the calling
   /// thread as consecutive frames of at most max_calls_per_frame calls and
-  /// max_bytes_per_frame payload bytes, each frame's reply awaited before
+  /// kMaxBytesPerFrame payload bytes, each frame's reply awaited before
   /// the next frame leaves. A non-zero `reply_bytes` (the expected size of
   /// each reply) also caps the calls per frame so their replies fit
-  /// max_bytes_per_frame. Returns the decoded reply body (or the
+  /// kMaxBytesPerFrame. Returns the decoded reply body (or the
   /// application/transport error) per request, in order, each body copied
   /// out of the reply frame. The typed methods below take the same path
   /// without the copies.
@@ -105,7 +106,7 @@ class SsiClient : public SsiApi {
   /// Conditional fetches for many TDSs in one Exchange; one reply per id:
   /// the block, or an empty body when held_tags[i] is its
   /// ssi::EpochBlockTag. A reply may carry the whole block, so a frame holds
-  /// no more calls than keep its replies within max_bytes_per_frame, sized
+  /// no more calls than keep its replies within kMaxBytesPerFrame, sized
   /// by the last block this client posted or fetched.
   std::vector<Result<Bytes>> FetchEpochBlockBatch(
       const std::vector<uint64_t>& tds_ids,

@@ -36,13 +36,14 @@ Result<sql::QueryResult> Querier::DecryptResult(
     Bytes plain;
     TCELLS_RETURN_IF_ERROR(
         keys_->k1_ndet().Decrypt(blob.data(), blob.size(), &plain));
-    TCELLS_ASSIGN_OR_RETURN(ssi::DecodedPayload payload,
-                            ssi::DecodePayload(plain));
+    TCELLS_ASSIGN_OR_RETURN(ssi::PayloadView payload,
+                            ssi::DecodePayloadView(plain));
     if (payload.kind != ssi::PayloadKind::kResultRow) {
       return Status::Corruption("expected a result row");
     }
-    TCELLS_ASSIGN_OR_RETURN(storage::Tuple row,
-                            storage::Tuple::Decode(payload.body));
+    TCELLS_ASSIGN_OR_RETURN(
+        storage::Tuple row,
+        storage::Tuple::Decode(payload.body, payload.body_size));
     result.rows.push_back(std::move(row));
   }
   // ORDER BY / LIMIT are querier-side: result order must not transit the SSI.

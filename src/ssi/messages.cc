@@ -302,14 +302,6 @@ void EncodePayloadTo(PayloadKind kind, const uint8_t* body, size_t body_size,
   if (out->size() < pad_to) out->resize(pad_to, 0);
 }
 
-Result<DecodedPayload> DecodePayload(const Bytes& payload) {
-  TCELLS_ASSIGN_OR_RETURN(PayloadView view, DecodePayloadView(payload));
-  DecodedPayload out;
-  out.kind = view.kind;
-  out.body = view.ToBytes();
-  return out;
-}
-
 Result<PayloadView> DecodePayloadView(const uint8_t* payload, size_t n) {
   ByteReader reader(payload, n);
   TCELLS_ASSIGN_OR_RETURN(uint8_t kind, reader.GetU8());

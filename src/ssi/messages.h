@@ -224,16 +224,11 @@ Bytes EncodePayload(PayloadKind kind, const uint8_t* body, size_t body_size,
 void EncodePayloadTo(PayloadKind kind, const uint8_t* body, size_t body_size,
                      size_t pad_to, Bytes* out);
 
-struct DecodedPayload {
-  PayloadKind kind;
-  Bytes body;
-};
-Result<DecodedPayload> DecodePayload(const Bytes& payload);
-
 /// Zero-copy view of a decoded payload: `body` points into the buffer handed
 /// to DecodePayloadView and is valid only while that buffer is unchanged.
-/// The TDS open paths decode every partition item through this view so the
-/// body bytes are never copied out of the decryption scratch buffer.
+/// Every reader (the TDS open paths, the querier's result rows) decodes
+/// through this view, so the body bytes are never copied out of the
+/// decryption buffer.
 struct PayloadView {
   PayloadKind kind;
   const uint8_t* body = nullptr;

@@ -34,10 +34,6 @@ Result<Tuple> Tuple::DecodeFrom(ByteReader* reader) {
   return Tuple(std::move(values));
 }
 
-Result<Tuple> Tuple::Decode(const Bytes& data) {
-  return Decode(data.data(), data.size());
-}
-
 Result<Tuple> Tuple::Decode(const uint8_t* data, size_t n) {
   ByteReader reader(data, n);
   TCELLS_ASSIGN_OR_RETURN(Tuple t, DecodeFrom(&reader));

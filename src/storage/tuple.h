@@ -30,8 +30,6 @@ class Tuple {
   /// Canonical byte encoding: u16 arity then each value.
   void EncodeTo(Bytes* out) const;
   Bytes Encode() const;
-  static Result<Tuple> Decode(const Bytes& data);
-  /// Span form for decoding straight out of a decryption scratch buffer.
   static Result<Tuple> Decode(const uint8_t* data, size_t n);
   static Result<Tuple> DecodeFrom(::tcells::ByteReader* reader);
   /// Scratch form: decodes into `out`, reusing its value vector's capacity.

@@ -34,22 +34,6 @@ TEST(AesTest, Fips197Vector) {
   std::copy(pt.begin(), pt.end(), block);
   aes.EncryptBlock(block);
   EXPECT_EQ(ToHex(block, 16), "69c4e0d86a7b0430d8cdb78070b4c55a");
-  aes.DecryptBlock(block);
-  EXPECT_EQ(Bytes(block, block + 16), pt);
-}
-
-TEST(AesTest, EncryptDecryptRoundTripRandom) {
-  Rng rng(1);
-  for (int i = 0; i < 50; ++i) {
-    auto aes = Aes128::Create(rng.NextBytes(16)).ValueOrDie();
-    Bytes pt = rng.NextBytes(16);
-    uint8_t block[16];
-    std::copy(pt.begin(), pt.end(), block);
-    aes.EncryptBlock(block);
-    EXPECT_NE(Bytes(block, block + 16), pt);  // 2^-128 false-failure odds
-    aes.DecryptBlock(block);
-    EXPECT_EQ(Bytes(block, block + 16), pt);
-  }
 }
 
 TEST(AesTest, RejectsWrongKeySize) {
@@ -89,69 +73,6 @@ TEST_P(AesBackendTest, Fips197Vector) {
   std::copy(pt.begin(), pt.end(), block);
   aes.EncryptBlock(block);
   EXPECT_EQ(ToHex(block, 16), "69c4e0d86a7b0430d8cdb78070b4c55a");
-  aes.DecryptBlock(block);
-  EXPECT_EQ(Bytes(block, block + 16), pt);
-}
-
-// The decryption schedule as Create computed it before the packed-word
-// InvMixColumns: the FIPS-197 matrix applied byte by byte with a
-// shift-and-add GF(2^8) multiply.
-uint8_t MulReference(uint8_t x, uint8_t y) {
-  uint8_t r = 0;
-  while (y) {
-    if (y & 1) r ^= x;
-    x = static_cast<uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
-    y >>= 1;
-  }
-  return r;
-}
-
-std::array<uint8_t, Aes128::kScheduleBytes> ReferenceDecSchedule(
-    const uint8_t* rk) {
-  std::array<uint8_t, Aes128::kScheduleBytes> dk{};
-  std::copy(rk + 160, rk + 176, dk.begin());
-  std::copy(rk, rk + 16, dk.begin() + 160);
-  for (int round = 1; round < 10; ++round) {
-    const uint8_t* src = rk + 16 * (10 - round);
-    uint8_t* dst = dk.data() + 16 * round;
-    for (int c = 0; c < 4; ++c) {
-      const uint8_t a0 = src[4 * c], a1 = src[4 * c + 1];
-      const uint8_t a2 = src[4 * c + 2], a3 = src[4 * c + 3];
-      dst[4 * c] = MulReference(a0, 14) ^ MulReference(a1, 11) ^
-                   MulReference(a2, 13) ^ MulReference(a3, 9);
-      dst[4 * c + 1] = MulReference(a0, 9) ^ MulReference(a1, 14) ^
-                       MulReference(a2, 11) ^ MulReference(a3, 13);
-      dst[4 * c + 2] = MulReference(a0, 13) ^ MulReference(a1, 9) ^
-                       MulReference(a2, 14) ^ MulReference(a3, 11);
-      dst[4 * c + 3] = MulReference(a0, 11) ^ MulReference(a1, 13) ^
-                       MulReference(a2, 9) ^ MulReference(a3, 14);
-    }
-  }
-  return dk;
-}
-
-TEST_P(AesBackendTest, DecryptionScheduleMatchesMulReference) {
-  std::vector<Bytes> keys = {Hex("2b7e151628aed2a6abf7158809cf4f3c")};
-  Rng rng(13);
-  for (int i = 0; i < 1000; ++i) keys.push_back(rng.NextBytes(16));
-  for (const Bytes& key : keys) {
-    auto aes = Aes128::Create(key).ValueOrDie();
-    const auto want = ReferenceDecSchedule(aes.enc_schedule());
-    ASSERT_EQ(ToHex(aes.dec_schedule(), Aes128::kScheduleBytes),
-              ToHex(want.data(), want.size()))
-        << "key " << ToHex(key.data(), key.size());
-    // The schedule drives this backend's decryption.
-    Bytes block = rng.NextBytes(16);
-    Bytes round_trip = block;
-    aes.EncryptBlock(round_trip.data());
-    aes.DecryptBlock(round_trip.data());
-    ASSERT_EQ(round_trip, block);
-  }
-  // FIPS-197 A.1: the key expansion of 2b7e1516... ends in round key
-  // w[40..43], which opens the decryption schedule.
-  auto fips = Aes128::Create(keys.front()).ValueOrDie();
-  EXPECT_EQ(ToHex(fips.dec_schedule(), 16),
-            "d014f9a8c9ee2589e13f0cc8b6630ca6");
 }
 
 TEST_P(AesBackendTest, Sp800_38aCtrVector) {
@@ -187,9 +108,7 @@ TEST_P(AesBackendTest, BatchMatchesBlockAtATime) {
     Bytes batch(in.size()), single = in;
     aes.EncryptBlocks(in.data(), batch.data(), nblocks);
     for (size_t b = 0; b < nblocks; ++b) aes.EncryptBlock(single.data() + 16 * b);
-    EXPECT_EQ(batch, single) << "encrypt, nblocks=" << nblocks;
-    aes.DecryptBlocks(batch.data(), batch.data(), nblocks);
-    EXPECT_EQ(batch, in) << "decrypt, nblocks=" << nblocks;
+    EXPECT_EQ(batch, single) << "nblocks=" << nblocks;
   }
 }
 
@@ -227,20 +146,17 @@ TEST(AesDispatchTest, BackendsAgreeOnRandomInputs) {
     Bytes msg = rng.NextBytes(1 + rng.NextBelow(300));
 
     ForceAesBackend(AesBackend::kPortable);
-    Bytes enc_p(in.size()), dec_p(in.size()), ctr_p(msg.size());
+    Bytes enc_p(in.size()), ctr_p(msg.size());
     aes.EncryptBlocks(in.data(), enc_p.data(), nblocks);
-    aes.DecryptBlocks(in.data(), dec_p.data(), nblocks);
     CtrXor(aes, iv.data(), msg.data(), msg.size(), ctr_p.data());
 
     ForceAesBackend(AesBackend::kAesNi);
-    Bytes enc_n(in.size()), dec_n(in.size()), ctr_n(msg.size());
+    Bytes enc_n(in.size()), ctr_n(msg.size());
     aes.EncryptBlocks(in.data(), enc_n.data(), nblocks);
-    aes.DecryptBlocks(in.data(), dec_n.data(), nblocks);
     CtrXor(aes, iv.data(), msg.data(), msg.size(), ctr_n.data());
 
     ForceAesBackend(std::nullopt);
     EXPECT_EQ(enc_p, enc_n) << "trial " << trial;
-    EXPECT_EQ(dec_p, dec_n) << "trial " << trial;
     EXPECT_EQ(ctr_p, ctr_n) << "trial " << trial;
   }
 }

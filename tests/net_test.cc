@@ -1914,7 +1914,7 @@ BatchOptions TestBatch(size_t max_calls) {
 
 // Every FetchEpochBlock reply carries the whole block, which runs to
 // megabytes once many TDSs are revoked. A batched fetch sizes its frames so
-// their replies stay within max_bytes_per_frame (far below the frame cap),
+// their replies stay within kMaxBytesPerFrame (far below the frame cap),
 // instead of packing max_calls_per_frame blocks into one reply.
 TEST(SsiClientBatchTest, EpochBlockBatchKeepsRepliesWithinTheFrameBudget) {
   SsiNode node;

@@ -13,7 +13,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/thread_pool.h"
+#include "protocol/parallel_executor.h"
 #include "protocol/protocols.h"
 #include "protocol/reference.h"
 #include "sql/executor.h"
@@ -347,10 +347,10 @@ TEST(ParallelDifferentialSizeTest, SizeBoundTruncatesIdentically) {
 
 TEST(LeakLogConcurrencyTest, ConcurrentAppendsLoseNothing) {
   tds::LeakLog log;
-  ThreadPool pool(8);
+  ParallelExecutor executor(8);
   constexpr size_t kWriters = 16;
   constexpr size_t kPerWriter = 500;
-  pool.ParallelFor(kWriters, [&](size_t w) {
+  auto write = [&](size_t w) -> Status {
     for (size_t i = 0; i < kPerWriter; ++i) {
       Tuple t({Value::Int64(static_cast<int64_t>(w * kPerWriter + i)),
                Value::String("x")});
@@ -358,7 +358,9 @@ TEST(LeakLogConcurrencyTest, ConcurrentAppendsLoseNothing) {
       log.RecordGroupAggregate(/*tds_id=*/w,
                                Tuple({Value::Int64(static_cast<int64_t>(i))}));
     }
-  });
+    return Status::OK();
+  };
+  ASSERT_TRUE(executor.ForEachIndex(kWriters, write).ok());
   // Every distinct tuple survived, and no append was dropped on the floor.
   EXPECT_EQ(log.NumLeakedRawTuples(), kWriters * kPerWriter);
   EXPECT_EQ(log.NumRawAppends(), kWriters * kPerWriter);

@@ -33,8 +33,8 @@ TEST(RobustnessTest, RandomBytesIntoDecoders) {
     Bytes junk = rng.NextBytes(rng.NextBelow(64));
     // None of these may crash; success is acceptable only if the bytes
     // happen to form a valid encoding (possible for tiny inputs).
-    (void)ssi::DecodePayload(junk);
-    (void)Tuple::Decode(junk);
+    (void)ssi::DecodePayloadView(junk);
+    (void)Tuple::Decode(junk.data(), junk.size());
     (void)sql::GroupedAggregation::Decode(specs, junk);
   }
 }
@@ -45,14 +45,14 @@ TEST(RobustnessTest, AdversarialLengthPrefixes) {
   ByteWriter w(&evil);
   w.PutU8(0);              // payload kind: true tuple
   w.PutU32(0xfffffff0u);   // body "length"
-  auto decoded = ssi::DecodePayload(evil);
+  auto decoded = ssi::DecodePayloadView(evil);
   ASSERT_FALSE(decoded.ok());
   EXPECT_TRUE(decoded.status().IsCorruption());
 
   Bytes evil_tuple;
   ByteWriter w2(&evil_tuple);
   w2.PutU16(0xffff);  // 65535 values... followed by nothing
-  EXPECT_FALSE(Tuple::Decode(evil_tuple).ok());
+  EXPECT_FALSE(Tuple::Decode(evil_tuple.data(), evil_tuple.size()).ok());
 }
 
 TEST(RobustnessTest, CiphertextFuzz) {

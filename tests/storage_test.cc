@@ -102,14 +102,15 @@ TEST(ValueTest, MapOrderingIsTotal) {
 TEST(TupleTest, EncodeDecodeRoundTrip) {
   Tuple t({Value::Int64(1), Value::String("a"), Value::Null(),
            Value::Double(2.5)});
-  Tuple back = Tuple::Decode(t.Encode()).ValueOrDie();
+  Bytes encoded = t.Encode();
+  Tuple back = Tuple::Decode(encoded.data(), encoded.size()).ValueOrDie();
   EXPECT_TRUE(t.IsSameGroup(back));
 }
 
 TEST(TupleTest, DecodeRejectsTrailingBytes) {
   Bytes buf = Tuple({Value::Int64(1)}).Encode();
   buf.push_back(0);
-  EXPECT_FALSE(Tuple::Decode(buf).ok());
+  EXPECT_FALSE(Tuple::Decode(buf.data(), buf.size()).ok());
 }
 
 TEST(TupleTest, Concat) {
@@ -189,7 +190,7 @@ TEST(TupleWireTest, ArityLargerThanBufferRejectedBeforeReserve) {
   // slots before the first read failed; the decoder must now reject the
   // arity against the remaining bytes up front.
   Bytes hostile = {0xff, 0xff};
-  auto result = Tuple::Decode(hostile);
+  auto result = Tuple::Decode(hostile.data(), hostile.size());
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCorruption());
 
@@ -197,14 +198,14 @@ TEST(TupleWireTest, ArityLargerThanBufferRejectedBeforeReserve) {
   Tuple one(std::vector<Value>{Value::Int64(7)});
   Bytes encoded = one.Encode();
   encoded[0] = 3;
-  EXPECT_FALSE(Tuple::Decode(encoded).ok());
+  EXPECT_FALSE(Tuple::Decode(encoded.data(), encoded.size()).ok());
 }
 
 TEST(TupleWireTest, TrailingBytesRejected) {
   Tuple t(std::vector<Value>{Value::Int64(7), Value::String("x")});
   Bytes encoded = t.Encode();
   encoded.push_back(0);
-  EXPECT_FALSE(Tuple::Decode(encoded).ok());
+  EXPECT_FALSE(Tuple::Decode(encoded.data(), encoded.size()).ok());
 }
 
 TEST(TupleWireTest, NonCanonicalBoolByteRejected) {
@@ -214,16 +215,16 @@ TEST(TupleWireTest, NonCanonicalBoolByteRejected) {
   // re-encode assert.
   Tuple t(std::vector<Value>{Value::Bool(true)});
   Bytes encoded = t.Encode();
-  EXPECT_TRUE(Tuple::Decode(encoded).ok());
+  EXPECT_TRUE(Tuple::Decode(encoded.data(), encoded.size()).ok());
   encoded.back() = 2;
-  auto result = Tuple::Decode(encoded);
+  auto result = Tuple::Decode(encoded.data(), encoded.size());
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCorruption());
 }
 
 TEST(TupleWireTest, UnknownValueTagRejected) {
   Bytes hostile = {1, 0, 250};  // arity 1, value tag 250
-  auto result = Tuple::Decode(hostile);
+  auto result = Tuple::Decode(hostile.data(), hostile.size());
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCorruption());
 }

@@ -222,9 +222,15 @@ class TdsTest : public ::testing::Test {
     return post;
   }
 
-  ssi::DecodedPayload Open(const EncryptedItem& item) {
+  // A sealed item's payload, its body copied out of the plaintext.
+  struct Opened {
+    PayloadKind kind;
+    Bytes body;
+  };
+  Opened Open(const EncryptedItem& item) {
     Bytes plain = keys_->k2_ndet().Decrypt(BlobOf(item)).ValueOrDie();
-    return ssi::DecodePayload(plain).ValueOrDie();
+    ssi::PayloadView view = ssi::DecodePayloadView(plain).ValueOrDie();
+    return {view.kind, view.ToBytes()};
   }
 
   std::shared_ptr<const crypto::KeyStore> keys_;
@@ -244,7 +250,8 @@ TEST_F(TdsTest, CollectionNDetEmitsTrueTuples) {
   EXPECT_FALSE(items[0].routing_tag().has_value());
   auto payload = Open(items[0]);
   EXPECT_EQ(payload.kind, PayloadKind::kTrueTuple);
-  Tuple t = Tuple::Decode(payload.body).ValueOrDie();
+  Tuple t =
+      Tuple::Decode(payload.body.data(), payload.body.size()).ValueOrDie();
   EXPECT_EQ(t.size(), 2u);  // [grp, val]
 }
 
@@ -314,10 +321,11 @@ TEST_F(TdsTest, DetTagModeTagsAndAddsNoise) {
     if (payload.kind == PayloadKind::kFakeTuple) ++fakes;
     if (payload.kind == PayloadKind::kTrueTuple) ++trues;
     // Tag must decrypt (under k2 Det) to the tuple's group key.
-    Tuple inner = Tuple::Decode(payload.body).ValueOrDie();
+    Tuple inner =
+        Tuple::Decode(payload.body.data(), payload.body.size()).ValueOrDie();
     Bytes key_bytes =
         keys_->k2_det().Decrypt(*TagOf(item)).ValueOrDie();
-    Tuple key = Tuple::Decode(key_bytes).ValueOrDie();
+    Tuple key = Tuple::Decode(key_bytes.data(), key_bytes.size()).ValueOrDie();
     EXPECT_TRUE(key.at(0).IsSameGroup(inner.at(0)));
   }
   EXPECT_EQ(trues, 1);
@@ -483,9 +491,9 @@ TEST_F(TdsTest, FilteringAppliesHavingAndEncryptsUnderK1) {
   // The result decrypts under k1, not k2.
   EXPECT_FALSE(keys_->k2_ndet().Decrypt(BlobOf(out[0])).ok());
   Bytes plain = keys_->k1_ndet().Decrypt(BlobOf(out[0])).ValueOrDie();
-  auto payload = ssi::DecodePayload(plain).ValueOrDie();
+  auto payload = ssi::DecodePayloadView(plain).ValueOrDie();
   EXPECT_EQ(payload.kind, PayloadKind::kResultRow);
-  Tuple row = Tuple::Decode(payload.body).ValueOrDie();
+  Tuple row = Tuple::Decode(payload.body, payload.body_size).ValueOrDie();
   EXPECT_EQ(row.at(0).AsString(), "G00");
   EXPECT_EQ(row.at(1).AsInt64(), 3);
 }
@@ -504,8 +512,12 @@ TEST_F(TdsTest, FilteringSfwDropsDummies) {
   auto out = server_->ProcessFiltering(query, partition, &rng_).ValueOrDie();
   ASSERT_EQ(out.size(), 1u);
   Bytes plain = keys_->k1_ndet().Decrypt(BlobOf(out[0])).ValueOrDie();
-  auto payload = ssi::DecodePayload(plain).ValueOrDie();
-  EXPECT_EQ(Tuple::Decode(payload.body).ValueOrDie().at(0).AsString(), "G02");
+  auto payload = ssi::DecodePayloadView(plain).ValueOrDie();
+  EXPECT_EQ(Tuple::Decode(payload.body, payload.body_size)
+                .ValueOrDie()
+                .at(0)
+                .AsString(),
+            "G02");
 }
 
 
@@ -534,7 +546,7 @@ TEST_F(TdsTest, PerGroupDetTagsOutput) {
     tags.insert(*TagOf(item));
     // Tag decrypts to the single group key of the partial inside.
     Bytes key_bytes = keys_->k2_det().Decrypt(*TagOf(item)).ValueOrDie();
-    Tuple key = Tuple::Decode(key_bytes).ValueOrDie();
+    Tuple key = Tuple::Decode(key_bytes.data(), key_bytes.size()).ValueOrDie();
     auto payload = Open(item);
     auto agg = sql::GroupedAggregation::Decode(query.agg_specs, payload.body)
                    .ValueOrDie();
@@ -646,9 +658,9 @@ TEST_F(FakeTemplatesTest, KeySetsGetSeparateTemplates) {
     // The payload is the value padded with NULLs to the collection arity
     // [grp, val]; it does not depend on the keys.
     EXPECT_EQ(a->payloads[d], b->payloads[d]);
-    auto payload = ssi::DecodePayload(a->payloads[d]).ValueOrDie();
+    auto payload = ssi::DecodePayloadView(a->payloads[d]).ValueOrDie();
     EXPECT_EQ(payload.kind, PayloadKind::kFakeTuple);
-    Tuple fake = Tuple::Decode(payload.body).ValueOrDie();
+    Tuple fake = Tuple::Decode(payload.body, payload.body_size).ValueOrDie();
     ASSERT_EQ(fake.size(), 2u);
     EXPECT_TRUE(fake.at(0).IsSameGroup((*domain)[d].at(0)));
     EXPECT_TRUE(fake.at(1).is_null());
