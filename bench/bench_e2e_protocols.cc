@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   //
   // Each cell runs kReps times and reports the best (lowest ns_per_tuple)
   // repetition: the first run of a process pays one-off warm-up (thread
-  // pool spin-up, page faults, cache/memo fills) that swamps a ~2 ms query
+  // pool spin-up, page faults, cache fills) that swamps a ~2 ms query
   // path, and the regression gate needs a stable statistic. Correctness is
   // checked on every repetition.
   const int kReps = 3;

@@ -256,7 +256,8 @@ int Run(const std::filesystem::path& out_dir) {
     covering.items = *aggregated;
     Rng filter_rng(opts.seed ^ 0xf117e4);
     auto result_items =
-        fleet->at(0)->ProcessFiltering(*analyzed, covering, &filter_rng);
+        fleet->at(0)->ProcessFiltering(*analyzed, covering, *config,
+                                       &filter_rng);
     CHECK_OK(result_items);
     CaptureItems(&writer, *keys, *result_items, /*under_k1=*/true,
                  /*storage_selector=*/-1, /*max_items=*/4);

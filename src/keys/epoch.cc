@@ -1,7 +1,5 @@
 #include "keys/epoch.h"
 
-#include <map>
-#include <mutex>
 #include <string>
 
 #include "common/hex.h"
@@ -113,46 +111,6 @@ Result<std::shared_ptr<const crypto::KeyStore>> DeriveQueryKeys(
   Bytes k1q = crypto::DeriveKey(secret, "qk1-" + suffix);
   Bytes k2q = crypto::DeriveKey(secret, "qk2-" + suffix);
   return crypto::KeyStore::Create(k1q, k2q);
-}
-
-namespace {
-
-struct QueryKeysMemo {
-  std::mutex mu;
-  std::map<Bytes, std::shared_ptr<const crypto::KeyStore>> entries;
-};
-
-QueryKeysMemo& Memo() {
-  static QueryKeysMemo memo;
-  return memo;
-}
-
-}  // namespace
-
-Result<std::shared_ptr<const crypto::KeyStore>> DeriveQueryKeysShared(
-    const Bytes& epoch_secret, const ssi::QueryKeyPosting& posting) {
-  QueryKeysMemo& memo = Memo();
-  Bytes key = epoch_secret;
-  posting.EncodeTo(&key);
-  {
-    std::lock_guard<std::mutex> lock(memo.mu);
-    auto it = memo.entries.find(key);
-    if (it != memo.entries.end()) return it->second;
-  }
-  // Derive outside the lock; a concurrent miss on the same key does the work
-  // twice but both produce byte-identical keys.
-  TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const crypto::KeyStore> keys,
-                          DeriveQueryKeys(epoch_secret, posting));
-  std::lock_guard<std::mutex> lock(memo.mu);
-  if (memo.entries.size() >= kQueryKeysMemoCapacity) memo.entries.clear();
-  // Keep the first fill so previously handed-out pointers stay canonical.
-  return memo.entries.emplace(std::move(key), std::move(keys)).first->second;
-}
-
-size_t QueryKeysMemoSize() {
-  QueryKeysMemo& memo = Memo();
-  std::lock_guard<std::mutex> lock(memo.mu);
-  return memo.entries.size();
 }
 
 Bytes ContributionDigest(const std::vector<ssi::EncryptedItem>& items) {

@@ -99,24 +99,6 @@ crypto::HmacState ContributionKey(const crypto::HmacState& epoch_secret,
 Result<std::shared_ptr<const crypto::KeyStore>> DeriveQueryKeys(
     const Bytes& epoch_secret, const ssi::QueryKeyPosting& posting);
 
-/// Memoized DeriveQueryKeys, shared process-wide. A posting's session keys
-/// are a pure function of (epoch secret, posting), so a fleet serving one
-/// query derives its KeyStore once instead of once per TDS. The memo is
-/// keyed by the full epoch-secret bytes plus the encoded posting, so only a
-/// caller already holding the posting epoch's secret can reach an entry.
-/// The first fill wins (handed-out pointers stay canonical), errors are not
-/// memoized, and the memo resets wholesale at kQueryKeysMemoCapacity
-/// entries; a later miss re-derives byte-identical keys.
-Result<std::shared_ptr<const crypto::KeyStore>> DeriveQueryKeysShared(
-    const Bytes& epoch_secret, const ssi::QueryKeyPosting& posting);
-
-/// Postings the memo holds at once: 16x the engine's default query
-/// concurrency (Engine::Config::max_inflight_queries = 4).
-inline constexpr size_t kQueryKeysMemoCapacity = 64;
-
-/// Entries currently memoized (<= kQueryKeysMemoCapacity).
-size_t QueryKeysMemoSize();
-
 /// Digest binding a contribution tag to the exact uploaded items.
 Bytes ContributionDigest(const std::vector<ssi::EncryptedItem>& items);
 

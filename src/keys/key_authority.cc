@@ -129,7 +129,7 @@ Result<std::shared_ptr<const crypto::KeyStore>> KeyAuthority::QuerierKeysFor(
     }
     secret = *in_window;
   }
-  return DeriveQueryKeysShared(secret, posting);
+  return DeriveQueryKeys(secret, posting);
 }
 
 Status KeyAuthority::VerifyContribution(const ContributionTag& tag,

@@ -15,7 +15,7 @@ TdsKeyState::TdsKeyState(uint64_t tds_id,
 
 Status TdsKeyState::AdoptLocked(const Bytes& encoded) {
   TCELLS_ASSIGN_OR_RETURN(EpochBlock block, EpochBlock::Decode(encoded));
-  if (has_window_ && block.epoch <= window_.inner_epoch) {
+  if (window_ != nullptr && block.epoch <= window_->inner_epoch) {
     // Same or older than what we hold: nothing to adopt. A replayed stale
     // block can never roll a TDS backwards.
     return Status::OK();
@@ -29,10 +29,9 @@ Status TdsKeyState::AdoptLocked(const Bytes& encoded) {
     // re-stamped an old block. Ignore it.
     return Status::Corruption("epoch block inner/outer epoch mismatch");
   }
-  window_ = std::move(window);
-  has_window_ = true;
+  window_ = std::make_shared<const EpochSecrets>(std::move(window));
   contribution_key_ =
-      ContributionKey(crypto::HmacState(window_.secrets.back()), tds_id_);
+      ContributionKey(crypto::HmacState(window_->secrets.back()), tds_id_);
   if (counters_ != nullptr) counters_->adopted->Increment();
   return Status::OK();
 }
@@ -95,42 +94,41 @@ std::vector<Status> TdsKeyState::RefreshAll(
   return out;
 }
 
+std::shared_ptr<const Bytes> TdsKeyState::WindowSecret(uint32_t epoch) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const Bytes* secret =
+      window_ != nullptr ? window_->SecretFor(epoch) : nullptr;
+  if (secret == nullptr) return nullptr;
+  return std::shared_ptr<const Bytes>(window_, secret);
+}
+
 bool TdsKeyState::Reaches(uint32_t epoch) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return has_window_ && window_.SecretFor(epoch) != nullptr;
+  return WindowSecret(epoch) != nullptr;
 }
 
-Result<Bytes> TdsKeyState::SecretFor(uint32_t epoch) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const Bytes* secret = has_window_ ? window_.SecretFor(epoch) : nullptr;
+Result<std::shared_ptr<const Bytes>> TdsKeyState::SecretFor(uint32_t epoch) {
+  std::shared_ptr<const Bytes> secret = WindowSecret(epoch);
   if (secret == nullptr) {
-    return Status::NotFound("posting epoch unreachable for this TDS");
-  }
-  return *secret;
-}
-
-Result<std::shared_ptr<const crypto::KeyStore>> TdsKeyState::KeysFor(
-    const ssi::QueryKeyPosting& posting) {
-  Result<Bytes> secret = SecretFor(posting.epoch);
-  if (!secret.ok()) {
     // Window miss outside a batched refresh (e.g. a compute TDS that never
     // collected this query): one refresh attempt; a failure here (revoked,
     // forged block, transport loss) leaves the old window in place.
     (void)Refresh();
-    secret = SecretFor(posting.epoch);
+    secret = WindowSecret(epoch);
   }
-  TCELLS_RETURN_IF_ERROR(secret.status());
-  return DeriveQueryKeysShared(*secret, posting);
+  if (secret == nullptr) {
+    return Status::NotFound("posting epoch unreachable for this TDS");
+  }
+  return secret;
 }
 
 Result<ContributionTag> TdsKeyState::Tag(uint64_t query_id,
                                          const Bytes& digest) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!has_window_) {
+  if (window_ == nullptr) {
     return Status::FailedPrecondition("TDS has no epoch window yet");
   }
   ContributionTag tag;
-  tag.epoch = window_.inner_epoch;
+  tag.epoch = window_->inner_epoch;
   tag.tds_id = tds_id_;
   const auto mac = ContributionMac(contribution_key_, query_id, digest);
   tag.mac.assign(mac.begin(), mac.end());
@@ -139,8 +137,10 @@ Result<ContributionTag> TdsKeyState::Tag(uint64_t query_id,
 
 Result<uint32_t> TdsKeyState::known_epoch() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!has_window_) return Status::NotFound("no epoch window adopted yet");
-  return window_.inner_epoch;
+  if (window_ == nullptr) {
+    return Status::NotFound("no epoch window adopted yet");
+  }
+  return window_->inner_epoch;
 }
 
 }  // namespace tcells::keys

@@ -16,7 +16,7 @@
 // where key material is needed: the engine primes every TDS at bring-up, and
 // each collection tick refreshes the TDSs whose window lacks a posting's
 // epoch before they serve, and the TDSs about to tag an upload right before
-// they tag. Tag itself never fetches. KeysFor falls back to one refresh of
+// they tag. Tag itself never fetches. SecretFor falls back to one refresh of
 // its own on a window miss, for callers outside those batches.
 //
 // The fetch is conditional: each request carries the EpochBlockTag of the
@@ -24,9 +24,10 @@
 // empty body instead of the block. Adopting bytes already accepted is always
 // an OK no-op, so that reply ends the refresh with OK and touches nothing.
 //
-// Session keys come from the process-wide memo (DeriveQueryKeysShared), which
-// a TDS reaches only with the secret its own window produced; the state
-// caches no KeyStore of its own.
+// The state derives no session keys: it hands out the window-gated epoch
+// secret (SecretFor), and the query's tds::QueryCache derives the posting's
+// KeyStore from it, keyed by that secret, so a TDS reaches only the keys its
+// own window produces.
 //
 // Thread-safety: all methods may be called concurrently (collection serving
 // runs on a thread pool).
@@ -105,11 +106,12 @@ class TdsKeyState {
   /// Whether the adopted window holds `epoch`'s secret.
   bool Reaches(uint32_t epoch) const;
 
-  /// The session KeyStore of a query posting, refreshing once on a window
-  /// miss. NotFound when the posting's epoch is unreachable for this TDS
-  /// (revoked before the epoch, or the window rolled past it).
-  Result<std::shared_ptr<const crypto::KeyStore>> KeysFor(
-      const ssi::QueryKeyPosting& posting);
+  /// `epoch`'s secret, refreshing once on a window miss. The pointer shares
+  /// ownership of the window it came from, so a later Adopt never
+  /// invalidates it, and handing it out allocates nothing. NotFound when the
+  /// epoch is unreachable for this TDS (revoked before the epoch, or the
+  /// window rolled past it).
+  Result<std::shared_ptr<const Bytes>> SecretFor(uint32_t epoch);
 
   /// Tags one collection upload under the newest adopted epoch; the caller
   /// refreshes first. A revoked TDS is stuck with its pre-revocation epoch
@@ -124,8 +126,8 @@ class TdsKeyState {
  private:
   Status AdoptLocked(const Bytes& encoded);
   uint64_t held_tag() const;
-  /// A copy of `epoch`'s secret; NotFound outside the window.
-  Result<Bytes> SecretFor(uint32_t epoch) const;
+  /// `epoch`'s secret in the adopted window; null outside it.
+  std::shared_ptr<const Bytes> WindowSecret(uint32_t epoch) const;
 
   const uint64_t tds_id_;
   const crypto::BroadcastDeviceKeys device_keys_;
@@ -133,10 +135,11 @@ class TdsKeyState {
   const RefreshCounters* const counters_;
 
   mutable std::mutex mu_;
-  bool has_window_ = false;
-  EpochSecrets window_;  ///< last good window; back() is the newest secret
+  /// Last good window (null before the first); secrets.back() is the
+  /// newest.
+  std::shared_ptr<const EpochSecrets> window_;
   /// HMAC state of the contribution key derived from
-  /// window_.secrets.back(), built once per adopted window.
+  /// window_->secrets.back(), built once per adopted window.
   crypto::HmacState contribution_key_;
   uint64_t held_tag_ = 0;  ///< EpochBlockTag of the last OK Adopt; 0: none
 };

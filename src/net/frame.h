@@ -29,8 +29,9 @@ inline constexpr size_t FrameWireSize(size_t payload_size) {
 
 /// Bytes inside a frame: a view, valid while the frame is unchanged. It
 /// cannot be made from a temporary buffer, which would leave it dangling,
-/// and it converts to an owning Bytes — a copy — for a caller that keeps
-/// the bytes past the frame.
+/// and a caller that keeps the bytes past the frame copies them into an
+/// owning Bytes explicitly (`Bytes(view)`), so no copy hides in an
+/// assignment.
 class FrameBytes : public std::span<const uint8_t> {
  public:
   using std::span<const uint8_t>::span;
@@ -38,9 +39,7 @@ class FrameBytes : public std::span<const uint8_t> {
   FrameBytes(std::span<const uint8_t> bytes)
       : std::span<const uint8_t>(bytes) {}
   FrameBytes(Bytes&&) = delete;
-  operator Bytes() const {  // NOLINT(google-explicit-constructor)
-    return Bytes(begin(), end());
-  }
+  explicit operator Bytes() const { return Bytes(begin(), end()); }
 };
 
 /// Reassembles frames from a byte stream (a socket). A receive that starts

@@ -245,8 +245,8 @@ Result<std::vector<EncryptedItem>> RunFilteringPhase(
   return ctx.RunRound(sim::Phase::kFiltering, partitions,
                       [&query, &config](tds::TrustedDataServer* server,
                                         const Partition& partition, Rng* rng) {
-                        return server->ProcessFiltering(query, partition, rng,
-                                                        config);
+                        return server->ProcessFiltering(query, partition,
+                                                        config, rng);
                       });
 }
 

@@ -1,9 +1,6 @@
 #include "sql/analyzer.h"
 
 #include <functional>
-#include <map>
-#include <mutex>
-#include <string_view>
 
 #include "common/strings.h"
 #include "sql/parser.h"
@@ -418,46 +415,6 @@ Result<AnalyzedQuery> AnalyzeSql(const std::string& sql,
                                  const storage::Catalog& catalog) {
   TCELLS_ASSIGN_OR_RETURN(SelectStatement stmt, Parse(sql));
   return Analyze(stmt, catalog);
-}
-
-Result<std::shared_ptr<const AnalyzedQuery>> AnalyzeSqlShared(
-    std::string_view sql,
-    const std::shared_ptr<const storage::Catalog>& catalog) {
-  // By interned catalog, then SQL text (std::less<> lets a view probe).
-  struct CatalogMemo {
-    /// Pins the keyed address: no other shape can be allocated there.
-    std::shared_ptr<const storage::Catalog> catalog;
-    std::map<std::string, std::shared_ptr<const AnalyzedQuery>, std::less<>>
-        by_sql;
-  };
-  static std::mutex memo_mu;
-  static std::map<const storage::Catalog*, CatalogMemo> memo;
-  static size_t memo_size = 0;
-
-  {
-    std::lock_guard<std::mutex> lock(memo_mu);
-    auto c = memo.find(catalog.get());
-    if (c != memo.end()) {
-      auto it = c->second.by_sql.find(sql);
-      if (it != c->second.by_sql.end()) return it->second;
-    }
-  }
-  // Analyze outside the lock; a concurrent miss on the same key does the
-  // work twice but both produce identical immutable analyses.
-  std::string text(sql);
-  TCELLS_ASSIGN_OR_RETURN(AnalyzedQuery query, AnalyzeSql(text, *catalog));
-  auto shared = std::make_shared<const AnalyzedQuery>(std::move(query));
-  std::lock_guard<std::mutex> lock(memo_mu);
-  if (memo_size >= kAnalysisMemoCapacity) {
-    memo.clear();
-    memo_size = 0;
-  }
-  CatalogMemo& entry = memo[catalog.get()];
-  entry.catalog = catalog;
-  auto [it, inserted] = entry.by_sql.emplace(std::move(text), shared);
-  if (inserted) ++memo_size;
-  // Keep the first fill so previously handed-out pointers stay canonical.
-  return it->second;
 }
 
 }  // namespace tcells::sql

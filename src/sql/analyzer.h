@@ -13,10 +13,8 @@
 #ifndef TCELLS_SQL_ANALYZER_H_
 #define TCELLS_SQL_ANALYZER_H_
 
-#include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -98,22 +96,6 @@ Result<AnalyzedQuery> Analyze(const SelectStatement& stmt,
 /// Convenience: parse + analyze.
 Result<AnalyzedQuery> AnalyzeSql(const std::string& sql,
                                  const storage::Catalog& catalog);
-
-/// Memoized parse + analyze, shared process-wide. Analysis is a pure
-/// function of (sql, catalog), so a fleet of TDSs sharing the common schema
-/// lexes and binds each distinct query text once instead of once per TDS.
-/// The memo keys on the identity of the interned catalog
-/// (storage::Catalog::Intern), then the SQL text: a hit builds no string.
-/// Each catalog's entry holds it alive, so a keyed address is never reused
-/// by another shape. The returned analysis is
-/// immutable and safe to share across threads. Errors are not memoized. The
-/// memo is bounded (kAnalysisMemoCapacity entries) and resets wholesale when
-/// full.
-Result<std::shared_ptr<const AnalyzedQuery>> AnalyzeSqlShared(
-    std::string_view sql,
-    const std::shared_ptr<const storage::Catalog>& catalog);
-
-inline constexpr size_t kAnalysisMemoCapacity = 256;
 
 }  // namespace tcells::sql
 

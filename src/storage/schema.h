@@ -65,8 +65,8 @@ class Catalog {
 
   /// The process-wide instance equal to `catalog` (operator==), created
   /// from it if no live one exists. Two databases of the same shape thus
-  /// hold the same pointer, and the fleet-wide analysis memo
-  /// (sql::AnalyzeSqlShared) keys on that identity. Thread-safe. The pool
+  /// hold the same pointer, and a query's cached analysis
+  /// (tds::QueryCache::Analysis) keys on that identity. Thread-safe. The pool
   /// holds its instances weakly: a shape no database holds any more is
   /// freed.
   static std::shared_ptr<const Catalog> Intern(Catalog catalog);

@@ -12,6 +12,7 @@
 #include "ssi/messages.h"
 #include "storage/tuple.h"
 #include "tds/histogram.h"
+#include "tds/query_cache.h"
 
 namespace tcells::tds {
 
@@ -43,10 +44,14 @@ struct CollectionConfig {
   /// dummy/fake items are indistinguishable from true ones by length.
   size_t pad_payload_to = 0;
   /// Dynamic key mode: the public key posting of this query. A TDS given a
-  /// posting derives the per-query session keys (k1q/k2q) through its
-  /// installed key state instead of using the static provisioned KeyStore;
-  /// absent = static keys, bit-identical to the pre-key-management behaviour.
+  /// posting derives the per-query session keys (k1q/k2q) from its installed
+  /// key state's epoch secret instead of using the static provisioned
+  /// KeyStore; absent = static keys, bit-identical to the pre-key-management
+  /// behaviour.
   std::optional<ssi::QueryKeyPosting> key_posting;
+  /// The work every TDS serving this query shares (query_cache.h). Created
+  /// with the config, so never null, and freed with its last copy.
+  std::shared_ptr<QueryCache> cache = std::make_shared<QueryCache>();
 };
 
 /// How aggregation-phase output items are tagged.

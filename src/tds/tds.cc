@@ -60,13 +60,14 @@ TrustedDataServer::TrustedDataServer(
 
 Result<std::shared_ptr<const crypto::KeyStore>>
 TrustedDataServer::KeysForQuery(
-    const std::optional<ssi::QueryKeyPosting>& posting) const {
+    const std::optional<ssi::QueryKeyPosting>& posting,
+    QueryCache& cache) const {
   if (!posting) return keys_;
   if (key_state_ == nullptr) {
     return Status::FailedPrecondition(
         "dynamically-keyed query on a TDS without key state");
   }
-  return key_state_->KeysFor(*posting);
+  return cache.SessionKeys(*key_state_, *posting);
 }
 
 Result<keys::ContributionTag> TrustedDataServer::TagContribution(
@@ -120,7 +121,7 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
   // posting's epoch (revoked, or its window rolled past it) cannot serve at
   // all, which the session surfaces as a non-participant.
   TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const crypto::KeyStore> keys_sp,
-                          KeysForQuery(post.key_posting));
+                          KeysForQuery(post.key_posting, *config.cache));
   const crypto::KeyStore& keys = *keys_sp;
   // Decrypt the query text with k1 (step 3) — the per-query session k1q when
   // the post carries a key posting — into the thread workspace, and analyze
@@ -131,7 +132,7 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
   const std::string_view sql(reinterpret_cast<const char*>(ws.sql.data()),
                              ws.sql.size());
   TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const sql::AnalyzedQuery> query,
-                          sql::AnalyzeSqlShared(sql, db_.shared_catalog()));
+                          config.cache->Analysis(sql, db_.shared_catalog()));
   // Credential + policy checks (step 2). A denied querier still gets a
   // well-formed dummy built from the analyzed shape, never an error.
   const bool granted =
@@ -148,7 +149,7 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
   std::shared_ptr<const FakeTemplates> fakes;
   if (config.mode == CollectionMode::kDetTag) {
     TCELLS_ASSIGN_OR_RETURN(
-        fakes, FakeTemplatesShared(query, keys_sp, config.noise.group_domain,
+        fakes, config.cache->Fakes(query, keys_sp, config.noise.group_domain,
                                    config.pad_payload_to));
   }
   // Every item of the serve is sealed straight into one item vector.
@@ -228,7 +229,7 @@ TrustedDataServer::ProcessAggregationPartition(
         "aggregation partition on a non-aggregation query");
   }
   TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const crypto::KeyStore> keys_sp,
-                          KeysForQuery(config.key_posting));
+                          KeysForQuery(config.key_posting, *config.cache));
   const crypto::KeyStore& keys = *keys_sp;
   sql::GroupedAggregation agg(query.agg_specs);
   size_t since_check = 0;
@@ -334,9 +335,9 @@ TrustedDataServer::ProcessAggregationPartition(
 
 Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessFiltering(
     const sql::AnalyzedQuery& query, const ssi::Partition& partition,
-    Rng* rng, const CollectionConfig& config) {
+    const CollectionConfig& config, Rng* rng) {
   TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const crypto::KeyStore> keys_sp,
-                          KeysForQuery(config.key_posting));
+                          KeysForQuery(config.key_posting, *config.cache));
   const crypto::KeyStore& keys = *keys_sp;
   auto& ws = ThreadWorkspace();
   ssi::ItemsBuilder out(&ws.items);

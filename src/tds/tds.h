@@ -16,12 +16,15 @@
 //
 // A TDS keeps nothing of a query after serving it: each phase call carries
 // everything it needs (the post, or the analyzed query plus the key
-// posting). Thread-safety: no phase call writes a TDS member, so concurrent
-// calls — several queries' phases on one TDS, as the engine scheduler
-// produces — read only immutable members and `db_` and need no lock. What
-// they reach through pointers (the key state, the leak log) is thread-safe
-// itself. The setters (set_leak_log, InstallKeyState) are setup-time and
-// must not race a phase call.
+// posting, and the query's CollectionConfig). The work a fleet shares for
+// one query (analysis, session keys, fake templates) lives in the config's
+// QueryCache (query_cache.h), which dies with the query. Thread-safety: no
+// phase call writes a TDS member, so concurrent calls — several queries'
+// phases on one TDS, as the engine scheduler produces — read only immutable
+// members and `db_` and need no lock. What they reach through pointers (the
+// key state, the leak log, the query cache) is thread-safe itself. The
+// setters (set_leak_log, InstallKeyState) are setup-time and must not race a
+// phase call.
 #ifndef TCELLS_TDS_TDS_H_
 #define TCELLS_TDS_TDS_H_
 
@@ -39,7 +42,6 @@
 #include "storage/table.h"
 #include "tds/access_control.h"
 #include "tds/config.h"
-#include "tds/fake_templates.h"
 #include "tds/leak_log.h"
 
 namespace tcells::tds {
@@ -88,15 +90,16 @@ class TrustedDataServer {
 
   /// Collection phase (§3.2 steps 2-4 / §4 collection). Opens the post on
   /// every call: resolves the query's KeyStore, decrypts the SQL under k1,
-  /// analyzes it (sql::AnalyzeSqlShared, memoized fleet-wide on the
-  /// database's interned catalog, so a repeat serve on any same-shape TDS
-  /// neither re-parses nor builds a key), verifies the credential and checks
-  /// the access policy. Returns the items to upload: true tuples (plus noise
-  /// under kDetTag, sealed from the fleet-shared FakeTemplatesShared, so a
-  /// serve builds no fake payload or fake tag of its own) or a single dummy
-  /// when the local result is empty or access was denied — a denial is
-  /// answered, never reported, so the SSI cannot learn who denied. Re-serving a post repeats only deterministic
-  /// work; with equal rng states it yields byte-identical items.
+  /// analyzes it (through config.cache, on the database's interned catalog,
+  /// so a repeat serve of the query on any same-shape TDS neither re-parses
+  /// nor builds a key), verifies the credential and checks the access
+  /// policy. Returns the items to upload: true tuples (plus noise under
+  /// kDetTag, sealed from the query's cached fake templates, so a serve
+  /// builds no fake payload or fake tag of its own) or a single dummy when
+  /// the local result is empty or access was denied — a denial is answered,
+  /// never reported, so the SSI cannot learn who denied. Re-serving a post
+  /// repeats only deterministic work; with equal rng states it yields
+  /// byte-identical items.
   Result<std::vector<ssi::EncryptedItem>> ProcessCollection(
       const ssi::QueryPost& post, const CollectionConfig& config, Rng* rng);
 
@@ -113,15 +116,16 @@ class TrustedDataServer {
   /// are collection tuples whose dummies must be dropped.
   Result<std::vector<ssi::EncryptedItem>> ProcessFiltering(
       const sql::AnalyzedQuery& query, const ssi::Partition& partition,
-      Rng* rng, const CollectionConfig& config = {});
+      const CollectionConfig& config, Rng* rng);
 
  private:
   /// The KeyStore a query runs under: the static provisioned store when
-  /// `posting` is absent, the per-query session store derived through the
-  /// installed key state when present. NotFound when a revoked/stale TDS
-  /// cannot reach the posting's epoch.
+  /// `posting` is absent, the per-query session store `cache` derives from
+  /// the installed key state's secret when present. NotFound when a
+  /// revoked/stale TDS cannot reach the posting's epoch.
   Result<std::shared_ptr<const crypto::KeyStore>> KeysForQuery(
-      const std::optional<ssi::QueryKeyPosting>& posting) const;
+      const std::optional<ssi::QueryKeyPosting>& posting,
+      QueryCache& cache) const;
   /// Seals one dummy item, shaped/tagged per the collection mode, under k2
   /// into `out`. Under kDetTag its tag is a random domain value's, taken
   /// from `fakes`.

@@ -211,13 +211,13 @@ TEST_F(AllocRegressionTest, SteadyStateFilteringIsArenaBacked) {
   ssi::Partition partition = TruePartition(kItems);
 
   CollectionConfig config;
-  ASSERT_TRUE(server_->ProcessFiltering(query, partition, &rng_, config).ok());
+  ASSERT_TRUE(server_->ProcessFiltering(query, partition, config, &rng_).ok());
 
   // Filtering re-encrypts every true tuple under k1, sealed into one output
   // buffer: a fixed budget. Measured: 265 allocations while each output
   // item owned its blob, 2 with the outputs sealed into one buffer.
   const uint64_t allocs = CountAllocs([&] {
-    auto out = server_->ProcessFiltering(query, partition, &rng_, config);
+    auto out = server_->ProcessFiltering(query, partition, config, &rng_);
     ASSERT_TRUE(out.ok());
     ASSERT_EQ(out.ValueOrDie().size(), kItems);
   });
@@ -332,6 +332,57 @@ TEST(QueryStateTest, PerQueryHeapStateIsFlat) {
   const int64_t growth = LiveAllocs() - warmed;
   EXPECT_LE(growth, static_cast<int64_t>(kFleet / 10))
       << "live allocations grew by " << growth << " over 50 queries";
+}
+
+/// Live allocations a warmed engine in dynamic key mode gains over 50
+/// `protocol` queries, on the fleet and loop of PerQueryHeapStateIsFlat.
+int64_t DynamicKeyHeapGrowth(protocol::Protocol& protocol, size_t fleet_size) {
+  workload::GenericOptions gopts;
+  gopts.num_tds = fleet_size;
+  gopts.num_groups = 4;
+  gopts.seed = 5;
+  auto keys = crypto::KeyStore::CreateForTest(gopts.seed);
+  auto authority = std::make_shared<Authority>(Bytes(16, 0x33));
+  auto fleet = workload::BuildGenericFleet(gopts, keys, authority,
+                                           AccessPolicy::AllowAll());
+  Engine::Config cfg;
+  cfg.tracing = false;
+  cfg.max_inflight_queries = 1;
+  cfg.key_mode = KeyMode::kDynamic;
+  cfg.options.compute_availability = 0.3;
+  cfg.options.expected_groups = gopts.num_groups;
+  cfg.options.num_threads = 1;
+  auto engine = Engine::Create(std::move(fleet).ValueOrDie(), cfg).ValueOrDie();
+  protocol::Querier querier("q", authority->Issue("q"), keys);
+  const std::string sql = "SELECT grp, COUNT(*), SUM(cat) FROM T GROUP BY grp";
+  QueryHandle last;  // held across both snapshots, as there
+  int64_t warmed = 0;
+  for (uint64_t query_id = 1; query_id <= 55; ++query_id) {
+    if (query_id == 6) warmed = LiveAllocs();
+    last = engine->Submit(protocol, querier, query_id, sql).ValueOrDie();
+    EXPECT_TRUE(last.Wait().ok());
+  }
+  return LiveAllocs() - warmed;
+}
+
+TEST(QueryStateTest, DynamicKeySAggHeapStateIsFlat) {
+  // A query's session keys must not outlive it either.
+  constexpr size_t kFleet = 500;
+  protocol::SAggProtocol sagg;
+  EXPECT_LE(DynamicKeyHeapGrowth(sagg, kFleet),
+            static_cast<int64_t>(kFleet / 10));
+}
+
+TEST(QueryStateTest, DynamicKeyCNoiseHeapStateIsFlat) {
+  // Nor its fake templates, built under those keys.
+  constexpr size_t kFleet = 500;
+  auto domain = std::make_shared<std::vector<Tuple>>();
+  for (size_t g = 0; g < 4; ++g) {
+    domain->push_back(Tuple({Value::String(workload::GroupName(g))}));
+  }
+  protocol::NoiseProtocol cnoise(/*complementary=*/true, domain);
+  EXPECT_LE(DynamicKeyHeapGrowth(cnoise, kFleet),
+            static_cast<int64_t>(kFleet / 10));
 }
 
 TEST(QueryStateTest, CollectionTransientMemoryIsSetByTheWave) {

@@ -47,6 +47,7 @@
 #include "ssi/messages.h"
 #include "tcells/engine.h"
 #include "tds/access_control.h"
+#include "tds/query_cache.h"
 #include "workload/generic.h"
 
 namespace tcells {
@@ -482,7 +483,7 @@ TEST(TdsKeyStateHostile, StaleReplayCannotDowngrade) {
   EXPECT_EQ(w.state->known_epoch().ValueOrDie(), 1u);
 }
 
-// An offline source means no window at all: KeysFor and Tag both fail
+// An offline source means no window at all: session keys and Tag both fail
 // loudly instead of inventing keys.
 TEST(TdsKeyStateHostile, NoWindowFailsClosed) {
   auto authority =
@@ -492,7 +493,8 @@ TEST(TdsKeyStateHostile, NoWindowFailsClosed) {
                           &source);
   Rng rng(5);
   ssi::QueryKeyPosting posting = authority->NewPosting(77, &rng);
-  EXPECT_TRUE(state.KeysFor(posting).status().IsNotFound());
+  EXPECT_TRUE(
+      tds::QueryCache().SessionKeys(state, posting).status().IsNotFound());
   EXPECT_TRUE(
       state.Tag(77, Bytes(32, 0x01)).status().IsFailedPrecondition());
 }
@@ -531,7 +533,10 @@ TEST(ContributionAdmission, RoundTripAndForgeryAndRevocation) {
   Rng rng(9);
   ssi::QueryKeyPosting fresh_posting = honest.authority->NewPosting(12, &rng);
   EXPECT_EQ(fresh_posting.epoch, 1u);
-  EXPECT_TRUE(honest.state->KeysFor(fresh_posting).status().IsNotFound());
+  EXPECT_TRUE(tds::QueryCache()
+                  .SessionKeys(*honest.state, fresh_posting)
+                  .status()
+                  .IsNotFound());
 }
 
 // Both sides of the per-query exchange derive the same session keys from
@@ -542,7 +547,7 @@ TEST(ContributionAdmission, PostingDerivesMatchingSessionKeys) {
   Rng rng(13);
   ssi::QueryKeyPosting posting = w.authority->NewPosting(21, &rng);
   auto querier_keys = w.authority->QuerierKeysFor(posting).ValueOrDie();
-  auto tds_keys = w.state->KeysFor(posting).ValueOrDie();
+  auto tds_keys = tds::QueryCache().SessionKeys(*w.state, posting).ValueOrDie();
   // KeyStore never exposes raw keys; compare through the derived schemes —
   // the deterministic k2 encryption must agree byte-for-byte, and a k1
   // ciphertext sealed by one side must open on the other.
@@ -571,23 +576,25 @@ void ExpectSameKeys(const crypto::KeyStore& a, const crypto::KeyStore& b,
             b.k2_ndet().Encrypt(probe, &seal_b));
 }
 
-// The process-wide session-key memo: querier and TDS share one KeyStore per
-// posting, it seals byte-identically to a fresh derivation, the memo stays
-// within its bound over 3x its capacity in postings, and holding a memoized
-// posting never lets a revoked TDS past its own window.
-TEST(QueryKeysMemo, SharedKeysMatchFreshDerivationBoundedAndWindowGated) {
+// Session keys in a query cache: every TDS-side lookup of a posting gets one
+// KeyStore, which seals byte-identically to the querier's and to a fresh
+// derivation, and an entry another TDS filled never lets a revoked TDS past
+// its own window.
+TEST(QueryCacheKeys, SharedKeysMatchFreshDerivationAndWindowGated) {
   KeyWorld w(/*tds_id=*/2);
   ASSERT_TRUE(w.state->Refresh().ok());
   const Bytes master(16, 0x42);  // KeyWorld's authority master
   Rng rng(17);
   const Bytes probe = rng.NextBytes(24);
-  for (uint64_t q = 0; q < 3 * keys::kQueryKeysMemoCapacity; ++q) {
+  for (uint64_t q = 0; q < 4; ++q) {
     SCOPED_TRACE("posting " + std::to_string(q));
     ssi::QueryKeyPosting posting = w.authority->NewPosting(100 + q, &rng);
+    tds::QueryCache cache;  // one per query
+    auto tds_keys = cache.SessionKeys(*w.state, posting).ValueOrDie();
+    EXPECT_EQ(cache.SessionKeys(*w.state, posting).ValueOrDie(), tds_keys)
+        << "one derivation, shared";
     auto querier_keys = w.authority->QuerierKeysFor(posting).ValueOrDie();
-    auto tds_keys = w.state->KeysFor(posting).ValueOrDie();
-    EXPECT_EQ(tds_keys, querier_keys);  // one derivation, shared
-    EXPECT_LE(keys::QueryKeysMemoSize(), keys::kQueryKeysMemoCapacity);
+    ExpectSameKeys(*tds_keys, *querier_keys, probe);
     auto fresh =
         keys::DeriveQueryKeys(keys::DeriveEpochSecret(master, posting.epoch),
                               posting)
@@ -595,11 +602,14 @@ TEST(QueryKeysMemo, SharedKeysMatchFreshDerivationBoundedAndWindowGated) {
     ExpectSameKeys(*tds_keys, *fresh, probe);
   }
 
+  keys::TdsKeyState other(3, w.authority->EnrollDevice(3).ValueOrDie(),
+                          &w.source);
   ASSERT_TRUE(w.authority->Revoke({2}).ok());
   w.source.Serve(w.authority->CurrentBlock());
   ssi::QueryKeyPosting after = w.authority->NewPosting(900, &rng);
-  ASSERT_TRUE(w.authority->QuerierKeysFor(after).ok());  // now memoized
-  EXPECT_TRUE(w.state->KeysFor(after).status().IsNotFound());
+  tds::QueryCache cache;
+  ASSERT_TRUE(cache.SessionKeys(other, after).ok());  // now cached
+  EXPECT_TRUE(cache.SessionKeys(*w.state, after).status().IsNotFound());
 }
 
 /// Serves a fixed reply per TDS id and counts batched fetches.

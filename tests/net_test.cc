@@ -1195,8 +1195,8 @@ TEST(SsiNodeTest, ItemVectorWireBytesArePinned) {
     TCELLS_ASSIGN_OR_RETURN(std::vector<BatchCall> answers,
                             DecodeBatchFrame(reply));
     for (size_t i = 0; i < calls.size() && i < answers.size(); ++i) {
-      requests[calls[i].payload[0]] = calls[i].payload;
-      replies[calls[i].payload[0]] = answers[i].payload;
+      requests[calls[i].payload[0]] = Bytes(calls[i].payload);
+      replies[calls[i].payload[0]] = Bytes(answers[i].payload);
     }
     return reply;
   });

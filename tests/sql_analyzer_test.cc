@@ -1,5 +1,5 @@
 // Tests for semantic analysis: binding, validation, collection/output
-// layouts, and the fleet-wide analysis memo keyed on interned catalogs.
+// layouts, and a query cache's analyses keyed on interned catalogs.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -10,6 +10,7 @@
 #include "sql/analyzer.h"
 #include "storage/table.h"
 #include "tds/access_control.h"
+#include "tds/query_cache.h"
 #include "workload/generic.h"
 #include "workload/smart_meter.h"
 
@@ -156,7 +157,7 @@ TEST(AnalyzerTest, SizeClausePropagates) {
 }
 
 // ---------------------------------------------------------------------------
-// AnalyzeSqlShared: one analysis per (interned catalog, SQL text).
+// tds::QueryCache::Analysis: one analysis per (interned catalog, SQL text).
 
 storage::Database GenericDb(storage::ValueType val_type) {
   std::vector<storage::Column> cols = workload::GenericSchema().columns();
@@ -166,37 +167,41 @@ storage::Database GenericDb(storage::ValueType val_type) {
   return db;
 }
 
-TEST(AnalyzeSqlSharedTest, SameShapeDatabasesShareOneAnalysis) {
+TEST(QueryCacheAnalysisTest, SameShapeDatabasesShareOneAnalysis) {
   const std::string sql = "SELECT grp, val FROM T WHERE cat < 4";
   storage::Database a = GenericDb(storage::ValueType::kDouble);
   storage::Database b = GenericDb(storage::ValueType::kDouble);
-  auto qa = AnalyzeSqlShared(sql, a.shared_catalog()).ValueOrDie();
-  auto qb = AnalyzeSqlShared(sql, b.shared_catalog()).ValueOrDie();
+  tds::QueryCache cache;
+  auto qa = cache.Analysis(sql, a.shared_catalog()).ValueOrDie();
+  auto qb = cache.Analysis(sql, b.shared_catalog()).ValueOrDie();
   EXPECT_EQ(qa.get(), qb.get());
   EXPECT_EQ(qa->result_schema.num_columns(), 2u);
 }
 
-TEST(AnalyzeSqlSharedTest, ColumnTypeChangeGetsItsOwnAnalysis) {
+TEST(QueryCacheAnalysisTest, ColumnTypeChangeGetsItsOwnAnalysis) {
   const std::string sql = "SELECT grp, val FROM T WHERE cat < 4";
   storage::Database dbl = GenericDb(storage::ValueType::kDouble);
   storage::Database i64 = GenericDb(storage::ValueType::kInt64);
-  auto qd = AnalyzeSqlShared(sql, dbl.shared_catalog()).ValueOrDie();
-  auto qi = AnalyzeSqlShared(sql, i64.shared_catalog()).ValueOrDie();
+  tds::QueryCache cache;
+  auto qd = cache.Analysis(sql, dbl.shared_catalog()).ValueOrDie();
+  auto qi = cache.Analysis(sql, i64.shared_catalog()).ValueOrDie();
   EXPECT_NE(qd.get(), qi.get());
   EXPECT_EQ(qd->result_schema.column(1).type, storage::ValueType::kDouble);
   EXPECT_EQ(qi->result_schema.column(1).type, storage::ValueType::kInt64);
 }
 
-// The catalog pool and the memo are process-wide mutable state: fleets
-// built and queried on several threads at once must still meet on one
-// catalog and one analysis. Registered under the tsan label
+// The catalog pool is process-wide and a query cache is shared by every
+// thread serving its query: fleets built and analyzed on several threads at
+// once, their first lookups racing on one missing entry, must still meet on
+// one catalog and one analysis. Registered under the tsan label
 // (tests/CMakeLists.txt).
-TEST(AnalyzeSqlSharedTest, ConcurrentFleetsShareCatalogAndAnalysis) {
+TEST(QueryCacheAnalysisTest, ConcurrentFleetsShareCatalogAndAnalysis) {
   constexpr size_t kThreads = 4;
   constexpr size_t kFleet = 500;
   const std::string sql = "SELECT grp, COUNT(*), AVG(val) FROM T GROUP BY grp";
   auto keys = crypto::KeyStore::CreateForTest(3);
   auto authority = std::make_shared<tds::Authority>(Bytes(16, 7));
+  tds::QueryCache cache;
 
   std::vector<std::unique_ptr<protocol::Fleet>> fleets(kThreads);
   std::vector<std::vector<const storage::Catalog*>> catalogs(kThreads);
@@ -214,7 +219,7 @@ TEST(AnalyzeSqlSharedTest, ConcurrentFleetsShareCatalogAndAnalysis) {
       for (size_t i = 0; i < fleets[t]->size(); ++i) {
         const auto& catalog = fleets[t]->at(i)->db().shared_catalog();
         catalogs[t].push_back(catalog.get());
-        auto query = AnalyzeSqlShared(sql, catalog);
+        auto query = cache.Analysis(sql, catalog);
         analyses[t].push_back(query.ok() ? query.ValueOrDie().get()
                                          : nullptr);
       }

@@ -11,8 +11,8 @@
 #include "keys/tds_keys.h"
 #include "ssi/ssi.h"
 #include "tds/access_control.h"
-#include "tds/fake_templates.h"
 #include "tds/histogram.h"
+#include "tds/query_cache.h"
 #include "tds/tds.h"
 #include "workload/generic.h"
 
@@ -486,7 +486,9 @@ TEST_F(TdsTest, FilteringAppliesHavingAndEncryptsUnderK1) {
       ssi::EncodePayload(PayloadKind::kPartialAgg, body), &rng_));
   partition.items.push_back(std::move(item));
 
-  auto out = server_->ProcessFiltering(query, partition, &rng_).ValueOrDie();
+  auto out = server_->ProcessFiltering(query, partition, CollectionConfig{},
+                                       &rng_)
+                 .ValueOrDie();
   ASSERT_EQ(out.size(), 1u);  // G01 filtered out by HAVING
   // The result decrypts under k1, not k2.
   EXPECT_FALSE(keys_->k2_ndet().Decrypt(BlobOf(out[0])).ok());
@@ -509,7 +511,9 @@ TEST_F(TdsTest, FilteringSfwDropsDummies) {
         ssi::EncodePayload(kind, t.Encode()), &rng_));
     partition.items.push_back(std::move(item));
   }
-  auto out = server_->ProcessFiltering(query, partition, &rng_).ValueOrDie();
+  auto out = server_->ProcessFiltering(query, partition, CollectionConfig{},
+                                       &rng_)
+                 .ValueOrDie();
   ASSERT_EQ(out.size(), 1u);
   Bytes plain = keys_->k1_ndet().Decrypt(BlobOf(out[0])).ValueOrDie();
   auto payload = ssi::DecodePayloadView(plain).ValueOrDie();
@@ -578,10 +582,10 @@ TEST_F(TdsTest, ReServingAPostIsIdentical) {
 }
 
 TEST_F(TdsTest, ConcurrentCNoiseServesShareTemplates) {
-  // Four threads serve one C_Noise post on one TDS at once over a domain no
-  // serve has used, so their first template lookups race on one missing
-  // entry. Every serve from equal rng states is byte-identical to a serial
-  // one: the racing builds agree, and the shared templates are only read.
+  // Four threads serve one C_Noise post on one TDS at once under a fresh
+  // config, so their first lookups in its query cache race on missing
+  // entries. Every serve from equal rng states is byte-identical to a serial
+  // one: the racing builds agree, and the shared entries are only read.
   CollectionConfig config;
   config.mode = CollectionMode::kDetTag;
   config.noise.complementary = true;
@@ -623,7 +627,7 @@ TEST_F(TdsTest, ConcurrentCNoiseServesShareTemplates) {
 }
 
 // ---------------------------------------------------------------------------
-// Fake templates (Det-tag collection)
+// Fake templates in the query cache (Det-tag collection)
 
 class FakeTemplatesTest : public ::testing::Test {
  protected:
@@ -632,10 +636,11 @@ class FakeTemplatesTest : public ::testing::Test {
   }
 
   std::shared_ptr<const sql::AnalyzedQuery> Analyze(std::string_view sql) {
-    return sql::AnalyzeSqlShared(sql, db_.shared_catalog()).ValueOrDie();
+    return cache_.Analysis(sql, db_.shared_catalog()).ValueOrDie();
   }
 
   storage::Database db_;
+  QueryCache cache_;
 };
 
 TEST_F(FakeTemplatesTest, KeySetsGetSeparateTemplates) {
@@ -643,8 +648,8 @@ TEST_F(FakeTemplatesTest, KeySetsGetSeparateTemplates) {
   const auto domain = GroupDomain(32);
   const auto keys_a = crypto::KeyStore::CreateForTest(101);
   const auto keys_b = crypto::KeyStore::CreateForTest(102);
-  const auto a = FakeTemplatesShared(query, keys_a, domain, 0).ValueOrDie();
-  const auto b = FakeTemplatesShared(query, keys_b, domain, 0).ValueOrDie();
+  const auto a = cache_.Fakes(query, keys_a, domain, 0).ValueOrDie();
+  const auto b = cache_.Fakes(query, keys_b, domain, 0).ValueOrDie();
   ASSERT_NE(a, b);
   ASSERT_EQ(a->tags.size(), domain->size());
   ASSERT_EQ(b->tags.size(), domain->size());
@@ -672,17 +677,17 @@ TEST_F(FakeTemplatesTest, DomainPaddingOrQueryChangeIsAMiss) {
   const auto other_query = Analyze("SELECT grp, SUM(val) FROM T GROUP BY grp");
   const auto keys = crypto::KeyStore::CreateForTest(103);
   const auto domain = GroupDomain(8);
-  const auto base = FakeTemplatesShared(query, keys, domain, 0).ValueOrDie();
-  EXPECT_EQ(FakeTemplatesShared(query, keys, domain, 0).ValueOrDie(), base);
+  const auto base = cache_.Fakes(query, keys, domain, 0).ValueOrDie();
+  EXPECT_EQ(cache_.Fakes(query, keys, domain, 0).ValueOrDie(), base);
 
   // Equal contents in another domain instance, another padding, another
   // query: each is its own entry.
   const auto same_values = GroupDomain(8);
   std::vector<std::shared_ptr<const FakeTemplates>> held = {
       base,
-      FakeTemplatesShared(query, keys, same_values, 0).ValueOrDie(),
-      FakeTemplatesShared(query, keys, domain, 64).ValueOrDie(),
-      FakeTemplatesShared(other_query, keys, domain, 0).ValueOrDie(),
+      cache_.Fakes(query, keys, same_values, 0).ValueOrDie(),
+      cache_.Fakes(query, keys, domain, 64).ValueOrDie(),
+      cache_.Fakes(other_query, keys, domain, 0).ValueOrDie(),
   };
   std::set<const FakeTemplates*> distinct;
   for (const auto& t : held) distinct.insert(t.get());
@@ -690,34 +695,30 @@ TEST_F(FakeTemplatesTest, DomainPaddingOrQueryChangeIsAMiss) {
   EXPECT_EQ(held[1]->payloads, base->payloads);
   EXPECT_EQ(held[2]->payloads[0].size(), 64u);
 
-  EXPECT_TRUE(FakeTemplatesShared(query, keys, nullptr, 0)
-                  .status()
-                  .IsFailedPrecondition());
-  EXPECT_TRUE(FakeTemplatesShared(query, keys, GroupDomain(0), 0)
+  EXPECT_TRUE(
+      cache_.Fakes(query, keys, nullptr, 0).status().IsFailedPrecondition());
+  EXPECT_TRUE(cache_.Fakes(query, keys, GroupDomain(0), 0)
                   .status()
                   .IsFailedPrecondition());
 }
 
-TEST_F(FakeTemplatesTest, CapacityResetKeepsHandedOutTemplatesValid) {
+TEST_F(FakeTemplatesTest, HandedOutTemplatesOutliveTheirCache) {
   const auto query = Analyze("SELECT grp, COUNT(*) FROM T GROUP BY grp");
   const auto keys = crypto::KeyStore::CreateForTest(104);
   const auto domain = GroupDomain(4);
-  const auto held = FakeTemplatesShared(query, keys, domain, 0).ValueOrDie();
+  auto cache = std::make_unique<QueryCache>();
+  const auto held = cache->Fakes(query, keys, domain, 0).ValueOrDie();
   const FakeTemplates copy = *held;
-  // A full capacity of other entries after `held`'s: the memo resets at
-  // least once and drops it.
-  for (size_t pad = 1; pad <= kFakeTemplatesMemoCapacity; ++pad) {
-    ASSERT_TRUE(FakeTemplatesShared(query, keys, domain, pad).ok());
-  }
-  EXPECT_LE(FakeTemplatesMemoSize(), kFakeTemplatesMemoCapacity);
+  cache.reset();  // the query completes
   EXPECT_EQ(held->payloads, copy.payloads);
   EXPECT_EQ(held->tags, copy.tags);
   for (size_t d = 0; d < domain->size(); ++d) {
     EXPECT_EQ(keys->k2_det().Decrypt(held->tags[d]).ValueOrDie(),
               (*domain)[d].Encode());
   }
-  // The dropped key misses and rebuilds byte-identical templates.
-  const auto rebuilt = FakeTemplatesShared(query, keys, domain, 0).ValueOrDie();
+  // The next query's cache builds its own, byte-identical templates.
+  QueryCache next;
+  const auto rebuilt = next.Fakes(query, keys, domain, 0).ValueOrDie();
   EXPECT_NE(rebuilt, held);
   EXPECT_EQ(rebuilt->payloads, held->payloads);
   EXPECT_EQ(rebuilt->tags, held->tags);
@@ -739,7 +740,7 @@ class AuthoritySource : public keys::EpochBlockSource {
   const keys::KeyAuthority* authority_;
 };
 
-TEST(FakeTemplatesFleetTest, DynamicPostingsGetOwnEntriesAFleetSharesOne) {
+TEST(FakeTemplatesFleetTest, AFleetSharesOneEntryPerQueryPostingsDiffer) {
   constexpr size_t kFleet = 8;
   auto key_authority =
       keys::KeyAuthority::Create(Bytes(16, 0x5a), kFleet, 11).ValueOrDie();
@@ -762,13 +763,15 @@ TEST(FakeTemplatesFleetTest, DynamicPostingsGetOwnEntriesAFleetSharesOne) {
         workload::PopulateGenericDb(&fleet.back()->db(), i, opts, &data_rng)
             .ok());
   }
-  CollectionConfig config;
-  config.mode = CollectionMode::kDetTag;
-  config.noise.complementary = true;
-  config.noise.group_domain = GroupDomain(4);
   const std::string sql = "SELECT grp, COUNT(*) FROM T GROUP BY grp";
   Rng rng(3);
+  // One query: its own config (and so its own cache), served by the fleet.
   auto serve_fleet = [&](const ssi::QueryKeyPosting& posting) {
+    CollectionConfig config;
+    config.mode = CollectionMode::kDetTag;
+    config.noise.complementary = true;
+    config.noise.group_domain = GroupDomain(4);
+    config.key_posting = posting;
     auto session = key_authority->QuerierKeysFor(posting).ValueOrDie();
     ssi::QueryPost post;
     post.query_id = posting.query_id;
@@ -778,36 +781,30 @@ TEST(FakeTemplatesFleetTest, DynamicPostingsGetOwnEntriesAFleetSharesOne) {
     post.credential_mac = authority->Issue("q");
     post.key_posting = posting;
     for (auto& tds : fleet) {
-      ASSERT_EQ(tds->ProcessCollection(post, config, &rng).ValueOrDie().size(),
-                4u);
+      EXPECT_EQ(
+          tds->ProcessCollection(post, config, &rng).ValueOrDie().size(), 4u);
     }
+    return config;
   };
-
-  const size_t before = FakeTemplatesMemoSize();
-  ASSERT_LE(before + 2, kFakeTemplatesMemoCapacity) << "no reset in between";
-  const auto first = key_authority->NewPosting(1, &rng);
-  serve_fleet(first);
-  EXPECT_EQ(FakeTemplatesMemoSize(), before + 1)
-      << "8 TDSs serving one posting share one entry";
-  const auto second = key_authority->NewPosting(2, &rng);
-  serve_fleet(second);
-  EXPECT_EQ(FakeTemplatesMemoSize(), before + 2)
-      << "another posting's session keys get their own entry";
-
-  // Every TDS reaches the same session KeyStore for a posting, so the same
-  // templates; the two postings' templates differ in their tags.
-  const auto query =
-      sql::AnalyzeSqlShared(sql, fleet[0]->db().shared_catalog())
-          .ValueOrDie();
-  auto templates_of = [&](size_t tds, const ssi::QueryKeyPosting& posting) {
-    return FakeTemplatesShared(query,
-                               states[tds]->KeysFor(posting).ValueOrDie(),
-                               config.noise.group_domain, 0)
+  // What TDS `tds` reaches in `config`'s cache: every lookup hits.
+  auto templates_of = [&](const CollectionConfig& config, size_t tds) {
+    QueryCache& cache = *config.cache;
+    const auto query =
+        cache.Analysis(sql, fleet[tds]->db().shared_catalog()).ValueOrDie();
+    const auto keys =
+        cache.SessionKeys(*states[tds], *config.key_posting).ValueOrDie();
+    return cache.Fakes(query, keys, config.noise.group_domain, 0)
         .ValueOrDie();
   };
-  EXPECT_EQ(templates_of(0, first), templates_of(kFleet - 1, first));
-  EXPECT_NE(templates_of(0, first)->tags, templates_of(0, second)->tags);
-  EXPECT_EQ(FakeTemplatesMemoSize(), before + 2);
+
+  const auto first = serve_fleet(key_authority->NewPosting(1, &rng));
+  const auto second = serve_fleet(key_authority->NewPosting(2, &rng));
+  // Every TDS reaches the same session KeyStore for a posting, so the same
+  // templates; the two postings' templates differ in their tags.
+  for (size_t tds = 1; tds < kFleet; ++tds) {
+    EXPECT_EQ(templates_of(first, tds), templates_of(first, 0)) << tds;
+  }
+  EXPECT_NE(templates_of(first, 0)->tags, templates_of(second, 0)->tags);
 }
 
 }  // namespace
