@@ -19,6 +19,8 @@
 // RSS while its queries run (VmHWM, reset once the fleet and engine are
 // built) and the transient bytes per TDS, that peak minus the RSS the built
 // fleet and engine held before the first query, divided by the fleet size.
+// A curve point also records the fleet bytes per TDS: the RSS the fleet
+// build added, divided by the fleet size.
 //
 // Output: a human-readable table plus BENCH_fleet.json (or argv[1]) with
 // qps, p50/p99 latency, wall time and memory per cell. Timing is
@@ -173,6 +175,7 @@ struct CurvePoint {
   bool match;
   double peak_rss_mb;
   double transient_bytes_per_tds;
+  double fleet_bytes_per_tds;
 };
 
 CurvePoint RunCurvePoint(size_t num_tds) {
@@ -185,9 +188,11 @@ CurvePoint RunCurvePoint(size_t num_tds) {
 
   auto keys = crypto::KeyStore::CreateForTest(2029);
   auto authority = std::make_shared<tds::Authority>(Bytes(16, 0x67));
+  const uint64_t rss_before_fleet = StartMemoryMark();
   auto fleet = workload::BuildGenericFleet(gopts, keys, authority,
                                            tds::AccessPolicy::AllowAll())
                    .ValueOrDie();
+  const uint64_t rss_fleet = CurrentRssBytes();
   protocol::Querier querier("bench", authority->Issue("bench"), keys);
 
   const std::string sql =
@@ -218,6 +223,11 @@ CurvePoint RunCurvePoint(size_t num_tds) {
   CurvePoint pt;
   std::tie(pt.peak_rss_mb, pt.transient_bytes_per_tds) =
       EndMemoryMark(rss_baseline, num_tds);
+  pt.fleet_bytes_per_tds =
+      rss_fleet > rss_before_fleet
+          ? static_cast<double>(rss_fleet - rss_before_fleet) /
+                static_cast<double>(num_tds)
+          : 0.0;
   pt.num_tds = num_tds;
   pt.wall_seconds = wall;
   pt.match = outcome.ok() && outcome->result.SameRows(oracle);
@@ -309,30 +319,32 @@ int main(int argc, char** argv) {
                                              1000000};
     std::printf("\n=== scale curve: single S_Agg query, auto-batched "
                 "loopback, 4 shards ===\n");
-    std::printf("%-10s %10s %10s %10s %14s %12s %10s %10s %-6s\n", "N_t",
-                "wall(s)", "T_Q(s)", "P_TDS", "Load_Q(MB)", "ns/tuple",
-                "peak(MB)", "B/TDS", "match");
+    std::printf("%-10s %10s %10s %10s %14s %12s %10s %10s %10s %-6s\n",
+                "N_t", "wall(s)", "T_Q(s)", "P_TDS", "Load_Q(MB)", "ns/tuple",
+                "peak(MB)", "B/TDS", "fleetB/TDS", "match");
     for (size_t n : curve_sizes) {
       CurvePoint pt = RunCurvePoint(n);
       ok = ok && pt.match;
       std::printf("%-10zu %10.3f %10.3f %10zu %14.2f %12.1f %10.1f %10.0f "
-                  "%-6s\n",
+                  "%10.0f %-6s\n",
                   pt.num_tds, pt.wall_seconds, pt.tq_seconds, pt.p_tds,
                   static_cast<double>(pt.load_bytes) / 1e6, pt.ns_per_tuple,
                   pt.peak_rss_mb, pt.transient_bytes_per_tds,
-                  pt.match ? "yes" : "NO");
+                  pt.fleet_bytes_per_tds, pt.match ? "yes" : "NO");
       char row[512];
       std::snprintf(row, sizeof(row),
                     "    {\"num_tds\": %zu, \"wall_seconds\": %.3f, "
                     "\"tq_seconds\": %.3f, \"p_tds\": %zu, "
                     "\"load_bytes\": %llu, \"query_path_tuples\": %llu, "
                     "\"ns_per_tuple\": %.1f, \"peak_rss_mb\": %.1f, "
-                    "\"transient_bytes_per_tds\": %.0f, \"match\": %s}",
+                    "\"transient_bytes_per_tds\": %.0f, "
+                    "\"fleet_bytes_per_tds\": %.0f, \"match\": %s}",
                     pt.num_tds, pt.wall_seconds, pt.tq_seconds, pt.p_tds,
                     static_cast<unsigned long long>(pt.load_bytes),
                     static_cast<unsigned long long>(pt.query_path_tuples),
                     pt.ns_per_tuple, pt.peak_rss_mb,
-                    pt.transient_bytes_per_tds, pt.match ? "true" : "false");
+                    pt.transient_bytes_per_tds, pt.fleet_bytes_per_tds,
+                    pt.match ? "true" : "false");
       if (!curve_rows.empty()) curve_rows += ",\n";
       curve_rows += row;
     }

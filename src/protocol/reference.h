@@ -13,8 +13,9 @@
 
 namespace tcells::protocol {
 
-/// Builds the union database of the whole fleet (same catalog, concatenated
-/// rows) and runs the query locally.
+/// Runs the query over the union of the fleet's rows: each TDS's collection
+/// tuples, from an analysis against its own catalog (one per distinct
+/// interned catalog), folded as one local run would.
 Result<sql::QueryResult> ExecuteReference(const Fleet& fleet,
                                           const std::string& sql);
 

@@ -31,14 +31,15 @@ struct ColumnEntry {
 
 class Binder {
  public:
-  Binder(const std::vector<TableRef>& from, const storage::Catalog& catalog)
+  Binder(std::vector<TableRef>& from, const storage::Catalog& catalog)
       : from_(from), catalog_(catalog) {}
 
+  /// Binds each FROM table to its catalog position and lists its columns.
   Status Init() {
-    for (const auto& ref : from_) {
-      TCELLS_ASSIGN_OR_RETURN(const Schema* schema,
-                              catalog_.GetSchema(ref.table));
-      for (const auto& col : schema->columns()) {
+    for (auto& ref : from_) {
+      TCELLS_ASSIGN_OR_RETURN(size_t index, catalog_.FindTable(ref.table));
+      ref.bound_index = static_cast<int>(index);
+      for (const auto& col : catalog_.table(index).schema.columns()) {
         entries_.push_back({ref.effective_name(), ref.table, col.name, col.type});
       }
     }
@@ -116,7 +117,7 @@ class Binder {
   }
 
  private:
-  const std::vector<TableRef>& from_;
+  std::vector<TableRef>& from_;
   const storage::Catalog& catalog_;
   std::vector<ColumnEntry> entries_;
 };
@@ -256,10 +257,11 @@ Result<AnalyzedQuery> Analyze(const SelectStatement& stmt,
 
   AnalyzedQuery out;
   out.sql = stmt.ToString();
+  out.catalog = storage::Catalog::Intern(catalog);
   out.from = stmt.from;
   out.size = stmt.size;
 
-  Binder binder(stmt.from, catalog);
+  Binder binder(out.from, *out.catalog);
   TCELLS_RETURN_IF_ERROR(binder.Init());
   out.combined_schema = binder.CombinedSchema();
   for (const auto& e : binder.entries()) {

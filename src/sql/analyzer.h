@@ -13,6 +13,7 @@
 #ifndef TCELLS_SQL_ANALYZER_H_
 #define TCELLS_SQL_ANALYZER_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,7 +31,12 @@ struct AnalyzedQuery {
   /// Original statement text form (for queryboxes / debugging).
   std::string sql;
 
-  /// FROM tables in statement order.
+  /// The interned catalog the query was bound against. A FROM table's
+  /// bound_index is its position there, so the query runs only on a
+  /// database holding this very instance (sql::CollectionTuples checks).
+  std::shared_ptr<const storage::Catalog> catalog;
+
+  /// FROM tables in statement order, each bound to its catalog position.
   std::vector<TableRef> from;
 
   /// Concatenated schema of the FROM tables; column names are qualified
@@ -88,8 +94,9 @@ struct AnalyzedQuery {
   storage::Schema collection_schema;
 };
 
-/// Binds `stmt` against `catalog`. Validation errors come back as
-/// InvalidArgument with a human-readable message.
+/// Binds `stmt` against `catalog` (through its interned instance,
+/// Catalog::Intern). Validation errors come back as InvalidArgument with a
+/// human-readable message.
 Result<AnalyzedQuery> Analyze(const SelectStatement& stmt,
                               const storage::Catalog& catalog);
 

@@ -106,6 +106,7 @@ ExprPtr MakeAggregate(AggKind kind, bool distinct, ExprPtr arg /*null => star*/)
 struct TableRef {
   std::string table;
   std::string alias;  // empty if none
+  int bound_index = -1;  // the table's catalog position after analysis
 
   const std::string& effective_name() const {
     return alias.empty() ? table : alias;

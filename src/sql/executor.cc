@@ -103,21 +103,24 @@ Result<std::vector<Tuple>> CollectionTuples(const storage::Database& db,
     return Status::OK();
   };
 
+  // The FROM tables are bound to positions in the catalog the query was
+  // analyzed against; in another catalog a position names another table.
+  if (q.catalog != db.shared_catalog()) {
+    return Status::FailedPrecondition(
+        "query was analyzed against another catalog than the database's");
+  }
   // A single-table query evaluates on the stored rows themselves.
   if (q.from.size() == 1) {
-    TCELLS_ASSIGN_OR_RETURN(const storage::Table* t,
-                            db.GetTable(q.from[0].table));
-    for (const Tuple& row : t->rows()) TCELLS_RETURN_IF_ERROR(emit(row));
+    for (const Tuple& row : db.table(q.from[0].bound_index).rows()) {
+      TCELLS_RETURN_IF_ERROR(emit(row));
+    }
     return out;
   }
   // A local join: the Cartesian product of the FROM tables, constrained by
   // WHERE. The per-TDS tables are tiny, so nested loops are appropriate;
   // each concatenation is materialized into one reused row.
   std::vector<const storage::Table*> tables;
-  for (const auto& ref : q.from) {
-    TCELLS_ASSIGN_OR_RETURN(const storage::Table* t, db.GetTable(ref.table));
-    tables.push_back(t);
-  }
+  for (const auto& ref : q.from) tables.push_back(&db.table(ref.bound_index));
   for (const auto* t : tables) {
     if (t->num_rows() == 0) return out;  // empty product
   }

@@ -38,7 +38,9 @@ struct QueryResult {
 /// [group values..., aggregate inputs...]; for plain SFW queries, the
 /// projected SELECT rows. One entry per combined row (Cartesian product of
 /// the FROM tables) that passes WHERE; a single-table query is evaluated on
-/// its stored rows without copying them.
+/// its stored rows without copying them. The tables are reached by their
+/// bound catalog positions, so `q` must have been analyzed against the
+/// database's own interned catalog: FailedPrecondition otherwise.
 Result<std::vector<storage::Tuple>> CollectionTuples(
     const storage::Database& db, const AnalyzedQuery& q);
 

@@ -1,5 +1,6 @@
 #include "storage/schema.h"
 
+#include <algorithm>
 #include <mutex>
 #include <utility>
 
@@ -23,34 +24,24 @@ Schema Schema::Concat(const Schema& a, const Schema& b) {
 }
 
 Status Catalog::AddTable(const std::string& name, Schema schema) {
-  std::string key = ToLower(name);
-  if (tables_.count(key)) {
+  if (FindTable(name).ok()) {
     return Status::InvalidArgument("table already exists: " + name);
   }
-  tables_.emplace(key, std::make_pair(name, std::move(schema)));
+  const std::string key = ToLower(name);
+  auto after = [&](const TableDef& t) { return key < ToLower(t.name); };
+  tables_.insert(std::find_if(tables_.begin(), tables_.end(), after),
+                 TableDef{name, std::move(schema)});
   return Status::OK();
 }
 
-Result<const Schema*> Catalog::GetSchema(std::string_view name) const {
-  auto it = tables_.find(ToLower(name));
-  if (it == tables_.end()) {
-    return Status::NotFound("no such table: " + std::string(name));
+Result<size_t> Catalog::FindTable(std::string_view name) const {
+  for (size_t i = 0; i < tables_.size(); ++i) {
+    if (EqualsIgnoreCase(tables_[i].name, name)) return i;
   }
-  return &it->second.second;
+  return Status::NotFound("no such table: " + std::string(name));
 }
 
-bool Catalog::HasTable(std::string_view name) const {
-  return tables_.count(ToLower(name)) > 0;
-}
-
-std::vector<std::string> Catalog::TableNames() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [key, value] : tables_) names.push_back(value.first);
-  return names;
-}
-
-std::shared_ptr<const Catalog> Catalog::Intern(Catalog catalog) {
+std::shared_ptr<const Catalog> Catalog::Intern(const Catalog& catalog) {
   static std::mutex mu;
   static std::vector<std::weak_ptr<const Catalog>> pool;
   std::lock_guard<std::mutex> lock(mu);
@@ -63,10 +54,10 @@ std::shared_ptr<const Catalog> Catalog::Intern(Catalog catalog) {
       pool.pop_back();
       continue;
     }
-    if (*live == catalog) return live;
+    if (live.get() == &catalog || *live == catalog) return live;
     ++i;
   }
-  auto interned = std::make_shared<const Catalog>(std::move(catalog));
+  auto interned = std::make_shared<const Catalog>(catalog);
   pool.push_back(interned);
   return interned;
 }

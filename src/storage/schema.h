@@ -4,7 +4,6 @@
 #ifndef TCELLS_STORAGE_SCHEMA_H_
 #define TCELLS_STORAGE_SCHEMA_H_
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -47,17 +46,30 @@ class Schema {
   std::vector<Column> columns_;
 };
 
+/// One table of a catalog: its name, with the case it was created with, and
+/// its schema.
+struct TableDef {
+  std::string name;
+  Schema schema;
+
+  bool operator==(const TableDef& other) const = default;
+};
+
 /// Named tables -> schemas. The analyzer binds queries against it. A
 /// Database holds its catalog interned (Catalog::Intern), so the TDSs of a
-/// fleet built on the common schema share one immutable instance.
+/// fleet built on the common schema share one immutable instance, and with
+/// it every table name and schema: a Database's tables point into it.
 class Catalog {
  public:
   /// Fails if the name is already taken (case-insensitive).
   Status AddTable(const std::string& name, Schema schema);
 
-  Result<const Schema*> GetSchema(std::string_view name) const;
-  bool HasTable(std::string_view name) const;
-  std::vector<std::string> TableNames() const;
+  /// The position of the table named `name` (case-insensitive): tables are
+  /// kept in the order of their lower-cased names, whatever order they were
+  /// added in. NotFound if absent.
+  Result<size_t> FindTable(std::string_view name) const;
+  size_t num_tables() const { return tables_.size(); }
+  const TableDef& table(size_t i) const { return tables_[i]; }
 
   /// Exact equality: table and column names with their case, and column
   /// types.
@@ -65,15 +77,15 @@ class Catalog {
 
   /// The process-wide instance equal to `catalog` (operator==), created
   /// from it if no live one exists. Two databases of the same shape thus
-  /// hold the same pointer, and a query's cached analysis
-  /// (tds::QueryCache::Analysis) keys on that identity. Thread-safe. The pool
-  /// holds its instances weakly: a shape no database holds any more is
-  /// freed.
-  static std::shared_ptr<const Catalog> Intern(Catalog catalog);
+  /// hold the same pointer, and a query's analysis keys on that identity
+  /// (sql::AnalyzedQuery::catalog, tds::QueryCache::Analysis). Thread-safe.
+  /// The pool holds its instances weakly: a shape no database or analysis
+  /// holds any more is freed.
+  static std::shared_ptr<const Catalog> Intern(const Catalog& catalog);
 
  private:
-  // Keyed by lower-cased name.
-  std::map<std::string, std::pair<std::string, Schema>> tables_;
+  // Sorted by lower-cased name.
+  std::vector<TableDef> tables_;
 };
 
 }  // namespace tcells::storage

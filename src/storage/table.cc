@@ -1,28 +1,29 @@
 #include "storage/table.h"
 
 #include <cmath>
-
-#include "common/strings.h"
+#include <utility>
 
 namespace tcells::storage {
 
 Status Table::Insert(Tuple row) {
-  if (row.size() != schema_.num_columns()) {
-    return Status::InvalidArgument("arity mismatch inserting into " + name_);
+  const Schema& s = schema();
+  if (row.size() != s.num_columns()) {
+    return Status::InvalidArgument("arity mismatch inserting into " + name());
   }
   for (size_t i = 0; i < row.size(); ++i) {
     const Value& v = row.at(i);
     if (v.is_null()) continue;
+    const Column& col = s.column(i);
     // NaN is rejected at the storage boundary: it has no total order, which
     // would break grouping maps and MIN/MAX/MEDIAN invariants downstream.
     if (v.type() == ValueType::kDouble && std::isnan(v.AsDouble())) {
       return Status::InvalidArgument("NaN is not storable in column " +
-                                     schema_.column(i).name);
+                                     name() + "." + col.name);
     }
-    if (v.type() != schema_.column(i).type) {
+    if (v.type() != col.type) {
       return Status::InvalidArgument(
-          "type mismatch in column " + schema_.column(i).name + ": expected " +
-          ValueTypeToString(schema_.column(i).type) + ", got " +
+          "type mismatch in column " + name() + "." + col.name +
+          ": expected " + ValueTypeToString(col.type) + ", got " +
           ValueTypeToString(v.type()));
     }
   }
@@ -38,24 +39,25 @@ Database::Database() {
 
 Status Database::CreateTable(const std::string& name, Schema schema) {
   Catalog next = *catalog_;
-  TCELLS_RETURN_IF_ERROR(next.AddTable(name, schema));
-  catalog_ = Catalog::Intern(std::move(next));
-  tables_.push_back(std::make_unique<Table>(name, std::move(schema)));
+  TCELLS_RETURN_IF_ERROR(next.AddTable(name, std::move(schema)));
+  catalog_ = Catalog::Intern(next);
+  const size_t at = catalog_->FindTable(name).ValueOrDie();
+  tables_.insert(tables_.begin() + static_cast<std::ptrdiff_t>(at), Table());
+  // The new catalog is another instance: every table re-points at it.
+  for (size_t i = 0; i < tables_.size(); ++i) {
+    tables_[i].def_ = &catalog_->table(i);
+  }
   return Status::OK();
 }
 
-Result<Table*> Database::GetTable(std::string_view name) {
-  for (auto& t : tables_) {
-    if (EqualsIgnoreCase(t->name(), name)) return t.get();
-  }
-  return Status::NotFound("no such table: " + std::string(name));
+Result<const Table*> Database::GetTable(std::string_view name) const {
+  TCELLS_ASSIGN_OR_RETURN(size_t i, catalog_->FindTable(name));
+  return &tables_[i];
 }
 
-Result<const Table*> Database::GetTable(std::string_view name) const {
-  for (const auto& t : tables_) {
-    if (EqualsIgnoreCase(t->name(), name)) return t.get();
-  }
-  return Status::NotFound("no such table: " + std::string(name));
+Result<Table*> Database::GetTable(std::string_view name) {
+  TCELLS_ASSIGN_OR_RETURN(const Table* t, std::as_const(*this).GetTable(name));
+  return const_cast<Table*>(t);
 }
 
 }  // namespace tcells::storage

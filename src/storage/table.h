@@ -13,14 +13,12 @@
 
 namespace tcells::storage {
 
-/// A schema-checked bag of tuples.
+/// A schema-checked bag of tuples. Its name and schema live in the owning
+/// Database's interned catalog; the table holds only its rows.
 class Table {
  public:
-  Table(std::string name, Schema schema)
-      : name_(std::move(name)), schema_(std::move(schema)) {}
-
-  const std::string& name() const { return name_; }
-  const Schema& schema() const { return schema_; }
+  const std::string& name() const { return def_->name; }
+  const Schema& schema() const { return def_->schema; }
   size_t num_rows() const { return rows_.size(); }
   const std::vector<Tuple>& rows() const { return rows_; }
   const Tuple& row(size_t i) const { return rows_[i]; }
@@ -28,27 +26,33 @@ class Table {
   /// Checks arity and per-column type (NULL fits any column).
   Status Insert(Tuple row);
 
-  void Clear() { rows_.clear(); }
-
  private:
-  std::string name_;
-  Schema schema_;
+  friend class Database;
+  Table() = default;
+
+  const TableDef* def_ = nullptr;
   std::vector<Tuple> rows_;
 };
 
 /// A set of named tables with an interned catalog — one TDS's local
 /// database, or the plaintext union database used as the test oracle.
+/// Table i is the catalog's table i.
 class Database {
  public:
   /// Starts with the interned empty catalog.
   Database();
 
   /// Interns the current catalog plus the new table (Catalog::Intern) and
-  /// creates empty storage.
+  /// creates empty storage at the table's catalog position. A Table* from
+  /// GetTable stays valid only until the next CreateTable.
   Status CreateTable(const std::string& name, Schema schema);
 
+  /// The table at the name's catalog position (case-insensitive); NotFound
+  /// if absent.
   Result<Table*> GetTable(std::string_view name);
   Result<const Table*> GetTable(std::string_view name) const;
+  /// The table at catalog position `i`.
+  const Table& table(size_t i) const { return tables_[i]; }
   const Catalog& catalog() const { return *catalog_; }
   /// The interned instance itself: every database of the same shape holds
   /// the same pointer.
@@ -58,8 +62,7 @@ class Database {
 
  private:
   std::shared_ptr<const Catalog> catalog_;
-  // Parallel to catalog registration order; keyed by lower-case name.
-  std::vector<std::unique_ptr<Table>> tables_;
+  std::vector<Table> tables_;
 };
 
 }  // namespace tcells::storage

@@ -51,14 +51,14 @@ Result<std::shared_ptr<const sql::AnalyzedQuery>> QueryCache::Analysis(
   return GetOrBuild(
       mu_, analyses_,
       [&](const AnalysisEntry& e) {
-        return e.catalog == catalog && e.sql == text;
+        return e.value->catalog == catalog && e.sql == text;
       },
       [&]() -> Result<AnalysisEntry> {
         std::string owned(text);
         TCELLS_ASSIGN_OR_RETURN(sql::AnalyzedQuery query,
                                 sql::AnalyzeSql(owned, *catalog));
         return AnalysisEntry{
-            catalog, std::move(owned),
+            std::move(owned),
             std::make_shared<const sql::AnalyzedQuery>(std::move(query))};
       });
 }

@@ -70,8 +70,8 @@ class QueryCache {
       size_t pad_payload_to);
 
  private:
+  /// Keyed by the text and the analysis' own catalog (value->catalog).
   struct AnalysisEntry {
-    std::shared_ptr<const storage::Catalog> catalog;
     std::string sql;
     std::shared_ptr<const sql::AnalyzedQuery> value;
   };

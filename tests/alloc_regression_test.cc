@@ -428,6 +428,34 @@ TEST(QueryStateTest, CollectionTransientMemoryIsSetByTheWave) {
   EXPECT_LE(per_tds, 700) << "transient bytes per TDS: " << per_tds;
 }
 
+TEST(FleetFootprintTest, OneRowTdsHoldsItsRowsNotACopyOfTheCatalog) {
+  // A TDS's table holds its rows and a pointer into the interned catalog,
+  // which owns the table's name and schema once for the whole fleet. Live
+  // heap bytes the build of a one-row fleet adds, per TDS, stay under the
+  // bound. Measured: 632 B per TDS while every table kept its own name and
+  // schema behind a unique_ptr, 392 B with the catalog's shared.
+  constexpr size_t kFleet = 2000;
+  workload::GenericOptions gopts;
+  gopts.num_tds = kFleet;
+  gopts.num_groups = 8;
+  gopts.rows_per_tds = 1;
+  gopts.seed = 7;
+  auto keys = crypto::KeyStore::CreateForTest(gopts.seed);
+  auto authority = std::make_shared<Authority>(Bytes(16, 0x35));
+  const int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  auto fleet = workload::BuildGenericFleet(gopts, keys, authority,
+                                           AccessPolicy::AllowAll())
+                   .ValueOrDie();
+  const int64_t per_tds =
+      (g_live_bytes.load(std::memory_order_relaxed) - before) /
+      static_cast<int64_t>(kFleet);
+  EXPECT_LE(per_tds, 450) << "live bytes per one-row TDS: " << per_tds;
+
+  // Two same-shape databases return the one Schema object.
+  EXPECT_EQ(&fleet->at(0)->db().GetTable("T").ValueOrDie()->schema(),
+            &fleet->at(1)->db().GetTable("t").ValueOrDie()->schema());
+}
+
 // ---------------------------------------------------------------------------
 // The SSI item path: SsiClient -> LoopbackTransport -> SsiNode.
 

@@ -168,6 +168,50 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
+// The oracle on a fleet of mixed shapes
+
+TEST(ReferenceTest, MixedShapeFleetRunsEachTdsOnItsOwnCatalog) {
+  // TDS 1 also holds "A", of T's columns, which sorts before T: T sits at
+  // catalog position 0 on TDS 0 and at 1 on TDS 1. The oracle analyzes once
+  // per catalog, so it reads T on both and never A.
+  auto keys = crypto::KeyStore::CreateForTest(7);
+  auto authority = std::make_shared<tds::Authority>(Bytes(16, 0x12));
+  Fleet fleet;
+  for (int64_t id = 0; id < 2; ++id) {
+    auto server = std::make_unique<tds::TrustedDataServer>(
+        id, keys, authority, tds::AccessPolicy::AllowAll());
+    storage::Database& db = server->db();
+    auto row = [](int64_t gid, const char* grp, double val) {
+      return Tuple({Value::Int64(gid), Value::String(grp), Value::Double(val),
+                    Value::Int64(0)});
+    };
+    if (id == 1) {
+      ASSERT_TRUE(db.CreateTable("A", workload::GenericSchema()).ok());
+      ASSERT_TRUE(
+          db.GetTable("A").ValueOrDie()->Insert(row(9, "decoy", 99)).ok());
+    }
+    ASSERT_TRUE(db.CreateTable("T", workload::GenericSchema()).ok());
+    ASSERT_TRUE(db.GetTable("T")
+                    .ValueOrDie()
+                    ->Insert(row(id, "G00", 10.0 * (id + 1)))
+                    .ok());
+    fleet.Add(std::move(server));
+  }
+  ASSERT_NE(fleet.at(0)->db().shared_catalog(),
+            fleet.at(1)->db().shared_catalog());
+
+  auto rows = ExecuteReference(fleet, "SELECT grp, val FROM T").ValueOrDie();
+  ASSERT_EQ(rows.rows.size(), 2u);
+  for (const auto& r : rows.rows) EXPECT_EQ(r.at(0).AsString(), "G00");
+  auto agg = ExecuteReference(
+                 fleet, "SELECT grp, COUNT(*), SUM(val) FROM T GROUP BY grp")
+                 .ValueOrDie();
+  ASSERT_EQ(agg.rows.size(), 1u);
+  EXPECT_EQ(agg.rows[0].at(1).AsInt64(), 2);
+  EXPECT_DOUBLE_EQ(agg.rows[0].at(2).AsDouble(), 30.0);
+}
+
+// ---------------------------------------------------------------------------
 // Basic SFW protocol
 
 TEST(BasicSfwTest, MatchesOracleAndDropsDummies) {

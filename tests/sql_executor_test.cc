@@ -237,5 +237,65 @@ TEST_F(ExecutorTest, MedianEndToEnd) {
   EXPECT_DOUBLE_EQ(result.rows[0].at(0).AsDouble(), 21.0);
 }
 
+
+// ---------------------------------------------------------------------------
+// A query reaches its tables by the catalog positions it was bound to, so it
+// runs only on a database of the catalog it was analyzed against.
+
+/// A database with "Power" and, when `with_alerts`, an "Alerts" table of the
+/// same columns, which sorts before it. One row each, told apart by cid.
+Database PowerDb(bool with_alerts) {
+  const Schema schema(
+      {{"cid", ValueType::kInt64}, {"cons", ValueType::kDouble}});
+  Database db;
+  EXPECT_TRUE(db.CreateTable("Power", schema).ok());
+  EXPECT_TRUE(db.GetTable("Power")
+                  .ValueOrDie()
+                  ->Insert(Tuple({Value::Int64(1), Value::Double(1.5)}))
+                  .ok());
+  if (with_alerts) {
+    EXPECT_TRUE(db.CreateTable("Alerts", schema).ok());
+    EXPECT_TRUE(db.GetTable("Alerts")
+                    .ValueOrDie()
+                    ->Insert(Tuple({Value::Int64(99), Value::Double(9.5)}))
+                    .ok());
+  }
+  return db;
+}
+
+TEST(CatalogBindingTest, QueryOfAnotherCatalogFailsInsteadOfReadingItsTable) {
+  const Database power_only = PowerDb(false);
+  const Database with_alerts = PowerDb(true);
+  const std::string sql = "SELECT cid, cons FROM Power";
+  AnalyzedQuery q = AnalyzeSql(sql, power_only.catalog()).ValueOrDie();
+  EXPECT_EQ(q.from[0].bound_index, 0);
+  // Position 0 of the other catalog is Alerts, of the same columns: the
+  // query must fail, never read it.
+  auto mismatched = CollectionTuples(with_alerts, q);
+  ASSERT_FALSE(mismatched.ok());
+  EXPECT_TRUE(mismatched.status().IsFailedPrecondition());
+  EXPECT_TRUE(ExecuteLocal(with_alerts, q).status().IsFailedPrecondition());
+
+  AnalyzedQuery own = AnalyzeSql(sql, with_alerts.catalog()).ValueOrDie();
+  EXPECT_EQ(own.from[0].bound_index, 1);
+  auto rows = CollectionTuples(with_alerts, own).ValueOrDie();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].at(0).AsInt64(), 1);
+}
+
+TEST(CatalogBindingTest, AnEqualCatalogBuiltApartBindsToTheSameInstance) {
+  // Analysis interns the catalog it is given, so a hand-built catalog of
+  // the database's shape is the database's own.
+  const Database db = PowerDb(true);
+  storage::Catalog apart;
+  ASSERT_TRUE(apart.AddTable("Power", db.GetTable("Power").ValueOrDie()
+                                          ->schema()).ok());
+  ASSERT_TRUE(apart.AddTable("Alerts", db.GetTable("Alerts").ValueOrDie()
+                                           ->schema()).ok());
+  AnalyzedQuery q = AnalyzeSql("SELECT cid FROM Power", apart).ValueOrDie();
+  EXPECT_EQ(q.catalog, db.shared_catalog());
+  EXPECT_EQ(CollectionTuples(db, q).ValueOrDie().size(), 1u);
+}
+
 }  // namespace
 }  // namespace tcells::sql

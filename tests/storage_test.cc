@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
+#include "common/strings.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/tuple.h"
@@ -151,35 +153,64 @@ TEST(SchemaTest, Concat) {
 TEST(CatalogTest, AddAndLookup) {
   Catalog cat;
   ASSERT_TRUE(cat.AddTable("T", Schema({{"a", ValueType::kInt64}})).ok());
-  EXPECT_TRUE(cat.HasTable("t"));
-  EXPECT_TRUE(cat.GetSchema("T").ok());
-  EXPECT_FALSE(cat.GetSchema("U").ok());
+  EXPECT_EQ(cat.FindTable("t").ValueOrDie(), 0u);
+  EXPECT_EQ(cat.table(0).name, "T");
+  EXPECT_EQ(cat.table(0).schema.column(0).name, "a");
+  EXPECT_TRUE(cat.FindTable("U").status().IsNotFound());
   EXPECT_FALSE(cat.AddTable("t", Schema()).ok());  // duplicate
+}
+
+TEST(CatalogTest, PositionsFollowTheLowerCasedNames) {
+  Catalog cat;
+  ASSERT_TRUE(cat.AddTable("Vitals", Schema()).ok());
+  ASSERT_TRUE(cat.AddTable("patient", Schema()).ok());
+  ASSERT_TRUE(cat.AddTable("Alerts", Schema()).ok());
+  ASSERT_EQ(cat.num_tables(), 3u);
+  EXPECT_EQ(cat.table(0).name, "Alerts");
+  EXPECT_EQ(cat.table(1).name, "patient");
+  EXPECT_EQ(cat.table(2).name, "Vitals");
+  // The same tables added in another order are the same catalog.
+  Catalog sorted;
+  ASSERT_TRUE(sorted.AddTable("Alerts", Schema()).ok());
+  ASSERT_TRUE(sorted.AddTable("patient", Schema()).ok());
+  ASSERT_TRUE(sorted.AddTable("Vitals", Schema()).ok());
+  EXPECT_EQ(cat, sorted);
 }
 
 // ---------------------------------------------------------------------------
 // Table / Database
 
+/// A database with the one table "T" of `schema`.
+Database OneTableDb(Schema schema) {
+  Database db;
+  EXPECT_TRUE(db.CreateTable("T", std::move(schema)).ok());
+  return db;
+}
+
 TEST(TableTest, InsertTypeChecking) {
-  Table t("T", Schema({{"a", ValueType::kInt64}, {"b", ValueType::kString}}));
-  EXPECT_TRUE(t.Insert(Tuple({Value::Int64(1), Value::String("x")})).ok());
-  EXPECT_TRUE(t.Insert(Tuple({Value::Null(), Value::Null()})).ok());
-  EXPECT_FALSE(t.Insert(Tuple({Value::String("bad"), Value::String("x")})).ok());
-  EXPECT_FALSE(t.Insert(Tuple({Value::Int64(1)})).ok());  // arity
-  EXPECT_EQ(t.num_rows(), 2u);
+  Database db = OneTableDb(
+      Schema({{"a", ValueType::kInt64}, {"b", ValueType::kString}}));
+  Table* t = db.GetTable("T").ValueOrDie();
+  EXPECT_TRUE(t->Insert(Tuple({Value::Int64(1), Value::String("x")})).ok());
+  EXPECT_TRUE(t->Insert(Tuple({Value::Null(), Value::Null()})).ok());
+  EXPECT_FALSE(
+      t->Insert(Tuple({Value::String("bad"), Value::String("x")})).ok());
+  EXPECT_FALSE(t->Insert(Tuple({Value::Int64(1)})).ok());  // arity
+  EXPECT_EQ(t->num_rows(), 2u);
 }
 
 
 TEST(TableTest, NanRejectedAtStorageBoundary) {
-  Table t("T", Schema({{"d", ValueType::kDouble}}));
-  EXPECT_TRUE(t.Insert(Tuple({Value::Double(1.5)})).ok());
+  Database db = OneTableDb(Schema({{"d", ValueType::kDouble}}));
+  Table* t = db.GetTable("T").ValueOrDie();
+  EXPECT_TRUE(t->Insert(Tuple({Value::Double(1.5)})).ok());
   EXPECT_FALSE(
-      t.Insert(Tuple({Value::Double(std::nan(""))})).ok());
+      t->Insert(Tuple({Value::Double(std::nan(""))})).ok());
   EXPECT_TRUE(
-      t.Insert(Tuple({Value::Double(
+      t->Insert(Tuple({Value::Double(
                    std::numeric_limits<double>::infinity())}))
           .ok());  // infinities order fine
-  EXPECT_EQ(t.num_rows(), 2u);
+  EXPECT_EQ(t->num_rows(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -234,9 +265,71 @@ TEST(DatabaseTest, CreateAndGet) {
   ASSERT_TRUE(db.CreateTable("A", Schema({{"x", ValueType::kInt64}})).ok());
   ASSERT_TRUE(db.CreateTable("B", Schema({{"y", ValueType::kInt64}})).ok());
   EXPECT_TRUE(db.GetTable("a").ok());
-  EXPECT_FALSE(db.GetTable("c").ok());
+  EXPECT_TRUE(db.GetTable("c").status().IsNotFound());
   EXPECT_FALSE(db.CreateTable("A", Schema()).ok());
-  EXPECT_EQ(db.catalog().TableNames().size(), 2u);
+  EXPECT_EQ(db.catalog().num_tables(), 2u);
+}
+
+TEST(DatabaseTest, TablesCreatedOutOfNameOrderKeepTheirOwnRowsAndSchema) {
+  // Creation order is not catalog order: each CreateTable here inserts its
+  // table before the filled ones, which move with their rows and re-point
+  // at the new catalog. Table i has i + 1 columns and i + 1 rows; row r
+  // holds r in each column.
+  Database db;
+  const char* names[] = {"Vitals", "Patient", "Alerts"};
+  const char* columns[] = {"a", "b", "c"};
+  for (size_t i = 0; i < 3; ++i) {
+    std::vector<Column> cols;
+    for (size_t c = 0; c <= i; ++c) {
+      cols.push_back({columns[c], ValueType::kInt64});
+    }
+    ASSERT_TRUE(db.CreateTable(names[i], Schema(std::move(cols))).ok());
+    Table* t = db.GetTable(names[i]).ValueOrDie();
+    for (size_t r = 0; r <= i; ++r) {
+      Tuple row;
+      for (size_t c = 0; c <= i; ++c) {
+        row.Append(Value::Int64(static_cast<int64_t>(r)));
+      }
+      ASSERT_TRUE(t->Insert(std::move(row)).ok());
+    }
+  }
+  for (size_t i = 0; i < 3; ++i) {
+    const std::string lower = ToLower(names[i]);
+    const Database& view = db;
+    const Table* t = view.GetTable(lower).ValueOrDie();
+    EXPECT_EQ(t->name(), names[i]);
+    EXPECT_EQ(t->schema().num_columns(), i + 1);
+    EXPECT_EQ(&t->schema(),
+              &db.catalog()
+                   .table(db.catalog().FindTable(names[i]).ValueOrDie())
+                   .schema);
+    ASSERT_EQ(t->num_rows(), i + 1);
+    EXPECT_EQ(t->row(i).at(i).AsInt64(), static_cast<int64_t>(i));
+  }
+  EXPECT_EQ(db.catalog().table(0).name, "Alerts");
+  EXPECT_EQ(&db.table(0), db.GetTable("ALERTS").ValueOrDie());
+}
+
+TEST(DatabaseTest, InsertErrorsNameTheTableAndTheColumn) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("Vitals", Schema({{"pid", ValueType::kInt64},
+                                               {"bpm", ValueType::kDouble}}))
+                  .ok());
+  ASSERT_TRUE(db.CreateTable("Alerts", Schema({{"pid", ValueType::kInt64}}))
+                  .ok());
+  Table* vitals = db.GetTable("vitals").ValueOrDie();
+
+  Status arity = vitals->Insert(Tuple({Value::Int64(1)}));
+  EXPECT_TRUE(arity.IsInvalidArgument());
+  EXPECT_EQ(arity.message(), "arity mismatch inserting into Vitals");
+
+  Status type = vitals->Insert(Tuple({Value::Int64(1), Value::String("x")}));
+  EXPECT_EQ(type.message(),
+            "type mismatch in column Vitals.bpm: expected DOUBLE, got STRING");
+
+  Status nan =
+      vitals->Insert(Tuple({Value::Int64(1), Value::Double(std::nan(""))}));
+  EXPECT_EQ(nan.message(), "NaN is not storable in column Vitals.bpm");
 }
 
 // ---------------------------------------------------------------------------
@@ -272,14 +365,15 @@ TEST(CatalogInterningTest, CreateTableLeavesTheOtherDatabaseUnchanged) {
   ASSERT_TRUE(a.CreateTable("U", Schema({{"x", ValueType::kInt64}})).ok());
 
   EXPECT_NE(a.shared_catalog().get(), shared);
-  EXPECT_TRUE(a.catalog().HasTable("U"));
   EXPECT_TRUE(a.GetTable("U").ok());
-  EXPECT_EQ(a.catalog().TableNames(), (std::vector<std::string>{"T", "U"}));
+  ASSERT_EQ(a.catalog().num_tables(), 2u);
+  EXPECT_EQ(a.catalog().table(0).name, "T");
+  EXPECT_EQ(a.catalog().table(1).name, "U");
 
   EXPECT_EQ(b.shared_catalog().get(), shared);
-  EXPECT_FALSE(b.catalog().HasTable("U"));
+  EXPECT_FALSE(b.catalog().FindTable("U").ok());
   EXPECT_FALSE(b.GetTable("U").ok());
-  EXPECT_EQ(b.catalog().TableNames(), std::vector<std::string>{"T"});
+  EXPECT_EQ(b.catalog().num_tables(), 1u);
   EXPECT_TRUE(b.GetTable("T").ok());
 }
 
