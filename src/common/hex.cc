@@ -23,7 +23,9 @@ std::string ToHex(const uint8_t* data, size_t n) {
   return out;
 }
 
-std::string ToHex(const Bytes& data) { return ToHex(data.data(), data.size()); }
+std::string ToHex(std::span<const uint8_t> data) {
+  return ToHex(data.data(), data.size());
+}
 
 Result<Bytes> FromHex(std::string_view hex) {
   if (hex.size() % 2 != 0) {

@@ -3,6 +3,7 @@
 #ifndef TCELLS_COMMON_HEX_H_
 #define TCELLS_COMMON_HEX_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -12,7 +13,7 @@
 namespace tcells {
 
 /// Lower-case hex string of `data`.
-std::string ToHex(const Bytes& data);
+std::string ToHex(std::span<const uint8_t> data);
 std::string ToHex(const uint8_t* data, size_t n);
 
 /// Parses a hex string (case-insensitive, even length, no separators).

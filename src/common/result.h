@@ -27,10 +27,12 @@ class Result {
 
   /// Implicit conversion from a value.
   Result(T value)  // NOLINT(google-explicit-constructor)
-      : status_(Status::OK()), value_(std::move(value)) {}
+      : value_(std::move(value)) {}
 
   bool ok() const { return status_.ok(); }
-  const Status& status() const { return status_; }
+  const Status& status() const& { return status_; }
+  /// Hands the error out without copying it.
+  Status status() && { return std::move(status_); }
 
   /// Returns the contained value; must only be called when ok().
   const T& ValueOrDie() const& {

@@ -21,12 +21,20 @@ const char* StatusCodeToString(StatusCode code) {
   return "Unknown";
 }
 
+Status::Status(StatusCode code, std::string msg)
+    : state_(std::make_unique<State>(State{code, std::move(msg)})) {}
+
+const std::string& Status::message() const {
+  static const std::string kEmpty;
+  return state_ ? state_->message : kEmpty;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
-  std::string out = StatusCodeToString(code_);
-  if (!message_.empty()) {
+  std::string out = StatusCodeToString(state_->code);
+  if (!state_->message.empty()) {
     out += ": ";
-    out += message_;
+    out += state_->message;
   }
   return out;
 }

@@ -4,6 +4,7 @@
 #ifndef TCELLS_COMMON_STATUS_H_
 #define TCELLS_COMMON_STATUS_H_
 
+#include <memory>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -30,11 +31,27 @@ enum class StatusCode {
 /// Human-readable name of a StatusCode (e.g. "InvalidArgument").
 const char* StatusCodeToString(StatusCode code);
 
-/// An (code, message) pair. The common success value carries no allocation.
+/// An (code, message) pair, held as one pointer that is null when OK: the
+/// success value is a null pointer to pass, test and destroy, and only an
+/// error allocates (its code and message, behind the pointer). Copying an
+/// error copies its state; moving one leaves the source OK. Build an error
+/// only to return or keep it: a hot path that makes one and drops it pays an
+/// allocation per call (DESIGN.md "Status").
 class Status {
  public:
   /// Constructs an OK status.
-  Status() : code_(StatusCode::kOk) {}
+  Status() noexcept = default;
+  Status(const Status& other)
+      : state_(other.state_ ? std::make_unique<State>(*other.state_)
+                            : nullptr) {}
+  Status& operator=(const Status& other) {
+    if (this != &other) {
+      state_ = other.state_ ? std::make_unique<State>(*other.state_) : nullptr;
+    }
+    return *this;
+  }
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
 
   static Status OK() { return Status(); }
   static Status InvalidArgument(std::string msg) {
@@ -74,32 +91,38 @@ class Status {
     return Status(StatusCode::kOutOfRange, std::move(msg));
   }
 
-  bool ok() const { return code_ == StatusCode::kOk; }
-  StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  bool ok() const { return state_ == nullptr; }
+  StatusCode code() const { return state_ ? state_->code : StatusCode::kOk; }
+  /// The error's message; empty when OK.
+  const std::string& message() const;
 
-  bool IsInvalidArgument() const { return code_ == StatusCode::kInvalidArgument; }
-  bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
-  bool IsPermissionDenied() const { return code_ == StatusCode::kPermissionDenied; }
-  bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
-  bool IsResourceExhausted() const { return code_ == StatusCode::kResourceExhausted; }
-  bool IsFailedPrecondition() const { return code_ == StatusCode::kFailedPrecondition; }
-  bool IsUnimplemented() const { return code_ == StatusCode::kUnimplemented; }
-  bool IsInternal() const { return code_ == StatusCode::kInternal; }
-  bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
-  bool IsDeadlineExceeded() const { return code_ == StatusCode::kDeadlineExceeded; }
-  bool IsCancelled() const { return code_ == StatusCode::kCancelled; }
-  bool IsOutOfRange() const { return code_ == StatusCode::kOutOfRange; }
+  bool IsInvalidArgument() const { return code() == StatusCode::kInvalidArgument; }
+  bool IsNotFound() const { return code() == StatusCode::kNotFound; }
+  bool IsPermissionDenied() const { return code() == StatusCode::kPermissionDenied; }
+  bool IsCorruption() const { return code() == StatusCode::kCorruption; }
+  bool IsResourceExhausted() const { return code() == StatusCode::kResourceExhausted; }
+  bool IsFailedPrecondition() const { return code() == StatusCode::kFailedPrecondition; }
+  bool IsUnimplemented() const { return code() == StatusCode::kUnimplemented; }
+  bool IsInternal() const { return code() == StatusCode::kInternal; }
+  bool IsUnavailable() const { return code() == StatusCode::kUnavailable; }
+  bool IsDeadlineExceeded() const { return code() == StatusCode::kDeadlineExceeded; }
+  bool IsCancelled() const { return code() == StatusCode::kCancelled; }
+  bool IsOutOfRange() const { return code() == StatusCode::kOutOfRange; }
 
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;
 
  private:
-  Status(StatusCode code, std::string msg)
-      : code_(code), message_(std::move(msg)) {}
+  struct State {
+    StatusCode code;
+    std::string message;
+  };
 
-  StatusCode code_;
-  std::string message_;
+  /// Out of line, so a call site that builds an error inlines no string or
+  /// allocation code.
+  Status(StatusCode code, std::string msg);
+
+  std::unique_ptr<State> state_;  ///< null = OK
 };
 
 inline std::ostream& operator<<(std::ostream& os, const Status& s) {
@@ -127,7 +150,7 @@ inline std::ostream& operator<<(std::ostream& os, const Status& s) {
 
 #define TCELLS_ASSIGN_OR_RETURN_IMPL(tmp, lhs, rexpr) \
   auto tmp = (rexpr);                                 \
-  if (!tmp.ok()) return tmp.status();                 \
+  if (!tmp.ok()) return std::move(tmp).status();      \
   lhs = std::move(tmp).ValueOrDie();
 
 #endif  // TCELLS_COMMON_STATUS_H_

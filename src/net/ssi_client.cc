@@ -33,24 +33,6 @@ void PutItemsRequest(Bytes* out, MsgType type,
   ssi::EncodeItemsTo(items, out);
 }
 
-/// Each post is decoded where it lies in the reply body.
-Result<std::vector<QueryPost>> PostsFromBody(Body body) {
-  ByteReader reader(body);
-  // Each post encoding is at least its own 4-byte length prefix.
-  TCELLS_ASSIGN_OR_RETURN(uint32_t n, reader.GetCountU32(4));
-  std::vector<QueryPost> posts;
-  posts.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    TCELLS_ASSIGN_OR_RETURN(uint32_t size, reader.GetU32());
-    const Body encoded = reader.rest();
-    TCELLS_RETURN_IF_ERROR(reader.Skip(size));
-    TCELLS_ASSIGN_OR_RETURN(QueryPost post,
-                            QueryPost::Decode(encoded.first(size)));
-    posts.push_back(std::move(post));
-  }
-  return posts;
-}
-
 Result<bool> AcceptedFromBody(Body body) {
   TCELLS_ASSIGN_OR_RETURN(uint8_t accepted, ByteReader(body).GetU8());
   return accepted != 0;
@@ -85,6 +67,60 @@ class SsiClient::ReplyFrame {
   std::shared_ptr<const Bytes> shared_;
 };
 
+namespace {
+
+/// The posts one querybox download has decoded, by encoding. Every TDS of
+/// a FetchPostsBatch is sent the same few posts, so each distinct encoding
+/// is decoded once, in place in the reply frame it first arrived in, and
+/// every TDS gets a copy whose byte fields share that frame. A call sees
+/// no more distinct posts than the SSI holds active queries, so a linear
+/// scan finds them.
+class PostDecoder {
+ public:
+  /// The posts of one kFetchPosts reply body inside `reply`.
+  template <typename Reply>
+  Result<std::vector<QueryPost>> Posts(Body body, Reply* reply) {
+    ByteReader reader(body);
+    // Each post encoding is at least its own 4-byte length prefix.
+    TCELLS_ASSIGN_OR_RETURN(uint32_t n, reader.GetCountU32(4));
+    std::vector<QueryPost> posts;
+    posts.reserve(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      TCELLS_ASSIGN_OR_RETURN(uint32_t size, reader.GetU32());
+      const Body rest = reader.rest();
+      TCELLS_RETURN_IF_ERROR(reader.Skip(size));
+      TCELLS_ASSIGN_OR_RETURN(const QueryPost* post,
+                              Find(rest.first(size), reply));
+      posts.push_back(*post);
+    }
+    return posts;
+  }
+
+ private:
+  struct Decoded {
+    SharedBytes encoded;
+    QueryPost post;
+  };
+
+  template <typename Reply>
+  Result<const QueryPost*> Find(Body encoded, Reply* reply) {
+    for (const Decoded& d : decoded_) {
+      if (std::equal(encoded.begin(), encoded.end(), d.encoded.begin(),
+                     d.encoded.end())) {
+        return &d.post;
+      }
+    }
+    const std::shared_ptr<const void> owner = reply->Share();
+    TCELLS_ASSIGN_OR_RETURN(QueryPost post, QueryPost::Decode(owner, encoded));
+    decoded_.push_back(Decoded{SharedBytes(owner, encoded), std::move(post)});
+    return &decoded_.back().post;
+  }
+
+  std::vector<Decoded> decoded_;
+};
+
+}  // namespace
+
 SsiClient::SsiClient(Transport* transport, RetryPolicy policy,
                      obs::MetricsRegistry* metrics, BatchOptions batch)
     : transport_(transport),
@@ -114,7 +150,9 @@ Status SsiClient::ExchangeFrame(Bytes* frame, size_t n,
   CallOptions opts;
   opts.deadline_seconds = policy_.deadline_seconds;
   double backoff = policy_.backoff_seconds;
-  Status last = Status::Unavailable("no attempt made");
+  // Every attempt that does not return sets `last` to its error, and there
+  // is at least one attempt: no status is built up front only to be dropped.
+  Status last;
   size_t max_attempts = std::max<size_t>(1, policy_.max_attempts);
   for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
     if (attempt > 0) {
@@ -337,21 +375,24 @@ Status SsiClient::PostPersonal(uint64_t tds_id, const QueryPost& post) {
 Result<std::vector<QueryPost>> SsiClient::FetchPosts(uint64_t tds_id) {
   return CallOne<std::vector<QueryPost>>(
       [&](Bytes* out) { PutRequest(out, MsgType::kFetchPosts, {tds_id}); },
-      [](Body body, ReplyFrame*) { return PostsFromBody(body); });
+      [](Body body, ReplyFrame* reply) {
+        return PostDecoder().Posts(body, reply);
+      });
 }
 
 std::vector<Result<std::vector<QueryPost>>> SsiClient::FetchPostsBatch(
     const std::vector<uint64_t>& tds_ids) {
   std::vector<Result<std::vector<QueryPost>>> out;
   out.reserve(tds_ids.size());
+  PostDecoder decoder;
   Run(
       tds_ids.size(), 0,
       [&](size_t i, Bytes* frame) {
         PutRequest(frame, MsgType::kFetchPosts, {tds_ids[i]});
       },
-      [&](size_t, const Result<Body>& body, ReplyFrame*) {
+      [&](size_t, const Result<Body>& body, ReplyFrame* reply) {
         if (body.ok()) {
-          out.push_back(PostsFromBody(*body));
+          out.push_back(decoder.Posts(*body, reply));
         } else {
           out.push_back(body.status());
         }

@@ -1,6 +1,7 @@
 #include "net/ssi_node.h"
 
 #include <algorithm>
+#include <bit>
 #include <span>
 #include <string>
 #include <utility>
@@ -56,6 +57,35 @@ Status NoActiveQuery(uint64_t query_id) {
 }
 
 }  // namespace
+
+SsiNode::ServedTable::Serve& SsiNode::ServedTable::Insert(uint64_t tds_id) {
+  if (4 * (size_ + 1) > 3 * states_.size()) Grow();
+  size_t i = Home(tds_id);
+  while (states_[i] != Serve::kNone && ids_[i] != tds_id) i = (i + 1) & mask_;
+  if (states_[i] == Serve::kNone) {
+    ids_[i] = tds_id;
+    states_[i] = Serve::kAcknowledged;
+    size_ += 1;
+  }
+  return states_[i];
+}
+
+void SsiNode::ServedTable::Grow() {
+  std::vector<uint64_t> ids = std::move(ids_);
+  std::vector<Serve> states = std::move(states_);
+  const size_t capacity = std::max<size_t>(16, 2 * states.size());
+  ids_.assign(capacity, 0);
+  states_.assign(capacity, Serve::kNone);
+  mask_ = capacity - 1;
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+  for (size_t j = 0; j < states.size(); ++j) {
+    if (states[j] == Serve::kNone) continue;
+    size_t i = Home(ids[j]);
+    while (states_[i] != Serve::kNone) i = (i + 1) & mask_;
+    ids_[i] = ids[j];
+    states_[i] = states[j];
+  }
+}
 
 size_t SsiNode::num_active_queries() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -152,7 +182,7 @@ Status SsiNode::Dispatch(std::span<const uint8_t> call, Bytes* reply) {
       w.PutU32(0);  // the post count, patched below
       uint32_t n = 0;
       for (const auto& [id, query] : queries_) {
-        if (query.served.count(tds_id)) continue;
+        if (query.served.Find(tds_id) != ServedTable::Serve::kNone) continue;
         if (query.post.personal_tds && *query.post.personal_tds != tds_id) {
           continue;
         }
@@ -168,7 +198,7 @@ Status SsiNode::Dispatch(std::span<const uint8_t> call, Bytes* reply) {
       TCELLS_ASSIGN_OR_RETURN(uint64_t tds_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
-      query->served.try_emplace(tds_id);
+      query->served.Insert(tds_id);
       return ReplyOk(reply);
     }
     case MsgType::kUploadCollection: {
@@ -176,17 +206,18 @@ Status SsiNode::Dispatch(std::span<const uint8_t> call, Bytes* reply) {
       TCELLS_ASSIGN_OR_RETURN(uint64_t tds_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(ItemsBody upload, ScanItemsBody(&reader));
       TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
-      std::optional<bool>& accepted = query->served[tds_id];
+      ServedTable::Serve& serve = query->served.Insert(tds_id);
       // A set bit means a duplicate delivery: a transport retry after the
       // reply was lost. The first delivery already stored this TDS's
       // contribution (or discarded it after the take); replay its reply
       // instead of counting the contribution twice.
-      if (!accepted) {
+      if (serve == ServedTable::Serve::kAcknowledged) {
         // The node stores what it is sent until the collection is taken; a
         // later contribution is discarded, but the TDS still counts as
         // having served the query. The querier alone enforces SIZE.
-        accepted = !query->taken;
-        if (*accepted) {
+        serve = query->taken ? ServedTable::Serve::kRejected
+                             : ServedTable::Serve::kAccepted;
+        if (serve == ServedTable::Serve::kAccepted) {
           TCELLS_RETURN_IF_ERROR(
               query->view.ObserveCollection(upload.encoding));
           const std::span<const uint8_t> items = upload.items();
@@ -197,7 +228,7 @@ Status SsiNode::Dispatch(std::span<const uint8_t> call, Bytes* reply) {
       }
       ByteWriter w(reply);
       w.PutU8(static_cast<uint8_t>(StatusCode::kOk));
-      w.PutU8(*accepted ? 1 : 0);
+      w.PutU8(serve == ServedTable::Serve::kAccepted ? 1 : 0);
       return Status::OK();
     }
     case MsgType::kTakeCollected: {
@@ -289,7 +320,7 @@ Status SsiNode::Dispatch(std::span<const uint8_t> call, Bytes* reply) {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(Query * query, Posted(query_id));
       ByteWriter(reply).PutU8(static_cast<uint8_t>(StatusCode::kOk));
-      query->view.EncodeTo(reply);
+      query->view.View().EncodeTo(reply);
       return Status::OK();
     }
     case MsgType::kPostEpochBlock: {

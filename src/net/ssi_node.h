@@ -30,7 +30,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "net/channel.h"
@@ -70,6 +69,44 @@ class SsiNode {
   size_t num_active_queries() const;
 
  private:
+  /// What one query's record holds per TDS that served it, looked up by
+  /// TDS id and never iterated: an open-addressing table of (id, state)
+  /// with linear probing, grown by doubling at 3/4 load, so an entry costs
+  /// 9 bytes of two flat arrays and no allocation of its own. A query
+  /// served by a whole fleet holds two buffers, which kRetire frees.
+  class ServedTable {
+   public:
+    enum class Serve : uint8_t {
+      kNone = 0,      ///< Not served (an empty slot).
+      kAcknowledged,  ///< Served without an upload, or none stored yet.
+      kRejected,      ///< First upload arrived after the take.
+      kAccepted,      ///< First upload stored.
+    };
+
+    Serve Find(uint64_t tds_id) const {
+      if (size_ == 0) return Serve::kNone;
+      for (size_t i = Home(tds_id);; i = (i + 1) & mask_) {
+        if (states_[i] == Serve::kNone || ids_[i] == tds_id) return states_[i];
+      }
+    }
+    /// The state of `tds_id`, inserted as kAcknowledged when absent. Valid
+    /// until the next insert.
+    Serve& Insert(uint64_t tds_id);
+
+   private:
+    size_t Home(uint64_t tds_id) const {
+      // Fibonacci hashing: consecutive ids spread over the whole table.
+      return static_cast<size_t>((tds_id * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+    void Grow();
+
+    std::vector<uint64_t> ids_;
+    std::vector<Serve> states_;
+    size_t size_ = 0;
+    size_t mask_ = 0;
+    unsigned shift_ = 64;
+  };
+
   /// One posted query's SSI state.
   struct Query {
     struct Post {
@@ -85,12 +122,11 @@ class SsiNode {
       Bytes items;  ///< Item-vector encoding.
     };
     Post post;
-    /// tds_id → accept bit of its first collection upload, or nullopt when
-    /// it acknowledged the query without one. A duplicate upload (transport
-    /// retry after a lost reply) replays the bit instead of appending the
-    /// contribution a second time.
-    /// Looked up, never iterated.
-    std::unordered_map<uint64_t, std::optional<bool>> served;
+    /// The TDSs that served the query, each with the accept bit of its
+    /// first collection upload (kAcknowledged when it acknowledged the query
+    /// without one). A duplicate upload (transport retry after a lost reply)
+    /// replays the bit instead of appending the contribution a second time.
+    ServedTable served;
     /// Every accepted collection item, as the concatenation of the item
     /// encodings the uploads carried, and how many items that is.
     Bytes collected;
@@ -99,7 +135,7 @@ class SsiNode {
     /// later upload is acknowledged but discarded, and every take — a
     /// duplicate delivery included — serves the same `collected` bytes.
     bool taken = false;
-    ssi::AdversaryView view;
+    ssi::ViewRecorder view;
     /// Set by the first kObserveAggregation: a retry after a lost reply
     /// observes nothing twice.
     bool aggregation_observed = false;

@@ -349,7 +349,8 @@ Status QuerySession::ServeWave(PendingQuery& q,
           serve.skipped = true;
           return Status::OK();
         }
-        TCELLS_ASSIGN_OR_RETURN(serve.items, std::move(items));
+        if (!items.ok()) return std::move(items).status();
+        serve.items = std::move(items).ValueOrDie();
         return Status::OK();
       }));
 

@@ -196,18 +196,38 @@ Result<std::vector<EncryptedItem>> ItemsBuilder::Finish() {
   return EncryptedItem::Adopt(std::move(buffer), items);
 }
 
+namespace {
+
+/// A u32-length-prefixed byte string read from `reader` as a view into the
+/// buffer `owner` keeps alive.
+Result<SharedBytes> GetShared(ByteReader* reader,
+                              const std::shared_ptr<const void>& owner) {
+  TCELLS_ASSIGN_OR_RETURN(uint32_t n, reader->GetU32());
+  const std::span<const uint8_t> bytes = reader->rest();
+  TCELLS_RETURN_IF_ERROR(reader->Skip(n));
+  return SharedBytes(owner, bytes.first(n));
+}
+
+void PutShared(ByteWriter* w, const SharedBytes& bytes) {
+  w->PutU32(static_cast<uint32_t>(bytes.size()));
+  w->PutRaw(bytes.data(), bytes.size());
+}
+
+}  // namespace
+
 void QueryKeyPosting::EncodeTo(Bytes* out) const {
   ByteWriter w(out);
   w.PutU32(epoch);
   w.PutU64(query_id);
-  w.PutBytes(nonce);
+  PutShared(&w, nonce);
 }
 
-Result<QueryKeyPosting> QueryKeyPosting::DecodeFrom(ByteReader* reader) {
+Result<QueryKeyPosting> QueryKeyPosting::DecodeFrom(
+    ByteReader* reader, const std::shared_ptr<const void>& owner) {
   QueryKeyPosting posting;
   TCELLS_ASSIGN_OR_RETURN(posting.epoch, reader->GetU32());
   TCELLS_ASSIGN_OR_RETURN(posting.query_id, reader->GetU64());
-  TCELLS_ASSIGN_OR_RETURN(posting.nonce, reader->GetBytes());
+  TCELLS_ASSIGN_OR_RETURN(posting.nonce, GetShared(reader, owner));
   if (posting.nonce.size() != kNonceSize) {
     return Status::Corruption("key posting nonce must be 16 bytes");
   }
@@ -232,9 +252,9 @@ Bytes QueryPost::Encode() const {
 void QueryPost::EncodeTo(Bytes* out) const {
   ByteWriter w(out);
   w.PutU64(query_id);
-  w.PutBytes(encrypted_query);
+  PutShared(&w, encrypted_query);
   w.PutString(querier_id);
-  w.PutBytes(credential_mac);
+  PutShared(&w, credential_mac);
   w.PutU8(static_cast<uint8_t>((size_max_tuples ? 1 : 0) |
                                (size_max_duration_ticks ? 2 : 0) |
                                (key_posting ? 4 : 0)));
@@ -244,12 +264,21 @@ void QueryPost::EncodeTo(Bytes* out) const {
 }
 
 Result<QueryPost> QueryPost::Decode(std::span<const uint8_t> data) {
+  std::shared_ptr<uint8_t[]> copy =
+      std::make_shared_for_overwrite<uint8_t[]>(data.size());
+  if (!data.empty()) std::memcpy(copy.get(), data.data(), data.size());
+  const std::span<const uint8_t> bytes(copy.get(), data.size());
+  return Decode(std::move(copy), bytes);
+}
+
+Result<QueryPost> QueryPost::Decode(const std::shared_ptr<const void>& owner,
+                                    std::span<const uint8_t> data) {
   ByteReader reader(data);
   QueryPost post;
   TCELLS_ASSIGN_OR_RETURN(post.query_id, reader.GetU64());
-  TCELLS_ASSIGN_OR_RETURN(post.encrypted_query, reader.GetBytes());
+  TCELLS_ASSIGN_OR_RETURN(post.encrypted_query, GetShared(&reader, owner));
   TCELLS_ASSIGN_OR_RETURN(post.querier_id, reader.GetString());
-  TCELLS_ASSIGN_OR_RETURN(post.credential_mac, reader.GetBytes());
+  TCELLS_ASSIGN_OR_RETURN(post.credential_mac, GetShared(&reader, owner));
   TCELLS_ASSIGN_OR_RETURN(uint8_t flags, reader.GetU8());
   if (flags > 7) return Status::Corruption("bad query post flags");
   if (flags & 1) {
@@ -262,7 +291,7 @@ Result<QueryPost> QueryPost::Decode(std::span<const uint8_t> data) {
   }
   if (flags & 4) {
     TCELLS_ASSIGN_OR_RETURN(QueryKeyPosting posting,
-                            QueryKeyPosting::DecodeFrom(&reader));
+                            QueryKeyPosting::DecodeFrom(&reader, owner));
     if (posting.query_id != post.query_id) {
       return Status::Corruption("key posting query id mismatch");
     }

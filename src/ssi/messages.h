@@ -258,12 +258,15 @@ Status OpenAllInto(const crypto::NDetEnc& enc,
 struct QueryKeyPosting {
   uint32_t epoch = 0;
   uint64_t query_id = 0;
-  Bytes nonce;  ///< 16 fresh bytes drawn by the querier per query
+  SharedBytes nonce;  ///< 16 fresh bytes drawn by the querier per query
 
   static constexpr size_t kNonceSize = 16;
 
   void EncodeTo(Bytes* out) const;
-  static Result<QueryKeyPosting> DecodeFrom(::tcells::ByteReader* reader);
+  /// Reads a posting from `reader`, whose buffer `owner` keeps alive; the
+  /// nonce shares it.
+  static Result<QueryKeyPosting> DecodeFrom(
+      ::tcells::ByteReader* reader, const std::shared_ptr<const void>& owner);
 
   friend bool operator==(const QueryKeyPosting& a, const QueryKeyPosting& b) {
     return a.epoch == b.epoch && a.query_id == b.query_id &&
@@ -283,11 +286,16 @@ uint64_t EpochBlockTag(std::span<const uint8_t> block);
 /// cleartext so the SSI can evaluate it. A dynamically-keyed query also
 /// carries its public QueryKeyPosting; statically-keyed posts encode
 /// byte-identically to the pre-key-management wire format.
+///
+/// The byte fields are SharedBytes: a decoded post's fields are views into
+/// the buffer it was decoded from, so copying a post — one per TDS that
+/// downloads it — copies no bytes (a querier id longer than the string's
+/// inline capacity excepted).
 struct QueryPost {
   uint64_t query_id = 0;
-  Bytes encrypted_query;         ///< nDet_Enc_k1(SQL text)
+  SharedBytes encrypted_query;   ///< nDet_Enc_k1(SQL text)
   std::string querier_id;        ///< cleartext querier identity
-  Bytes credential_mac;          ///< authority MAC over querier_id
+  SharedBytes credential_mac;    ///< authority MAC over querier_id
   std::optional<uint64_t> size_max_tuples;
   std::optional<uint64_t> size_max_duration_ticks;
   std::optional<QueryKeyPosting> key_posting;  ///< dynamic key mode only
@@ -295,7 +303,13 @@ struct QueryPost {
   Bytes Encode() const;
   /// Appends the encoding to `out`.
   void EncodeTo(Bytes* out) const;
+  /// Decodes `data`, which must hold exactly one post, into one copy of it
+  /// that the post's byte fields share.
   static Result<QueryPost> Decode(std::span<const uint8_t> data);
+  /// Decodes `data`, inside a buffer `owner` keeps alive; the byte fields
+  /// are views into it and copy nothing.
+  static Result<QueryPost> Decode(const std::shared_ptr<const void>& owner,
+                                  std::span<const uint8_t> data);
 };
 
 /// A chunk of the covering result handed to one TDS. Its codec is the

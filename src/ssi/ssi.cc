@@ -64,28 +64,6 @@ Result<AdversaryView> AdversaryView::Decode(std::span<const uint8_t> data) {
 
 namespace {
 
-/// Reads one item-vector encoding ScanItems accepted: counts its tags into
-/// `hist` and, when `blob_sizes` is set, records every blob size. Lookup
-/// keys are copied into one scratch buffer reused across the items, so the
-/// only allocations are that buffer (once per call) and the map key of a
-/// first-seen tag. Returns the item count.
-Result<uint32_t> ObserveItems(std::span<const uint8_t> items,
-                              std::map<Bytes, uint64_t>* hist,
-                              std::vector<size_t>* blob_sizes) {
-  ByteReader reader(items.data(), items.size());
-  TCELLS_ASSIGN_OR_RETURN(ItemScanner scan, ItemScanner::Open(&reader));
-  Bytes key;
-  for (uint32_t i = 0; i < scan.count(); ++i) {
-    TCELLS_ASSIGN_OR_RETURN(ItemView item, scan.Next());
-    if (const auto tag = item.routing_tag()) {
-      key.assign(tag->begin(), tag->end());
-      (*hist)[key] += 1;
-    }
-    if (blob_sizes != nullptr) blob_sizes->push_back(item.blob().size());
-  }
-  return scan.count();
-}
-
 /// Orders tags as std::map<Bytes> does (lexicographically), and lets a
 /// span look up a Bytes key without building one.
 struct TagLess {
@@ -99,19 +77,52 @@ struct TagLess {
 
 }  // namespace
 
-Status AdversaryView::ObserveCollection(std::span<const uint8_t> items) {
+Result<uint32_t> ViewRecorder::ObserveItems(std::span<const uint8_t> items,
+                                            TagCounts* tags,
+                                            std::vector<size_t>* blob_sizes) {
+  ByteReader reader(items.data(), items.size());
+  TCELLS_ASSIGN_OR_RETURN(ItemScanner scan, ItemScanner::Open(&reader));
+  for (uint32_t i = 0; i < scan.count(); ++i) {
+    TCELLS_ASSIGN_OR_RETURN(ItemView item, scan.Next());
+    if (const auto tag = item.routing_tag()) {
+      const std::string_view key(reinterpret_cast<const char*>(tag->data()),
+                                 tag->size());
+      if (auto it = tags->find(key); it != tags->end()) {
+        it->second += 1;
+      } else {
+        tags->emplace(key, 1);
+      }
+    }
+    if (blob_sizes != nullptr) blob_sizes->push_back(item.blob().size());
+  }
+  return scan.count();
+}
+
+Status ViewRecorder::ObserveCollection(std::span<const uint8_t> items) {
   TCELLS_ASSIGN_OR_RETURN(uint32_t n,
-                          ObserveItems(items, &collection_tag_histogram,
-                                       &collection_blob_sizes));
-  collection_items += n;
+                          ObserveItems(items, &collection_tags_,
+                                       &view_.collection_blob_sizes));
+  view_.collection_items += n;
   return Status::OK();
 }
 
-Status AdversaryView::ObserveAggregation(std::span<const uint8_t> items) {
-  TCELLS_ASSIGN_OR_RETURN(
-      uint32_t n, ObserveItems(items, &aggregation_tag_histogram, nullptr));
-  aggregation_items += n;
+Status ViewRecorder::ObserveAggregation(std::span<const uint8_t> items) {
+  TCELLS_ASSIGN_OR_RETURN(uint32_t n,
+                          ObserveItems(items, &aggregation_tags_, nullptr));
+  view_.aggregation_items += n;
   return Status::OK();
+}
+
+const AdversaryView& ViewRecorder::View() {
+  const auto fold = [](TagCounts* counts, std::map<Bytes, uint64_t>* hist) {
+    for (const auto& [tag, count] : *counts) {
+      (*hist)[Bytes(tag.begin(), tag.end())] += count;
+    }
+    counts->clear();
+  };
+  fold(&collection_tags_, &view_.collection_tag_histogram);
+  fold(&aggregation_tags_, &view_.aggregation_tag_histogram);
+  return view_;
 }
 
 std::vector<Partition> PartitionRandomly(std::vector<EncryptedItem> items,

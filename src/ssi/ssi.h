@@ -10,14 +10,18 @@
 // The SSI's per-query state lives in net::SsiNode, one record per query.
 // This header holds what both sides of the wire share: the AdversaryView —
 // the exact multiset of observations an attacker controlling the SSI gets,
-// for the security analysis (§5) — and the partition builders the protocols
-// run between rounds.
+// for the security analysis (§5) — the ViewRecorder the node builds it with,
+// and the partition builders the protocols run between rounds.
 #ifndef TCELLS_SSI_SSI_H_
 #define TCELLS_SSI_SSI_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <span>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -45,18 +49,51 @@ struct AdversaryView {
   uint64_t aggregation_items = 0;
   uint64_t filtering_items = 0;
 
+  /// Wire codec, so a remote querier can download the view for the exposure
+  /// analysis. Maps encode in key order; the round trip is lossless.
+  void EncodeTo(Bytes* out) const;
+  static Result<AdversaryView> Decode(std::span<const uint8_t> data);
+};
+
+/// What the SSI node records of one query toward its AdversaryView, as the
+/// calls arrive. Tags are counted in hash maps and folded into the view's
+/// ordered maps when the view is read, so the encoded view is the one
+/// AdversaryView::EncodeTo writes for the same observations.
+class ViewRecorder {
+ public:
   /// Records one accepted collection upload / one aggregation-phase output.
   /// `items` is an item-vector encoding ScanItems already accepted; it is
   /// read again here without materializing an item.
   Status ObserveCollection(std::span<const uint8_t> items);
   Status ObserveAggregation(std::span<const uint8_t> items);
   /// Records the delivered result's item count.
-  void ObserveFiltering(uint64_t items) { filtering_items += items; }
+  void ObserveFiltering(uint64_t items) { view_.filtering_items += items; }
 
-  /// Wire codec, so a remote querier can download the view for the exposure
-  /// analysis. Maps encode in key order; the round trip is lossless.
-  void EncodeTo(Bytes* out) const;
-  static Result<AdversaryView> Decode(std::span<const uint8_t> data);
+  /// The view of everything recorded so far.
+  const AdversaryView& View();
+
+ private:
+  /// Hashes a tag as a string_view, so a tag's span finds its count
+  /// without a key built.
+  struct TagHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view tag) const {
+      return std::hash<std::string_view>()(tag);
+    }
+  };
+  using TagCounts =
+      std::unordered_map<std::string, uint64_t, TagHash, std::equal_to<>>;
+
+  /// Reads one item-vector encoding ScanItems accepted: counts its tags
+  /// into `tags` and, when `blob_sizes` is set, records every blob size.
+  /// Returns the item count.
+  static Result<uint32_t> ObserveItems(std::span<const uint8_t> items,
+                                       TagCounts* tags,
+                                       std::vector<size_t>* blob_sizes);
+
+  AdversaryView view_;  ///< Tag maps behind by what the counts hold.
+  TagCounts collection_tags_;
+  TagCounts aggregation_tags_;
 };
 
 /// ---- Partitioning (steps 5/9) ----

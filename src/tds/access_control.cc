@@ -23,7 +23,7 @@ Bytes Authority::Issue(const std::string& querier_id) const {
 }
 
 bool Authority::Verify(const std::string& querier_id,
-                       const Bytes& credential) const {
+                       std::span<const uint8_t> credential) const {
   // The expected MAC lives on the stack: a serve verifies without a buffer.
   const auto expected = MacOf(mac_, querier_id);
   return credential.size() == expected.size() &&

@@ -10,6 +10,7 @@
 #define TCELLS_TDS_ACCESS_CONTROL_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,8 @@ class Authority {
   /// rejected outright; the MAC itself is compared with ConstantTimeEqual,
   /// so the run time does not reveal where a forged credential first
   /// differs.
-  bool Verify(const std::string& querier_id, const Bytes& credential) const;
+  bool Verify(const std::string& querier_id,
+              std::span<const uint8_t> credential) const;
 
  private:
   crypto::HmacState mac_;

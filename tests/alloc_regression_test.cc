@@ -119,6 +119,12 @@ uint64_t CountAllocs(const std::function<void()>& fn) {
   return g_alloc_count.load(std::memory_order_relaxed) - before;
 }
 
+uint64_t CountFrees(const std::function<void()>& fn) {
+  const uint64_t before = g_free_count.load(std::memory_order_relaxed);
+  fn();
+  return g_free_count.load(std::memory_order_relaxed) - before;
+}
+
 /// Global allocations not yet freed (news - non-null deletes).
 int64_t LiveAllocs() {
   return static_cast<int64_t>(g_alloc_count.load(std::memory_order_relaxed)) -
@@ -654,6 +660,128 @@ TEST(SsiItemPathTest, FetchPostsBatchDecodesPostsInPlace) {
   // body, 201 decoded in place.
   EXPECT_LE(allocs, 3 * kTds + 16)
       << "FetchPostsBatch of " << kTds << " TDSs allocates " << allocs;
+}
+
+TEST(SsiItemPathTest, FetchPostsBatchCostsOneVectorPerTds) {
+  // 64 TDSs fetch the querybox at 8 calls per frame, first with one post
+  // active, then with four. Each distinct post encoding is decoded once per
+  // call, in place in the reply frame it first arrived in, and every TDS's
+  // copy shares those bytes: a TDS costs its post vector, however many
+  // posts it is sent.
+  constexpr size_t kTds = 64;
+  net::SsiNode node;
+  net::LoopbackTransport transport(node.handler());
+  net::BatchOptions batching;
+  batching.max_calls_per_frame = Engine::kAutoBatchCallsLoopback;
+  net::SsiClient client(&transport, net::RetryPolicy{}, nullptr, batching);
+  std::vector<uint64_t> ids(kTds);
+  for (size_t i = 0; i < kTds; ++i) ids[i] = i;
+  for (size_t posts = 1; posts <= 4; posts += 3) {
+    while (node.num_active_queries() < posts) {
+      ssi::QueryPost post;
+      post.query_id = node.num_active_queries() + 1;
+      post.encrypted_query = Bytes(96, 0x51);
+      post.querier_id = "querier";
+      post.credential_mac = Bytes(32, 0xC1);
+      ASSERT_TRUE(client.PostGlobal(post).ok());
+    }
+    ASSERT_EQ(client.FetchPostsBatch(ids).size(), kTds);  // warm-up
+
+    const uint64_t allocs = CountAllocs([&] {
+      auto fetched = client.FetchPostsBatch(ids);
+      ASSERT_EQ(fetched.size(), kTds);
+      for (const auto& tds_posts : fetched) {
+        ASSERT_TRUE(tds_posts.ok());
+        ASSERT_EQ(tds_posts->size(), posts);
+        EXPECT_EQ((*tds_posts)[0].credential_mac.data(),
+                  (*fetched[0])[0].credential_mac.data())
+            << "a TDS's post copies the bytes instead of sharing them";
+      }
+    });
+    // Measured: 201 allocations at one post and 585 at four while each TDS
+    // decoded its own copy of every post (a vector plus two byte strings
+    // per post); 75 and 77 with one decode per distinct post — a vector
+    // per TDS, a reply frame per 8-call frame and the decoder's own few.
+    EXPECT_LE(allocs, kTds + 16) << "FetchPostsBatch of " << kTds
+                                 << " TDSs seeing " << posts
+                                 << " posts allocates " << allocs;
+  }
+}
+
+TEST(SsiItemPathTest, WarmNodeUploadCostsAtMostOneAllocation) {
+  // A warm node stores a collection upload with no allocation of its own:
+  // the TDS's served state is a slot of a flat table, and the stored
+  // collection and the view's blob sizes grow geometrically. What remains
+  // is one reply frame per 8-upload frame and the growth of those buffers.
+  constexpr size_t kUploads = 256;
+  net::SsiNode node;
+  net::LoopbackTransport transport(node.handler());
+  net::BatchOptions batching;
+  batching.max_calls_per_frame = Engine::kAutoBatchCallsLoopback;
+  net::SsiClient client(&transport, net::RetryPolicy{}, nullptr, batching);
+  ssi::QueryPost post;
+  post.query_id = 1;
+  ASSERT_TRUE(client.PostGlobal(post).ok());
+  auto batch_from = [&](uint64_t first_tds) {
+    std::vector<net::CollectionUpload> batch(kUploads);
+    for (size_t i = 0; i < kUploads; ++i) {
+      batch[i].query_id = 1;
+      batch[i].tds_id = first_tds + i;
+      batch[i].items = OpaqueItems(1, /*tagged=*/true);
+    }
+    return batch;
+  };
+  for (const Result<bool>& accepted :
+       client.UploadCollectionBatch(batch_from(0))) {
+    ASSERT_TRUE(accepted.ok() && *accepted);
+  }
+
+  const std::vector<net::CollectionUpload> batch = batch_from(kUploads);
+  const uint64_t allocs = CountAllocs([&] {
+    for (const Result<bool>& accepted : client.UploadCollectionBatch(batch)) {
+      ASSERT_TRUE(accepted.ok() && *accepted);
+    }
+  });
+  // Measured: 548 for 256 one-item uploads with a map node per served TDS
+  // and a scratch tag key per upload, 37 with the flat tables.
+  EXPECT_LE(allocs, kUploads)
+      << kUploads << " warm uploads allocate " << allocs << " times";
+}
+
+TEST(SsiItemPathTest, RetireOfAFleetServedQueryFreesAFixedHandful) {
+  // 10k TDSs acknowledge one query. Their served state is two flat arrays,
+  // so retiring the query frees a handful of blocks, not one per TDS.
+  constexpr uint64_t kTds = 10000;
+  net::SsiNode node;
+  net::LoopbackTransport transport(node.handler());
+  net::BatchOptions batching;
+  batching.max_calls_per_frame = Engine::kAutoBatchCallsTcp;
+  net::SsiClient client(&transport, net::RetryPolicy{}, nullptr, batching);
+  ssi::QueryPost post;
+  post.query_id = 1;
+  ASSERT_TRUE(client.PostGlobal(post).ok());
+  std::vector<Bytes> acks;
+  for (uint64_t tds = 0; tds < kTds; ++tds) {
+    Bytes call;
+    ByteWriter w(&call);
+    w.PutU8(static_cast<uint8_t>(net::MsgType::kAcknowledge));
+    w.PutU64(tds);
+    w.PutU64(1);
+    acks.push_back(std::move(call));
+  }
+  for (const Result<Bytes>& acked : client.Exchange(acks)) {
+    ASSERT_TRUE(acked.ok());
+  }
+  ASSERT_TRUE(client.FetchPosts(kTds - 1)->empty());
+
+  const uint64_t frees = CountFrees([&] {
+    ASSERT_TRUE(client.Retire(1).ok());
+  });
+  // Measured: 10004 frees with a map node per served TDS, 5 with the
+  // flat table.
+  EXPECT_LE(frees, 16u) << "retiring a query 10k TDSs served frees "
+                        << frees << " blocks";
+  EXPECT_EQ(node.num_active_queries(), 0u);
 }
 
 TEST(SsiItemPathTest, NodeWritesEachReplyFrameIntoOneBuffer) {

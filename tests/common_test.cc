@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <memory>
 #include <set>
+#include <span>
 
 #include "common/arena.h"
 #include "common/bytes.h"
@@ -31,6 +34,25 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
   EXPECT_TRUE(s.IsNotFound());
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
   EXPECT_EQ(s.ToString(), "NotFound: missing thing");
+}
+
+// Success is a null pointer: passing, testing and destroying an OK status
+// touches no heap, and a Result<T> is one pointer beside its value.
+static_assert(sizeof(Status) == sizeof(void*));
+
+TEST(StatusTest, CopiesOwnTheirStateAndMovesLeaveOk) {
+  Status a = Status::Unavailable("link down");
+  Status b = a;
+  EXPECT_TRUE(b.IsUnavailable());
+  EXPECT_EQ(b.message(), "link down");
+  EXPECT_NE(&a.message(), &b.message());
+  Status c = std::move(a);
+  EXPECT_EQ(c.ToString(), "Unavailable: link down");
+  EXPECT_TRUE(a.ok());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.message(), "");
+  b = Status::OK();
+  EXPECT_TRUE(b.ok());
+  EXPECT_EQ(b.code(), StatusCode::kOk);
 }
 
 TEST(StatusTest, AllCodesHaveNames) {
@@ -127,6 +149,34 @@ TEST(BytesTest, UnderflowIsCorruption) {
   auto res = r.GetU32();
   ASSERT_FALSE(res.ok());
   EXPECT_TRUE(res.status().IsCorruption());
+}
+
+TEST(ByteReaderTest, HugeLengthsCannotWrapTheCursor) {
+  // A length near SIZE_MAX must fail as underflow, not wrap the bounds
+  // check and move the cursor backwards.
+  const Bytes buf(10, 0x5a);
+  ByteReader r(buf);
+  ASSERT_TRUE(r.Skip(5).ok());
+  EXPECT_TRUE(r.Skip(SIZE_MAX - 2).IsCorruption());
+  EXPECT_EQ(r.remaining(), 5u);
+  EXPECT_TRUE(r.GetRaw(SIZE_MAX - 2).status().IsCorruption());
+  EXPECT_EQ(r.remaining(), 5u);
+  EXPECT_TRUE(r.Skip(5).ok());
+  EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(SharedBytesTest, CopiesShareTheBufferAndCompareByContent) {
+  const SharedBytes a(Bytes{1, 2, 3});
+  const SharedBytes b = a;
+  EXPECT_EQ(a.data(), b.data());
+  EXPECT_EQ(a, SharedBytes(Bytes{1, 2, 3}));
+  EXPECT_FALSE(a == SharedBytes(Bytes{1, 2}));
+  EXPECT_EQ(SharedBytes(), SharedBytes(Bytes{}));
+  // A view keeps its owner alive.
+  auto owner = std::make_shared<const Bytes>(Bytes{9, 8, 7, 6});
+  const SharedBytes view(owner, std::span<const uint8_t>(*owner).subspan(1, 2));
+  owner.reset();
+  EXPECT_EQ(view.ToBytes(), (Bytes{8, 7}));
 }
 
 TEST(BytesTest, TruncatedLengthPrefixedBytes) {

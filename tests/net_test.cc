@@ -17,13 +17,16 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/hex.h"
+#include "common/rng.h"
 #include "crypto/sha256.h"
 #include "frame_builders.h"
 #include "net/byzantine.h"
@@ -1086,6 +1089,72 @@ TEST(SsiNodeTest, ServesOverTcp) {
   ASSERT_EQ(fetched->items.size(), 1u);
   EXPECT_EQ(BlobOf(fetched->items[0]), BlobOf(partition.items[0]));
   EXPECT_TRUE(IsNotFound(client.FetchPartition(31, 99).status()));
+}
+
+TEST(SsiNodeTest, ServedStateMatchesAMapModel) {
+  // The node keeps each query's served TDSs in a flat open-addressing
+  // table. Checked here against the map it replaced,
+  // unordered_map<tds_id, optional<accept bit>>: random acknowledgements,
+  // uploads (a first one, a duplicate that replays its bit, one after the
+  // take), querybox fetches and the take, over ids that include 0,
+  // UINT64_MAX and widely spaced values, enough of them to grow the table
+  // several times.
+  SsiNode node;
+  LoopbackTransport transport(node.handler());
+  SsiClient client(&transport);
+  PostQuery(&client, 1);
+  std::vector<uint64_t> pool;
+  for (uint64_t i = 0; i < 400; ++i) pool.push_back(i);
+  for (uint64_t i = 1; i < 200; ++i) pool.push_back(i << 44);
+  for (uint64_t i = 0; i < 50; ++i) pool.push_back(UINT64_MAX - i);
+  std::unordered_map<uint64_t, std::optional<bool>> model;
+  bool taken = false;
+  size_t collected = 0;
+  Rng rng(47);
+  for (int step = 0; step < 3000; ++step) {
+    const uint64_t tds = pool[rng.NextBelow(pool.size())];
+    switch (rng.NextBelow(8)) {
+      case 0:
+      case 1:
+        ASSERT_TRUE(client.Acknowledge(tds, 1).ok());
+        model.try_emplace(tds);
+        break;
+      case 2:
+      case 3:
+      case 4: {
+        Result<bool> accepted =
+            client.UploadCollection(1, tds, {MakeItem(1, false)});
+        ASSERT_TRUE(accepted.ok());
+        std::optional<bool>& expected = model[tds];
+        if (!expected) {
+          expected = !taken;
+          if (*expected) collected += 1;
+        }
+        EXPECT_EQ(*accepted, *expected) << "tds " << tds << " step " << step;
+        break;
+      }
+      case 5:
+      case 6: {
+        Result<std::vector<ssi::QueryPost>> posts = client.FetchPosts(tds);
+        ASSERT_TRUE(posts.ok());
+        EXPECT_EQ(posts->size(), model.count(tds) ? 0u : 1u)
+            << "tds " << tds << " step " << step;
+        break;
+      }
+      case 7:
+        // The take closes the storage area halfway through.
+        if (step < 1500) break;
+        taken = true;
+        ASSERT_EQ(client.TakeCollected(1)->size(), collected);
+        break;
+    }
+  }
+  for (uint64_t tds : pool) {
+    EXPECT_EQ(client.FetchPosts(tds)->size(), model.count(tds) ? 0u : 1u)
+        << "tds " << tds;
+  }
+  EXPECT_EQ(client.TakeCollected(1)->size(), collected);
+  EXPECT_EQ(client.GetAdversaryView(1)->collection_items, collected);
 }
 
 TEST(SsiNodeTest, UploadAfterTakeIsNotAcceptedOrObserved) {

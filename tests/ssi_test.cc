@@ -499,5 +499,46 @@ TEST(ItemHandleTest, ItemsOfOneBufferAreSharedAcrossThreads) {
   EXPECT_EQ(mismatches, std::vector<int>(4, 0));
 }
 
+TEST(ViewRecorderTest, TagCountsMatchAMapReference) {
+  // The node counts tags in hash maps and folds them into the view's
+  // ordered maps when the view is read. Reads between observations must
+  // not lose or double a count, whatever the tags' lengths (the empty tag
+  // included) and however often the counts rehash.
+  Rng rng(29);
+  ViewRecorder recorder;
+  std::map<Bytes, uint64_t> collection;
+  std::map<Bytes, uint64_t> aggregation;
+  uint64_t items = 0;
+  for (int upload = 0; upload < 40; ++upload) {
+    std::vector<EncryptedItem> batch;
+    for (int i = 0; i < 25; ++i) {
+      const uint64_t pick = rng.NextBelow(300);
+      if (pick % 7 == 0) {
+        batch.emplace_back(Bytes(3, 0x11));  // untagged
+        continue;
+      }
+      const Bytes tag(pick % 5, static_cast<uint8_t>(pick));
+      batch.emplace_back(Bytes(3, 0x11), tag);
+      (upload % 2 == 0 ? collection : aggregation)[tag] += 1;
+    }
+    Bytes encoded;
+    EncodeItemsTo(batch, &encoded);
+    if (upload % 2 == 0) {
+      ASSERT_TRUE(recorder.ObserveCollection(encoded).ok());
+      items += batch.size();
+    } else {
+      ASSERT_TRUE(recorder.ObserveAggregation(encoded).ok());
+    }
+    if (upload % 9 == 4) {
+      EXPECT_EQ(recorder.View().collection_tag_histogram, collection);
+    }
+  }
+  const AdversaryView& view = recorder.View();
+  EXPECT_EQ(view.collection_tag_histogram, collection);
+  EXPECT_EQ(view.aggregation_tag_histogram, aggregation);
+  EXPECT_EQ(view.collection_items, items);
+  EXPECT_EQ(view.collection_blob_sizes.size(), items);
+}
+
 }  // namespace
 }  // namespace tcells::ssi

@@ -258,7 +258,9 @@ TEST_F(TdsTest, CollectionNDetEmitsTrueTuples) {
 TEST_F(TdsTest, BadCredentialYieldsDummy) {
   CollectionConfig config;
   auto post = Post("SELECT grp FROM T", "q");
-  post.credential_mac[0] ^= 0xff;
+  Bytes forged = post.credential_mac.ToBytes();
+  forged[0] ^= 0xff;
+  post.credential_mac = forged;
   auto items = server_->ProcessCollection(post, config, &rng_).ValueOrDie();
   ASSERT_EQ(items.size(), 1u);
   EXPECT_EQ(Open(items[0]).kind, PayloadKind::kDummyTuple);

@@ -293,7 +293,8 @@ TEST(QuerierTest, PostCarriesSizeInCleartextAndSqlEncrypted) {
   std::string blob(post.encrypted_query.begin(), post.encrypted_query.end());
   EXPECT_EQ(blob.find("SELECT"), std::string::npos);
   // TDSs (sharing k1) can decrypt it.
-  auto plain = w.keys->k1_ndet().Decrypt(post.encrypted_query).ValueOrDie();
+  auto plain = w.keys->k1_ndet().Decrypt(post.encrypted_query.ToBytes())
+                   .ValueOrDie();
   EXPECT_EQ(std::string(plain.begin(), plain.end()),
             "SELECT grp FROM T SIZE 12 DURATION 4");
 }
