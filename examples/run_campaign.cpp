@@ -1,4 +1,4 @@
-// run_campaign: executes the adversarial scenario campaign (src/sim/campaign)
+// run_campaign: executes the adversarial scenario campaign (src/campaign)
 // from the command line.
 //
 //   run_campaign                         # full manifest, loopback backend
@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/campaign.h"
+#include "campaign/campaign.h"
 
 namespace {
 

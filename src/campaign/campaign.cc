@@ -1,4 +1,4 @@
-#include "sim/campaign.h"
+#include "campaign/campaign.h"
 
 #include <algorithm>
 #include <sstream>

@@ -14,8 +14,8 @@
 // Every scenario is deterministic: the same spec produces a byte-identical
 // ScenarioOutcome::Canonical() dump for any worker-thread count and on
 // either transport backend (loopback or TCP). See docs/TESTING.md "Tier 5".
-#ifndef TCELLS_SIM_CAMPAIGN_H_
-#define TCELLS_SIM_CAMPAIGN_H_
+#ifndef TCELLS_CAMPAIGN_CAMPAIGN_H_
+#define TCELLS_CAMPAIGN_CAMPAIGN_H_
 
 #include <cstdint>
 #include <memory>
@@ -159,4 +159,4 @@ std::vector<ScenarioSpec> SmokeManifest();
 
 }  // namespace tcells::sim
 
-#endif  // TCELLS_SIM_CAMPAIGN_H_
+#endif  // TCELLS_CAMPAIGN_CAMPAIGN_H_

@@ -19,12 +19,12 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/hex.h"
 #include "crypto/sha256.h"
 #include "obs/metrics.h"
-#include "protocol/protocols.h"
+#include "protocol/discovery.h"
+#include "protocol/factory.h"
 #include "protocol/reference.h"
 #include "tcells/engine.h"
 #include "tds/access_control.h"
@@ -34,7 +34,6 @@ namespace tcells::protocol {
 namespace {
 
 using storage::Tuple;
-using storage::Value;
 
 constexpr size_t kWave = 4096;
 constexpr size_t kNumTds = 3 * kWave + 517;
@@ -90,16 +89,12 @@ RunOutcome RunQuery(const WaveRun& run, std::string* digest) {
   const sql::QueryResult oracle =
       ExecuteReference(*fleet, kSql).ValueOrDie();
 
-  std::unique_ptr<Protocol> protocol;
-  if (run.protocol == ProtocolKind::kCNoise) {
-    auto domain = std::make_shared<std::vector<Tuple>>();
-    for (size_t g = 0; g < kNumGroups; ++g) {
-      domain->push_back(Tuple({Value::String(workload::GroupName(g))}));
-    }
-    protocol = std::make_unique<NoiseProtocol>(true, domain);
-  } else {
-    protocol = std::make_unique<SAggProtocol>();
-  }
+  const ProtocolInputs inputs =
+      InputsFromDiscovery(
+          ExecuteReference(*fleet, DiscoverySql(kSql).ValueOrDie())
+              .ValueOrDie())
+          .ValueOrDie();
+  auto protocol = MakeProtocol(run.protocol, inputs).ValueOrDie();
 
   Engine::Config cfg;
   cfg.options.compute_availability = 200.0 / kNumTds;

@@ -7,14 +7,14 @@
 //     and stale replays are all refused without corrupting the TDS state;
 //   * contribution admission: round trip, forged digests, stale epochs and
 //     revoked devices;
-//   * the static/dynamic differential: KeyMode::kDynamic produces the
-//     byte-identical result table and adversary-view statistics of the
-//     static engine, for every protocol and several worlds;
 //   * the churn/rollover scenario suite: revocation mid-query (pinned
 //     rejection count), epoch rollover under an in-flight multi-round
 //     S_Agg, revocation under dropout churn — all oracle-anchored;
-//   * the keys determinism grid: dynamic-mode runs are bit-identical across
-//     worker-thread counts, shard counts and transport backends.
+//   * batched key refresh on the wire.
+//
+// The static-vs-dynamic comparison and dynamic keys across threads, shards
+// and backends are cells and cases of the determinism grid
+// (differential_grid_test.cc).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "campaign/campaign.h"
 #include "common/bytes.h"
 #include "common/hex.h"
 #include "common/rng.h"
@@ -42,8 +43,6 @@
 #include "net/ssi_node.h"
 #include "obs/metrics.h"
 #include "protocol/protocols.h"
-#include "protocol/reference.h"
-#include "sim/campaign.h"
 #include "ssi/messages.h"
 #include "tcells/engine.h"
 #include "tds/access_control.h"
@@ -55,8 +54,6 @@ namespace {
 
 using crypto::BroadcastChannel;
 using protocol::ProtocolKind;
-using protocol::ProtocolKindToString;
-using protocol::RunOutcome;
 
 // ---------------------------------------------------------------------------
 // Complete-subtree cover-set properties at fleet scale (satellite a).
@@ -847,187 +844,6 @@ TEST(TdsKeyStateBatch, ConditionalRefreshEndsLikeUnconditionalRefresh) {
 }
 
 // ---------------------------------------------------------------------------
-// Static/dynamic engine differential (satellite b): same world, same query,
-// both key modes — byte-identical result table and adversary statistics.
-
-constexpr size_t kDiffTds = 24;
-constexpr size_t kDiffGroups = 4;
-
-const char* QueryFor(ProtocolKind kind) {
-  return kind == ProtocolKind::kBasicSfw
-             ? "SELECT grp, val, cat FROM T WHERE cat < 6"
-             : "SELECT grp, COUNT(*), SUM(cat), AVG(val), MIN(val), "
-               "MAX(val) FROM T GROUP BY grp";
-}
-
-struct World {
-  std::unique_ptr<protocol::Fleet> fleet;
-  std::unique_ptr<protocol::Querier> querier;
-  std::shared_ptr<std::vector<storage::Tuple>> domain;
-  std::map<storage::Tuple, uint64_t> freq;
-};
-
-World MakeWorld(uint64_t seed) {
-  workload::GenericOptions gopts;
-  gopts.num_tds = kDiffTds;
-  gopts.num_groups = kDiffGroups;
-  gopts.group_skew = 0.8;
-  gopts.rows_per_tds = 2;
-  gopts.seed = 8000 + seed;
-
-  auto keys = crypto::KeyStore::CreateForTest(2028);
-  auto authority = std::make_shared<tds::Authority>(Bytes(16, 0x66));
-  World w;
-  w.fleet = workload::BuildGenericFleet(gopts, keys, authority,
-                                        tds::AccessPolicy::AllowAll())
-                .ValueOrDie();
-  w.querier = std::make_unique<protocol::Querier>(
-      "keydiff", authority->Issue("keydiff"), keys);
-
-  w.domain = std::make_shared<std::vector<storage::Tuple>>();
-  for (size_t g = 0; g < kDiffGroups; ++g) {
-    w.domain->push_back(
-        storage::Tuple({storage::Value::String(workload::GroupName(g))}));
-  }
-  const auto& catalog = w.fleet->at(0)->db().catalog();
-  auto count_q =
-      sql::AnalyzeSql("SELECT grp, COUNT(*) FROM T GROUP BY grp", catalog)
-          .ValueOrDie();
-  for (size_t i = 0; i < w.fleet->size(); ++i) {
-    auto rows =
-        sql::CollectionTuples(w.fleet->at(i)->db(), count_q).ValueOrDie();
-    for (const auto& r : rows) w.freq[storage::Tuple({r.at(0)})] += 1;
-  }
-  return w;
-}
-
-std::unique_ptr<protocol::Protocol> MakeProtocol(ProtocolKind kind,
-                                                 const World& w) {
-  switch (kind) {
-    case ProtocolKind::kBasicSfw:
-      return std::make_unique<protocol::BasicSfwProtocol>();
-    case ProtocolKind::kSAgg:
-      return std::make_unique<protocol::SAggProtocol>();
-    case ProtocolKind::kRnfNoise:
-      return std::make_unique<protocol::NoiseProtocol>(false, w.domain);
-    case ProtocolKind::kCNoise:
-      return std::make_unique<protocol::NoiseProtocol>(true, w.domain);
-    case ProtocolKind::kEdHist:
-      return protocol::EdHistProtocol::FromDistribution(w.freq, 2);
-  }
-  return nullptr;
-}
-
-struct EngineRunConfig {
-  KeyMode key_mode = KeyMode::kStatic;
-  size_t num_threads = 1;
-  size_t num_shards = 1;
-  net::TransportKind transport = net::TransportKind::kLoopback;
-};
-
-RunOutcome RunEngine(ProtocolKind kind, uint64_t world_seed,
-                     const EngineRunConfig& rc) {
-  World w = MakeWorld(world_seed);
-  auto protocol = MakeProtocol(kind, w);
-  Engine::Config cfg;
-  cfg.options.compute_availability = 0.25;
-  cfg.options.expected_groups = kDiffGroups;
-  cfg.options.seed = 17;
-  cfg.options.num_threads = rc.num_threads;
-  cfg.num_shards = rc.num_shards;
-  cfg.transport = rc.transport;
-  cfg.tracing = false;
-  cfg.key_mode = rc.key_mode;
-  auto engine = Engine::Create(std::move(w.fleet), cfg).ValueOrDie();
-  return engine->Run(*protocol, *w.querier, 1, QueryFor(kind)).ValueOrDie();
-}
-
-/// Row-order-insensitive view of a result table. Some protocols order their
-/// output by Det_Enc(group) tags, and those bytes legitimately differ across
-/// key modes — the rows themselves must not.
-std::vector<std::string> SortedRows(const std::string& table) {
-  std::vector<std::string> rows;
-  size_t start = 0;
-  while (start < table.size()) {
-    size_t end = table.find('\n', start);
-    if (end == std::string::npos) end = table.size();
-    rows.push_back(table.substr(start, end - start));
-    start = end + 1;
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-/// Tag values differ across key modes (different HMAC keys), but the
-/// multiplicity structure the SSI observes must not.
-std::vector<uint64_t> TagCounts(const std::map<Bytes, uint64_t>& histogram) {
-  std::vector<uint64_t> counts;
-  counts.reserve(histogram.size());
-  for (const auto& [tag, count] : histogram) counts.push_back(count);
-  std::sort(counts.begin(), counts.end());
-  return counts;
-}
-
-class KeyModeDifferentialTest
-    : public ::testing::TestWithParam<ProtocolKind> {};
-
-// key_mode=dynamic is invisible: byte-identical result table, identical
-// adversary-view statistics (blob sizes, item counts, tag multiplicities),
-// zero rejections — for every protocol over three worlds.
-TEST_P(KeyModeDifferentialTest, DynamicModeIsInvisibleToHonestRuns) {
-  ProtocolKind kind = GetParam();
-  for (uint64_t seed : {0u, 1u, 2u}) {
-    SCOPED_TRACE(std::string(ProtocolKindToString(kind)) + " world=" +
-                 std::to_string(seed));
-    EngineRunConfig static_rc;
-    EngineRunConfig dynamic_rc;
-    dynamic_rc.key_mode = KeyMode::kDynamic;
-    RunOutcome s = RunEngine(kind, seed, static_rc);
-    RunOutcome d = RunEngine(kind, seed, dynamic_rc);
-
-    EXPECT_EQ(SortedRows(s.result.ToString()), SortedRows(d.result.ToString()));
-    EXPECT_TRUE(s.result.SameRows(d.result));
-    EXPECT_EQ(d.metrics.contributions_rejected, 0u);
-    EXPECT_EQ(s.metrics.collection_participants,
-              d.metrics.collection_participants);
-
-    EXPECT_EQ(s.adversary.collection_blob_sizes,
-              d.adversary.collection_blob_sizes);
-    EXPECT_EQ(s.adversary.collection_items, d.adversary.collection_items);
-    EXPECT_EQ(s.adversary.aggregation_items, d.adversary.aggregation_items);
-    EXPECT_EQ(s.adversary.filtering_items, d.adversary.filtering_items);
-    EXPECT_EQ(TagCounts(s.adversary.collection_tag_histogram),
-              TagCounts(d.adversary.collection_tag_histogram));
-    EXPECT_EQ(TagCounts(s.adversary.aggregation_tag_histogram),
-              TagCounts(d.adversary.aggregation_tag_histogram));
-  }
-}
-
-// Dynamic-mode results stay correct against the plaintext oracle.
-TEST_P(KeyModeDifferentialTest, DynamicModeMatchesOracle) {
-  ProtocolKind kind = GetParam();
-  EngineRunConfig rc;
-  rc.key_mode = KeyMode::kDynamic;
-  RunOutcome outcome = RunEngine(kind, 0, rc);
-  World oracle_world = MakeWorld(0);
-  auto oracle =
-      protocol::ExecuteReference(*oracle_world.fleet, QueryFor(kind))
-          .ValueOrDie();
-  EXPECT_TRUE(outcome.result.SameRows(oracle))
-      << "got:\n" << outcome.result.ToString()
-      << "want:\n" << oracle.ToString();
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllProtocols, KeyModeDifferentialTest,
-    ::testing::Values(ProtocolKind::kBasicSfw, ProtocolKind::kSAgg,
-                      ProtocolKind::kRnfNoise, ProtocolKind::kCNoise,
-                      ProtocolKind::kEdHist),
-    [](const auto& info) {
-      return std::string(ProtocolKindToString(info.param));
-    });
-
-// ---------------------------------------------------------------------------
 // Churn/rollover scenario suite (the headline): oracle-anchored campaign
 // scenarios driven through sim::RunScenario.
 
@@ -1119,82 +935,48 @@ TEST(KeyScenarioSuite, RevocationUnderChurnStaysVisible) {
 }
 
 // ---------------------------------------------------------------------------
-// Keys determinism grid: dynamic mode over worker threads {1,4} x shards
-// {1,2} x {loopback,tcp} — bit-identical outcomes everywhere.
-
-TEST(KeysDeterminismGrid, DynamicRunsAreBitIdenticalEverywhere) {
-  EngineRunConfig base;
-  base.key_mode = KeyMode::kDynamic;
-  RunOutcome reference = RunEngine(ProtocolKind::kSAgg, 0, base);
-  EXPECT_EQ(reference.metrics.contributions_rejected, 0u);
-
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    for (size_t shards : {size_t{1}, size_t{2}}) {
-      for (net::TransportKind transport :
-           {net::TransportKind::kLoopback, net::TransportKind::kTcp}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " shards=" + std::to_string(shards) + " transport=" +
-                     (transport == net::TransportKind::kTcp ? "tcp"
-                                                            : "loopback"));
-        EngineRunConfig rc = base;
-        rc.num_threads = threads;
-        rc.num_shards = shards;
-        rc.transport = transport;
-        RunOutcome outcome = RunEngine(ProtocolKind::kSAgg, 0, rc);
-
-        EXPECT_EQ(outcome.result.ToString(), reference.result.ToString());
-        EXPECT_EQ(outcome.metrics.contributions_rejected, 0u);
-        EXPECT_EQ(outcome.metrics.collection_participants,
-                  reference.metrics.collection_participants);
-        EXPECT_EQ(outcome.adversary.collection_items,
-                  reference.adversary.collection_items);
-        EXPECT_EQ(outcome.adversary.aggregation_items,
-                  reference.adversary.aggregation_items);
-        // Session keys depend only on (epoch, query id, nonce), never on
-        // the backend: the raw tag histograms must match exactly.
-        EXPECT_EQ(outcome.adversary.collection_tag_histogram,
-                  reference.adversary.collection_tag_histogram);
-        // Blob sizes are concatenated in shard order by the router; the
-        // multiset is the shard-count invariant.
-        auto sa = outcome.adversary.collection_blob_sizes;
-        auto sb = reference.adversary.collection_blob_sizes;
-        std::sort(sa.begin(), sa.end());
-        std::sort(sb.begin(), sb.end());
-        EXPECT_EQ(sa, sb);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Batched key refresh on the wire: the bring-up priming and a query's
 // refreshes each cost one batch of frames, not a round trip per TDS.
 
 TEST(KeyRefreshFrames, RefreshCostsOneBatchOfFramesNotOnePerTds) {
+  constexpr size_t kNumTds = 24;
   constexpr size_t kCallsPerFrame = 4;
   constexpr uint64_t kBatchFrames =
-      (kDiffTds + kCallsPerFrame - 1) / kCallsPerFrame;
+      (kNumTds + kCallsPerFrame - 1) / kCallsPerFrame;
   uint64_t query_frames[2] = {0, 0};  // static, dynamic
   for (KeyMode mode : {KeyMode::kStatic, KeyMode::kDynamic}) {
     const bool dynamic = mode == KeyMode::kDynamic;
     SCOPED_TRACE(dynamic ? "dynamic" : "static");
-    World w = MakeWorld(0);
+    workload::GenericOptions gopts;
+    gopts.num_tds = kNumTds;
+    gopts.num_groups = 4;
+    gopts.group_skew = 0.8;
+    gopts.rows_per_tds = 2;
+    gopts.seed = 8000;
+    auto keys = crypto::KeyStore::CreateForTest(2028);
+    auto authority = std::make_shared<tds::Authority>(Bytes(16, 0x66));
+    auto fleet = workload::BuildGenericFleet(gopts, keys, authority,
+                                             tds::AccessPolicy::AllowAll())
+                     .ValueOrDie();
+    protocol::Querier querier("keydiff", authority->Issue("keydiff"), keys);
     protocol::SAggProtocol s_agg;
     Engine::Config cfg;
     cfg.options.compute_availability = 0.25;
-    cfg.options.expected_groups = kDiffGroups;
+    cfg.options.expected_groups = 4;
     cfg.options.seed = 17;
     cfg.options.num_threads = 1;
     cfg.tracing = false;
     cfg.transport_batch_max_calls = kCallsPerFrame;
     cfg.key_mode = mode;
-    auto engine = Engine::Create(std::move(w.fleet), cfg).ValueOrDie();
+    auto engine = Engine::Create(std::move(fleet), cfg).ValueOrDie();
     obs::Counter& frames = engine->metrics().counter("net.frames_sent");
     const uint64_t create_frames = frames.value();
     // Dynamic bring-up: one PostEpochBlock frame, then the priming batch.
     EXPECT_LE(create_frames, dynamic ? 1 + kBatchFrames : 0);
-    auto outcome =
-        engine->Run(s_agg, *w.querier, 1, QueryFor(ProtocolKind::kSAgg));
+    auto outcome = engine->Run(
+        s_agg, querier, 1,
+        "SELECT grp, COUNT(*), SUM(cat), AVG(val), MIN(val), MAX(val) "
+        "FROM T GROUP BY grp");
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     EXPECT_EQ(outcome->metrics.contributions_rejected, 0u);
     query_frames[dynamic] = frames.value() - create_frames;

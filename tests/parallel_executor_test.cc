@@ -1,5 +1,6 @@
 // Unit tests for the fleet engine's fan-out primitive, the Status-based
-// ParallelExecutor and its worker pool.
+// ParallelExecutor and its worker pool, and for the LeakLog appends it
+// runs concurrently.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,9 +12,13 @@
 #include <vector>
 
 #include "protocol/parallel_executor.h"
+#include "tds/leak_log.h"
 
 namespace tcells::protocol {
 namespace {
+
+using storage::Tuple;
+using storage::Value;
 
 // Wraps a void job as an always-OK one.
 template <typename Fn>
@@ -164,6 +169,32 @@ TEST(ParallelExecutorTest, CallerParticipatesSoNestingCannotDeadlock) {
                             }).ok());
               }).ok());
   EXPECT_EQ(inner_runs.load(), 16);
+}
+
+// ---------------------------------------------------------------------------
+// LeakLog concurrency regression: concurrent compromised-TDS appends must
+// lose no entries (the log used to be single-thread-only).
+
+TEST(LeakLogConcurrencyTest, ConcurrentAppendsLoseNothing) {
+  tds::LeakLog log;
+  ParallelExecutor executor(8);
+  constexpr size_t kWriters = 16;
+  constexpr size_t kPerWriter = 500;
+  auto write = [&](size_t w) -> Status {
+    for (size_t i = 0; i < kPerWriter; ++i) {
+      Tuple t({Value::Int64(static_cast<int64_t>(w * kPerWriter + i)),
+               Value::String("x")});
+      log.RecordRawTuple(/*tds_id=*/w, t);
+      log.RecordGroupAggregate(/*tds_id=*/w,
+                               Tuple({Value::Int64(static_cast<int64_t>(i))}));
+    }
+    return Status::OK();
+  };
+  ASSERT_TRUE(executor.ForEachIndex(kWriters, write).ok());
+  // Every distinct tuple survived, and no append was dropped on the floor.
+  EXPECT_EQ(log.NumLeakedRawTuples(), kWriters * kPerWriter);
+  EXPECT_EQ(log.NumRawAppends(), kWriters * kPerWriter);
+  EXPECT_EQ(log.NumLeakedGroups(), kPerWriter);
 }
 
 }  // namespace

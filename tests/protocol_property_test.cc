@@ -4,7 +4,8 @@
 // broadly; the per-query shapes live in protocol_e2e_test.cc.
 #include <gtest/gtest.h>
 
-#include "protocol/protocols.h"
+#include "protocol/discovery.h"
+#include "protocol/factory.h"
 #include "protocol/reference.h"
 #include "tcells/engine.h"
 #include "tds/access_control.h"
@@ -12,9 +13,6 @@
 
 namespace tcells::protocol {
 namespace {
-
-using storage::Tuple;
-using storage::Value;
 
 struct GridPoint {
   size_t num_tds;
@@ -45,40 +43,17 @@ TEST_P(ProtocolGridTest, MatchesOracleEverywhere) {
                    .ValueOrDie();
   Querier querier("grid", authority->Issue("grid"), keys);
 
-  auto domain = std::make_shared<std::vector<Tuple>>();
-  std::map<Tuple, uint64_t> freq;
-  for (size_t g = 0; g < grid.num_groups; ++g) {
-    domain->push_back(Tuple({Value::String(workload::GroupName(g))}));
-  }
-  // True distribution for ED_Hist (as the discovery protocol would learn it).
-  const auto& catalog = fleet->at(0)->db().catalog();
-  auto count_q =
-      sql::AnalyzeSql("SELECT grp, COUNT(*) FROM T GROUP BY grp", catalog)
+  const char* sql =
+      "SELECT grp, COUNT(*), SUM(cat), AVG(val), MIN(val), MAX(val) "
+      "FROM T GROUP BY grp";
+  // The true distribution, as the discovery query would learn it.
+  ProtocolInputs inputs =
+      InputsFromDiscovery(
+          ExecuteReference(*fleet, DiscoverySql(sql).ValueOrDie())
+              .ValueOrDie())
           .ValueOrDie();
-  for (size_t i = 0; i < fleet->size(); ++i) {
-    auto rows = sql::CollectionTuples(fleet->at(i)->db(), count_q)
-                    .ValueOrDie();
-    for (const auto& r : rows) freq[Tuple({r.at(0)})] += 1;
-  }
-
-  std::unique_ptr<Protocol> protocol;
-  switch (kind) {
-    case ProtocolKind::kSAgg:
-      protocol = std::make_unique<SAggProtocol>();
-      break;
-    case ProtocolKind::kRnfNoise:
-      protocol = std::make_unique<NoiseProtocol>(false, domain);
-      break;
-    case ProtocolKind::kCNoise:
-      protocol = std::make_unique<NoiseProtocol>(true, domain);
-      break;
-    case ProtocolKind::kEdHist:
-      protocol = EdHistProtocol::FromDistribution(
-          freq, std::max<size_t>(1, grid.num_groups / 3));
-      break;
-    default:
-      FAIL();
-  }
+  inputs.histogram_buckets = std::max<size_t>(1, grid.num_groups / 3);
+  auto protocol = MakeProtocol(kind, inputs).ValueOrDie();
 
   RunOptions opts;
   opts.compute_availability = grid.availability;
@@ -86,9 +61,6 @@ TEST_P(ProtocolGridTest, MatchesOracleEverywhere) {
   opts.seed = gopts.seed + 1;
   opts.num_threads = grid.num_threads;
 
-  const char* sql =
-      "SELECT grp, COUNT(*), SUM(cat), AVG(val), MIN(val), MAX(val) "
-      "FROM T GROUP BY grp";
   Engine::Config cfg;
   cfg.options = opts;
   auto engine = Engine::Create(std::move(fleet), cfg).ValueOrDie();

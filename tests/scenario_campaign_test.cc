@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "campaign/campaign.h"
 #include "net/channel.h"
-#include "sim/campaign.h"
 
 namespace tcells::sim {
 namespace {
