@@ -10,6 +10,8 @@
 //        slice that outlives its owner is a use-after-free under ASan
 //   3 -> DecodePayloadView (an accepted body lies inside the input, just
 //        past the header)
+//   4 -> AdversaryView::Decode (the view the SSI reports; an accepted view
+//        re-encodes bit-identical, so each view has one encoding)
 // Corpus files carry the selector as their first byte (see make_corpus.cc).
 #include <algorithm>
 #include <vector>
@@ -17,13 +19,14 @@
 #include "common/bytes.h"
 #include "fuzz_util.h"
 #include "ssi/messages.h"
+#include "ssi/ssi.h"
 
 using tcells::Bytes;
 using tcells::ByteReader;
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size == 0) return 0;
-  const uint8_t selector = data[0] % 4;
+  const uint8_t selector = data[0] % 5;
   Bytes input(data + 1, data + size);
   switch (selector) {
     case 0: {
@@ -85,7 +88,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       }
       break;
     }
-    default: {
+    case 3: {
       tcells::Result<tcells::ssi::PayloadView> view =
           tcells::ssi::DecodePayloadView(input.data(), input.size());
       if (view.ok()) {
@@ -93,6 +96,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         // input.
         FUZZ_ASSERT(view->body == input.data() + 5);
         FUZZ_ASSERT(view->body_size <= input.size() - 5);
+      }
+      break;
+    }
+    default: {
+      tcells::Result<tcells::ssi::AdversaryView> view =
+          tcells::ssi::AdversaryView::Decode(input);
+      if (view.ok()) {
+        Bytes encoded;
+        view->EncodeTo(&encoded);
+        FUZZ_ASSERT(encoded == input);
       }
       break;
     }

@@ -3,7 +3,8 @@
 //
 // Every stage of a real run is captured in the exact shape the matching
 // harness consumes (selector byte + encoding, see the fuzz_*.cc headers):
-// query posts, partitions, item streams and decrypted payloads for fuzz_ssi;
+// query posts, partitions, item streams, decrypted payloads and the SSI's
+// adversary view for fuzz_ssi;
 // k1/k2 ciphertext blobs for fuzz_crypto; collection/result tuples,
 // GroupedAggregation bodies (tagged with their fuzz_specs.h query index) for
 // fuzz_storage; frame streams, request frames and reply
@@ -232,6 +233,8 @@ int Run(const std::filesystem::path& out_dir) {
       auto contribution =
           fleet->at(i)->ProcessCollection(*post, *config, &collect_rng);
       CHECK_OK(contribution);
+      CHECK_OK(client.UploadCollection(query_id, fleet->at(i)->id(),
+                                       *contribution));
       items.insert(items.end(), contribution->begin(), contribution->end());
     }
 
@@ -261,6 +264,15 @@ int Run(const std::filesystem::path& out_dir) {
     CHECK_OK(result_items);
     CaptureItems(&writer, *keys, *result_items, /*under_k1=*/true,
                  /*storage_selector=*/-1, /*max_items=*/4);
+
+    // The run's adversary view, as the node reports it.
+    CHECK_OK(client.ObserveAggregation(query_id, covering.items));
+    CHECK_OK(client.DeliverResult(query_id, *result_items));
+    auto view = client.GetAdversaryView(query_id);
+    CHECK_OK(view);
+    Bytes view_bytes;
+    view->EncodeTo(&view_bytes);
+    writer.Add("ssi", 4, view_bytes);
 
     ++query_id;
   }

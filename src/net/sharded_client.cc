@@ -17,21 +17,6 @@ uint64_t Mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-void MergeViews(AdversaryView* into, const AdversaryView& from) {
-  for (const auto& [tag, count] : from.collection_tag_histogram) {
-    into->collection_tag_histogram[tag] += count;
-  }
-  for (const auto& [tag, count] : from.aggregation_tag_histogram) {
-    into->aggregation_tag_histogram[tag] += count;
-  }
-  into->collection_blob_sizes.insert(into->collection_blob_sizes.end(),
-                                     from.collection_blob_sizes.begin(),
-                                     from.collection_blob_sizes.end());
-  into->collection_items += from.collection_items;
-  into->aggregation_items += from.aggregation_items;
-  into->filtering_items += from.filtering_items;
-}
-
 }  // namespace
 
 size_t ShardedSsiClient::ShardOfTds(uint64_t tds_id) const {
@@ -75,10 +60,6 @@ Status ShardedSsiClient::PostPersonal(uint64_t tds_id, const QueryPost& post) {
   return Status::OK();
 }
 
-Result<std::vector<QueryPost>> ShardedSsiClient::FetchPosts(uint64_t tds_id) {
-  return shards_[ShardOfTds(tds_id)]->FetchPosts(tds_id);
-}
-
 std::vector<Result<std::vector<QueryPost>>> ShardedSsiClient::FetchPostsBatch(
     const std::vector<uint64_t>& tds_ids) {
   return Scatter<std::vector<QueryPost>>(
@@ -104,13 +85,6 @@ Status ShardedSsiClient::PostEpochBlock(const Bytes& block) {
 
 Result<Bytes> ShardedSsiClient::FetchEpochBlock(uint64_t tds_id) {
   return shards_[ShardOfTds(tds_id)]->FetchEpochBlock(tds_id);
-}
-
-Result<bool> ShardedSsiClient::UploadCollection(
-    uint64_t query_id, uint64_t tds_id,
-    const std::vector<EncryptedItem>& items) {
-  return std::move(
-      UploadCollectionBatch({CollectionUpload{query_id, tds_id, items}})[0]);
 }
 
 std::vector<Result<bool>> ShardedSsiClient::UploadCollectionBatch(
@@ -237,7 +211,7 @@ Result<AdversaryView> ShardedSsiClient::GetAdversaryView(uint64_t query_id) {
   for (SsiApi* shard : shards_) {
     TCELLS_ASSIGN_OR_RETURN(AdversaryView view,
                             shard->GetAdversaryView(query_id));
-    MergeViews(&merged, view);
+    merged.Merge(view);
   }
   return merged;
 }

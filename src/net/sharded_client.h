@@ -18,10 +18,9 @@
 //     partitioning. The router logs (shard, item-count) per accepted upload
 //     in serial upload order and re-interleaves the per-shard drains along
 //     that log.
-//   - The adversary view is merged across shards: counters summed, tag
-//     histograms key-merged, blob sizes concatenated in shard order (a
-//     multiset-preserving merge; order across different shard counts is not
-//     comparable, within one shard count it is deterministic).
+//   - The adversary view is merged across shards by AdversaryView::Merge
+//     (counters sum, histograms merge by key). A view holds counts only, so
+//     a global query's merged view is the same at every shard count.
 //
 // Global posts fan out to every shard (each shard's TDSes fetch locally);
 // personal posts live only on the target TDS's shard.
@@ -87,7 +86,6 @@ class ShardedSsiClient : public SsiApi {
   // ---- Querybox ----
   Status PostGlobal(const ssi::QueryPost& post) override;
   Status PostPersonal(uint64_t tds_id, const ssi::QueryPost& post) override;
-  Result<std::vector<ssi::QueryPost>> FetchPosts(uint64_t tds_id) override;
   /// Groups the ids by owning shard (preserving per-shard submission order)
   /// so each shard sees one wire batch, then scatters the results back into
   /// input order.
@@ -103,10 +101,6 @@ class ShardedSsiClient : public SsiApi {
   Result<Bytes> FetchEpochBlock(uint64_t tds_id) override;
 
   // ---- Collection phase ----
-  /// A one-upload UploadCollectionBatch.
-  Result<bool> UploadCollection(
-      uint64_t query_id, uint64_t tds_id,
-      const std::vector<ssi::EncryptedItem>& items) override;
   /// Fans per-shard sub-batches out (per-shard submission order), then logs
   /// each accepted upload in submission order for TakeCollected.
   std::vector<Result<bool>> UploadCollectionBatch(

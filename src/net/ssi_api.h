@@ -16,6 +16,7 @@
 #define TCELLS_NET_SSI_API_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -38,7 +39,10 @@ class SsiApi {
   // ---- Querybox ----
   virtual Status PostGlobal(const ssi::QueryPost& post) = 0;
   virtual Status PostPersonal(uint64_t tds_id, const ssi::QueryPost& post) = 0;
-  virtual Result<std::vector<ssi::QueryPost>> FetchPosts(uint64_t tds_id) = 0;
+  /// A one-id FetchPostsBatch: the same single-call frame on the wire.
+  virtual Result<std::vector<ssi::QueryPost>> FetchPosts(uint64_t tds_id) {
+    return std::move(FetchPostsBatch({tds_id}).front());
+  }
   /// Batched FetchPosts: one result per id, in order, each failing
   /// independently (a transport failure loses that TDS's fetch only). Call
   /// sites batch unconditionally; the transport decides how many frames
@@ -60,10 +64,15 @@ class SsiApi {
   }
   /// Uploads one TDS's contribution and acknowledges the query in one
   /// exchange. Returns whether the contribution was accepted: an honest SSI
-  /// accepts every upload until the collection is taken.
+  /// accepts every upload until the collection is taken. A one-upload
+  /// UploadCollectionBatch: the same single-call frame on the wire.
   virtual Result<bool> UploadCollection(
       uint64_t query_id, uint64_t tds_id,
-      const std::vector<ssi::EncryptedItem>& items) = 0;
+      const std::vector<ssi::EncryptedItem>& items) {
+    return std::move(
+        UploadCollectionBatch({CollectionUpload{query_id, tds_id, items}})
+            .front());
+  }
   /// Batched UploadCollection: one accept bit per upload, in order. The
   /// uploads are applied in vector order, so results are bit-identical to
   /// calling UploadCollection once per upload.

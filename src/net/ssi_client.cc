@@ -372,14 +372,6 @@ Status SsiClient::PostPersonal(uint64_t tds_id, const QueryPost& post) {
   });
 }
 
-Result<std::vector<QueryPost>> SsiClient::FetchPosts(uint64_t tds_id) {
-  return CallOne<std::vector<QueryPost>>(
-      [&](Bytes* out) { PutRequest(out, MsgType::kFetchPosts, {tds_id}); },
-      [](Body body, ReplyFrame* reply) {
-        return PostDecoder().Posts(body, reply);
-      });
-}
-
 std::vector<Result<std::vector<QueryPost>>> SsiClient::FetchPostsBatch(
     const std::vector<uint64_t>& tds_ids) {
   std::vector<Result<std::vector<QueryPost>>> out;
@@ -439,17 +431,6 @@ Status SsiClient::Acknowledge(uint64_t tds_id, uint64_t query_id) {
   return CallStatus([&](Bytes* out) {
     PutRequest(out, MsgType::kAcknowledge, {tds_id, query_id});
   });
-}
-
-Result<bool> SsiClient::UploadCollection(
-    uint64_t query_id, uint64_t tds_id,
-    const std::vector<EncryptedItem>& items) {
-  return CallOne<bool>(
-      [&](Bytes* out) {
-        PutItemsRequest(out, MsgType::kUploadCollection, {query_id, tds_id},
-                        items);
-      },
-      [](Body body, ReplyFrame*) { return AcceptedFromBody(body); });
 }
 
 std::vector<Result<bool>> SsiClient::UploadCollectionBatch(

@@ -94,7 +94,6 @@ class SsiClient : public SsiApi {
   // ---- Querybox ----
   Status PostGlobal(const ssi::QueryPost& post) override;
   Status PostPersonal(uint64_t tds_id, const ssi::QueryPost& post) override;
-  Result<std::vector<ssi::QueryPost>> FetchPosts(uint64_t tds_id) override;
   std::vector<Result<std::vector<ssi::QueryPost>>> FetchPostsBatch(
       const std::vector<uint64_t>& tds_ids) override;
   Status Acknowledge(uint64_t tds_id, uint64_t query_id) override;
@@ -113,9 +112,6 @@ class SsiClient : public SsiApi {
       const std::vector<uint64_t>& held_tags);
 
   // ---- Collection phase ----
-  Result<bool> UploadCollection(
-      uint64_t query_id, uint64_t tds_id,
-      const std::vector<ssi::EncryptedItem>& items) override;
   std::vector<Result<bool>> UploadCollectionBatch(
       const std::vector<CollectionUpload>& uploads) override;
   Result<std::vector<ssi::EncryptedItem>> TakeCollected(

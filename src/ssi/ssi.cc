@@ -1,40 +1,72 @@
 #include "ssi/ssi.h"
 
 #include <algorithm>
+#include <type_traits>
 
 namespace tcells::ssi {
 
 namespace {
 
-void EncodeTagHistogram(const std::map<Bytes, uint64_t>& hist, Bytes* out) {
+template <typename Key>
+constexpr bool kTagKey = std::is_same_v<Key, Bytes>;
+
+/// Writes a u32 entry count, then (key, count) pairs in ascending key order.
+template <typename Key>
+void EncodeHistogram(const std::map<Key, uint64_t>& hist, Bytes* out) {
   ByteWriter w(out);
   w.PutU32(static_cast<uint32_t>(hist.size()));
-  for (const auto& [tag, count] : hist) {
-    w.PutBytes(tag);
+  for (const auto& [key, count] : hist) {
+    if constexpr (kTagKey<Key>) {
+      w.PutBytes(key);
+    } else {
+      w.PutU64(key);
+    }
     w.PutU64(count);
   }
 }
 
-Result<std::map<Bytes, uint64_t>> DecodeTagHistogram(ByteReader* reader) {
-  // Each entry is at least a 4-byte tag length plus an 8-byte count.
-  TCELLS_ASSIGN_OR_RETURN(uint32_t n, reader->GetCountU32(12));
-  std::map<Bytes, uint64_t> hist;
+/// Reads what EncodeHistogram writes into an empty `hist`. Keys must be
+/// strictly ascending, so every histogram has one encoding.
+template <typename Key>
+Status DecodeHistogram(ByteReader* reader, std::map<Key, uint64_t>* hist) {
+  // An entry is a tag (4-byte length and up) or an 8-byte size, then a count.
+  TCELLS_ASSIGN_OR_RETURN(uint32_t n,
+                          reader->GetCountU32(kTagKey<Key> ? 12 : 16));
   for (uint32_t i = 0; i < n; ++i) {
-    TCELLS_ASSIGN_OR_RETURN(Bytes tag, reader->GetBytes());
+    Key key;
+    if constexpr (kTagKey<Key>) {
+      TCELLS_ASSIGN_OR_RETURN(key, reader->GetBytes());
+    } else {
+      TCELLS_ASSIGN_OR_RETURN(key, reader->GetU64());
+    }
     TCELLS_ASSIGN_OR_RETURN(uint64_t count, reader->GetU64());
-    hist[std::move(tag)] = count;
+    if (!hist->empty() && !(hist->rbegin()->first < key)) {
+      return Status::Corruption("histogram keys not strictly ascending");
+    }
+    hist->emplace_hint(hist->end(), std::move(key), count);
   }
-  return hist;
+  return Status::OK();
 }
 
 }  // namespace
 
+void AdversaryView::Merge(const AdversaryView& other) {
+  const auto merge = [](const auto& from, auto* into) {
+    for (const auto& [key, count] : from) (*into)[key] += count;
+  };
+  merge(other.collection_tag_histogram, &collection_tag_histogram);
+  merge(other.collection_blob_size_histogram, &collection_blob_size_histogram);
+  merge(other.aggregation_tag_histogram, &aggregation_tag_histogram);
+  collection_items += other.collection_items;
+  aggregation_items += other.aggregation_items;
+  filtering_items += other.filtering_items;
+}
+
 void AdversaryView::EncodeTo(Bytes* out) const {
-  EncodeTagHistogram(collection_tag_histogram, out);
+  EncodeHistogram(collection_tag_histogram, out);
+  EncodeHistogram(collection_blob_size_histogram, out);
+  EncodeHistogram(aggregation_tag_histogram, out);
   ByteWriter w(out);
-  w.PutU32(static_cast<uint32_t>(collection_blob_sizes.size()));
-  for (size_t size : collection_blob_sizes) w.PutU64(size);
-  EncodeTagHistogram(aggregation_tag_histogram, out);
   w.PutU64(collection_items);
   w.PutU64(aggregation_items);
   w.PutU64(filtering_items);
@@ -43,16 +75,12 @@ void AdversaryView::EncodeTo(Bytes* out) const {
 Result<AdversaryView> AdversaryView::Decode(std::span<const uint8_t> data) {
   ByteReader reader(data);
   AdversaryView view;
-  TCELLS_ASSIGN_OR_RETURN(view.collection_tag_histogram,
-                          DecodeTagHistogram(&reader));
-  TCELLS_ASSIGN_OR_RETURN(uint32_t n_sizes, reader.GetCountU32(8));
-  view.collection_blob_sizes.reserve(n_sizes);
-  for (uint32_t i = 0; i < n_sizes; ++i) {
-    TCELLS_ASSIGN_OR_RETURN(uint64_t size, reader.GetU64());
-    view.collection_blob_sizes.push_back(static_cast<size_t>(size));
-  }
-  TCELLS_ASSIGN_OR_RETURN(view.aggregation_tag_histogram,
-                          DecodeTagHistogram(&reader));
+  TCELLS_RETURN_IF_ERROR(
+      DecodeHistogram(&reader, &view.collection_tag_histogram));
+  TCELLS_RETURN_IF_ERROR(
+      DecodeHistogram(&reader, &view.collection_blob_size_histogram));
+  TCELLS_RETURN_IF_ERROR(
+      DecodeHistogram(&reader, &view.aggregation_tag_histogram));
   TCELLS_ASSIGN_OR_RETURN(view.collection_items, reader.GetU64());
   TCELLS_ASSIGN_OR_RETURN(view.aggregation_items, reader.GetU64());
   TCELLS_ASSIGN_OR_RETURN(view.filtering_items, reader.GetU64());
@@ -79,7 +107,7 @@ struct TagLess {
 
 Result<uint32_t> ViewRecorder::ObserveItems(std::span<const uint8_t> items,
                                             TagCounts* tags,
-                                            std::vector<size_t>* blob_sizes) {
+                                            SizeCounts* blob_sizes) {
   ByteReader reader(items.data(), items.size());
   TCELLS_ASSIGN_OR_RETURN(ItemScanner scan, ItemScanner::Open(&reader));
   for (uint32_t i = 0; i < scan.count(); ++i) {
@@ -93,7 +121,7 @@ Result<uint32_t> ViewRecorder::ObserveItems(std::span<const uint8_t> items,
         tags->emplace(key, 1);
       }
     }
-    if (blob_sizes != nullptr) blob_sizes->push_back(item.blob().size());
+    if (blob_sizes != nullptr) (*blob_sizes)[item.blob().size()] += 1;
   }
   return scan.count();
 }
@@ -101,7 +129,7 @@ Result<uint32_t> ViewRecorder::ObserveItems(std::span<const uint8_t> items,
 Status ViewRecorder::ObserveCollection(std::span<const uint8_t> items) {
   TCELLS_ASSIGN_OR_RETURN(uint32_t n,
                           ObserveItems(items, &collection_tags_,
-                                       &view_.collection_blob_sizes));
+                                       &collection_sizes_));
   view_.collection_items += n;
   return Status::OK();
 }
@@ -122,6 +150,10 @@ const AdversaryView& ViewRecorder::View() {
   };
   fold(&collection_tags_, &view_.collection_tag_histogram);
   fold(&aggregation_tags_, &view_.aggregation_tag_histogram);
+  for (const auto& [size, count] : collection_sizes_) {
+    view_.collection_blob_size_histogram[size] += count;
+  }
+  collection_sizes_.clear();
   return view_;
 }
 

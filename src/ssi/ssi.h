@@ -30,15 +30,15 @@
 
 namespace tcells::ssi {
 
-/// Everything an honest-but-curious SSI observes during a run. The exposure
-/// analysis computes empirical coefficients from this, and security tests
-/// assert on its contents (e.g. "all blobs of one phase have equal size",
-/// "tag multiset is flat for C_Noise").
+/// Everything an honest-but-curious SSI observes during a run, as counts
+/// with no order, so a view is the same however its observations were split
+/// across shards. The exposure analysis and the security tests read it
+/// (e.g. "all blobs of one phase have equal size", "tag multiset is flat").
 struct AdversaryView {
   /// Cleartext routing tags seen in the collection phase, with multiplicity.
   std::map<Bytes, uint64_t> collection_tag_histogram;
-  /// Blob sizes seen in the collection phase.
-  std::vector<size_t> collection_blob_sizes;
+  /// Blob sizes seen in the collection phase: size in bytes -> item count.
+  std::map<uint64_t, uint64_t> collection_blob_size_histogram;
   /// Cleartext routing tags observed on aggregation-phase outputs (e.g. the
   /// Det_Enc(group) tags of ED_Hist's second phase — this is how the SSI
   /// learns G, and only G, there).
@@ -49,16 +49,19 @@ struct AdversaryView {
   uint64_t aggregation_items = 0;
   uint64_t filtering_items = 0;
 
+  /// Adds `other`'s observations: counters sum, histograms merge by key.
+  void Merge(const AdversaryView& other);
+
   /// Wire codec, so a remote querier can download the view for the exposure
-  /// analysis. Maps encode in key order; the round trip is lossless.
+  /// analysis. Histograms encode in strictly ascending key order, the one
+  /// order Decode accepts, so the round trip is lossless both ways.
   void EncodeTo(Bytes* out) const;
   static Result<AdversaryView> Decode(std::span<const uint8_t> data);
 };
 
 /// What the SSI node records of one query toward its AdversaryView, as the
-/// calls arrive. Tags are counted in hash maps and folded into the view's
-/// ordered maps when the view is read, so the encoded view is the one
-/// AdversaryView::EncodeTo writes for the same observations.
+/// calls arrive: one hash-map entry per distinct tag or blob size, folded
+/// into the view's ordered maps when the view is read.
 class ViewRecorder {
  public:
   /// Records one accepted collection upload / one aggregation-phase output.
@@ -83,16 +86,17 @@ class ViewRecorder {
   };
   using TagCounts =
       std::unordered_map<std::string, uint64_t, TagHash, std::equal_to<>>;
+  using SizeCounts = std::unordered_map<uint64_t, uint64_t>;
 
   /// Reads one item-vector encoding ScanItems accepted: counts its tags
-  /// into `tags` and, when `blob_sizes` is set, records every blob size.
-  /// Returns the item count.
+  /// into `tags` and, when `blob_sizes` is set, its blob sizes. Returns the
+  /// item count.
   static Result<uint32_t> ObserveItems(std::span<const uint8_t> items,
-                                       TagCounts* tags,
-                                       std::vector<size_t>* blob_sizes);
+                                       TagCounts* tags, SizeCounts* blob_sizes);
 
-  AdversaryView view_;  ///< Tag maps behind by what the counts hold.
+  AdversaryView view_;  ///< Histograms behind by what the counts hold.
   TagCounts collection_tags_;
+  SizeCounts collection_sizes_;
   TagCounts aggregation_tags_;
 };
 

@@ -66,6 +66,10 @@ Result<std::unique_ptr<Engine>> Engine::Create(
     return Status::InvalidArgument("Engine needs a non-empty fleet");
   }
   TCELLS_RETURN_IF_ERROR(config.options.Validate());
+  if (config.options.key_authority != nullptr) {
+    return Status::InvalidArgument(
+        "Engine::Config: options.key_authority is selected by key_mode");
+  }
   if (config.num_shards == 0) {
     return Status::InvalidArgument("Engine::Config: num_shards must be >= 1");
   }
@@ -239,11 +243,9 @@ void Engine::StartScheduler() {
         // in flight.
         protocol::RunOptions opts = job->options;
         opts.cancel = &job->cancel;
-        // Dynamic key mode is an engine-level property: per-query options
-        // cannot opt out (the fleet's key states are installed).
-        if (key_authority_ != nullptr) {
-          opts.key_authority = key_authority_.get();
-        }
+        // Key mode is an engine-level property: Submit accepted no other
+        // authority, and null takes the engine's.
+        opts.key_authority = key_authority_.get();
         protocol::QuerySession session(fleet_.get(), config_.device, opts,
                                        telemetry(), router_.get());
         Status submitted =
@@ -284,6 +286,11 @@ Result<QueryHandle> Engine::SubmitInternal(
     uint64_t query_id, std::optional<uint64_t> tds_id, const std::string& sql,
     const protocol::RunOptions& options) {
   TCELLS_RETURN_IF_ERROR(options.Validate());
+  if (options.key_authority != nullptr &&
+      options.key_authority != key_authority_.get()) {
+    return Status::InvalidArgument(
+        "RunOptions::key_authority is not this engine's");
+  }
   auto job = std::make_shared<internal::QueryJob>();
   job->query_id = query_id;
   job->protocol = &protocol;

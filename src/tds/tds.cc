@@ -250,7 +250,7 @@ TrustedDataServer::ProcessAggregationPartition(
       case PayloadKind::kTrueTuple: {
         TCELLS_RETURN_IF_ERROR(
             Tuple::DecodeInto(payload.body, payload.body_size, &ws.tuple));
-        if (options_.leak_log) options_.leak_log->RecordRawTuple(id_, ws.tuple);
+        if (leak_log_) leak_log_->RecordRawTuple(id_, ws.tuple);
         TCELLS_RETURN_IF_ERROR(agg.AccumulateTuple(ws.tuple, query.key_arity));
         break;
       }
@@ -258,7 +258,7 @@ TrustedDataServer::ProcessAggregationPartition(
       case PayloadKind::kFakeTuple:
         break;  // identified characteristics: filtered inside the enclave
       case PayloadKind::kPartialAgg: {
-        if (options_.leak_log) {
+        if (leak_log_) {
           // Compromised-TDS modeling needs the partial's own groups, so pay
           // for the materialized decode on this cold path only.
           TCELLS_ASSIGN_OR_RETURN(
@@ -266,7 +266,7 @@ TrustedDataServer::ProcessAggregationPartition(
               sql::GroupedAggregation::Decode(query.agg_specs, payload.body,
                                               payload.body_size));
           for (const auto& [key, states] : partial.groups()) {
-            options_.leak_log->RecordGroupAggregate(id_, key);
+            leak_log_->RecordGroupAggregate(id_, key);
           }
           TCELLS_RETURN_IF_ERROR(agg.MergeAll(partial));
         } else {
@@ -362,9 +362,9 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessFiltering(
           agg.MergeEncoded(payload.body, payload.body_size));
     }
     // Finalize + HAVING + projection happen inside the enclave (step 11).
-    if (options_.leak_log) {
+    if (leak_log_) {
       for (const auto& [key, states] : agg.groups()) {
-        options_.leak_log->RecordGroupAggregate(id_, key);
+        leak_log_->RecordGroupAggregate(id_, key);
       }
     }
     TCELLS_ASSIGN_OR_RETURN(sql::QueryResult result,
@@ -391,10 +391,10 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessFiltering(
     if (payload.kind != PayloadKind::kTrueTuple) {
       return Status::Corruption("filtering expected collection tuples");
     }
-    if (options_.leak_log) {
+    if (leak_log_) {
       TCELLS_RETURN_IF_ERROR(
           Tuple::DecodeInto(payload.body, payload.body_size, &ws.tuple));
-      options_.leak_log->RecordRawTuple(id_, ws.tuple);
+      leak_log_->RecordRawTuple(id_, ws.tuple);
     }
     ssi::EncodePayloadTo(PayloadKind::kResultRow, payload.body,
                          payload.body_size, 0, &ws.payload);

@@ -51,10 +51,6 @@ struct TdsOptions {
   /// RAM budget for the partial aggregate structure; 0 = unlimited. The
   /// paper's board has 64 KB (§6.2); S_Agg's feasibility depends on it.
   size_t ram_budget_bytes = 0;
-  /// Non-null marks the TDS as COMPROMISED (threat-model extension): it
-  /// follows the protocol but records every plaintext it decrypts into the
-  /// log, modeling an attacker who extracted k2 from the device.
-  std::shared_ptr<LeakLog> leak_log;
 };
 
 class TrustedDataServer {
@@ -69,10 +65,11 @@ class TrustedDataServer {
   storage::Database& db() { return db_; }
   const storage::Database& db() const { return db_; }
 
-  /// Marks this TDS compromised post-construction (threat extension): every
-  /// plaintext it subsequently decrypts is recorded into `log`.
+  /// Marks this TDS COMPROMISED (threat-model extension): it follows the
+  /// protocol but records every plaintext it subsequently decrypts into
+  /// `log`, modeling an attacker who extracted k2 from the device.
   void set_leak_log(std::shared_ptr<LeakLog> log) {
-    options_.leak_log = std::move(log);
+    leak_log_ = std::move(log);
   }
 
   /// Dynamic key mode: attaches this TDS's key state (borrowed; must outlive
@@ -140,6 +137,7 @@ class TrustedDataServer {
   std::shared_ptr<const Authority> authority_;
   AccessPolicy policy_;
   TdsOptions options_;
+  std::shared_ptr<LeakLog> leak_log_;  ///< Non-null: compromised.
   storage::Database db_;
 };
 

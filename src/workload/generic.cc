@@ -44,12 +44,12 @@ Result<std::unique_ptr<protocol::Fleet>> BuildGenericFleet(
     const GenericOptions& opts,
     std::shared_ptr<const crypto::KeyStore> keys,
     std::shared_ptr<const tds::Authority> authority,
-    const tds::AccessPolicy& policy, tds::TdsOptions tds_options) {
+    const tds::AccessPolicy& policy) {
   Rng rng(opts.seed);
   auto fleet = std::make_unique<protocol::Fleet>();
   for (size_t i = 0; i < opts.num_tds; ++i) {
     auto server = std::make_unique<tds::TrustedDataServer>(
-        /*id=*/i, keys, authority, policy, tds_options);
+        /*id=*/i, keys, authority, policy);
     TCELLS_RETURN_IF_ERROR(PopulateGenericDb(&server->db(), i, opts, &rng));
     fleet->Add(std::move(server));
   }

@@ -39,7 +39,7 @@ Result<std::unique_ptr<protocol::Fleet>> BuildHealthFleet(
     const HealthOptions& opts,
     std::shared_ptr<const crypto::KeyStore> keys,
     std::shared_ptr<const tds::Authority> authority,
-    const tds::AccessPolicy& policy, tds::TdsOptions tds_options = {});
+    const tds::AccessPolicy& policy);
 
 }  // namespace tcells::workload
 

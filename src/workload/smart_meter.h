@@ -49,7 +49,7 @@ Result<std::unique_ptr<protocol::Fleet>> BuildSmartMeterFleet(
     const SmartMeterOptions& opts,
     std::shared_ptr<const crypto::KeyStore> keys,
     std::shared_ptr<const tds::Authority> authority,
-    const tds::AccessPolicy& policy, tds::TdsOptions tds_options = {});
+    const tds::AccessPolicy& policy);
 
 }  // namespace tcells::workload
 

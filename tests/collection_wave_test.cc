@@ -5,9 +5,12 @@
 // metrics export, its trace export and its encoded AdversaryView, and the
 // digests are pinned: a wave that reorders an upload or an acknowledgement,
 // or counts the SIZE bound differently, moves a digest. They were last
-// re-pinned when every random draw became keyed (Rng::Keyed): a new merge
-// tree moves S_Agg's AVG in its last bits and C_Noise's row order, so every
-// rows section moved with the draws.
+// re-pinned when the view's blob sizes became a size histogram: only the
+// view section and the net.* byte counters that carry it moved. A view
+// holds counts only, so each cell's view is the same at 1 and 4 shards.
+// Before that, when every random draw became keyed (Rng::Keyed), a new
+// merge tree moved S_Agg's AVG in its last bits and C_Noise's row order,
+// so every rows section moved with the draws.
 //
 // The fleet is 3 full waves plus a ragged remainder. Transport batching is
 // one call per frame, so the net.* frame counters are part of the pin too
@@ -142,21 +145,21 @@ RunOutcome RunQuery(const WaveRun& run, std::string* digest) {
 TEST(CollectionWaveTest, FullPassDigestsArePinned) {
   const std::map<std::string, std::string> want = {
       {"s_agg static s1",
-       "3f0d64fb0d36a844d6d36aab53a52f3a3b5cbbd750c96c8177ff31d162774eaf"},
+       "c4212cada162956f65859f00c0d23645c71c21b5f7752e3c64a4a75cf1377931"},
       {"s_agg static s4",
-       "4238e4168f34cb3d1e9a8683dbe61762a069451c9c8cbb9d8b664d57c4a16200"},
+       "4043e4f4260767f1454d0b35726df92e8771f372565dab3209b90037bf0ded6a"},
       {"s_agg dynamic s1",
-       "45a95473b706872b3e4d1f21e9df2f393115b3bbe69600cc60d0b957d7172980"},
+       "f3295c9e36b4e923dcf216995943e58906f0d6f212dd791f4b163272048d483b"},
       {"s_agg dynamic s4",
-       "30d036e9ae7ab2d63761ff908440ab4dea3639feb1c59013973d7afbf5b651f6"},
+       "f8166c9d50256803532b5a9227c89e1b96fd4e55645f002fa7b8441c1ea47de1"},
       {"c_noise static s1",
-       "bfe3517f62d0ace880e3d3ad38b4f6852f4577682ce7833b22f7e24f8d8ae2d4"},
+       "4a0c16ba51d7a29d3f57c49d4b52192db717986651a9f5a215836af7a0440e08"},
       {"c_noise static s4",
-       "9a17a48872a827dbf4f206ce0cf31f54d925435346f846e5a0717088e0ec0543"},
+       "7a560326b101499cb54ec6da4fd0c09a5e765d590ec2d979313739eb83cbe878"},
       {"c_noise dynamic s1",
-       "3cc4dbfb46e8150ccec8c18cad3a4805848e9622b34a2d1d1084c0e4e5bc1675"},
+       "b114764e2b87905bd5f452eed62740ea298b88f1203ebc2c2a7969360d740d81"},
       {"c_noise dynamic s4",
-       "a20533f667c9217a9b076f84e28678c494e7d4b4d19ca5ea1cf4411a11ecb43b"},
+       "ed7d7c370740b8a5df8322ace101101cb3fe9319585ccefae987314565815011"},
   };
   for (ProtocolKind protocol : {ProtocolKind::kSAgg, ProtocolKind::kCNoise}) {
     for (KeyMode key_mode : {KeyMode::kStatic, KeyMode::kDynamic}) {
@@ -197,7 +200,7 @@ TEST(CollectionWaveTest, SizeBoundReachedMidTickIsPinned) {
   EXPECT_EQ(outcome.metrics.collection_ticks, 2u);
   EXPECT_EQ(outcome.adversary.collection_items, 10500u);
   EXPECT_EQ(digest,
-            "5f1b3ce775c2aae32c7a65e82a2fb0392ed2309f0e1b4309796dfd299f3ee5e5");
+            "0a2c6fae5c322b5a21a4f5c841e72584ea68371d7c224288e70b0db5e4bcd7c2");
 }
 
 }  // namespace

@@ -234,12 +234,8 @@ std::string TallyText(const RunMetrics& m) {
   return out.str();
 }
 
-/// The encoded AdversaryView, with its blob sizes sorted when `as_multiset`.
-Bytes ViewBytes(ssi::AdversaryView view, bool as_multiset) {
-  if (as_multiset) {
-    std::sort(view.collection_blob_sizes.begin(),
-              view.collection_blob_sizes.end());
-  }
+/// The encoded AdversaryView.
+Bytes ViewBytes(const ssi::AdversaryView& view) {
   Bytes out;
   view.EncodeTo(&out);
   return out;
@@ -266,11 +262,8 @@ void ExpectSameRun(const Layout& ref, const Snapshot& want, const Layout& cell,
   EXPECT_EQ(want.outcome.result.ToString(), got.outcome.result.ToString());
   EXPECT_EQ(want.trace, got.trace);
   EXPECT_EQ(TallyText(want.outcome.metrics), TallyText(got.outcome.metrics));
-  // The router concatenates the shards' blob sizes in shard order, so
-  // across shard counts only their multiset is layout-independent.
-  const bool multiset = ref.shards != cell.shards;
-  EXPECT_EQ(ViewBytes(want.outcome.adversary, multiset),
-            ViewBytes(got.outcome.adversary, multiset));
+  EXPECT_EQ(ViewBytes(want.outcome.adversary),
+            ViewBytes(got.outcome.adversary));
   // Decoys write to the same leak log and registry as the probe.
   if (ref.decoys != 0 || cell.decoys != 0) return;
   EXPECT_EQ(want.leaks, got.leaks);
@@ -476,8 +469,8 @@ TEST(DifferentialGridKeyModes, DynamicKeysKeepRowsAndViewShape) {
     EXPECT_EQ(dy.metrics.contributions_rejected, 0u);
     EXPECT_EQ(st.metrics.collection_participants,
               dy.metrics.collection_participants);
-    EXPECT_EQ(st.adversary.collection_blob_sizes,
-              dy.adversary.collection_blob_sizes);
+    EXPECT_EQ(st.adversary.collection_blob_size_histogram,
+              dy.adversary.collection_blob_size_histogram);
     EXPECT_EQ(st.adversary.collection_items, dy.adversary.collection_items);
     EXPECT_EQ(st.adversary.aggregation_items, dy.adversary.aggregation_items);
     EXPECT_EQ(st.adversary.filtering_items, dy.adversary.filtering_items);

@@ -970,8 +970,9 @@ TEST(SsiNodeTest, AdversaryViewRecordsTagHistogram) {
             2u);
   EXPECT_EQ(view->collection_tag_histogram.at(*TagOf(MakeItem(3, true))),
             1u);
-  ASSERT_EQ(view->collection_blob_sizes.size(), 4u);
-  EXPECT_EQ(view->collection_blob_sizes[3], 16u);
+  // Three 8-byte blobs and the untagged 16-byte one.
+  EXPECT_EQ(view->collection_blob_size_histogram,
+            (std::map<uint64_t, uint64_t>{{8, 3}, {16, 1}}));
 }
 
 TEST(SsiNodeTest, GlobalAndPersonalRouting) {
@@ -1428,7 +1429,7 @@ TEST(SsiWireTest, FramesArePinned) {
       "2bd088f55fb125cad40c1137105beeb50e4563a22474d739622dd19fc72b3202"
       " 1272601ca1a0ee343003cf4420bb5b7b5d74a4edf9e0a8e27b33d259f8983372",
       "975999d65d38a924405581663445f64dc6e7c72f84895a73d432be70c7479048"
-      " b1e91c836fbf325be103de5cd955a4468cf467b83345b702b08e8eb93cb94b31",
+      " b7602ea248081d4cbffa5b22898bd50344033ea42574a82ac354097d22fc17bb",
       "23f6dd8fcf110dc5ec21c93ead33ba76d34d6a310cd8ce03fb5c8a2dbd500ae6"
       " ee7146589a704b5383192fc5294b4bf3040b84438bdca86d02ad281d5489eb3f",
       "05d2f114adf333a5116c7a5c4637951f27185cfb0a0f7d4431b195206c9835f9"

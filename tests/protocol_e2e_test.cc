@@ -328,9 +328,7 @@ TEST(AdversaryTest, SAggExposesNoTagsAndNoDuplicateBlobs) {
   EXPECT_TRUE(outcome.adversary.collection_tag_histogram.empty());
   // All collection blobs have identical size (same tuple shape + nDet):
   // nothing to distinguish tuples by.
-  std::set<size_t> sizes(outcome.adversary.collection_blob_sizes.begin(),
-                         outcome.adversary.collection_blob_sizes.end());
-  EXPECT_EQ(sizes.size(), 1u);
+  EXPECT_EQ(outcome.adversary.collection_blob_size_histogram.size(), 1u);
 }
 
 TEST(AdversaryTest, CNoiseTagHistogramIsFlat) {
@@ -451,10 +449,9 @@ TEST(AdversaryTest, PayloadPaddingEqualizesNoiseBlobSizes) {
                      ->Run(protocol, *w.querier, 60,
                            "SELECT grp, AVG(val) FROM T GROUP BY grp", opts)
                      .ValueOrDie();
-  std::set<size_t> sizes(outcome.adversary.collection_blob_sizes.begin(),
-                         outcome.adversary.collection_blob_sizes.end());
+  const auto& sizes = outcome.adversary.collection_blob_size_histogram;
   EXPECT_EQ(sizes.size(), 1u);
-  EXPECT_EQ(*sizes.begin(), 128u + crypto::NDetEnc::kOverhead);
+  EXPECT_EQ(sizes.begin()->first, 128u + crypto::NDetEnc::kOverhead);
   // And the result still matches the oracle (padding is transparent).
   auto expected = ExecuteReference(
       *w.fleet, "SELECT grp, AVG(val) FROM T GROUP BY grp").ValueOrDie();
@@ -471,10 +468,8 @@ TEST(AdversaryTest, WithoutPaddingNoiseBlobSizesDiffer) {
                      ->Run(protocol, *w.querier, 61,
                            "SELECT grp, AVG(val) FROM T GROUP BY grp")
                      .ValueOrDie();
-  std::set<size_t> sizes(outcome.adversary.collection_blob_sizes.begin(),
-                         outcome.adversary.collection_blob_sizes.end());
   // Documents why pad_payload_to exists: fakes are distinguishable by size.
-  EXPECT_GT(sizes.size(), 1u);
+  EXPECT_GT(outcome.adversary.collection_blob_size_histogram.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -185,6 +185,52 @@ TEST(EngineConfigTest, MalformedRunOptionsRejected) {
   EXPECT_FALSE(Engine::Create(BuildFleet(), cfg).ok());
 }
 
+TEST(EngineConfigTest, CallerKeyAuthorityRejected) {
+  // The engine owns its key authority and key_mode selects it: a foreign
+  // one on a static fleet would post keys no TDS holds a state for, and the
+  // query would answer OK with no rows.
+  auto foreign =
+      keys::KeyAuthority::Create(Bytes(16, 0x5a), 64, 1).ValueOrDie();
+  Engine::Config cfg;
+  cfg.options.key_authority = foreign.get();
+  auto engine = Engine::Create(BuildFleet(), cfg);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_TRUE(engine.status().IsInvalidArgument());
+  EXPECT_NE(engine.status().ToString().find("key_authority"),
+            std::string::npos);
+}
+
+TEST(EngineConfigTest, ForeignKeyAuthorityRejectedAtSubmit) {
+  auto foreign =
+      keys::KeyAuthority::Create(Bytes(16, 0x5a), 64, 1).ValueOrDie();
+  auto querier = MakeQuerier();
+  protocol::SAggProtocol s_agg;
+  protocol::RunOptions opts = FastOptions();
+  opts.key_authority = foreign.get();
+  for (KeyMode mode : {KeyMode::kStatic, KeyMode::kDynamic}) {
+    Engine::Config cfg;
+    cfg.options = FastOptions();
+    cfg.key_mode = mode;
+    auto engine = Engine::Create(BuildFleet(), cfg).ValueOrDie();
+    auto handle = engine->Submit(s_agg, querier, 1, kAggSql, opts);
+    ASSERT_FALSE(handle.ok());
+    EXPECT_TRUE(handle.status().IsInvalidArgument());
+  }
+  // A dynamic engine's own options carry its own authority: accepted.
+  Engine::Config cfg;
+  cfg.options = FastOptions();
+  cfg.key_mode = KeyMode::kDynamic;
+  auto fleet = BuildFleet();
+  auto oracle = protocol::ExecuteReference(*fleet, kAggSql).ValueOrDie();
+  auto engine = Engine::Create(std::move(fleet), cfg).ValueOrDie();
+  ASSERT_EQ(engine->options().key_authority, engine->key_authority());
+  auto outcome = engine->Submit(s_agg, querier, 2, kAggSql, engine->options())
+                     .ValueOrDie()
+                     .Wait()
+                     .ValueOrDie();
+  EXPECT_TRUE(outcome.result.SameRows(oracle));
+}
+
 TEST(EngineConfigTest, BoundaryValuesAccepted) {
   Engine::Config cfg;
   cfg.num_shards = 4;

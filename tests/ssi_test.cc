@@ -500,25 +500,28 @@ TEST(ItemHandleTest, ItemsOfOneBufferAreSharedAcrossThreads) {
 }
 
 TEST(ViewRecorderTest, TagCountsMatchAMapReference) {
-  // The node counts tags in hash maps and folds them into the view's
-  // ordered maps when the view is read. Reads between observations must
-  // not lose or double a count, whatever the tags' lengths (the empty tag
-  // included) and however often the counts rehash.
+  // The node counts tags and blob sizes in hash maps and folds them into
+  // the view's ordered maps when the view is read. Reads between
+  // observations must not lose or double a count, whatever the tags'
+  // lengths (the empty tag included) and however often the counts rehash.
   Rng rng(29);
   ViewRecorder recorder;
   std::map<Bytes, uint64_t> collection;
   std::map<Bytes, uint64_t> aggregation;
+  std::map<uint64_t, uint64_t> sizes;
   uint64_t items = 0;
   for (int upload = 0; upload < 40; ++upload) {
     std::vector<EncryptedItem> batch;
     for (int i = 0; i < 25; ++i) {
       const uint64_t pick = rng.NextBelow(300);
+      const Bytes blob(1 + pick % 4, 0x11);
+      if (upload % 2 == 0) sizes[blob.size()] += 1;
       if (pick % 7 == 0) {
-        batch.emplace_back(Bytes(3, 0x11));  // untagged
+        batch.emplace_back(blob);  // untagged
         continue;
       }
       const Bytes tag(pick % 5, static_cast<uint8_t>(pick));
-      batch.emplace_back(Bytes(3, 0x11), tag);
+      batch.emplace_back(blob, tag);
       (upload % 2 == 0 ? collection : aggregation)[tag] += 1;
     }
     Bytes encoded;
@@ -531,13 +534,85 @@ TEST(ViewRecorderTest, TagCountsMatchAMapReference) {
     }
     if (upload % 9 == 4) {
       EXPECT_EQ(recorder.View().collection_tag_histogram, collection);
+      EXPECT_EQ(recorder.View().collection_blob_size_histogram, sizes);
     }
   }
   const AdversaryView& view = recorder.View();
   EXPECT_EQ(view.collection_tag_histogram, collection);
   EXPECT_EQ(view.aggregation_tag_histogram, aggregation);
+  EXPECT_EQ(view.collection_blob_size_histogram, sizes);
   EXPECT_EQ(view.collection_items, items);
-  EXPECT_EQ(view.collection_blob_sizes.size(), items);
+}
+
+AdversaryView SampleView() {
+  AdversaryView view;
+  view.collection_tag_histogram = {{Bytes{}, 2}, {Bytes{1, 2}, 5}};
+  view.collection_blob_size_histogram = {{40, 6}, {48, 1}};
+  view.aggregation_tag_histogram = {{Bytes{9}, 3}};
+  view.collection_items = 7;
+  view.aggregation_items = 3;
+  view.filtering_items = 2;
+  return view;
+}
+
+TEST(AdversaryViewTest, MergeSumsCountersAndMergesHistogramsByKey) {
+  AdversaryView other;
+  other.collection_tag_histogram = {{Bytes{1, 2}, 1}, {Bytes{3}, 4}};
+  other.collection_blob_size_histogram = {{33, 2}, {48, 3}};
+  other.collection_items = 5;
+  other.filtering_items = 1;
+  AdversaryView merged = SampleView();
+  merged.Merge(other);
+  EXPECT_EQ(merged.collection_tag_histogram,
+            (std::map<Bytes, uint64_t>{
+                {Bytes{}, 2}, {Bytes{1, 2}, 6}, {Bytes{3}, 4}}));
+  EXPECT_EQ(merged.collection_blob_size_histogram,
+            (std::map<uint64_t, uint64_t>{{33, 2}, {40, 6}, {48, 4}}));
+  EXPECT_EQ(merged.aggregation_tag_histogram,
+            SampleView().aggregation_tag_histogram);
+  EXPECT_EQ(merged.collection_items, 12u);
+  EXPECT_EQ(merged.aggregation_items, 3u);
+  EXPECT_EQ(merged.filtering_items, 3u);
+  // Merging is order-free: the other way round encodes the same bytes.
+  AdversaryView reversed = other;
+  reversed.Merge(SampleView());
+  Bytes a, b;
+  merged.EncodeTo(&a);
+  reversed.EncodeTo(&b);
+  EXPECT_EQ(a, b);
+}
+
+TEST(AdversaryViewTest, CodecRoundTripsAndRejectsUnorderedKeys) {
+  Bytes encoded;
+  SampleView().EncodeTo(&encoded);
+  // Layout: three histograms (u32 count, then ascending (key, u64) pairs),
+  // then three u64 counters.
+  const size_t tags = 4 + (4 + 0 + 8) + (4 + 2 + 8);
+  ASSERT_EQ(encoded.size(), tags + 4 + 2 * 16 + 4 + (4 + 1 + 8) + 3 * 8);
+  Bytes reencoded;
+  AdversaryView::Decode(encoded).ValueOrDie().EncodeTo(&reencoded);
+  EXPECT_EQ(reencoded, encoded);
+
+  // Swap the two size entries: 48 before 40.
+  Bytes swapped = encoded;
+  std::swap_ranges(swapped.begin() + tags + 4, swapped.begin() + tags + 20,
+                   swapped.begin() + tags + 20);
+  Result<AdversaryView> unordered = AdversaryView::Decode(swapped);
+  ASSERT_FALSE(unordered.ok());
+  EXPECT_TRUE(unordered.status().IsCorruption());
+
+  // A repeated tag: one collection tag entry written twice under an entry
+  // count of 2 (little-endian u32).
+  AdversaryView repeated = SampleView();
+  repeated.collection_tag_histogram = {{Bytes{7}, 1}};
+  Bytes one_tag;
+  repeated.EncodeTo(&one_tag);
+  Bytes duplicated(one_tag.begin(), one_tag.begin() + 4 + 13);
+  duplicated[0] = 2;
+  duplicated.insert(duplicated.end(), one_tag.begin() + 4, one_tag.end());
+  Result<AdversaryView> twice = AdversaryView::Decode(duplicated);
+  ASSERT_FALSE(twice.ok());
+  EXPECT_TRUE(twice.status().IsCorruption());
 }
 
 }  // namespace
